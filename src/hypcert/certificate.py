@@ -5,7 +5,8 @@ partition, outward-rounded decimal enclosures for every edge parameter
 and every angle sum, the per-step statuses, and the gimbal loop words.
 `recheck` re-parses the decimal intervals (again outward) and re-runs the
 realization, angle-sum and gimbal stages from the file alone, so a
-verification can be audited without trusting the original process.
+verification can be audited without trusting the original process.  A
+document that is not a well-formed certificate raises CertificateError.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from math import inf, nextafter
 
 from mpmath import libmp
 
+from . import geometry as geo
 from . import gimbal
 from . import verify as vf
 from .interval import MPInterval, kernel_for_precision
@@ -92,6 +94,10 @@ def _float_up(s):
 
 
 def _parse_interval(pair, kernel):
+    """Outward enclosure of a [lo, hi] pair of decimal strings."""
+    if not (isinstance(pair, list) and len(pair) == 2
+            and all(isinstance(x, str) for x in pair)):
+        raise ValueError(f"endpoint pair expected, got {pair!r}")
     lo_s, hi_s = pair
     if kernel.precision == 53:
         return kernel.interval(_float_down(lo_s), _float_up(hi_s))
@@ -149,9 +155,32 @@ def parse_certificate(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CertificateError(f"not a certificate: {exc}") from exc
-    if doc.get("format") != FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise CertificateError("unknown certificate format")
     return doc
+
+
+def _parse_box(tri, doc, kernel):
+    """The partition and the edge-parameter box of a certificate."""
+    try:
+        part = vf.Partition(*(
+            _edge_list(doc["partition"][key])
+            for key in ("loose", "kept", "fixed", "variable")
+        ))
+        part.check(tri.m, tri.o)
+        if len(doc["nu"]) != tri.m:
+            raise ValueError(f"nu must list {tri.m} intervals")
+        return part, [_parse_interval(pair, kernel) for pair in doc["nu"]]
+    except KeyError as exc:
+        raise CertificateError(f"certificate has no {exc}") from exc
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise CertificateError(f"malformed certificate: {exc}") from exc
+
+
+def _edge_list(value):
+    if not isinstance(value, list) or any(type(e) is not int for e in value):
+        raise ValueError(f"edge list expected, got {value!r}")
+    return value
 
 
 def recheck(tri, doc, precision=None):
@@ -162,28 +191,23 @@ def recheck(tri, doc, precision=None):
     if doc.get("triangulation_sha256") != triangulation_hash(tri):
         return False, "triangulation hash mismatch"
     if precision is None:
-        precision = int(doc.get("precision_bits", 53))
+        precision = doc.get("precision_bits", 53)
+    if type(precision) is not int or precision < 53:
+        raise CertificateError(f"precision must be an integer >= 53, got {precision!r}")
     kernel = kernel_for_precision(precision)
-    part = vf.Partition(
-        e_sim=list(doc["partition"]["loose"]),
-        e_eq=list(doc["partition"]["kept"]),
-        e_fixed=list(doc["partition"]["fixed"]),
-        e_var=list(doc["partition"]["variable"]),
-    )
-    part.check(tri.m, tri.o)
-    nu = [_parse_interval(pair, kernel) for pair in doc["nu"]]
+    part, nu = _parse_box(tri, doc, kernel)
     box = vf.CertifiedBox(
         nu=nu, theta=None, partition=part, precision=precision
     )
     try:
         box = vf.check_realization_and_angles(tri, box, kernel=kernel)
-    except vf.StepFailure as exc:
+        labels = gimbal.CocycleLabels(tri, box.nu, data=box.gram_data)
+        links = [vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
+        theta_boxes = [box.theta[e] for e in part.e_sim]
+        verdict = gimbal.gimbal_lock_check(tri, labels, part.e_sim, theta_boxes,
+                                           links=links)
+    except (vf.StepFailure, geo.RealizationError, gimbal.GimbalLoopError) as exc:
         return False, f"recheck failed: {exc}"
-    labels = gimbal.CocycleLabels(tri, box.nu, data=box._gram_data)
-    links = [vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
-    theta_boxes = [box.theta[e] for e in part.e_sim]
-    verdict = gimbal.gimbal_lock_check(tri, labels, part.e_sim, theta_boxes,
-                                       links=links)
     if not verdict.avoided:
         return False, f"recheck failed: {verdict.reason}"
     return True, "realization, angle sums and gimbal check reverified"

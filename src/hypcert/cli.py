@@ -109,10 +109,10 @@ def cmd_recheck(args):
     try:
         with open(args.certificate, "r", encoding="utf-8") as fh:
             doc = cert.parse_certificate(fh.read())
+        ok, detail = cert.recheck(tri, doc)
     except (OSError, cert.CertificateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    ok, detail = cert.recheck(tri, doc)
     print(detail)
     return EXIT_OK if ok else EXIT_UNVERIFIED
 
@@ -156,9 +156,8 @@ def main(argv=None):
     p.add_argument("file")
     p.add_argument("--precision", type=int, default=53,
                    help="working precision in bits (>= 53)")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--krawczyk", action="store_true", default=True)
-    group.add_argument("--interval-newton", action="store_true")
+    p.add_argument("--interval-newton", action="store_true",
+                   help="use the interval Newton operator instead of Krawczyk")
     p.add_argument("--refine", action="store_true",
                    help="Newton-polish the subsystem before certifying")
     p.add_argument("--seed", type=int, default=0)

@@ -8,6 +8,7 @@ Jacobian d(angle sums)/d(edge parameters).
 
 Everything is generic over the scalar type: plain floats drive the
 unverified solver and the pivot search, intervals drive certification.
+Constants and non-operator functions go through `scalars`.
 The formulas avoid automatic differentiation and stay well defined at
 right dihedral angles.
 """
@@ -99,25 +100,13 @@ class GramData:
 
 
 def gram_matrix(tri, params, tet):
-    neg_one = _point_like(params[0], -1.0)
+    neg_one = sc.point_like(params[0], -1.0)
     g = [[neg_one if i == j else None for j in range(4)] for i in range(4)]
     for (a, b) in LOCAL_EDGES:
         v = params[tri.edge_class_index(tet, a, b)]
         g[a][b] = v
         g[b][a] = v
     return g
-
-
-def _point_like(sample, x):
-    if hasattr(sample, "prec"):
-        from .interval import MPInterval
-
-        return MPInterval.point(x, sample.prec)
-    if sc.is_interval(sample):
-        from .interval import Interval
-
-        return Interval.point(x)
-    return float(x)
 
 
 def _minor3(g, i, j):
@@ -310,7 +299,7 @@ def jacobian(tri, params, data=None):
     """
     if data is None:
         data = [simplex_data(tri, params, t) for t in range(tri.n_tets)]
-    zero = _point_like(params[0], 0.0)
+    zero = sc.point_like(params[0], 0.0)
     m = tri.m
     M = [[zero for _ in range(m)] for _ in range(m)]
     for tet in range(tri.n_tets):

@@ -13,6 +13,18 @@ result set of its inputs.  Two endpoint backends share one protocol:
 * ``MPInterval`` -- arbitrary-precision endpoints via mpmath's directed
   rounding primitives, plus one extra ulp of outward slack per endpoint.
 
+Beyond the arithmetic dunders and the elementary functions, both classes
+expose the same protocol, which is all that generic code may rely on:
+
+* ``lo_float()`` / ``hi_float()`` -- float bounds rounded outward;
+* ``sqrt_nonneg()`` -- sqrt of a quantity that is mathematically >= 0,
+  clamping a rounding dip below zero (DomainError if entirely negative);
+* ``kernel`` -- the ``FloatKernel`` / ``MPKernel`` that builds constants
+  of the same kind and precision.
+
+``scalars.is_interval`` is the one test that tells an interval from a
+plain real number.
+
 No global floating-point state is touched; rounding is done value-by-value,
 so intervals are safe to share across threads.
 """
@@ -32,6 +44,7 @@ __all__ = [
     "DomainError",
     "FloatKernel",
     "MPKernel",
+    "FLOAT_KERNEL",
     "kernel_for_precision",
     "IntervalMatrix",
     "interval_matrix_invertible",
@@ -150,6 +163,16 @@ class Interval:
         s, e = _two_sum(self.hi, -self.lo)
         return _up(s, e)
 
+    def lo_float(self):
+        return self.lo
+
+    def hi_float(self):
+        return self.hi
+
+    @property
+    def kernel(self):
+        return FLOAT_KERNEL
+
     def mag(self):
         return max(abs(self.lo), abs(self.hi))
 
@@ -234,9 +257,21 @@ class Interval:
                     lo = d
                 if u > hi:
                     hi = u
-        return Interval(lo, hi)
+        return self._sign_clamped(lo, hi, other)
 
     __rmul__ = __mul__
+
+    def _sign_clamped(self, lo, hi, other):
+        """[lo, hi] with the sign of a product or quotient of self and
+        other restored: an endpoint nudged outward past zero after an
+        underflow would make a surely positive result not surely positive
+        (and break inclusion isotonicity)."""
+        a, b = self, other
+        if lo < 0.0 and ((a.lo >= 0.0 and b.lo >= 0.0) or (a.hi <= 0.0 and b.hi <= 0.0)):
+            lo = 0.0
+        elif hi > 0.0 and ((a.lo >= 0.0 and b.hi <= 0.0) or (a.hi <= 0.0 and b.lo >= 0.0)):
+            hi = 0.0
+        return Interval(lo, hi)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -269,7 +304,7 @@ class Interval:
                     lo = d
                 if u > hi:
                     hi = u
-        return Interval(lo, hi)
+        return self._sign_clamped(lo, hi, other)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -301,6 +336,13 @@ class Interval:
         lo, _ = point_sqrt(self.lo)
         _, hi = point_sqrt(self.hi)
         return Interval(max(lo, 0.0), hi)
+
+    def sqrt_nonneg(self):
+        if self.hi < 0.0:
+            raise DomainError("sqrt_nonneg of an entirely negative enclosure")
+        if self.lo < 0.0:
+            return Interval(0.0, self.hi).sqrt()
+        return self.sqrt()
 
     def cosh(self):
         def up_at(x):
@@ -449,10 +491,21 @@ class MPInterval:
         return NotImplemented
 
     def lo_float(self):
-        return libmp.to_float(self.lo, rnd=_RF)
+        # to_float may round a (sub)normal underflow the wrong way: check
+        f = libmp.to_float(self.lo, rnd=_RF)
+        if libmp.mpf_gt(libmp.from_float(f), self.lo):
+            f = nextafter(f, -inf)
+        return f
 
     def hi_float(self):
-        return libmp.to_float(self.hi, rnd=_RC)
+        f = libmp.to_float(self.hi, rnd=_RC)
+        if libmp.mpf_lt(libmp.from_float(f), self.hi):
+            f = nextafter(f, inf)
+        return f
+
+    @property
+    def kernel(self):
+        return MPKernel(self.prec)
 
     def mid(self):
         m = libmp.mpf_shift(libmp.mpf_add(self.lo, self.hi, self.prec + 8, "n"), -1)
@@ -584,6 +637,13 @@ class MPInterval:
         if libmp.mpf_lt(lo, libmp.fzero):
             lo = libmp.fzero
         return MPInterval(lo, hi, self.prec)
+
+    def sqrt_nonneg(self):
+        if libmp.mpf_lt(self.hi, libmp.fzero):
+            raise DomainError("sqrt_nonneg of an entirely negative enclosure")
+        if libmp.mpf_lt(self.lo, libmp.fzero):
+            return MPInterval(libmp.fzero, self.hi, self.prec).sqrt()
+        return self.sqrt()
 
     def cosh(self):
         z = libmp.fzero
@@ -730,20 +790,13 @@ class MPKernel:
         )
 
 
+FLOAT_KERNEL = FloatKernel()
+
+
 def kernel_for_precision(precision):
     if precision == 53:
-        return FloatKernel()
+        return FLOAT_KERNEL
     return MPKernel(precision)
-
-
-def contains_value(x, enclosure):
-    """True only if interval x provably contains the value described by
-    `enclosure` (itself an interval around the exact real)."""
-    if isinstance(x, MPInterval):
-        lo_ok = not libmp.mpf_gt(x.lo, libmp.from_float(enclosure.lo))
-        hi_ok = not libmp.mpf_gt(libmp.from_float(enclosure.hi), x.hi)
-        return lo_ok and hi_ok
-    return x.lo <= enclosure.lo and enclosure.hi <= x.hi
 
 
 # ---------------------------------------------------------------------------
@@ -769,6 +822,11 @@ class IntervalMatrix:
         one = kernel.point(1.0)
         zero = kernel.point(0.0)
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
+
+    @classmethod
+    def points(cls, rows, kernel):
+        """Point intervals at a matrix of floats."""
+        return cls([[kernel.point(v) for v in row] for row in rows])
 
     @classmethod
     def zeros(cls, nrows, ncols, kernel):
@@ -812,10 +870,6 @@ class IntervalMatrix:
         return [[x.mid() for x in row] for row in self.rows]
 
 
-def mat_mul(a, b):
-    return a.mat_mul(b)
-
-
 def _div_down_float(a, b):
     q = a / b
     p, e = _two_prod(q, b)
@@ -854,12 +908,8 @@ def interval_matrix_invertible(m):
         return False
     if not np.all(np.isfinite(n)):
         return False
-    sample = m.rows[0][0]
-    if isinstance(sample, MPInterval):
-        kernel = MPKernel(sample.prec)
-    else:
-        kernel = FloatKernel()
-    n_iv = IntervalMatrix([[kernel.point(float(v)) for v in row] for row in n])
+    kernel = m.rows[0][0].kernel
+    n_iv = IntervalMatrix.points(n, kernel)
     resid = m.mat_mul(n_iv).mat_sub(IntervalMatrix.identity(r, kernel))
     bound = _div_down_float(1.0, float(r * r))
     for row in resid.rows:

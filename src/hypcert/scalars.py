@@ -3,83 +3,68 @@
 The geometric formulas are written once and instantiated both with plain
 floats (fast, for the unverified solver and for pivoting) and with
 intervals (rigorous, for certification).  These helpers dispatch the few
-non-operator functions the formulas need.
+non-operator functions the formulas need.  `is_interval` is the one place
+that tells a real number (int, float, numpy float64) from an interval;
+intervals are then used only through the protocol of `hypcert.interval`.
 """
 
 from __future__ import annotations
 
 import math
 
+from .interval import Interval, MPInterval
+
 TWO_PI_FLOAT = 2.0 * math.pi
 
 
+def is_interval(x):
+    return isinstance(x, (Interval, MPInterval))
+
+
+def point_like(sample, x):
+    """The constant x as a scalar of the same kind and precision as sample."""
+    return sample.kernel.point(x) if is_interval(sample) else float(x)
+
+
 def sqrt(x):
-    return x.sqrt() if hasattr(x, "sqrt") else math.sqrt(x)
+    return x.sqrt() if is_interval(x) else math.sqrt(x)
 
 
 def sqrt_nonneg(x):
     """sqrt of a quantity that is mathematically >= 0; clamps rounding dips
     below zero instead of failing.  Must not be used where negativity would
     indicate a genuine domain violation."""
-    if hasattr(x, "lo_float"):  # MPInterval
-        from .interval import DomainError, MPInterval, libmp
-
-        if libmp.mpf_lt(x.hi, libmp.fzero):
-            raise DomainError("sqrt_nonneg of an entirely negative enclosure")
-        if libmp.mpf_lt(x.lo, libmp.fzero):
-            x = MPInterval(libmp.fzero, x.hi, x.prec)
-        return x.sqrt()
-    if hasattr(x, "lo"):  # Interval
-        from .interval import DomainError, Interval
-
-        if x.hi < 0.0:
-            raise DomainError("sqrt_nonneg of an entirely negative enclosure")
-        if x.lo < 0.0:
-            x = Interval(0.0, x.hi)
-        return x.sqrt()
-    return math.sqrt(max(x, 0.0))
+    return x.sqrt_nonneg() if is_interval(x) else math.sqrt(max(x, 0.0))
 
 
 def arccos(x):
-    return x.arccos() if hasattr(x, "arccos") else math.acos(x)
+    return x.arccos() if is_interval(x) else math.acos(x)
 
 
 def cos(x):
-    return x.cos() if hasattr(x, "cos") else math.cos(x)
+    return x.cos() if is_interval(x) else math.cos(x)
 
 
 def sin(x):
-    return x.sin() if hasattr(x, "sin") else math.sin(x)
+    return x.sin() if is_interval(x) else math.sin(x)
 
 
 def cosh(x):
-    return x.cosh() if hasattr(x, "cosh") else math.cosh(x)
+    return x.cosh() if is_interval(x) else math.cosh(x)
 
 
 def acosh(x):
-    return x.acosh() if hasattr(x, "acosh") else math.acosh(x)
-
-
-def is_interval(x):
-    return hasattr(x, "lo") or hasattr(x, "lo_float")
+    return x.acosh() if is_interval(x) else math.acosh(x)
 
 
 def surely_lt(x, c):
     """x < c for every member of x (floats compare directly)."""
-    if hasattr(x, "hi_float"):
-        return x.hi_float() < c
-    if hasattr(x, "hi"):
-        return x.hi < c
-    return x < c
+    return x.hi_float() < c if is_interval(x) else x < c
 
 
 def surely_gt(x, c):
-    if hasattr(x, "lo_float"):
-        return x.lo_float() > c
-    if hasattr(x, "lo"):
-        return x.lo > c
-    return x > c
+    return x.lo_float() > c if is_interval(x) else x > c
 
 
 def midpoint(x):
-    return x.mid() if hasattr(x, "mid") else float(x)
+    return x.mid() if is_interval(x) else float(x)

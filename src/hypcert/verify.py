@@ -29,7 +29,7 @@ import numpy as np
 from . import geometry as geo
 from . import gimbal
 from . import scalars as sc
-from .interval import FloatKernel, contains_two_pi, kernel_for_precision
+from .interval import FLOAT_KERNEL, IntervalMatrix, contains_two_pi, kernel_for_precision
 from .triangulation import vertex_link_hexagon_complex
 
 __all__ = [
@@ -66,9 +66,14 @@ class Partition:
     e_var: list  # free parameters, |.| = m - 3o
 
     def check(self, m, o):
-        assert sorted(self.e_sim + self.e_eq) == list(range(m))
-        assert sorted(self.e_fixed + self.e_var) == list(range(m))
-        assert len(self.e_sim) == 3 * o and len(self.e_fixed) == 3 * o
+        """Raise ValueError unless this is a partition of m edges with 3o
+        loose and 3o fixed ones."""
+        if sorted(self.e_sim + self.e_eq) != list(range(m)):
+            raise ValueError("loose and kept edges do not split the edges")
+        if sorted(self.e_fixed + self.e_var) != list(range(m)):
+            raise ValueError("fixed and variable edges do not split the edges")
+        if len(self.e_sim) != 3 * o or len(self.e_fixed) != 3 * o:
+            raise ValueError(f"need {3 * o} loose and {3 * o} fixed edges")
 
 
 @dataclass
@@ -79,6 +84,7 @@ class CertifiedBox:
     statuses: dict = field(default_factory=dict)
     loops: list = None
     precision: int = 53
+    gram_data: list = None  # per-simplex GramData over nu, from steps III/IV
 
 
 @dataclass
@@ -270,20 +276,18 @@ def krawczyk_step(f_iv, jac_iv, x0, X, C, kernel):
     n = len(x0)
     x0_iv = [kernel.point(v) for v in x0]
     fx0 = f_iv(x0_iv)
-    JX = jac_iv(X)
+    Cm = IntervalMatrix.points(C, kernel)
+    CJ = Cm.mat_mul(IntervalMatrix(jac_iv(X)))
+    one, zero = kernel.point(1.0), kernel.point(0.0)
+    dX = [X[j] - x0_iv[j] for j in range(n)]
     K = []
     for i in range(n):
         acc = x0_iv[i]
         for j in range(n):
-            acc = acc - kernel.point(C[i][j]) * fx0[j]
+            acc = acc - Cm[i, j] * fx0[j]
         for j in range(n):
-            # (I - C J)_ij
-            entry = None
-            for k in range(n):
-                term = kernel.point(C[i][k]) * JX[k][j]
-                entry = term if entry is None else entry + term
-            delta = (kernel.point(1.0) if i == j else kernel.point(0.0)) - entry
-            acc = acc + delta * (X[j] - kernel.point(x0[j]))
+            delta = (one if i == j else zero) - CJ[i, j]  # (I - C J)_ij
+            acc = acc + delta * dX[j]
         K.append(acc)
     return K
 
@@ -318,23 +322,9 @@ def interval_newton_step(f_iv, jac_iv, x0, X, C, kernel):
     n = len(x0)
     x0_iv = [kernel.point(v) for v in x0]
     fx0 = f_iv(x0_iv)
-    JX = jac_iv(X)
-    A = []
-    rhs = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            entry = None
-            for k in range(n):
-                term = kernel.point(C[i][k]) * JX[k][j]
-                entry = term if entry is None else entry + term
-            row.append(entry)
-        A.append(row)
-        acc = None
-        for k in range(n):
-            term = kernel.point(C[i][k]) * fx0[k]
-            acc = term if acc is None else acc + term
-        rhs.append(acc)
+    Cm = IntervalMatrix.points(C, kernel)
+    A = Cm.mat_mul(IntervalMatrix(jac_iv(X))).rows
+    rhs = [r[0] for r in Cm.mat_mul(IntervalMatrix([[f] for f in fx0])).rows]
     sol = _interval_gauss_solve(A, rhs, kernel)
     if sol is None:
         return None
@@ -418,7 +408,7 @@ def krawczyk_certify(tri, p0, partition, kernel=None, method="krawczyk"):
     StepFailure on no containment.
     """
     if kernel is None:
-        kernel = FloatKernel()
+        kernel = FLOAT_KERNEL
     m, o = tri.m, tri.o
     q = m - 3 * o
     f_iv, jac_iv, full_params = _subsystem_functions(tri, partition, p0, kernel)
@@ -506,7 +496,7 @@ def check_realization_and_angles(tri, box, kernel=None):
                 4, f"angle sum of loose edge {e} does not contain a full turn"
             )
     box.statuses[4] = "loose angle sums contain full turns"
-    box._gram_data = data
+    box.gram_data = data
     return box
 
 
@@ -589,9 +579,7 @@ def run_pipeline(
 
     # step V
     try:
-        labels = gimbal.CocycleLabels(
-            tri, box.nu, data=getattr(box, "_gram_data", None)
-        )
+        labels = gimbal.CocycleLabels(tri, box.nu, data=box.gram_data)
         links = [vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
         theta_boxes = [box.theta[e] for e in partition.e_sim]
         verdict = gimbal.gimbal_lock_check(

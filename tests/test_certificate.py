@@ -82,3 +82,62 @@ def test_malformed_certificate_rejected():
         cert.parse_certificate("not json at all")
     with pytest.raises(cert.CertificateError):
         cert.parse_certificate(json.dumps({"format": "something-else"}))
+
+
+def _mutated(doc, edit):
+    bad = json.loads(json.dumps(doc))
+    edit(bad)
+    return bad
+
+
+def _set_nu(i, pair):
+    def edit(d):
+        d["nu"][i] = pair
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.pop("partition"),
+        lambda d: d.pop("nu"),
+        lambda d: d["partition"].pop("kept"),
+        lambda d: d.update(partition=[1, 2]),
+        lambda d: d["partition"].update(loose=d["partition"]["loose"][1:]),
+        lambda d: d["partition"].update(loose=["0"] + d["partition"]["loose"][1:]),
+        lambda d: d["partition"].update(fixed=d["partition"]["variable"][:3]),
+        lambda d: d.update(nu=d["nu"][1:]),
+        _set_nu(0, ["abc", "-1.5"]),
+        _set_nu(0, ["-1.5", "nan"]),
+        _set_nu(0, ["-1.4", "-1.5"]),
+        _set_nu(0, ["-1.5"]),
+        _set_nu(0, [-1.6, -1.5]),
+        _set_nu(0, "-1.5"),
+        lambda d: d.update(precision_bits="53"),
+        lambda d: d.update(precision_bits=24),
+    ],
+)
+def test_recheck_malformed_raises_certificate_error(dodec27a, verified27a, edit):
+    doc = cert.certificate_dict(dodec27a, verified27a, "krawczyk")
+    with pytest.raises(cert.CertificateError):
+        cert.recheck(dodec27a, _mutated(doc, edit))
+
+
+def test_recheck_malformed_mp_endpoint(dodec27a, verified27a):
+    doc = cert.certificate_dict(dodec27a, verified27a, "krawczyk")
+    for pair in (["abc", "-1.5"], ["-1.4", "-1.5"]):
+        bad = _mutated(doc, _set_nu(0, pair))
+        with pytest.raises(cert.CertificateError):
+            cert.recheck(dodec27a, bad, precision=80)
+
+
+def test_recheck_unrealizable_box_fails_cleanly(dodec27a, verified27a):
+    # well-formed, but the parameters are not edge parameters (< -1)
+    doc = cert.certificate_dict(dodec27a, verified27a, "krawczyk")
+    ok, detail = cert.recheck(dodec27a, _mutated(doc, _set_nu(0, ["-0.5", "-0.5"])))
+    assert not ok and "recheck failed" in detail
+
+
+def test_parse_certificate_rejects_non_object():
+    with pytest.raises(cert.CertificateError):
+        cert.parse_certificate("[1, 2]")

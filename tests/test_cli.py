@@ -174,3 +174,35 @@ def test_probe_gimbal_needs_lengths(tmp_path, capsys):
     f.write_text(S3_TEXT)
     code, _, err = run_cli(capsys, "probe-gimbal", str(f))
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.pop("partition"),
+        lambda d: d["nu"].__setitem__(0, ["abc", d["nu"][0][1]]),
+    ],
+    ids=["no-partition", "non-numeric-endpoint"],
+)
+def test_recheck_malformed_certificate_exit_one(tmp_path, capsys, edit,
+                                                dodec27a, verified27a):
+    from hypcert import certificate as cert
+
+    doc = cert.certificate_dict(dodec27a, verified27a, "krawczyk")
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        capsys, "recheck", str(data_path("dodec27a.tri")), str(bad)
+    )
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err + out
+
+
+def test_certify_krawczyk_flag_removed(capsys):
+    code, _, err = run_cli(
+        capsys, "certify", str(data_path("dodec27a.tri")), "--krawczyk"
+    )
+    assert code == 2
+    assert "unrecognized arguments: --krawczyk" in err

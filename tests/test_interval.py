@@ -14,6 +14,7 @@ from hypcert.interval import (
     Interval,
     IntervalError,
     IntervalMatrix,
+    MPInterval,
     MPKernel,
     contains_two_pi,
     interval_matrix_invertible,
@@ -24,9 +25,7 @@ mpmath.mp.prec = 250
 
 
 def contains_true(iv, true):
-    lo = iv.lo_float() if hasattr(iv, "lo_float") else iv.lo
-    hi = iv.hi_float() if hasattr(iv, "hi_float") else iv.hi
-    return mpmath.mpf(lo) <= true <= mpmath.mpf(hi)
+    return mpmath.mpf(iv.lo_float()) <= true <= mpmath.mpf(iv.hi_float())
 
 
 def test_exact_endpoint_arithmetic():
@@ -188,6 +187,49 @@ def test_inclusion_monotonic_arithmetic(ab, cd):
         small = getattr(a, op)(c)
         big = getattr(a_big, op)(c_big)
         assert big.encloses(small)
+
+
+# products and quotients that underflow: the result keeps its sign
+_UNDERFLOW_CASES = [
+    ((0.0, 1.8e-35), "*", (2.2e-309, 1.0), 1),
+    ((1e-200, 1e-200), "*", (1e-200, 1e-200), 1),
+    ((1e-200, 1e-200), "/", (1e200, 1e200), 1),
+    ((1e-200, 1e-200), "*", (-1e-200, -1e-200), -1),
+    ((-1e-200, -1e-200), "/", (1e200, 1e200), -1),
+    ((-1e-200, -1e-200), "*", (-1e-200, -1e-200), 1),
+]
+
+
+def _apply(op, x, y):
+    return x * y if op == "*" else x / y
+
+
+@pytest.mark.parametrize("a, op, b, sign", _UNDERFLOW_CASES)
+def test_underflow_keeps_sign(a, op, b, sign):
+    r = _apply(op, Interval(*a), Interval(*b))
+    if sign > 0:
+        assert r.lo == 0.0 and r.hi > 0.0
+    else:
+        assert r.hi == 0.0 and r.lo < 0.0
+
+
+@pytest.mark.parametrize("a, op, b, sign", _UNDERFLOW_CASES)
+def test_underflow_keeps_sign_mp(a, op, b, sign):
+    # mpmath exponents do not underflow: directed rounding alone keeps the
+    # sign, and the float bounds still bracket the tiny result
+    x = MPInterval.from_floats(*a, 80)
+    y = MPInterval.from_floats(*b, 80)
+    r = _apply(op, x, y)
+    if sign > 0:
+        assert r.lo_float() >= 0.0 and r.hi_float() > 0.0
+    else:
+        assert r.hi_float() <= 0.0 and r.lo_float() < 0.0
+
+
+def test_underflow_product_isotonic():
+    small = Interval(0.0, 1.8e-35) * Interval(2.2e-309, 1.0)
+    big = Interval(0.0, 1.8e-35) * Interval(0.0, 1.0)
+    assert big.encloses(small)
 
 
 @settings(max_examples=60, deadline=None)

@@ -290,3 +290,56 @@ def test_no_certificate_after_failure(dodec27a):
     assert not res.verified
     # a failed run never carries a completed box with loops
     assert res.box is None or res.box.loops is None
+
+
+def test_partition_check_raises_on_bad_input():
+    good = verify.Partition(e_sim=[0, 1, 2], e_eq=[3], e_fixed=[1, 2, 3], e_var=[0])
+    good.check(4, 1)
+    for bad in (
+        verify.Partition(e_sim=[0, 1, 2], e_eq=[2], e_fixed=[1, 2, 3], e_var=[0]),
+        verify.Partition(e_sim=[0, 1, 2], e_eq=[3], e_fixed=[1, 2], e_var=[0, 3]),
+        verify.Partition(e_sim=[0, 1], e_eq=[2, 3], e_fixed=[1, 2, 3], e_var=[0]),
+    ):
+        with pytest.raises(ValueError):
+            bad.check(4, 1)
+
+
+def _krawczyk_by_loops(f_iv, jac_iv, x0, X, C, kernel):
+    # the operator written out entry by entry, summing k ascending
+    n = len(x0)
+    x0_iv = [kernel.point(v) for v in x0]
+    fx0, JX = f_iv(x0_iv), jac_iv(X)
+    K = []
+    for i in range(n):
+        acc = x0_iv[i]
+        for j in range(n):
+            acc = acc - kernel.point(C[i][j]) * fx0[j]
+        for j in range(n):
+            entry = kernel.point(C[i][0]) * JX[0][j]
+            for k in range(1, n):
+                entry = entry + kernel.point(C[i][k]) * JX[k][j]
+            delta = kernel.point(1.0 if i == j else 0.0) - entry
+            acc = acc + delta * (X[j] - kernel.point(x0[j]))
+        K.append(acc)
+    return K
+
+
+@pytest.mark.parametrize("kernel", [FloatKernel(), MPKernel(80)])
+def test_krawczyk_step_matches_entrywise_operator(kernel):
+    # x^2 + y - 3 = 0, x y - 2 = 0, x + y z = 1 near (1, 2, 0)
+    def f_iv(v):
+        x, y, z = v
+        return [x * x + y - 3.0, x * y - 2.0, x + y * z - 1.0]
+
+    def jac_iv(v):
+        x, y, z = v
+        one, zero = kernel.point(1.0), kernel.point(0.0)
+        return [[x * 2.0, one, zero], [y, x, zero], [one, z, y]]
+
+    x0 = [1.01, 1.98, 0.003]
+    C = np.linalg.inv(np.array([[2.02, 1, 0], [1.98, 1.01, 0], [1, 0.003, 1.98]])).tolist()
+    X = [kernel.interval(v - 0.05, v + 0.05) for v in x0]
+    got = verify.krawczyk_step(f_iv, jac_iv, x0, X, C, kernel)
+    want = _krawczyk_by_loops(f_iv, jac_iv, x0, X, C, kernel)
+    for g, w in zip(got, want):
+        assert (g.lo, g.hi) == (w.lo, w.hi)

@@ -75,6 +75,9 @@ def cmd_solve(args):
 
 
 def cmd_certify(args):
+    if args.precision < 53:
+        print("error: precision must be >= 53 bits", file=sys.stderr)
+        return EXIT_INPUT
     tri = _load(args.file)
     method = "newton" if args.interval_newton else "krawczyk"
     t0 = time.perf_counter()

@@ -115,9 +115,9 @@ def _spec_bound(radii):
 
 def _norm_bound(m):
     """Rigorous upper bound for ||m||_2 via max row sum of |m^T m|, for a
-    matrix m of point intervals."""
-    gram = IntervalMatrix(zip(*m.rows)).mat_mul(m)
-    worst = max((r[0].abs() + r[1].abs() + r[2].abs()).hi for r in gram.rows)
+    3x3 matrix m of point intervals."""
+    gram = mat3_mul(tuple(zip(*m)), m)
+    worst = max((r[0].abs() + r[1].abs() + r[2].abs()).hi for r in gram)
     return _FI.point(worst).sqrt().hi
 
 
@@ -145,9 +145,9 @@ def ball_identity():
 
 def ball_mul(a, b):
     """Product enclosure: rigorous midpoint product plus norm cross terms."""
-    am = IntervalMatrix.points(a.mid, FLOAT_KERNEL)
-    bm = IntervalMatrix.points(b.mid, FLOAT_KERNEL)
-    prod = am.mat_mul(bm).rows
+    am = tuple(tuple(_FI.point(v) for v in row) for row in a.mid)
+    bm = tuple(tuple(_FI.point(v) for v in row) for row in b.mid)
+    prod = mat3_mul(am, bm)
     mid = tuple(
         tuple(prod[i][j].mid() for j in range(3)) for i in range(3)
     )

@@ -25,6 +25,20 @@ expose the same protocol, which is all that generic code may rely on:
 ``scalars.is_interval`` is the one test that tells an interval from a
 plain real number.
 
+The kernel also owns the matrix layer.  ``kernel.array`` turns (nested)
+lists of its intervals into an array with elementwise, broadcasting
+``+``, ``-`` and ``*``; ``kernel.mat_mul`` multiplies two such arrays,
+summing each entry left to right over k from the k = 0 product; and
+``kernel.bounds`` gives an array's outward float endpoints.  The float
+kernel's array is ``IntervalArray``: numpy endpoint arrays whose
+arithmetic reproduces the ``Interval`` dunders bit for bit, so its product
+is bit-identical to the scalar loop ``scalar_mat_mul`` while looping in
+Python only over k.  The MP kernel's array is a numpy object array of
+``MPInterval`` (elementwise operations call the dunders) and its product
+is ``scalar_mat_mul`` itself.  Fixed 3x3 products (the ball arithmetic
+of ``gimbal``) use the generic ``gimbal.mat3_mul``, which sums in the same
+order without numpy's per-call overhead.
+
 No global floating-point state is touched; rounding is done value-by-value,
 so intervals are safe to share across threads.
 """
@@ -33,6 +47,7 @@ from __future__ import annotations
 
 import math
 from math import inf, isfinite, isnan, nextafter
+from operator import attrgetter, methodcaller
 
 import numpy as np
 from mpmath import libmp
@@ -46,7 +61,10 @@ __all__ = [
     "MPKernel",
     "FLOAT_KERNEL",
     "kernel_for_precision",
+    "IntervalArray",
     "IntervalMatrix",
+    "scalar_mat_mul",
+    "inverse_residual",
     "interval_matrix_invertible",
     "PI",
     "TWO_PI",
@@ -397,7 +415,13 @@ class Interval:
                 v = fn(0.0)  # exact: cos(0)=1, sin(0)=0
                 return v
             v = fn(x)
-            return _lib_up(v) if up else _lib_down(v)
+            v = _lib_up(v) if up else _lib_down(v)
+            if fn is math.sin and abs(x) < 3.0 and (v < 0.0) != (x < 0.0):
+                # sin has the sign of x on (-pi, pi): widening a subnormal
+                # sin(x) past zero would make sin([5e-324, 1]) reach below
+                # sin([0, 1]) = [0, ...] and break inclusion isotonicity
+                v = 0.0
+            return v
 
         lo = min(at(self.lo, False), at(self.hi, False))
         hi = max(at(self.lo, True), at(self.hi, True))
@@ -736,6 +760,114 @@ class MPInterval:
 
 
 # ---------------------------------------------------------------------------
+# arrays of float intervals
+# ---------------------------------------------------------------------------
+
+
+def _down_array(s, err):
+    # _down entrywise; nextafter(-inf, -inf) is -inf, as _down returns
+    return np.where(np.isnan(err) | (err < 0.0), np.nextafter(s, -inf), s)
+
+
+def _up_array(s, err):
+    return np.where(np.isnan(err) | (err > 0.0), np.nextafter(s, inf), s)
+
+
+def _two_prod_array(a, b):
+    # _two_prod entrywise: the same operations in the same order
+    p = a * b
+    ta = _SPLITTER * a
+    ah = ta - (ta - a)
+    al = a - ah
+    tb = _SPLITTER * b
+    bh = tb - (tb - b)
+    bl = b - bh
+    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    unknown = ~np.isfinite(p) | (np.abs(p) < _TWO_PROD_TINY)
+    return p, np.where(unknown, np.nan, err)
+
+
+def _checked(lo, hi):
+    if np.isnan(lo).any() or np.isnan(hi).any():
+        raise IntervalError("NaN endpoint")
+    return IntervalArray(lo, hi)
+
+
+_LO = np.frompyfunc(attrgetter("lo"), 1, 1)
+_HI = np.frompyfunc(attrgetter("hi"), 1, 1)
+_INTERVALS = np.frompyfunc(Interval, 2, 1)
+
+
+class IntervalArray:
+    """An array of float intervals held as two numpy endpoint arrays.
+
+    ``+``, ``-`` and ``*`` broadcast like numpy, and every entry of the
+    result is bit for bit the ``Interval`` that the scalar dunder would
+    give: exact zero products, Dekker products and two-sums nudged one
+    ulp outward when inexact or unknown, the sign clamp, and -0.0 made
+    0.0.  A NaN endpoint raises IntervalError.
+    """
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo, hi):
+        self.lo = lo + 0.0
+        self.hi = hi + 0.0
+
+    @classmethod
+    def of(cls, intervals):
+        """The array of a (nested) sequence of ``Interval``s."""
+        obj = np.array(intervals, dtype=object)
+        return cls(_LO(obj).astype(float), _HI(obj).astype(float))
+
+    def tolist(self):
+        """Nested lists of ``Interval``s, like ``ndarray.tolist``."""
+        return _INTERVALS(self.lo, self.hi).tolist()
+
+    @property
+    def shape(self):
+        return self.lo.shape
+
+    def __getitem__(self, idx):
+        return IntervalArray(self.lo[idx], self.hi[idx])
+
+    def __neg__(self):
+        return IntervalArray(-self.hi, -self.lo)
+
+    def __add__(self, other):
+        with np.errstate(all="ignore"):
+            lo = _down_array(*_two_sum(self.lo, other.lo))
+            hi = _up_array(*_two_sum(self.hi, other.hi))
+        return _checked(lo, hi)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        alo, ahi, blo, bhi = np.broadcast_arrays(self.lo, self.hi, other.lo, other.hi)
+        # the endpoint products along a new first axis; of an array of
+        # points (lo == hi throughout) one endpoint gives them all
+        xs = (alo,) if np.array_equal(self.lo, self.hi) else (alo, ahi)
+        ys = (blo,) if np.array_equal(other.lo, other.hi) else (blo, bhi)
+        x = np.stack([u for u in xs for _ in ys])
+        y = np.stack([v for _ in xs for v in ys])
+        zero = (x == 0.0) | (y == 0.0)
+        with np.errstate(all="ignore"):
+            p, err = _two_prod_array(x, y)
+            p = np.where(zero, 0.0, p)
+            err = np.where(zero, 0.0, err)
+            lo = _down_array(p, err).min(axis=0)
+            hi = _up_array(p, err).max(axis=0)
+        # Interval._sign_clamped, entrywise
+        same = ((alo >= 0.0) & (blo >= 0.0)) | ((ahi <= 0.0) & (bhi <= 0.0))
+        opposite = ((alo >= 0.0) & (bhi <= 0.0)) | ((ahi <= 0.0) & (blo >= 0.0))
+        clamp_lo = (lo < 0.0) & same
+        hi = np.where(~clamp_lo & (hi > 0.0) & opposite, 0.0, hi)
+        lo = np.where(clamp_lo, 0.0, lo)
+        return _checked(lo, hi)
+
+
+# ---------------------------------------------------------------------------
 # kernels: uniform constructors for the two backends
 # ---------------------------------------------------------------------------
 
@@ -760,6 +892,27 @@ class FloatKernel:
     @staticmethod
     def two_pi():
         return TWO_PI
+
+    @staticmethod
+    def array(intervals):
+        return IntervalArray.of(intervals)
+
+    @staticmethod
+    def mat_mul(a, b):
+        """a @ b for IntervalArrays, bit-identical to ``scalar_mat_mul``:
+        a Python loop over k only, on rows x cols endpoint arrays."""
+        acc = a[:, 0:1] * b[0:1, :]
+        for k in range(1, a.shape[1]):
+            acc = acc + a[:, k:k + 1] * b[k:k + 1, :]
+        return acc
+
+    @staticmethod
+    def bounds(arr):
+        return arr.lo, arr.hi
+
+
+_LO_FLOAT = np.frompyfunc(methodcaller("lo_float"), 1, 1)
+_HI_FLOAT = np.frompyfunc(methodcaller("hi_float"), 1, 1)
 
 
 class MPKernel:
@@ -788,6 +941,17 @@ class MPKernel:
         return MPInterval(
             libmp.mpf_shift(p.lo, 1), libmp.mpf_shift(p.hi, 1), self.precision
         )
+
+    @staticmethod
+    def array(intervals):
+        return np.array(intervals, dtype=object)
+
+    def mat_mul(self, a, b):
+        return self.array(scalar_mat_mul(a, b))
+
+    @staticmethod
+    def bounds(arr):
+        return _LO_FLOAT(arr).astype(float), _HI_FLOAT(arr).astype(float)
 
 
 FLOAT_KERNEL = FloatKernel()
@@ -837,37 +1001,39 @@ class IntervalMatrix:
         i, j = ij
         return self.rows[i][j]
 
+    @property
+    def kernel(self):
+        return self.rows[0][0].kernel
+
     def mat_mul(self, other):
         if self.ncols != other.nrows:
             raise IntervalError(
                 f"shape mismatch {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}"
             )
-        out = []
-        bt = list(zip(*other.rows))
-        for row in self.rows:
-            out_row = []
-            for col in bt:
-                acc = row[0] * col[0]
-                for k in range(1, len(row)):
-                    acc = acc + row[k] * col[k]
-                out_row.append(acc)
-            out.append(out_row)
-        return IntervalMatrix(out)
+        k = self.kernel
+        return IntervalMatrix(k.mat_mul(k.array(self.rows), k.array(other.rows)).tolist())
 
     __matmul__ = mat_mul
 
-    def mat_sub(self, other):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise IntervalError("shape mismatch in subtraction")
-        return IntervalMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
-
     def midpoints(self):
         return [[x.mid() for x in row] for row in self.rows]
+
+
+def scalar_mat_mul(a, b):
+    """a @ b for (nested sequences of) scalars of any kind, entry by entry,
+    each entry summed left to right over k from the k = 0 product.  The MP
+    kernel's product, and the reference for the float kernel's array one."""
+    out = []
+    bt = list(zip(*b))
+    for row in a:
+        out_row = []
+        for col in bt:
+            acc = row[0] * col[0]
+            for k in range(1, len(row)):
+                acc = acc + row[k] * col[k]
+            out_row.append(acc)
+        out.append(out_row)
+    return out
 
 
 def _div_down_float(a, b):
@@ -881,6 +1047,26 @@ def _div_down_float(a, b):
     if qb_gt_a == (b > 0.0):
         return nextafter(q, -inf)
     return q
+
+
+def inverse_residual(m):
+    """m @ n - Id as the kernel's array, where n is a float inverse of the
+    midpoint matrix of the square matrix m; None if m has an infinite
+    entry or no finite inverse is found."""
+    k = m.kernel
+    ma = k.array(m.rows)
+    lo, hi = k.bounds(ma)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        return None
+    try:
+        n = np.linalg.inv(np.array(m.midpoints(), dtype=float))
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(n)):
+        return None
+    n_iv = k.array(IntervalMatrix.points(n, k).rows)
+    ident = k.array(IntervalMatrix.identity(m.nrows, k).rows)
+    return k.mat_mul(ma, n_iv) - ident
 
 
 def interval_matrix_invertible(m):
@@ -897,23 +1083,10 @@ def interval_matrix_invertible(m):
     r = m.nrows
     if r == 0:
         return True
-    for row in m.rows:
-        for x in row:
-            if not x.is_finite():
-                return False
-    try:
-        approx = np.array(m.midpoints(), dtype=float)
-        n = np.linalg.inv(approx)
-    except np.linalg.LinAlgError:
+    resid = inverse_residual(m)
+    if resid is None:
         return False
-    if not np.all(np.isfinite(n)):
-        return False
-    kernel = m.rows[0][0].kernel
-    n_iv = IntervalMatrix.points(n, kernel)
-    resid = m.mat_mul(n_iv).mat_sub(IntervalMatrix.identity(r, kernel))
+    lo, hi = m.kernel.bounds(resid)
     bound = _div_down_float(1.0, float(r * r))
-    for row in resid.rows:
-        for x in row:
-            if not x.is_finite() or x.mag() >= bound:
-                return False
-    return True
+    mag = np.maximum(np.abs(lo), np.abs(hi))
+    return bool(np.isfinite(lo).all() and np.isfinite(hi).all() and (mag < bound).all())

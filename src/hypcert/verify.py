@@ -40,6 +40,7 @@ __all__ = [
     "bootstrap_solve",
     "select_submatrix",
     "make_partition",
+    "KrawczykCentre",
     "krawczyk_step",
     "krawczyk_certify",
     "interval_newton_certify",
@@ -267,29 +268,42 @@ def make_partition(tri, rows, cols):
 # ---------------------------------------------------------------------------
 
 
-def krawczyk_step(f_iv, jac_iv, x0, X, C, kernel):
+class KrawczykCentre:
+    """What the Krawczyk and interval Newton operators need of a centre x0,
+    evaluated once per centre: x0 and the point matrix C as the kernel's
+    arrays, f(x0), and the partial sums x0 - C f(x0), each row summed left
+    to right over j."""
+
+    def __init__(self, f_iv, x0, C, kernel):
+        n = len(x0)
+        x0_iv = [kernel.point(v) for v in x0]
+        self.fx0 = f_iv(x0_iv)
+        self.x0 = kernel.array(x0_iv)
+        self.C = kernel.array([[kernel.point(v) for v in row] for row in C])
+        self.identity = kernel.array(IntervalMatrix.identity(n, kernel).rows)
+        fx0 = kernel.array(self.fx0)
+        partial = self.x0
+        for j in range(n):
+            partial = partial - self.C[:, j] * fx0[j]
+        self.partial = partial
+
+
+def krawczyk_step(f_iv, jac_iv, x0, X, C, kernel, centre=None):
     """One Krawczyk operator evaluation.
 
     K(x0, X) = x0 - C f(x0) + (I - C J(X)) (X - x0), everything except
-    the float vectors x0 and C evaluated in interval arithmetic.
+    the float vectors x0 and C evaluated in interval arithmetic.  Pass the
+    KrawczykCentre of (x0, C) to reuse it across steps.
     """
-    n = len(x0)
-    x0_iv = [kernel.point(v) for v in x0]
-    fx0 = f_iv(x0_iv)
-    Cm = IntervalMatrix.points(C, kernel)
-    CJ = Cm.mat_mul(IntervalMatrix(jac_iv(X)))
-    one, zero = kernel.point(1.0), kernel.point(0.0)
-    dX = [X[j] - x0_iv[j] for j in range(n)]
-    K = []
-    for i in range(n):
-        acc = x0_iv[i]
-        for j in range(n):
-            acc = acc - Cm[i, j] * fx0[j]
-        for j in range(n):
-            delta = (one if i == j else zero) - CJ[i, j]  # (I - C J)_ij
-            acc = acc + delta * dX[j]
-        K.append(acc)
-    return K
+    if centre is None:
+        centre = KrawczykCentre(f_iv, x0, C, kernel)
+    CJ = kernel.mat_mul(centre.C, kernel.array(jac_iv(X)))
+    delta = centre.identity - CJ
+    dX = kernel.array(X) - centre.x0
+    K = centre.partial
+    for j in range(len(x0)):
+        K = K + delta[:, j] * dX[j]
+    return K.tolist()
 
 
 def _interval_gauss_solve(A, b, kernel):
@@ -317,38 +331,40 @@ def _interval_gauss_solve(A, b, kernel):
     return xs
 
 
-def interval_newton_step(f_iv, jac_iv, x0, X, C, kernel):
+def interval_newton_step(f_iv, jac_iv, x0, X, C, kernel, centre=None):
     """Interval Newton operator via a preconditioned interval solve."""
-    n = len(x0)
-    x0_iv = [kernel.point(v) for v in x0]
-    fx0 = f_iv(x0_iv)
-    Cm = IntervalMatrix.points(C, kernel)
-    A = Cm.mat_mul(IntervalMatrix(jac_iv(X))).rows
-    rhs = [r[0] for r in Cm.mat_mul(IntervalMatrix([[f] for f in fx0])).rows]
-    sol = _interval_gauss_solve(A, rhs, kernel)
+    if centre is None:
+        centre = KrawczykCentre(f_iv, x0, C, kernel)
+    A = kernel.mat_mul(centre.C, kernel.array(jac_iv(X))).tolist()
+    Cf = kernel.mat_mul(centre.C, kernel.array([[f] for f in centre.fx0]))
+    sol = _interval_gauss_solve(A, [r[0] for r in Cf.tolist()], kernel)
     if sol is None:
         return None
-    return [x0_iv[i] - sol[i] for i in range(n)]
+    return [x0_i - s for x0_i, s in zip(centre.x0.tolist(), sol)]
 
 
 def _certify_root(f_iv, jac_iv, x0, C, kernel, residual_scale, method="krawczyk",
                   max_rounds=20, refine_rounds=5):
     """Epsilon inflation around x0 until the operator maps the box into
     its own interior; then contract.  Returns the final enclosure list."""
-    n = len(x0)
     step_fn = krawczyk_step if method == "krawczyk" else interval_newton_step
+    try:
+        centre = KrawczykCentre(f_iv, x0, C, kernel)
+    except (geo.RealizationError, ArithmeticError, ValueError):
+        return None  # every step would fail the same way
     half = max(1e-14, 10.0 * residual_scale)
     for _ in range(max_rounds):
         X = [kernel.interval(v - half, v + half) for v in x0]
         try:
-            K = step_fn(f_iv, jac_iv, x0, X, C, kernel)
+            K = step_fn(f_iv, jac_iv, x0, X, C, kernel, centre=centre)
         except (geo.RealizationError, ArithmeticError, ValueError):
             K = None
         if K is not None and all(k.strictly_inside(x) for k, x in zip(K, X)):
             enclosure = [k.intersect(x) for k, x in zip(K, X)]
             for _r in range(refine_rounds):
                 try:
-                    K2 = step_fn(f_iv, jac_iv, x0, enclosure, C, kernel)
+                    K2 = step_fn(f_iv, jac_iv, x0, enclosure, C, kernel,
+                                 centre=centre)
                 except (geo.RealizationError, ArithmeticError, ValueError):
                     break
                 if K2 is None:

@@ -206,3 +206,13 @@ def test_certify_krawczyk_flag_removed(capsys):
     )
     assert code == 2
     assert "unrecognized arguments: --krawczyk" in err
+
+
+@pytest.mark.parametrize("bits", ["24", "52", "-1"])
+def test_certify_precision_below_53_is_an_input_error(capsys, bits):
+    code, out, err = run_cli(
+        capsys, "certify", str(data_path("s3_twotet.tri")), "--precision", bits
+    )
+    assert code == 1
+    assert err == "error: precision must be >= 53 bits\n"
+    assert out == ""

@@ -343,3 +343,29 @@ def test_krawczyk_step_matches_entrywise_operator(kernel):
     want = _krawczyk_by_loops(f_iv, jac_iv, x0, X, C, kernel)
     for g, w in zip(got, want):
         assert (g.lo, g.hi) == (w.lo, w.hi)
+
+
+@pytest.mark.parametrize("kernel", [FloatKernel(), MPKernel(80)])
+@pytest.mark.parametrize("method", ["krawczyk", "newton"])
+def test_certify_root_evaluates_f_once_per_centre(kernel, method):
+    # the system of test_krawczyk_step_matches_entrywise_operator
+    centres, jac_calls = [], []
+
+    def f_iv(v):
+        centres.append(tuple((x.lo_float(), x.hi_float()) for x in v))
+        x, y, z = v
+        return [x * x + y - 3.0, x * y - 2.0, x + y * z - 1.0]
+
+    def jac_iv(v):
+        jac_calls.append(1)
+        x, y, z = v
+        one, zero = kernel.point(1.0), kernel.point(0.0)
+        return [[x * 2.0, one, zero], [y, x, zero], [one, z, y]]
+
+    # the root (1, 2, 0) is singular; (-2, -1, -3) is not
+    x0 = [-2.0 + 1e-9, -1.0, -3.0 - 1e-9]
+    C = np.linalg.inv(np.array([[-4.0, 1, 0], [-1, -2, 0], [1, -3, -1]]))
+    enc = verify._certify_root(f_iv, jac_iv, x0, C.tolist(), kernel, 1e-9, method=method)
+    assert enc is not None
+    assert len(jac_calls) > 1  # several operator steps ...
+    assert len(centres) == len(set(centres)) == 1  # ... around one centre

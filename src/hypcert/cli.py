@@ -125,7 +125,11 @@ def cmd_probe_gimbal(args):
     if tri.lengths is None:
         print("error: probe needs a lengths section", file=sys.stderr)
         return EXIT_INPUT
-    params = geo.EdgeParams.from_lengths([float(l) for l in tri.lengths])
+    try:
+        params = geo.EdgeParams.from_lengths([float(l) for l in tri.lengths])
+    except geo.RealizationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     rows = probe_partitions(tri, params, budget=args.budget, seed=args.seed)
     locked = sum(1 for r in rows if r[2])
     print(f"# loose-set candidates: {len(rows)}  locked: {locked}  "

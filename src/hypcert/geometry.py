@@ -131,12 +131,11 @@ def cofactors(g):
     return out
 
 
-def _det4(g):
-    acc = None
-    for j in range(4):
-        m = _minor3(g, 0, j)
-        term = g[0][j] * (m if j % 2 == 0 else -m)
-        acc = term if acc is None else acc + term
+def _det4(g, cof):
+    """det g by Laplace expansion along row 0, from the cofactors of g."""
+    acc = g[0][0] * cof[0][0]
+    for j in range(1, 4):
+        acc = acc + g[0][j] * cof[0][j]
     return acc
 
 
@@ -158,7 +157,7 @@ def realization_check(g, cof=None):
             a2 = term if a2 is None else a2 + term
     e3 = cof[0][0] + cof[1][1] + cof[2][2] + cof[3][3]
     a1 = -e3
-    a0 = _det4(g)
+    a0 = _det4(g, cof)
     if not sc.surely_lt(a2, 0.0):
         return False, "char-poly coefficient a2 not proven negative"
     if not sc.surely_gt(a1, 0.0):
@@ -273,39 +272,36 @@ def _dcof(g, k, l, m, n):
     return acc if (k + l) % 2 == 0 else -acc
 
 
-def _dtheta_dv(g, cof, i, j, m, n, inv_sqrt_gap):
-    dij = _dcof(g, i, j, m, n)
-    dii = _dcof(g, i, i, m, n)
-    djj = _dcof(g, j, j, m, n)
-    acc = None
-    if dij is not None:
-        acc = dij
-    if dii is not None:
-        term = cof[i][j] / (cof[i][i] * 2.0) * dii
-        acc = -term if acc is None else acc - term
-    if djj is not None:
-        term = cof[i][j] / (cof[j][j] * 2.0) * djj
-        acc = -term if acc is None else acc - term
-    if acc is None:
-        return None
-    return -(inv_sqrt_gap * acc)
+def jacobian(tri, params, data=None, rows=None, cols=None):
+    """Block M with M[r][c] = d Theta_rows[r] / d nu_cols[c].
 
-
-def jacobian(tri, params, data=None):
-    """m x m matrix M with M[row e][col e'] = d Theta_e / d nu_e'.
-
-    Rows follow the edge equations, columns the edge variables, both in
-    canonical edge order.
+    `rows` (edge equations) and `cols` (edge variables) are lists of
+    distinct edge classes; the default, all classes in canonical order,
+    gives the full m x m matrix.  Only the entries of the block are
+    computed, each summed over the simplices in simplex order, so a block
+    equals the same entries of the full matrix bit for bit.  Every
+    simplex is still checked whole: a realization failure or a degenerate
+    angle gap raises whatever block is asked for.
     """
     if data is None:
         data = [simplex_data(tri, params, t) for t in range(tri.n_tets)]
     zero = sc.point_like(params[0], 0.0)
-    m = tri.m
-    M = [[zero for _ in range(m)] for _ in range(m)]
+    rows = range(tri.m) if rows is None else rows
+    cols = range(tri.m) if cols is None else cols
+    row_at = {e: r for r, e in enumerate(rows)}
+    col_at = {e: c for c, e in enumerate(cols)}
+    M = [[zero for _ in cols] for _ in rows]
     for tet in range(tri.n_tets):
         g = data[tet].gram
         cof = data[tet].cof
-        # derivative of every dihedral angle wrt every local edge parameter
+        local_cols = []
+        for (mm, nn) in LOCAL_EDGES:
+            c = col_at.get(tri.edge_class_index(tet, mm, nn))
+            if c is not None:
+                local_cols.append((mm, nn, c))
+        diag = {}  # (k, m, n) -> dc_kk/dv_mn, shared by the 3 rows of face k
+        # derivative of every dihedral angle on a block row wrt every local
+        # edge parameter on a block column
         for (a, b) in LOCAL_EDGES:
             i, j = opposite_edge(a, b)
             gap = cof[i][i] * cof[j][j] - cof[i][j] * cof[i][j]
@@ -313,12 +309,24 @@ def jacobian(tri, params, data=None):
                 raise RealizationError(
                     f"tet {tet}: degenerate angle gap at faces ({i},{j})"
                 )
+            r = row_at.get(tri.edge_class_index(tet, a, b))
+            if r is None or not local_cols:
+                continue
             inv_sqrt_gap = 1.0 / sc.sqrt(gap)
-            row = tri.edge_class_index(tet, a, b)
-            for (mm, nn) in LOCAL_EDGES:
-                d = _dtheta_dv(g, cof, i, j, mm, nn, inv_sqrt_gap)
-                if d is None:
-                    continue
-                col = tri.edge_class_index(tet, mm, nn)
-                M[row][col] = M[row][col] + d
+            ratios = (
+                (i, cof[i][j] / (cof[i][i] * 2.0)),
+                (j, cof[i][j] / (cof[j][j] * 2.0)),
+            )
+            out = M[r]
+            for (mm, nn, c) in local_cols:
+                acc = _dcof(g, i, j, mm, nn)
+                for k, ratio in ratios:
+                    key = (k, mm, nn)
+                    if key not in diag:
+                        diag[key] = _dcof(g, k, k, mm, nn)
+                    if diag[key] is not None:
+                        term = ratio * diag[key]
+                        acc = -term if acc is None else acc - term
+                if acc is not None:
+                    out[c] = out[c] + -(inv_sqrt_gap * acc)
     return M

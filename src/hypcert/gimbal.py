@@ -11,10 +11,10 @@ labels computed from the simplex angles:
   permutation and negatively when s is even.
 
 The sign rule extends the explicitly known labels by even relabelings.
-`check_cocycle_closure` verifies that the label product around every
-2-cell of the complex encloses the identity.  The certification pipeline
-does not call it: stage V relies on the sign rule as stated, and the
-closure check is run by the test suite on the bundled fixtures.
+Stage V relies on the sign rule as stated; the test suite checks that the
+label product around every 2-cell of the complex encloses the identity
+(`tests/cocycle_closure.py`), on random simplices and on the bundled
+fixtures.
 
 On each vertex link, removing the prism-end polygons of the edges whose
 angle sums are only approximately full turns leaves a surface with
@@ -39,12 +39,7 @@ from . import scalars as sc
 from .interval import FLOAT_KERNEL, IntervalMatrix, interval_matrix_invertible
 from .interval import Interval as _FI
 from .triangulation import (
-    LOCAL_EDGES,
     TriangulationError,
-    _swap12,
-    _swap23,
-    compose,
-    hexagon_cycle,
     perm_parity,
     vertex_link_hexagon_complex,
 )
@@ -61,7 +56,6 @@ __all__ = [
     "gimbal_lock_check",
     "prism_holonomy",
     "polygon_angle_sum",
-    "check_cocycle_closure",
     "probe_partitions",
     "rotation_matrix",
     "rotation_matrix_derivative",
@@ -88,13 +82,33 @@ class GimbalLoopError(ValueError):
 
 
 class BallMatrix3:
-    """{ mid + E : ||E||_2 <= rad }, entrywise |E_ij| <= rad as well."""
+    """{ mid + E : ||E||_2 <= rad }, entrywise |E_ij| <= rad as well.
 
-    __slots__ = ("mid", "rad")
+    The midpoint as point intervals and its norm bound are computed at
+    most once, when a product first needs them.
+    """
+
+    __slots__ = ("mid", "rad", "_points", "_norm")
 
     def __init__(self, mid, rad):
         self.mid = mid
         self.rad = rad
+        self._points = None
+        self._norm = None
+
+    def points(self):
+        """The midpoint as a 3x3 matrix of point intervals."""
+        if self._points is None:
+            self._points = tuple(
+                tuple(_FI.point(v) for v in row) for row in self.mid
+            )
+        return self._points
+
+    def norm_bound(self):
+        """Rigorous upper bound for the spectral norm of the midpoint."""
+        if self._norm is None:
+            self._norm = _norm_bound(self.points())
+        return self._norm
 
 
 def _spec_bound(radii):
@@ -145,9 +159,7 @@ def ball_identity():
 
 def ball_mul(a, b):
     """Product enclosure: rigorous midpoint product plus norm cross terms."""
-    am = tuple(tuple(_FI.point(v) for v in row) for row in a.mid)
-    bm = tuple(tuple(_FI.point(v) for v in row) for row in b.mid)
-    prod = mat3_mul(am, bm)
+    prod = mat3_mul(a.points(), b.points())
     mid = tuple(
         tuple(prod[i][j].mid() for j in range(3)) for i in range(3)
     )
@@ -155,12 +167,10 @@ def ball_mul(a, b):
         [(prod[i][j] - mid[i][j]).abs().hi for j in range(3)] for i in range(3)
     ]
     r0 = _spec_bound(radii)
-    na = _norm_bound(am)
-    nb = _norm_bound(bm)
     rad = (
         _FI.point(r0)
-        + _FI.point(na) * b.rad
-        + _FI.point(a.rad) * nb
+        + _FI.point(a.norm_bound()) * b.rad
+        + _FI.point(a.rad) * b.norm_bound()
         + _FI.point(a.rad) * b.rad
     ).hi
     return BallMatrix3(mid, rad)
@@ -301,30 +311,6 @@ class CocycleLabels:
 
     def theta_interval(self, tet, a, b):
         return self.data[tet].theta_at_edge[(min(a, b), max(a, b))]
-
-    # -- 2x2 forms, kept for cross-validation against the rotation forms --
-
-    def pgl2_alpha(self, tet, sigma):
-        v = self.data[tet].gram[sigma[0]][sigma[1]]
-        x = sc.sqrt_nonneg(v * v - 1.0) - v
-        zero, one = self.zero, self.one
-        return ((zero, x), (one, zero))
-
-    def pgl2_beta(self, tet, sigma):
-        g = self.data[tet].gram
-        # half angle via cos(e/2) = sqrt((1+cos e)/2), valid on (0, pi)
-        ce = geo.cos_vertex_angle(g, sigma[0], sigma[2], sigma[1])
-        ch = sc.sqrt_nonneg((ce + 1.0) / 2.0)
-        sh = sc.sqrt_nonneg((-ce + 1.0) / 2.0)
-        return ((-ch, sh), (sh, ch))
-
-    def pgl2_gamma(self, tet, sigma):
-        c, s = self._dihedral_cs(tet, sigma[0], sigma[1])
-        if perm_parity(sigma) == 1:
-            s = -s
-        # complex entries as (re, im) pairs
-        zero = self.zero
-        return (((c, s), (zero, zero)), ((zero, zero), (self.one, zero)))
 
 
 # ---------------------------------------------------------------------------
@@ -653,18 +639,29 @@ def gimbal_matrix_derivatives(loop, labels, t_of_pid):
     """
     word = loop.word
     n = len(word)
+    mats = [_letter_matrix(let, labels, t_of_pid) for let in word]
     if sc.is_interval(labels.one):
-        balls = [
-            ball_from_interval_mat3(_letter_matrix(let, labels, t_of_pid))
-            for let in word
-        ]
-        ident = ball_identity()
-        suffix = [ident] * (n + 1)  # suffix[i] = M(w[i-1]) ... M(w[0])
+        # one ball per distinct label matrix (labels are cached per token);
+        # `mats` keeps every matrix alive, so its id names it
+        ball_of = {}
+        for m in mats:
+            if id(m) not in ball_of:
+                ball_of[id(m)] = ball_from_interval_mat3(m)
+        balls = [ball_of[id(m)] for m in mats]
+        # at each polygon letter i, suffix[i] = M(w[i-1]) ... M(w[0]) and
+        # prefix[i + 1] = M(w[n-1]) ... M(w[i+1]); the other partial
+        # products are not kept
+        suffix, prefix = {}, {}
+        ident = part = ball_identity()
         for i in range(n):
-            suffix[i + 1] = ball_mul(balls[i], suffix[i])
-        prefix = [ident] * (n + 1)  # prefix[i] = M(w[n-1]) ... M(w[i])
+            if word[i]["kind"] == "P":
+                suffix[i] = part
+            part = ball_mul(balls[i], part)
+        part = ident
         for i in range(n - 1, -1, -1):
-            prefix[i] = ball_mul(prefix[i + 1], balls[i])
+            if word[i]["kind"] == "P":
+                prefix[i + 1] = part
+            part = ball_mul(part, balls[i])
         acc = {}
         for i, letter in enumerate(word):
             if letter["kind"] != "P":
@@ -676,7 +673,6 @@ def gimbal_matrix_derivatives(loop, labels, t_of_pid):
             term = ball_mul(prefix[i + 1], ball_mul(d, suffix[i]))
             acc[var] = term if var not in acc else ball_add(acc[var], term)
         return {v: ball_entries(b, FLOAT_KERNEL) for v, b in acc.items()}
-    mats = [_letter_matrix(let, labels, t_of_pid) for let in word]
     ident = mat3_identity(labels.one, labels.zero)
     suffix = [ident] * (n + 1)
     for i in range(n):
@@ -785,174 +781,6 @@ def gimbal_lock_check(tri, labels, e_sim, theta_boxes, links=None):
         loops,
         dg,
     )
-
-
-# ---------------------------------------------------------------------------
-# cocycle closure validation
-# ---------------------------------------------------------------------------
-
-
-def _c_mul(x, y):
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _c_add(x, y):
-    return (x[0] + y[0], x[1] + y[1])
-
-
-def _mat2c_mul(a, b):
-    return tuple(
-        tuple(
-            _c_add(_c_mul(a[i][0], b[0][j]), _c_mul(a[i][1], b[1][j]))
-            for j in range(2)
-        )
-        for i in range(2)
-    )
-
-
-def _as_mat2c(m, zero):
-    out = []
-    for row in m:
-        out_row = []
-        for x in row:
-            out_row.append(x if isinstance(x, tuple) else (x, zero))
-        out.append(tuple(out_row))
-    return tuple(out)
-
-
-def _contains_zero(x):
-    return x.contains(0.0) if sc.is_interval(x) else abs(x) < 1e-9
-
-
-def _swap01(s):
-    return (s[1], s[0], s[2], s[3])
-
-
-def big_hexagon_cycle(f):
-    xs = sorted(x for x in range(4) if x != f)
-    s = (xs[0], xs[1], xs[2], f)
-    cyc = []
-    for _ in range(3):
-        t = _swap01(s)
-        cyc.append(("a", s, t))
-        u = _swap12(t)
-        cyc.append(("b", t, u))
-        s = u
-    return cyc
-
-
-def rectangle_cycle(a, b):
-    cs = sorted(x for x in range(4) if x not in (a, b))
-    s = (a, b, cs[0], cs[1])
-    t = _swap01(s)
-    u = _swap23(t)
-    w = _swap01(u)
-    return [("a", s, t), ("g", t, u), ("a", u, w), ("g", w, s)]
-
-
-def check_cocycle_closure(tri, labels):
-    """Verify the label products around every 2-cell of the doubly
-    truncated complex.
-
-    Small hexagons are checked in SO(3); big hexagons and rectangles use
-    the 2x2 forms, where closure means enclosing a scalar matrix.  Also
-    checks that identified middle edges of glued simplices carry equal
-    labels.  Returns a list of failure descriptions (empty = closed).
-    """
-    failures = []
-    ident = mat3_identity(labels.one, labels.zero)
-    for tet in range(tri.n_tets):
-        # small hexagons in SO(3)
-        for a in range(4):
-            acc = ident
-            for kind, s0, _s1 in hexagon_cycle(a):
-                if kind == "g":
-                    acc = mat3_mul(labels.gamma_for_sigma(tet, s0), acc)
-                else:
-                    tok = _beta_token_of(tri, tet, s0)
-                    acc = mat3_mul(labels.beta_for_token(tok), acc)
-            for i in range(3):
-                for j in range(3):
-                    want = 1.0 if i == j else 0.0
-                    if not _contains_zero(acc[i][j] - want):
-                        failures.append(
-                            f"tet {tet} corner {a}: small hexagon product "
-                            f"entry ({i},{j}) excludes identity"
-                        )
-        # big hexagons and rectangles in the 2x2 forms
-        for f in range(4):
-            acc = None
-            for kind, s0, _s1 in big_hexagon_cycle(f):
-                m = (
-                    labels.pgl2_alpha(tet, s0)
-                    if kind == "a"
-                    else labels.pgl2_beta(tet, s0)
-                )
-                m = _as_mat2c(m, labels.zero)
-                acc = m if acc is None else _mat2c_mul(m, acc)
-            failures.extend(
-                _scalar_failures(acc, f"tet {tet} face {f}: big hexagon")
-            )
-        for (a, b) in LOCAL_EDGES:
-            acc = None
-            for kind, s0, _s1 in rectangle_cycle(a, b):
-                if kind == "a":
-                    m = _as_mat2c(labels.pgl2_alpha(tet, s0), labels.zero)
-                else:
-                    m = labels.pgl2_gamma(tet, s0)
-                acc = m if acc is None else _mat2c_mul(m, acc)
-            failures.extend(
-                _scalar_failures(acc, f"tet {tet} edge {a}{b}: rectangle")
-            )
-        # shared middle edges across face gluings carry equal labels
-        for f in range(4):
-            j, p = tri.neighbor(tet, f)
-            if (j, p[f]) < (tet, f):
-                continue
-            for s0 in itertools.permutations(range(4)):
-                if s0[3] != f:
-                    continue
-                s1 = _swap12(s0)
-                if s1 < s0:
-                    continue
-                tok_here = _canon_beta(tri, tet, s0, s1)
-                tok_there = _canon_beta(tri, j, compose(p, s0), compose(p, s1))
-                if tok_here != tok_there:
-                    failures.append(
-                        f"tet {tet} face {f}: identified middle edges have "
-                        f"different canonical tokens"
-                    )
-    return failures
-
-
-def _canon_beta(tri, tet, s0, s1):
-    side = (tet, min(s0, s1), max(s0, s1))
-    f = s0[3]
-    j, p = tri.neighbor(tet, f)
-    t0, t1 = compose(p, s0), compose(p, s1)
-    other = (j, min(t0, t1), max(t0, t1))
-    return min(side, other)
-
-
-def _beta_token_of(tri, tet, s0):
-    return _canon_beta(tri, tet, s0, _swap12(s0))
-
-
-def _scalar_failures(acc, what):
-    out = []
-    # scalar matrix: zero off-diagonal, equal diagonal (complex entries)
-    checks = [
-        ("01.re", acc[0][1][0]),
-        ("01.im", acc[0][1][1]),
-        ("10.re", acc[1][0][0]),
-        ("10.im", acc[1][0][1]),
-        ("diag.re", acc[0][0][0] - acc[1][1][0]),
-        ("diag.im", acc[0][0][1] - acc[1][1][1]),
-    ]
-    for name, x in checks:
-        if not _contains_zero(x):
-            out.append(f"{what}: deviation {name} excludes zero")
-    return out
 
 
 # ---------------------------------------------------------------------------

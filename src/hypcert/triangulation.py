@@ -23,6 +23,7 @@ canonical order.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -184,6 +185,15 @@ def parse(text):
             raise TriangulationError(f"unexpected line {lines[pos]!r}")
         vals = " ".join(lines[pos + 1 :]).split()
         lengths = [float(v) for v in vals]
+        for i, l in enumerate(lengths):
+            try:
+                ok = math.isfinite(math.cosh(l))
+            except OverflowError:
+                ok = False
+            if not ok:
+                raise TriangulationError(
+                    f"length {i} is {l!r}: its cosh is not a finite float"
+                )
 
     tri = Triangulation(tets)
     _validate_gluings(tri)

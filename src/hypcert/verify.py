@@ -184,8 +184,11 @@ def newton_refine_subsystem(tri, values, partition, iters=3):
     for _ in range(iters):
         if not len(partition.e_eq):
             break
-        J = np.array(geo.jacobian(tri, geo.EdgeParams(vals)), dtype=float)
-        Jsub = J[np.ix_(partition.e_eq, partition.e_var)]
+        Jsub = np.array(
+            geo.jacobian(tri, geo.EdgeParams(vals),
+                         rows=partition.e_eq, cols=partition.e_var),
+            dtype=float,
+        )
         try:
             step = np.linalg.solve(Jsub, -r)
         except np.linalg.LinAlgError:
@@ -410,8 +413,7 @@ def _subsystem_functions(tri, partition, fixed_values, kernel):
         return [sums[e] - two_pi for e in e_eq]
 
     def jac_iv(xs):
-        M = geo.jacobian(tri, full_params(xs))
-        return [[M[r][c] for c in e_var] for r in e_eq]
+        return geo.jacobian(tri, full_params(xs), rows=e_eq, cols=e_var)
 
     return f_iv, jac_iv, full_params
 
@@ -432,10 +434,13 @@ def krawczyk_certify(tri, p0, partition, kernel=None, method="krawczyk"):
 
     if q > 0:
         try:
-            Jf = np.array(geo.jacobian(tri, geo.EdgeParams(list(p0))), dtype=float)
+            Jsub = np.array(
+                geo.jacobian(tri, geo.EdgeParams(list(p0)),
+                             rows=partition.e_eq, cols=partition.e_var),
+                dtype=float,
+            )
         except geo.RealizationError as exc:
             raise StepFailure(2, f"approximate point not realized: {exc}")
-        Jsub = Jf[np.ix_(partition.e_eq, partition.e_var)]
         try:
             C = np.linalg.inv(Jsub)
         except np.linalg.LinAlgError:

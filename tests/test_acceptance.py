@@ -24,6 +24,7 @@ from hypcert.interval import (
     contains_two_pi,
     interval_matrix_invertible,
 )
+from tests.cocycle_closure import check_cocycle_closure
 from tests.conftest import HYPERBOLIC_FIXTURES, S3_TEXT, data_path
 
 
@@ -168,7 +169,7 @@ def test_criterion_05_cocycle_closure(hyperbolic_triangulations, verified_all):
     for name, tri in hyperbolic_triangulations.items():
         box = verified_all[name].box
         labels = gb.CocycleLabels(tri, box.nu)
-        failures = gb.check_cocycle_closure(tri, labels)
+        failures = check_cocycle_closure(tri, labels)
         assert failures == [], (name, failures[:3])
         cells += tri.n_tets * 14  # 4 small + 4 big hexagons + 6 rectangles
     report(5, f"{cells} two-cells closed over all fixtures")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -6,6 +7,8 @@ import pytest
 from hypcert import certificate as cert
 from hypcert import verify
 from hypcert.interval import kernel_for_precision
+from hypcert.triangulation import parse_file
+from tests.conftest import data_path
 
 
 def test_certificate_round_trip(dodec27a, verified27a):
@@ -141,3 +144,26 @@ def test_recheck_unrealizable_box_fails_cleanly(dodec27a, verified27a):
 def test_parse_certificate_rejects_non_object():
     with pytest.raises(cert.CertificateError):
         cert.parse_certificate("[1, 2]")
+
+
+# sha256 of `certificate_json` (no timings) at 53 bits.  The certificates are
+# byte-reproducible, so any change to these digests is a change of what the
+# pipeline proves or of how it rounds, never a refactoring that keeps both.
+GOLDEN_SHA256 = {
+    "dodec27a": "23ad68ef8e580d6cc0bfaf8904d703a9f3d93474753009693bb054cd04188ecd",
+    "dodec27b": "be523cbe8f7d45a27fd379e85a4c3149a5c92b305f44caaae8e76a966de69a0a",
+    "dodec30x2": "8022794b5e1448f5f8e837000f7f29d1dea8a4d814039453e4166bb25b7e401e",
+    "s3_twotet": "04d8dc640e0214173075e391d705e402d69f92f871591e84b44181bc589d5e28",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_golden_certificates(name, hyperbolic_triangulations, verified_all):
+    if name in verified_all:
+        tri, result = hyperbolic_triangulations[name], verified_all[name]
+    else:
+        tri = parse_file(data_path(name + ".tri"))
+        result = verify.run_pipeline(tri)
+    text = cert.certificate_json(tri, result, "krawczyk")
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == GOLDEN_SHA256[name], f"{name}: certificate changed"

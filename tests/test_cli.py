@@ -216,3 +216,31 @@ def test_certify_precision_below_53_is_an_input_error(capsys, bits):
     assert code == 1
     assert err == "error: precision must be >= 53 bits\n"
     assert out == ""
+
+
+def _with_lengths(tmp_path, tri, value):
+    from hypcert.triangulation import serialize
+
+    head = serialize(tri, lengths=()).rsplit("lengths:", 1)[0]
+    f = tmp_path / f"lengths-{value}.tri"
+    f.write_text(head + "lengths:\n" + " ".join([value] * tri.m) + "\n")
+    return f
+
+
+@pytest.mark.parametrize("command", ["certify", "solve", "probe-gimbal"])
+@pytest.mark.parametrize("value", ["1000", "nan"])
+def test_lengths_without_finite_cosh_exit_one(tmp_path, capsys, dodec27a,
+                                              command, value):
+    f = _with_lengths(tmp_path, dodec27a, value)
+    code, out, err = run_cli(capsys, command, str(f))
+    assert code == 1
+    assert err.startswith("error: length 0 is ")
+    assert "Traceback" not in err + out
+
+
+def test_probe_gimbal_unrealizable_lengths_exit_one(tmp_path, capsys, dodec27a):
+    f = _with_lengths(tmp_path, dodec27a, "0")
+    code, out, err = run_cli(capsys, "probe-gimbal", str(f))
+    assert code == 1
+    assert err.startswith("error: edge parameter 0 not proven < -1")
+    assert "Traceback" not in err + out

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from hypcert import geometry as geo
+from hypcert import scalars as sc
 from hypcert import triangulation as tr
-from hypcert.interval import FloatKernel
+from hypcert.interval import FloatKernel, MPKernel
 from tests.conftest import S3_TEXT
 
 
@@ -290,3 +291,149 @@ def test_angles_inside_zero_pi_when_realized(s3m):
                     if j < kk:
                         eta = geo.vertex_angle(g, i, j, kk)
                         assert 0.0 < eta < math.pi
+
+
+# -- block form of the Jacobian -----------------------------------------------
+
+
+def _bits(x):
+    """Every endpoint of x exactly (raw mpf tuples stay as they are)."""
+    def exact(v):
+        return v.hex() if isinstance(v, float) else v
+
+    return (exact(x.lo), exact(x.hi)) if sc.is_interval(x) else exact(x)
+
+
+def _assert_block(tri, params, rows, cols):
+    full = geo.jacobian(tri, params)
+    block = geo.jacobian(tri, params, rows=rows, cols=cols)
+    assert len(block) == len(rows)
+    for r, row in zip(rows, block):
+        assert len(row) == len(cols)
+        for c, entry in zip(cols, row):
+            assert _bits(entry) == _bits(full[r][c]), (r, c)
+
+
+def _fixture_param_sets(result):
+    """The candidate as floats, the certified box at 53 bits and an
+    80-bit box of width 2e-13 around the candidate."""
+    k80 = MPKernel(80)
+    return {
+        "float": geo.EdgeParams(list(result.p0)),
+        "interval53": geo.EdgeParams(result.box.nu),
+        "mp80": geo.EdgeParams(
+            [k80.interval(v - 1e-13, v + 1e-13) for v in result.p0]
+        ),
+    }
+
+
+@pytest.mark.parametrize("kind", ["float", "interval53", "mp80"])
+def test_jacobian_block_is_subblock_of_full(kind, hyperbolic_triangulations,
+                                            verified_all):
+    rng = random.Random(41)
+    for name, tri in hyperbolic_triangulations.items():
+        result = verified_all[name]
+        params = _fixture_param_sets(result)[kind]
+        part = result.partition
+        _assert_block(tri, params, part.e_eq, part.e_var)
+        # arbitrary subsets, in arbitrary order
+        for _ in range(2):
+            rows = rng.sample(range(tri.m), rng.randint(1, tri.m))
+            cols = rng.sample(range(tri.m), rng.randint(1, tri.m))
+            _assert_block(tri, params, rows, cols)
+
+
+def test_jacobian_block_on_s3(s3m):
+    rng = random.Random(43)
+    vals = random_realized(s3m, rng)
+    k = FloatKernel()
+    for params in (geo.EdgeParams(vals),
+                   geo.EdgeParams([k.point(v) for v in vals])):
+        _assert_block(s3m, params, list(range(6)), list(range(6)))
+        for _ in range(10):
+            rows = rng.sample(range(6), rng.randint(1, 6))
+            cols = rng.sample(range(6), rng.randint(1, 6))
+            _assert_block(s3m, params, rows, cols)
+        assert geo.jacobian(s3m, params, rows=[], cols=[2]) == []
+        assert geo.jacobian(s3m, params, rows=[1], cols=[]) == [[]]
+
+
+def _away_from(tri, tet):
+    """The edge classes that no local edge of `tet` belongs to."""
+    near = {tri.edge_class_index(tet, a, b) for (a, b) in tr.LOCAL_EDGES}
+    return [e for e in range(tri.m) if e not in near]
+
+
+def _raised(fn):
+    with pytest.raises(geo.RealizationError) as info:
+        fn()
+    return str(info.value)
+
+
+def test_jacobian_block_checks_every_simplex_realized(dodec27a):
+    # widen the edges of tet 5 until it cannot be proven realized; a block
+    # that avoids all of its edges must still fail, with the same message
+    k = FloatKernel()
+    p0 = [-math.cosh(float(l)) for l in dodec27a.lengths]
+    nu = [k.point(v) for v in p0]
+    for (a, b) in tr.LOCAL_EDGES:
+        e = dodec27a.edge_class_index(5, a, b)
+        nu[e] = k.interval(p0[e] - 0.3, p0[e] + 0.3)
+    params = geo.EdgeParams(nu)
+    away = _away_from(dodec27a, 5)
+    assert away
+    full = _raised(lambda: geo.jacobian(dodec27a, params))
+    block = _raised(lambda: geo.jacobian(dodec27a, params, rows=away, cols=away))
+    assert block == full
+
+
+@pytest.mark.parametrize("kind", ["float", "interval53"])
+def test_jacobian_block_checks_every_angle_gap(kind, dodec27a):
+    # simplex data whose tet 7 has c_23^2 > c_22 c_33: its angle gap at
+    # faces (2, 3) is not positive; the block avoiding tet 7 must raise too
+    k = FloatKernel()
+    p0 = [-math.cosh(float(l)) for l in dodec27a.lengths]
+    vals = p0 if kind == "float" else [k.point(v) for v in p0]
+    params = geo.EdgeParams(vals)
+    data = [geo.simplex_data(dodec27a, params, t) for t in range(dodec27a.n_tets)]
+    cof = [list(row) for row in data[7].cof]
+    cof[2][3] = cof[3][2] = cof[2][2] + cof[3][3]
+    data[7] = geo.GramData(7, data[7].gram, cof, data[7].theta_at_edge)
+    away = _away_from(dodec27a, 7)
+    full = _raised(lambda: geo.jacobian(dodec27a, params, data=data))
+    block = _raised(lambda: geo.jacobian(dodec27a, params, data=data,
+                                         rows=away, cols=away))
+    assert "tet 7: degenerate angle gap at faces (2,3)" in full
+    assert block == full
+
+
+def _det4_by_minors(g):
+    """det g along row 0 with every 3x3 minor computed afresh."""
+    acc = None
+    for j in range(4):
+        m = geo._minor3(g, 0, j)
+        term = g[0][j] * (m if j % 2 == 0 else -m)
+        acc = term if acc is None else acc + term
+    return acc
+
+
+@pytest.mark.parametrize("kind", ["float", "interval53", "mp80"])
+def test_determinant_reuses_cofactors_exactly(kind, hyperbolic_triangulations,
+                                              verified_all, monkeypatch):
+    seen = []
+    det4 = geo._det4
+
+    def spy(g, cof):
+        seen.append((g, det4(g, cof)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(geo, "_det4", spy)
+    for name, tri in hyperbolic_triangulations.items():
+        params = _fixture_param_sets(verified_all[name])[kind]
+        for t in range(tri.n_tets):
+            g = geo.gram_matrix(tri, params, t)
+            ok, _reason = geo.realization_check(g)
+            assert ok
+    assert len(seen) == sum(t.n_tets for t in hyperbolic_triangulations.values())
+    for g, a0 in seen:
+        assert _bits(a0) == _bits(_det4_by_minors(g))

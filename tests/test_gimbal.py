@@ -1,6 +1,9 @@
 import math
+import pathlib
 import random
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,9 +14,11 @@ from hypcert import verify
 from hypcert.interval import (
     TWO_PI,
     FloatKernel,
+    Interval,
     IntervalMatrix,
     interval_matrix_invertible,
 )
+from tests.cocycle_closure import check_cocycle_closure
 from tests.conftest import S3_TEXT
 
 
@@ -94,14 +99,14 @@ def test_cocycle_closure_random_simplex_float(s3m):
     rng = random.Random(11)
     for _ in range(10):
         labels, _ = random_realized_labels(s3m, rng)
-        assert gb.check_cocycle_closure(s3m, labels) == []
+        assert check_cocycle_closure(s3m, labels) == []
 
 
 def test_cocycle_closure_random_simplex_interval(s3m):
     k = FloatKernel()
     rng = random.Random(12)
     labels, _ = random_realized_labels(s3m, rng, kernel=k)
-    assert gb.check_cocycle_closure(s3m, labels) == []
+    assert check_cocycle_closure(s3m, labels) == []
 
 
 def test_cocycle_closure_detects_wrong_index_rule(s3m):
@@ -122,7 +127,7 @@ def test_cocycle_closure_detects_wrong_index_rule(s3m):
 
     try:
         gb.CocycleLabels.gamma_for_sigma = wrong_face_pair
-        fails = gb.check_cocycle_closure(s3m, labels)
+        fails = check_cocycle_closure(s3m, labels)
     finally:
         gb.CocycleLabels.gamma_for_sigma = orig
     assert fails
@@ -489,3 +494,85 @@ def test_probe_sampling_path_two_vertices(dodec30x2):
     assert all(len(part) == 6 for (part, _, _) in rows)
     again = gb.probe_partitions(dodec30x2, params, budget=40, seed=4)
     assert [r[0] for r in rows] == [r[0] for r in again]
+
+
+# -- one norm bound per ball ----------------------------------------------------
+
+
+def _scaling_member(moves):
+    """`dodec27a`'s cone complex after a 1-4 move in each of its first
+    `moves` tetrahedra, with lengths exact from hyperboloid coordinates."""
+    demos = pathlib.Path(__file__).resolve().parent.parent / "demos"
+    dps = mpmath.mp.dps
+    sys.path.insert(0, str(demos))
+    try:
+        import build_fixtures as bf  # its import sets mpmath's precision
+    finally:
+        sys.path.remove(str(demos))
+        mpmath.mp.dps = dps
+    with mpmath.workdps(60):
+        tets_mv, gluings, pts = bf.build_cone_complex(0)
+        hpts = bf.hyperboloid_points(pts, bf.circumradius())
+        for t in range(moves):
+            tets_mv, gluings, hpts = bf.one_four_move(tets_mv, gluings, hpts, t)
+        text = bf.triangulation_text(gluings)
+        lengths = bf.lengths_for(tr.parse(text), tets_mv, hpts)
+    return tr.parse(text + "lengths:\n" + " ".join(lengths) + "\n")
+
+
+def _gimbal_inputs(tri):
+    """Labels over point intervals at the given lengths, the stage-I loose
+    edges, their loops and their angle-sum enclosures."""
+    k = FloatKernel()
+    p0 = [-math.cosh(float(l)) for l in tri.lengths]
+    M = geo.jacobian(tri, geo.EdgeParams(p0))
+    rows, cols = verify.select_submatrix(M, tri.m - 3 * tri.o)
+    part = verify.make_partition(tri, rows, cols)
+    params = geo.EdgeParams([k.point(v) for v in p0])
+    labels = gb.CocycleLabels(tri, params)
+    sums = geo.angle_sums(tri, params, data=labels.data)
+    loops = gb.build_loops_for_partition(tri, part.e_sim)
+    return loops, labels, [sums[e] for e in part.e_sim]
+
+
+def _entries(dg):
+    return [(x.lo.hex(), x.hi.hex()) for row in dg.rows for x in row]
+
+
+@pytest.mark.parametrize("name", ["dodec27a", "scaling12"])
+def test_gimbal_jacobian_memo_changes_no_bit(name, dodec27a, monkeypatch):
+    tri = dodec27a if name == "dodec27a" else _scaling_member(12)
+    loops, labels, theta_boxes = _gimbal_inputs(tri)
+
+    # count the norm bounds of a normal run, and the balls multiplied
+    norms, operands = [], {}
+    norm_bound, ball_mul = gb._norm_bound, gb.ball_mul
+
+    def counting_norm(m):
+        norms.append(m)
+        return norm_bound(m)
+
+    def recording_mul(a, b):
+        operands[id(a)], operands[id(b)] = a, b
+        return ball_mul(a, b)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(gb, "_norm_bound", counting_norm)
+        mp.setattr(gb, "ball_mul", recording_mul)
+        memo = gb.assemble_gimbal_jacobian(loops, labels, theta_boxes)
+    assert len(norms) == len(operands)  # once per ball, none twice
+
+    # reference: midpoints and norm bounds recomputed at every product, and
+    # one ball per letter occurrence (each letter gets a new label object)
+    def points(ball):
+        return tuple(tuple(Interval.point(v) for v in row) for row in ball.mid)
+
+    for_letter = gb.CocycleLabels.for_letter
+    with monkeypatch.context() as mp:
+        mp.setattr(gb.BallMatrix3, "points", points)
+        mp.setattr(gb.BallMatrix3, "norm_bound",
+                   lambda ball: gb._norm_bound(points(ball)))
+        mp.setattr(gb.CocycleLabels, "for_letter",
+                   lambda lab, letter: tuple(row for row in for_letter(lab, letter)))
+        reference = gb.assemble_gimbal_jacobian(loops, labels, theta_boxes)
+    assert _entries(memo) == _entries(reference)

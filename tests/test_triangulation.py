@@ -219,3 +219,15 @@ def test_hexagon_boundary_closes(dodec27a):
             assert cur["end"] == nxt["start"]
         kinds = [let["kind"] for let in letters]
         assert kinds == ["g", "b"] * 3
+
+
+@pytest.mark.parametrize("bad", ["1000", "711", "-1000", "nan", "inf", "-inf"])
+def test_lengths_must_have_a_finite_cosh(dodec27a, bad):
+    text = tr.serialize(dodec27a, lengths=())
+    head = text.rsplit("lengths:", 1)[0]
+    values = ["1.0"] * dodec27a.m
+    values[3] = bad
+    with pytest.raises(tr.TriangulationError, match="length 3 is"):
+        tr.parse(head + "lengths:\n" + " ".join(values) + "\n")
+    values[3] = "710"  # cosh(710) is still a finite float
+    assert tr.parse(head + "lengths:\n" + " ".join(values) + "\n").lengths[3] == 710

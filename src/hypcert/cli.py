@@ -37,6 +37,17 @@ def _load(path):
         raise SystemExit(EXIT_INPUT)
 
 
+def _write(path, text):
+    """Write an output file; False, after an error message, if it fails."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_check(args):
     tri = _load(args.file)
     print(f"tetrahedra: {tri.n_tets}")
@@ -65,8 +76,8 @@ def cmd_solve(args):
     lengths = [math.acosh(-v) for v in values]
     text = serialize(tri, lengths=lengths)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if not _write(args.output, text):
+            return EXIT_INPUT
         print(f"residual {resid:.3e}; wrote {args.output}")
     else:
         sys.stdout.write(text)
@@ -92,8 +103,8 @@ def cmd_certify(args):
     timings = {"total": round(elapsed, 3)} if args.timings else None
     doc = cert.certificate_json(tri, result, method, timings=timings)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(doc)
+        if not _write(args.output, doc):
+            return EXIT_INPUT
     else:
         sys.stdout.write(doc)
     if result.verified:
@@ -121,6 +132,9 @@ def cmd_recheck(args):
 
 
 def cmd_probe_gimbal(args):
+    if args.budget < 1:
+        print("error: budget must be at least 1", file=sys.stderr)
+        return EXIT_INPUT
     tri = _load(args.file)
     if tri.lengths is None:
         print("error: probe needs a lengths section", file=sys.stderr)

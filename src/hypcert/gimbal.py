@@ -30,14 +30,19 @@ from __future__ import annotations
 
 import itertools
 import math
+from math import inf, nextafter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import geometry as geo
 from . import scalars as sc
-from .interval import FLOAT_KERNEL, IntervalMatrix, interval_matrix_invertible
-from .interval import Interval as _FI
+from .interval import (
+    FLOAT_KERNEL,
+    IntervalMatrix,
+    interval_matrix_invertible,
+    inverse_residual,
+)
 from .triangulation import (
     TriangulationError,
     perm_parity,
@@ -76,78 +81,124 @@ class GimbalLoopError(ValueError):
 # up exponentially (the entry 1-norms of a rotation exceed 1).  A ball
 # (float midpoint matrix, spectral-norm radius) fixes this: rotation
 # midpoints have operator norm one up to rounding, so radii only grow
-# additively along a product.  All radius bookkeeping is done in outward
-# interval arithmetic, so a ball rigorously encloses its matrix set.
+# additively along a product.  The balls hold plain floats and are computed
+# in round-to-nearest.  Every bound is made rigorous by stepping a
+# round-to-nearest result up one float: a result rounded to nearest lies
+# within half an ulp of the exact value, so up(fl(x)) >= x for every real x,
+# with up(y) = nextafter(y, inf).  Midpoint products carry an a-priori
+# rounding-error bound (`_product_with_error`).  A non-finite midpoint or
+# bound makes the radius inf, and an infinite radius encloses everything.
 # ---------------------------------------------------------------------------
+
+_U = 2.0 ** -53  # unit roundoff of round-to-nearest doubles
+_GAMMA3_UP = 3 * _U * (1 + 8 * _U)  # exact; >= gamma_3 (1 + u)^4
+_UNDERFLOW3 = 3 * 2.0 ** -1074  # 3 eta, eta the smallest positive subnormal
 
 
 class BallMatrix3:
     """{ mid + E : ||E||_2 <= rad }, entrywise |E_ij| <= rad as well.
 
-    The midpoint as point intervals and its norm bound are computed at
-    most once, when a product first needs them.
+    `mid` is a 3x3 tuple of floats.  The norm bound of the midpoint is
+    computed at most once, when a product first needs it.
     """
 
-    __slots__ = ("mid", "rad", "_points", "_norm")
+    __slots__ = ("mid", "rad", "_norm")
 
     def __init__(self, mid, rad):
         self.mid = mid
         self.rad = rad
-        self._points = None
         self._norm = None
-
-    def points(self):
-        """The midpoint as a 3x3 matrix of point intervals."""
-        if self._points is None:
-            self._points = tuple(
-                tuple(_FI.point(v) for v in row) for row in self.mid
-            )
-        return self._points
 
     def norm_bound(self):
         """Rigorous upper bound for the spectral norm of the midpoint."""
         if self._norm is None:
-            self._norm = _norm_bound(self.points())
+            self._norm = _norm_bound(self.mid)
         return self._norm
+
+
+def _product_with_error(a, b):
+    """fl(a b) for 3x3 float matrices, and entrywise bounds on its error.
+
+    Entry (i, j) of the midpoint is p = x0 + x1 + x2 with x_k = a_ik * b_kj,
+    all rounded to nearest and summed left to right.  Its bound is
+    e = up(G s + 3 eta), with s = |x0| + |x1| + |x2| rounded to nearest,
+    G = 3u (1 + 8u) >= gamma_3 (1 + u)^4, gamma_3 = 3u / (1 - 3u),
+    u = 2^-53 and eta = 2^-1074.
+
+    Lemma: unless something overflows, |p - sum_k a_ik b_kj| <= e.
+    Proof.  A rounded product is x_k = a b (1 + d) + t with |d| <= u and
+    |t| <= eta / 2 (t only in gradual underflow); a rounded sum of floats
+    is (x + y)(1 + d), never worse.  Hence (Higham, Accuracy and Stability
+    of Numerical Algorithms, section 3.1) |p - sum a b| <= gamma_3 sum |a b|
+    + 3 (eta / 2)(1 + gamma_2).  Writing a rounding as fl(x) = x / (1 + d)
+    instead gives |a b| <= (1 + u)|x_k| + eta / 2 and sum |x_k| <=
+    (1 + u)^2 s, so the error is at most gamma_3 (1 + u)^3 s + 2 eta.
+    Finally fl(G s) >= G s / (1 + u) - eta / 2 >= gamma_3 (1 + u)^3 s -
+    eta / 2, and up(fl(y + 3 eta)) >= y + 3 eta.  An overflow makes p or s
+    non-finite, and then e is inf or NaN.
+    """
+    bt = tuple(zip(*b))
+    mid = []
+    err = []
+    for a0, a1, a2 in a:
+        mid_row = []
+        err_row = []
+        for b0, b1, b2 in bt:
+            x0 = a0 * b0
+            x1 = a1 * b1
+            x2 = a2 * b2
+            mid_row.append(x0 + x1 + x2)
+            err_row.append(nextafter(
+                _GAMMA3_UP * (abs(x0) + abs(x1) + abs(x2)) + _UNDERFLOW3, inf
+            ))
+        mid.append(tuple(mid_row))
+        err.append(err_row)
+    return tuple(mid), err
+
+
+def _max_row_sum(rows):
+    """Upper bound for the largest row sum of nonnegative floats; inf if
+    any entry is inf or NaN."""
+    worst = 0.0
+    for row in rows:
+        acc = row[0]
+        for x in row[1:]:
+            acc = nextafter(acc + x, inf)
+        if not acc <= worst:
+            worst = acc if acc < inf else inf
+    return worst
 
 
 def _spec_bound(radii):
     """Rigorous upper bound for the spectral norm of a nonnegative 3x3
     matrix of floats: sqrt(max row sum * max col sum)."""
-    rows = []
-    cols = [None, None, None]
-    for i in range(3):
-        acc = _FI.point(radii[i][0]) + radii[i][1] + radii[i][2]
-        rows.append(acc.hi)
-        for j in range(3):
-            c = _FI.point(radii[i][j])
-            cols[j] = c if cols[j] is None else cols[j] + c
-    r = max(rows)
-    c = max(x.hi for x in cols)
-    return (_FI.point(r) * _FI.point(c)).sqrt().hi
+    prod = nextafter(_max_row_sum(radii) * _max_row_sum(zip(*radii)), inf)
+    return nextafter(math.sqrt(prod), inf)
 
 
 def _norm_bound(m):
     """Rigorous upper bound for ||m||_2 via max row sum of |m^T m|, for a
-    3x3 matrix m of point intervals."""
-    gram = mat3_mul(tuple(zip(*m)), m)
-    worst = max((r[0].abs() + r[1].abs() + r[2].abs()).hi for r in gram)
-    return _FI.point(worst).sqrt().hi
+    3x3 float matrix m; m^T m is formed by `_product_with_error`."""
+    gram, err = _product_with_error(tuple(zip(*m)), m)
+    rows = (
+        (abs(g0), e0, abs(g1), e1, abs(g2), e2)
+        for (g0, g1, g2), (e0, e1, e2) in zip(gram, err)
+    )
+    return nextafter(math.sqrt(_max_row_sum(rows)), inf)
 
 
 def ball_from_interval_mat3(m):
     """Enclose an entrywise-interval 3x3 matrix in a ball."""
     mid = []
     radii = []
-    for i in range(3):
+    for row in m:
         mid_row = []
         rad_row = []
-        for j in range(3):
-            iv = _FI(m[i][j].lo_float(), m[i][j].hi_float())
-            c = iv.mid()
-            err = (iv - c).abs()
+        for x in row:
+            lo, hi = x.lo_float(), x.hi_float()
+            c = 0.5 * (lo + hi)
             mid_row.append(c)
-            rad_row.append(err.hi)
+            rad_row.append(max(nextafter(c - lo, inf), nextafter(hi - c, inf)))
         mid.append(tuple(mid_row))
         radii.append(rad_row)
     return BallMatrix3(tuple(mid), _spec_bound(radii))
@@ -157,40 +208,38 @@ def ball_identity():
     return BallMatrix3(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), 0.0)
 
 
+def _radius(rad):
+    """inf for a NaN or infinite radius."""
+    return rad if rad < inf else inf
+
+
 def ball_mul(a, b):
-    """Product enclosure: rigorous midpoint product plus norm cross terms."""
-    prod = mat3_mul(a.points(), b.points())
-    mid = tuple(
-        tuple(prod[i][j].mid() for j in range(3)) for i in range(3)
-    )
-    radii = [
-        [(prod[i][j] - mid[i][j]).abs().hi for j in range(3)] for i in range(3)
-    ]
-    r0 = _spec_bound(radii)
-    rad = (
-        _FI.point(r0)
-        + _FI.point(a.norm_bound()) * b.rad
-        + _FI.point(a.rad) * b.norm_bound()
-        + _FI.point(a.rad) * b.rad
-    ).hi
-    return BallMatrix3(mid, rad)
+    """Product enclosure: midpoint product with its rounding bound, plus
+    norm cross terms."""
+    mid, err = _product_with_error(a.mid, b.mid)
+    rad = nextafter(_spec_bound(err) + nextafter(a.norm_bound() * b.rad, inf), inf)
+    rad = nextafter(rad + nextafter(a.rad * b.norm_bound(), inf), inf)
+    rad = nextafter(rad + nextafter(a.rad * b.rad, inf), inf)
+    return BallMatrix3(mid, _radius(rad))
 
 
 def ball_add(a, b):
-    sums = [
-        [_FI.point(a.mid[i][j]) + b.mid[i][j] for j in range(3)] for i in range(3)
-    ]
-    mid = tuple(tuple(s.mid() for s in row) for row in sums)
-    radii = [
-        [(sums[i][j] - mid[i][j]).abs().hi for j in range(3)] for i in range(3)
-    ]
-    rad = (_FI.point(_spec_bound(radii)) + a.rad + b.rad).hi
-    return BallMatrix3(mid, rad)
+    """Sum enclosure: a rounded sum s is within u |s| of the exact one."""
+    mid = tuple(
+        tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.mid, b.mid)
+    )
+    radii = [[nextafter(_U * abs(s), inf) for s in row] for row in mid]
+    rad = nextafter(nextafter(_spec_bound(radii) + a.rad, inf) + b.rad, inf)
+    return BallMatrix3(mid, _radius(rad))
 
 
 def ball_entries(ball, kernel):
-    """Entrywise interval enclosure of a ball."""
+    """Entrywise interval enclosure of a ball (the whole line where its
+    radius is infinite)."""
     r = ball.rad
+    if r == inf:
+        whole = kernel.interval(-inf, inf)
+        return ((whole,) * 3,) * 3
     out = []
     for i in range(3):
         row = []
@@ -704,7 +753,7 @@ def assemble_gimbal_jacobian(loops, labels, box_of_variable):
     working precision; that is sound, and ample for the inversion margin.
     """
     nvar = len(box_of_variable)
-    zero = _FI.point(0.0)
+    zero = FLOAT_KERNEL.point(0.0)
     rows = []
     for loop in loops:
         t_of_pid = {
@@ -777,10 +826,22 @@ def gimbal_lock_check(tri, labels, e_sim, theta_boxes, links=None):
     return GimbalVerdict(
         False,
         "gimbal lock not excluded: interval Jacobian not proven invertible "
-        "(perturb the structure or pick another partition)",
+        f"({_invertibility_margin(dg)}; perturb the structure or pick another "
+        "partition)",
         loops,
         dg,
     )
+
+
+def _invertibility_margin(dg):
+    """The margin `interval_matrix_invertible` missed: the largest entry of
+    |m N - I| against its bound 1/r^2."""
+    resid = inverse_residual(dg)
+    if resid is None:
+        return "no finite inverse of the midpoint matrix"
+    lo, hi = dg.kernel.bounds(resid)
+    worst = float(np.max(np.maximum(np.abs(lo), np.abs(hi))))
+    return f"largest residual {worst:.1e} >= bound {1.0 / dg.nrows ** 2:.1e}"
 
 
 # ---------------------------------------------------------------------------

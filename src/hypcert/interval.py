@@ -35,9 +35,10 @@ arithmetic reproduces the ``Interval`` dunders bit for bit, so its product
 is bit-identical to the scalar loop ``scalar_mat_mul`` while looping in
 Python only over k.  The MP kernel's array is a numpy object array of
 ``MPInterval`` (elementwise operations call the dunders) and its product
-is ``scalar_mat_mul`` itself.  Fixed 3x3 products (the ball arithmetic
-of ``gimbal``) use the generic ``gimbal.mat3_mul``, which sums in the same
-order without numpy's per-call overhead.
+is ``scalar_mat_mul`` itself.  Stage V's 3x3 ball arithmetic does not
+use this layer: ``gimbal`` forms its ball products on plain floats in
+round-to-nearest with a-priori rounding-error bounds, and turns a ball
+into kernel intervals only in ``gimbal.ball_entries``.
 
 No global floating-point state is touched; rounding is done value-by-value,
 so intervals are safe to share across threads.

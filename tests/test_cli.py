@@ -244,3 +244,26 @@ def test_probe_gimbal_unrealizable_lengths_exit_one(tmp_path, capsys, dodec27a):
     assert code == 1
     assert err.startswith("error: edge parameter 0 not proven < -1")
     assert "Traceback" not in err + out
+
+
+@pytest.mark.parametrize("command, name", [
+    ("certify", "s3_twotet.tri"),
+    ("solve", "dodec27a.tri"),
+])
+def test_unwritable_output_exit_one(tmp_path, capsys, command, name):
+    target = tmp_path / "missing-dir" / "out"
+    code, _, err = run_cli(capsys, command, str(data_path(name)), "-o", str(target))
+    assert code == 1
+    assert err.startswith("error: cannot write")
+    assert "Traceback" not in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_probe_gimbal_budget_below_one_exit_one(capsys, budget):
+    code, out, err = run_cli(
+        capsys, "probe-gimbal", str(data_path("dodec27a.tri")), "--budget", budget
+    )
+    assert code == 1
+    assert err.startswith("error: budget")
+    assert "candidates" not in out

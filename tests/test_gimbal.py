@@ -14,7 +14,6 @@ from hypcert import verify
 from hypcert.interval import (
     TWO_PI,
     FloatKernel,
-    Interval,
     IntervalMatrix,
     interval_matrix_invertible,
 )
@@ -562,16 +561,12 @@ def test_gimbal_jacobian_memo_changes_no_bit(name, dodec27a, monkeypatch):
         memo = gb.assemble_gimbal_jacobian(loops, labels, theta_boxes)
     assert len(norms) == len(operands)  # once per ball, none twice
 
-    # reference: midpoints and norm bounds recomputed at every product, and
-    # one ball per letter occurrence (each letter gets a new label object)
-    def points(ball):
-        return tuple(tuple(Interval.point(v) for v in row) for row in ball.mid)
-
+    # reference: norm bounds recomputed at every product, and one ball per
+    # letter occurrence (each letter gets a new label object)
     for_letter = gb.CocycleLabels.for_letter
     with monkeypatch.context() as mp:
-        mp.setattr(gb.BallMatrix3, "points", points)
         mp.setattr(gb.BallMatrix3, "norm_bound",
-                   lambda ball: gb._norm_bound(points(ball)))
+                   lambda ball: gb._norm_bound(ball.mid))
         mp.setattr(gb.CocycleLabels, "for_letter",
                    lambda lab, letter: tuple(row for row in for_letter(lab, letter)))
         reference = gb.assemble_gimbal_jacobian(loops, labels, theta_boxes)

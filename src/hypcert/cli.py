@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 
@@ -37,13 +38,30 @@ def _load(path):
         raise SystemExit(EXIT_INPUT)
 
 
+def _cannot_write(path, exc):
+    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+
+
+def _check_output(path):
+    """Exit with the message a failed write would give, before any work is
+    done, if path cannot be opened for writing; leave it as it was."""
+    existed = os.path.exists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        _cannot_write(path, exc)
+        raise SystemExit(EXIT_INPUT)
+    if not existed:
+        os.remove(path)
+
+
 def _write(path, text):
     """Write an output file; False, after an error message, if it fails."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        _cannot_write(path, exc)
         return False
     return True
 
@@ -63,6 +81,8 @@ def cmd_check(args):
 
 def cmd_solve(args):
     tri = _load(args.file)
+    if args.output:
+        _check_output(args.output)
     init = None
     if tri.lengths is not None:
         init = [-math.cosh(float(l)) for l in tri.lengths]
@@ -90,6 +110,8 @@ def cmd_certify(args):
         print("error: precision must be >= 53 bits", file=sys.stderr)
         return EXIT_INPUT
     tri = _load(args.file)
+    if args.output:
+        _check_output(args.output)
     method = "newton" if args.interval_newton else "krawczyk"
     t0 = time.perf_counter()
     result = verify.run_pipeline(

@@ -310,7 +310,7 @@ class CocycleLabels:
         self.tri = tri
         self.params = params
         if data is None:
-            data = [geo.simplex_data(tri, params, t) for t in range(tri.n_tets)]
+            data = geo.simplex_data(tri, params)
         self.data = data
         sample = params[0]
         self.one = sc.point_like(sample, 1.0)

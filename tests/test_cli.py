@@ -259,6 +259,38 @@ def test_unwritable_output_exit_one(tmp_path, capsys, command, name):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("command, name, runner", [
+    ("certify", "dodec27a.tri", "run_pipeline"),
+    ("solve", "dodec27a.tri", "bootstrap_solve"),
+])
+def test_unwritable_output_fails_before_the_run(tmp_path, capsys, monkeypatch,
+                                                command, name, runner):
+    def must_not_run(*args, **kwargs):
+        pytest.fail(f"{runner} ran although the output cannot be written")
+
+    monkeypatch.setattr(cli.verify, runner, must_not_run)
+    target = tmp_path / "missing-dir" / "out"
+    code, out, err = run_cli(capsys, command, str(data_path(name)), "-o", str(target))
+    assert code == 1
+    assert err.startswith(f"error: cannot write {target}: No such file or directory")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("existing", [None, "earlier output\n"])
+def test_unsolved_leaves_the_output_path_as_it_was(tmp_path, capsys, existing):
+    target = tmp_path / "s3-solved.tri"
+    if existing is not None:
+        target.write_text(existing)
+    code, _, err = run_cli(capsys, "solve", str(data_path("s3_twotet.tri")),
+                           "--max-iters", "3", "-o", str(target))
+    assert code == 2
+    assert "unsolved" in err
+    if existing is None:
+        assert not target.exists()
+    else:
+        assert target.read_text() == existing
+
+
 @pytest.mark.parametrize("budget", ["0", "-3"])
 def test_probe_gimbal_budget_below_one_exit_one(capsys, budget):
     code, out, err = run_cli(

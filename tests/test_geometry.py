@@ -8,7 +8,15 @@ from hypcert import geometry as geo
 from hypcert import scalars as sc
 from hypcert import triangulation as tr
 from hypcert.interval import FloatKernel, MPKernel
+from tests import geometry_oracle as oracle
 from tests.conftest import S3_TEXT
+from tests.geometry_oracle import (
+    cofactors,
+    dihedral_angle,
+    gram_matrix,
+    realization_check,
+    vertex_angle,
+)
 
 
 @pytest.fixture(scope="module")
@@ -30,13 +38,13 @@ def eta_regular(v):
 
 def test_gram_matrix_construction(s3m):
     v = -math.cosh(1.0)
-    g = geo.gram_matrix(s3m, regular_params(v), 0)
+    g = gram_matrix(s3m, regular_params(v), 0)
     for i in range(4):
         assert g[i][i] == -1.0
         for j in range(4):
             if i != j:
                 assert g[i][j] == v
-    g1 = geo.gram_matrix(s3m, regular_params(v), 1)
+    g1 = gram_matrix(s3m, regular_params(v), 1)
     assert g1 == g  # both tets share every edge class
 
 
@@ -51,8 +59,8 @@ def test_cofactor_closed_forms(s3m):
     rng = random.Random(99)
     for _ in range(100):
         v = -1.0 - rng.uniform(1e-4, 3.0)
-        g = geo.gram_matrix(s3m, regular_params(v), 0)
-        c = geo.cofactors(g)
+        g = gram_matrix(s3m, regular_params(v), 0)
+        c = cofactors(g)
         cii = (v + 1) ** 2 * (2 * v - 1)
         cij = -v * (v + 1) ** 2
         for i in range(4):
@@ -65,8 +73,8 @@ def test_cofactor_closed_forms(s3m):
 def test_cofactor_symmetry_random(s3m):
     rng = random.Random(3)
     vals = [-1.0 - rng.uniform(0.1, 2.0) for _ in range(6)]
-    g = geo.gram_matrix(s3m, geo.EdgeParams(vals), 0)
-    c = geo.cofactors(g)
+    g = gram_matrix(s3m, geo.EdgeParams(vals), 0)
+    c = cofactors(g)
     for i in range(4):
         for j in range(4):
             assert abs(c[i][j] - c[j][i]) < 1e-12
@@ -74,11 +82,11 @@ def test_cofactor_symmetry_random(s3m):
 
 def test_numeric_spot_values(s3m):
     v = -math.cosh(1.0)
-    g = geo.gram_matrix(s3m, regular_params(v), 0)
-    c = geo.cofactors(g)
+    g = gram_matrix(s3m, regular_params(v), 0)
+    c = cofactors(g)
     assert abs(c[0][0] - (-1.20524)) < 1e-4
     assert abs(c[0][1] - 0.45513) < 1e-4
-    th = geo.dihedral_angle(g, c, 0, 1)
+    th = dihedral_angle(g, c, 0, 1)
     assert abs(th - 1.1828) < 1e-3
 
 
@@ -86,28 +94,28 @@ def test_angle_closed_forms_and_limits(s3m):
     rng = random.Random(4)
     for _ in range(100):
         v = -1.0 - rng.uniform(1e-4, 3.0)
-        g = geo.gram_matrix(s3m, regular_params(v), 0)
-        c = geo.cofactors(g)
-        assert abs(geo.dihedral_angle(g, c, 0, 1) - theta_regular(v)) < 1e-10
-        assert abs(geo.vertex_angle(g, 0, 1, 2) - eta_regular(v)) < 1e-10
+        g = gram_matrix(s3m, regular_params(v), 0)
+        c = cofactors(g)
+        assert abs(dihedral_angle(g, c, 0, 1) - theta_regular(v)) < 1e-10
+        assert abs(vertex_angle(g, 0, 1, 2) - eta_regular(v)) < 1e-10
     v = -1.0001
-    g = geo.gram_matrix(s3m, regular_params(v), 0)
-    c = geo.cofactors(g)
-    assert abs(geo.dihedral_angle(g, c, 0, 1) - math.acos(1 / 3)) < 1e-3
-    assert abs(geo.vertex_angle(g, 0, 1, 2) - math.pi / 3) < 1e-3
+    g = gram_matrix(s3m, regular_params(v), 0)
+    c = cofactors(g)
+    assert abs(dihedral_angle(g, c, 0, 1) - math.acos(1 / 3)) < 1e-3
+    assert abs(vertex_angle(g, 0, 1, 2) - math.pi / 3) < 1e-3
 
 
 def test_angles_symmetric(s3m):
     rng = random.Random(8)
     vals = [-1.0 - rng.uniform(0.2, 1.5) for _ in range(6)]
-    g = geo.gram_matrix(s3m, geo.EdgeParams(vals), 0)
-    c = geo.cofactors(g)
+    g = gram_matrix(s3m, geo.EdgeParams(vals), 0)
+    c = cofactors(g)
     for i in range(4):
         for j in range(i + 1, 4):
-            a = geo.dihedral_angle(g, c, i, j)
-            b = geo.dihedral_angle(g, c, j, i)
+            a = dihedral_angle(g, c, i, j)
+            b = dihedral_angle(g, c, j, i)
             assert abs(a - b) < 1e-12
-    assert geo.vertex_angle(g, 0, 1, 2) == geo.vertex_angle(g, 0, 2, 1)
+    assert vertex_angle(g, 0, 1, 2) == vertex_angle(g, 0, 2, 1)
 
 
 def test_realization_matches_eigenvalue_signature(s3m):
@@ -117,9 +125,9 @@ def test_realization_matches_eigenvalue_signature(s3m):
         vals = [-1.0 - rng.uniform(-0.5, 3.0) for _ in range(6)]
         if any(v >= -1.0 for v in vals):
             continue
-        g = geo.gram_matrix(s3m, geo.EdgeParams(vals), 0)
-        c = geo.cofactors(g)
-        ok, _reason = geo.realization_check(g, c)
+        g = gram_matrix(s3m, geo.EdgeParams(vals), 0)
+        c = cofactors(g)
+        ok, _reason = realization_check(g, c)
         eig = np.linalg.eigvalsh(np.array(g))
         want = (eig < 0).sum() == 1 and (eig > 0).sum() == 3
         # the cofactor conditions are strictly stronger than the signature
@@ -135,8 +143,8 @@ def test_realization_regular_always(s3m):
     rng = random.Random(5)
     for _ in range(50):
         v = -1.0 - rng.uniform(1e-3, 4.0)
-        g = geo.gram_matrix(s3m, regular_params(v), 0)
-        ok, reason = geo.realization_check(g)
+        g = gram_matrix(s3m, regular_params(v), 0)
+        ok, reason = realization_check(g)
         assert ok, reason
         # eigenvalues -1-v (x3) and 3v-1 (x1)
         eig = sorted(np.linalg.eigvalsh(np.array(g)))
@@ -150,7 +158,7 @@ def test_realization_rejects_forced_shallow_matrix(s3m):
     # anyway must still fail the condition audit (all eigenvalues negative)
     v = -0.5
     g = [[-1.0 if i == j else v for j in range(4)] for i in range(4)]
-    ok, reason = geo.realization_check(g)
+    ok, reason = realization_check(g)
     assert not ok and reason
 
 
@@ -160,8 +168,8 @@ def test_realization_interval_conservative(s3m):
     v_good = k.interval(-2.0, -2.0)
     wide = k.interval(-4.0, -1.001)
     params = geo.EdgeParams([wide] + [v_good] * 5)
-    g = geo.gram_matrix(s3m, params, 0)
-    ok, reason = geo.realization_check(g)
+    g = gram_matrix(s3m, params, 0)
+    ok, reason = realization_check(g)
     assert not ok
     assert reason
 
@@ -177,7 +185,7 @@ def test_angle_sums_s3(s3m):
 
 def test_angle_sum_additivity(s3m):
     vals = [-2.0, -1.9, -2.1, -2.3, -1.7, -2.05]
-    data = [geo.simplex_data(s3m, geo.EdgeParams(vals), t) for t in range(2)]
+    data = geo.simplex_data(s3m, geo.EdgeParams(vals))
     sums = geo.angle_sums(s3m, geo.EdgeParams(vals), data=data)
     for ec in s3m.edge_classes:
         manual = sum(data[t].theta_at_edge[e] for (t, e, _) in ec.representatives)
@@ -209,8 +217,7 @@ def random_realized(t, rng, spread=0.5):
         else:
             vals = [-1.0 - rng.uniform(0.3, 2.0) for _ in range(t.m)]
         try:
-            for tt in range(t.n_tets):
-                geo.simplex_data(t, geo.EdgeParams(vals), tt)
+            geo.simplex_data(t, geo.EdgeParams(vals))
             return vals
         except geo.RealizationError:
             continue
@@ -234,8 +241,8 @@ def test_jacobian_at_right_dihedral_angle(s3m):
     def c01(x):
         w = list(vals)
         w[5] = x  # edge (2,3) parameter drives cofactor (0,1)
-        g = geo.gram_matrix(s3m, geo.EdgeParams(w), 0)
-        return geo.cofactors(g)[0][1]
+        g = gram_matrix(s3m, geo.EdgeParams(w), 0)
+        return cofactors(g)[0][1]
 
     lo, hi = -6.0, -1.05
     assert c01(lo) * c01(hi) < 0
@@ -247,10 +254,10 @@ def test_jacobian_at_right_dihedral_angle(s3m):
             lo = mid
     w = list(vals)
     w[5] = 0.5 * (lo + hi)
-    g = geo.gram_matrix(s3m, geo.EdgeParams(w), 0)
-    c = geo.cofactors(g)
+    g = gram_matrix(s3m, geo.EdgeParams(w), 0)
+    c = cofactors(g)
     assert abs(c[0][1]) < 1e-9
-    th = geo.dihedral_angle(g, c, 0, 1)
+    th = dihedral_angle(g, c, 0, 1)
     assert abs(th - math.pi / 2) < 1e-8
     M = np.array(geo.jacobian(s3m, geo.EdgeParams(w)))
     F = _fd_jacobian(s3m, w)
@@ -280,7 +287,7 @@ def test_angles_inside_zero_pi_when_realized(s3m):
     rng = random.Random(31)
     for _ in range(20):
         vals = random_realized(s3m, rng)
-        data = geo.simplex_data(s3m, geo.EdgeParams(vals), 0)
+        data = geo.simplex_data(s3m, geo.EdgeParams(vals))[0]
         for th in data.theta_at_edge.values():
             assert 0.0 < th < math.pi
         g = data.gram
@@ -289,7 +296,7 @@ def test_angles_inside_zero_pi_when_realized(s3m):
             for j in others:
                 for kk in others:
                     if j < kk:
-                        eta = geo.vertex_angle(g, i, j, kk)
+                        eta = vertex_angle(g, i, j, kk)
                         assert 0.0 < eta < math.pi
 
 
@@ -395,10 +402,9 @@ def test_jacobian_block_checks_every_angle_gap(kind, dodec27a):
     p0 = [-math.cosh(float(l)) for l in dodec27a.lengths]
     vals = p0 if kind == "float" else [k.point(v) for v in p0]
     params = geo.EdgeParams(vals)
-    data = [geo.simplex_data(dodec27a, params, t) for t in range(dodec27a.n_tets)]
-    cof = [list(row) for row in data[7].cof]
-    cof[2][3] = cof[3][2] = cof[2][2] + cof[3][3]
-    data[7] = geo.GramData(7, data[7].gram, cof, data[7].theta_at_edge)
+    data = geo.simplex_data(dodec27a, params)
+    c22_plus_c33 = data.cof[7:8, 10] + data.cof[7:8, 15]
+    data.cof[7:8, 11] = data.cof[7:8, 14] = c22_plus_c33
     away = _away_from(dodec27a, 7)
     full = _raised(lambda: geo.jacobian(dodec27a, params, data=data))
     block = _raised(lambda: geo.jacobian(dodec27a, params, data=data,
@@ -411,7 +417,7 @@ def _det4_by_minors(g):
     """det g along row 0 with every 3x3 minor computed afresh."""
     acc = None
     for j in range(4):
-        m = geo._minor3(g, 0, j)
+        m = oracle._minor3(g, 0, j)
         term = g[0][j] * (m if j % 2 == 0 else -m)
         acc = term if acc is None else acc + term
     return acc
@@ -421,18 +427,18 @@ def _det4_by_minors(g):
 def test_determinant_reuses_cofactors_exactly(kind, hyperbolic_triangulations,
                                               verified_all, monkeypatch):
     seen = []
-    det4 = geo._det4
+    det4 = oracle._det4
 
     def spy(g, cof):
         seen.append((g, det4(g, cof)))
         return seen[-1][1]
 
-    monkeypatch.setattr(geo, "_det4", spy)
+    monkeypatch.setattr(oracle, "_det4", spy)
     for name, tri in hyperbolic_triangulations.items():
         params = _fixture_param_sets(verified_all[name])[kind]
         for t in range(tri.n_tets):
-            g = geo.gram_matrix(tri, params, t)
-            ok, _reason = geo.realization_check(g)
+            g = gram_matrix(tri, params, t)
+            ok, _reason = realization_check(g)
             assert ok
     assert len(seen) == sum(t.n_tets for t in hyperbolic_triangulations.values())
     for g, a0 in seen:

@@ -1,0 +1,298 @@
+"""The batched geometry against the per-simplex oracle, endpoint for endpoint.
+
+`hypcert.geometry` evaluates each per-simplex formula once for all
+simplices; `tests.geometry_oracle` evaluates the same formulas one simplex
+and one scalar at a time.  Both must give the same bits, and the same
+failure for the same input, for plain floats, 53-bit `Interval`s and
+80-bit `MPInterval`s.
+"""
+
+import math
+import random
+
+import numpy as np
+import pytest
+
+from hypcert import geometry as geo
+from hypcert import scalars as sc
+from hypcert import triangulation as tr
+from hypcert import verify
+from hypcert.interval import FLOAT_KERNEL, Interval, IntervalArray, MPInterval, MPKernel
+from tests import geometry_oracle as oracle
+from tests.test_geometry import _bits, _fixture_param_sets
+from tests.test_gimbal import _scaling_member
+
+KINDS = ("float", "interval53", "mp80")
+INPUTS = ("dodec27a", "dodec27b", "dodec30x2", "scaling12")
+
+
+@pytest.fixture(scope="module")
+def verified_inputs(hyperbolic_triangulations, verified_all):
+    out = {name: (tri, verified_all[name])
+           for name, tri in hyperbolic_triangulations.items()}
+    tri = _scaling_member(12)
+    result = verify.run_pipeline(tri)
+    assert result.verified
+    out["scaling12"] = (tri, result)
+    return out
+
+
+def bits(x):
+    """Every endpoint of a scalar, or of nested lists and dicts of them."""
+    if isinstance(x, dict):
+        return {k: bits(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [bits(v) for v in x]
+    return _bits(x)
+
+
+def raised(fn, exc=geo.RealizationError):
+    with pytest.raises(exc) as info:
+        fn()
+    return str(info.value)
+
+
+def kernel_of_kind(kind):
+    return {"float": sc.REAL_KERNEL, "interval53": FLOAT_KERNEL,
+            "mp80": MPKernel(80)}[kind]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", INPUTS)
+def test_simplex_data_and_angle_sums_match_oracle(name, kind, verified_inputs):
+    tri, result = verified_inputs[name]
+    params = _fixture_param_sets(result)[kind]
+    data = geo.simplex_data(tri, params)
+    want = [oracle.simplex_data(tri, params, t) for t in range(tri.n_tets)]
+    for t in range(tri.n_tets):
+        assert data[t].tet == t
+        assert bits(data[t].gram) == bits(want[t].gram)
+        assert bits(data[t].cof) == bits(want[t].cof)
+        assert bits(data[t].theta_at_edge) == bits(want[t].theta_at_edge)
+    sums = bits(oracle.angle_sums(tri, params, data=want))
+    assert bits(geo.angle_sums(tri, params)) == sums
+    assert bits(geo.angle_sums(tri, params, data=data)) == sums
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", INPUTS)
+def test_jacobian_matches_oracle(name, kind, verified_inputs):
+    tri, result = verified_inputs[name]
+    params = _fixture_param_sets(result)[kind]
+    want = [oracle.simplex_data(tri, params, t) for t in range(tri.n_tets)]
+    data = geo.simplex_data(tri, params)
+    assert bits(geo.jacobian(tri, params)) == bits(oracle.jacobian(tri, params, data=want))
+    part = result.partition
+    rng = random.Random(len(name) + tri.m)
+    blocks = [(part.e_eq, part.e_var)] + [
+        (rng.sample(range(tri.m), rng.randint(1, tri.m)),
+         rng.sample(range(tri.m), rng.randint(1, tri.m)))
+        for _ in range(2)
+    ]
+    for rows, cols in blocks:
+        expected = bits(oracle.jacobian(tri, params, data=want, rows=rows, cols=cols))
+        assert bits(geo.jacobian(tri, params, rows=rows, cols=cols)) == expected
+        assert bits(geo.jacobian(tri, params, data=data, rows=rows, cols=cols)) == expected
+
+
+def _random_gram_and_cofactors(rng):
+    """A Gram matrix with entries mostly in [-3, -1], sometimes in
+    [-0.9, 0.3], and its cofactors with up to three symmetric pairs
+    scaled by a random factor, so that every realization condition is the
+    first to fail for some draw."""
+    lo, hi = (-0.9, 0.3) if rng.random() < 0.15 else (-3.0, -1.0)
+    g = [[-1.0] * 4 for _ in range(4)]
+    for (a, b) in tr.LOCAL_EDGES:
+        g[a][b] = g[b][a] = rng.uniform(lo, hi)
+    cof = oracle.cofactors(g)
+    for _ in range(rng.randint(0, 3)):
+        i, j = rng.randrange(4), rng.randrange(4)
+        cof[i][j] = cof[j][i] = cof[i][j] * rng.uniform(-2.0, 3.0)
+    return g, cof
+
+
+def _widened(x, rng, kernel):
+    w = rng.choice([0.0, 0.0, 1e-9, 1e-3]) * (abs(x) + 1.0)
+    return kernel.interval(x - w, x + w)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_realization_verdicts_and_reasons_match_oracle(kind):
+    rng = random.Random(2024)
+    k = kernel_of_kind(kind)
+    pairs = [_random_gram_and_cofactors(rng) for _ in range(400)]
+    if kind != "float":
+        pairs = [([[_widened(x, rng, k) for x in row] for row in g],
+                  [[_widened(x, rng, k) for x in row] for row in cof])
+                 for g, cof in pairs]
+    G = k.array([[x for row in g for x in row] for g, _ in pairs])
+    C = k.array([[x for row in cof for x in row] for _, cof in pairs])
+    failed = geo._unrealized(k, G, C)
+    reasons = set()
+    for (g, cof), row in zip(pairs, failed):
+        ok, reason = oracle.realization_check(g, cof)
+        got = geo._REASONS[int(np.argmax(row))] if row.any() else None
+        assert got == reason
+        reasons.add(reason)
+    assert len(reasons) == 1 + len(geo._REASONS)  # every condition, and success
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_first_failure_message_matches_oracle(kind, s3):
+    # random parameters, many of them outside (-inf, -1), on the two
+    # simplices of s3: a simplex fails several conditions at once, and the
+    # message names the first, of the first failing simplex
+    rng = random.Random(11)
+    k = kernel_of_kind(kind)
+    messages = set()
+    for _ in range(60):
+        lo, hi = rng.choice([(-0.9, 0.3), (-1.5, -0.5), (-3.0, -1.0)])
+        vals = [rng.uniform(lo, hi) for _ in range(s3.m)]
+        if kind != "float":
+            vals = [_widened(v, rng, k) for v in vals]
+        params = geo.EdgeParams(vals, check=False)
+        want = _oracle_failure(s3, params)
+        if want is None:
+            geo.simplex_data(s3, params)
+        else:
+            assert raised(lambda: geo.simplex_data(s3, params)) == want
+        messages.add(want)
+    assert len(messages) >= 4
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_cofactors_match_oracle_on_random_gram_matrices(kind):
+    rng = random.Random(77)
+    k = kernel_of_kind(kind)
+    gs = [_random_gram_and_cofactors(rng)[0] for _ in range(60)]
+    if kind != "float":
+        gs = [[[_widened(x, rng, k) if x != -1.0 else k.point(-1.0) for x in row]
+               for row in g] for g in gs]
+        for g in gs:  # a Gram matrix is symmetric
+            for i in range(4):
+                for j in range(i):
+                    g[i][j] = g[j][i]
+    C = geo._cofactors(k.array([[x for row in g for x in row] for g in gs]))
+    for g, row in zip(gs, C.tolist()):
+        assert bits(row) == bits([x for r in oracle.cofactors(g) for x in r])
+
+
+def _oracle_failure(tri, params):
+    """The message of the oracle's first failing simplex, in simplex order."""
+    for t in range(tri.n_tets):
+        try:
+            oracle.simplex_data(tri, params, t)
+        except geo.RealizationError as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("kind", ["interval53", "mp80"])
+def test_two_bad_simplices_raise_the_first(kind, dodec27a):
+    # widen the edges of tets 9 and 20 until neither can be proven realized
+    k = kernel_of_kind(kind)
+    p0 = [-math.cosh(float(l)) for l in dodec27a.lengths]
+    nu = [k.point(v) for v in p0]
+    for tet in (9, 20):
+        for (a, b) in tr.LOCAL_EDGES:
+            e = dodec27a.edge_class_index(tet, a, b)
+            nu[e] = k.interval(p0[e] - 0.3, p0[e] + 0.3)
+    params = geo.EdgeParams(nu)
+    bad = [t for t in range(dodec27a.n_tets)
+           if not oracle.realization_check(oracle.gram_matrix(dodec27a, params, t))[0]]
+    assert len(bad) >= 2
+    want = _oracle_failure(dodec27a, params)
+    assert want.startswith(f"tet {bad[0]}: ")
+    assert raised(lambda: geo.simplex_data(dodec27a, params)) == want
+    assert raised(lambda: geo.angle_sums(dodec27a, params)) == want
+    assert raised(lambda: geo.jacobian(dodec27a, params)) == want
+    away = [e for e in range(dodec27a.m)
+            if e not in {dodec27a.edge_class_index(t, a, b)
+                         for t in bad for (a, b) in tr.LOCAL_EDGES}]
+    assert raised(lambda: geo.jacobian(dodec27a, params, rows=away, cols=away)) == want
+
+
+def _shrunk_sqrt(monkeypatch, kind):
+    """Make every sqrt return a tenth of its value, on the scalar and the
+    array path alike: the dihedral cosines then leave [-1, 1] although
+    every simplex still passes the realization conditions, which use no
+    sqrt."""
+    def shrink(fn):
+        return lambda x: fn(x) * 0.1
+
+    if kind == "float":
+        monkeypatch.setattr(sc, "sqrt", shrink(math.sqrt))
+        monkeypatch.setattr(sc.RealKernel, "sqrt", staticmethod(shrink(np.sqrt)))
+    elif kind == "interval53":
+        monkeypatch.setattr(Interval, "sqrt", shrink(Interval.sqrt))
+        monkeypatch.setattr(IntervalArray, "sqrt", shrink(IntervalArray.sqrt))
+    else:
+        monkeypatch.setattr(MPInterval, "sqrt", shrink(MPInterval.sqrt))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_cosine_outside_arccos_domain_still_raises_in_the_jacobian(
+        kind, dodec27a, verified_all, monkeypatch):
+    params = _fixture_param_sets(verified_all["dodec27a"])[kind]
+    _shrunk_sqrt(monkeypatch, kind)
+    if kind == "float":
+        # math.acos's own ValueError, as a float dihedral angle raises it
+        with pytest.raises(ValueError, match="math domain error"):
+            oracle.simplex_data(dodec27a, params, 0)
+        for fn in (geo.simplex_data, geo.angle_sums, geo.jacobian):
+            with pytest.raises(ValueError, match="math domain error"):
+                fn(dodec27a, params)
+        return
+    want = _oracle_failure(dodec27a, params)
+    assert want.startswith("dihedral angle (")
+    assert "arccos needs argument inside [-1,1]" in want
+    assert raised(lambda: geo.jacobian(dodec27a, params)) == want
+    part = verified_all["dodec27a"].partition
+    assert raised(lambda: geo.jacobian(dodec27a, params, rows=part.e_eq,
+                                       cols=part.e_var)) == want
+    assert raised(lambda: geo.angle_sums(dodec27a, params)) == want
+
+
+def test_angle_gap_is_checked_on_every_simplex(dodec27a):
+    # a simplex whose angle gap the cofactors no longer prove positive
+    # fails the Jacobian with the oracle's message, first simplex first
+    k = FLOAT_KERNEL
+    p0 = [-math.cosh(float(l)) for l in dodec27a.lengths]
+    params = geo.EdgeParams([k.point(v) for v in p0])
+    data = geo.simplex_data(dodec27a, params)
+    want = [oracle.simplex_data(dodec27a, params, t) for t in range(dodec27a.n_tets)]
+    for t, (i, j) in ((4, (0, 1)), (11, (1, 3))):
+        data.cof[t:t + 1, 4 * i + j] = data.cof[t:t + 1, 4 * j + i] = (
+            data.cof[t:t + 1, 5 * i] + data.cof[t:t + 1, 5 * j]
+        )
+        cof = [list(row) for row in want[t].cof]
+        cof[i][j] = cof[j][i] = cof[i][i] + cof[j][j]
+        want[t] = geo.GramData(t, want[t].gram, cof, want[t].theta_at_edge)
+    expected = raised(lambda: oracle.jacobian(dodec27a, params, data=want))
+    assert expected == "tet 4: degenerate angle gap at faces (0,1)"
+    assert raised(lambda: geo.jacobian(dodec27a, params, data=data)) == expected
+
+
+@pytest.mark.parametrize("kind", ["interval53", "mp80"])
+def test_earlier_arccos_failure_wins_over_later_realization_failure(
+        kind, dodec27a, monkeypatch):
+    # every realized simplex now fails its arccos domain test, and the
+    # simplices around a tet that shares no edge with tet 0 fail
+    # realization: tet 0's failure comes first
+    k = kernel_of_kind(kind)
+    p0 = [-math.cosh(float(l)) for l in dodec27a.lengths]
+    nu = [k.point(v) for v in p0]
+
+    def edges(t):
+        return {dodec27a.edge_class_index(t, a, b) for (a, b) in tr.LOCAL_EDGES}
+
+    far = max(t for t in range(dodec27a.n_tets) if not edges(t) & edges(0))
+    for e in edges(far):
+        nu[e] = k.interval(p0[e] - 0.3, p0[e] + 0.3)
+    params = geo.EdgeParams(nu)
+    assert not oracle.realization_check(oracle.gram_matrix(dodec27a, params, far))[0]
+    _shrunk_sqrt(monkeypatch, kind)
+    want = _oracle_failure(dodec27a, params)
+    assert want.startswith("dihedral angle (")
+    assert raised(lambda: geo.simplex_data(dodec27a, params)) == want
+    assert raised(lambda: geo.jacobian(dodec27a, params)) == want

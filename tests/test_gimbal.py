@@ -498,9 +498,11 @@ def test_probe_sampling_path_two_vertices(dodec30x2):
 # -- one norm bound per ball ----------------------------------------------------
 
 
-def _scaling_member(moves):
+def _scaling_member(moves, seed=None):
     """`dodec27a`'s cone complex after a 1-4 move in each of its first
-    `moves` tetrahedra, with lengths exact from hyperboloid coordinates."""
+    `moves` tetrahedra, with lengths exact from hyperboloid coordinates.
+    With a seed, the tetrahedra are taken in the order that seed shuffles
+    them into, as the benchmark's scaling family does."""
     demos = pathlib.Path(__file__).resolve().parent.parent / "demos"
     dps = mpmath.mp.dps
     sys.path.insert(0, str(demos))
@@ -512,7 +514,10 @@ def _scaling_member(moves):
     with mpmath.workdps(60):
         tets_mv, gluings, pts = bf.build_cone_complex(0)
         hpts = bf.hyperboloid_points(pts, bf.circumradius())
-        for t in range(moves):
+        order = list(range(len(tets_mv)))
+        if seed is not None:
+            random.Random(seed).shuffle(order)
+        for t in order[:moves]:
             tets_mv, gluings, hpts = bf.one_four_move(tets_mv, gluings, hpts, t)
         text = bf.triangulation_text(gluings)
         lengths = bf.lengths_for(tr.parse(text), tets_mv, hpts)

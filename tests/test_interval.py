@@ -178,7 +178,7 @@ def nested_pair(draw):
     return Interval(lo, hi), Interval(lo - pad_lo, hi + pad_hi)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(nested_pair(), nested_pair())
 def test_inclusion_monotonic_arithmetic(ab, cd):
     a, a_big = ab
@@ -232,7 +232,7 @@ def test_underflow_product_isotonic():
     assert big.encloses(small)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(nested_pair())
 def test_inclusion_monotonic_elementary(ab):
     a, a_big = ab

@@ -16,6 +16,7 @@ from hypcert import certificate as cert
 from hypcert import verify
 from hypcert.interval import (
     FLOAT_KERNEL,
+    DomainError,
     FloatKernel,
     Interval,
     IntervalArray,
@@ -119,6 +120,86 @@ def test_inf_minus_inf_raises_on_both_paths(op):
     assert str(scalar_err.value) == str(array_err.value)
 
 
+# -- division, sqrt and arccos ---------------------------------------------------
+
+# endpoints inside arccos's domain [-1, 1], its ends and values next to them
+unit_endpoints = st.one_of(
+    st.sampled_from([-1.0, 1.0, 0.0, 5e-324, -5e-324, math.nextafter(1.0, 0.0),
+                     math.nextafter(-1.0, 0.0), 0.5, -0.5, 1e-300]),
+    st.floats(-1.0, 1.0),
+)
+unit_entries = st.tuples(unit_endpoints, unit_endpoints).map(
+    lambda ab: Interval(min(ab), max(ab))
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(entries, entries)
+def test_array_division_is_bitwise_the_dunder(x, y):
+    xa, ya = IntervalArray.of([x]), IntervalArray.of([y])
+    want = scalar_or_error(lambda: bits([[x / y]]))
+    assert scalar_or_error(lambda: bits([(xa / ya).tolist()])) == want
+    # a plain number on either side is a point
+    for v in (y.lo, y.hi):
+        want = scalar_or_error(lambda: bits([[x / v, v / x]]))
+        got = scalar_or_error(lambda: bits([(xa / v).tolist() + (v / xa).tolist()]))
+        assert got == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(entries, min_size=1, max_size=6), st.lists(entries, min_size=1, max_size=6))
+def test_array_division_of_vectors(xs, ys):
+    n = min(len(xs), len(ys))
+    xs, ys = xs[:n], ys[:n]
+    want = scalar_or_error(lambda: bits([[x / y for x, y in zip(xs, ys)]]))
+    got = scalar_or_error(lambda: bits([(IntervalArray.of(xs) / IntervalArray.of(ys)).tolist()]))
+    if isinstance(want, tuple):
+        # the array tests every divisor for zero before it divides
+        assert isinstance(got, tuple) and issubclass(got[0], IntervalError)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("y", [
+    Interval(0.0, 0.0), Interval(-1.0, 2.0), Interval(0.0, 3.0), Interval(-2.0, 0.0),
+    Interval(-inf, inf), Interval(-5e-324, 5e-324),
+])
+def test_division_by_zero_straddling_raises_on_both_paths(y):
+    x = Interval(1.0, 2.0)
+    with pytest.raises(DomainError) as scalar_err:
+        x / y
+    with pytest.raises(DomainError) as array_err:
+        IntervalArray.of([x, x]) / IntervalArray.of([Interval(1.0, 1.0), y])
+    assert str(array_err.value) == str(scalar_err.value)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.lists(entries, min_size=1, max_size=6))
+def test_array_sqrt_is_bitwise_the_method(xs):
+    want = scalar_or_error(lambda: bits([[x.sqrt() for x in xs]]))
+    got = scalar_or_error(lambda: bits([IntervalArray.of(xs).sqrt().tolist()]))
+    assert got == want
+
+
+@pytest.mark.parametrize("x", [
+    Interval(-1.0, 4.0), Interval(-5e-324, 0.0), Interval(-inf, -1.0), Interval(-2.0, -1.0),
+])
+def test_sqrt_of_a_negative_part_raises_on_both_paths(x):
+    with pytest.raises(DomainError) as scalar_err:
+        x.sqrt()
+    with pytest.raises(DomainError) as array_err:
+        IntervalArray.of([Interval(4.0, 9.0), x, Interval(-3.0, 1.0)]).sqrt()
+    assert str(array_err.value) == str(scalar_err.value)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(unit_entries, entries), min_size=1, max_size=6))
+def test_array_arccos_is_bitwise_the_method(xs):
+    want = scalar_or_error(lambda: bits([[x.arccos() for x in xs]]))
+    got = scalar_or_error(lambda: bits([IntervalArray.of(xs).arccos().tolist()]))
+    assert got == want
+
+
 # -- the stage-V invertibility test --------------------------------------------
 
 
@@ -157,14 +238,16 @@ def test_certificate_identical_with_scalar_matrix_layer(
     dodec27a, verified27a, monkeypatch
 ):
     """With the float kernel's whole array layer replaced by numpy object
-    arrays of `Interval` (every entry through the scalar dunders, products
-    by `scalar_mat_mul`), dodec27a certifies to the same bytes."""
+    arrays of `Interval` (every entry through the scalar dunders and
+    methods, products by `scalar_mat_mul`), dodec27a certifies to the same
+    bytes."""
     objects = MPKernel.array
     monkeypatch.setattr(FloatKernel, "array", staticmethod(objects))
     monkeypatch.setattr(
         FloatKernel, "mat_mul", staticmethod(lambda a, b: objects(scalar_mat_mul(a, b)))
     )
-    monkeypatch.setattr(FloatKernel, "bounds", staticmethod(MPKernel.bounds))
+    for name in ("bounds", "sqrt", "arccos"):
+        monkeypatch.setattr(FloatKernel, name, staticmethod(getattr(MPKernel, name)))
     scalar = verify.run_pipeline(dodec27a)
     assert scalar.verified
     assert cert.certificate_json(dodec27a, scalar, "krawczyk") == cert.certificate_json(

@@ -369,3 +369,41 @@ def test_certify_root_evaluates_f_once_per_centre(kernel, method):
     assert enc is not None
     assert len(jac_calls) > 1  # several operator steps ...
     assert len(centres) == len(set(centres)) == 1  # ... around one centre
+
+
+@pytest.mark.parametrize("refine", [False, True])
+def test_stage_two_reuses_stage_one_float_data(dodec27a, verified27a, monkeypatch,
+                                               refine):
+    # float Jacobians and angle sums at p0: stage I's are handed to step II
+    # unless --refine has moved p0
+    calls = []
+    jacobian, angle_sums = geo.jacobian, geo.angle_sums
+
+    def counting(fn, name):
+        def wrapper(tri, params, *args, **kwargs):
+            if isinstance(params[0], float):
+                calls.append(name)
+            return fn(tri, params, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(geo, "jacobian", counting(jacobian, "jacobian"))
+    monkeypatch.setattr(geo, "angle_sums", counting(angle_sums, "angle_sums"))
+    result = verify.run_pipeline(dodec27a, refine=refine)
+    assert result.verified
+    if refine:
+        assert calls.count("jacobian") > 1 and calls.count("angle_sums") > 1
+    else:
+        assert calls == ["angle_sums", "jacobian"]
+        assert [(x.lo, x.hi) for x in result.box.nu] == [
+            (x.lo, x.hi) for x in verified27a.box.nu
+        ]
+
+
+def test_krawczyk_certify_with_given_float_data_is_unchanged(dodec27a, verified27a):
+    part, p0 = verified27a.partition, verified27a.p0
+    M = np.array(geo.jacobian(dodec27a, geo.EdgeParams(p0)))
+    residual = verify._residual_vec(dodec27a, p0)
+    given = verify.krawczyk_certify(dodec27a, p0, part,
+                                    jsub=M[part.e_eq][:, part.e_var], residual=residual)
+    computed = verify.krawczyk_certify(dodec27a, p0, part)
+    assert [(x.lo, x.hi) for x in given.nu] == [(x.lo, x.hi) for x in computed.nu]

@@ -5,7 +5,8 @@
     hypcert certify FILE        full verification, emits a certificate
     hypcert probe-gimbal FILE   scan edge partitions for gimbal lock
 
-Exit codes: 0 success/VERIFIED, 1 input error, 2 conservative failure.
+Exit codes: 0 success/VERIFIED, 1 input or usage error, 2 conservative
+failure.
 """
 
 from __future__ import annotations
@@ -112,18 +113,13 @@ def cmd_certify(args):
     tri = _load(args.file)
     if args.output:
         _check_output(args.output)
-    method = "newton" if args.interval_newton else "krawczyk"
     t0 = time.perf_counter()
     result = verify.run_pipeline(
-        tri,
-        precision=args.precision,
-        method=method,
-        refine=args.refine,
-        seed=args.seed,
+        tri, precision=args.precision, refine=args.refine, seed=args.seed
     )
     elapsed = time.perf_counter() - t0
     timings = {"total": round(elapsed, 3)} if args.timings else None
-    doc = cert.certificate_json(tri, result, method, timings=timings)
+    doc = cert.certificate_json(tri, result, "krawczyk", timings=timings)
     if args.output:
         if not _write(args.output, doc):
             return EXIT_INPUT
@@ -177,8 +173,17 @@ def cmd_probe_gimbal(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, but a usage error exits EXIT_INPUT: argparse's own code, 2,
+    is the code of a conservative failure here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None):
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="hypcert",
         description="verified hyperbolic structures on closed triangulations",
     )
@@ -199,8 +204,6 @@ def main(argv=None):
     p.add_argument("file")
     p.add_argument("--precision", type=int, default=53,
                    help="working precision in bits (>= 53)")
-    p.add_argument("--interval-newton", action="store_true",
-                   help="use the interval Newton operator instead of Krawczyk")
     p.add_argument("--refine", action="store_true",
                    help="Newton-polish the subsystem before certifying")
     p.add_argument("--seed", type=int, default=0)
@@ -225,8 +228,6 @@ def main(argv=None):
         return args.fn(args)
     except BrokenPipeError:
         # downstream pager closed early; not an error
-        import os
-
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
 

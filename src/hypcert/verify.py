@@ -7,8 +7,7 @@ I    pick a full-rank subsystem of the edge equations (full-pivot
      vertex) and split the edges into loose/kept equations and
      fixed/variable parameters;
 II   enclose a solution of the kept equations over the variable
-     parameters with the Krawczyk operator (or the interval Newton
-     operator) and epsilon inflation;
+     parameters with the Krawczyk operator and epsilon inflation;
 III  verify the realization conditions of every simplex over the box;
 IV   enclose the angle sums of the loose edges and check they contain a
      full turn;
@@ -43,7 +42,6 @@ __all__ = [
     "KrawczykCentre",
     "krawczyk_step",
     "krawczyk_certify",
-    "interval_newton_certify",
     "check_realization_and_angles",
     "run_pipeline",
     "STEP_NAMES",
@@ -265,126 +263,83 @@ def make_partition(tri, rows, cols):
 
 
 # ---------------------------------------------------------------------------
-# step II: Krawczyk / interval Newton with epsilon inflation
+# step II: Krawczyk operator with epsilon inflation
 # ---------------------------------------------------------------------------
 
 
 class KrawczykCentre:
-    """What the Krawczyk and interval Newton operators need of a centre x0,
-    evaluated once per centre: x0 and the point matrix C as the kernel's
-    arrays, f(x0), and the partial sums x0 - C f(x0), each row summed left
-    to right over j."""
+    """What the Krawczyk operator needs of a centre x0, evaluated once per
+    centre: the kernel, x0 and the point matrix C as the kernel's arrays,
+    and the partial sums x0 - C f(x0), each row summed left to right over
+    j."""
 
     def __init__(self, f_iv, x0, C, kernel):
         n = len(x0)
         x0_iv = [kernel.point(v) for v in x0]
-        self.fx0 = f_iv(x0_iv)
+        fx0 = kernel.array(f_iv(x0_iv))
+        self.kernel = kernel
         self.x0 = kernel.array(x0_iv)
         self.C = kernel.array([[kernel.point(v) for v in row] for row in C])
         self.identity = kernel.array(IntervalMatrix.identity(n, kernel).rows)
-        fx0 = kernel.array(self.fx0)
         partial = self.x0
         for j in range(n):
             partial = partial - self.C[:, j] * fx0[j]
         self.partial = partial
 
 
-def krawczyk_step(f_iv, jac_iv, x0, X, C, kernel, centre=None):
-    """One Krawczyk operator evaluation.
+def krawczyk_step(centre, jac_iv, X):
+    """One Krawczyk operator evaluation at the box X around `centre`.
 
     K(x0, X) = x0 - C f(x0) + (I - C J(X)) (X - x0), everything except
-    the float vectors x0 and C evaluated in interval arithmetic.  Pass the
-    KrawczykCentre of (x0, C) to reuse it across steps.
+    the float vectors x0 and C evaluated in interval arithmetic.  Every
+    root of f in X lies in K when x0 lies in X.
     """
-    if centre is None:
-        centre = KrawczykCentre(f_iv, x0, C, kernel)
+    kernel = centre.kernel
     CJ = kernel.mat_mul(centre.C, kernel.array(jac_iv(X)))
     delta = centre.identity - CJ
     dX = kernel.array(X) - centre.x0
     K = centre.partial
-    for j in range(len(x0)):
+    for j in range(len(X)):
         K = K + delta[:, j] * dX[j]
     return K.tolist()
 
 
-def _interval_gauss_solve(A, b, kernel):
-    """Solve A x = b with interval Gaussian elimination, no pivot swaps.
-
-    Fails (returns None) if any pivot interval straddles zero; intended
-    for well-preconditioned systems where A encloses the identity.
-    """
-    n = len(b)
-    M = [row[:] + [b[i]] for i, row in enumerate(A)]
-    for k in range(n):
-        piv = M[k][k]
-        if not (sc.surely_gt(piv, 0.0) or sc.surely_lt(piv, 0.0)):
-            return None
-        for i in range(k + 1, n):
-            factor = M[i][k] / piv
-            for j in range(k, n + 1):
-                M[i][j] = M[i][j] - factor * M[k][j]
-    xs = [None] * n
-    for i in range(n - 1, -1, -1):
-        acc = M[i][n]
-        for j in range(i + 1, n):
-            acc = acc - M[i][j] * xs[j]
-        xs[i] = acc / M[i][i]
-    return xs
+_STEP_ERRORS = (geo.RealizationError, ArithmeticError, ValueError)
 
 
-def interval_newton_step(f_iv, jac_iv, x0, X, C, kernel, centre=None):
-    """Interval Newton operator via a preconditioned interval solve."""
-    if centre is None:
-        centre = KrawczykCentre(f_iv, x0, C, kernel)
-    A = kernel.mat_mul(centre.C, kernel.array(jac_iv(X))).tolist()
-    Cf = kernel.mat_mul(centre.C, kernel.array([[f] for f in centre.fx0]))
-    sol = _interval_gauss_solve(A, [r[0] for r in Cf.tolist()], kernel)
-    if sol is None:
-        return None
-    return [x0_i - s for x0_i, s in zip(centre.x0.tolist(), sol)]
-
-
-def _certify_root(f_iv, jac_iv, x0, C, kernel, residual_scale, method="krawczyk",
+def _certify_root(f_iv, jac_iv, x0, C, kernel, residual_scale,
                   max_rounds=20, refine_rounds=5):
     """Epsilon inflation around x0 until the operator maps the box into
-    its own interior; then contract.  Returns the final enclosure list."""
-    step_fn = krawczyk_step if method == "krawczyk" else interval_newton_step
+    its own interior; then contract, but only while the box still contains
+    x0.  Returns the final enclosure list."""
     try:
         centre = KrawczykCentre(f_iv, x0, C, kernel)
-    except (geo.RealizationError, ArithmeticError, ValueError):
+    except _STEP_ERRORS:
         return None  # every step would fail the same way
     half = max(1e-14, 10.0 * residual_scale)
     for _ in range(max_rounds):
         X = [kernel.interval(v - half, v + half) for v in x0]
         try:
-            K = step_fn(f_iv, jac_iv, x0, X, C, kernel, centre=centre)
-        except (geo.RealizationError, ArithmeticError, ValueError):
-            K = None
-        if K is not None and all(k.strictly_inside(x) for k, x in zip(K, X)):
+            K = krawczyk_step(centre, jac_iv, X)
+            contained = all(k.strictly_inside(x) for k, x in zip(K, X))
+        except _STEP_ERRORS:
+            contained = False
+        if contained:
             enclosure = [k.intersect(x) for k, x in zip(K, X)]
             for _r in range(refine_rounds):
+                if not all(y.contains(v) for y, v in zip(enclosure, x0)):
+                    break  # the mean-value form needs x0 in the box
                 try:
-                    K2 = step_fn(f_iv, jac_iv, x0, enclosure, C, kernel,
-                                 centre=centre)
-                except (geo.RealizationError, ArithmeticError, ValueError):
+                    K2 = krawczyk_step(centre, jac_iv, enclosure)
+                except _STEP_ERRORS:
                     break
-                if K2 is None:
+                if not all(k2.intersects(y) for k2, y in zip(K2, enclosure)):
                     break
-                new = []
-                shrunk = False
-                for k2, prev in zip(K2, enclosure):
-                    if not k2.intersects(prev):
-                        break
-                    cut = k2.intersect(prev)
-                    if cut.width() < prev.width():
-                        shrunk = True
-                    new.append(cut)
-                else:
-                    enclosure = new
-                    if not shrunk:
-                        break
-                    continue
-                break
+                new = [k2.intersect(y) for k2, y in zip(K2, enclosure)]
+                shrunk = any(n.width() < y.width() for n, y in zip(new, enclosure))
+                enclosure = new
+                if not shrunk:
+                    break
             return enclosure
         half *= 4.0
     return None
@@ -416,8 +371,7 @@ def _subsystem_functions(tri, partition, fixed_values, kernel):
     return f_iv, jac_iv, full_params
 
 
-def krawczyk_certify(tri, p0, partition, kernel=None, method="krawczyk",
-                     jsub=None, residual=None):
+def krawczyk_certify(tri, p0, partition, kernel=None, jsub=None, residual=None):
     """Steps II of the pipeline: enclose a solution of the kept equations.
 
     p0: float edge parameters approximately solving the system.  `jsub`
@@ -447,9 +401,7 @@ def krawczyk_certify(tri, p0, partition, kernel=None, method="krawczyk",
         if residual is None:
             residual = _residual_vec(tri, list(p0))
         resid = float(np.max(np.abs(np.asarray(residual)[partition.e_eq])))
-        enclosure = _certify_root(
-            f_iv, jac_iv, x0, C.tolist(), kernel, resid, method=method
-        )
+        enclosure = _certify_root(f_iv, jac_iv, x0, C.tolist(), kernel, resid)
         if enclosure is None:
             raise StepFailure(
                 2,
@@ -471,10 +423,6 @@ def krawczyk_certify(tri, p0, partition, kernel=None, method="krawczyk",
         statuses={2: "contained"},
         precision=kernel.precision,
     )
-
-
-def interval_newton_certify(tri, p0, partition, kernel=None):
-    return krawczyk_certify(tri, p0, partition, kernel=kernel, method="newton")
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +466,6 @@ def run_pipeline(
     tri,
     lengths=None,
     precision=53,
-    method="krawczyk",
     refine=False,
     seed=0,
     solver_max_iters=100,
@@ -574,8 +521,8 @@ def run_pipeline(
 
     # step II
     try:
-        box = krawczyk_certify(tri, p0, partition, kernel=kernel, method=method,
-                               jsub=jsub, residual=r0)
+        box = krawczyk_certify(tri, p0, partition, kernel=kernel, jsub=jsub,
+                               residual=r0)
     except StepFailure as exc:
         statuses[2] = f"failed: {exc.message}"
         return PipelineResult(False, 2, statuses, partition=partition, p0=p0,

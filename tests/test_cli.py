@@ -111,18 +111,20 @@ def test_certify_without_lengths_graceful(tmp_path, capsys, dodec27a):
     assert doc["status"] in ("VERIFIED", "FAILED")
 
 
-def test_certify_interval_newton_flag(tmp_path, capsys):
-    out_file = tmp_path / "cert.json"
-    code, _, _ = run_cli(
-        capsys,
-        "certify",
-        str(data_path("dodec27a.tri")),
-        "--interval-newton",
-        "-o",
-        str(out_file),
-    )
-    assert code == 0
-    assert json.loads(out_file.read_text())["method"] == "newton"
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(("certify", "FILE", "--interval-newton"), "unrecognized arguments",
+                 id="interval-newton-flag"),
+    pytest.param(("certify", "FILE", "--precision", "abc"), "invalid int value",
+                 id="precision-abc"),
+    pytest.param(("frobnicate", "FILE"), "invalid choice", id="unknown-command"),
+])
+def test_usage_errors_exit_one(capsys, argv, message):
+    # argparse's own exit code, 2, would read as a conservative failure
+    fixture = str(data_path("dodec27a.tri"))
+    code, out, err = run_cli(capsys, *(fixture if a == "FILE" else a for a in argv))
+    assert code == 1
+    assert message in err
+    assert out == ""
 
 
 def test_certify_timings_flag(tmp_path, capsys):
@@ -204,7 +206,7 @@ def test_certify_krawczyk_flag_removed(capsys):
     code, _, err = run_cli(
         capsys, "certify", str(data_path("dodec27a.tri")), "--krawczyk"
     )
-    assert code == 2
+    assert code == 1  # a usage error, not a conservative failure
     assert "unrecognized arguments: --krawczyk" in err
 
 

@@ -75,7 +75,7 @@ def test_pivot_partition_gives_invertible_subsystem(dodec27a):
     assert np.linalg.cond(sub) < 1e8
 
 
-# -- step II: Krawczyk and interval Newton -----------------------------------
+# -- step II: the Krawczyk operator ------------------------------------------
 
 
 def test_krawczyk_scalar_instance():
@@ -88,7 +88,8 @@ def test_krawczyk_scalar_instance():
         return [[xs[0] * 2.0]]
 
     X = [k.interval(1.41, 1.42)]
-    K = verify.krawczyk_step(f, jac, [1.4142], X, [[0.35356]], k)
+    centre = verify.KrawczykCentre(f, [1.4142], [[0.35356]], k)
+    K = verify.krawczyk_step(centre, jac, X)
     assert K[0].strictly_inside(X[0])
     assert 1.41418 <= K[0].lo and K[0].hi <= 1.41425
     assert K[0].contains(math.sqrt(2.0))
@@ -134,22 +135,6 @@ def test_krawczyk_scalar_mp_kernel():
     assert enc is not None
     mpmath.mp.prec = 150
     assert mpmath.mpf(enc[0].lo_float()) <= mpmath.sqrt(2) <= mpmath.mpf(enc[0].hi_float())
-
-
-def test_interval_newton_scalar():
-    k = FloatKernel()
-
-    def f(xs):
-        return [xs[0] * xs[0] - 2.0]
-
-    def jac(xs):
-        return [[xs[0] * 2.0]]
-
-    enc = verify._certify_root(
-        f, jac, [1.41421356], [[0.35355339]], k, 1e-8, method="newton"
-    )
-    assert enc is not None
-    assert enc[0].contains(math.sqrt(2.0))
 
 
 # -- bootstrap ----------------------------------------------------------------
@@ -267,12 +252,6 @@ def test_pipeline_s3_fails(s3):
     assert res.box is None
 
 
-def test_pipeline_interval_newton(dodec27a):
-    res = verify.run_pipeline(dodec27a, method="newton")
-    assert res.verified
-    assert max(x.width() for x in res.box.nu) < 1e-8
-
-
 def test_pipeline_refine_flag(dodec27a):
     res = verify.run_pipeline(dodec27a, refine=True)
     assert res.verified
@@ -339,15 +318,15 @@ def test_krawczyk_step_matches_entrywise_operator(kernel):
     x0 = [1.01, 1.98, 0.003]
     C = np.linalg.inv(np.array([[2.02, 1, 0], [1.98, 1.01, 0], [1, 0.003, 1.98]])).tolist()
     X = [kernel.interval(v - 0.05, v + 0.05) for v in x0]
-    got = verify.krawczyk_step(f_iv, jac_iv, x0, X, C, kernel)
+    centre = verify.KrawczykCentre(f_iv, x0, C, kernel)
+    got = verify.krawczyk_step(centre, jac_iv, X)
     want = _krawczyk_by_loops(f_iv, jac_iv, x0, X, C, kernel)
     for g, w in zip(got, want):
         assert (g.lo, g.hi) == (w.lo, w.hi)
 
 
 @pytest.mark.parametrize("kernel", [FloatKernel(), MPKernel(80)])
-@pytest.mark.parametrize("method", ["krawczyk", "newton"])
-def test_certify_root_evaluates_f_once_per_centre(kernel, method):
+def test_certify_root_evaluates_f_once_per_centre(kernel):
     # the system of test_krawczyk_step_matches_entrywise_operator
     centres, jac_calls = [], []
 
@@ -362,13 +341,47 @@ def test_certify_root_evaluates_f_once_per_centre(kernel, method):
         one, zero = kernel.point(1.0), kernel.point(0.0)
         return [[x * 2.0, one, zero], [y, x, zero], [one, z, y]]
 
-    # the root (1, 2, 0) is singular; (-2, -1, -3) is not
-    x0 = [-2.0 + 1e-9, -1.0, -3.0 - 1e-9]
+    # the root (1, 2, 0) is singular; (-2, -1, -3) is not.  Centred on that
+    # root, every contracted box still contains the centre, so refinement
+    # goes on past the first step
+    x0 = [-2.0, -1.0, -3.0]
     C = np.linalg.inv(np.array([[-4.0, 1, 0], [-1, -2, 0], [1, -3, -1]]))
-    enc = verify._certify_root(f_iv, jac_iv, x0, C.tolist(), kernel, 1e-9, method=method)
+    enc = verify._certify_root(f_iv, jac_iv, x0, C.tolist(), kernel, 1e-9)
     assert enc is not None
     assert len(jac_calls) > 1  # several operator steps ...
     assert len(centres) == len(set(centres)) == 1  # ... around one centre
+
+
+@pytest.mark.parametrize("name, bits", [
+    *((f, b) for f in ("dodec27a", "dodec27b", "dodec30x2") for b in (53, 80, 120, 160)),
+    ("dodec30x2~1e-7", 53),
+])
+def test_operator_boxes_contain_their_centre(hyperbolic_triangulations, monkeypatch,
+                                             name, bits):
+    # the mean-value form of K(x0, X) needs x0 in X: refinement used to go on
+    # after the contracted box had left x0 (at 80 bits on every fixture, at
+    # 53 bits on dodec30x2 with lengths off by 1e-7), and at 120 and 160 bits
+    # the fixtures then failed at step 4
+    fixture, _, rel = name.partition("~")
+    tri = hyperbolic_triangulations[fixture]
+    lengths = None
+    if rel:
+        rng = random.Random(0)
+        lengths = [float(l) * (1 + float(rel) * rng.uniform(-1, 1)) for l in tri.lengths]
+    applied = []
+    step = verify.krawczyk_step
+
+    def recording_step(centre, jac_iv, X):
+        applied.append((centre.x0.tolist(), list(X)))
+        return step(centre, jac_iv, X)
+
+    monkeypatch.setattr(verify, "krawczyk_step", recording_step)
+    res = verify.run_pipeline(tri, lengths=lengths, precision=bits)
+    assert res.verified, res.statuses
+    assert applied
+    for x0, X in applied:
+        assert all(x.encloses(c) for x, c in zip(X, x0))
+    assert all(contains_two_pi(res.box.theta[e]) for e in res.partition.e_eq)
 
 
 @pytest.mark.parametrize("refine", [False, True])

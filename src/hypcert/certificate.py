@@ -19,11 +19,9 @@ from math import inf, nextafter
 
 from mpmath import libmp
 
-from . import geometry as geo
-from . import gimbal
 from . import verify as vf
 from .interval import MPInterval, kernel_for_precision
-from .triangulation import serialize, vertex_link_hexagon_complex
+from .triangulation import serialize, vertex_link_hexagon_complex  # noqa: F401 (for perfbench)
 
 __all__ = [
     "CertificateError",
@@ -200,14 +198,7 @@ def recheck(tri, doc, precision=None):
         nu=nu, theta=None, partition=part, precision=precision
     )
     try:
-        box = vf.check_realization_and_angles(tri, box, kernel=kernel)
-        labels = gimbal.CocycleLabels(tri, box.nu, data=box.gram_data)
-        links = [vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
-        theta_boxes = [box.theta[e] for e in part.e_sim]
-        verdict = gimbal.gimbal_lock_check(tri, labels, part.e_sim, theta_boxes,
-                                           links=links)
-    except (vf.StepFailure, geo.RealizationError, gimbal.GimbalLoopError) as exc:
+        vf.check_gimbal_lock(tri, vf.check_realization_and_angles(tri, box, kernel=kernel))
+    except vf.StepFailure as exc:
         return False, f"recheck failed: {exc}"
-    if not verdict.avoided:
-        return False, f"recheck failed: {verdict.reason}"
     return True, "realization, angle sums and gimbal check reverified"

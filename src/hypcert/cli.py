@@ -230,7 +230,3 @@ def main(argv=None):
         # downstream pager closed early; not an error
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -29,15 +29,17 @@ The kernel also owns the array layer.  ``kernel.array`` turns (nested)
 lists of its intervals into an array with elementwise, broadcasting
 ``+``, ``-``, ``*`` and ``/``, numpy indexing and item assignment;
 ``kernel.sqrt`` and ``kernel.arccos`` apply the scalar methods entrywise;
-``kernel.mat_mul`` multiplies two such arrays, summing each entry left to
-right over k from the k = 0 product; and ``kernel.bounds`` gives an
-array's outward float endpoints.  The float kernel's array is
-``IntervalArray``: numpy endpoint arrays whose arithmetic reproduces the
-``Interval`` dunders and methods bit for bit, so its product is
-bit-identical to the scalar loop ``scalar_mat_mul`` while looping in
-Python only over k.  The MP kernel's array is a numpy object array of
-``MPInterval`` (elementwise operations call the dunders) and its product
-is ``scalar_mat_mul`` itself.  ``scalars.REAL_KERNEL`` gives plain floats
+``kernel.bounds`` gives an array's outward float endpoints,
+``kernel.float_hull`` its outward 53-bit hull as an ``IntervalArray`` and
+``kernel.lift`` an ``IntervalArray`` as the kernel's array, exactly.  The
+float kernel's array is ``IntervalArray``: numpy endpoint arrays whose
+arithmetic reproduces the ``Interval`` dunders and methods bit for bit, so
+its ``mat_mul`` (each entry summed left to right over k) is bit-identical
+to the scalar loop ``scalar_mat_mul`` while looping in Python only over k;
+its hull and lift are the identity.  The MP kernel's array is a numpy
+object array of ``MPInterval`` (elementwise operations call the dunders);
+it has no product, since every matrix product runs on the 53-bit hull at
+every precision.  ``scalars.REAL_KERNEL`` gives plain floats
 the same array protocol on numpy float64 arrays, so ``geometry`` runs one
 code path for all three kinds.  Stage V's 3x3 ball arithmetic does not
 use this layer: ``gimbal`` forms its ball products on plain floats in
@@ -1014,6 +1016,12 @@ class FloatKernel:
         return arr.lo, arr.hi
 
     @staticmethod
+    def float_hull(arr):
+        return arr
+
+    lift = float_hull
+
+    @staticmethod
     def sqrt(arr):
         return arr.sqrt()
 
@@ -1059,12 +1067,15 @@ class MPKernel:
     def array(intervals):
         return np.array(intervals, dtype=object)
 
-    def mat_mul(self, a, b):
-        return self.array(scalar_mat_mul(a, b))
-
     @staticmethod
     def bounds(arr):
         return _LO_FLOAT(arr).astype(float), _HI_FLOAT(arr).astype(float)
+
+    def float_hull(self, arr):
+        return IntervalArray(*self.bounds(arr))
+
+    def lift(self, arr):
+        return np.frompyfunc(self.interval, 2, 1)(arr.lo, arr.hi)
 
     @staticmethod
     def sqrt(arr):
@@ -1090,7 +1101,8 @@ def kernel_for_precision(precision):
 
 
 class IntervalMatrix:
-    """Dense matrix of intervals (row-major list of lists)."""
+    """Dense matrix of intervals (row-major list of lists).  Its product and
+    the invertibility test run on the 53-bit hull of the entries."""
 
     __slots__ = ("rows", "nrows", "ncols")
 
@@ -1131,8 +1143,8 @@ class IntervalMatrix:
             raise IntervalError(
                 f"shape mismatch {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}"
             )
-        k = self.kernel
-        return IntervalMatrix(k.mat_mul(k.array(self.rows), k.array(other.rows)).tolist())
+        a, b = (m.kernel.float_hull(m.kernel.array(m.rows)) for m in (self, other))
+        return IntervalMatrix(FLOAT_KERNEL.mat_mul(a, b).tolist())
 
     __matmul__ = mat_mul
 
@@ -1142,8 +1154,8 @@ class IntervalMatrix:
 
 def scalar_mat_mul(a, b):
     """a @ b for (nested sequences of) scalars of any kind, entry by entry,
-    each entry summed left to right over k from the k = 0 product.  The MP
-    kernel's product, and the reference for the float kernel's array one."""
+    each entry summed left to right over k from the k = 0 product.  The
+    reference for the float kernel's array product."""
     out = []
     bt = list(zip(*b))
     for row in a:
@@ -1171,12 +1183,12 @@ def _div_down_float(a, b):
 
 
 def inverse_residual(m):
-    """m @ n - Id as the kernel's array, where n is a float inverse of the
-    midpoint matrix of the square matrix m; None if m has an infinite
-    entry or no finite inverse is found."""
-    k = m.kernel
-    ma = k.array(m.rows)
-    lo, hi = k.bounds(ma)
+    """m @ n - Id as a 53-bit array over the 53-bit hull of m, where n is a
+    float inverse of the midpoint matrix of the square matrix m; None if m
+    has an infinite entry or no finite inverse is found."""
+    k, f = m.kernel, FLOAT_KERNEL
+    ma = k.float_hull(k.array(m.rows))
+    lo, hi = f.bounds(ma)
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         return None
     try:
@@ -1185,9 +1197,9 @@ def inverse_residual(m):
         return None
     if not np.all(np.isfinite(n)):
         return None
-    n_iv = k.array(IntervalMatrix.points(n, k).rows)
-    ident = k.array(IntervalMatrix.identity(m.nrows, k).rows)
-    return k.mat_mul(ma, n_iv) - ident
+    n_iv = f.array(IntervalMatrix.points(n, f).rows)
+    ident = f.array(IntervalMatrix.identity(m.nrows, f).rows)
+    return f.mat_mul(ma, n_iv) - ident
 
 
 def interval_matrix_invertible(m):
@@ -1207,7 +1219,7 @@ def interval_matrix_invertible(m):
     resid = inverse_residual(m)
     if resid is None:
         return False
-    lo, hi = m.kernel.bounds(resid)
+    lo, hi = FLOAT_KERNEL.bounds(resid)
     bound = _div_down_float(1.0, float(r * r))
     mag = np.maximum(np.abs(lo), np.abs(hi))
     return bool(np.isfinite(lo).all() and np.isfinite(hi).all() and (mag < bound).all())

@@ -84,9 +84,6 @@ class EdgeClass:
     # runs a -> b for this representative
     representatives: list
 
-    def incidence_count(self):
-        return len(self.representatives)
-
 
 @dataclass
 class VertexClass:

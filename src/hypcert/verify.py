@@ -7,12 +7,13 @@ I    pick a full-rank subsystem of the edge equations (full-pivot
      vertex) and split the edges into loose/kept equations and
      fixed/variable parameters;
 II   enclose a solution of the kept equations over the variable
-     parameters with the Krawczyk operator and epsilon inflation;
+     parameters with the Krawczyk operator and epsilon inflation, its
+     small Jacobian term on 53-bit intervals at every precision;
 III  verify the realization conditions of every simplex over the box;
 IV   enclose the angle sums of the loose edges and check they contain a
      full turn;
 V    exclude gimbal lock, which upgrades the loose equations to exact
-     ones (delegated to `gimbal`).
+     ones (delegated to `gimbal`), on 53-bit labels at every precision.
 
 A conservative failure at any stage aborts the pipeline; no certificate
 is ever produced from a failed stage.
@@ -43,6 +44,7 @@ __all__ = [
     "krawczyk_step",
     "krawczyk_certify",
     "check_realization_and_angles",
+    "check_gimbal_lock",
     "run_pipeline",
     "STEP_NAMES",
 ]
@@ -269,9 +271,9 @@ def make_partition(tri, rows, cols):
 
 class KrawczykCentre:
     """What the Krawczyk operator needs of a centre x0, evaluated once per
-    centre: the kernel, x0 and the point matrix C as the kernel's arrays,
-    and the partial sums x0 - C f(x0), each row summed left to right over
-    j."""
+    centre: the kernel, x0 as the kernel's array, the partial sums
+    x0 - C f(x0), each row summed left to right over j, and the point
+    matrix C and the identity as 53-bit arrays."""
 
     def __init__(self, f_iv, x0, C, kernel):
         n = len(x0)
@@ -279,11 +281,11 @@ class KrawczykCentre:
         fx0 = kernel.array(f_iv(x0_iv))
         self.kernel = kernel
         self.x0 = kernel.array(x0_iv)
-        self.C = kernel.array([[kernel.point(v) for v in row] for row in C])
-        self.identity = kernel.array(IntervalMatrix.identity(n, kernel).rows)
+        self.C = FLOAT_KERNEL.array(IntervalMatrix.points(C, FLOAT_KERNEL).rows)
+        self.identity = FLOAT_KERNEL.array(IntervalMatrix.identity(n, FLOAT_KERNEL).rows)
         partial = self.x0
         for j in range(n):
-            partial = partial - self.C[:, j] * fx0[j]
+            partial = partial - kernel.lift(self.C[:, j]) * fx0[j]
         self.partial = partial
 
 
@@ -292,15 +294,17 @@ def krawczyk_step(centre, jac_iv, X):
 
     K(x0, X) = x0 - C f(x0) + (I - C J(X)) (X - x0), everything except
     the float vectors x0 and C evaluated in interval arithmetic.  Every
-    root of f in X lies in K when x0 lies in X.
+    root of f in X lies in K when x0 lies in X.  The Jacobian term is 53-bit:
+    J on the outward hull of X, X - x0 hulled, column terms lifted exactly.
     """
     kernel = centre.kernel
-    CJ = kernel.mat_mul(centre.C, kernel.array(jac_iv(X)))
-    delta = centre.identity - CJ
-    dX = kernel.array(X) - centre.x0
+    Xw = kernel.array(X)
+    J = FLOAT_KERNEL.array(jac_iv(kernel.float_hull(Xw).tolist()))
+    delta = centre.identity - FLOAT_KERNEL.mat_mul(centre.C, J)
+    dX = kernel.float_hull(Xw - centre.x0)
     K = centre.partial
     for j in range(len(X)):
-        K = K + delta[:, j] * dX[j]
+        K = K + kernel.lift(delta[:, j] * dX[j])
     return K.tolist()
 
 
@@ -347,17 +351,19 @@ def _certify_root(f_iv, jac_iv, x0, C, kernel, residual_scale,
 
 def _subsystem_functions(tri, partition, fixed_values, kernel):
     """Interval residual and Jacobian of the kept equations over the
-    variable parameters, with the fixed parameters frozen at floats."""
+    variable parameters, with the fixed parameters frozen at floats (53-bit
+    points in the Jacobian, which the operator evaluates on 53-bit boxes)."""
     e_var = partition.e_var
     e_eq = partition.e_eq
     fixed_iv = {e: kernel.point(fixed_values[e]) for e in partition.e_fixed}
+    fixed_53 = {e: FLOAT_KERNEL.point(fixed_values[e]) for e in partition.e_fixed}
     two_pi = kernel.two_pi()
 
-    def full_params(xs):
+    def full_params(xs, fixed=fixed_iv):
         nu = [None] * tri.m
         for e, x in zip(e_var, xs):
             nu[e] = x
-        for e, v in fixed_iv.items():
+        for e, v in fixed.items():
             nu[e] = v
         return geo.EdgeParams(nu)
 
@@ -366,9 +372,9 @@ def _subsystem_functions(tri, partition, fixed_values, kernel):
         return [sums[e] - two_pi for e in e_eq]
 
     def jac_iv(xs):
-        return geo.jacobian(tri, full_params(xs), rows=e_eq, cols=e_var)
+        return geo.jacobian(tri, full_params(xs, fixed_53), rows=e_eq, cols=e_var)
 
-    return f_iv, jac_iv, full_params
+    return f_iv, jac_iv
 
 
 def krawczyk_certify(tri, p0, partition, kernel=None, jsub=None, residual=None):
@@ -384,7 +390,7 @@ def krawczyk_certify(tri, p0, partition, kernel=None, jsub=None, residual=None):
         kernel = FLOAT_KERNEL
     m, o = tri.m, tri.o
     q = m - 3 * o
-    f_iv, jac_iv, full_params = _subsystem_functions(tri, partition, p0, kernel)
+    f_iv, jac_iv = _subsystem_functions(tri, partition, p0, kernel)
     x0 = [p0[e] for e in partition.e_var]
 
     if q > 0:
@@ -426,7 +432,7 @@ def krawczyk_certify(tri, p0, partition, kernel=None, jsub=None, residual=None):
 
 
 # ---------------------------------------------------------------------------
-# steps III and IV
+# steps III to V
 # ---------------------------------------------------------------------------
 
 
@@ -439,8 +445,8 @@ def check_realization_and_angles(tri, box, kernel=None):
     """
     if kernel is None:
         kernel = kernel_for_precision(box.precision)
-    params = geo.EdgeParams(box.nu)
     try:
+        params = geo.EdgeParams(box.nu)
         data = geo.simplex_data(tri, params)
     except geo.RealizationError as exc:
         raise StepFailure(3, str(exc))
@@ -454,6 +460,29 @@ def check_realization_and_angles(tri, box, kernel=None):
             )
     box.statuses[4] = "loose angle sums contain full turns"
     box.gram_data = data
+    return box
+
+
+def check_gimbal_lock(tri, box):
+    """Step V on a box that passed steps III and IV: records the verdict and
+    the loops, or raises StepFailure.  Labels and loose angle sums are
+    53-bit: the box's own at 53 bits, its outward float hull above."""
+    nu, theta, data, e_sim = box.nu, box.theta, box.gram_data, box.partition.e_sim
+    if box.precision != 53:
+        kernel = kernel_for_precision(box.precision)
+        nu, theta = (kernel.float_hull(kernel.array(xs)).tolist() for xs in (nu, theta))
+        data = None
+    try:
+        labels = gimbal.CocycleLabels(tri, nu, data=data)
+        links = [vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
+        verdict = gimbal.gimbal_lock_check(tri, labels, e_sim, [theta[e] for e in e_sim],
+                                           links=links)
+    except (geo.RealizationError, gimbal.GimbalLoopError) as exc:
+        raise StepFailure(5, str(exc))
+    if not verdict.avoided:
+        raise StepFailure(5, verdict.reason)
+    box.statuses[5] = verdict.reason
+    box.loops = verdict.loops
     return box
 
 
@@ -541,22 +570,11 @@ def run_pipeline(
 
     # step V
     try:
-        labels = gimbal.CocycleLabels(tri, box.nu, data=box.gram_data)
-        links = [vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
-        theta_boxes = [box.theta[e] for e in partition.e_sim]
-        verdict = gimbal.gimbal_lock_check(
-            tri, labels, partition.e_sim, theta_boxes, links=links
-        )
-    except (geo.RealizationError, gimbal.GimbalLoopError) as exc:
-        statuses[5] = f"failed: {exc}"
+        box = check_gimbal_lock(tri, box)
+    except StepFailure as exc:
+        statuses[5] = f"failed: {exc.message}"
         return PipelineResult(False, 5, statuses, partition=partition, box=box,
                               p0=p0, residual=resid)
-    if not verdict.avoided:
-        statuses[5] = f"failed: {verdict.reason}"
-        return PipelineResult(False, 5, statuses, partition=partition, box=box,
-                              p0=p0, residual=resid)
-    statuses[5] = verdict.reason
-    box.statuses[5] = verdict.reason
-    box.loops = verdict.loops
+    statuses[5] = box.statuses[5]
     return PipelineResult(True, 0, statuses, box=box, partition=partition,
                           p0=p0, residual=resid)

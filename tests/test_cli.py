@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -301,3 +305,26 @@ def test_probe_gimbal_budget_below_one_exit_one(capsys, budget):
     assert code == 1
     assert err.startswith("error: budget")
     assert "candidates" not in out
+
+
+def _python_m_hypcert(*argv):
+    # `python -m hypcert` from a checkout: the package is on PYTHONPATH only
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run([sys.executable, "-m", "hypcert", *argv], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_hypcert_check():
+    proc = _python_m_hypcert("check", str(data_path("dodec27a.tri")))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("OK\n")
+
+
+def test_python_m_hypcert_without_arguments_exits_one():
+    proc = _python_m_hypcert()
+    assert proc.returncode == 1
+    assert "the following arguments are required: command" in proc.stderr

@@ -6,11 +6,13 @@ two formed a product.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import libmp
 
 from hypcert import certificate as cert
 from hypcert import verify
@@ -22,6 +24,7 @@ from hypcert.interval import (
     IntervalArray,
     IntervalError,
     IntervalMatrix,
+    MPInterval,
     MPKernel,
     inverse_residual,
     interval_matrix_invertible,
@@ -229,6 +232,99 @@ def test_invertibility_matches_scalar_oracle(r, radius, verdict):
     assert want_verdict is verdict
     assert interval_matrix_invertible(m) is want_verdict
     assert bits(inverse_residual(m).tolist()) == bits(want_resid)
+
+
+# -- the MP kernel's 53-bit hull and exact lift ------------------------------------
+
+
+def _mp_third(prec):
+    three = libmp.from_int(3)
+    return MPInterval(libmp.mpf_div(libmp.fone, three, prec, libmp.round_floor),
+                      libmp.mpf_div(libmp.fone, three, prec, libmp.round_ceiling), prec)
+
+
+def _mp_pow2(lo_exp, hi_exp, prec, lo_sign=1, hi_sign=1):
+    # [lo_sign 2^lo_exp, hi_sign 2^hi_exp]
+    def pow2(sign, exp):
+        x = libmp.mpf_shift(libmp.fone, exp)
+        return x if sign > 0 else libmp.mpf_neg(x)
+    return MPInterval(pow2(lo_sign, lo_exp), pow2(hi_sign, hi_exp), prec)
+
+
+HULL_CASES = {
+    # endpoints binary64 cannot represent
+    "1/3@80": _mp_third(80),
+    "1/3@160": _mp_third(160),
+    # near underflow: below the smallest subnormal 2^-1074
+    "2^-1080": _mp_pow2(-1080, -1080, 80),
+    "-2^-1080": _mp_pow2(-1080, -1080, 80, -1, -1),
+    "+-2^-1080": _mp_pow2(-1080, -1080, 120, -1, 1),
+    # above the largest float
+    "2^1100": _mp_pow2(1100, 1100, 80),
+    "-2^1100": _mp_pow2(1100, 1100, 160, -1, -1),
+    "[2^-1080, 2^1100]": _mp_pow2(-1080, 1100, 80),
+}
+
+
+def _at_most(f, q):
+    """The float f is <= the rational q (f may be infinite)."""
+    return f == -inf or (f != inf and Fraction(f) <= q)
+
+
+def _at_least(f, q):
+    return f == inf or (f != -inf and Fraction(f) >= q)
+
+
+# an endpoint beyond the float range overflows to inf on its way to a float
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("name", list(HULL_CASES))
+def test_float_hull_encloses_each_mp_interval(name):
+    x = HULL_CASES[name]
+    k = MPKernel(x.prec)
+    hull = k.float_hull(k.array([x, x]))
+    assert isinstance(hull, IntervalArray) and hull.shape == (2,)
+    lo, hi = float(hull.lo[0]), float(hull.hi[0])
+    q_lo = Fraction(*libmp.to_rational(x.lo))
+    q_hi = Fraction(*libmp.to_rational(x.hi))
+    assert _at_most(lo, q_lo) and _at_least(hi, q_hi)
+    # the tightest such floats: the next float inward leaves the interval
+    assert not _at_most(math.nextafter(lo, inf), q_lo)
+    assert not _at_least(math.nextafter(hi, -inf), q_hi)
+
+
+@pytest.mark.parametrize("prec", [80, 160])
+@pytest.mark.parametrize("value", [0.1, -1.5, 5e-324, -2.0 ** -1022, 1.7e308, 0.0])
+def test_float_hull_of_float_points_is_the_point(prec, value):
+    k = MPKernel(prec)
+    hull = k.float_hull(k.array([k.point(value)]))
+    assert (float(hull.lo[0]), float(hull.hi[0])) == (value, value)
+
+
+@pytest.mark.parametrize("prec", [53, 80, 160])
+def test_lift_is_exact_and_hull_undoes_it(prec):
+    k = FLOAT_KERNEL if prec == 53 else MPKernel(prec)
+    a = IntervalArray(np.array([0.1, -1e300, 5e-324, -inf]), np.array([0.3, 2.0, 1e-310, inf]))
+    lifted = k.lift(a)
+    for x, lo, hi in zip(lifted.tolist(), a.lo.tolist(), a.hi.tolist()):
+        assert x.kernel.precision == prec
+        assert (x.lo_float(), x.hi_float()) == (lo, hi)
+    back = k.float_hull(lifted)
+    assert back.lo.tolist() == a.lo.tolist() and back.hi.tolist() == a.hi.tolist()
+
+
+@pytest.mark.parametrize("prec", [80, 160])
+def test_mp_matrices_multiply_and_invert_on_the_float_hull(prec):
+    # the MP kernel has no product: IntervalMatrix products and the
+    # invertibility test of MP entries run on their 53-bit hull
+    k, third = MPKernel(prec), _mp_third(prec)
+    m = IntervalMatrix([[k.point(2.0), third], [third, k.point(1.0)]])
+    product = m @ IntervalMatrix.identity(2, k)
+    for got_row, m_row in zip(product.rows, m.rows):
+        for got, x in zip(got_row, m_row):
+            assert isinstance(got, Interval)
+            assert got.lo <= x.lo_float() and x.hi_float() <= got.hi
+    assert interval_matrix_invertible(m)
+    assert not interval_matrix_invertible(IntervalMatrix([[third, third], [third, third]]))
 
 
 # -- end to end ------------------------------------------------------------------

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from hypcert import geometry as geo
+from hypcert import gimbal
+from hypcert import scalars as sc
 from hypcert import verify
-from hypcert.interval import FloatKernel, MPKernel, contains_two_pi
+from hypcert.interval import FloatKernel, MPInterval, MPKernel, contains_two_pi
 
 
 # -- step I: pivot selection --------------------------------------------------
@@ -284,21 +286,29 @@ def test_partition_check_raises_on_bad_input():
 
 
 def _krawczyk_by_loops(f_iv, jac_iv, x0, X, C, kernel):
-    # the operator written out entry by entry, summing k ascending
+    # the operator written out entry by entry, summing k ascending; the
+    # Jacobian term on 53-bit intervals (J on the outward float hull of X,
+    # X - x0 hulled outward), each of its terms lifted exactly into the kernel
     n = len(x0)
+    f64 = FloatKernel()
+
+    def hull(x):
+        return f64.interval(x.lo_float(), x.hi_float())
+
     x0_iv = [kernel.point(v) for v in x0]
-    fx0, JX = f_iv(x0_iv), jac_iv(X)
+    fx0, JX = f_iv(x0_iv), jac_iv([hull(x) for x in X])
+    dX = [hull(x - p) for x, p in zip(X, x0_iv)]
     K = []
     for i in range(n):
         acc = x0_iv[i]
         for j in range(n):
             acc = acc - kernel.point(C[i][j]) * fx0[j]
         for j in range(n):
-            entry = kernel.point(C[i][0]) * JX[0][j]
+            entry = f64.point(C[i][0]) * JX[0][j]
             for k in range(1, n):
-                entry = entry + kernel.point(C[i][k]) * JX[k][j]
-            delta = kernel.point(1.0 if i == j else 0.0) - entry
-            acc = acc + delta * (X[j] - kernel.point(x0[j]))
+                entry = entry + f64.point(C[i][k]) * JX[k][j]
+            term = (f64.point(1.0 if i == j else 0.0) - entry) * dX[j]
+            acc = acc + kernel.interval(term.lo, term.hi)
         K.append(acc)
     return K
 
@@ -312,7 +322,7 @@ def test_krawczyk_step_matches_entrywise_operator(kernel):
 
     def jac_iv(v):
         x, y, z = v
-        one, zero = kernel.point(1.0), kernel.point(0.0)
+        one, zero = sc.point_like(x, 1.0), sc.point_like(x, 0.0)
         return [[x * 2.0, one, zero], [y, x, zero], [one, z, y]]
 
     x0 = [1.01, 1.98, 0.003]
@@ -338,7 +348,7 @@ def test_certify_root_evaluates_f_once_per_centre(kernel):
     def jac_iv(v):
         jac_calls.append(1)
         x, y, z = v
-        one, zero = kernel.point(1.0), kernel.point(0.0)
+        one, zero = sc.point_like(x, 1.0), sc.point_like(x, 0.0)
         return [[x * 2.0, one, zero], [y, x, zero], [one, z, y]]
 
     # the root (1, 2, 0) is singular; (-2, -1, -3) is not.  Centred on that
@@ -382,6 +392,46 @@ def test_operator_boxes_contain_their_centre(hyperbolic_triangulations, monkeypa
     for x0, X in applied:
         assert all(x.encloses(c) for x, c in zip(X, x0))
     assert all(contains_two_pi(res.box.theta[e]) for e in res.partition.e_eq)
+
+
+@pytest.mark.parametrize("bits", [80, 120])
+def test_jacobian_and_gimbal_labels_are_53_bit_at_every_precision(dodec27a, monkeypatch,
+                                                                  bits):
+    # above 53 bits only the residual, the centre's partial sums and steps
+    # III-IV run at working precision: no Jacobian, label or theta box of
+    # stage II or V is an MPInterval, and the MP kernel has no matrix product
+    seen = []
+    jacobian, lock_check = geo.jacobian, gimbal.gimbal_lock_check
+    labels_init, for_letter = gimbal.CocycleLabels.__init__, gimbal.CocycleLabels.for_letter
+
+    def spy_jacobian(tri, params, *args, **kwargs):
+        seen.append(("jacobian", params.values))
+        return jacobian(tri, params, *args, **kwargs)
+
+    def spy_labels_init(self, tri, params, data=None):
+        seen.append(("labels", list(params)))
+        labels_init(self, tri, params, data=data)
+
+    def spy_for_letter(self, letter):
+        m = for_letter(self, letter)
+        seen.append(("label", [x for row in m for x in row]))
+        return m
+
+    def spy_lock_check(tri, labels, e_sim, theta_boxes, links=None):
+        seen.append(("theta", theta_boxes))
+        return lock_check(tri, labels, e_sim, theta_boxes, links=links)
+
+    monkeypatch.setattr(geo, "jacobian", spy_jacobian)
+    monkeypatch.setattr(gimbal, "gimbal_lock_check", spy_lock_check)
+    monkeypatch.setattr(gimbal.CocycleLabels, "__init__", spy_labels_init)
+    monkeypatch.setattr(gimbal.CocycleLabels, "for_letter", spy_for_letter)
+    res = verify.run_pipeline(dodec27a, precision=bits)
+    assert res.verified, res.statuses
+    assert all(isinstance(x, MPInterval) for x in res.box.nu + res.box.theta)
+    assert {name for name, _ in seen} == {"jacobian", "labels", "label", "theta"}
+    for name, values in seen:
+        assert not any(isinstance(v, MPInterval) for v in values), name
+    assert not hasattr(MPKernel, "mat_mul")
 
 
 @pytest.mark.parametrize("refine", [False, True])

@@ -278,11 +278,9 @@ def rotation_matrix(cos_w, sin_w, one, zero):
     )
 
 
-def rotation_matrix_derivative(w, zero):
-    """d/dw of the z-rotation by w."""
-    c = sc.cos(w)
-    s = sc.sin(w)
-    return ((-s, -c, zero), (c, -s, zero), (zero, zero, zero))
+def rotation_matrix_derivative(cos_w, sin_w, zero):
+    """d/dw of the z-rotation by w, from precomputed cos/sin."""
+    return ((-sin_w, -cos_w, zero), (cos_w, -sin_w, zero), (zero, zero, zero))
 
 
 def middle_edge_matrix(cos_e, sin_e, one, zero):
@@ -648,11 +646,33 @@ def validate_gimbal_loop(loop):
 # ---------------------------------------------------------------------------
 
 
-def _letter_matrix(letter, labels, t_of_pid):
-    if letter["kind"] == "P":
-        w = t_of_pid[letter["pid"]]
-        return rotation_matrix(sc.cos(w), sc.sin(w), labels.one, labels.zero)
-    return labels.for_letter(letter)
+def _letter_operands(loop, labels, t_of_pid, rotations=None):
+    """The loop's letter matrices in word order (balls for interval labels)
+    and each polygon letter's rotation derivative, by pid.  A rotation and
+    its derivative come from one cos and one sin of the angle, kept in
+    `rotations` by angle for callers that share it between loops.  Labels
+    are cached per token: one ball per distinct matrix, by id (`ball_of`
+    keeps the matrix alive)."""
+    rotations = {} if rotations is None else rotations
+    interval = sc.is_interval(labels.one)
+    mats, deriv, ball_of = [], {}, {}
+    for letter in loop.word:
+        if letter["kind"] == "P":
+            w = t_of_pid[letter["pid"]]
+            if w not in rotations:
+                c, s = sc.cos(w), sc.sin(w)
+                pair = (rotation_matrix(c, s, labels.one, labels.zero),
+                        rotation_matrix_derivative(c, s, labels.zero))
+                rotations[w] = tuple(map(ball_from_interval_mat3, pair)) if interval else pair
+            m, deriv[letter["pid"]] = rotations[w]
+        else:
+            m = labels.for_letter(letter)
+            if interval:
+                if id(m) not in ball_of:
+                    ball_of[id(m)] = (m, ball_from_interval_mat3(m))
+                m = ball_of[id(m)][1]
+        mats.append(m)
+    return mats, deriv
 
 
 def gimbal_matrix(loop, labels, t_of_pid):
@@ -662,15 +682,15 @@ def gimbal_matrix(loop, labels, t_of_pid):
     products of long near-rotation words diverge); the result is then an
     entrywise float-interval enclosure.  Float labels multiply directly.
     """
+    mats, _ = _letter_operands(loop, labels, t_of_pid)
     if sc.is_interval(labels.one):
         acc = ball_identity()
-        for letter in loop.word:
-            ball = ball_from_interval_mat3(_letter_matrix(letter, labels, t_of_pid))
+        for ball in mats:
             acc = ball_mul(ball, acc)
         return ball_entries(acc, FLOAT_KERNEL)
     acc = mat3_identity(labels.one, labels.zero)
-    for letter in loop.word:
-        acc = mat3_mul(_letter_matrix(letter, labels, t_of_pid), acc)
+    for m in mats:
+        acc = mat3_mul(m, acc)
     return acc
 
 
@@ -679,24 +699,18 @@ def gimbal_function(loop, labels, t_of_pid):
     return (m[0][1], m[0][2], m[1][2])
 
 
-def gimbal_matrix_derivatives(loop, labels, t_of_pid):
+def gimbal_matrix_derivatives(loop, labels, t_of_pid, rotations=None):
     """d(gimbal matrix)/d(T_var) for every variable occurring in the loop.
 
     The derivative replaces one rotation letter at a time by the rotation
     derivative and sums over occurrences.  Prefix and suffix products make
-    this linear in the word length.
+    this linear in the word length.  `rotations` (see `_letter_operands`)
+    may be shared between the loops of one Jacobian.
     """
     word = loop.word
     n = len(word)
-    mats = [_letter_matrix(let, labels, t_of_pid) for let in word]
+    mats, deriv = _letter_operands(loop, labels, t_of_pid, rotations)
     if sc.is_interval(labels.one):
-        # one ball per distinct label matrix (labels are cached per token);
-        # `mats` keeps every matrix alive, so its id names it
-        ball_of = {}
-        for m in mats:
-            if id(m) not in ball_of:
-                ball_of[id(m)] = ball_from_interval_mat3(m)
-        balls = [ball_of[id(m)] for m in mats]
         # at each polygon letter i, suffix[i] = M(w[i-1]) ... M(w[0]) and
         # prefix[i + 1] = M(w[n-1]) ... M(w[i+1]); the other partial
         # products are not kept
@@ -705,21 +719,18 @@ def gimbal_matrix_derivatives(loop, labels, t_of_pid):
         for i in range(n):
             if word[i]["kind"] == "P":
                 suffix[i] = part
-            part = ball_mul(balls[i], part)
+            part = ball_mul(mats[i], part)
         part = ident
         for i in range(n - 1, -1, -1):
             if word[i]["kind"] == "P":
                 prefix[i + 1] = part
-            part = ball_mul(part, balls[i])
+            part = ball_mul(part, mats[i])
         acc = {}
         for i, letter in enumerate(word):
             if letter["kind"] != "P":
                 continue
             var = loop.variable_of_pid[letter["pid"]]
-            d = ball_from_interval_mat3(
-                rotation_matrix_derivative(t_of_pid[letter["pid"]], labels.zero)
-            )
-            term = ball_mul(prefix[i + 1], ball_mul(d, suffix[i]))
+            term = ball_mul(prefix[i + 1], ball_mul(deriv[letter["pid"]], suffix[i]))
             acc[var] = term if var not in acc else ball_add(acc[var], term)
         return {v: ball_entries(b, FLOAT_KERNEL) for v, b in acc.items()}
     ident = mat3_identity(labels.one, labels.zero)
@@ -734,8 +745,7 @@ def gimbal_matrix_derivatives(loop, labels, t_of_pid):
         if letter["kind"] != "P":
             continue
         var = loop.variable_of_pid[letter["pid"]]
-        d = rotation_matrix_derivative(t_of_pid[letter["pid"]], labels.zero)
-        term = mat3_mul(prefix[i + 1], mat3_mul(d, suffix[i]))
+        term = mat3_mul(prefix[i + 1], mat3_mul(deriv[letter["pid"]], suffix[i]))
         if var in out:
             out[var] = tuple(
                 tuple(out[var][r][c] + term[r][c] for c in range(3)) for r in range(3)
@@ -755,11 +765,12 @@ def assemble_gimbal_jacobian(loops, labels, box_of_variable):
     nvar = len(box_of_variable)
     zero = FLOAT_KERNEL.point(0.0)
     rows = []
+    rotations = {}  # one rotation and derivative per variable's box
     for loop in loops:
         t_of_pid = {
             pid: box_of_variable[var] for pid, var in loop.variable_of_pid.items()
         }
-        derivs = gimbal_matrix_derivatives(loop, labels, t_of_pid)
+        derivs = gimbal_matrix_derivatives(loop, labels, t_of_pid, rotations)
         for (r, c) in ((0, 1), (0, 2), (1, 2)):
             rows.append(
                 [
@@ -928,6 +939,7 @@ def probe_partitions(tri, params, budget=20000, seed=0, sigma_tol=1e-7):
             tuple(sorted(rng.sample(pool, need))) for _ in range(budget)
         )
     two_pi = sc.TWO_PI_FLOAT
+    rotations = {}  # every angle is a full turn
     for e_sim in candidates:
         try:
             loops = build_loops_for_partition(
@@ -939,7 +951,7 @@ def probe_partitions(tri, params, budget=20000, seed=0, sigma_tol=1e-7):
         dg_rows = []
         for loop in loops:
             t_of_pid = {pid: two_pi for pid in loop.variable_of_pid}
-            derivs = gimbal_matrix_derivatives(loop, labels, t_of_pid)
+            derivs = gimbal_matrix_derivatives(loop, labels, t_of_pid, rotations)
             for (r, c) in ((0, 1), (0, 2), (1, 2)):
                 dg_rows.append(
                     [

@@ -26,16 +26,17 @@ expose the same protocol, which is all that generic code may rely on:
 plain real number.
 
 The kernel also owns the array layer.  ``kernel.array`` turns (nested)
-lists of its intervals into an array with elementwise, broadcasting
-``+``, ``-``, ``*`` and ``/``, numpy indexing and item assignment;
-``kernel.sqrt`` and ``kernel.arccos`` apply the scalar methods entrywise;
-``kernel.bounds`` gives an array's outward float endpoints,
-``kernel.float_hull`` its outward 53-bit hull as an ``IntervalArray`` and
-``kernel.lift`` an ``IntervalArray`` as the kernel's array, exactly.  The
-float kernel's array is ``IntervalArray``: numpy endpoint arrays whose
-arithmetic reproduces the ``Interval`` dunders and methods bit for bit, so
-its ``mat_mul`` (each entry summed left to right over k) is bit-identical
-to the scalar loop ``scalar_mat_mul`` while looping in Python only over k;
+lists of its intervals, or a float ndarray as points, into an array with
+elementwise, broadcasting ``+``, ``-``, ``*`` and ``/``, numpy indexing
+and item assignment; ``kernel.sqrt`` and ``kernel.arccos`` apply the
+scalar methods entrywise; ``kernel.bounds`` gives an array's outward float
+endpoints, ``kernel.float_hull`` its outward 53-bit hull as an
+``IntervalArray`` and ``kernel.lift`` an ``IntervalArray`` as the kernel's
+array, exactly.  The float kernel's array is ``IntervalArray``: numpy
+endpoint arrays whose arithmetic reproduces the ``Interval`` dunders and
+methods bit for bit, so its ``mat_mul`` (each entry summed left to right
+over k) is bit-identical to the scalar loop ``scalar_mat_mul`` while
+forming only the terms with no factor the point [0, 0], in numpy batches;
 its hull and lift are the identity.  The MP kernel's array is a numpy
 object array of ``MPInterval`` (elementwise operations call the dunders);
 it has no product, since every matrix product runs on the 53-bit hull at
@@ -828,7 +829,9 @@ class IntervalArray:
 
     @classmethod
     def of(cls, intervals):
-        """The array of a (nested) sequence of ``Interval``s."""
+        """The array of nested ``Interval``s, or the points of a float ndarray."""
+        if isinstance(intervals, np.ndarray) and intervals.dtype == float:
+            return cls(intervals, intervals)
         obj = np.array(intervals, dtype=object)
         return cls(_LO(obj).astype(float), _HI(obj).astype(float))
 
@@ -1004,11 +1007,37 @@ class FloatKernel:
 
     @staticmethod
     def mat_mul(a, b):
-        """a @ b for IntervalArrays, bit-identical to ``scalar_mat_mul``:
-        a Python loop over k only, on rows x cols endpoint arrays."""
-        acc = a[:, 0:1] * b[0:1, :]
-        for k in range(1, a.shape[1]):
-            acc = acc + a[:, k:k + 1] * b[k:k + 1, :]
+        """a @ b for IntervalArrays, bit-identical to ``scalar_mat_mul``.
+
+        Only the terms a[i,k] * b[k,j] with neither factor the point [0, 0]
+        are formed, in batches, for (i, j, k) in C order (so in increasing
+        k per entry), and summed left to right one rank at a time; an entry
+        without terms is [0, 0].
+
+        That changes no bit.  A factor [0, 0] makes a term exactly [0, 0]
+        (the zero rule of ``Interval.__mul__``); a two-sum with 0 is exact,
+        so acc + [0, 0] = acc and [0, 0] + t = t (neither is ever -0.0).  The
+        exception, a lower endpoint +inf or an upper -inf (inf - inf leaves
+        the error term unknown), never occurs: outward rounding takes an
+        overflowing lower endpoint to the largest float.  So the other terms
+        meet the same sums in the same order, NaN included.
+        """
+        rows, cols = a.shape[0], b.shape[1]
+        nz_a, nz_b = ((m.lo != 0.0) | (m.hi != 0.0) for m in (a, b))
+        i, j, k = np.nonzero(nz_a[:, None, :] & nz_b.T[None, :, :])
+        terms = IntervalArray(np.empty(len(i)), np.empty(len(i)))
+        chunk = 2048  # terms per batch: bounds the temporaries
+        for s in range(0, len(i), chunk):
+            t = slice(s, s + chunk)
+            terms[t] = a[i[t], k[t]] * b[k[t], j[t]]
+        # an entry's terms are consecutive: `count` of them from `first`
+        first = np.flatnonzero(np.diff(i * cols + j, prepend=-1))
+        count = np.diff(first, append=len(i))
+        acc = IntervalArray(np.zeros((rows, cols)), np.zeros((rows, cols)))
+        acc[i[first], j[first]] = terms[first]
+        for rank in range(1, count.max(initial=0)):
+            f = first[count > rank]
+            acc[i[f], j[f]] = acc[i[f], j[f]] + terms[f + rank]
         return acc
 
     @staticmethod
@@ -1069,7 +1098,8 @@ class MPKernel:
 
     @staticmethod
     def bounds(arr):
-        return _LO_FLOAT(arr).astype(float), _HI_FLOAT(arr).astype(float)
+        with np.errstate(over="ignore"):  # beyond the float range: +-inf, sound
+            return _LO_FLOAT(arr).astype(float), _HI_FLOAT(arr).astype(float)
 
     def float_hull(self, arr):
         return IntervalArray(*self.bounds(arr))
@@ -1197,9 +1227,7 @@ def inverse_residual(m):
         return None
     if not np.all(np.isfinite(n)):
         return None
-    n_iv = f.array(IntervalMatrix.points(n, f).rows)
-    ident = f.array(IntervalMatrix.identity(m.nrows, f).rows)
-    return f.mat_mul(ma, n_iv) - ident
+    return f.mat_mul(ma, f.array(n)) - f.array(np.eye(m.nrows))
 
 
 def interval_matrix_invertible(m):

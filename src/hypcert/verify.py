@@ -29,7 +29,7 @@ import numpy as np
 from . import geometry as geo
 from . import gimbal
 from . import scalars as sc
-from .interval import FLOAT_KERNEL, IntervalMatrix, contains_two_pi, kernel_for_precision
+from .interval import FLOAT_KERNEL, contains_two_pi, kernel_for_precision
 from .triangulation import vertex_link_hexagon_complex
 
 __all__ = [
@@ -281,8 +281,8 @@ class KrawczykCentre:
         fx0 = kernel.array(f_iv(x0_iv))
         self.kernel = kernel
         self.x0 = kernel.array(x0_iv)
-        self.C = FLOAT_KERNEL.array(IntervalMatrix.points(C, FLOAT_KERNEL).rows)
-        self.identity = FLOAT_KERNEL.array(IntervalMatrix.identity(n, FLOAT_KERNEL).rows)
+        self.C = FLOAT_KERNEL.array(np.asarray(C, dtype=float))
+        self.identity = FLOAT_KERNEL.array(np.eye(n))
         partial = self.x0
         for j in range(n):
             partial = partial - kernel.lift(self.C[:, j]) * fx0[j]
@@ -407,7 +407,7 @@ def krawczyk_certify(tri, p0, partition, kernel=None, jsub=None, residual=None):
         if residual is None:
             residual = _residual_vec(tri, list(p0))
         resid = float(np.max(np.abs(np.asarray(residual)[partition.e_eq])))
-        enclosure = _certify_root(f_iv, jac_iv, x0, C.tolist(), kernel, resid)
+        enclosure = _certify_root(f_iv, jac_iv, x0, C, kernel, resid)
         if enclosure is None:
             raise StepFailure(
                 2,

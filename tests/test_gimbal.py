@@ -1,6 +1,8 @@
+import hashlib
 import math
 import pathlib
 import random
+import struct
 import sys
 
 import mpmath
@@ -14,6 +16,7 @@ from hypcert import verify
 from hypcert.interval import (
     TWO_PI,
     FloatKernel,
+    Interval,
     IntervalMatrix,
     interval_matrix_invertible,
 )
@@ -576,3 +579,47 @@ def test_gimbal_jacobian_memo_changes_no_bit(name, dodec27a, monkeypatch):
                    lambda lab, letter: tuple(row for row in for_letter(lab, letter)))
         reference = gb.assemble_gimbal_jacobian(loops, labels, theta_boxes)
     assert _entries(memo) == _entries(reference)
+
+
+# sha256 of stage V's Jacobian (rows of (lo, hi) endpoints as little-endian
+# doubles) at each certified box, recorded before the rotations of a
+# Jacobian were shared between its letters
+DG_SHA256 = {
+    "dodec27a": "b786b2836b22d166f7532e1dabd31f843346d9d48a056e45ce20b78e47021d06",
+    "dodec30x2": "e2215b85e2e6afe901e6a8b6b01165d2f02568fc999d7dbb447db6f33607af9f",
+    "scaling12": "1dc340a82db3f2f266bf783008c5bc4a4653a78272db0311b23c471a577b3b36",
+}
+
+
+@pytest.mark.parametrize("name", list(DG_SHA256))
+def test_gimbal_jacobian_bytes_pinned(name, hyperbolic_triangulations, verified_all,
+                                      monkeypatch):
+    if name == "scaling12":
+        tri = _scaling_member(12, seed=7)
+        result = verify.run_pipeline(tri)
+        assert result.verified
+    else:
+        tri, result = hyperbolic_triangulations[name], verified_all[name]
+    box, e_sim = result.box, result.partition.e_sim
+    labels = gb.CocycleLabels(tri, box.nu, data=box.gram_data)
+    loops = gb.build_loops_for_partition(tri, e_sim)
+    theta_boxes = [box.theta[e] for e in e_sim]
+
+    # one cos and one sin per distinct variable box, shared by its letters
+    calls = []
+    cos_like = Interval._cos_like
+
+    def counting(x, *args):
+        calls.append(x)
+        return cos_like(x, *args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Interval, "_cos_like", counting)
+        dg = gb.assemble_gimbal_jacobian(loops, labels, theta_boxes)
+    assert len(calls) == 2 * len(set(theta_boxes))
+
+    digest = hashlib.sha256()
+    for row in dg.rows:
+        for x in row:
+            digest.update(struct.pack("<dd", x.lo, x.hi))
+    assert digest.hexdigest() == DG_SHA256[name]

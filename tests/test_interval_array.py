@@ -94,6 +94,96 @@ def test_array_mat_mul_shapes(shape):
     assert bits(got.tolist()) == bits(scalar_mat_mul(a, b))
 
 
+# -- zero-heavy products: most terms of stage II's C J(X) and stage V's m N
+# are exact zeros, which the array product never forms
+
+ZERO = Interval(0.0, 0.0)
+HUGE = [inf, -inf, 1.7e308, -1.7e308]
+huge_endpoints = st.one_of(st.sampled_from(HUGE), endpoints)
+huge_entries = st.tuples(st.sampled_from(HUGE), huge_endpoints).map(
+    lambda ab: Interval(min(ab), max(ab))
+)
+zeros = st.sampled_from([ZERO, Interval(-0.0, -0.0), Interval(-0.0, 0.0)])
+
+
+@st.composite
+def sparse_matrices(draw, r, c):
+    """r x c entries, at least half of them the point [0, 0], with whole
+    zero rows, columns or all entries zero now and then, and the other
+    entries often infinite or near the float range, so that sums overflow."""
+    nonzero = st.one_of(entries, huge_entries, huge_endpoints.map(Interval.point))
+    cells = [(i, j) for i in range(r) for j in range(c)]
+    n_zero = draw(st.one_of(st.just(len(cells)), st.integers((len(cells) + 1) // 2, len(cells))))
+    zero_cells = set(draw(st.permutations(cells))[:n_zero])
+    structure = draw(st.sampled_from(["scattered", "row", "column"]))
+    zero_line = draw(st.integers(0, max(r, c) - 1))
+    for i, j in cells:
+        if (structure == "row" and i == zero_line) or (structure == "column" and j == zero_line):
+            zero_cells.add((i, j))
+    return [[draw(zeros) if (i, j) in zero_cells else draw(nonzero) for j in range(c)]
+            for i in range(r)]
+
+
+@st.composite
+def sparse_matrix_pairs(draw):
+    # up to 16 terms per entry, so that some entries keep three or more
+    r, n, c = draw(st.integers(1, 8)), draw(st.integers(1, 16)), draw(st.integers(1, 8))
+    return draw(sparse_matrices(r, n)), draw(sparse_matrices(n, c)), draw(st.booleans())
+
+
+def with_negative_zeros(arr):
+    """arr with every zero endpoint stored as -0.0."""
+    arr.lo[arr.lo == 0.0] = -0.0
+    arr.hi[arr.hi == 0.0] = -0.0
+    return arr
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(sparse_matrix_pairs())
+def test_zero_heavy_mat_mul_is_bitwise_the_scalar_loop(abz):
+    a, b, negative_zeros = abz
+    k = FLOAT_KERNEL
+    aa, ba = k.array(a), k.array(b)
+    if negative_zeros:
+        aa, ba = with_negative_zeros(aa), with_negative_zeros(ba)
+    want = scalar_or_error(lambda: bits(scalar_mat_mul(a, b)))
+    got = scalar_or_error(lambda: bits(k.mat_mul(aa, ba).tolist()))
+    assert got == want
+
+
+@pytest.mark.parametrize("r, c", [(1, 1), (3, 5), (8, 2)])
+def test_all_zero_factor_gives_all_zero_product(r, c):
+    rng = np.random.default_rng(r * c)
+    dense = [[Interval(v, v + 1.0) for v in rng.normal(size=4)] for _ in range(r)]
+    zero = [[Interval(-0.0, -0.0)] * c for _ in range(4)]
+    got = FLOAT_KERNEL.mat_mul(FLOAT_KERNEL.array(dense), FLOAT_KERNEL.array(zero))
+    assert bits(got.tolist()) == bits(scalar_mat_mul(dense, zero)) == [[("0x0.0p+0",) * 2] * c] * r
+
+
+def _sparse(rng, n, zero_share, points):
+    """An n x n matrix of intervals (points if `points`) with about
+    `zero_share` of its entries the point [0, 0]."""
+    mid = rng.normal(size=(n, n))
+    rad = np.zeros((n, n)) if points else 1e-12 * np.abs(rng.normal(size=(n, n)))
+    mid[rng.random((n, n)) < zero_share] = 0.0
+    rad[mid == 0.0] = 0.0
+    return [[Interval(m - r, m + r) for m, r in zip(mr, rr)]
+            for mr, rr in zip(mid.tolist(), rad.tolist())]
+
+
+@pytest.mark.parametrize("n, zero_share, point_left", [(49, 0.77, True), (75, 0.92, False)])
+def test_mat_mul_at_pipeline_sparsity(n, zero_share, point_left):
+    # stage II's C J(X): a dense point C times a 49 x 49 block of J(X) with
+    # 77% zeros; stage V's m N: a 75 x 75 gimbal Jacobian with 92% zeros
+    # times a dense point inverse
+    rng = np.random.default_rng(n)
+    dense = _sparse(rng, n, 0.0, points=True)
+    sparse = _sparse(rng, n, zero_share, points=False)
+    a, b = (dense, sparse) if point_left else (sparse, dense)
+    got = FLOAT_KERNEL.mat_mul(FLOAT_KERNEL.array(a), FLOAT_KERNEL.array(b))
+    assert bits(got.tolist()) == bits(scalar_mat_mul(a, b))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(entries, entries)
 def test_array_arithmetic_is_bitwise_the_dunders(x, y):
@@ -275,8 +365,9 @@ def _at_least(f, q):
     return f == inf or (f != -inf and Fraction(f) >= q)
 
 
-# an endpoint beyond the float range overflows to inf on its way to a float
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# an endpoint beyond the float range overflows to inf on its way to a float,
+# silently: any RuntimeWarning from the hull is an error
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", list(HULL_CASES))
 def test_float_hull_encloses_each_mp_interval(name):
     x = HULL_CASES[name]

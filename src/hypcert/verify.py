@@ -7,8 +7,9 @@ I    pick a full-rank subsystem of the edge equations (full-pivot
      vertex) and split the edges into loose/kept equations and
      fixed/variable parameters;
 II   enclose a solution of the kept equations over the variable
-     parameters with the Krawczyk operator and epsilon inflation, its
-     small Jacobian term on 53-bit intervals at every precision;
+     parameters with the Krawczyk operator and epsilon inflation (rounds
+     whose centre term leaves the box are skipped), its small Jacobian
+     term on 53-bit intervals at every precision;
 III  verify the realization conditions of every simplex over the box;
 IV   enclose the angle sums of the loose edges and check they contain a
      full turn;
@@ -283,9 +284,10 @@ class KrawczykCentre:
         self.x0 = kernel.array(x0_iv)
         self.C = FLOAT_KERNEL.array(np.asarray(C, dtype=float))
         self.identity = FLOAT_KERNEL.array(np.eye(n))
+        terms = kernel.lift(self.C) * fx0
         partial = self.x0
         for j in range(n):
-            partial = partial - kernel.lift(self.C[:, j]) * fx0[j]
+            partial = partial - terms[:, j]
         self.partial = partial
 
 
@@ -301,28 +303,42 @@ def krawczyk_step(centre, jac_iv, X):
     Xw = kernel.array(X)
     J = FLOAT_KERNEL.array(jac_iv(kernel.float_hull(Xw).tolist()))
     delta = centre.identity - FLOAT_KERNEL.mat_mul(centre.C, J)
-    dX = kernel.float_hull(Xw - centre.x0)
+    terms = kernel.lift(delta * kernel.float_hull(Xw - centre.x0))
     K = centre.partial
     for j in range(len(X)):
-        K = K + kernel.lift(delta[:, j] * dX[j])
+        K = K + terms[:, j]
     return K.tolist()
 
 
 _STEP_ERRORS = (geo.RealizationError, ArithmeticError, ValueError)
+_MAX_ROUNDS, _REFINE_ROUNDS = 20, 5  # inflation rounds, refinement steps
 
 
-def _certify_root(f_iv, jac_iv, x0, C, kernel, residual_scale,
-                  max_rounds=20, refine_rounds=5):
+def _certify_root(f_iv, jac_iv, x0, C, kernel, residual_scale):
     """Epsilon inflation around x0 until the operator maps the box into
     its own interior; then contract, but only while the box still contains
-    x0.  Returns the final enclosure list."""
+    x0.  Returns the final enclosure list.
+
+    An inflation round whose centre term x0 - C f(x0) is not strictly inside
+    X cannot contain, so the operator is not applied.  X = [x0 - half, x0 +
+    half] contains x0 (rounding to nearest is monotone), so X - x0 and its
+    hull dX contain 0; so does a product with a factor that contains 0 (the
+    zero rule gives 0 * inf = 0, the sign clamp only moves an endpoint to 0);
+    and outward acc + t with t containing 0 has lo = RD(acc.lo + t.lo) <=
+    acc.lo and hi >= acc.hi, in MP too after the exact lift.  So K contains
+    x0 - C f(x0) entrywise.  Refinement steps are never skipped.
+    """
     try:
         centre = KrawczykCentre(f_iv, x0, C, kernel)
     except _STEP_ERRORS:
         return None  # every step would fail the same way
+    partial = centre.partial.tolist()
     half = max(1e-14, 10.0 * residual_scale)
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         X = [kernel.interval(v - half, v + half) for v in x0]
+        half *= 4.0
+        if not all(p.strictly_inside(x) for p, x in zip(partial, X)):
+            continue
         try:
             K = krawczyk_step(centre, jac_iv, X)
             contained = all(k.strictly_inside(x) for k, x in zip(K, X))
@@ -330,7 +346,7 @@ def _certify_root(f_iv, jac_iv, x0, C, kernel, residual_scale,
             contained = False
         if contained:
             enclosure = [k.intersect(x) for k, x in zip(K, X)]
-            for _r in range(refine_rounds):
+            for _r in range(_REFINE_ROUNDS):
                 if not all(y.contains(v) for y, v in zip(enclosure, x0)):
                     break  # the mean-value form needs x0 in the box
                 try:
@@ -345,7 +361,6 @@ def _certify_root(f_iv, jac_iv, x0, C, kernel, residual_scale,
                 if not shrunk:
                     break
             return enclosure
-        half *= 4.0
     return None
 
 
@@ -378,7 +393,7 @@ def _subsystem_functions(tri, partition, fixed_values, kernel):
 
 
 def krawczyk_certify(tri, p0, partition, kernel=None, jsub=None, residual=None):
-    """Steps II of the pipeline: enclose a solution of the kept equations.
+    """Step II of the pipeline: enclose a solution of the kept equations.
 
     p0: float edge parameters approximately solving the system.  `jsub`
     and `residual`, when the caller has them, are the float e_eq x e_var

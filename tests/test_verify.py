@@ -10,6 +10,8 @@ from hypcert import gimbal
 from hypcert import scalars as sc
 from hypcert import verify
 from hypcert.interval import FloatKernel, MPInterval, MPKernel, contains_two_pi
+from tests import krawczyk_oracle
+from tests.test_gimbal import _scaling_member
 
 
 # -- step I: pivot selection --------------------------------------------------
@@ -285,6 +287,19 @@ def test_partition_check_raises_on_bad_input():
             bad.check(4, 1)
 
 
+def _partial_by_loops(f_iv, x0, C, kernel):
+    # the centre term x0 - sum_j C[:, j] f(x0)[j], one scalar at a time
+    x0_iv = [kernel.point(v) for v in x0]
+    fx0 = f_iv(x0_iv)
+    partial = []
+    for i in range(len(x0)):
+        acc = x0_iv[i]
+        for j in range(len(x0)):
+            acc = acc - kernel.point(C[i][j]) * fx0[j]
+        partial.append(acc)
+    return partial
+
+
 def _krawczyk_by_loops(f_iv, jac_iv, x0, X, C, kernel):
     # the operator written out entry by entry, summing k ascending; the
     # Jacobian term on 53-bit intervals (J on the outward float hull of X,
@@ -296,13 +311,10 @@ def _krawczyk_by_loops(f_iv, jac_iv, x0, X, C, kernel):
         return f64.interval(x.lo_float(), x.hi_float())
 
     x0_iv = [kernel.point(v) for v in x0]
-    fx0, JX = f_iv(x0_iv), jac_iv([hull(x) for x in X])
+    JX = jac_iv([hull(x) for x in X])
     dX = [hull(x - p) for x, p in zip(X, x0_iv)]
     K = []
-    for i in range(n):
-        acc = x0_iv[i]
-        for j in range(n):
-            acc = acc - kernel.point(C[i][j]) * fx0[j]
+    for i, acc in enumerate(_partial_by_loops(f_iv, x0, C, kernel)):
         for j in range(n):
             entry = f64.point(C[i][0]) * JX[0][j]
             for k in range(1, n):
@@ -470,3 +482,129 @@ def test_krawczyk_certify_with_given_float_data_is_unchanged(dodec27a, verified2
                                     jsub=M[part.e_eq][:, part.e_var], residual=residual)
     computed = verify.krawczyk_certify(dodec27a, p0, part)
     assert [(x.lo, x.hi) for x in given.nu] == [(x.lo, x.hi) for x in computed.nu]
+
+
+# -- step II: the skipped inflation rounds ------------------------------------
+
+
+def _synthetic_system():
+    # the system of test_krawczyk_step_matches_entrywise_operator
+    def f_iv(v):
+        x, y, z = v
+        return [x * x + y - 3.0, x * y - 2.0, x + y * z - 1.0]
+
+    def jac_iv(v):
+        x, y, z = v
+        one, zero = sc.point_like(x, 1.0), sc.point_like(x, 0.0)
+        return [[x * 2.0, one, zero], [y, x, zero], [one, z, y]]
+
+    x0 = [1.01, 1.98, 0.003]
+    C = np.linalg.inv(np.array([[2.02, 1, 0], [1.98, 1.01, 0], [1, 0.003, 1.98]])).tolist()
+    return f_iv, jac_iv, x0, C
+
+
+def _kept_system(tri, kernel, lengths=None):
+    """(f_iv, jac_iv, x0, C, kernel, residual scale) as `krawczyk_certify`
+    hands them to `_certify_root` after run_pipeline's stage I."""
+    p0 = [-math.cosh(float(l)) for l in (lengths or tri.lengths)]
+    M = geo.jacobian(tri, geo.EdgeParams(p0))
+    partition = verify.make_partition(tri, *verify.select_submatrix(M, tri.m - 3 * tri.o))
+    captured = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_certify_root", lambda *args: captured.append(args))
+        with pytest.raises(verify.StepFailure):
+            verify.krawczyk_certify(tri, p0, partition, kernel=kernel)
+    return captured[0]
+
+
+def _system(name, dodec27a, kernel):
+    if name == "synthetic":
+        return _synthetic_system()
+    return _kept_system(dodec27a, kernel)[:4]
+
+
+@pytest.mark.parametrize("bits", [53, 80])
+@pytest.mark.parametrize("name", ["synthetic", "dodec27a"])
+def test_centre_term_and_operator_match_scalar_loops(dodec27a, name, bits):
+    # the column terms of x0 - C f(x0) and of (I - C J(X)) (X - x0) are each
+    # formed in one product; every entry is still summed left to right over j
+    kernel = FloatKernel() if bits == 53 else MPKernel(bits)
+    f_iv, jac_iv, x0, C = _system(name, dodec27a, kernel)
+    centre = verify.KrawczykCentre(f_iv, x0, C, kernel)
+    got = centre.partial.tolist()
+    want = _partial_by_loops(f_iv, x0, C, kernel)
+    assert [(g.lo, g.hi) for g in got] == [(w.lo, w.hi) for w in want]
+    # wide enough that summing the columns in another order changes bits
+    X = [kernel.interval(v - 0.01, v + 0.01) for v in x0]
+    got = verify.krawczyk_step(centre, jac_iv, X)
+    want = _krawczyk_by_loops(f_iv, jac_iv, x0, X, C, kernel)
+    assert [(g.lo, g.hi) for g in got] == [(w.lo, w.hi) for w in want]
+
+
+@pytest.mark.parametrize("bits", [53, 80])
+@pytest.mark.parametrize("name", ["synthetic", "dodec27a"])
+def test_operator_image_encloses_centre_term(dodec27a, name, bits):
+    # what the skip in _certify_root rests on: K(x0, X) contains x0 - C f(x0)
+    # entry by entry for every box X that contains x0
+    kernel = FloatKernel() if bits == 53 else MPKernel(bits)
+    f_iv, jac_iv, x0, C = _system(name, dodec27a, kernel)
+    centre = verify.KrawczykCentre(f_iv, x0, C, kernel)
+    partial = centre.partial.tolist()
+    rng = random.Random(bits)
+    for _ in range(12):
+        below, above = ([10.0 ** rng.uniform(-14, -6) for _ in x0] for _ in range(2))
+        X = [kernel.interval(v - a, v + b) for v, a, b in zip(x0, below, above)]
+        assert all(x.contains(v) for x, v in zip(X, x0))
+        K = verify.krawczyk_step(centre, jac_iv, X)
+        assert all(k.encloses(p) for k, p in zip(K, partial))
+
+
+def _stage_two_case(name, tris):
+    fixture, _, rel = name.partition("~")
+    if fixture == "scaling12-seed7":
+        return _scaling_member(12, seed=7), None
+    tri = tris[fixture]
+    lengths = None
+    if rel:
+        rng = random.Random(0)
+        lengths = [float(l) * (1 + float(rel) * rng.uniform(-1, 1)) for l in tri.lengths]
+    return tri, lengths
+
+
+@pytest.mark.parametrize("name, bits, steps", [
+    # the containing round plus, at 53 bits, one refinement step (5 or 6
+    # steps when every round applied the operator)
+    *((f, b, {53: 2, 80: 1}.get(b)) for f in ("dodec27a", "dodec27b", "dodec30x2")
+      for b in (53, 80, 120, 160)),
+    ("scaling12-seed7", 53, None),
+    ("dodec30x2~1e-7", 53, None),
+    ("dodec27a~1e-6", 53, 20),  # fails at step 2: no round is skipped
+])
+def test_certify_root_matches_loop_without_skip(hyperbolic_triangulations, monkeypatch,
+                                                name, bits, steps):
+    # skipping an inflation round whose centre term is not strictly inside
+    # the box returns what applying the operator in every round returns
+    tri, lengths = _stage_two_case(name, hyperbolic_triangulations)
+    kernel = FloatKernel() if bits == 53 else MPKernel(bits)
+    args = _kept_system(tri, kernel, lengths)
+    applied, applied_without_skip = [], []
+
+    def counting(step, calls):
+        def wrapper(centre, jac_iv, X):
+            calls.append(1)
+            return step(centre, jac_iv, X)
+        return wrapper
+
+    monkeypatch.setattr(verify, "krawczyk_step", counting(verify.krawczyk_step, applied))
+    monkeypatch.setattr(krawczyk_oracle, "krawczyk_step",
+                        counting(krawczyk_oracle.krawczyk_step, applied_without_skip))
+    got = verify._certify_root(*args)
+    want = krawczyk_oracle.certify_root(*args)
+    assert (want is None) == (name == "dodec27a~1e-6")
+    if want is None:
+        assert got is None
+    else:
+        assert [(g.lo, g.hi) for g in got] == [(w.lo, w.hi) for w in want]
+    assert len(applied) <= len(applied_without_skip)
+    if steps is not None:
+        assert len(applied) == steps

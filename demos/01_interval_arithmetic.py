@@ -6,11 +6,12 @@ exact cases stay exact, inexact ones widen by at most a couple of ulps.
 
 import math
 
+import numpy as np
+
 from hypcert.interval import (
     PI,
     FloatKernel,
     Interval,
-    IntervalMatrix,
     MPKernel,
     interval_matrix_invertible,
 )
@@ -39,8 +40,8 @@ print(f"1/3 at 150 bits: width {q.width():.2e}")
 
 print("\n== rigorous matrix invertibility ==")
 kf = FloatKernel()
-eye = IntervalMatrix.identity(3, kf)
-wide = IntervalMatrix([[kf.interval(-1, 1)] * 3 for _ in range(3)])
+eye = kf.array(np.eye(3))
+wide = kf.array([[kf.interval(-1, 1)] * 3 for _ in range(3)])
 print("identity invertible:", interval_matrix_invertible(eye))
 print("[-1,1]^{3x3} invertible:", interval_matrix_invertible(wide),
       "(contains singular members, so the test must refuse)")
@@ -48,8 +49,8 @@ print("[-1,1]^{3x3} invertible:", interval_matrix_invertible(wide),
 print("\n== rotations compose ==")
 z, one = kf.point(0.0), kf.point(1.0)
 c, s = PI.cos(), PI.sin()
-R = IntervalMatrix([[c, -s, z], [s, c, z], [z, z, one]])
-RR = R.mat_mul(R)
+R = kf.array([[c, -s, z], [s, c, z], [z, z, one]])
+RR = kf.mat_mul(R, R).tolist()
 print("R(pi)^2 encloses identity:",
-      all(RR[i, j].contains(1.0 if i == j else 0.0) for i in range(3) for j in range(3)))
-print("entry (0,0):", RR[0, 0])
+      all(RR[i][j].contains(1.0 if i == j else 0.0) for i in range(3) for j in range(3)))
+print("entry (0,0):", RR[0][0])

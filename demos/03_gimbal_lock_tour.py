@@ -31,21 +31,23 @@ print("\nthe partition the pipeline picked:")
 result = verify.run_pipeline(tri)
 print(f"  loose edges {result.partition.e_sim} -> {result.statuses[5]}")
 
-print("\ndirections in which the loose edges leave the vertex:")
-dirs = gimbal.edge_end_directions(tri, params)
-loops = gimbal.build_loops_for_partition(tri, result.partition.e_sim)
-loop = loops[0]
-for pid, var in sorted(loop.variable_of_pid.items()):
-    d = dirs[pid]
-    print(f"  polygon {pid} (edge {result.partition.e_sim[var]}): "
-          f"({d[0]:+.3f}, {d[1]:+.3f}, {d[2]:+.3f})")
-print("per edge, the two end directions sum to a vector; the three sums")
-print("must be linearly independent, the spatial meaning of avoiding lock.")
+print("\nper loose edge, the sum of the two directions in which it leaves")
+print("the vertex, read off the float gimbal Jacobian at full turns:")
+labels = gimbal.CocycleLabels(tri, list(params.values))
+loop = gimbal.build_loops_for_partition(tri, result.partition.e_sim)[0]
+derivs = gimbal.gimbal_matrix_derivatives(
+    loop, labels, {pid: 2 * math.pi for pid in loop.variable_of_pid}
+)
+for var, edge in enumerate(result.partition.e_sim):
+    # the column (g01, g02, g12) of an edge is (-s_z, s_y, -s_x) for its sum s
+    g01, g02, g12 = (derivs[var][r][c] for r, c in ((0, 1), (0, 2), (1, 2)))
+    print(f"  edge {edge}: ({-g12:+.3f}, {g02:+.3f}, {-g01:+.3f})")
+print("the three sums must be linearly independent, the spatial meaning of")
+print("avoiding lock.")
 
 print("\na construction that is always locked: two polygons at antipodal")
 print("points of the link rotate about a single common axis")
-from hypcert.interval import TWO_PI, FloatKernel, IntervalMatrix
-from hypcert.interval import interval_matrix_invertible
+from hypcert.interval import TWO_PI, FloatKernel
 
 k = FloatKernel()
 half_turn = tuple(

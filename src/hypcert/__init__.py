@@ -7,7 +7,7 @@ solution of all edge equations together with per-simplex realization
 conditions -- or reports a conservative failure.
 """
 
-from .interval import Interval, MPInterval, IntervalMatrix, kernel_for_precision
+from .interval import Interval, MPInterval, kernel_for_precision
 from .triangulation import Triangulation, parse, parse_file
 from .geometry import EdgeParams
 from .verify import run_pipeline
@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Interval",
     "MPInterval",
-    "IntervalMatrix",
     "kernel_for_precision",
     "Triangulation",
     "parse",

@@ -49,27 +49,20 @@ def triangulation_hash(tri):
 # -- outward decimal endpoints ------------------------------------------------
 
 
-def _decimal_down(x, digits):
+def _decimal(x, digits, rounding):
+    """The Fraction x to `digits` significant digits, in decimal rounding mode
+    `rounding`."""
     with decimal.localcontext() as ctx:
         ctx.prec = digits
-        ctx.rounding = decimal.ROUND_FLOOR
-        f = Fraction(x)
-        return str(decimal.Decimal(int(f.numerator)) / decimal.Decimal(int(f.denominator)))
-
-
-def _decimal_up(x, digits):
-    with decimal.localcontext() as ctx:
-        ctx.prec = digits
-        ctx.rounding = decimal.ROUND_CEILING
-        f = Fraction(x)
-        return str(decimal.Decimal(int(f.numerator)) / decimal.Decimal(int(f.denominator)))
+        ctx.rounding = rounding
+        return str(decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator))
 
 
 def _endpoints(iv, precision):
     if isinstance(iv, MPInterval):
         digits = int(precision * 0.302) + 8
-        lo = _decimal_down(Fraction(*libmp.to_rational(iv.lo)), digits)
-        hi = _decimal_up(Fraction(*libmp.to_rational(iv.hi)), digits)
+        lo = _decimal(Fraction(*libmp.to_rational(iv.lo)), digits, decimal.ROUND_FLOOR)
+        hi = _decimal(Fraction(*libmp.to_rational(iv.hi)), digits, decimal.ROUND_CEILING)
         return [lo, hi]
     # binary doubles have finite exact decimal expansions: print those, so
     # the decimal document encloses the binary interval with no slack and

@@ -39,7 +39,7 @@ from . import geometry as geo
 from . import scalars as sc
 from .interval import (
     FLOAT_KERNEL,
-    IntervalMatrix,
+    IntervalArray,
     interval_matrix_invertible,
     inverse_residual,
 )
@@ -55,18 +55,14 @@ __all__ = [
     "GimbalLoopError",
     "build_gimbal_loop",
     "validate_gimbal_loop",
-    "gimbal_matrix",
     "gimbal_matrix_derivatives",
     "assemble_gimbal_jacobian",
     "gimbal_lock_check",
-    "prism_holonomy",
-    "polygon_angle_sum",
     "probe_partitions",
     "rotation_matrix",
     "rotation_matrix_derivative",
     "mat3_mul",
     "mat3_identity",
-    "edge_end_directions",
 ]
 
 
@@ -356,44 +352,6 @@ class CocycleLabels:
             return self.gamma_for_sigma(letter["tet"], letter["s_start"])
         raise GimbalLoopError(f"letter of kind {letter['kind']!r} has no label")
 
-    def theta_interval(self, tet, a, b):
-        return self.data[tet].theta_at_edge[(min(a, b), max(a, b))]
-
-
-# ---------------------------------------------------------------------------
-# prisms
-# ---------------------------------------------------------------------------
-
-
-def prism_holonomy(labels, link, pid):
-    """Ordered product of the short-edge labels around one prism end.
-
-    With the orientation induced from the removed polygon all factors are
-    z-rotations by the positive dihedral angles, so the product encloses
-    the rotation by the full angle sum around the edge class.
-    """
-    end = link.prism_ends[pid]
-    acc = mat3_identity(labels.one, labels.zero)
-    for (tet, a, b) in end.gammas:
-        c, s = labels._dihedral_cs(tet, a, b)
-        acc = mat3_mul(rotation_matrix(c, s, labels.one, labels.zero), acc)
-    return acc
-
-
-def polygon_angle_sum(labels, link, pid):
-    """Sum of the branch-reduced rotation angles along the polygon boundary.
-
-    Every boundary label is a rotation by a dihedral angle in (0, pi), so
-    the branch reduction to (-pi, pi] is the angle itself and the sum is
-    the angle sum around the edge class.
-    """
-    end = link.prism_ends[pid]
-    acc = None
-    for (tet, a, b) in end.gammas:
-        th = labels.theta_interval(tet, a, b)
-        acc = th if acc is None else acc + th
-    return acc
-
 
 # ---------------------------------------------------------------------------
 # gimbal loops
@@ -642,7 +600,7 @@ def validate_gimbal_loop(loop):
 
 
 # ---------------------------------------------------------------------------
-# gimbal matrix, derivatives, lock check
+# gimbal matrix derivatives, lock check
 # ---------------------------------------------------------------------------
 
 
@@ -673,30 +631,6 @@ def _letter_operands(loop, labels, t_of_pid, rotations=None):
                 m = ball_of[id(m)][1]
         mats.append(m)
     return mats, deriv
-
-
-def gimbal_matrix(loop, labels, t_of_pid):
-    """Product of the letter matrices, first-traversed letter rightmost.
-
-    Interval-valued labels go through ball arithmetic (entrywise interval
-    products of long near-rotation words diverge); the result is then an
-    entrywise float-interval enclosure.  Float labels multiply directly.
-    """
-    mats, _ = _letter_operands(loop, labels, t_of_pid)
-    if sc.is_interval(labels.one):
-        acc = ball_identity()
-        for ball in mats:
-            acc = ball_mul(ball, acc)
-        return ball_entries(acc, FLOAT_KERNEL)
-    acc = mat3_identity(labels.one, labels.zero)
-    for m in mats:
-        acc = mat3_mul(m, acc)
-    return acc
-
-
-def gimbal_function(loop, labels, t_of_pid):
-    m = gimbal_matrix(loop, labels, t_of_pid)
-    return (m[0][1], m[0][2], m[1][2])
 
 
 def gimbal_matrix_derivatives(loop, labels, t_of_pid, rotations=None):
@@ -756,8 +690,9 @@ def gimbal_matrix_derivatives(loop, labels, t_of_pid, rotations=None):
 
 
 def assemble_gimbal_jacobian(loops, labels, box_of_variable):
-    """Interval Jacobian [Dg(K)]: 3 rows per vertex, one column per
-    variable; rows carry the (0,1), (0,2), (1,2) entries.
+    """Interval Jacobian [Dg(K)] as a 53-bit `IntervalArray`: 3 rows per
+    vertex, one column per variable; rows carry the (0,1), (0,2), (1,2)
+    entries.
 
     The ball evaluation hands back 53-bit interval entries whatever the
     working precision; that is sound, and ample for the inversion margin.
@@ -778,7 +713,7 @@ def assemble_gimbal_jacobian(loops, labels, box_of_variable):
                     for v in range(nvar)
                 ]
             )
-    return IntervalMatrix(rows)
+    return FLOAT_KERNEL.array(rows)
 
 
 def build_loops_for_partition(tri, e_sim, links=None, validate=True):
@@ -807,7 +742,7 @@ class GimbalVerdict:
     avoided: bool
     reason: str
     loops: list
-    jacobian: IntervalMatrix = None
+    jacobian: IntervalArray = None
 
 
 def gimbal_lock_check(tri, labels, e_sim, theta_boxes, links=None):
@@ -850,66 +785,14 @@ def _invertibility_margin(dg):
     resid = inverse_residual(dg)
     if resid is None:
         return "no finite inverse of the midpoint matrix"
-    lo, hi = dg.kernel.bounds(resid)
+    lo, hi = FLOAT_KERNEL.bounds(resid)
     worst = float(np.max(np.maximum(np.abs(lo), np.abs(hi))))
-    return f"largest residual {worst:.1e} >= bound {1.0 / dg.nrows ** 2:.1e}"
+    return f"largest residual {worst:.1e} >= bound {1.0 / len(lo) ** 2:.1e}"
 
 
 # ---------------------------------------------------------------------------
-# direction extraction and the partition probe
+# the partition probe
 # ---------------------------------------------------------------------------
-
-
-def edge_end_directions(tri, params, vertex_class=0, links=None):
-    """Float developing computation on one vertex link.
-
-    Transports the corner frames over the link and reads off, for every
-    prism end, the unit direction in which the corresponding edge leaves
-    the vertex (the z-axis of any corner frame on that polygon).  Returns
-    {pid: direction}, in the frame of the first corner.
-    """
-    labels = CocycleLabels(tri, [float(sc.midpoint(v)) for v in params.values])
-    if links is None:
-        link = vertex_link_hexagon_complex(tri, vertex_class)
-    else:
-        link = links[vertex_class]
-    # frame transport: walking a letter u -> w multiplies the frame by the
-    # label inverse (the label moves the simplex from u- to w-position)
-    base = link.corners[0]
-    frames = {}  # lv id -> 3x3 frame matrix
-    first_lv = link.hexagons[base][0]["start"]
-    frames[first_lv] = mat3_identity(1.0, 0.0)
-    pending = [base]
-    seen_corners = set()
-    while pending:
-        corner = pending.pop()
-        if corner in seen_corners:
-            continue
-        cycle = link.hexagons[corner]
-        known = next(
-            (i for i, let in enumerate(cycle) if let["start"] in frames), None
-        )
-        if known is None:
-            pending.insert(0, corner)
-            continue
-        seen_corners.add(corner)
-        for step in range(6):
-            let = cycle[(known + step) % 6]
-            m = labels.for_letter(let)
-            mt = tuple(tuple(m[j][i] for j in range(3)) for i in range(3))
-            if let["end"] not in frames:
-                frames[let["end"]] = mat3_mul(frames[let["start"]], mt)
-        for token in link.beta_of_corner[corner]:
-            c1, c2 = link.beta_pairs[token]
-            other = c2 if c1 == corner else c1
-            if other not in seen_corners:
-                pending.append(other)
-    directions = {}
-    for end in link.prism_ends:
-        lv = next(iter(end.boundary_lvs))
-        fr = frames[lv]
-        directions[end.pid] = (fr[0][2], fr[1][2], fr[2][2])
-    return directions
 
 
 def probe_partitions(tri, params, budget=20000, seed=0, sigma_tol=1e-7):

@@ -35,17 +35,20 @@ endpoints, ``kernel.float_hull`` its outward 53-bit hull as an
 array, exactly.  The float kernel's array is ``IntervalArray``: numpy
 endpoint arrays whose arithmetic reproduces the ``Interval`` dunders and
 methods bit for bit, so its ``mat_mul`` (each entry summed left to right
-over k) is bit-identical to the scalar loop ``scalar_mat_mul`` while
-forming only the terms with no factor the point [0, 0], in numpy batches;
-its hull and lift are the identity.  The MP kernel's array is a numpy
-object array of ``MPInterval`` (elementwise operations call the dunders);
-it has no product, since every matrix product runs on the 53-bit hull at
-every precision.  ``scalars.REAL_KERNEL`` gives plain floats
-the same array protocol on numpy float64 arrays, so ``geometry`` runs one
-code path for all three kinds.  Stage V's 3x3 ball arithmetic does not
-use this layer: ``gimbal`` forms its ball products on plain floats in
-round-to-nearest with a-priori rounding-error bounds, and turns a ball
-into kernel intervals only in ``gimbal.ball_entries``.
+over k) is bit-identical to the loop of scalar dunders that the tests
+keep as its oracle, while forming only the terms with no factor the point
+[0, 0], in numpy batches; its hull and lift are the identity.  It is the
+one interval matrix type: stage V's Jacobian is such an array, and
+``inverse_residual`` and ``interval_matrix_invertible`` take one.  The MP
+kernel's array is a numpy object array of ``MPInterval`` (elementwise
+operations call the dunders); it has no product, since every matrix
+product runs on the 53-bit hull at every precision.
+``scalars.REAL_KERNEL`` gives plain floats the same array protocol on
+numpy float64 arrays, so ``geometry`` runs one code path for all three
+kinds.  Stage V's 3x3 ball arithmetic does not use this layer: ``gimbal``
+forms its ball products on plain floats in round-to-nearest with a-priori
+rounding-error bounds, and turns a ball into kernel intervals only in
+``gimbal.ball_entries``.
 
 No global floating-point state is touched; rounding is done value-by-value,
 so intervals are safe to share across threads.
@@ -70,8 +73,6 @@ __all__ = [
     "FLOAT_KERNEL",
     "kernel_for_precision",
     "IntervalArray",
-    "IntervalMatrix",
-    "scalar_mat_mul",
     "inverse_residual",
     "interval_matrix_invertible",
     "PI",
@@ -224,9 +225,6 @@ class Interval:
         if lo > hi:
             raise IntervalError("empty intersection")
         return Interval(lo, hi)
-
-    def hull(self, other):
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def __repr__(self):
         return f"[{self.lo!r}, {self.hi!r}]"
@@ -574,11 +572,6 @@ class MPInterval:
         hi = self.hi if libmp.mpf_lt(self.hi, other.hi) else other.hi
         return MPInterval(lo, hi, self.prec)
 
-    def hull(self, other):
-        lo = other.lo if libmp.mpf_gt(self.lo, other.lo) else self.lo
-        hi = other.hi if libmp.mpf_lt(self.hi, other.hi) else self.hi
-        return MPInterval(lo, hi, self.prec)
-
     def __repr__(self):
         return f"[{self.lo_float()!r}, {self.hi_float()!r}]~{self.prec}b"
 
@@ -843,6 +836,10 @@ class IntervalArray:
     def shape(self):
         return self.lo.shape
 
+    @property
+    def nrows(self):
+        return self.lo.shape[0]
+
     def _entry(self, mask):
         """The first entry where mask holds, as an ``Interval``."""
         i = np.unravel_index(np.argmax(mask), mask.shape)
@@ -1007,7 +1004,9 @@ class FloatKernel:
 
     @staticmethod
     def mat_mul(a, b):
-        """a @ b for IntervalArrays, bit-identical to ``scalar_mat_mul``.
+        """a @ b for 2-D IntervalArrays, bit-identical to the loop that sums
+        each entry's ``Interval`` products left to right from k = 0 (a shape
+        mismatch raises IntervalError).
 
         Only the terms a[i,k] * b[k,j] with neither factor the point [0, 0]
         are formed, in batches, for (i, j, k) in C order (so in increasing
@@ -1022,10 +1021,12 @@ class FloatKernel:
         overflowing lower endpoint to the largest float.  So the other terms
         meet the same sums in the same order, NaN included.
         """
-        rows, cols = a.shape[0], b.shape[1]
+        (rows, inner), (inner_b, cols) = a.shape, b.shape
+        if inner != inner_b:
+            raise IntervalError(f"shape mismatch {rows}x{inner} @ {inner_b}x{cols}")
         nz_a, nz_b = ((m.lo != 0.0) | (m.hi != 0.0) for m in (a, b))
         i, j, k = np.nonzero(nz_a[:, None, :] & nz_b.T[None, :, :])
-        terms = IntervalArray(np.empty(len(i)), np.empty(len(i)))
+        terms = IntervalArray(np.zeros(len(i)), np.zeros(len(i)))
         chunk = 2048  # terms per batch: bounds the temporaries
         for s in range(0, len(i), chunk):
             t = slice(s, s + chunk)
@@ -1130,75 +1131,6 @@ def kernel_for_precision(precision):
 # ---------------------------------------------------------------------------
 
 
-class IntervalMatrix:
-    """Dense matrix of intervals (row-major list of lists).  Its product and
-    the invertibility test run on the 53-bit hull of the entries."""
-
-    __slots__ = ("rows", "nrows", "ncols")
-
-    def __init__(self, rows):
-        self.rows = [list(r) for r in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        for r in self.rows:
-            if len(r) != self.ncols:
-                raise IntervalError("ragged interval matrix")
-
-    @classmethod
-    def identity(cls, n, kernel):
-        one = kernel.point(1.0)
-        zero = kernel.point(0.0)
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def points(cls, rows, kernel):
-        """Point intervals at a matrix of floats."""
-        return cls([[kernel.point(v) for v in row] for row in rows])
-
-    @classmethod
-    def zeros(cls, nrows, ncols, kernel):
-        zero = kernel.point(0.0)
-        return cls([[zero for _ in range(ncols)] for _ in range(nrows)])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    @property
-    def kernel(self):
-        return self.rows[0][0].kernel
-
-    def mat_mul(self, other):
-        if self.ncols != other.nrows:
-            raise IntervalError(
-                f"shape mismatch {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}"
-            )
-        a, b = (m.kernel.float_hull(m.kernel.array(m.rows)) for m in (self, other))
-        return IntervalMatrix(FLOAT_KERNEL.mat_mul(a, b).tolist())
-
-    __matmul__ = mat_mul
-
-    def midpoints(self):
-        return [[x.mid() for x in row] for row in self.rows]
-
-
-def scalar_mat_mul(a, b):
-    """a @ b for (nested sequences of) scalars of any kind, entry by entry,
-    each entry summed left to right over k from the k = 0 product.  The
-    reference for the float kernel's array product."""
-    out = []
-    bt = list(zip(*b))
-    for row in a:
-        out_row = []
-        for col in bt:
-            acc = row[0] * col[0]
-            for k in range(1, len(row)):
-                acc = acc + row[k] * col[k]
-            out_row.append(acc)
-        out.append(out_row)
-    return out
-
-
 def _div_down_float(a, b):
     q = a / b
     p, e = _two_prod(q, b)
@@ -1212,26 +1144,34 @@ def _div_down_float(a, b):
     return q
 
 
+def _midpoints(lo, hi):
+    """``Interval.mid`` entrywise, from finite endpoint arrays."""
+    with np.errstate(over="ignore"):
+        m = 0.5 * (lo + hi)
+    m = np.where(np.isfinite(m), m, 0.5 * lo + 0.5 * hi)
+    return np.where(lo == hi, lo, m)
+
+
 def inverse_residual(m):
-    """m @ n - Id as a 53-bit array over the 53-bit hull of m, where n is a
-    float inverse of the midpoint matrix of the square matrix m; None if m
-    has an infinite entry or no finite inverse is found."""
-    k, f = m.kernel, FLOAT_KERNEL
-    ma = k.float_hull(k.array(m.rows))
-    lo, hi = f.bounds(ma)
+    """m @ n - Id as a 53-bit array, for a square 53-bit interval array m,
+    where n is a float inverse of the midpoint matrix of m; None if m has
+    an infinite entry or no finite inverse is found."""
+    f = FLOAT_KERNEL
+    lo, hi = f.bounds(m)
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         return None
     try:
-        n = np.linalg.inv(np.array(m.midpoints(), dtype=float))
+        n = np.linalg.inv(_midpoints(lo, hi))
     except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(n)):
         return None
-    return f.mat_mul(ma, f.array(n)) - f.array(np.eye(m.nrows))
+    return f.mat_mul(m, f.array(n)) - f.array(np.eye(len(lo)))
 
 
 def interval_matrix_invertible(m):
-    """Certify that every member matrix of m is invertible.
+    """Certify that every member matrix of the 53-bit interval array m is
+    invertible.
 
     Finds an approximate double-precision inverse n of the midpoint matrix
     and checks that every entry of m@n - Id has absolute value strictly
@@ -1239,9 +1179,9 @@ def interval_matrix_invertible(m):
     trouble; never raises, and never answers True for an enclosure that
     contains a singular matrix.
     """
-    if m.nrows != m.ncols:
+    r, cols = m.shape
+    if r != cols:
         raise IntervalError("invertibility test needs a square matrix")
-    r = m.nrows
     if r == 0:
         return True
     resid = inverse_residual(m)

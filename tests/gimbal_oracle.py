@@ -1,0 +1,123 @@
+"""Gimbal-side geometry that no stage of the pipeline computes.
+
+Prism holonomies, polygon angle sums, the gimbal matrix and function
+themselves (stage V needs only their derivatives) and the float edge
+directions on a vertex link.  The tests check stage V's labels and
+Jacobian against these identities.  Tests only.
+"""
+
+from hypcert import gimbal as gb
+from hypcert import scalars as sc
+from hypcert.interval import FLOAT_KERNEL
+from hypcert.triangulation import vertex_link_hexagon_complex
+
+
+def theta_interval(labels, tet, a, b):
+    """The dihedral angle of simplex `tet` at its edge {a, b}."""
+    return labels.data[tet].theta_at_edge[(min(a, b), max(a, b))]
+
+
+def prism_holonomy(labels, link, pid):
+    """Ordered product of the short-edge labels around one prism end.
+
+    With the orientation induced from the removed polygon all factors are
+    z-rotations by the positive dihedral angles, so the product encloses
+    the rotation by the full angle sum around the edge class.
+    """
+    end = link.prism_ends[pid]
+    acc = gb.mat3_identity(labels.one, labels.zero)
+    for (tet, a, b) in end.gammas:
+        c, s = labels._dihedral_cs(tet, a, b)
+        acc = gb.mat3_mul(gb.rotation_matrix(c, s, labels.one, labels.zero), acc)
+    return acc
+
+
+def polygon_angle_sum(labels, link, pid):
+    """Sum of the branch-reduced rotation angles along the polygon boundary.
+
+    Every boundary label is a rotation by a dihedral angle in (0, pi), so
+    the branch reduction to (-pi, pi] is the angle itself and the sum is
+    the angle sum around the edge class.
+    """
+    end = link.prism_ends[pid]
+    acc = None
+    for (tet, a, b) in end.gammas:
+        th = theta_interval(labels, tet, a, b)
+        acc = th if acc is None else acc + th
+    return acc
+
+
+def gimbal_matrix(loop, labels, t_of_pid):
+    """Product of the letter matrices, first-traversed letter rightmost.
+
+    Interval-valued labels go through ball arithmetic (entrywise interval
+    products of long near-rotation words diverge); the result is then an
+    entrywise float-interval enclosure.  Float labels multiply directly.
+    """
+    mats, _ = gb._letter_operands(loop, labels, t_of_pid)
+    if sc.is_interval(labels.one):
+        acc = gb.ball_identity()
+        for ball in mats:
+            acc = gb.ball_mul(ball, acc)
+        return gb.ball_entries(acc, FLOAT_KERNEL)
+    acc = gb.mat3_identity(labels.one, labels.zero)
+    for m in mats:
+        acc = gb.mat3_mul(m, acc)
+    return acc
+
+
+def gimbal_function(loop, labels, t_of_pid):
+    m = gimbal_matrix(loop, labels, t_of_pid)
+    return (m[0][1], m[0][2], m[1][2])
+
+
+def edge_end_directions(tri, params, vertex_class=0, links=None):
+    """Float developing computation on one vertex link.
+
+    Transports the corner frames over the link and reads off, for every
+    prism end, the unit direction in which the corresponding edge leaves
+    the vertex (the z-axis of any corner frame on that polygon).  Returns
+    {pid: direction}, in the frame of the first corner.
+    """
+    labels = gb.CocycleLabels(tri, [float(sc.midpoint(v)) for v in params.values])
+    if links is None:
+        link = vertex_link_hexagon_complex(tri, vertex_class)
+    else:
+        link = links[vertex_class]
+    # frame transport: walking a letter u -> w multiplies the frame by the
+    # label inverse (the label moves the simplex from u- to w-position)
+    base = link.corners[0]
+    frames = {}  # lv id -> 3x3 frame matrix
+    first_lv = link.hexagons[base][0]["start"]
+    frames[first_lv] = gb.mat3_identity(1.0, 0.0)
+    pending = [base]
+    seen_corners = set()
+    while pending:
+        corner = pending.pop()
+        if corner in seen_corners:
+            continue
+        cycle = link.hexagons[corner]
+        known = next(
+            (i for i, let in enumerate(cycle) if let["start"] in frames), None
+        )
+        if known is None:
+            pending.insert(0, corner)
+            continue
+        seen_corners.add(corner)
+        for step in range(6):
+            let = cycle[(known + step) % 6]
+            m = labels.for_letter(let)
+            mt = tuple(tuple(m[j][i] for j in range(3)) for i in range(3))
+            if let["end"] not in frames:
+                frames[let["end"]] = gb.mat3_mul(frames[let["start"]], mt)
+        for token in link.beta_of_corner[corner]:
+            c1, c2 = link.beta_pairs[token]
+            other = c2 if c1 == corner else c1
+            if other not in seen_corners:
+                pending.append(other)
+    directions = {}
+    for end in link.prism_ends:
+        lv = next(iter(end.boundary_lvs))
+        fr = frames[lv]
+        directions[end.pid] = (fr[0][2], fr[1][2], fr[2][2])
+    return directions

@@ -18,9 +18,9 @@ from hypcert import gimbal as gb
 from hypcert import triangulation as tr
 from hypcert import verify
 from hypcert.interval import (
+    FLOAT_KERNEL,
     TWO_PI,
     FloatKernel,
-    IntervalMatrix,
     contains_two_pi,
     interval_matrix_invertible,
 )
@@ -33,6 +33,7 @@ from tests.geometry_oracle import (
     simplex_data,
     vertex_angle,
 )
+from tests.gimbal_oracle import gimbal_function, polygon_angle_sum, prism_holonomy
 
 
 def report(n, text):
@@ -197,20 +198,20 @@ def test_criterion_06_polygon_identities(hyperbolic_triangulations, verified_all
         links = [tr.vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
         for loop in res.box.loops:
             link = links[loop.vertex_class]
-            g_turns = gb.gimbal_function(
+            g_turns = gimbal_function(
                 loop, labels, {pid: TWO_PI for pid in loop.variable_of_pid}
             )
             assert all(comp.contains(0.0) for comp in g_turns), name
             deltas = {
-                pid: gb.polygon_angle_sum(labels, link, pid)
+                pid: polygon_angle_sum(labels, link, pid)
                 for pid in loop.variable_of_pid
             }
-            g_delta = gb.gimbal_function(loop, labels, deltas)
+            g_delta = gimbal_function(loop, labels, deltas)
             assert all(comp.contains(0.0) for comp in g_delta), name
             checked_loops += 1
         for link in links:
             for end in link.prism_ends:
-                H = gb.prism_holonomy(labels, link, end.pid)
+                H = prism_holonomy(labels, link, end.pid)
                 # certified: every angle sum is a full turn, holonomy is Id
                 for i in range(3):
                     for j in range(3):
@@ -243,10 +244,10 @@ def test_criterion_07_pivoting_stability():
 def test_criterion_08_interval_invertibility_soundness():
     """The invertibility test never certifies a planted singular member."""
     k = FloatKernel()
-    assert interval_matrix_invertible(IntervalMatrix.identity(3, k))
-    assert not interval_matrix_invertible(IntervalMatrix.zeros(3, 3, k))
+    assert interval_matrix_invertible(FLOAT_KERNEL.array(np.eye(3)))
+    assert not interval_matrix_invertible(FLOAT_KERNEL.array(np.zeros((3, 3))))
     assert not interval_matrix_invertible(
-        IntervalMatrix([[k.interval(-1, 1)] * 3 for _ in range(3)])
+        FLOAT_KERNEL.array([[k.interval(-1, 1)] * 3 for _ in range(3)])
     )
     rng = np.random.default_rng(99)
     certified_good = 0
@@ -256,7 +257,7 @@ def test_criterion_08_interval_invertibility_soundness():
         v = rng.normal(size=(n - 1, n))
         m = u @ v
         pad = 10.0 ** rng.uniform(-15, -1)
-        M = IntervalMatrix(
+        M = FLOAT_KERNEL.array(
             [
                 [k.interval(m[i][j] - pad, m[i][j] + pad) for j in range(n)]
                 for i in range(n)
@@ -265,7 +266,7 @@ def test_criterion_08_interval_invertibility_soundness():
         assert not interval_matrix_invertible(M), trial
         # sanity on the same draw made honestly invertible
         m2 = m + 3.0 * np.eye(n) * np.sign(np.linalg.det(m + 3 * np.eye(n)) or 1)
-        M2 = IntervalMatrix(
+        M2 = FLOAT_KERNEL.array(
             [
                 [k.interval(m2[i][j] - 1e-12, m2[i][j] + 1e-12) for j in range(n)]
                 for i in range(n)
@@ -323,7 +324,7 @@ def test_criterion_09_gimbal_probe(dodec27a):
     )
     smin = np.linalg.svd(D, compute_uv=False)[-1]
     assert smin < 1e-12
-    dg2 = IntervalMatrix(
+    dg2 = FLOAT_KERNEL.array(
         [[derivs[v][0][1] for v in (0, 1)], [derivs[v][0][2] for v in (0, 1)]]
     )
     assert not interval_matrix_invertible(dg2)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypcert import geometry as geo
 from hypcert import gimbal as gb
 from hypcert import verify
-from hypcert.interval import Interval, inverse_residual
+from hypcert.interval import FLOAT_KERNEL, Interval, inverse_residual
 from tests.ball_oracle import oracle_balls
 from tests.test_gimbal import _scaling_member
 
@@ -259,7 +259,7 @@ def test_infinite_label_endpoint_is_not_avoided(dodec27a, verified27a,
 
 
 def _margin(dg):
-    lo, hi = dg.kernel.bounds(inverse_residual(dg))
+    lo, hi = FLOAT_KERNEL.bounds(inverse_residual(dg))
     return float(np.max(np.maximum(np.abs(lo), np.abs(hi))))
 
 
@@ -284,7 +284,7 @@ def test_float_balls_as_tight_as_interval_oracle(name, dodec27a, verified27a,
     with monkeypatch.context() as mp:
         oracle_balls(mp)
         ref = gb.assemble_gimbal_jacobian(loops, labels, theta_boxes)
-    for row, ref_row in zip(dg.rows, ref.rows):
+    for row, ref_row in zip(dg.tolist(), ref.tolist()):
         for x, y in zip(row, ref_row):
             assert x.lo <= y.hi and y.lo <= x.hi
             assert x.hi - x.lo <= 1.001 * (y.hi - y.lo)

@@ -14,13 +14,19 @@ from hypcert import gimbal as gb
 from hypcert import triangulation as tr
 from hypcert import verify
 from hypcert.interval import (
+    FLOAT_KERNEL,
     TWO_PI,
     FloatKernel,
     Interval,
-    IntervalMatrix,
     interval_matrix_invertible,
 )
 from tests.cocycle_closure import check_cocycle_closure
+from tests.gimbal_oracle import (
+    edge_end_directions,
+    gimbal_function,
+    gimbal_matrix,
+    prism_holonomy,
+)
 from tests.conftest import S3_TEXT
 
 
@@ -147,7 +153,7 @@ def test_prism_holonomy_s3(s3m):
     c2, s2 = math.cos(2 * theta), math.sin(2 * theta)
     want = ((c2, -s2, 0.0), (s2, c2, 0.0), (0.0, 0.0, 1.0))
     for end in link.prism_ends:
-        H = gb.prism_holonomy(labels, link, end.pid)
+        H = prism_holonomy(labels, link, end.pid)
         for i in range(3):
             for j in range(3):
                 assert H[i][j].contains(want[i][j])
@@ -165,7 +171,7 @@ def test_prism_holonomy_single_incidence_synthetic(s3m):
     class L:
         prism_ends = [solo]
 
-    H = gb.prism_holonomy(labels, L, 0)
+    H = prism_holonomy(labels, L, 0)
     tet, a, b = end.gammas[0]
     c, s = labels._dihedral_cs(tet, a, b)
     R = gb.rotation_matrix(c, s, labels.one, labels.zero)
@@ -179,7 +185,7 @@ def test_prism_holonomy_certified_encloses_identity(dodec27a, verified27a):
     labels = gb.CocycleLabels(dodec27a, box.nu)
     link = tr.vertex_link_hexagon_complex(dodec27a, 0)
     for end in link.prism_ends[:6]:
-        H = gb.prism_holonomy(labels, link, end.pid)
+        H = prism_holonomy(labels, link, end.pid)
         for i in range(3):
             for j in range(3):
                 assert H[i][j].contains(1.0 if i == j else 0.0)
@@ -246,8 +252,8 @@ def test_gimbal_derivative_finite_differences(dodec27a):
         tp[pid] += h
         tm = dict(t0)
         tm[pid] -= h
-        mp_ = gb.gimbal_matrix(loop, labels, tp)
-        mm = gb.gimbal_matrix(loop, labels, tm)
+        mp_ = gimbal_matrix(loop, labels, tp)
+        mm = gimbal_matrix(loop, labels, tm)
         for i in range(3):
             for j in range(3):
                 fd = (mp_[i][j] - mm[i][j]) / (2 * h)
@@ -285,7 +291,7 @@ def test_direction_sum_oracle(dodec27a, verified27a):
     links = [tr.vertex_link_hexagon_complex(dodec27a, 0)]
     loops = gb.build_loops_for_partition(dodec27a, part.e_sim, links=links)
     loop = loops[0]
-    dirs = gb.edge_end_directions(dodec27a, geo.EdgeParams(list(p0)))
+    dirs = edge_end_directions(dodec27a, geo.EdgeParams(list(p0)))
     t2 = {pid: 2 * math.pi for pid in loop.variable_of_pid}
     der = gb.gimbal_matrix_derivatives(loop, labels, t2)
     ends_of_var = {}
@@ -311,7 +317,7 @@ def test_gimbal_function_zero_at_full_turns(dodec27a, verified27a):
     box = verified27a.box
     labels = gb.CocycleLabels(dodec27a, box.nu)
     for loop in box.loops:
-        g0 = gb.gimbal_function(
+        g0 = gimbal_function(
             loop, labels, {pid: TWO_PI for pid in loop.variable_of_pid}
         )
         for comp in g0:
@@ -374,7 +380,7 @@ def test_example_gimbal_lock_antipodal_axes():
         [derivs[v][r][c] if v in derivs else k.point(0.0) for v in range(2)]
         for (r, c) in ((0, 1), (0, 2), (1, 2))
     ]
-    dg = IntervalMatrix([row[:2] for row in rows[:2]])
+    dg = FLOAT_KERNEL.array([row[:2] for row in rows[:2]])
     assert not interval_matrix_invertible(dg)
 
 
@@ -543,7 +549,7 @@ def _gimbal_inputs(tri):
 
 
 def _entries(dg):
-    return [(x.lo.hex(), x.hi.hex()) for row in dg.rows for x in row]
+    return [(x.lo.hex(), x.hi.hex()) for row in dg.tolist() for x in row]
 
 
 @pytest.mark.parametrize("name", ["dodec27a", "scaling12"])
@@ -619,7 +625,7 @@ def test_gimbal_jacobian_bytes_pinned(name, hyperbolic_triangulations, verified_
     assert len(calls) == 2 * len(set(theta_boxes))
 
     digest = hashlib.sha256()
-    for row in dg.rows:
+    for row in dg.tolist():
         for x in row:
             digest.update(struct.pack("<dd", x.lo, x.hi))
     assert digest.hexdigest() == DG_SHA256[name]

@@ -23,13 +23,12 @@ from hypcert.interval import (
     Interval,
     IntervalArray,
     IntervalError,
-    IntervalMatrix,
     MPInterval,
     MPKernel,
     inverse_residual,
     interval_matrix_invertible,
-    scalar_mat_mul,
 )
+from tests.matrix_oracle import scalar_mat_mul
 
 inf = math.inf
 TINY = 2.0 ** -960  # below this a Dekker error term is unknown
@@ -299,9 +298,9 @@ def test_array_arccos_is_bitwise_the_method(xs):
 def _oracle_residual_and_verdict(m):
     """m @ n - Id and the verdict, by scalar loops only."""
     r = m.nrows
-    n = np.linalg.inv(np.array(m.midpoints(), dtype=float))
-    n_iv = IntervalMatrix.points(n, FLOAT_KERNEL).rows
-    prod = scalar_mat_mul(m.rows, n_iv)
+    n = np.linalg.inv(np.array([[x.mid() for x in row] for row in m.tolist()], dtype=float))
+    n_iv = FLOAT_KERNEL.array(n).tolist()
+    prod = scalar_mat_mul(m.tolist(), n_iv)
     resid = [
         [prod[i][j] - Interval.point(1.0 if i == j else 0.0) for j in range(r)]
         for i in range(r)
@@ -315,11 +314,21 @@ def _oracle_residual_and_verdict(m):
 def test_invertibility_matches_scalar_oracle(r, radius, verdict):
     rng = np.random.default_rng(r)
     mid = np.eye(r) * 4.0 + rng.normal(size=(r, r))
-    m = IntervalMatrix(
+    m = FLOAT_KERNEL.array(
         [[Interval(v - radius, v + radius) for v in row] for row in mid.tolist()]
     )
     want_resid, want_verdict = _oracle_residual_and_verdict(m)
     assert want_verdict is verdict
+    assert interval_matrix_invertible(m) is want_verdict
+    assert bits(inverse_residual(m).tolist()) == bits(want_resid)
+
+
+def test_invertibility_midpoints_overflow_as_interval_mid():
+    # lo + hi overflows in the diagonal entries: their midpoints fall back
+    # to lo / 2 + hi / 2, as `Interval.mid` does
+    big = Interval(1.0e308, 1.6e308)
+    m = FLOAT_KERNEL.array([[big, Interval.point(0.5)], [Interval(-1.0, 1.0), big]])
+    want_resid, want_verdict = _oracle_residual_and_verdict(m)
     assert interval_matrix_invertible(m) is want_verdict
     assert bits(inverse_residual(m).tolist()) == bits(want_resid)
 
@@ -405,17 +414,18 @@ def test_lift_is_exact_and_hull_undoes_it(prec):
 
 @pytest.mark.parametrize("prec", [80, 160])
 def test_mp_matrices_multiply_and_invert_on_the_float_hull(prec):
-    # the MP kernel has no product: IntervalMatrix products and the
-    # invertibility test of MP entries run on their 53-bit hull
+    # the MP kernel has no product: products and the invertibility test of
+    # MP entries run on their 53-bit hull
     k, third = MPKernel(prec), _mp_third(prec)
-    m = IntervalMatrix([[k.point(2.0), third], [third, k.point(1.0)]])
-    product = m @ IntervalMatrix.identity(2, k)
-    for got_row, m_row in zip(product.rows, m.rows):
+    rows = [[k.point(2.0), third], [third, k.point(1.0)]]
+    m = k.float_hull(k.array(rows))
+    product = FLOAT_KERNEL.mat_mul(m, FLOAT_KERNEL.array(np.eye(2)))
+    for got_row, m_row in zip(product.tolist(), rows):
         for got, x in zip(got_row, m_row):
             assert isinstance(got, Interval)
             assert got.lo <= x.lo_float() and x.hi_float() <= got.hi
     assert interval_matrix_invertible(m)
-    assert not interval_matrix_invertible(IntervalMatrix([[third, third], [third, third]]))
+    assert not interval_matrix_invertible(k.float_hull(k.array([[third, third], [third, third]])))
 
 
 # -- end to end ------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The benchmark's tracer (`perfbench/tracing.py`) wraps `hypcert`
 attributes by name from outside the package, so a renamed function would
-only show when the benchmark runs.  Here every name it wraps must resolve.
+only show when the benchmark runs.  Here every name it wraps must resolve,
+and a traced pipeline run must yield stage V's figures.
 """
 
 import pathlib
@@ -34,3 +35,14 @@ def test_counted_interval_methods_resolve(tracing):
         cls = getattr(hypcert.interval, cls_name)
         for attr in attrs:
             assert callable(getattr(cls, attr, None)), (cls_name, attr, key)
+
+
+def test_traced_run_reports_stage_v(tracing, dodec27a):
+    # the tracer reads the invertibility test's dimension off its argument,
+    # which a change of the Jacobian's type would break only under --trace
+    with tracing.Tracer(hypcert) as tracer:
+        mark = tracer.mark()
+        assert hypcert.run_pipeline(dodec27a).verified
+        metrics, _ = tracer.summary(mark)
+    assert metrics["interval.invertible_dim"] == 3 * dodec27a.o
+    assert metrics["gimbal.ball_mul_count"] > 0

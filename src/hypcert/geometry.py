@@ -37,10 +37,6 @@ __all__ = [
     "EdgeParams",
     "GramData",
     "SimplexData",
-    "cos_dihedral",
-    "sin_dihedral",
-    "cos_vertex_angle",
-    "sin_vertex_angle",
     "simplex_data",
     "angle_sums",
     "jacobian",
@@ -107,29 +103,6 @@ class GramData:
     gram: list
     cof: list
     theta_at_edge: dict
-
-
-# scalar formulas of the stage-V labels (`gimbal.CocycleLabels`)
-
-
-def cos_dihedral(cof, i, j):
-    return cof[i][j] / sc.sqrt(cof[i][i] * cof[j][j])
-
-
-def sin_dihedral(cof, i, j):
-    c = cos_dihedral(cof, i, j)
-    return sc.sqrt_nonneg(-(c * c) + 1.0)
-
-
-def cos_vertex_angle(g, i, j, k):
-    num = g[i][j] * g[i][k] + g[j][k]
-    den = sc.sqrt(g[i][j] * g[i][j] - 1.0) * sc.sqrt(g[i][k] * g[i][k] - 1.0)
-    return num / den
-
-
-def sin_vertex_angle(g, i, j, k):
-    c = cos_vertex_angle(g, i, j, k)
-    return sc.sqrt_nonneg(-(c * c) + 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from .interval import (
     inverse_residual,
 )
 from .triangulation import (
+    LOCAL_EDGE_INDEX,
     TriangulationError,
     perm_parity,
     vertex_link_hexagon_complex,
@@ -84,6 +85,11 @@ class GimbalLoopError(ValueError):
 # with up(y) = nextafter(y, inf).  Midpoint products carry an a-priori
 # rounding-error bound (`_product_with_error`).  A non-finite midpoint or
 # bound makes the radius inf, and an infinite radius encloses everything.
+# The labels' balls and their midpoints' norm bounds are made for all
+# simplices at once from the label arrays' endpoints (`_balls_of_bounds`),
+# each step the scalar one elementwise; the products along a loop stay
+# scalar and sequential (`ball_mul`).  Balls follow Rump, Acta Numerica 19
+# (2010).
 # ---------------------------------------------------------------------------
 
 _U = 2.0 ** -53  # unit roundoff of round-to-nearest doubles
@@ -95,15 +101,16 @@ class BallMatrix3:
     """{ mid + E : ||E||_2 <= rad }, entrywise |E_ij| <= rad as well.
 
     `mid` is a 3x3 tuple of floats.  The norm bound of the midpoint is
-    computed at most once, when a product first needs it.
+    given (the labels' balls carry theirs) or computed at most once, when a
+    product first needs it.
     """
 
     __slots__ = ("mid", "rad", "_norm")
 
-    def __init__(self, mid, rad):
+    def __init__(self, mid, rad, norm=None):
         self.mid = mid
         self.rad = rad
-        self._norm = None
+        self._norm = norm
 
     def norm_bound(self):
         """Rigorous upper bound for the spectral norm of the midpoint."""
@@ -200,6 +207,44 @@ def ball_from_interval_mat3(m):
     return BallMatrix3(tuple(mid), _spec_bound(radii))
 
 
+def _max_row_sums(rows):
+    """`_max_row_sum` of each matrix in a stack (k, r, c) of nonnegative
+    floats, step by step."""
+    worst = np.zeros(rows.shape[0])
+    for i in range(rows.shape[1]):
+        acc = rows[:, i, 0]
+        for j in range(1, rows.shape[2]):
+            acc = np.nextafter(acc + rows[:, i, j], inf)
+        worst = np.where(acc <= worst, worst, np.where(acc < inf, acc, inf))
+    return worst
+
+
+def _balls_of_bounds(lo, hi):
+    """`ball_from_interval_mat3` of a stack of 3x3 interval matrices given
+    by their float endpoints (k, 3, 3), and `_norm_bound` of each midpoint:
+    midpoints (k, 3, 3), radii (k,) and norm bounds (k,), every float the
+    one the scalar functions give, each rounding step applied elementwise
+    in their order (``max(a, b)`` keeps a unless b > a, NaN included)."""
+    with np.errstate(all="ignore"):
+        mid = 0.5 * (lo + hi)
+        a, b = np.nextafter(mid - lo, inf), np.nextafter(hi - mid, inf)
+        radii = np.where(b > a, b, a)
+        row_sum, col_sum = _max_row_sums(radii), _max_row_sums(radii.transpose(0, 2, 1))
+        prod = np.nextafter(row_sum * col_sum, inf)
+        rad = np.nextafter(np.sqrt(prod), inf)
+        # mid^T mid by `_product_with_error`: term k of entry (i, j) is
+        # mid[k][i] * mid[k][j]; rows interleave |gram| and the error bounds
+        x = mid[:, :, :, None] * mid[:, :, None, :]
+        gram = x[:, 0] + x[:, 1] + x[:, 2]
+        err = np.nextafter(
+            _GAMMA3_UP * (np.abs(x[:, 0]) + np.abs(x[:, 1]) + np.abs(x[:, 2])) + _UNDERFLOW3,
+            inf,
+        )
+        rows = np.stack([np.abs(gram), err], axis=-1).reshape(-1, 3, 6)
+        norm = np.nextafter(np.sqrt(_max_row_sums(rows)), inf)
+    return mid, rad, norm
+
+
 def ball_identity():
     return BallMatrix3(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), 0.0)
 
@@ -292,65 +337,161 @@ def middle_edge_matrix(cos_e, sin_e, one, zero):
 # ---------------------------------------------------------------------------
 
 
+# A simplex has 24 label slots.  Slot 2 e + k is the short edge about local
+# edge e (LOCAL_EDGES order), a rotation by the dihedral angle taken
+# positively (k = 0, from an odd permutation) or negatively (k = 1).  Slot
+# 12 + v is the middle edge with vertex angle v = (i, j, k) of
+# `_VERTEX_ANGLES`, the angle at vertex i of the triangle i j k, j > k, in
+# the operand order of the scalar formula cos_vertex_angle(g, i, j, k): the
+# middle edge from s with (s(0), s(2), s(1)) = (i, j, k), s(1) < s(2), the
+# side a canonical token names.
+
+
+_VERTEX_ANGLES = tuple(
+    (i, hi, lo)
+    for i in range(4)
+    for lo, hi in itertools.combinations([x for x in range(4) if x != i], 2)
+)
+_VA_IJ = np.array([4 * i + j for i, j, k in _VERTEX_ANGLES])  # Gram columns
+_VA_IK = np.array([4 * i + k for i, j, k in _VERTEX_ANGLES])
+_VA_JK = np.array([4 * j + k for i, j, k in _VERTEX_ANGLES])
+_GAMMA_SLOT = {}  # corner permutation -> slot of the short edge starting there
+_BETA_SLOT = {}  # corner permutation s, s(1) < s(2) -> slot of its middle edge
+for _s in itertools.permutations(range(4)):
+    _GAMMA_SLOT[_s] = 2 * LOCAL_EDGE_INDEX[tuple(sorted(_s[:2]))] + (perm_parity(_s) == 1)
+    if _s[1] < _s[2]:
+        _BETA_SLOT[_s] = 12 + _VERTEX_ANGLES.index((_s[0], _s[2], _s[1]))
+del _s
+
+
 class CocycleLabels:
     """SO(3) labels for the short and middle edges of every simplex.
 
-    Generic over the scalar type of `params` (floats or intervals).  One
-    matrix is computed per canonical edge token, so identified edges of
-    glued simplices share their label bit for bit.
+    Generic over the kind of `params` (floats or intervals).  The cosine
+    and sine of every dihedral angle and every vertex angle are kernel
+    arrays over all simplices: the dihedral cosines are `SimplexData.cos`,
+    the vertex-angle cosines come from the Gram columns, and each sine is
+    sqrt_nonneg(-(c c) + 1), all in the operation order of the scalar
+    formulas (kept in `tests/geometry_oracle.py`), so bit for bit the
+    scalar values.  Interval labels enter stage V as balls
+    (`ball_for_letter`): one table for all simplices, built from the
+    arrays' endpoints on first use; a slot's ball object is made when a
+    letter first asks for it.  Scalar label matrices (`for_letter`;
+    floats for the partition probe) are formed once per slot on first use.
+    A middle edge is labelled from its canonical token, so identified
+    edges of glued simplices share their label bit for bit.
     """
 
     def __init__(self, tri, params, data=None):
-        self.tri = tri
-        self.params = params
         if data is None:
             data = geo.simplex_data(tri, params)
         self.data = data
-        sample = params[0]
-        self.one = sc.point_like(sample, 1.0)
-        self.zero = sc.point_like(sample, 0.0)
-        self._gamma_cs = {}  # (tet, a, b) undirected -> (cos, sin) of dihedral
-        self._beta_cache = {}  # canonical beta token -> matrix
-        self._gamma_cache = {}  # (tet, a, b, sign) -> matrix
+        kernel = self.kernel = data.kernel
+        self.one = kernel.point(1.0)
+        self.zero = kernel.point(0.0)
+        g_ij, g_ik, g_jk = (data.gram[:, cols] for cols in (_VA_IJ, _VA_IK, _VA_JK))
+        self.dihedral_cos = data.cos
+        self.vertex_cos = (g_ij * g_ik + g_jk) / (
+            kernel.sqrt(g_ij * g_ij - 1.0) * kernel.sqrt(g_ik * g_ik - 1.0)
+        )
+        self.dihedral_sin, self.vertex_sin = (
+            kernel.sqrt_nonneg(-(c * c) + 1.0) for c in (self.dihedral_cos, self.vertex_cos)
+        )
+        self._scalars = None  # the four arrays as nested lists of scalars
+        self._mats = {}  # slot -> label matrix of scalars
+        self._ball_table = None  # midpoints, radii, norm bounds by slot
+        self._balls = {}  # slot -> ball
+
+    def _slot(self, letter):
+        """The flat slot, 24 tet + local slot, of an edge letter's label."""
+        kind = letter["kind"]
+        if kind == "b":
+            tet, s0, _s1 = letter["token"]
+            return 24 * tet + _BETA_SLOT[s0]
+        if kind == "g":
+            return 24 * letter["tet"] + _GAMMA_SLOT[letter["s_start"]]
+        raise GimbalLoopError(f"letter of kind {kind!r} has no label")
+
+    def _lists(self):
+        """Dihedral cos, sin and vertex-angle cos, sin as nested lists of
+        scalars, made on first use."""
+        if self._scalars is None:
+            self._scalars = [arr.tolist() for arr in (
+                self.dihedral_cos, self.dihedral_sin, self.vertex_cos, self.vertex_sin)]
+        return self._scalars
 
     def _dihedral_cs(self, tet, a, b):
-        key = (tet, min(a, b), max(a, b))
-        if key not in self._gamma_cs:
-            i, j = geo.opposite_edge(a, b)
-            cof = self.data[tet].cof
-            c = geo.cos_dihedral(cof, i, j)
-            s = geo.sin_dihedral(cof, i, j)
-            self._gamma_cs[key] = (c, s)
-        return self._gamma_cs[key]
+        """(cos, sin) of the dihedral angle along the local edge {a, b}."""
+        dc, ds, _, _ = self._lists()
+        e = LOCAL_EDGE_INDEX[(min(a, b), max(a, b))]
+        return dc[tet][e], ds[tet][e]
+
+    def _matrix(self, slot):
+        if slot not in self._mats:
+            dc, ds, vc, vs = self._lists()
+            tet, local = divmod(slot, 24)
+            if local < 12:
+                e, negative = divmod(local, 2)
+                c, s = dc[tet][e], ds[tet][e]
+                m = rotation_matrix(c, -s if negative else s, self.one, self.zero)
+            else:
+                v = local - 12
+                m = middle_edge_matrix(vc[tet][v], vs[tet][v], self.one, self.zero)
+            self._mats[slot] = m
+        return self._mats[slot]
 
     def gamma_for_sigma(self, tet, sigma):
         """Label of the short edge starting at corner permutation sigma."""
-        a, b = sigma[0], sigma[1]
-        sign = 1 if perm_parity(sigma) == -1 else -1
-        key = (tet, min(a, b), max(a, b), sign)
-        if key not in self._gamma_cache:
-            c, s = self._dihedral_cs(tet, a, b)
-            self._gamma_cache[key] = rotation_matrix(
-                c, s if sign > 0 else -s, self.one, self.zero
-            )
-        return self._gamma_cache[key]
+        return self._matrix(24 * tet + _GAMMA_SLOT[sigma])
 
     def beta_for_token(self, token):
-        """Label of a middle edge, computed once from its canonical side."""
-        if token not in self._beta_cache:
-            tet, s0, _s1 = token
-            g = self.data[tet].gram
-            c = geo.cos_vertex_angle(g, s0[0], s0[2], s0[1])
-            s = geo.sin_vertex_angle(g, s0[0], s0[2], s0[1])
-            self._beta_cache[token] = middle_edge_matrix(c, s, self.one, self.zero)
-        return self._beta_cache[token]
+        """Label of a middle edge, from its canonical side."""
+        tet, s0, _s1 = token
+        return self._matrix(24 * tet + _BETA_SLOT[s0])
 
     def for_letter(self, letter):
-        if letter["kind"] == "b":
-            return self.beta_for_token(letter["token"])
-        if letter["kind"] == "g":
-            return self.gamma_for_sigma(letter["tet"], letter["s_start"])
-        raise GimbalLoopError(f"letter of kind {letter['kind']!r} has no label")
+        return self._matrix(self._slot(letter))
+
+    def ball_for_letter(self, letter):
+        """The ball of an edge letter's interval label, from the table."""
+        slot = self._slot(letter)
+        if slot not in self._balls:
+            if self._ball_table is None:
+                self._ball_table = self._balls_of_labels()
+            mids, rads, norms = self._ball_table
+            self._balls[slot] = BallMatrix3(tuple(map(tuple, mids[slot])), rads[slot],
+                                            norms[slot])
+        return self._balls[slot]
+
+    def _balls_of_labels(self):
+        """Every slot's ball as lists by slot: midpoint, radius and the
+        midpoint's norm bound, from the endpoints of the label entries
+        (`_balls_of_bounds`)."""
+        kernel = self.kernel
+        n = self.dihedral_cos.shape[0]
+        lo, hi = np.zeros((2, n, 24, 3, 3))
+
+        def put(slots, i, j, x):
+            lo[:, slots, i, j], hi[:, slots, i, j] = (
+                (x, x) if isinstance(x, float) else kernel.bounds(x))
+
+        c, s = self.dihedral_cos, self.dihedral_sin
+        for slots, s_arg in ((slice(0, 12, 2), s), (slice(1, 12, 2), -s)):
+            # rotation_matrix(c, s_arg, one, zero)
+            put(slots, 0, 0, c)
+            put(slots, 0, 1, -s_arg)
+            put(slots, 1, 0, s_arg)
+            put(slots, 1, 1, c)
+            put(slots, 2, 2, 1.0)
+        # middle_edge_matrix(c, s, one, zero)
+        c, s, slots = self.vertex_cos, self.vertex_sin, slice(12, 24)
+        put(slots, 0, 0, -c)
+        put(slots, 0, 2, s)
+        put(slots, 1, 1, -1.0)
+        put(slots, 2, 0, s)
+        put(slots, 2, 2, c)
+        balls = _balls_of_bounds(lo.reshape(-1, 3, 3), hi.reshape(-1, 3, 3))
+        return [x.tolist() for x in balls]
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +537,9 @@ def build_gimbal_loop(link, removed_pids, validate=True):
 
     start = link.corners[0]
     word = [dict(letter, owner=start) for letter in link.hexagons[start]]
+    # the middle-edge token at each word position (None at a short edge),
+    # kept in step with word, so that list.index finds a token's position
+    betas = [letter["token"] if letter["kind"] == "b" else None for letter in word]
     used = {start}
     queue = [start]
     untouched = set(removed)
@@ -413,15 +557,9 @@ def build_gimbal_loop(link, removed_pids, validate=True):
             other = c2 if c1 == h else c1
             if other in used:
                 continue
-            idx = next(
-                (
-                    i
-                    for i, let in enumerate(word)
-                    if let["kind"] == "b" and let["token"] == token
-                ),
-                None,
-            )
-            if idx is None:
+            try:
+                idx = betas.index(token)
+            except ValueError:
                 continue
             cycle = link.hexagons[other]
             j0 = next(
@@ -436,6 +574,10 @@ def build_gimbal_loop(link, removed_pids, validate=True):
             assert replacement[0]["start"] == word[idx]["start"]
             assert replacement[-1]["end"] == word[idx]["end"]
             word[idx : idx + 1] = replacement
+            betas[idx : idx + 1] = [
+                letter["token"] if letter["kind"] == "b" else None
+                for letter in replacement
+            ]
             used.add(other)
             queue.append(other)
             for letter in replacement:
@@ -608,12 +750,20 @@ def _letter_operands(loop, labels, t_of_pid, rotations=None):
     """The loop's letter matrices in word order (balls for interval labels)
     and each polygon letter's rotation derivative, by pid.  A rotation and
     its derivative come from one cos and one sin of the angle, kept in
-    `rotations` by angle for callers that share it between loops.  Labels
-    are cached per token: one ball per distinct matrix, by id (`ball_of`
-    keeps the matrix alive)."""
+    `rotations` by angle for callers that share it between loops.  An edge
+    letter's ball is looked up in the labels' ball table; hand-made label
+    objects, which give only matrices (`for_letter`), have theirs enclosed
+    here."""
     rotations = {} if rotations is None else rotations
     interval = sc.is_interval(labels.one)
-    mats, deriv, ball_of = [], {}, {}
+    if not interval:
+        label = labels.for_letter
+    elif isinstance(labels, CocycleLabels):
+        label = labels.ball_for_letter
+    else:
+        def label(letter):
+            return ball_from_interval_mat3(labels.for_letter(letter))
+    mats, deriv = [], {}
     for letter in loop.word:
         if letter["kind"] == "P":
             w = t_of_pid[letter["pid"]]
@@ -624,13 +774,13 @@ def _letter_operands(loop, labels, t_of_pid, rotations=None):
                 rotations[w] = tuple(map(ball_from_interval_mat3, pair)) if interval else pair
             m, deriv[letter["pid"]] = rotations[w]
         else:
-            m = labels.for_letter(letter)
-            if interval:
-                if id(m) not in ball_of:
-                    ball_of[id(m)] = (m, ball_from_interval_mat3(m))
-                m = ball_of[id(m)][1]
+            m = label(letter)
         mats.append(m)
     return mats, deriv
+
+
+def _mat3_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def gimbal_matrix_derivatives(loop, labels, t_of_pid, rotations=None):
@@ -639,54 +789,45 @@ def gimbal_matrix_derivatives(loop, labels, t_of_pid, rotations=None):
     The derivative replaces one rotation letter at a time by the rotation
     derivative and sums over occurrences.  Prefix and suffix products make
     this linear in the word length.  `rotations` (see `_letter_operands`)
-    may be shared between the loops of one Jacobian.
+    may be shared between the loops of one Jacobian.  Interval labels go
+    through balls (`ball_mul`, `ball_add`), floats through `mat3_mul`.
     """
     word = loop.word
     n = len(word)
+    poly = [i for i, letter in enumerate(word) if letter["kind"] == "P"]
+    if not poly:
+        return {}
     mats, deriv = _letter_operands(loop, labels, t_of_pid, rotations)
-    if sc.is_interval(labels.one):
-        # at each polygon letter i, suffix[i] = M(w[i-1]) ... M(w[0]) and
-        # prefix[i + 1] = M(w[n-1]) ... M(w[i+1]); the other partial
-        # products are not kept
-        suffix, prefix = {}, {}
-        ident = part = ball_identity()
-        for i in range(n):
-            if word[i]["kind"] == "P":
-                suffix[i] = part
-            part = ball_mul(mats[i], part)
-        part = ident
-        for i in range(n - 1, -1, -1):
-            if word[i]["kind"] == "P":
-                prefix[i + 1] = part
-            part = ball_mul(part, mats[i])
-        acc = {}
-        for i, letter in enumerate(word):
-            if letter["kind"] != "P":
-                continue
-            var = loop.variable_of_pid[letter["pid"]]
-            term = ball_mul(prefix[i + 1], ball_mul(deriv[letter["pid"]], suffix[i]))
-            acc[var] = term if var not in acc else ball_add(acc[var], term)
+    interval = sc.is_interval(labels.one)
+    if interval:
+        mul, add, part = ball_mul, ball_add, ball_identity()
+    else:
+        mul, add, part = mat3_mul, _mat3_add, mat3_identity(labels.one, labels.zero)
+    # at each polygon letter i, suffix[i] = M(w[i-1]) ... M(w[0]) and
+    # prefix[i + 1] = M(w[n-1]) ... M(w[i+1]); the chains stop at the last
+    # and at the first polygon letter, since no product beyond is read
+    first, last = poly[0], poly[-1]
+    ident, suffix, prefix = part, {}, {}
+    for i in range(last):
+        if word[i]["kind"] == "P":
+            suffix[i] = part
+        part = mul(mats[i], part)
+    suffix[last] = part
+    part = ident
+    for i in range(n - 1, first, -1):
+        if word[i]["kind"] == "P":
+            prefix[i + 1] = part
+        part = mul(part, mats[i])
+    prefix[first + 1] = part
+    acc = {}
+    for i in poly:
+        pid = word[i]["pid"]
+        var = loop.variable_of_pid[pid]
+        term = mul(prefix[i + 1], mul(deriv[pid], suffix[i]))
+        acc[var] = term if var not in acc else add(acc[var], term)
+    if interval:
         return {v: ball_entries(b, FLOAT_KERNEL) for v, b in acc.items()}
-    ident = mat3_identity(labels.one, labels.zero)
-    suffix = [ident] * (n + 1)
-    for i in range(n):
-        suffix[i + 1] = mat3_mul(mats[i], suffix[i])
-    prefix = [ident] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        prefix[i] = mat3_mul(prefix[i + 1], mats[i])
-    out = {}
-    for i, letter in enumerate(word):
-        if letter["kind"] != "P":
-            continue
-        var = loop.variable_of_pid[letter["pid"]]
-        term = mat3_mul(prefix[i + 1], mat3_mul(deriv[letter["pid"]], suffix[i]))
-        if var in out:
-            out[var] = tuple(
-                tuple(out[var][r][c] + term[r][c] for c in range(3)) for r in range(3)
-            )
-        else:
-            out[var] = term
-    return out
+    return acc
 
 
 def assemble_gimbal_jacobian(loops, labels, box_of_variable):

@@ -28,27 +28,29 @@ plain real number.
 The kernel also owns the array layer.  ``kernel.array`` turns (nested)
 lists of its intervals, or a float ndarray as points, into an array with
 elementwise, broadcasting ``+``, ``-``, ``*`` and ``/``, numpy indexing
-and item assignment; ``kernel.sqrt`` and ``kernel.arccos`` apply the
-scalar methods entrywise; ``kernel.bounds`` gives an array's outward float
-endpoints, ``kernel.float_hull`` its outward 53-bit hull as an
-``IntervalArray`` and ``kernel.lift`` an ``IntervalArray`` as the kernel's
-array, exactly.  The float kernel's array is ``IntervalArray``: numpy
-endpoint arrays whose arithmetic reproduces the ``Interval`` dunders and
-methods bit for bit, so its ``mat_mul`` (each entry summed left to right
-over k) is bit-identical to the loop of scalar dunders that the tests
-keep as its oracle, while forming only the terms with no factor the point
-[0, 0], in numpy batches; its hull and lift are the identity.  It is the
-one interval matrix type: stage V's Jacobian is such an array, and
-``inverse_residual`` and ``interval_matrix_invertible`` take one.  The MP
-kernel's array is a numpy object array of ``MPInterval`` (elementwise
-operations call the dunders); it has no product, since every matrix
-product runs on the 53-bit hull at every precision.
-``scalars.REAL_KERNEL`` gives plain floats the same array protocol on
-numpy float64 arrays, so ``geometry`` runs one code path for all three
-kinds.  Stage V's 3x3 ball arithmetic does not use this layer: ``gimbal``
-forms its ball products on plain floats in round-to-nearest with a-priori
-rounding-error bounds, and turns a ball into kernel intervals only in
-``gimbal.ball_entries``.
+and item assignment; ``kernel.sqrt``, ``kernel.sqrt_nonneg`` and
+``kernel.arccos`` apply the scalar methods entrywise; ``kernel.bounds``
+gives an array's outward float endpoints, ``kernel.float_hull`` its
+outward 53-bit hull as an ``IntervalArray`` and ``kernel.lift`` an
+``IntervalArray`` as the kernel's array, exactly.  The float kernel's
+array is ``IntervalArray``: numpy endpoint arrays whose arithmetic
+reproduces the ``Interval`` dunders and methods bit for bit, so its
+``mat_mul`` (each entry summed left to right over k) is bit-identical to
+the loop of scalar dunders that the tests keep as its oracle, while
+forming only the terms with no factor the point [0, 0], in numpy batches;
+its hull and lift are the identity.  It is the one interval matrix type:
+stage V's Jacobian is such an array, and ``inverse_residual`` and
+``interval_matrix_invertible`` take one.  The MP kernel's array is a numpy
+object array of ``MPInterval`` (elementwise operations call the dunders);
+it has no product, since every matrix product runs on the 53-bit hull at
+every precision.  ``scalars.REAL_KERNEL`` gives plain floats the same
+array protocol on numpy float64 arrays, so ``geometry`` and stage V's
+labels (``gimbal.CocycleLabels``) run one code path for all three kinds.
+Stage V's 3x3 ball arithmetic does not use this layer: ``gimbal`` builds
+the labels' balls from the label arrays' outward float endpoints
+(``kernel.bounds``), forms its ball products on plain floats in
+round-to-nearest with a-priori rounding-error bounds, and turns a ball
+into kernel intervals only in ``gimbal.ball_entries``.
 
 No global floating-point state is touched; rounding is done value-by-value,
 so intervals are safe to share across threads.
@@ -808,10 +810,10 @@ class IntervalArray:
     dunder would give: exact zero products, Dekker products and two-sums
     nudged one ulp outward when inexact or unknown, the quotient's rounding
     direction read off ``q * y`` against ``x``, the sign clamp, and -0.0
-    made 0.0.  ``sqrt`` and ``arccos`` repeat the ``Interval`` methods the
-    same way, with ``math.acos`` per element.  A NaN endpoint raises
-    IntervalError; a domain violation raises the DomainError of the first
-    offending entry in C order.
+    made 0.0.  ``sqrt``, ``sqrt_nonneg`` and ``arccos`` repeat the
+    ``Interval`` methods the same way, with ``math.acos`` per element.  A
+    NaN endpoint raises IntervalError; a domain violation raises the
+    DomainError of the first offending entry in C order.
     """
 
     __slots__ = ("lo", "hi")
@@ -933,6 +935,11 @@ class IntervalArray:
             lo = np.where(exact(s_lo, self.lo), s_lo, np.nextafter(s_lo, -inf))
             hi = np.where(exact(s_hi, self.hi), s_hi, np.nextafter(s_hi, inf))
         return _checked(np.maximum(lo, 0.0), hi)
+
+    def sqrt_nonneg(self):
+        if (self.hi < 0.0).any():
+            raise DomainError("sqrt_nonneg of an entirely negative enclosure")
+        return IntervalArray(np.maximum(self.lo, 0.0), self.hi).sqrt()
 
     def arccos(self):
         outside = (self.lo < -1.0) | (self.hi > 1.0)
@@ -1056,6 +1063,10 @@ class FloatKernel:
         return arr.sqrt()
 
     @staticmethod
+    def sqrt_nonneg(arr):
+        return arr.sqrt_nonneg()
+
+    @staticmethod
     def arccos(arr):
         return arr.arccos()
 
@@ -1063,6 +1074,7 @@ class FloatKernel:
 _LO_FLOAT = np.frompyfunc(methodcaller("lo_float"), 1, 1)
 _HI_FLOAT = np.frompyfunc(methodcaller("hi_float"), 1, 1)
 _SQRT = np.frompyfunc(methodcaller("sqrt"), 1, 1)
+_SQRT_NONNEG = np.frompyfunc(methodcaller("sqrt_nonneg"), 1, 1)
 _ARCCOS = np.frompyfunc(methodcaller("arccos"), 1, 1)
 
 
@@ -1111,6 +1123,10 @@ class MPKernel:
     @staticmethod
     def sqrt(arr):
         return _SQRT(arr)
+
+    @staticmethod
+    def sqrt_nonneg(arr):
+        return _SQRT_NONNEG(arr)
 
     @staticmethod
     def arccos(arr):

@@ -43,6 +43,11 @@ class RealKernel:
         return np.sqrt(arr)
 
     @staticmethod
+    def sqrt_nonneg(arr):
+        # math.sqrt(max(x, 0.0)) per element; max keeps x unless 0.0 > x
+        return np.sqrt(np.where(0.0 > arr, 0.0, arr))
+
+    @staticmethod
     def arccos(arr):
         return np.array([math.acos(x) for x in arr.ravel().tolist()]).reshape(arr.shape)
 

@@ -22,6 +22,7 @@ canonical order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -63,7 +64,7 @@ def perm_inverse(p):
 
 def compose(p, q):
     """(p o q)(i) = p(q(i))."""
-    return tuple(p[q[i]] for i in range(4))
+    return (p[q[0]], p[q[1]], p[q[2]], p[q[3]])
 
 
 class TriangulationError(ValueError):
@@ -414,12 +415,13 @@ def _swap23(s):
     return (s[0], s[1], s[3], s[2])
 
 
+@functools.cache
 def hexagon_cycle(a):
     """Canonical boundary of the small hexagon at local vertex a.
 
-    Returns a list of 6 (kind, sigma_start, sigma_end) letters, kind 'g'
+    Returns a tuple of 6 (kind, sigma_start, sigma_end) letters, kind 'g'
     (short) or 'b' (middle), starting from the minimal even permutation
-    with s(0) = a.
+    with s(0) = a.  Computed once per vertex.
     """
     rest = sorted(v for v in range(4) if v != a)
     start = None
@@ -437,7 +439,7 @@ def hexagon_cycle(a):
         letters.append(("b", t, u))
         s = u
     assert s == start
-    return letters
+    return tuple(letters)
 
 
 @dataclass

@@ -6,7 +6,8 @@ product is the midpoint of the interval product of point matrices, and its
 error is that interval's distance to the midpoint.  Slower, but it relies
 on nothing beyond the interval kernel, so the tests compare the float ball
 layer's enclosures with it.  `oracle_balls(monkeypatch)` swaps these
-functions into `gimbal`, where `gimbal_matrix_derivatives` looks them up.
+functions into `gimbal`, where `gimbal_matrix_derivatives` looks them up,
+and makes the labels' balls with them.
 """
 
 from hypcert import gimbal as gb
@@ -109,6 +110,11 @@ def ball_add(a, b):
 
 
 def oracle_balls(monkeypatch):
-    """Make `gimbal` build its balls with this module's functions."""
+    """Make `gimbal` build its balls with this module's functions, the
+    labels' balls included: each encloses the label matrix of its letter."""
     for name in ("ball_from_interval_mat3", "ball_identity", "ball_mul", "ball_add"):
         monkeypatch.setattr(gb, name, globals()[name])
+    monkeypatch.setattr(
+        gb.CocycleLabels, "ball_for_letter",
+        lambda labels, letter: ball_from_interval_mat3(labels.for_letter(letter)),
+    )

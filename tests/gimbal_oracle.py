@@ -3,13 +3,42 @@
 Prism holonomies, polygon angle sums, the gimbal matrix and function
 themselves (stage V needs only their derivatives) and the float edge
 directions on a vertex link.  The tests check stage V's labels and
-Jacobian against these identities.  Tests only.
+Jacobian against these identities, and the batched labels against
+`label_matrix`, one letter at a time from the scalar formulas.  Tests only.
 """
 
 from hypcert import gimbal as gb
 from hypcert import scalars as sc
+from hypcert.geometry import opposite_edge
 from hypcert.interval import FLOAT_KERNEL
-from hypcert.triangulation import vertex_link_hexagon_complex
+from hypcert.triangulation import perm_parity, vertex_link_hexagon_complex
+from tests.geometry_oracle import (
+    cos_dihedral,
+    cos_vertex_angle,
+    sin_dihedral,
+    sin_vertex_angle,
+)
+
+
+def label_matrix(labels, letter):
+    """An edge letter's label from the scalar formulas, on the simplex
+    scalars of `labels.data`: a middle edge from its canonical side s, with
+    the vertex angle at s(0) in the triangle s(0) s(2) s(1); a short edge
+    from s as the rotation by the dihedral angle between faces s(2) and
+    s(3), positive when s is odd."""
+    one, zero = labels.one, labels.zero
+    if letter["kind"] == "b":
+        tet, s0, _s1 = letter["token"]
+        g = labels.data[tet].gram
+        i, j, k = s0[0], s0[2], s0[1]
+        return gb.middle_edge_matrix(
+            cos_vertex_angle(g, i, j, k), sin_vertex_angle(g, i, j, k), one, zero
+        )
+    tet, sigma = letter["tet"], letter["s_start"]
+    cof = labels.data[tet].cof
+    i, j = opposite_edge(sigma[0], sigma[1])
+    c, s = cos_dihedral(cof, i, j), sin_dihedral(cof, i, j)
+    return gb.rotation_matrix(c, s if perm_parity(sigma) == -1 else -s, one, zero)
 
 
 def theta_interval(labels, tet, a, b):

@@ -213,6 +213,26 @@ def test_ball_from_interval_mat3_covers_every_member(m):
     assert spectral_at_most(d, ball.rad)
 
 
+def _hex(m):
+    return [[x.hex() for x in row] for row in m]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(interval_matrices(), min_size=1, max_size=3))
+@example([((Interval(-1.0, inf),) * 3,) * 3, ((Interval(-inf, inf),) * 3,) * 3])
+def test_label_balls_from_bounds_are_bitwise_the_scalar_balls(ms):
+    # the labels' ball table: `ball_from_interval_mat3` and `_norm_bound`
+    # of a stack of interval matrices at once, from their endpoints
+    lo = np.array([[[x.lo for x in row] for row in m] for m in ms])
+    hi = np.array([[[x.hi for x in row] for row in m] for m in ms])
+    mids, rads, norms = (x.tolist() for x in gb._balls_of_bounds(lo, hi))
+    for m, mid, rad, norm in zip(ms, mids, rads, norms):
+        ball = gb.ball_from_interval_mat3(m)
+        assert _hex(mid) == _hex(ball.mid)
+        assert rad.hex() == ball.rad.hex()
+        assert norm.hex() == gb._norm_bound(ball.mid).hex()
+
+
 def test_non_finite_label_gives_infinite_radius():
     k = gb.FLOAT_KERNEL
     rot = ((k.point(0.6), k.point(-0.8), k.point(0.0)),
@@ -240,22 +260,27 @@ def _stage5_inputs(tri, result):
 
 def test_infinite_label_endpoint_is_not_avoided(dodec27a, verified27a,
                                                  monkeypatch):
+    # every middle-edge label's entry (0, 0), -cos, reaches down to -inf:
+    # the label arrays the ball table is built from are widened
     labels, box = _stage5_inputs(dodec27a, verified27a)
     e_sim = verified27a.partition.e_sim
-    for_letter = gb.CocycleLabels.for_letter
+    labels.vertex_cos.hi[:] = inf
+    lookups = []
+    ball_for_letter = gb.CocycleLabels.ball_for_letter
 
-    def widened(lab, letter):
-        m = for_letter(lab, letter)
-        if letter["kind"] != "b":
-            return m
-        return ((Interval(-inf, m[0][0].hi),) + m[0][1:],) + m[1:]
+    def recording(lab, letter):
+        ball = ball_for_letter(lab, letter)
+        lookups.append((letter["kind"], ball.rad))
+        return ball
 
-    monkeypatch.setattr(gb.CocycleLabels, "for_letter", widened)
+    monkeypatch.setattr(gb.CocycleLabels, "ball_for_letter", recording)
     verdict = gb.gimbal_lock_check(
         dodec27a, labels, e_sim, [box.theta[e] for e in e_sim]
     )
     assert not verdict.avoided
     assert "no finite inverse" in verdict.reason
+    assert {rad for kind, rad in lookups if kind == "b"} == {inf}
+    assert all(rad < inf for kind, rad in lookups if kind == "g")
 
 
 def _margin(dg):

@@ -25,6 +25,7 @@ from tests.gimbal_oracle import (
     edge_end_directions,
     gimbal_function,
     gimbal_matrix,
+    label_matrix,
     prism_holonomy,
 )
 from tests.conftest import S3_TEXT
@@ -557,9 +558,11 @@ def test_gimbal_jacobian_memo_changes_no_bit(name, dodec27a, monkeypatch):
     tri = dodec27a if name == "dodec27a" else _scaling_member(12)
     loops, labels, theta_boxes = _gimbal_inputs(tri)
 
-    # count the norm bounds of a normal run, and the balls multiplied
-    norms, operands = [], {}
+    # a normal run: each label ball comes from the labels' table with its
+    # norm bound; every other ball multiplied gets its norm bound once
+    norms, operands, looked_up = [], {}, {}
     norm_bound, ball_mul = gb._norm_bound, gb.ball_mul
+    ball_for_letter = gb.CocycleLabels.ball_for_letter
 
     def counting_norm(m):
         norms.append(m)
@@ -569,21 +572,34 @@ def test_gimbal_jacobian_memo_changes_no_bit(name, dodec27a, monkeypatch):
         operands[id(a)], operands[id(b)] = a, b
         return ball_mul(a, b)
 
+    def recording_lookup(lab, letter):
+        ball = ball_for_letter(lab, letter)
+        looked_up[id(ball)] = ball
+        return ball
+
     with monkeypatch.context() as mp:
         mp.setattr(gb, "_norm_bound", counting_norm)
         mp.setattr(gb, "ball_mul", recording_mul)
+        mp.setattr(gb.CocycleLabels, "ball_for_letter", recording_lookup)
         memo = gb.assemble_gimbal_jacobian(loops, labels, theta_boxes)
-    assert len(norms) == len(operands)  # once per ball, none twice
+    assert looked_up and looked_up.keys() <= operands.keys()
+    assert len(norms) == len(operands) - len(looked_up)  # none twice
 
-    # reference: norm bounds recomputed at every product, and one ball per
-    # letter occurrence (each letter gets a new label object)
-    for_letter = gb.CocycleLabels.for_letter
+    # reference: a new ball per letter occurrence, enclosing the label from
+    # the scalar formulas, and norm bounds recomputed at every product
+    made = []
+
+    def oracle_ball(lab, letter):
+        made.append(letter)
+        return gb.ball_from_interval_mat3(label_matrix(lab, letter))
+
     with monkeypatch.context() as mp:
         mp.setattr(gb.BallMatrix3, "norm_bound",
                    lambda ball: gb._norm_bound(ball.mid))
-        mp.setattr(gb.CocycleLabels, "for_letter",
-                   lambda lab, letter: tuple(row for row in for_letter(lab, letter)))
+        mp.setattr(gb.CocycleLabels, "ball_for_letter", oracle_ball)
         reference = gb.assemble_gimbal_jacobian(loops, labels, theta_boxes)
+    # the reference went through the seam: once per edge letter
+    assert len(made) == sum(let["kind"] != "P" for loop in loops for let in loop.word)
     assert _entries(memo) == _entries(reference)
 
 

@@ -273,6 +273,14 @@ def test_array_sqrt_is_bitwise_the_method(xs):
     assert got == want
 
 
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.lists(entries, min_size=1, max_size=6))
+def test_array_sqrt_nonneg_is_bitwise_the_method(xs):
+    want = scalar_or_error(lambda: bits([[x.sqrt_nonneg() for x in xs]]))
+    got = scalar_or_error(lambda: bits([IntervalArray.of(xs).sqrt_nonneg().tolist()]))
+    assert got == want
+
+
 @pytest.mark.parametrize("x", [
     Interval(-1.0, 4.0), Interval(-5e-324, 0.0), Interval(-inf, -1.0), Interval(-2.0, -1.0),
 ])
@@ -443,7 +451,7 @@ def test_certificate_identical_with_scalar_matrix_layer(
     monkeypatch.setattr(
         FloatKernel, "mat_mul", staticmethod(lambda a, b: objects(scalar_mat_mul(a, b)))
     )
-    for name in ("bounds", "sqrt", "arccos"):
+    for name in ("bounds", "sqrt", "sqrt_nonneg", "arccos"):
         monkeypatch.setattr(FloatKernel, name, staticmethod(getattr(MPKernel, name)))
     scalar = verify.run_pipeline(dodec27a)
     assert scalar.verified

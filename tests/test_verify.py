@@ -9,7 +9,7 @@ from hypcert import geometry as geo
 from hypcert import gimbal
 from hypcert import scalars as sc
 from hypcert import verify
-from hypcert.interval import FloatKernel, MPInterval, MPKernel, contains_two_pi
+from hypcert.interval import FLOAT_KERNEL, FloatKernel, MPInterval, MPKernel, contains_two_pi
 from tests import krawczyk_oracle
 from tests.test_gimbal import _scaling_member
 
@@ -414,7 +414,8 @@ def test_jacobian_and_gimbal_labels_are_53_bit_at_every_precision(dodec27a, monk
     # stage II or V is an MPInterval, and the MP kernel has no matrix product
     seen = []
     jacobian, lock_check = geo.jacobian, gimbal.gimbal_lock_check
-    labels_init, for_letter = gimbal.CocycleLabels.__init__, gimbal.CocycleLabels.for_letter
+    labels_init = gimbal.CocycleLabels.__init__
+    ball_for_letter = gimbal.CocycleLabels.ball_for_letter
 
     def spy_jacobian(tri, params, *args, **kwargs):
         seen.append(("jacobian", params.values))
@@ -423,11 +424,14 @@ def test_jacobian_and_gimbal_labels_are_53_bit_at_every_precision(dodec27a, monk
     def spy_labels_init(self, tri, params, data=None):
         seen.append(("labels", list(params)))
         labels_init(self, tri, params, data=data)
+        # the arrays every label and label ball is built from
+        seen.append(("label", [x for arr in (self.dihedral_cos, self.dihedral_sin,
+                                             self.vertex_cos, self.vertex_sin)
+                               for row in arr.tolist() for x in row]))
 
-    def spy_for_letter(self, letter):
-        m = for_letter(self, letter)
-        seen.append(("label", [x for row in m for x in row]))
-        return m
+    def spy_ball_for_letter(self, letter):
+        seen.append(("ball", [self.kernel]))
+        return ball_for_letter(self, letter)
 
     def spy_lock_check(tri, labels, e_sim, theta_boxes, links=None):
         seen.append(("theta", theta_boxes))
@@ -436,13 +440,14 @@ def test_jacobian_and_gimbal_labels_are_53_bit_at_every_precision(dodec27a, monk
     monkeypatch.setattr(geo, "jacobian", spy_jacobian)
     monkeypatch.setattr(gimbal, "gimbal_lock_check", spy_lock_check)
     monkeypatch.setattr(gimbal.CocycleLabels, "__init__", spy_labels_init)
-    monkeypatch.setattr(gimbal.CocycleLabels, "for_letter", spy_for_letter)
+    monkeypatch.setattr(gimbal.CocycleLabels, "ball_for_letter", spy_ball_for_letter)
     res = verify.run_pipeline(dodec27a, precision=bits)
     assert res.verified, res.statuses
     assert all(isinstance(x, MPInterval) for x in res.box.nu + res.box.theta)
-    assert {name for name, _ in seen} == {"jacobian", "labels", "label", "theta"}
+    assert {name for name, _ in seen} == {"jacobian", "labels", "label", "ball", "theta"}
     for name, values in seen:
         assert not any(isinstance(v, MPInterval) for v in values), name
+    assert {values[0] for name, values in seen if name == "ball"} == {FLOAT_KERNEL}
     assert not hasattr(MPKernel, "mat_mul")
 
 

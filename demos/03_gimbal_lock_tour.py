@@ -63,6 +63,9 @@ class AntipodalLabels:
     def for_letter(self, letter):
         return half_turn
 
+    def ball_for_letter(self, letter):
+        return gimbal.ball_from_interval_mat3(half_turn)
+
 
 word = [
     {"kind": "edge", "token": "back"},

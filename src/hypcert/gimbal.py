@@ -420,12 +420,6 @@ class CocycleLabels:
                 self.dihedral_cos, self.dihedral_sin, self.vertex_cos, self.vertex_sin)]
         return self._scalars
 
-    def _dihedral_cs(self, tet, a, b):
-        """(cos, sin) of the dihedral angle along the local edge {a, b}."""
-        dc, ds, _, _ = self._lists()
-        e = LOCAL_EDGE_INDEX[(min(a, b), max(a, b))]
-        return dc[tet][e], ds[tet][e]
-
     def _matrix(self, slot):
         if slot not in self._mats:
             dc, ds, vc, vs = self._lists()
@@ -439,15 +433,6 @@ class CocycleLabels:
                 m = middle_edge_matrix(vc[tet][v], vs[tet][v], self.one, self.zero)
             self._mats[slot] = m
         return self._mats[slot]
-
-    def gamma_for_sigma(self, tet, sigma):
-        """Label of the short edge starting at corner permutation sigma."""
-        return self._matrix(24 * tet + _GAMMA_SLOT[sigma])
-
-    def beta_for_token(self, token):
-        """Label of a middle edge, from its canonical side."""
-        tet, s0, _s1 = token
-        return self._matrix(24 * tet + _BETA_SLOT[s0])
 
     def for_letter(self, letter):
         return self._matrix(self._slot(letter))
@@ -751,18 +736,10 @@ def _letter_operands(loop, labels, t_of_pid, rotations=None):
     and each polygon letter's rotation derivative, by pid.  A rotation and
     its derivative come from one cos and one sin of the angle, kept in
     `rotations` by angle for callers that share it between loops.  An edge
-    letter's ball is looked up in the labels' ball table; hand-made label
-    objects, which give only matrices (`for_letter`), have theirs enclosed
-    here."""
+    letter's ball comes from the labels' `ball_for_letter`."""
     rotations = {} if rotations is None else rotations
     interval = sc.is_interval(labels.one)
-    if not interval:
-        label = labels.for_letter
-    elif isinstance(labels, CocycleLabels):
-        label = labels.ball_for_letter
-    else:
-        def label(letter):
-            return ball_from_interval_mat3(labels.for_letter(letter))
+    label = labels.ball_for_letter if interval else labels.for_letter
     mats, deriv = [], {}
     for letter in loop.word:
         if letter["kind"] == "P":

@@ -22,6 +22,7 @@ from hypcert.triangulation import (
     perm_parity,
 )
 from tests.geometry_oracle import cos_vertex_angle
+from tests.gimbal_oracle import beta_label, dihedral_cs, gamma_label
 
 # ---------------------------------------------------------------------------
 # 2x2 forms of the labels, cross-validating the rotation forms
@@ -45,7 +46,7 @@ def pgl2_beta(labels, tet, sigma):
 
 
 def pgl2_gamma(labels, tet, sigma):
-    c, s = labels._dihedral_cs(tet, sigma[0], sigma[1])
+    c, s = dihedral_cs(labels, tet, sigma[0], sigma[1])
     if perm_parity(sigma) == 1:
         s = -s
     # complex entries as (re, im) pairs
@@ -133,10 +134,10 @@ def check_cocycle_closure(tri, labels):
             acc = ident
             for kind, s0, _s1 in hexagon_cycle(a):
                 if kind == "g":
-                    acc = mat3_mul(labels.gamma_for_sigma(tet, s0), acc)
+                    acc = mat3_mul(gamma_label(labels, tet, s0), acc)
                 else:
                     tok = _beta_token_of(tri, tet, s0)
-                    acc = mat3_mul(labels.beta_for_token(tok), acc)
+                    acc = mat3_mul(beta_label(labels, tok), acc)
             for i in range(3):
                 for j in range(3):
                     want = 1.0 if i == j else 0.0

@@ -11,13 +11,35 @@ from hypcert import gimbal as gb
 from hypcert import scalars as sc
 from hypcert.geometry import opposite_edge
 from hypcert.interval import FLOAT_KERNEL
-from hypcert.triangulation import perm_parity, vertex_link_hexagon_complex
+from hypcert.triangulation import (
+    LOCAL_EDGE_INDEX,
+    perm_parity,
+    vertex_link_hexagon_complex,
+)
 from tests.geometry_oracle import (
     cos_dihedral,
     cos_vertex_angle,
     sin_dihedral,
     sin_vertex_angle,
 )
+
+
+def gamma_label(labels, tet, sigma):
+    """The pipeline's label of the short edge of simplex `tet` starting at
+    corner permutation sigma."""
+    return labels.for_letter({"kind": "g", "tet": tet, "s_start": sigma})
+
+
+def beta_label(labels, token):
+    """The pipeline's label of a middle edge, from its canonical token."""
+    return labels.for_letter({"kind": "b", "token": token})
+
+
+def dihedral_cs(labels, tet, a, b):
+    """(cos, sin) of the dihedral angle of simplex `tet` along its local
+    edge {a, b}, read from the label arrays."""
+    e = LOCAL_EDGE_INDEX[(min(a, b), max(a, b))]
+    return labels.dihedral_cos[tet].tolist()[e], labels.dihedral_sin[tet].tolist()[e]
 
 
 def label_matrix(labels, letter):
@@ -56,7 +78,7 @@ def prism_holonomy(labels, link, pid):
     end = link.prism_ends[pid]
     acc = gb.mat3_identity(labels.one, labels.zero)
     for (tet, a, b) in end.gammas:
-        c, s = labels._dihedral_cs(tet, a, b)
+        c, s = dihedral_cs(labels, tet, a, b)
         acc = gb.mat3_mul(gb.rotation_matrix(c, s, labels.one, labels.zero), acc)
     return acc
 

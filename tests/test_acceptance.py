@@ -305,6 +305,9 @@ def test_criterion_09_gimbal_probe(dodec27a):
         def for_letter(self, letter):
             return half_turn_x
 
+        def ball_for_letter(self, letter):
+            return gb.ball_from_interval_mat3(self.for_letter(letter))
+
     word = [
         {"kind": "edge", "token": "pi_inv"},
         {"kind": "P", "pid": 1},

@@ -22,7 +22,10 @@ from hypcert.interval import (
 )
 from tests.cocycle_closure import check_cocycle_closure
 from tests.gimbal_oracle import (
+    beta_label,
+    dihedral_cs,
     edge_end_directions,
+    gamma_label,
     gimbal_function,
     gimbal_matrix,
     label_matrix,
@@ -69,7 +72,7 @@ def test_beta_involution_interval(s3m):
     for letter in link.hexagons[link.corners[0]]:
         if letter["kind"] != "b":
             continue
-        B = labels.beta_for_token(letter["token"])
+        B = beta_label(labels, letter["token"])
         BB = gb.mat3_mul(B, B)
         for i in range(3):
             for j in range(3):
@@ -83,8 +86,8 @@ def test_gamma_reversal_inverts(s3m):
     for letter in link.hexagons[link.corners[0]]:
         if letter["kind"] != "g":
             continue
-        fwd = labels.gamma_for_sigma(letter["tet"], letter["s_start"])
-        rev = labels.gamma_for_sigma(letter["tet"], letter["s_end"])
+        fwd = gamma_label(labels, letter["tet"], letter["s_start"])
+        rev = gamma_label(labels, letter["tet"], letter["s_end"])
         P = gb.mat3_mul(fwd, rev)
         for i in range(3):
             for j in range(3):
@@ -96,8 +99,8 @@ def test_identified_middle_edges_share_labels(dodec27a, verified27a):
     link = tr.vertex_link_hexagon_complex(dodec27a, 0)
     # the two hexagons adjacent to a middle edge fetch bit-identical labels
     for token, (c1, c2) in list(link.beta_pairs.items())[:40]:
-        m1 = labels.beta_for_token(token)
-        m2 = labels.beta_for_token(token)
+        m1 = beta_label(labels, token)
+        m2 = beta_label(labels, token)
         assert m1 is m2
 
 
@@ -128,17 +131,19 @@ def test_cocycle_closure_detects_wrong_index_rule(s3m):
     rng = random.Random(13)
     labels, _ = random_realized_labels(s3m, rng, kernel=k)
 
-    orig = gb.CocycleLabels.gamma_for_sigma
+    orig = gb.CocycleLabels.for_letter
 
-    def wrong_face_pair(self, tet, sigma):
-        twisted = (sigma[0], sigma[2], sigma[1], sigma[3])
-        return orig(self, tet, twisted)
+    def wrong_face_pair(self, letter):
+        if letter["kind"] == "g":
+            sigma = letter["s_start"]
+            letter = dict(letter, s_start=(sigma[0], sigma[2], sigma[1], sigma[3]))
+        return orig(self, letter)
 
     try:
-        gb.CocycleLabels.gamma_for_sigma = wrong_face_pair
+        gb.CocycleLabels.for_letter = wrong_face_pair
         fails = check_cocycle_closure(s3m, labels)
     finally:
-        gb.CocycleLabels.gamma_for_sigma = orig
+        gb.CocycleLabels.for_letter = orig
     assert fails
 
 
@@ -174,7 +179,7 @@ def test_prism_holonomy_single_incidence_synthetic(s3m):
 
     H = prism_holonomy(labels, L, 0)
     tet, a, b = end.gammas[0]
-    c, s = labels._dihedral_cs(tet, a, b)
+    c, s = dihedral_cs(labels, tet, a, b)
     R = gb.rotation_matrix(c, s, labels.one, labels.zero)
     for i in range(3):
         for j in range(3):
@@ -338,6 +343,9 @@ class _SyntheticLabels:
 
     def for_letter(self, letter):
         return self.mats[letter["token"]]
+
+    def ball_for_letter(self, letter):
+        return gb.ball_from_interval_mat3(self.for_letter(letter))
 
 
 def _synthetic_loop(removed_pids, word):

@@ -42,14 +42,14 @@ def test_traced_run_reports_stage_v(tracing, dodec27a):
     # which a change of the Jacobian's type would break only under --trace
     with tracing.Tracer(hypcert) as tracer:
         mark = tracer.mark()
-        assert hypcert.run_pipeline(dodec27a).verified
+        res = hypcert.run_pipeline(dodec27a)
         metrics, _ = tracer.summary(mark)
+    assert res.verified
     assert metrics["interval.invertible_dim"] == 3 * dodec27a.o
     # per loop, the suffix chain up to the last polygon letter L, the prefix
     # chain down to the first F, and two products per polygon letter
-    loops = hypcert.run_pipeline(dodec27a).box.loops
     want = 0
-    for loop in loops:
+    for loop in res.box.loops:
         poly = [i for i, let in enumerate(loop.word) if let["kind"] == "P"]
         want += poly[-1] + (len(loop.word) - 1 - poly[0]) + 2 * len(poly)
     assert metrics["gimbal.ball_mul_count"] == want == 484

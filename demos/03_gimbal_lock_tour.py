@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 import hypcert
-from hypcert import geometry, gimbal, verify
+from hypcert import geometry, gimbal, triangulation, verify
 
 tri = hypcert.parse(hypcert.bundled_fixture("dodec27a.tri").read_text())
 params = geometry.EdgeParams.from_lengths([float(l) for l in tri.lengths])
@@ -32,15 +32,14 @@ result = verify.run_pipeline(tri)
 print(f"  loose edges {result.partition.e_sim} -> {result.statuses[5]}")
 
 print("\nper loose edge, the sum of the two directions in which it leaves")
-print("the vertex, read off the float gimbal Jacobian at full turns:")
+print("the vertex, read off the float gimbal Jacobian at full turns")
+print("(the edge-direction table the scan above reads its columns from):")
 labels = gimbal.CocycleLabels(tri, list(params.values))
-loop = gimbal.build_loops_for_partition(tri, result.partition.e_sim)[0]
-derivs = gimbal.gimbal_matrix_derivatives(
-    loop, labels, {pid: 2 * math.pi for pid in loop.variable_of_pid}
-)
-for var, edge in enumerate(result.partition.e_sim):
+links = [triangulation.vertex_link_hexagon_complex(tri, 0)]
+table = gimbal.edge_direction_table(tri, labels, links)
+for edge in result.partition.e_sim:
     # the column (g01, g02, g12) of an edge is (-s_z, s_y, -s_x) for its sum s
-    g01, g02, g12 = (derivs[var][r][c] for r, c in ((0, 1), (0, 2), (1, 2)))
+    g01, g02, g12 = table[:, edge]
     print(f"  edge {edge}: ({-g12:+.3f}, {g02:+.3f}, {-g01:+.3f})")
 print("the three sums must be linearly independent, the spatial meaning of")
 print("avoiding lock.")
@@ -59,9 +58,6 @@ half_turn = tuple(
 class AntipodalLabels:
     one = k.point(1.0)
     zero = k.point(0.0)
-
-    def for_letter(self, letter):
-        return half_turn
 
     def ball_for_letter(self, letter):
         return gimbal.ball_from_interval_mat3(half_turn)

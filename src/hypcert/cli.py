@@ -114,9 +114,7 @@ def cmd_certify(args):
     if args.output:
         _check_output(args.output)
     t0 = time.perf_counter()
-    result = verify.run_pipeline(
-        tri, precision=args.precision, refine=args.refine, seed=args.seed
-    )
+    result = verify.run_pipeline(tri, precision=args.precision, seed=args.seed)
     elapsed = time.perf_counter() - t0
     timings = {"total": round(elapsed, 3)} if args.timings else None
     doc = cert.certificate_json(tri, result, "krawczyk", timings=timings)
@@ -159,10 +157,10 @@ def cmd_probe_gimbal(args):
         return EXIT_INPUT
     try:
         params = geo.EdgeParams.from_lengths([float(l) for l in tri.lengths])
+        rows = probe_partitions(tri, params, budget=args.budget, seed=args.seed)
     except geo.RealizationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    rows = probe_partitions(tri, params, budget=args.budget, seed=args.seed)
     locked = sum(1 for r in rows if r[2])
     print(f"# loose-set candidates: {len(rows)}  locked: {locked}  "
           f"avoiding: {len(rows) - locked}")
@@ -204,8 +202,6 @@ def main(argv=None):
     p.add_argument("file")
     p.add_argument("--precision", type=int, default=53,
                    help="working precision in bits (>= 53)")
-    p.add_argument("--refine", action="store_true",
-                   help="Newton-polish the subsystem before certifying")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timings in the certificate")

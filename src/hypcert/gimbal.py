@@ -23,13 +23,22 @@ per removed polygon; substituting z-rotations for the polygon letters
 gives the gimbal matrix, and the upper-triangular entries of the per-link
 matrices assemble the gimbal function g.  Invertibility of the interval
 Jacobian [Dg(K)] over the box K of angle-sum enclosures upgrades the
-approximate edge equations to exact ones.
+approximate edge equations to exact ones.  Stage V evaluates that Jacobian
+in ball arithmetic along each loop.
+
+At full turns the polygon letters are identities and the rest of a loop
+closes, so the Jacobian's column of a loose edge is, per link, the sum of
+the directions in which the edge leaves the vertex, written
+(-w_z, w_y, -w_x).  Those directions do not depend on the partition: the
+unverified partition probe reads every partition's float Jacobian off one
+table of them (`edge_direction_table`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from math import inf, nextafter
 from dataclasses import dataclass, field
 
@@ -59,11 +68,10 @@ __all__ = [
     "gimbal_matrix_derivatives",
     "assemble_gimbal_jacobian",
     "gimbal_lock_check",
+    "edge_direction_table",
     "probe_partitions",
     "rotation_matrix",
     "rotation_matrix_derivative",
-    "mat3_mul",
-    "mat3_identity",
 ]
 
 
@@ -292,22 +300,8 @@ def ball_entries(ball, kernel):
 
 
 # ---------------------------------------------------------------------------
-# generic 3x3 helpers (work for floats and intervals alike)
+# label matrices (floats or intervals alike)
 # ---------------------------------------------------------------------------
-
-
-def mat3_mul(a, b):
-    return tuple(
-        tuple(
-            a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j]
-            for j in range(3)
-        )
-        for i in range(3)
-    )
-
-
-def mat3_identity(one, zero):
-    return ((one, zero, zero), (zero, one, zero), (zero, zero, one))
 
 
 def rotation_matrix(cos_w, sin_w, one, zero):
@@ -376,8 +370,8 @@ class CocycleLabels:
     scalar values.  Interval labels enter stage V as balls
     (`ball_for_letter`): one table for all simplices, built from the
     arrays' endpoints on first use; a slot's ball object is made when a
-    letter first asks for it.  Scalar label matrices (`for_letter`;
-    floats for the partition probe) are formed once per slot on first use.
+    letter first asks for it.  Scalar label matrices (`for_letter`; floats
+    for `edge_direction_table`) are formed once per slot on first use.
     A middle edge is labelled from its canonical token, so identified
     edges of glued simplices share their label bit for bit.
     """
@@ -507,7 +501,7 @@ class GimbalLoop:
         return " ".join(out)
 
 
-def build_gimbal_loop(link, removed_pids, validate=True):
+def build_gimbal_loop(link, removed_pids):
     """Grow a hexagon-boundary loop until it touches every removed polygon.
 
     Starts from one hexagon boundary and repeatedly replaces a middle edge
@@ -600,8 +594,7 @@ def build_gimbal_loop(link, removed_pids, validate=True):
         removed=tuple(removed),
         word=final,
     )
-    if validate:
-        validate_gimbal_loop(loop)
+    validate_gimbal_loop(loop)
     return loop
 
 
@@ -732,32 +725,27 @@ def validate_gimbal_loop(loop):
 
 
 def _letter_operands(loop, labels, t_of_pid, rotations=None):
-    """The loop's letter matrices in word order (balls for interval labels)
-    and each polygon letter's rotation derivative, by pid.  A rotation and
-    its derivative come from one cos and one sin of the angle, kept in
-    `rotations` by angle for callers that share it between loops.  An edge
-    letter's ball comes from the labels' `ball_for_letter`."""
+    """The loop's letter balls in word order and each polygon letter's
+    rotation-derivative ball, by pid.  A rotation and its derivative come
+    from one cos and one sin of the interval angle, kept in `rotations` by
+    angle for callers that share it between loops.  An edge letter's ball
+    comes from the labels' `ball_for_letter`."""
     rotations = {} if rotations is None else rotations
-    interval = sc.is_interval(labels.one)
-    label = labels.ball_for_letter if interval else labels.for_letter
     mats, deriv = [], {}
     for letter in loop.word:
         if letter["kind"] == "P":
             w = t_of_pid[letter["pid"]]
             if w not in rotations:
-                c, s = sc.cos(w), sc.sin(w)
-                pair = (rotation_matrix(c, s, labels.one, labels.zero),
-                        rotation_matrix_derivative(c, s, labels.zero))
-                rotations[w] = tuple(map(ball_from_interval_mat3, pair)) if interval else pair
+                c, s = w.cos(), w.sin()
+                rotations[w] = (
+                    ball_from_interval_mat3(rotation_matrix(c, s, labels.one, labels.zero)),
+                    ball_from_interval_mat3(rotation_matrix_derivative(c, s, labels.zero)),
+                )
             m, deriv[letter["pid"]] = rotations[w]
         else:
-            m = label(letter)
+            m = labels.ball_for_letter(letter)
         mats.append(m)
     return mats, deriv
-
-
-def _mat3_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def gimbal_matrix_derivatives(loop, labels, t_of_pid, rotations=None):
@@ -766,8 +754,9 @@ def gimbal_matrix_derivatives(loop, labels, t_of_pid, rotations=None):
     The derivative replaces one rotation letter at a time by the rotation
     derivative and sums over occurrences.  Prefix and suffix products make
     this linear in the word length.  `rotations` (see `_letter_operands`)
-    may be shared between the loops of one Jacobian.  Interval labels go
-    through balls (`ball_mul`, `ball_add`), floats through `mat3_mul`.
+    may be shared between the loops of one Jacobian.  The products are
+    balls (`ball_mul`, `ball_add`); the result is their 53-bit entrywise
+    enclosures.
     """
     word = loop.word
     n = len(word)
@@ -775,36 +764,30 @@ def gimbal_matrix_derivatives(loop, labels, t_of_pid, rotations=None):
     if not poly:
         return {}
     mats, deriv = _letter_operands(loop, labels, t_of_pid, rotations)
-    interval = sc.is_interval(labels.one)
-    if interval:
-        mul, add, part = ball_mul, ball_add, ball_identity()
-    else:
-        mul, add, part = mat3_mul, _mat3_add, mat3_identity(labels.one, labels.zero)
     # at each polygon letter i, suffix[i] = M(w[i-1]) ... M(w[0]) and
     # prefix[i + 1] = M(w[n-1]) ... M(w[i+1]); the chains stop at the last
     # and at the first polygon letter, since no product beyond is read
     first, last = poly[0], poly[-1]
-    ident, suffix, prefix = part, {}, {}
+    ident = part = ball_identity()
+    suffix, prefix = {}, {}
     for i in range(last):
         if word[i]["kind"] == "P":
             suffix[i] = part
-        part = mul(mats[i], part)
+        part = ball_mul(mats[i], part)
     suffix[last] = part
     part = ident
     for i in range(n - 1, first, -1):
         if word[i]["kind"] == "P":
             prefix[i + 1] = part
-        part = mul(part, mats[i])
+        part = ball_mul(part, mats[i])
     prefix[first + 1] = part
     acc = {}
     for i in poly:
         pid = word[i]["pid"]
         var = loop.variable_of_pid[pid]
-        term = mul(prefix[i + 1], mul(deriv[pid], suffix[i]))
-        acc[var] = term if var not in acc else add(acc[var], term)
-    if interval:
-        return {v: ball_entries(b, FLOAT_KERNEL) for v, b in acc.items()}
-    return acc
+        term = ball_mul(prefix[i + 1], ball_mul(deriv[pid], suffix[i]))
+        acc[var] = term if var not in acc else ball_add(acc[var], term)
+    return {v: ball_entries(b, FLOAT_KERNEL) for v, b in acc.items()}
 
 
 def assemble_gimbal_jacobian(loops, labels, box_of_variable):
@@ -834,7 +817,7 @@ def assemble_gimbal_jacobian(loops, labels, box_of_variable):
     return FLOAT_KERNEL.array(rows)
 
 
-def build_loops_for_partition(tri, e_sim, links=None, validate=True):
+def build_loops_for_partition(tri, e_sim, links=None):
     """One gimbal loop per vertex class; polygon variables indexed by the
     position of their edge class in e_sim."""
     var_of_class = {cls: i for i, cls in enumerate(e_sim)}
@@ -847,7 +830,7 @@ def build_loops_for_partition(tri, e_sim, links=None, validate=True):
             for pid, end in enumerate(link.prism_ends)
             if end.edge_class in var_of_class
         ]
-        loop = build_gimbal_loop(link, removed, validate=validate)
+        loop = build_gimbal_loop(link, removed)
         loop.variable_of_pid = {
             pid: var_of_class[link.prism_ends[pid].edge_class] for pid in removed
         }
@@ -910,60 +893,84 @@ def _invertibility_margin(dg):
 
 # ---------------------------------------------------------------------------
 # the partition probe
+#
+# At full turns every polygon letter of a loop is the identity, and the
+# rest of the word bounds a disk of hexagons, whose labels close: the whole
+# product is the identity.  So at polygon letter i the derivative
+# P R'(2 pi) S, with S the product of the letters before i and P of those
+# after, is S^T Z S, where Z = R'(0) is the cross product with e_z.  For a
+# rotation S that is the cross product with w = S^T e_z, the third row of
+# S; its (0,1), (0,2), (1,2) entries are (-w_z, w_y, -w_x).  S is the frame
+# at the letter's vertex, transported from the loop's first vertex, and w is
+# the direction in which the polygon's edge leaves the vertex: the same at
+# every boundary vertex of the polygon, since short-edge labels are
+# z-rotations.  None of this depends on the partition, so the float
+# Jacobian of every partition is a choice of columns of one table.
 # ---------------------------------------------------------------------------
 
+_SIGMA_TOL = 1e-7  # locked: sigma_min <= _SIGMA_TOL * max(sigma_max, 1)
 
-def probe_partitions(tri, params, budget=20000, seed=0, sigma_tol=1e-7):
+
+def edge_direction_table(tri, labels, links):
+    """The float gimbal Jacobian at full turns, one column per edge class.
+
+    `labels` are float `CocycleLabels` and `links` the vertex links in
+    vertex-class order.  On link k, frames are transported from the vertex
+    where its gimbal loops begin, S(end) = label S(start) along the hexagon
+    letters.  Each prism end adds (-w_z, w_y, -w_x), w the third row of the
+    frame at one of its boundary vertices, to rows 3k..3k+2 of its edge
+    class's column.  A path to a vertex other than the loop's differs from
+    it by closing hexagons and by polygons whose holonomies are rotations
+    by their angle sums, so columns e_sim are the partition's float
+    Jacobian up to the float point's angle-sum residuals.
+    """
+    table = np.zeros((3 * len(links), tri.m))
+    for k, link in enumerate(links):
+        leaving = {}  # link vertex -> the hexagon letters starting there
+        for cycle in link.hexagons.values():
+            for letter in cycle:
+                leaving.setdefault(letter["start"], []).append(letter)
+        start = link.hexagons[link.corners[0]][0]["start"]
+        frames = {start: np.eye(3)}
+        queue = [start]
+        for lv in queue:
+            for letter in leaving[lv]:
+                if letter["end"] not in frames:
+                    frames[letter["end"]] = np.array(labels.for_letter(letter)) @ frames[lv]
+                    queue.append(letter["end"])
+        for end in link.prism_ends:
+            w = frames[min(end.boundary_lvs)][2]
+            table[3 * k:3 * k + 3, end.edge_class] += (-w[2], w[1], -w[0])
+    return table
+
+
+def probe_partitions(tri, params, budget=20000, seed=0):
     """Scan edge partitions for gimbal lock at the float level.
 
-    For each candidate loose set of 3o edges, evaluates the float gimbal
-    Jacobian at full turns and records its smallest singular value.
-    Exhaustive when the number of partitions fits the budget (always the
-    case for one or two vertices at moderate size), sampled otherwise.
-    Rows: (partition tuple, sigma_min, locked flag).
+    At full turns a loose edge's column of the float gimbal Jacobian is,
+    per vertex link, the sum of the directions in which the edge leaves
+    the vertex: the polygon letters are identities there and the rest of
+    each loop closes (see the comment above).  No partition changes those
+    directions, so for each candidate loose set of 3o edges the Jacobian is
+    read off one `edge_direction_table`, and its smallest singular value
+    recorded; the set is locked when that is at most 1e-7 times
+    max(1, largest).  Exhaustive when the number of partitions fits
+    the budget (always the case for one or two vertices at moderate size),
+    sampled otherwise.  Rows: (partition tuple, sigma_min, locked flag).
     """
-    import random as _random
-
     floats = [float(sc.midpoint(v)) for v in params.values]
-    labels = CocycleLabels(tri, floats)
     links = [vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
-    m, o = tri.m, tri.o
-    need = 3 * o
-    total = math.comb(m, need)
-    rows = []
-    if total <= budget:
+    table = edge_direction_table(tri, CocycleLabels(tri, floats), links)
+    m, need = tri.m, 3 * tri.o
+    if math.comb(m, need) <= budget:
         candidates = itertools.combinations(range(m), need)
     else:
-        rng = _random.Random(seed)
+        rng = random.Random(seed)
         pool = list(range(m))
-        candidates = (
-            tuple(sorted(rng.sample(pool, need))) for _ in range(budget)
-        )
-    two_pi = sc.TWO_PI_FLOAT
-    rotations = {}  # every angle is a full turn
+        candidates = (tuple(sorted(rng.sample(pool, need))) for _ in range(budget))
+    rows = []
     for e_sim in candidates:
-        try:
-            loops = build_loops_for_partition(
-                tri, list(e_sim), links=links, validate=False
-            )
-        except (GimbalLoopError, TriangulationError):
-            rows.append((e_sim, float("nan"), True))
-            continue
-        dg_rows = []
-        for loop in loops:
-            t_of_pid = {pid: two_pi for pid in loop.variable_of_pid}
-            derivs = gimbal_matrix_derivatives(loop, labels, t_of_pid, rotations)
-            for (r, c) in ((0, 1), (0, 2), (1, 2)):
-                dg_rows.append(
-                    [
-                        derivs[v][r][c] if v in derivs else 0.0
-                        for v in range(need)
-                    ]
-                )
-        dg = np.array(dg_rows, dtype=float)
-        svals = np.linalg.svd(dg, compute_uv=False)
-        smin = float(svals[-1]) if len(svals) else 0.0
-        smax = float(svals[0]) if len(svals) else 0.0
-        locked = smin <= sigma_tol * max(smax, 1.0)
-        rows.append((e_sim, smin, locked))
+        svals = np.linalg.svd(table[:, list(e_sim)], compute_uv=False)
+        smin = float(svals[-1])
+        rows.append((e_sim, smin, smin <= _SIGMA_TOL * max(float(svals[0]), 1.0)))
     return rows

@@ -440,11 +440,8 @@ class Interval:
         for k in range(k0, k1 + 1):
             crit = PI * k + crit_offset
             if crit.intersects(self):
-                if fn is math.cos:
-                    val_hi = k % 2 == 0
-                else:
-                    val_hi = k % 2 == 0  # sin peak at pi/2 + 2j*pi
-                if val_hi:
+                # cos peaks at 2j pi, sin at pi/2 + 2j pi: both at even k
+                if k % 2 == 0:
                     hi = 1.0
                 else:
                     lo = -1.0

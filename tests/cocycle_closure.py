@@ -12,7 +12,6 @@ scalar matrix.
 import itertools
 
 from hypcert import scalars as sc
-from hypcert.gimbal import mat3_identity, mat3_mul
 from hypcert.triangulation import (
     LOCAL_EDGES,
     _swap12,
@@ -23,6 +22,7 @@ from hypcert.triangulation import (
 )
 from tests.geometry_oracle import cos_vertex_angle
 from tests.gimbal_oracle import beta_label, dihedral_cs, gamma_label
+from tests.matrix_oracle import mat3_identity, mat3_mul
 
 # ---------------------------------------------------------------------------
 # 2x2 forms of the labels, cross-validating the rotation forms

@@ -3,8 +3,9 @@
 Prism holonomies, polygon angle sums, the gimbal matrix and function
 themselves (stage V needs only their derivatives) and the float edge
 directions on a vertex link.  The tests check stage V's labels and
-Jacobian against these identities, and the batched labels against
-`label_matrix`, one letter at a time from the scalar formulas.  Tests only.
+Jacobian and the probe's edge-direction table against these identities,
+and the batched labels against `label_matrix`, one letter at a time from
+the scalar formulas.  Tests only.
 """
 
 from hypcert import gimbal as gb
@@ -22,6 +23,7 @@ from tests.geometry_oracle import (
     sin_dihedral,
     sin_vertex_angle,
 )
+from tests.matrix_oracle import mat3_identity, mat3_mul
 
 
 def gamma_label(labels, tet, sigma):
@@ -76,10 +78,10 @@ def prism_holonomy(labels, link, pid):
     the rotation by the full angle sum around the edge class.
     """
     end = link.prism_ends[pid]
-    acc = gb.mat3_identity(labels.one, labels.zero)
+    acc = mat3_identity(labels.one, labels.zero)
     for (tet, a, b) in end.gammas:
         c, s = dihedral_cs(labels, tet, a, b)
-        acc = gb.mat3_mul(gb.rotation_matrix(c, s, labels.one, labels.zero), acc)
+        acc = mat3_mul(gb.rotation_matrix(c, s, labels.one, labels.zero), acc)
     return acc
 
 
@@ -101,20 +103,15 @@ def polygon_angle_sum(labels, link, pid):
 def gimbal_matrix(loop, labels, t_of_pid):
     """Product of the letter matrices, first-traversed letter rightmost.
 
-    Interval-valued labels go through ball arithmetic (entrywise interval
-    products of long near-rotation words diverge); the result is then an
-    entrywise float-interval enclosure.  Float labels multiply directly.
+    The labels and angles are intervals.  The product goes through ball
+    arithmetic (entrywise interval products of long near-rotation words
+    diverge); the result is an entrywise float-interval enclosure.
     """
     mats, _ = gb._letter_operands(loop, labels, t_of_pid)
-    if sc.is_interval(labels.one):
-        acc = gb.ball_identity()
-        for ball in mats:
-            acc = gb.ball_mul(ball, acc)
-        return gb.ball_entries(acc, FLOAT_KERNEL)
-    acc = gb.mat3_identity(labels.one, labels.zero)
-    for m in mats:
-        acc = gb.mat3_mul(m, acc)
-    return acc
+    acc = gb.ball_identity()
+    for ball in mats:
+        acc = gb.ball_mul(ball, acc)
+    return gb.ball_entries(acc, FLOAT_KERNEL)
 
 
 def gimbal_function(loop, labels, t_of_pid):
@@ -140,7 +137,7 @@ def edge_end_directions(tri, params, vertex_class=0, links=None):
     base = link.corners[0]
     frames = {}  # lv id -> 3x3 frame matrix
     first_lv = link.hexagons[base][0]["start"]
-    frames[first_lv] = gb.mat3_identity(1.0, 0.0)
+    frames[first_lv] = mat3_identity(1.0, 0.0)
     pending = [base]
     seen_corners = set()
     while pending:
@@ -160,7 +157,7 @@ def edge_end_directions(tri, params, vertex_class=0, links=None):
             m = labels.for_letter(let)
             mt = tuple(tuple(m[j][i] for j in range(3)) for i in range(3))
             if let["end"] not in frames:
-                frames[let["end"]] = gb.mat3_mul(frames[let["start"]], mt)
+                frames[let["end"]] = mat3_mul(frames[let["start"]], mt)
         for token in link.beta_of_corner[corner]:
             c1, c2 = link.beta_pairs[token]
             other = c2 if c1 == corner else c1

@@ -1,8 +1,8 @@
 """The interval matrix product as a loop of scalar operations.
 
 The reference for `hypcert.interval.FloatKernel.mat_mul`, which forms the
-same sums in numpy batches and must match this loop bit for bit.  Tests
-only.
+same sums in numpy batches and must match this loop bit for bit, and the
+3x3 products of the label and holonomy oracles.  Tests only.
 """
 
 
@@ -20,3 +20,12 @@ def scalar_mat_mul(a, b):
             out_row.append(acc)
         out.append(out_row)
     return out
+
+
+def mat3_mul(a, b):
+    """`scalar_mat_mul` of two 3x3 matrices, as nested tuples."""
+    return tuple(map(tuple, scalar_mat_mul(a, b)))
+
+
+def mat3_identity(one, zero):
+    return ((one, zero, zero), (zero, one, zero), (zero, zero, one))

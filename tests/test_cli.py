@@ -118,6 +118,8 @@ def test_certify_without_lengths_graceful(tmp_path, capsys, dodec27a):
 @pytest.mark.parametrize("argv, message", [
     pytest.param(("certify", "FILE", "--interval-newton"), "unrecognized arguments",
                  id="interval-newton-flag"),
+    pytest.param(("certify", "FILE", "--refine"), "unrecognized arguments",
+                 id="refine-flag"),
     pytest.param(("certify", "FILE", "--precision", "abc"), "invalid int value",
                  id="precision-abc"),
     pytest.param(("frobnicate", "FILE"), "invalid choice", id="unknown-command"),
@@ -249,6 +251,22 @@ def test_probe_gimbal_unrealizable_lengths_exit_one(tmp_path, capsys, dodec27a):
     code, out, err = run_cli(capsys, "probe-gimbal", str(f))
     assert code == 1
     assert err.startswith("error: edge parameter 0 not proven < -1")
+    assert "Traceback" not in err + out
+
+
+def test_probe_gimbal_unrealized_simplex_exit_one(tmp_path, capsys, dodec27a):
+    # every edge parameter is below -1, but an eightfold first length
+    # leaves simplex 0 unrealized
+    from hypcert.triangulation import serialize
+
+    lengths = [str(l) for l in dodec27a.lengths]
+    lengths[0] = repr(8 * float(lengths[0]))
+    head = serialize(dodec27a, lengths=()).rsplit("lengths:", 1)[0]
+    f = tmp_path / "unrealized.tri"
+    f.write_text(head + "lengths:\n" + " ".join(lengths) + "\n")
+    code, out, err = run_cli(capsys, "probe-gimbal", str(f))
+    assert code == 1
+    assert err.startswith("error: tet 0: char-poly coefficient a1 not proven positive")
     assert "Traceback" not in err + out
 
 

@@ -1,8 +1,4 @@
-"""The demos run to completion against the package in this checkout.
-
-`03_gimbal_lock_tour.py` is left out: its exhaustive partition scan takes
-about 20 s, and `test_criterion_09_gimbal_probe` already runs that scan.
-"""
+"""The demos run to completion against the package in this checkout."""
 
 import os
 import pathlib
@@ -14,7 +10,9 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["01_interval_arithmetic.py", "02_certify_walkthrough.py"])
+@pytest.mark.parametrize(
+    "demo", ["01_interval_arithmetic.py", "02_certify_walkthrough.py", "03_gimbal_lock_tour.py"]
+)
 def test_demo_exits_zero(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -32,6 +32,7 @@ from tests.gimbal_oracle import (
     prism_holonomy,
 )
 from tests.conftest import S3_TEXT
+from tests.matrix_oracle import mat3_mul
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +74,7 @@ def test_beta_involution_interval(s3m):
         if letter["kind"] != "b":
             continue
         B = beta_label(labels, letter["token"])
-        BB = gb.mat3_mul(B, B)
+        BB = mat3_mul(B, B)
         for i in range(3):
             for j in range(3):
                 assert BB[i][j].contains(1.0 if i == j else 0.0)
@@ -88,7 +89,7 @@ def test_gamma_reversal_inverts(s3m):
             continue
         fwd = gamma_label(labels, letter["tet"], letter["s_start"])
         rev = gamma_label(labels, letter["tet"], letter["s_end"])
-        P = gb.mat3_mul(fwd, rev)
+        P = mat3_mul(fwd, rev)
         for i in range(3):
             for j in range(3):
                 assert abs(P[i][j] - (1.0 if i == j else 0.0)) < 1e-14
@@ -244,26 +245,38 @@ def test_loop_missing_polygon_error(dodec27a):
 # -- gimbal function and its derivative ----------------------------------------
 
 
+def _point_labels(tri, values):
+    """Labels over point intervals: interval labels whose ball midpoints
+    are (nearly) the float labels at `values`."""
+    return gb.CocycleLabels(tri, [FLOAT_KERNEL.point(v) for v in values])
+
+
 def test_gimbal_derivative_finite_differences(dodec27a):
     p0 = [-math.cosh(float(l)) for l in dodec27a.lengths]
-    labels = gb.CocycleLabels(dodec27a, p0)
+    labels = _point_labels(dodec27a, p0)
     link = tr.vertex_link_hexagon_complex(dodec27a, 0)
     loop = gb.build_gimbal_loop(link, [0, 3, 5])
     loop.variable_of_pid = {0: 0, 3: 1, 5: 2}
     t0 = {0: 6.2, 3: 6.4, 5: 6.0}
-    der = gb.gimbal_matrix_derivatives(loop, labels, t0)
+
+    def at(angles):
+        return {pid: FLOAT_KERNEL.point(t) for pid, t in angles.items()}
+
+    der = gb.gimbal_matrix_derivatives(loop, labels, at(t0))
     h = 1e-7
     for var, pid in ((0, 0), (1, 3), (2, 5)):
         tp = dict(t0)
         tp[pid] += h
         tm = dict(t0)
         tm[pid] -= h
-        mp_ = gimbal_matrix(loop, labels, tp)
-        mm = gimbal_matrix(loop, labels, tm)
+        mp_ = gimbal_matrix(loop, labels, at(tp))
+        mm = gimbal_matrix(loop, labels, at(tm))
         for i in range(3):
             for j in range(3):
-                fd = (mp_[i][j] - mm[i][j]) / (2 * h)
-                assert abs(fd - der[var][i][j]) < 1e-5 * max(1.0, abs(fd))
+                fd = (mp_[i][j].mid() - mm[i][j].mid()) / (2 * h)
+                d = der[var][i][j]
+                assert d.hi - d.lo < 1e-9
+                assert abs(fd - d.mid()) < 1e-5 * max(1.0, abs(fd))
 
 
 def test_absent_variable_gives_zero_block(dodec30x2, verified_all):
@@ -293,21 +306,50 @@ def test_direction_sum_oracle(dodec27a, verified27a):
     res = verified27a
     p0 = res.p0
     part = res.partition
-    labels = gb.CocycleLabels(dodec27a, list(p0))
+    labels = _point_labels(dodec27a, p0)
     links = [tr.vertex_link_hexagon_complex(dodec27a, 0)]
     loops = gb.build_loops_for_partition(dodec27a, part.e_sim, links=links)
     loop = loops[0]
     dirs = edge_end_directions(dodec27a, geo.EdgeParams(list(p0)))
-    t2 = {pid: 2 * math.pi for pid in loop.variable_of_pid}
+    t2 = {pid: TWO_PI for pid in loop.variable_of_pid}
     der = gb.gimbal_matrix_derivatives(loop, labels, t2)
     ends_of_var = {}
     for pid, var in loop.variable_of_pid.items():
         ends_of_var.setdefault(var, []).append(pid)
     for var, pids in ends_of_var.items():
         abar = np.sum([dirs[p] for p in pids], axis=0)
-        col = np.array([der[var][0][1], der[var][0][2], der[var][1][2]])
+        col = np.array([der[var][r][c].mid() for r, c in ((0, 1), (0, 2), (1, 2))])
         want = np.array([-abar[2], abar[1], -abar[0]])
         assert np.allclose(col, want, atol=1e-8)
+
+
+@pytest.mark.parametrize("name", ["dodec27a", "dodec27b", "dodec30x2"])
+def test_edge_direction_table(name, hyperbolic_triangulations, verified_all):
+    # the table is the oracle's direction sums, column by column, and its
+    # columns e_sim are stage V's Jacobian at full turns for that partition
+    tri = hyperbolic_triangulations[name]
+    params = geo.EdgeParams.from_lengths([float(l) for l in tri.lengths])
+    links = [tr.vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
+    table = gb.edge_direction_table(tri, gb.CocycleLabels(tri, list(params.values)), links)
+    assert table.shape == (3 * tri.o, tri.m)
+    for k, link in enumerate(links):
+        dirs = edge_end_directions(tri, params, k, links)
+        want = np.zeros((3, tri.m))
+        for end in link.prism_ends:
+            d = dirs[end.pid]
+            want[:, end.edge_class] += (-d[2], d[1], -d[0])
+        assert np.allclose(table[3 * k:3 * k + 3], want, rtol=0.0, atol=1e-12)
+
+    labels = _point_labels(tri, params.values)
+    partitions = [verified_all[name].partition.e_sim]
+    if name == "dodec27a":
+        rng = random.Random(13)
+        partitions += [sorted(rng.sample(range(tri.m), 3)) for _ in range(20)]
+    for e_sim in partitions:
+        loops = gb.build_loops_for_partition(tri, e_sim, links=links)
+        dg = gb.assemble_gimbal_jacobian(loops, labels, [TWO_PI] * len(e_sim))
+        lo, hi = FLOAT_KERNEL.bounds(dg)
+        assert np.allclose(table[:, e_sim], 0.5 * (lo + hi), rtol=0.0, atol=1e-12), e_sim
 
 
 # -- lock check ----------------------------------------------------------------

@@ -162,22 +162,6 @@ def test_bootstrap_s3_fails(s3):
         verify.bootstrap_solve(s3, init=[-2.0] * 6, max_iters=60)
 
 
-def test_refine_reduces_subsystem_residual(dodec27a):
-    rng = random.Random(0)
-    p0 = [
-        -math.cosh(float(l) * (1 + 1e-5 * rng.uniform(-1, 1)))
-        for l in dodec27a.lengths
-    ]
-    M = np.array(geo.jacobian(dodec27a, geo.EdgeParams(list(p0))))
-    h = dodec27a.m - 3 * dodec27a.o
-    rows, cols = verify.select_submatrix(M, h)
-    part = verify.make_partition(dodec27a, rows, cols)
-    before = np.max(np.abs(verify._residual_vec(dodec27a, p0)[part.e_eq]))
-    refined = verify.newton_refine_subsystem(dodec27a, p0, part)
-    after = np.max(np.abs(verify._residual_vec(dodec27a, refined)[part.e_eq]))
-    assert after < before
-
-
 # -- steps III/IV and the pipeline -------------------------------------------
 
 
@@ -254,11 +238,6 @@ def test_pipeline_s3_fails(s3):
     assert not res.verified
     assert res.failed_step == 1
     assert res.box is None
-
-
-def test_pipeline_refine_flag(dodec27a):
-    res = verify.run_pipeline(dodec27a, refine=True)
-    assert res.verified
 
 
 def test_pipeline_mp_precision(dodec27a):
@@ -451,11 +430,8 @@ def test_jacobian_and_gimbal_labels_are_53_bit_at_every_precision(dodec27a, monk
     assert not hasattr(MPKernel, "mat_mul")
 
 
-@pytest.mark.parametrize("refine", [False, True])
-def test_stage_two_reuses_stage_one_float_data(dodec27a, verified27a, monkeypatch,
-                                               refine):
+def test_stage_two_reuses_stage_one_float_data(dodec27a, verified27a, monkeypatch):
     # float Jacobians and angle sums at p0: stage I's are handed to step II
-    # unless --refine has moved p0
     calls = []
     jacobian, angle_sums = geo.jacobian, geo.angle_sums
 
@@ -468,15 +444,12 @@ def test_stage_two_reuses_stage_one_float_data(dodec27a, verified27a, monkeypatc
 
     monkeypatch.setattr(geo, "jacobian", counting(jacobian, "jacobian"))
     monkeypatch.setattr(geo, "angle_sums", counting(angle_sums, "angle_sums"))
-    result = verify.run_pipeline(dodec27a, refine=refine)
+    result = verify.run_pipeline(dodec27a)
     assert result.verified
-    if refine:
-        assert calls.count("jacobian") > 1 and calls.count("angle_sums") > 1
-    else:
-        assert calls == ["angle_sums", "jacobian"]
-        assert [(x.lo, x.hi) for x in result.box.nu] == [
-            (x.lo, x.hi) for x in verified27a.box.nu
-        ]
+    assert calls == ["angle_sums", "jacobian"]
+    assert [(x.lo, x.hi) for x in result.box.nu] == [
+        (x.lo, x.hi) for x in verified27a.box.nu
+    ]
 
 
 def test_krawczyk_certify_with_given_float_data_is_unchanged(dodec27a, verified27a):

@@ -20,7 +20,8 @@ print(f"triangulation: {tri.n_tets} tetrahedra, {tri.m} edge classes, "
       f"{tri.o} vertex class(es)")
 
 p0 = [-math.cosh(float(l)) for l in tri.lengths]
-resid = np.max(np.abs(verify._residual_vec(tri, p0)))
+r0 = verify._residual_vec(tri, p0)
+resid = np.max(np.abs(r0))
 print(f"candidate angle-sum residual: {resid:.2e}\n")
 
 print("stage I: full-rank subsystem by full pivoting")
@@ -32,7 +33,8 @@ print(f"  kept {h} of {tri.m} equations; loose edges {part.e_sim}, "
       f"frozen parameters {part.e_fixed}")
 
 print("stage II: Krawczyk enclosure of the kept equations")
-box = verify.krawczyk_certify(tri, p0, part)
+jsub = np.array(M)[part.e_eq][:, part.e_var]
+box = verify.krawczyk_certify(tri, p0, part, jsub, r0)
 print(f"  enclosure width: {max(x.width() for x in box.nu):.2e}")
 
 print("stage III+IV: interval realization and loose angle sums")

@@ -56,9 +56,6 @@ half_turn = tuple(
 
 
 class AntipodalLabels:
-    one = k.point(1.0)
-    zero = k.point(0.0)
-
     def ball_for_letter(self, letter):
         return gimbal.ball_from_interval_mat3(half_turn)
 
@@ -72,7 +69,7 @@ word = [
 loop = gimbal.GimbalLoop(0, None, (0, 1), word)
 loop.variable_of_pid = {0: 0, 1: 1}
 derivs = gimbal.gimbal_matrix_derivatives(
-    loop, AntipodalLabels(), {0: TWO_PI, 1: TWO_PI}
+    loop, AntipodalLabels(), gimbal.rotation_balls([TWO_PI, TWO_PI])
 )
 D = np.array([[derivs[v][r][c].mid() for v in (0, 1)]
               for (r, c) in ((0, 1), (0, 2), (1, 2))])

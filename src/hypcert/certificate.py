@@ -85,10 +85,13 @@ def _float_up(s):
 
 
 def _parse_interval(pair, kernel):
-    """Outward enclosure of a [lo, hi] pair of decimal strings."""
+    """Outward enclosure of a [lo, hi] pair of finite decimal strings."""
     if not (isinstance(pair, list) and len(pair) == 2
             and all(isinstance(x, str) for x in pair)):
         raise ValueError(f"endpoint pair expected, got {pair!r}")
+    for s in pair:
+        if not decimal.Decimal(s).is_finite():
+            raise ValueError(f"endpoint {s!r} is not finite")
     lo_s, hi_s = pair
     if kernel.precision == 53:
         return kernel.interval(_float_down(lo_s), _float_up(hi_s))

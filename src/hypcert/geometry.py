@@ -90,9 +90,6 @@ class EdgeParams:
     def __getitem__(self, i):
         return self.values[i]
 
-    def midpoints(self):
-        return [sc.midpoint(v) for v in self.values]
-
 
 @dataclass
 class GramData:

@@ -70,8 +70,7 @@ __all__ = [
     "gimbal_lock_check",
     "edge_direction_table",
     "probe_partitions",
-    "rotation_matrix",
-    "rotation_matrix_derivative",
+    "rotation_balls",
 ]
 
 
@@ -93,11 +92,12 @@ class GimbalLoopError(ValueError):
 # with up(y) = nextafter(y, inf).  Midpoint products carry an a-priori
 # rounding-error bound (`_product_with_error`).  A non-finite midpoint or
 # bound makes the radius inf, and an infinite radius encloses everything.
-# The labels' balls and their midpoints' norm bounds are made for all
-# simplices at once from the label arrays' endpoints (`_balls_of_bounds`),
-# each step the scalar one elementwise; the products along a loop stay
-# scalar and sequential (`ball_mul`).  Balls follow Rump, Acta Numerica 19
-# (2010).
+# Every 3x3 operand of a loop gets its ball, with its midpoint's norm
+# bound, from a table of float endpoints (`_balls_of_bounds`): one table
+# for the labels of all simplices (`CocycleLabels.label_bounds`) and one
+# for the rotations of a Jacobian's variables (`rotation_balls`).  The
+# products along a loop stay scalar and sequential (`ball_mul`).  Balls
+# follow Rump, Acta Numerica 19 (2010).
 # ---------------------------------------------------------------------------
 
 _U = 2.0 ** -53  # unit roundoff of round-to-nearest doubles
@@ -109,8 +109,8 @@ class BallMatrix3:
     """{ mid + E : ||E||_2 <= rad }, entrywise |E_ij| <= rad as well.
 
     `mid` is a 3x3 tuple of floats.  The norm bound of the midpoint is
-    given (the labels' balls carry theirs) or computed at most once, when a
-    product first needs it.
+    given (the balls of an endpoint table carry theirs) or computed at most
+    once, when a product first needs it.
     """
 
     __slots__ = ("mid", "rad", "_norm")
@@ -198,23 +198,6 @@ def _norm_bound(m):
     return nextafter(math.sqrt(_max_row_sum(rows)), inf)
 
 
-def ball_from_interval_mat3(m):
-    """Enclose an entrywise-interval 3x3 matrix in a ball."""
-    mid = []
-    radii = []
-    for row in m:
-        mid_row = []
-        rad_row = []
-        for x in row:
-            lo, hi = x.lo_float(), x.hi_float()
-            c = 0.5 * (lo + hi)
-            mid_row.append(c)
-            rad_row.append(max(nextafter(c - lo, inf), nextafter(hi - c, inf)))
-        mid.append(tuple(mid_row))
-        radii.append(rad_row)
-    return BallMatrix3(tuple(mid), _spec_bound(radii))
-
-
 def _max_row_sums(rows):
     """`_max_row_sum` of each matrix in a stack (k, r, c) of nonnegative
     floats, step by step."""
@@ -228,11 +211,13 @@ def _max_row_sums(rows):
 
 
 def _balls_of_bounds(lo, hi):
-    """`ball_from_interval_mat3` of a stack of 3x3 interval matrices given
-    by their float endpoints (k, 3, 3), and `_norm_bound` of each midpoint:
-    midpoints (k, 3, 3), radii (k,) and norm bounds (k,), every float the
-    one the scalar functions give, each rounding step applied elementwise
-    in their order (``max(a, b)`` keeps a unless b > a, NaN included)."""
+    """Enclose a stack of 3x3 interval matrices, given by their float
+    endpoints (k, 3, 3), in balls: midpoints (k, 3, 3), radii (k,) and the
+    midpoints' norm bounds (k,).  An entry's midpoint is c = 0.5 (lo + hi)
+    and its radius max(up(c - lo), up(hi - c)); a ball's radius is
+    `_spec_bound` of those, and its norm bound `_norm_bound` of its
+    midpoint, each rounding step applied elementwise in that order
+    (``max(a, b)`` keeps a unless b > a, NaN included)."""
     with np.errstate(all="ignore"):
         mid = 0.5 * (lo + hi)
         a, b = np.nextafter(mid - lo, inf), np.nextafter(hi - mid, inf)
@@ -251,6 +236,21 @@ def _balls_of_bounds(lo, hi):
         rows = np.stack([np.abs(gram), err], axis=-1).reshape(-1, 3, 6)
         norm = np.nextafter(np.sqrt(_max_row_sums(rows)), inf)
     return mid, rad, norm
+
+
+def _balls(lo, hi):
+    """The balls of `_balls_of_bounds` as `BallMatrix3`s with their norm
+    bounds, in stack order."""
+    mids, rads, norms = (x.tolist() for x in _balls_of_bounds(lo, hi))
+    return [BallMatrix3(tuple(map(tuple, m)), r, n) for m, r, n in zip(mids, rads, norms)]
+
+
+def ball_from_interval_mat3(m):
+    """Enclose an entrywise-interval 3x3 matrix in a ball: the one-matrix
+    case of `_balls_of_bounds`, from the entries' outward float bounds."""
+    lo = np.array([[[x.lo_float() for x in row] for row in m]])
+    hi = np.array([[[x.hi_float() for x in row] for row in m]])
+    return _balls(lo, hi)[0]
 
 
 def ball_identity():
@@ -300,33 +300,6 @@ def ball_entries(ball, kernel):
 
 
 # ---------------------------------------------------------------------------
-# label matrices (floats or intervals alike)
-# ---------------------------------------------------------------------------
-
-
-def rotation_matrix(cos_w, sin_w, one, zero):
-    """Rotation about the z-axis from precomputed cos/sin."""
-    return (
-        (cos_w, -sin_w, zero),
-        (sin_w, cos_w, zero),
-        (zero, zero, one),
-    )
-
-
-def rotation_matrix_derivative(cos_w, sin_w, zero):
-    """d/dw of the z-rotation by w, from precomputed cos/sin."""
-    return ((-sin_w, -cos_w, zero), (cos_w, -sin_w, zero), (zero, zero, zero))
-
-
-def middle_edge_matrix(cos_e, sin_e, one, zero):
-    return (
-        (-cos_e, zero, sin_e),
-        (zero, -one, zero),
-        (sin_e, zero, cos_e),
-    )
-
-
-# ---------------------------------------------------------------------------
 # labels
 # ---------------------------------------------------------------------------
 
@@ -367,13 +340,13 @@ class CocycleLabels:
     the vertex-angle cosines come from the Gram columns, and each sine is
     sqrt_nonneg(-(c c) + 1), all in the operation order of the scalar
     formulas (kept in `tests/geometry_oracle.py`), so bit for bit the
-    scalar values.  Interval labels enter stage V as balls
-    (`ball_for_letter`): one table for all simplices, built from the
-    arrays' endpoints on first use; a slot's ball object is made when a
-    letter first asks for it.  Scalar label matrices (`for_letter`; floats
-    for `edge_direction_table`) are formed once per slot on first use.
-    A middle edge is labelled from its canonical token, so identified
-    edges of glued simplices share their label bit for bit.
+    scalar values.  Every label is read from one table: the float
+    endpoints of the entries of every label slot (`label_bounds`), made
+    from the arrays on first use.  Interval labels enter stage V as the
+    balls of that table (`ball_for_letter`); float labels, whose two
+    endpoints are the label itself, feed `edge_direction_table`.  A middle
+    edge is labelled from its canonical token, so identified edges of
+    glued simplices share their label bit for bit.
     """
 
     def __init__(self, tri, params, data=None):
@@ -381,8 +354,6 @@ class CocycleLabels:
             data = geo.simplex_data(tri, params)
         self.data = data
         kernel = self.kernel = data.kernel
-        self.one = kernel.point(1.0)
-        self.zero = kernel.point(0.0)
         g_ij, g_ik, g_jk = (data.gram[:, cols] for cols in (_VA_IJ, _VA_IK, _VA_JK))
         self.dihedral_cos = data.cos
         self.vertex_cos = (g_ij * g_ik + g_jk) / (
@@ -391,10 +362,8 @@ class CocycleLabels:
         self.dihedral_sin, self.vertex_sin = (
             kernel.sqrt_nonneg(-(c * c) + 1.0) for c in (self.dihedral_cos, self.vertex_cos)
         )
-        self._scalars = None  # the four arrays as nested lists of scalars
-        self._mats = {}  # slot -> label matrix of scalars
-        self._ball_table = None  # midpoints, radii, norm bounds by slot
-        self._balls = {}  # slot -> ball
+        self._bounds = None  # lo, hi of every slot's label
+        self._balls = None  # every slot's ball
 
     def _slot(self, letter):
         """The flat slot, 24 tet + local slot, of an edge letter's label."""
@@ -406,71 +375,43 @@ class CocycleLabels:
             return 24 * letter["tet"] + _GAMMA_SLOT[letter["s_start"]]
         raise GimbalLoopError(f"letter of kind {kind!r} has no label")
 
-    def _lists(self):
-        """Dihedral cos, sin and vertex-angle cos, sin as nested lists of
-        scalars, made on first use."""
-        if self._scalars is None:
-            self._scalars = [arr.tolist() for arr in (
-                self.dihedral_cos, self.dihedral_sin, self.vertex_cos, self.vertex_sin)]
-        return self._scalars
+    def label_bounds(self):
+        """The float endpoints lo, hi, each (24 n, 3, 3), of every slot's
+        label, made on first use with `kernel.bounds`.  A short edge with
+        dihedral cos c and sine s' (s' = s, or -s in the negative slot) is
+        ((c, -s', 0), (s', c, 0), (0, 0, 1)); a middle edge with
+        vertex-angle cos c and sine s is ((-c, 0, s), (0, -1, 0), (s, 0, c))."""
+        if self._bounds is None:
+            kernel = self.kernel
+            n = self.dihedral_cos.shape[0]
+            lo, hi = np.zeros((2, n, 24, 3, 3))
 
-    def _matrix(self, slot):
-        if slot not in self._mats:
-            dc, ds, vc, vs = self._lists()
-            tet, local = divmod(slot, 24)
-            if local < 12:
-                e, negative = divmod(local, 2)
-                c, s = dc[tet][e], ds[tet][e]
-                m = rotation_matrix(c, -s if negative else s, self.one, self.zero)
-            else:
-                v = local - 12
-                m = middle_edge_matrix(vc[tet][v], vs[tet][v], self.one, self.zero)
-            self._mats[slot] = m
-        return self._mats[slot]
+            def put(slots, i, j, x):
+                lo[:, slots, i, j], hi[:, slots, i, j] = (
+                    (x, x) if isinstance(x, float) else kernel.bounds(x))
 
-    def for_letter(self, letter):
-        return self._matrix(self._slot(letter))
+            c, s = self.dihedral_cos, self.dihedral_sin
+            for slots, s_arg in ((slice(0, 12, 2), s), (slice(1, 12, 2), -s)):
+                put(slots, 0, 0, c)
+                put(slots, 0, 1, -s_arg)
+                put(slots, 1, 0, s_arg)
+                put(slots, 1, 1, c)
+                put(slots, 2, 2, 1.0)
+            c, s, slots = self.vertex_cos, self.vertex_sin, slice(12, 24)
+            put(slots, 0, 0, -c)
+            put(slots, 0, 2, s)
+            put(slots, 1, 1, -1.0)
+            put(slots, 2, 0, s)
+            put(slots, 2, 2, c)
+            self._bounds = lo.reshape(-1, 3, 3), hi.reshape(-1, 3, 3)
+        return self._bounds
 
     def ball_for_letter(self, letter):
-        """The ball of an edge letter's interval label, from the table."""
-        slot = self._slot(letter)
-        if slot not in self._balls:
-            if self._ball_table is None:
-                self._ball_table = self._balls_of_labels()
-            mids, rads, norms = self._ball_table
-            self._balls[slot] = BallMatrix3(tuple(map(tuple, mids[slot])), rads[slot],
-                                            norms[slot])
-        return self._balls[slot]
-
-    def _balls_of_labels(self):
-        """Every slot's ball as lists by slot: midpoint, radius and the
-        midpoint's norm bound, from the endpoints of the label entries
-        (`_balls_of_bounds`)."""
-        kernel = self.kernel
-        n = self.dihedral_cos.shape[0]
-        lo, hi = np.zeros((2, n, 24, 3, 3))
-
-        def put(slots, i, j, x):
-            lo[:, slots, i, j], hi[:, slots, i, j] = (
-                (x, x) if isinstance(x, float) else kernel.bounds(x))
-
-        c, s = self.dihedral_cos, self.dihedral_sin
-        for slots, s_arg in ((slice(0, 12, 2), s), (slice(1, 12, 2), -s)):
-            # rotation_matrix(c, s_arg, one, zero)
-            put(slots, 0, 0, c)
-            put(slots, 0, 1, -s_arg)
-            put(slots, 1, 0, s_arg)
-            put(slots, 1, 1, c)
-            put(slots, 2, 2, 1.0)
-        # middle_edge_matrix(c, s, one, zero)
-        c, s, slots = self.vertex_cos, self.vertex_sin, slice(12, 24)
-        put(slots, 0, 0, -c)
-        put(slots, 0, 2, s)
-        put(slots, 1, 1, -1.0)
-        put(slots, 2, 0, s)
-        put(slots, 2, 2, c)
-        balls = _balls_of_bounds(lo.reshape(-1, 3, 3), hi.reshape(-1, 3, 3))
-        return [x.tolist() for x in balls]
+        """The ball of an edge letter's interval label, with its norm bound:
+        the balls of all slots are made from `label_bounds` on first use."""
+        if self._balls is None:
+            self._balls = _balls(*self.label_bounds())
+        return self._balls[self._slot(letter)]
 
 
 # ---------------------------------------------------------------------------
@@ -724,46 +665,51 @@ def validate_gimbal_loop(loop):
 # ---------------------------------------------------------------------------
 
 
-def _letter_operands(loop, labels, t_of_pid, rotations=None):
-    """The loop's letter balls in word order and each polygon letter's
-    rotation-derivative ball, by pid.  A rotation and its derivative come
-    from one cos and one sin of the interval angle, kept in `rotations` by
-    angle for callers that share it between loops.  An edge letter's ball
-    comes from the labels' `ball_for_letter`."""
-    rotations = {} if rotations is None else rotations
-    mats, deriv = [], {}
-    for letter in loop.word:
-        if letter["kind"] == "P":
-            w = t_of_pid[letter["pid"]]
-            if w not in rotations:
-                c, s = w.cos(), w.sin()
-                rotations[w] = (
-                    ball_from_interval_mat3(rotation_matrix(c, s, labels.one, labels.zero)),
-                    ball_from_interval_mat3(rotation_matrix_derivative(c, s, labels.zero)),
-                )
-            m, deriv[letter["pid"]] = rotations[w]
-        else:
-            m = labels.ball_for_letter(letter)
-        mats.append(m)
-    return mats, deriv
+def rotation_balls(boxes):
+    """The z-rotation by each 53-bit interval angle of `boxes` and its
+    derivative, ((c, -s, 0), (s, c, 0), (0, 0, 1)) and
+    ((-s, -c, 0), (c, -s, 0), (0, 0, 0)), as balls with their norm bounds:
+    one pair per box, in order.  One cos and one sin is taken per distinct
+    box, and all the balls come from one endpoint table
+    (`_balls_of_bounds`), filled from `IntervalArray`s, whose negation
+    makes -0.0 0.0 as `Interval`'s does."""
+    distinct = list(dict.fromkeys(boxes))
+    k = len(distinct)
+    c = FLOAT_KERNEL.array([w.cos() for w in distinct])
+    s = FLOAT_KERNEL.array([w.sin() for w in distinct])
+    lo, hi = np.zeros((2, 2, k, 3, 3))  # rotations, then derivatives
+    entries = ((0, 0, 0, c), (0, 0, 1, -s), (0, 1, 0, s), (0, 1, 1, c),
+               (1, 0, 0, -s), (1, 0, 1, -c), (1, 1, 0, c), (1, 1, 1, -s))
+    for which, i, j, x in entries:
+        lo[which, :, i, j], hi[which, :, i, j] = FLOAT_KERNEL.bounds(x)
+    lo[0, :, 2, 2] = hi[0, :, 2, 2] = 1.0
+    balls = _balls(lo.reshape(-1, 3, 3), hi.reshape(-1, 3, 3))
+    of_box = {w: (balls[i], balls[k + i]) for i, w in enumerate(distinct)}
+    return [of_box[w] for w in boxes]
 
 
-def gimbal_matrix_derivatives(loop, labels, t_of_pid, rotations=None):
+def gimbal_matrix_derivatives(loop, labels, rotations):
     """d(gimbal matrix)/d(T_var) for every variable occurring in the loop.
 
-    The derivative replaces one rotation letter at a time by the rotation
-    derivative and sums over occurrences.  Prefix and suffix products make
-    this linear in the word length.  `rotations` (see `_letter_operands`)
-    may be shared between the loops of one Jacobian.  The products are
-    balls (`ball_mul`, `ball_add`); the result is their 53-bit entrywise
-    enclosures.
+    `rotations[var]` holds the balls of the rotation by variable var's
+    angle and of its derivative (`rotation_balls`); an edge letter's ball
+    comes from the labels' `ball_for_letter`.  The derivative replaces one
+    rotation letter at a time by the rotation derivative and sums over
+    occurrences.  Prefix and suffix products make this linear in the word
+    length.  The products are balls (`ball_mul`, `ball_add`); the result is
+    their 53-bit entrywise enclosures.
     """
     word = loop.word
     n = len(word)
     poly = [i for i, letter in enumerate(word) if letter["kind"] == "P"]
     if not poly:
         return {}
-    mats, deriv = _letter_operands(loop, labels, t_of_pid, rotations)
+    var_of = loop.variable_of_pid
+    mats = [
+        rotations[var_of[letter["pid"]]][0] if letter["kind"] == "P"
+        else labels.ball_for_letter(letter)
+        for letter in word
+    ]
     # at each polygon letter i, suffix[i] = M(w[i-1]) ... M(w[0]) and
     # prefix[i + 1] = M(w[n-1]) ... M(w[i+1]); the chains stop at the last
     # and at the first polygon letter, since no product beyond is read
@@ -783,9 +729,8 @@ def gimbal_matrix_derivatives(loop, labels, t_of_pid, rotations=None):
     prefix[first + 1] = part
     acc = {}
     for i in poly:
-        pid = word[i]["pid"]
-        var = loop.variable_of_pid[pid]
-        term = ball_mul(prefix[i + 1], ball_mul(deriv[pid], suffix[i]))
+        var = var_of[word[i]["pid"]]
+        term = ball_mul(prefix[i + 1], ball_mul(rotations[var][1], suffix[i]))
         acc[var] = term if var not in acc else ball_add(acc[var], term)
     return {v: ball_entries(b, FLOAT_KERNEL) for v, b in acc.items()}
 
@@ -801,12 +746,9 @@ def assemble_gimbal_jacobian(loops, labels, box_of_variable):
     nvar = len(box_of_variable)
     zero = FLOAT_KERNEL.point(0.0)
     rows = []
-    rotations = {}  # one rotation and derivative per variable's box
+    rotations = rotation_balls(box_of_variable)
     for loop in loops:
-        t_of_pid = {
-            pid: box_of_variable[var] for pid, var in loop.variable_of_pid.items()
-        }
-        derivs = gimbal_matrix_derivatives(loop, labels, t_of_pid, rotations)
+        derivs = gimbal_matrix_derivatives(loop, labels, rotations)
         for (r, c) in ((0, 1), (0, 2), (1, 2)):
             rows.append(
                 [
@@ -914,17 +856,18 @@ _SIGMA_TOL = 1e-7  # locked: sigma_min <= _SIGMA_TOL * max(sigma_max, 1)
 def edge_direction_table(tri, labels, links):
     """The float gimbal Jacobian at full turns, one column per edge class.
 
-    `labels` are float `CocycleLabels` and `links` the vertex links in
-    vertex-class order.  On link k, frames are transported from the vertex
-    where its gimbal loops begin, S(end) = label S(start) along the hexagon
-    letters.  Each prism end adds (-w_z, w_y, -w_x), w the third row of the
-    frame at one of its boundary vertices, to rows 3k..3k+2 of its edge
-    class's column.  A path to a vertex other than the loop's differs from
+    `labels` are float `CocycleLabels`, read from their `label_bounds`,
+    and `links` the vertex links in vertex-class order.  On link k, frames
+    are transported from the vertex where its gimbal loops begin,
+    S(end) = label S(start) along the hexagon letters.  Each prism end adds
+    (-w_z, w_y, -w_x), w the third row of the frame at one of its boundary
+    vertices, to rows 3k..3k+2 of its edge class's column.  A path to a vertex other than the loop's differs from
     it by closing hexagons and by polygons whose holonomies are rotations
     by their angle sums, so columns e_sim are the partition's float
     Jacobian up to the float point's angle-sum residuals.
     """
     table = np.zeros((3 * len(links), tri.m))
+    label, _ = labels.label_bounds()
     for k, link in enumerate(links):
         leaving = {}  # link vertex -> the hexagon letters starting there
         for cycle in link.hexagons.values():
@@ -936,7 +879,7 @@ def edge_direction_table(tri, labels, links):
         for lv in queue:
             for letter in leaving[lv]:
                 if letter["end"] not in frames:
-                    frames[letter["end"]] = np.array(labels.for_letter(letter)) @ frames[lv]
+                    frames[letter["end"]] = label[labels._slot(letter)] @ frames[lv]
                     queue.append(letter["end"])
         for end in link.prism_ends:
             w = frames[min(end.boundary_lvs)][2]

@@ -46,9 +46,10 @@ it has no product, since every matrix product runs on the 53-bit hull at
 every precision.  ``scalars.REAL_KERNEL`` gives plain floats the same
 array protocol on numpy float64 arrays, so ``geometry`` and stage V's
 labels (``gimbal.CocycleLabels``) run one code path for all three kinds.
-Stage V's 3x3 ball arithmetic does not use this layer: ``gimbal`` builds
-the labels' balls from the label arrays' outward float endpoints
-(``kernel.bounds``), forms its ball products on plain floats in
+Stage V's 3x3 ball arithmetic does not use this layer: ``gimbal`` takes
+every operand's ball from a table of outward float endpoints, one for the
+labels (``kernel.bounds`` of the label arrays) and one for the rotations
+of a Jacobian's variables, forms its ball products on plain floats in
 round-to-nearest with a-priori rounding-error bounds, and turns a ball
 into kernel intervals only in ``gimbal.ball_entries``.
 
@@ -993,10 +994,6 @@ class FloatKernel:
     @staticmethod
     def interval(lo, hi):
         return Interval(lo, hi)
-
-    @staticmethod
-    def pi():
-        return PI
 
     @staticmethod
     def two_pi():

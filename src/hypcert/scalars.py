@@ -84,20 +84,8 @@ def arccos(x):
     return x.arccos() if is_interval(x) else math.acos(x)
 
 
-def cos(x):
-    return x.cos() if is_interval(x) else math.cos(x)
-
-
-def sin(x):
-    return x.sin() if is_interval(x) else math.sin(x)
-
-
 def cosh(x):
     return x.cosh() if is_interval(x) else math.cosh(x)
-
-
-def acosh(x):
-    return x.acosh() if is_interval(x) else math.acosh(x)
 
 
 def surely_lt(x, c):

@@ -350,14 +350,14 @@ def _subsystem_functions(tri, partition, fixed_values, kernel):
     return f_iv, jac_iv
 
 
-def krawczyk_certify(tri, p0, partition, kernel=None, jsub=None, residual=None):
+def krawczyk_certify(tri, p0, partition, jsub, residual, kernel=None):
     """Step II of the pipeline: enclose a solution of the kept equations.
 
     p0: float edge parameters approximately solving the system.  `jsub`
-    and `residual`, when the caller has them, are the float e_eq x e_var
-    Jacobian block and the float residual vector (Theta_e - 2 pi)_e at p0;
-    they are computed here otherwise.  Returns a CertifiedBox with point
-    intervals on the fixed edges; raises StepFailure on no containment.
+    and `residual` are stage I's float e_eq x e_var Jacobian block and the
+    float residual vector (Theta_e - 2 pi)_e at p0.  Returns a CertifiedBox
+    with point intervals on the fixed edges; raises StepFailure on no
+    containment.
     """
     if kernel is None:
         kernel = FLOAT_KERNEL
@@ -367,18 +367,10 @@ def krawczyk_certify(tri, p0, partition, kernel=None, jsub=None, residual=None):
     x0 = [p0[e] for e in partition.e_var]
 
     if q > 0:
-        if jsub is None:
-            try:
-                jsub = geo.jacobian(tri, geo.EdgeParams(list(p0)),
-                                    rows=partition.e_eq, cols=partition.e_var)
-            except geo.RealizationError as exc:
-                raise StepFailure(2, f"approximate point not realized: {exc}")
         try:
             C = np.linalg.inv(np.array(jsub, dtype=float))
         except np.linalg.LinAlgError:
             raise StepFailure(2, "selected subsystem numerically singular")
-        if residual is None:
-            residual = _residual_vec(tri, list(p0))
         resid = float(np.max(np.abs(np.asarray(residual)[partition.e_eq])))
         enclosure = _certify_root(f_iv, jac_iv, x0, C, kernel, resid)
         if enclosure is None:
@@ -480,7 +472,6 @@ def run_pipeline(
     statuses = {}
     if lengths is None:
         lengths = tri.lengths
-    r0 = None  # the residual vector at p0, when it is computed here
     try:
         if lengths is not None:
             p0 = [-math.cosh(float(l)) for l in lengths]
@@ -490,6 +481,7 @@ def run_pipeline(
             p0, resid = bootstrap_solve(
                 tri, max_iters=solver_max_iters, seed=seed
             )
+            r0 = _residual_vec(tri, p0)
     except (SolveFailure, geo.RealizationError) as exc:
         statuses["bootstrap"] = f"failed: {exc}"
         statuses[1] = "failed: no usable candidate parameters"
@@ -518,8 +510,7 @@ def run_pipeline(
 
     # step II
     try:
-        box = krawczyk_certify(tri, p0, partition, kernel=kernel, jsub=jsub,
-                               residual=r0)
+        box = krawczyk_certify(tri, p0, partition, jsub, r0, kernel=kernel)
     except StepFailure as exc:
         statuses[2] = f"failed: {exc.message}"
         return PipelineResult(False, 2, statuses, partition=partition, p0=p0,

@@ -1,18 +1,47 @@
-"""Test-only reference for stage V's ball arithmetic.
+"""Test-only references for stage V's ball arithmetic.
 
-The same midpoint-radius balls as `hypcert.gimbal`, with every product,
-sum and bound formed in outward-rounded `Interval` arithmetic: a midpoint
-product is the midpoint of the interval product of point matrices, and its
-error is that interval's distance to the midpoint.  Slower, but it relies
-on nothing beyond the interval kernel, so the tests compare the float ball
-layer's enclosures with it.  `oracle_balls(monkeypatch)` swaps these
-functions into `gimbal`, where `gimbal_matrix_derivatives` looks them up,
-and makes the labels' balls with them.
+`scalar_ball_from_interval_mat3` encloses one interval matrix with the
+float rounding steps of `hypcert.gimbal`, one entry at a time: the scalar
+reference that `gimbal._balls_of_bounds`, which encloses a whole table of
+matrices at once, must match bit for bit.
+
+The rest are the same midpoint-radius balls as `hypcert.gimbal`, with every
+product, sum and bound formed in outward-rounded `Interval` arithmetic: a
+midpoint product is the midpoint of the interval product of point
+matrices, and its error is that interval's distance to the midpoint.
+Slower, but it relies on nothing beyond the interval kernel, so the tests
+compare the float ball layer's enclosures with it.
+`oracle_balls(monkeypatch)` swaps these functions into `gimbal`, where
+`gimbal_matrix_derivatives` looks them up, and makes the labels' and the
+rotations' balls with them.
 """
+
+from math import inf, nextafter
 
 from hypcert import gimbal as gb
 from hypcert.interval import Interval
+from tests.gimbal_oracle import label_of, rotation_matrix, rotation_matrix_derivative
 from tests.matrix_oracle import mat3_mul
+
+
+def scalar_ball_from_interval_mat3(m):
+    """Enclose an entrywise-interval 3x3 matrix in a `gimbal.BallMatrix3`,
+    entry by entry: midpoint c = 0.5 (lo + hi), radius up(max(c - lo,
+    hi - c)) and `gimbal._spec_bound` of those.  Its norm bound is left to
+    `gimbal._norm_bound`, on first use."""
+    mid = []
+    radii = []
+    for row in m:
+        mid_row = []
+        rad_row = []
+        for x in row:
+            lo, hi = x.lo_float(), x.hi_float()
+            c = 0.5 * (lo + hi)
+            mid_row.append(c)
+            rad_row.append(max(nextafter(c - lo, inf), nextafter(hi - c, inf)))
+        mid.append(tuple(mid_row))
+        radii.append(rad_row)
+    return gb.BallMatrix3(tuple(mid), gb._spec_bound(radii))
 
 
 class BallMatrix3:
@@ -110,12 +139,35 @@ def ball_add(a, b):
     return BallMatrix3(mid, rad)
 
 
+def _rotation_pairs(boxes, enclose):
+    """`enclose` of the `Interval` rotation and rotation-derivative
+    matrices of each box, as `gimbal.rotation_balls` lists them."""
+    one, zero = Interval.point(1.0), Interval.point(0.0)
+    out = []
+    for w in boxes:
+        c, s = w.cos(), w.sin()
+        out.append((enclose(rotation_matrix(c, s, one, zero)),
+                    enclose(rotation_matrix_derivative(c, s, zero))))
+    return out
+
+
+def scalar_rotation_balls(boxes):
+    return _rotation_pairs(boxes, scalar_ball_from_interval_mat3)
+
+
+def rotation_balls(boxes):
+    return _rotation_pairs(boxes, ball_from_interval_mat3)
+
+
 def oracle_balls(monkeypatch):
     """Make `gimbal` build its balls with this module's functions, the
-    labels' balls included: each encloses the label matrix of its letter."""
-    for name in ("ball_from_interval_mat3", "ball_identity", "ball_mul", "ball_add"):
+    labels' and the rotations' balls included: each encloses the label
+    matrix of its letter, or the rotation matrix of its box."""
+    names = ("ball_from_interval_mat3", "ball_identity", "ball_mul", "ball_add",
+             "rotation_balls")
+    for name in names:
         monkeypatch.setattr(gb, name, globals()[name])
     monkeypatch.setattr(
         gb.CocycleLabels, "ball_for_letter",
-        lambda labels, letter: ball_from_interval_mat3(labels.for_letter(letter)),
+        lambda labels, letter: ball_from_interval_mat3(label_of(labels, letter)),
     )

@@ -32,7 +32,7 @@ from tests.matrix_oracle import mat3_identity, mat3_mul
 def pgl2_alpha(labels, tet, sigma):
     v = labels.data[tet].gram[sigma[0]][sigma[1]]
     x = sc.sqrt_nonneg(v * v - 1.0) - v
-    zero, one = labels.zero, labels.one
+    zero, one = (labels.kernel.point(v) for v in (0.0, 1.0))
     return ((zero, x), (one, zero))
 
 
@@ -50,8 +50,8 @@ def pgl2_gamma(labels, tet, sigma):
     if perm_parity(sigma) == 1:
         s = -s
     # complex entries as (re, im) pairs
-    zero = labels.zero
-    return (((c, s), (zero, zero)), ((zero, zero), (labels.one, zero)))
+    zero, one = (labels.kernel.point(v) for v in (0.0, 1.0))
+    return (((c, s), (zero, zero)), ((zero, zero), (one, zero)))
 
 
 def _c_mul(x, y):
@@ -127,7 +127,8 @@ def check_cocycle_closure(tri, labels):
     labels.  Returns a list of failure descriptions (empty = closed).
     """
     failures = []
-    ident = mat3_identity(labels.one, labels.zero)
+    zero = labels.kernel.point(0.0)
+    ident = mat3_identity(labels.kernel.point(1.0), zero)
     for tet in range(tri.n_tets):
         # small hexagons in SO(3)
         for a in range(4):
@@ -155,7 +156,7 @@ def check_cocycle_closure(tri, labels):
                     if kind == "a"
                     else pgl2_beta(labels, tet, s0)
                 )
-                m = _as_mat2c(m, labels.zero)
+                m = _as_mat2c(m, zero)
                 acc = m if acc is None else _mat2c_mul(m, acc)
             failures.extend(
                 _scalar_failures(acc, f"tet {tet} face {f}: big hexagon")
@@ -164,7 +165,7 @@ def check_cocycle_closure(tri, labels):
             acc = None
             for kind, s0, _s1 in rectangle_cycle(a, b):
                 if kind == "a":
-                    m = _as_mat2c(pgl2_alpha(labels, tet, s0), labels.zero)
+                    m = _as_mat2c(pgl2_alpha(labels, tet, s0), zero)
                 else:
                     m = pgl2_gamma(labels, tet, s0)
                 acc = m if acc is None else _mat2c_mul(m, acc)

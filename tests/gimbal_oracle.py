@@ -1,11 +1,13 @@
 """Gimbal-side geometry that no stage of the pipeline computes.
 
-Prism holonomies, polygon angle sums, the gimbal matrix and function
-themselves (stage V needs only their derivatives) and the float edge
-directions on a vertex link.  The tests check stage V's labels and
-Jacobian and the probe's edge-direction table against these identities,
-and the batched labels against `label_matrix`, one letter at a time from
-the scalar formulas.  Tests only.
+Scalar label and rotation matrices, prism holonomies, polygon angle sums,
+the gimbal matrix and function themselves (stage V needs only their
+derivatives) and the float edge directions on a vertex link.  The tests
+check stage V's labels and Jacobian and the probe's edge-direction table
+against these identities, and the batched labels against `label_matrix`,
+one letter at a time from the scalar formulas.  Stage V reads its labels
+only as a table of endpoints; `label_of` rebuilds a label as a matrix of
+scalars from the label arrays.  Tests only.
 """
 
 from hypcert import gimbal as gb
@@ -26,15 +28,55 @@ from tests.geometry_oracle import (
 from tests.matrix_oracle import mat3_identity, mat3_mul
 
 
+def rotation_matrix(cos_w, sin_w, one, zero):
+    """Rotation about the z-axis from precomputed cos/sin."""
+    return (
+        (cos_w, -sin_w, zero),
+        (sin_w, cos_w, zero),
+        (zero, zero, one),
+    )
+
+
+def rotation_matrix_derivative(cos_w, sin_w, zero):
+    """d/dw of the z-rotation by w, from precomputed cos/sin."""
+    return ((-sin_w, -cos_w, zero), (cos_w, -sin_w, zero), (zero, zero, zero))
+
+
+def middle_edge_matrix(cos_e, sin_e, one, zero):
+    return (
+        (-cos_e, zero, sin_e),
+        (zero, -one, zero),
+        (sin_e, zero, cos_e),
+    )
+
+
+def _one_zero(labels):
+    return labels.kernel.point(1.0), labels.kernel.point(0.0)
+
+
+def label_of(labels, letter):
+    """The pipeline's label of an edge letter as a matrix of scalars, from
+    the label arrays at its slot `labels._slot(letter)`."""
+    one, zero = _one_zero(labels)
+    tet, local = divmod(labels._slot(letter), 24)
+    if local < 12:
+        e, negative = divmod(local, 2)
+        c, s = labels.dihedral_cos[tet].tolist()[e], labels.dihedral_sin[tet].tolist()[e]
+        return rotation_matrix(c, -s if negative else s, one, zero)
+    v = local - 12
+    c, s = labels.vertex_cos[tet].tolist()[v], labels.vertex_sin[tet].tolist()[v]
+    return middle_edge_matrix(c, s, one, zero)
+
+
 def gamma_label(labels, tet, sigma):
     """The pipeline's label of the short edge of simplex `tet` starting at
     corner permutation sigma."""
-    return labels.for_letter({"kind": "g", "tet": tet, "s_start": sigma})
+    return label_of(labels, {"kind": "g", "tet": tet, "s_start": sigma})
 
 
 def beta_label(labels, token):
     """The pipeline's label of a middle edge, from its canonical token."""
-    return labels.for_letter({"kind": "b", "token": token})
+    return label_of(labels, {"kind": "b", "token": token})
 
 
 def dihedral_cs(labels, tet, a, b):
@@ -50,19 +92,19 @@ def label_matrix(labels, letter):
     the vertex angle at s(0) in the triangle s(0) s(2) s(1); a short edge
     from s as the rotation by the dihedral angle between faces s(2) and
     s(3), positive when s is odd."""
-    one, zero = labels.one, labels.zero
+    one, zero = _one_zero(labels)
     if letter["kind"] == "b":
         tet, s0, _s1 = letter["token"]
         g = labels.data[tet].gram
         i, j, k = s0[0], s0[2], s0[1]
-        return gb.middle_edge_matrix(
+        return middle_edge_matrix(
             cos_vertex_angle(g, i, j, k), sin_vertex_angle(g, i, j, k), one, zero
         )
     tet, sigma = letter["tet"], letter["s_start"]
     cof = labels.data[tet].cof
     i, j = opposite_edge(sigma[0], sigma[1])
     c, s = cos_dihedral(cof, i, j), sin_dihedral(cof, i, j)
-    return gb.rotation_matrix(c, s if perm_parity(sigma) == -1 else -s, one, zero)
+    return rotation_matrix(c, s if perm_parity(sigma) == -1 else -s, one, zero)
 
 
 def theta_interval(labels, tet, a, b):
@@ -78,10 +120,11 @@ def prism_holonomy(labels, link, pid):
     the rotation by the full angle sum around the edge class.
     """
     end = link.prism_ends[pid]
-    acc = mat3_identity(labels.one, labels.zero)
+    one, zero = _one_zero(labels)
+    acc = mat3_identity(one, zero)
     for (tet, a, b) in end.gammas:
         c, s = dihedral_cs(labels, tet, a, b)
-        acc = mat3_mul(gb.rotation_matrix(c, s, labels.one, labels.zero), acc)
+        acc = mat3_mul(rotation_matrix(c, s, one, zero), acc)
     return acc
 
 
@@ -100,22 +143,27 @@ def polygon_angle_sum(labels, link, pid):
     return acc
 
 
-def gimbal_matrix(loop, labels, t_of_pid):
+def gimbal_matrix(loop, labels, rotations):
     """Product of the letter matrices, first-traversed letter rightmost.
 
-    The labels and angles are intervals.  The product goes through ball
-    arithmetic (entrywise interval products of long near-rotation words
-    diverge); the result is an entrywise float-interval enclosure.
+    The labels are intervals, and `rotations[var]` starts with the ball of
+    the rotation by variable var's angle (`gimbal.rotation_balls`).  The
+    product goes through ball arithmetic (entrywise interval products of
+    long near-rotation words diverge); the result is an entrywise
+    float-interval enclosure.
     """
-    mats, _ = gb._letter_operands(loop, labels, t_of_pid)
     acc = gb.ball_identity()
-    for ball in mats:
+    for letter in loop.word:
+        if letter["kind"] == "P":
+            ball = rotations[loop.variable_of_pid[letter["pid"]]][0]
+        else:
+            ball = labels.ball_for_letter(letter)
         acc = gb.ball_mul(ball, acc)
     return gb.ball_entries(acc, FLOAT_KERNEL)
 
 
-def gimbal_function(loop, labels, t_of_pid):
-    m = gimbal_matrix(loop, labels, t_of_pid)
+def gimbal_function(loop, labels, rotations):
+    m = gimbal_matrix(loop, labels, rotations)
     return (m[0][1], m[0][2], m[1][2])
 
 
@@ -154,7 +202,7 @@ def edge_end_directions(tri, params, vertex_class=0, links=None):
         seen_corners.add(corner)
         for step in range(6):
             let = cycle[(known + step) % 6]
-            m = labels.for_letter(let)
+            m = label_of(labels, let)
             mt = tuple(tuple(m[j][i] for j in range(3)) for i in range(3))
             if let["end"] not in frames:
                 frames[let["end"]] = mat3_mul(frames[let["start"]], mt)

@@ -198,15 +198,14 @@ def test_criterion_06_polygon_identities(hyperbolic_triangulations, verified_all
         links = [tr.vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
         for loop in res.box.loops:
             link = links[loop.vertex_class]
-            g_turns = gimbal_function(
-                loop, labels, {pid: TWO_PI for pid in loop.variable_of_pid}
-            )
+            turns = gb.rotation_balls([TWO_PI] * len(res.partition.e_sim))
+            g_turns = gimbal_function(loop, labels, turns)
             assert all(comp.contains(0.0) for comp in g_turns), name
-            deltas = {
-                pid: polygon_angle_sum(labels, link, pid)
-                for pid in loop.variable_of_pid
-            }
-            g_delta = gimbal_function(loop, labels, deltas)
+            deltas = {}  # variable -> the angle sum of one of its polygons
+            for pid, var in loop.variable_of_pid.items():
+                deltas.setdefault(var, polygon_angle_sum(labels, link, pid))
+            rotations = dict(zip(deltas, gb.rotation_balls(list(deltas.values()))))
+            g_delta = gimbal_function(loop, labels, rotations)
             assert all(comp.contains(0.0) for comp in g_delta), name
             checked_loops += 1
         for link in links:
@@ -299,14 +298,8 @@ def test_criterion_09_gimbal_probe(dodec27a):
     )
 
     class SyntheticLabels:
-        one = k.point(1.0)
-        zero = k.point(0.0)
-
-        def for_letter(self, letter):
-            return half_turn_x
-
         def ball_for_letter(self, letter):
-            return gb.ball_from_interval_mat3(self.for_letter(letter))
+            return gb.ball_from_interval_mat3(half_turn_x)
 
     word = [
         {"kind": "edge", "token": "pi_inv"},
@@ -317,7 +310,7 @@ def test_criterion_09_gimbal_probe(dodec27a):
     loop = gb.GimbalLoop(0, None, (0, 1), word)
     loop.variable_of_pid = {0: 0, 1: 1}
     derivs = gb.gimbal_matrix_derivatives(
-        loop, SyntheticLabels(), {0: TWO_PI, 1: TWO_PI}
+        loop, SyntheticLabels(), gb.rotation_balls([TWO_PI, TWO_PI])
     )
     D = np.array(
         [

@@ -8,6 +8,7 @@ those bounds must cover; the oracle gives the enclosures they must match.
 
 import itertools
 import math
+import random
 from fractions import Fraction as Q
 
 import numpy as np
@@ -19,7 +20,11 @@ from hypcert import geometry as geo
 from hypcert import gimbal as gb
 from hypcert import verify
 from hypcert.interval import FLOAT_KERNEL, Interval, inverse_residual
-from tests.ball_oracle import oracle_balls
+from tests.ball_oracle import (
+    oracle_balls,
+    scalar_ball_from_interval_mat3,
+    scalar_rotation_balls,
+)
 from tests.test_gimbal import _scaling_member
 
 inf = math.inf
@@ -221,16 +226,63 @@ def _hex(m):
 @given(st.lists(interval_matrices(), min_size=1, max_size=3))
 @example([((Interval(-1.0, inf),) * 3,) * 3, ((Interval(-inf, inf),) * 3,) * 3])
 def test_label_balls_from_bounds_are_bitwise_the_scalar_balls(ms):
-    # the labels' ball table: `ball_from_interval_mat3` and `_norm_bound`
-    # of a stack of interval matrices at once, from their endpoints
+    # the ball tables: the scalar reference ball and `_norm_bound` of a
+    # stack of interval matrices at once, from their endpoints, and
+    # `ball_from_interval_mat3` as the stack of one
     lo = np.array([[[x.lo for x in row] for row in m] for m in ms])
     hi = np.array([[[x.hi for x in row] for row in m] for m in ms])
     mids, rads, norms = (x.tolist() for x in gb._balls_of_bounds(lo, hi))
     for m, mid, rad, norm in zip(ms, mids, rads, norms):
-        ball = gb.ball_from_interval_mat3(m)
-        assert _hex(mid) == _hex(ball.mid)
-        assert rad.hex() == ball.rad.hex()
-        assert norm.hex() == gb._norm_bound(ball.mid).hex()
+        ref = scalar_ball_from_interval_mat3(m)
+        assert _hex(mid) == _hex(ref.mid)
+        assert rad.hex() == ref.rad.hex()
+        assert norm.hex() == gb._norm_bound(ref.mid).hex()
+        one = gb.ball_from_interval_mat3(m)
+        assert (_hex(one.mid), one.rad.hex(), one.norm_bound().hex()) == \
+            (_hex(mid), rad.hex(), norm.hex())
+
+
+def _rotation_boxes():
+    """Seeded angle boxes: near 2 pi, 2 pi wide or wider, straddling or
+    touching 0, and points; with repeats."""
+    rng = random.Random(31)
+    boxes = []
+    for _ in range(12):
+        c = 2 * math.pi + rng.uniform(-1e-6, 1e-6)
+        r = 10.0 ** rng.uniform(-16, -4)
+        boxes.append(Interval(c - r, c + r))
+    for _ in range(4):
+        lo = rng.uniform(-10.0, 10.0)
+        boxes.append(Interval(lo, lo + 2 * math.pi + rng.uniform(0.0, 5.0)))
+    for _ in range(4):
+        r = 10.0 ** rng.uniform(-300, 0)
+        boxes += [Interval(-r, r), Interval(-r, 0.0), Interval(0.0, r)]
+    for x in [0.0, math.pi / 2, math.pi, 2 * math.pi] + [rng.uniform(-7.0, 7.0)
+                                                         for _ in range(6)]:
+        boxes.append(Interval.point(x))
+    return boxes + boxes[::5]
+
+
+def test_rotation_balls_are_bitwise_the_scalar_balls(monkeypatch):
+    boxes = _rotation_boxes()
+    calls = []
+    cos_like = Interval._cos_like
+
+    def counting(x, *args):
+        calls.append(x)
+        return cos_like(x, *args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Interval, "_cos_like", counting)
+        got = gb.rotation_balls(boxes)
+    assert len(calls) == 2 * len(set(boxes))  # one cos and one sin per box
+    want = scalar_rotation_balls(boxes)
+    assert len(got) == len(want) == len(boxes)
+    for box, pair, ref_pair in zip(boxes, got, want):
+        for ball, ref in zip(pair, ref_pair):
+            assert _hex(ball.mid) == _hex(ref.mid), box
+            assert ball.rad.hex() == ref.rad.hex(), box
+            assert ball.norm_bound().hex() == ref.norm_bound().hex(), box
 
 
 def test_non_finite_label_gives_infinite_radius():

@@ -208,6 +208,29 @@ def test_recheck_malformed_certificate_exit_one(tmp_path, capsys, edit,
     assert "Traceback" not in err + out
 
 
+@pytest.mark.parametrize("bits", [53, 80])
+@pytest.mark.parametrize("pair", [["nan", "nan"], ["nan", "-1.5"], ["-inf", "inf"],
+                                  ["-1.6", "Infinity"]])
+def test_recheck_non_finite_endpoint_exit_one(tmp_path, capsys, bits, pair,
+                                              dodec27a, verified27a):
+    # at every precision a NaN or infinite endpoint is a malformed
+    # certificate, not a failed proof step
+    from hypcert import certificate as cert
+
+    doc = cert.certificate_dict(dodec27a, verified27a, "krawczyk")
+    doc["precision_bits"] = bits
+    doc["nu"][0] = pair
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        capsys, "recheck", str(data_path("dodec27a.tri")), str(bad)
+    )
+    assert code == 1
+    assert err.startswith("error: malformed certificate: endpoint ")
+    assert "is not finite" in err
+    assert out == ""
+
+
 def test_certify_krawczyk_flag_removed(capsys):
     code, _, err = run_cli(
         capsys, "certify", str(data_path("dodec27a.tri")), "--krawczyk"

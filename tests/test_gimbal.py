@@ -20,6 +20,7 @@ from hypcert.interval import (
     Interval,
     interval_matrix_invertible,
 )
+from tests.ball_oracle import scalar_ball_from_interval_mat3, scalar_rotation_balls
 from tests.cocycle_closure import check_cocycle_closure
 from tests.gimbal_oracle import (
     beta_label,
@@ -29,7 +30,9 @@ from tests.gimbal_oracle import (
     gimbal_function,
     gimbal_matrix,
     label_matrix,
+    middle_edge_matrix,
     prism_holonomy,
+    rotation_matrix,
 )
 from tests.conftest import S3_TEXT
 from tests.matrix_oracle import mat3_mul
@@ -56,12 +59,12 @@ def random_realized_labels(t, rng, kernel=None):
 
 
 def test_beta_label_at_right_angle():
-    B = gb.middle_edge_matrix(0.0, 1.0, 1.0, 0.0)
+    B = middle_edge_matrix(0.0, 1.0, 1.0, 0.0)
     assert B == ((0.0, 0.0, 1.0), (0.0, -1.0, 0.0), (1.0, 0.0, 0.0))
 
 
 def test_gamma_label_at_zero_angle():
-    R = gb.rotation_matrix(1.0, 0.0, 1.0, 0.0)
+    R = rotation_matrix(1.0, 0.0, 1.0, 0.0)
     assert R == ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
@@ -98,11 +101,14 @@ def test_gamma_reversal_inverts(s3m):
 def test_identified_middle_edges_share_labels(dodec27a, verified27a):
     labels = gb.CocycleLabels(dodec27a, verified27a.box.nu)
     link = tr.vertex_link_hexagon_complex(dodec27a, 0)
-    # the two hexagons adjacent to a middle edge fetch bit-identical labels
+    # the two hexagons adjacent to a middle edge fetch one label slot, and
+    # so one ball
     for token, (c1, c2) in list(link.beta_pairs.items())[:40]:
-        m1 = beta_label(labels, token)
-        m2 = beta_label(labels, token)
-        assert m1 is m2
+        sides = [let for c in (c1, c2) for let in link.hexagons[c]
+                 if let["kind"] == "b" and let["token"] == token]
+        assert len(sides) == 2
+        assert labels._slot(sides[0]) == labels._slot(sides[1])
+        assert labels.ball_for_letter(sides[0]) is labels.ball_for_letter(sides[1])
 
 
 # -- cocycle closure ----------------------------------------------------------
@@ -132,7 +138,7 @@ def test_cocycle_closure_detects_wrong_index_rule(s3m):
     rng = random.Random(13)
     labels, _ = random_realized_labels(s3m, rng, kernel=k)
 
-    orig = gb.CocycleLabels.for_letter
+    orig = gb.CocycleLabels._slot
 
     def wrong_face_pair(self, letter):
         if letter["kind"] == "g":
@@ -141,10 +147,10 @@ def test_cocycle_closure_detects_wrong_index_rule(s3m):
         return orig(self, letter)
 
     try:
-        gb.CocycleLabels.for_letter = wrong_face_pair
+        gb.CocycleLabels._slot = wrong_face_pair
         fails = check_cocycle_closure(s3m, labels)
     finally:
-        gb.CocycleLabels.for_letter = orig
+        gb.CocycleLabels._slot = orig
     assert fails
 
 
@@ -181,7 +187,7 @@ def test_prism_holonomy_single_incidence_synthetic(s3m):
     H = prism_holonomy(labels, L, 0)
     tet, a, b = end.gammas[0]
     c, s = dihedral_cs(labels, tet, a, b)
-    R = gb.rotation_matrix(c, s, labels.one, labels.zero)
+    R = rotation_matrix(c, s, k.point(1.0), k.point(0.0))
     for i in range(3):
         for j in range(3):
             assert H[i][j].lo == R[i][j].lo and H[i][j].hi == R[i][j].hi
@@ -260,7 +266,7 @@ def test_gimbal_derivative_finite_differences(dodec27a):
     t0 = {0: 6.2, 3: 6.4, 5: 6.0}
 
     def at(angles):
-        return {pid: FLOAT_KERNEL.point(t) for pid, t in angles.items()}
+        return gb.rotation_balls([FLOAT_KERNEL.point(angles[pid]) for pid in (0, 3, 5)])
 
     der = gb.gimbal_matrix_derivatives(loop, labels, at(t0))
     h = 1e-7
@@ -311,7 +317,7 @@ def test_direction_sum_oracle(dodec27a, verified27a):
     loops = gb.build_loops_for_partition(dodec27a, part.e_sim, links=links)
     loop = loops[0]
     dirs = edge_end_directions(dodec27a, geo.EdgeParams(list(p0)))
-    t2 = {pid: TWO_PI for pid in loop.variable_of_pid}
+    t2 = gb.rotation_balls([TWO_PI] * len(part.e_sim))
     der = gb.gimbal_matrix_derivatives(loop, labels, t2)
     ends_of_var = {}
     for pid, var in loop.variable_of_pid.items():
@@ -364,10 +370,9 @@ def test_lock_check_avoided_on_fixture(dodec27a, verified27a):
 def test_gimbal_function_zero_at_full_turns(dodec27a, verified27a):
     box = verified27a.box
     labels = gb.CocycleLabels(dodec27a, box.nu)
+    rotations = gb.rotation_balls([TWO_PI] * len(verified27a.partition.e_sim))
     for loop in box.loops:
-        g0 = gimbal_function(
-            loop, labels, {pid: TWO_PI for pid in loop.variable_of_pid}
-        )
+        g0 = gimbal_function(loop, labels, rotations)
         for comp in g0:
             assert comp.contains(0.0)
 
@@ -378,16 +383,9 @@ class _SyntheticLabels:
 
     def __init__(self, mats):
         self.mats = mats
-        from hypcert.interval import Interval
-
-        self.one = Interval.point(1.0)
-        self.zero = Interval.point(0.0)
-
-    def for_letter(self, letter):
-        return self.mats[letter["token"]]
 
     def ball_for_letter(self, letter):
-        return gb.ball_from_interval_mat3(self.for_letter(letter))
+        return gb.ball_from_interval_mat3(self.mats[letter["token"]])
 
 
 def _synthetic_loop(removed_pids, word):
@@ -418,9 +416,7 @@ def test_example_gimbal_lock_antipodal_axes():
     ]
     loop = _synthetic_loop([0, 1], word)
     boxes = [TWO_PI, TWO_PI]
-    derivs = gb.gimbal_matrix_derivatives(
-        loop, labels, {pid: boxes[var] for pid, var in loop.variable_of_pid.items()}
-    )
+    derivs = gb.gimbal_matrix_derivatives(loop, labels, gb.rotation_balls(boxes))
     D = np.zeros((2, 3))
     for var, mat in derivs.items():
         D[var] = [mat[0][1].mid(), mat[0][2].mid(), mat[1][2].mid()]
@@ -451,9 +447,7 @@ def test_example_lock_avoided_after_perturbation():
         {"kind": "P", "pid": 0},
     ]
     loop = _synthetic_loop([0, 1], word)
-    derivs = gb.gimbal_matrix_derivatives(
-        loop, labels, {0: TWO_PI, 1: TWO_PI}
-    )
+    derivs = gb.gimbal_matrix_derivatives(loop, labels, gb.rotation_balls([TWO_PI, TWO_PI]))
     D = np.zeros((2, 3))
     for var, mat in derivs.items():
         D[var] = [mat[0][1].mid(), mat[0][2].mid(), mat[1][2].mid()]
@@ -608,11 +602,11 @@ def test_gimbal_jacobian_memo_changes_no_bit(name, dodec27a, monkeypatch):
     tri = dodec27a if name == "dodec27a" else _scaling_member(12)
     loops, labels, theta_boxes = _gimbal_inputs(tri)
 
-    # a normal run: each label ball comes from the labels' table with its
-    # norm bound; every other ball multiplied gets its norm bound once
-    norms, operands, looked_up = [], {}, {}
+    # a normal run: each label and rotation ball comes from a table with
+    # its norm bound; every other ball multiplied gets its norm bound once
+    norms, operands, looked_up, rotated = [], {}, {}, {}
     norm_bound, ball_mul = gb._norm_bound, gb.ball_mul
-    ball_for_letter = gb.CocycleLabels.ball_for_letter
+    ball_for_letter, rotation_balls = gb.CocycleLabels.ball_for_letter, gb.rotation_balls
 
     def counting_norm(m):
         norms.append(m)
@@ -627,26 +621,36 @@ def test_gimbal_jacobian_memo_changes_no_bit(name, dodec27a, monkeypatch):
         looked_up[id(ball)] = ball
         return ball
 
+    def recording_rotations(boxes):
+        pairs = rotation_balls(boxes)
+        rotated.update((id(ball), ball) for pair in pairs for ball in pair)
+        return pairs
+
     with monkeypatch.context() as mp:
         mp.setattr(gb, "_norm_bound", counting_norm)
         mp.setattr(gb, "ball_mul", recording_mul)
         mp.setattr(gb.CocycleLabels, "ball_for_letter", recording_lookup)
+        mp.setattr(gb, "rotation_balls", recording_rotations)
         memo = gb.assemble_gimbal_jacobian(loops, labels, theta_boxes)
     assert looked_up and looked_up.keys() <= operands.keys()
-    assert len(norms) == len(operands) - len(looked_up)  # none twice
+    from_tables = looked_up.keys() | (rotated.keys() & operands.keys())
+    assert len(rotated.keys() & operands.keys()) >= len(set(theta_boxes))
+    assert len(norms) == len(operands) - len(from_tables)  # none twice
 
     # reference: a new ball per letter occurrence, enclosing the label from
-    # the scalar formulas, and norm bounds recomputed at every product
+    # the scalar formulas one entry at a time, rotation balls made one entry
+    # at a time too, and norm bounds recomputed at every product
     made = []
 
     def oracle_ball(lab, letter):
         made.append(letter)
-        return gb.ball_from_interval_mat3(label_matrix(lab, letter))
+        return scalar_ball_from_interval_mat3(label_matrix(lab, letter))
 
     with monkeypatch.context() as mp:
         mp.setattr(gb.BallMatrix3, "norm_bound",
                    lambda ball: gb._norm_bound(ball.mid))
         mp.setattr(gb.CocycleLabels, "ball_for_letter", oracle_ball)
+        mp.setattr(gb, "rotation_balls", scalar_rotation_balls)
         reference = gb.assemble_gimbal_jacobian(loops, labels, theta_boxes)
     # the reference went through the seam: once per edge letter
     assert len(made) == sum(let["kind"] != "P" for loop in loops for let in loop.word)

@@ -1,13 +1,16 @@
 """Stage V's batched labels against the scalar label formulas.
 
 `gimbal.CocycleLabels` computes the cosine and sine of every dihedral and
-vertex angle as kernel arrays over all simplices, and the balls of
-interval labels from those arrays' endpoints.  Every label must be bit for
+vertex angle as kernel arrays over all simplices, one table of the labels'
+float endpoints, and the balls of interval labels from that table.  Every
+label read from the arrays (`tests/gimbal_oracle.label_of`) must be bit for
 bit the matrix the scalar formulas of `tests/geometry_oracle.py` give one
-letter at a time (`tests/gimbal_oracle.label_matrix`), and every ball what
-`ball_from_interval_mat3` and `_norm_bound` make of that matrix: for
-floats, 53-bit intervals and 80-bit intervals, on the bundled fixtures, a
-re-subdivided input and random simplices.
+letter at a time (`tests/gimbal_oracle.label_matrix`), the table must hold
+that matrix's outward float endpoints, and every ball must be what the
+scalar reference `tests/ball_oracle.scalar_ball_from_interval_mat3` and
+`_norm_bound` make of it: for floats, 53-bit intervals and 80-bit
+intervals, on the bundled fixtures, a re-subdivided input and random
+simplices.
 """
 
 import itertools
@@ -22,8 +25,9 @@ from hypcert import gimbal as gb
 from hypcert import triangulation as tr
 from hypcert.interval import FLOAT_KERNEL, DomainError, Interval, MPInterval, MPKernel
 from hypcert.scalars import REAL_KERNEL
+from tests.ball_oracle import scalar_ball_from_interval_mat3
 from tests.conftest import S3_TEXT
-from tests.gimbal_oracle import label_matrix
+from tests.gimbal_oracle import label_matrix, label_of
 from tests.test_gimbal import _scaling_member
 
 KERNELS = {"float": None, "53": FLOAT_KERNEL, "80": MPKernel(80)}
@@ -54,12 +58,21 @@ def _letters(n_tets):
 def _check_labels(tri, params):
     labels = gb.CocycleLabels(tri, params)
     interval = labels.kernel is not REAL_KERNEL
+    lo, hi = labels.label_bounds()
+    assert lo.shape == hi.shape == (24 * tri.n_tets, 3, 3)
     checked = 0
     for letter in _letters(tri.n_tets):
         want = label_matrix(labels, letter)
-        assert _matrix_bits(labels.for_letter(letter)) == _matrix_bits(want), letter
+        assert _matrix_bits(label_of(labels, letter)) == _matrix_bits(want), letter
+        ends = [[(x.lo_float(), x.hi_float()) if interval else (x, x) for x in row]
+                for row in want]
+        slot = labels._slot(letter)
+        assert _matrix_bits(lo[slot].tolist()) == _matrix_bits(
+            [[a for a, _ in row] for row in ends]), letter
+        assert _matrix_bits(hi[slot].tolist()) == _matrix_bits(
+            [[b for _, b in row] for row in ends]), letter
         if interval:
-            ball, ref = labels.ball_for_letter(letter), gb.ball_from_interval_mat3(want)
+            ball, ref = labels.ball_for_letter(letter), scalar_ball_from_interval_mat3(want)
             assert [[x.hex() for x in row] for row in ball.mid] == \
                 [[x.hex() for x in row] for row in ref.mid], letter
             assert ball.rad.hex() == ref.rad.hex(), letter

@@ -452,16 +452,6 @@ def test_stage_two_reuses_stage_one_float_data(dodec27a, verified27a, monkeypatc
     ]
 
 
-def test_krawczyk_certify_with_given_float_data_is_unchanged(dodec27a, verified27a):
-    part, p0 = verified27a.partition, verified27a.p0
-    M = np.array(geo.jacobian(dodec27a, geo.EdgeParams(p0)))
-    residual = verify._residual_vec(dodec27a, p0)
-    given = verify.krawczyk_certify(dodec27a, p0, part,
-                                    jsub=M[part.e_eq][:, part.e_var], residual=residual)
-    computed = verify.krawczyk_certify(dodec27a, p0, part)
-    assert [(x.lo, x.hi) for x in given.nu] == [(x.lo, x.hi) for x in computed.nu]
-
-
 # -- step II: the skipped inflation rounds ------------------------------------
 
 
@@ -487,11 +477,13 @@ def _kept_system(tri, kernel, lengths=None):
     p0 = [-math.cosh(float(l)) for l in (lengths or tri.lengths)]
     M = geo.jacobian(tri, geo.EdgeParams(p0))
     partition = verify.make_partition(tri, *verify.select_submatrix(M, tri.m - 3 * tri.o))
+    jsub = np.array(M)[partition.e_eq][:, partition.e_var]
+    residual = verify._residual_vec(tri, p0)
     captured = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "_certify_root", lambda *args: captured.append(args))
         with pytest.raises(verify.StepFailure):
-            verify.krawczyk_certify(tri, p0, partition, kernel=kernel)
+            verify.krawczyk_certify(tri, p0, partition, jsub, residual, kernel=kernel)
     return captured[0]
 
 

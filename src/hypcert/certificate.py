@@ -14,8 +14,9 @@ from __future__ import annotations
 import decimal
 import hashlib
 import json
+import sys
 from fractions import Fraction
-from math import inf, nextafter
+from math import inf, isfinite, nextafter
 
 from mpmath import libmp
 
@@ -92,6 +93,9 @@ def _parse_interval(pair, kernel):
     for s in pair:
         if not decimal.Decimal(s).is_finite():
             raise ValueError(f"endpoint {s!r} is not finite")
+        if kernel.precision == 53 and not isfinite(float(s)):
+            raise ValueError(f"endpoint {s!r} is beyond the 53-bit float range "
+                             f"(magnitude at most {sys.float_info.max!r})")
     lo_s, hi_s = pair
     if kernel.precision == 53:
         return kernel.interval(_float_down(lo_s), _float_up(hi_s))

@@ -11,7 +11,15 @@ result set of its inputs.  Two endpoint backends share one protocol:
   here (cos, sin, cosh, acosh, acos are all correctly rounded to <= 2 ulp
   on mainstream libms; sqrt is exactly rounded).
 * ``MPInterval`` -- arbitrary-precision endpoints via mpmath's directed
-  rounding primitives, plus one extra ulp of outward slack per endpoint.
+  rounding primitives.  ``+``, ``-``, ``*`` and ``/`` round each endpoint
+  once, down or up, with no slack.  With finite endpoints a product or
+  quotient takes its endpoint pairs from the sign-case table: one product
+  rounded down, one rounded up, and the min of two and the max of two only
+  when both factors straddle zero.  Rounding is monotone, so the rounded
+  product of the extreme pair is the min (max) of all four rounded
+  candidates: the same bits as the general hull, which intervals with an
+  infinite endpoint still form.  The elementary functions are evaluated
+  10 bits wider and stepped at least one ulp outward.
 
 Beyond the arithmetic dunders and the elementary functions, both classes
 expose the same protocol, which is all that generic code may rely on:
@@ -59,6 +67,7 @@ so intervals are safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from math import inf, isfinite, isnan, nextafter
 from operator import attrgetter, methodcaller
@@ -412,8 +421,7 @@ class Interval:
         # arccos is decreasing
         return Interval(max(at(self.hi, False), 0.0), min(at(self.lo, True), PI.hi))
 
-    def _cos_like(self, fn, crit_offset):
-        # extrema of cos at k*pi (offset 0), of sin at pi/2 + k*pi
+    def _cos_like(self, fn):
         if not self.is_finite():
             return Interval(-1.0, 1.0)
         if self.width() >= TWO_PI.hi:
@@ -439,8 +447,7 @@ class Interval:
         k0 = math.floor(self.lo / math.pi) - 1
         k1 = math.ceil(self.hi / math.pi) + 1
         for k in range(k0, k1 + 1):
-            crit = PI * k + crit_offset
-            if crit.intersects(self):
+            if _critical_point(k, fn).intersects(self):
                 # cos peaks at 2j pi, sin at pi/2 + 2j pi: both at even k
                 if k % 2 == 0:
                     hi = 1.0
@@ -449,15 +456,23 @@ class Interval:
         return Interval(max(lo, -1.0), min(hi, 1.0))
 
     def cos(self):
-        return self._cos_like(math.cos, 0.0)
+        return self._cos_like(math.cos)
 
     def sin(self):
-        return self._cos_like(math.sin, _PI_HALF_IV)
+        return self._cos_like(math.sin)
 
 
 PI = Interval(math.pi, nextafter(math.pi, inf))
 TWO_PI = Interval(2.0 * math.pi, nextafter(2.0 * math.pi, inf))
 _PI_HALF_IV = Interval(0.5 * math.pi, nextafter(0.5 * math.pi, inf))
+
+
+@functools.lru_cache(maxsize=256)
+def _critical_point(k, fn):
+    """Enclosure of the k-th extremum of fn (math.cos or math.sin):
+    k*pi for cos, pi/2 + k*pi for sin.  Memoized; the same bits as the
+    interval formula."""
+    return PI * k + (0.0 if fn is math.cos else _PI_HALF_IV)
 
 
 def contains_two_pi(x):
@@ -475,6 +490,59 @@ def contains_two_pi(x):
 
 _RF = libmp.round_floor
 _RC = libmp.round_ceiling
+
+
+def _sign_class(x):
+    """0 if the finite endpoint pair x is >= 0, 1 if <= 0, 2 if it
+    straddles zero.  An mpf is (sign, man, exp, bc); zero has sign 0, and
+    only inf and NaN have bc < 0."""
+    if not x[0][0]:
+        return 0
+    if x[1][0] or not x[1][1]:
+        return 1
+    return 2
+
+
+# Endpoint indices (i, j, k, m) of the extreme exact products: the lower is
+# x[i] * y[j], the upper x[k] * y[m].  Indexed by 3 * class(x) + class(y);
+# when both straddle zero the lower is x[0] y[1] or x[1] y[0], the upper
+# x[0] y[0] or x[1] y[1].
+_MUL_PAIRS = (
+    (0, 0, 1, 1), (1, 0, 0, 1), (1, 0, 1, 1),
+    (0, 1, 1, 0), (1, 1, 0, 0), (0, 1, 0, 0),
+    (0, 1, 1, 1), (1, 0, 0, 0),
+)
+# The same for x[i] / y[j]; indexed by 2 * class(x) + (1 if y < 0 else 0).
+_DIV_PAIRS = (
+    (0, 1, 1, 0), (1, 1, 0, 0),
+    (0, 0, 1, 1), (1, 0, 0, 1),
+    (0, 0, 1, 0), (1, 1, 0, 1),
+)
+
+
+def _hull4(op, x, y, prec):
+    """Outward hull of op over the four endpoint pairs; the general case,
+    for endpoints that may be infinite."""
+    lo = hi = None
+    for u in x:
+        for v in y:
+            d = op(u, v, prec, _RF)
+            e = op(u, v, prec, _RC)
+            if lo is None or libmp.mpf_lt(d, lo):
+                lo = d
+            if hi is None or libmp.mpf_gt(e, hi):
+                hi = e
+    return lo, hi
+
+
+_NEW = object.__new__
+
+
+def _ordered(lo, hi, prec):
+    """An MPInterval whose endpoints directed rounding has already ordered."""
+    r = _NEW(MPInterval)
+    r.lo, r.hi, r.prec = lo, hi, prec
+    return r
 
 
 def _mp_step(x, prec, up):
@@ -576,16 +644,17 @@ class MPInterval:
         return f"[{self.lo_float()!r}, {self.hi_float()!r}]~{self.prec}b"
 
     def __neg__(self):
-        return MPInterval(libmp.mpf_neg(self.hi), libmp.mpf_neg(self.lo), self.prec)
+        return _ordered(libmp.mpf_neg(self.hi), libmp.mpf_neg(self.lo), self.prec)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return MPInterval(
-            libmp.mpf_add(self.lo, other.lo, self.prec, _RF),
-            libmp.mpf_add(self.hi, other.hi, self.prec, _RC),
-            self.prec,
+        prec = self.prec
+        return _ordered(
+            libmp.mpf_add(self.lo, other.lo, prec, _RF),
+            libmp.mpf_add(self.hi, other.hi, prec, _RC),
+            prec,
         )
 
     __radd__ = __add__
@@ -603,16 +672,20 @@ class MPInterval:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        lo = hi = None
-        for x in (self.lo, self.hi):
-            for y in (other.lo, other.hi):
-                d = libmp.mpf_mul(x, y, self.prec, _RF)
-                u = libmp.mpf_mul(x, y, self.prec, _RC)
-                if lo is None or libmp.mpf_lt(d, lo):
-                    lo = d
-                if hi is None or libmp.mpf_gt(u, hi):
-                    hi = u
-        return MPInterval(lo, hi, self.prec)
+        x, y, prec = (self.lo, self.hi), (other.lo, other.hi), self.prec
+        if (x[0][3] | x[1][3] | y[0][3] | y[1][3]) < 0:  # some bc < 0: inf or NaN
+            return MPInterval(*_hull4(libmp.mpf_mul, x, y, prec), prec)
+        case = 3 * _sign_class(x) + _sign_class(y)
+        if case == 8:  # both straddle zero
+            a = libmp.mpf_mul(x[0], y[1], prec, _RF)
+            b = libmp.mpf_mul(x[1], y[0], prec, _RF)
+            c = libmp.mpf_mul(x[0], y[0], prec, _RC)
+            d = libmp.mpf_mul(x[1], y[1], prec, _RC)
+            return _ordered(a if libmp.mpf_lt(a, b) else b,
+                            c if libmp.mpf_gt(c, d) else d, prec)
+        i, j, k, m = _MUL_PAIRS[case]
+        return _ordered(libmp.mpf_mul(x[i], y[j], prec, _RF),
+                        libmp.mpf_mul(x[k], y[m], prec, _RC), prec)
 
     __rmul__ = __mul__
 
@@ -623,16 +696,13 @@ class MPInterval:
         z = libmp.fzero
         if not libmp.mpf_gt(other.lo, z) and not libmp.mpf_gt(z, other.hi):
             raise DomainError("division by interval containing zero")
-        lo = hi = None
-        for x in (self.lo, self.hi):
-            for y in (other.lo, other.hi):
-                d = libmp.mpf_div(x, y, self.prec, _RF)
-                u = libmp.mpf_div(x, y, self.prec, _RC)
-                if lo is None or libmp.mpf_lt(d, lo):
-                    lo = d
-                if hi is None or libmp.mpf_gt(u, hi):
-                    hi = u
-        return MPInterval(lo, hi, self.prec)
+        x, y, prec = (self.lo, self.hi), (other.lo, other.hi), self.prec
+        if (x[0][3] | x[1][3] | y[0][3] | y[1][3]) < 0:  # some bc < 0: inf or NaN
+            return MPInterval(*_hull4(libmp.mpf_div, x, y, prec), prec)
+        # y lies on one side of zero: its sign is the sign bit of y.lo
+        i, j, k, m = _DIV_PAIRS[2 * _sign_class(x) + y[0][0]]
+        return _ordered(libmp.mpf_div(x[i], y[j], prec, _RF),
+                        libmp.mpf_div(x[k], y[m], prec, _RC), prec)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)

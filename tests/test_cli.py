@@ -231,6 +231,36 @@ def test_recheck_non_finite_endpoint_exit_one(tmp_path, capsys, bits, pair,
     assert out == ""
 
 
+@pytest.mark.parametrize("pair,big", [(["-1e400", "-1.5"], "-1e400"),
+                                      (["-1.6", "2e308"], "2e308")])
+def test_recheck_endpoint_beyond_float_range_exit_one(tmp_path, capsys, pair, big,
+                                                      dodec27a, verified27a):
+    # a finite decimal that no double holds is malformed at 53 bits, with
+    # a message naming it; at 80 bits it is an ordinary finite MP endpoint
+    import mpmath
+    from mpmath import libmp
+
+    from hypcert import certificate as cert
+    from hypcert.interval import MPKernel
+
+    doc = cert.certificate_dict(dodec27a, verified27a, "krawczyk")
+    doc["nu"][0] = pair
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        capsys, "recheck", str(data_path("dodec27a.tri")), str(bad)
+    )
+    assert code == 1
+    assert err.startswith(f"error: malformed certificate: endpoint {big!r} is beyond "
+                          "the 53-bit float range (magnitude at most 1.7976931348623157e+308)")
+    assert out == ""
+
+    x = cert._parse_interval(pair, MPKernel(80))
+    assert x.lo == libmp.from_str(pair[0], 80, libmp.round_floor)
+    assert x.hi == libmp.from_str(pair[1], 80, libmp.round_ceiling)
+    assert mpmath.isfinite(mpmath.mpf(x.lo)) and mpmath.isfinite(mpmath.mpf(x.hi))
+
+
 def test_certify_krawczyk_flag_removed(capsys):
     code, _, err = run_cli(
         capsys, "certify", str(data_path("dodec27a.tri")), "--krawczyk"

@@ -192,13 +192,12 @@ def recheck(tri, doc, precision=None):
         precision = doc.get("precision_bits", 53)
     if type(precision) is not int or precision < 53:
         raise CertificateError(f"precision must be an integer >= 53, got {precision!r}")
-    kernel = kernel_for_precision(precision)
-    part, nu = _parse_box(tri, doc, kernel)
+    part, nu = _parse_box(tri, doc, kernel_for_precision(precision))
     box = vf.CertifiedBox(
         nu=nu, theta=None, partition=part, precision=precision
     )
     try:
-        vf.check_gimbal_lock(tri, vf.check_realization_and_angles(tri, box, kernel=kernel))
+        vf.check_gimbal_lock(tri, vf.check_realization_and_angles(tri, box))
     except vf.StepFailure as exc:
         return False, f"recheck failed: {exc}"
     return True, "realization, angle sums and gimbal check reverified"

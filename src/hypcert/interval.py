@@ -41,25 +41,20 @@ and item assignment; ``kernel.sqrt``, ``kernel.sqrt_nonneg`` and
 gives an array's outward float endpoints, ``kernel.float_hull`` its
 outward 53-bit hull as an ``IntervalArray`` and ``kernel.lift`` an
 ``IntervalArray`` as the kernel's array, exactly.  The float kernel's
-array is ``IntervalArray``: numpy endpoint arrays whose arithmetic
-reproduces the ``Interval`` dunders and methods bit for bit, so its
-``mat_mul`` (each entry summed left to right over k) is bit-identical to
-the loop of scalar dunders that the tests keep as its oracle, while
-forming only the terms with no factor the point [0, 0], in numpy batches;
-its hull and lift are the identity.  It is the one interval matrix type:
-stage V's Jacobian is such an array, and ``inverse_residual`` and
-``interval_matrix_invertible`` take one.  The MP kernel's array is a numpy
-object array of ``MPInterval`` (elementwise operations call the dunders);
-it has no product, since every matrix product runs on the 53-bit hull at
-every precision.  ``scalars.REAL_KERNEL`` gives plain floats the same
-array protocol on numpy float64 arrays, so ``geometry`` and stage V's
-labels (``gimbal.CocycleLabels``) run one code path for all three kinds.
-Stage V's 3x3 ball arithmetic does not use this layer: ``gimbal`` takes
-every operand's ball from a table of outward float endpoints, one for the
-labels (``kernel.bounds`` of the label arrays) and one for the rotations
-of a Jacobian's variables, forms its ball products on plain floats in
-round-to-nearest with a-priori rounding-error bounds, and turns a ball
-into kernel intervals only in ``gimbal.ball_entries``.
+array, ``IntervalArray``, holds numpy endpoint arrays whose elementwise
+arithmetic is bit for bit the ``Interval`` dunders and methods; its hull
+and lift are the identity.  It is the one interval matrix type, and
+``FloatKernel.mat_mul`` its one product: midpoint-radius on BLAS, with an
+error bound that holds for any summation order, blocking, thread count
+and use of FMA.  Its endpoints enclose the exact product, but they are
+not the scalar loop's.  Stage V's Jacobian is such an array, and
+``inverse_residual`` and ``interval_matrix_invertible`` take one.  The MP
+kernel's array is a numpy object array of ``MPInterval``; it has no
+product, since every matrix product runs on the 53-bit hull.
+``scalars.REAL_KERNEL`` gives plain floats the same array protocol, so
+``geometry`` and stage V's labels run one code path for all three kinds.
+Stage V's 3x3 ball products (``gimbal``) do not use this layer: they run
+on plain floats with a-priori rounding-error bounds.
 
 No global floating-point state is touched; rounding is done value-by-value,
 so intervals are safe to share across threads.
@@ -1047,6 +1042,16 @@ def _sign_clamped_array(lo, hi, alo, ahi, blo, bhi):
     return np.where(clamp_lo, 0.0, lo), hi
 
 
+def _mid_rad(lo, hi):
+    """``Interval.mid`` of each entry and a radius r, [lo, hi] inside
+    [mid - r, mid + r]: 0 for a point, not finite for an infinite endpoint."""
+    with np.errstate(all="ignore"):
+        mid = 0.5 * (lo + hi)
+        mid = np.where(lo == hi, lo, np.where(np.isfinite(mid), mid, 0.5 * lo + 0.5 * hi))
+        rad = np.maximum(_up_array(*_two_sum(hi, -mid)), _up_array(*_two_sum(mid, -lo)))
+    return mid, rad
+
+
 # ---------------------------------------------------------------------------
 # kernels: uniform constructors for the two backends
 # ---------------------------------------------------------------------------
@@ -1075,42 +1080,46 @@ class FloatKernel:
 
     @staticmethod
     def mat_mul(a, b):
-        """a @ b for 2-D IntervalArrays, bit-identical to the loop that sums
-        each entry's ``Interval`` products left to right from k = 0 (a shape
-        mismatch raises IntervalError).
+        """a @ b for 2-D IntervalArrays, midpoint-radius on BLAS (Rump, BIT 39, 1999).
 
-        Only the terms a[i,k] * b[k,j] with neither factor the point [0, 0]
-        are formed, in batches, for (i, j, k) in C order (so in increasing
-        k per entry), and summed left to right one rank at a time; an entry
-        without terms is [0, 0].
+        With (ma, ra), (mb, rb) from `_mid_rad`, entry (i, j) is M -+ e rounded
+        outward: M = fl(ma @ mb), e = up(A R + B T + 5 k eta), R = fl(|ma| @ rb)
+        + fl(ra @ fl(|mb| + rb)), T = fl(|ma| @ |mb|), A = 1 + 2 (n + 4) u, B =
+        2 n u, u = 2^-53, eta = 2^-1074, n the inner dimension and k the number
+        of terms with neither factor [0, 0] (k = 0 leaves [0, 0]).  An infinite
+        factor weighs n + 1 in k and 0 elsewhere; k > n or overflow: [-inf, inf].
 
-        That changes no bit.  A factor [0, 0] makes a term exactly [0, 0]
-        (the zero rule of ``Interval.__mul__``); a two-sum with 0 is exact,
-        so acc + [0, 0] = acc and [0, 0] + t = t (neither is ever -0.0).  The
-        exception, a lower endpoint +inf or an upper -inf (inf - inf leaves
-        the error term unknown), never occurs: outward rounding takes an
-        overflowing lower endpoint to the largest float.  So the other terms
-        meet the same sums in the same order, NaN included.
+        Proof that e bounds the error (n < 2^50), for any fl(P @ Q) formed by
+        binary64 products, sums and FMAs rounded to nearest in gradual
+        underflow, in any order, blocking and thread split.  A rounding is fl(z)
+        = z (1 + d) + t = z / (1 + d') + t', |d|, |d'| <= u, |t|, |t'| <= eta/2,
+        t = t' = 0 unless z is a (fused) product of nonzero factors (sums that
+        underflow are exact).  A product meets <= n roundings, its t <= n - 1
+        more, (1 + u)^n <= 2, so (Higham, Accuracy and Stability, 3.1) |fl(P @
+        Q) - P Q| <= gamma_n |P| |Q| + k eta; P Q <= (1 + u)^n fl(P @ Q) + k eta
+        for P, Q >= 0.  With |a b - ma mb| <= |ma| rb + ra (|mb| + rb) and x + y
+        <= (1 + u) fl(x + y) for x, y >= 0, the error is <= (1 + u)^(n+2) R +
+        gamma_n (1 + u)^n T + 4 k eta.  A and B exceed these factors times (1 +
+        u)^2, so for k >= 1 it is <= (1 + u) fl(A R + B T + 5 k eta) <= e.
         """
-        (rows, inner), (inner_b, cols) = a.shape, b.shape
-        if inner != inner_b:
-            raise IntervalError(f"shape mismatch {rows}x{inner} @ {inner_b}x{cols}")
-        nz_a, nz_b = ((m.lo != 0.0) | (m.hi != 0.0) for m in (a, b))
-        i, j, k = np.nonzero(nz_a[:, None, :] & nz_b.T[None, :, :])
-        terms = IntervalArray(np.zeros(len(i)), np.zeros(len(i)))
-        chunk = 2048  # terms per batch: bounds the temporaries
-        for s in range(0, len(i), chunk):
-            t = slice(s, s + chunk)
-            terms[t] = a[i[t], k[t]] * b[k[t], j[t]]
-        # an entry's terms are consecutive: `count` of them from `first`
-        first = np.flatnonzero(np.diff(i * cols + j, prepend=-1))
-        count = np.diff(first, append=len(i))
-        acc = IntervalArray(np.zeros((rows, cols)), np.zeros((rows, cols)))
-        acc[i[first], j[first]] = terms[first]
-        for rank in range(1, count.max(initial=0)):
-            f = first[count > rank]
-            acc[i[f], j[f]] = acc[i[f], j[f]] + terms[f + rank]
-        return acc
+        n = a.shape[1]
+        if n != b.shape[0]:
+            raise IntervalError(f"shape mismatch {a.shape} @ {b.shape}")
+        parts = []
+        for m in (a, b):
+            mid, rad = _mid_rad(m.lo, m.hi)
+            finite, nonzero = np.isfinite(rad), (m.lo != 0.0) | (m.hi != 0.0)
+            parts += [np.where(finite, mid, 0.0), np.where(finite, rad, 0.0),
+                      np.where(finite, nonzero, n + 1.0)]
+        ma, ra, wa, mb, rb, wb = parts
+        with np.errstate(all="ignore"):
+            mid, k = ma @ mb, wa @ wb
+            e = ((1.0 + (n + 4) * 2.0 ** -52) * (abs(ma) @ rb + ra @ (abs(mb) + rb))
+                 + n * 2.0 ** -52 * (abs(ma) @ abs(mb)) + 5.0 * k * 2.0 ** -1074)
+            e = np.where(k > 0.0, np.nextafter(e, inf), 0.0)
+            lo, hi = _down_array(*_two_sum(mid, -e)), _up_array(*_two_sum(mid, e))
+        unbounded = ~np.isfinite(mid) | ~np.isfinite(e) | (k > n)
+        return IntervalArray(np.where(unbounded, -inf, lo), np.where(unbounded, inf, hi))
 
     @staticmethod
     def bounds(arr):
@@ -1211,42 +1220,21 @@ def kernel_for_precision(precision):
 # ---------------------------------------------------------------------------
 
 
-def _div_down_float(a, b):
-    q = a / b
-    p, e = _two_prod(q, b)
-    if isnan(e) or not isfinite(p):
-        return nextafter(q, -inf)
-    if p == a and e == 0.0:
-        return q
-    qb_gt_a = p > a or (p == a and e > 0.0)
-    if qb_gt_a == (b > 0.0):
-        return nextafter(q, -inf)
-    return q
-
-
-def _midpoints(lo, hi):
-    """``Interval.mid`` entrywise, from finite endpoint arrays."""
-    with np.errstate(over="ignore"):
-        m = 0.5 * (lo + hi)
-    m = np.where(np.isfinite(m), m, 0.5 * lo + 0.5 * hi)
-    return np.where(lo == hi, lo, m)
-
-
 def inverse_residual(m):
     """m @ n - Id as a 53-bit array, for a square 53-bit interval array m,
     where n is a float inverse of the midpoint matrix of m; None if m has
     an infinite entry or no finite inverse is found."""
     f = FLOAT_KERNEL
-    lo, hi = f.bounds(m)
-    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+    mid, rad = _mid_rad(*f.bounds(m))
+    if not np.isfinite(rad).all():
         return None
     try:
-        n = np.linalg.inv(_midpoints(lo, hi))
+        n = np.linalg.inv(mid)
     except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(n)):
         return None
-    return f.mat_mul(m, f.array(n)) - f.array(np.eye(len(lo)))
+    return f.mat_mul(m, f.array(n)) - f.array(np.eye(len(n)))
 
 
 def interval_matrix_invertible(m):
@@ -1268,6 +1256,5 @@ def interval_matrix_invertible(m):
     if resid is None:
         return False
     lo, hi = FLOAT_KERNEL.bounds(resid)
-    bound = _div_down_float(1.0, float(r * r))
-    mag = np.maximum(np.abs(lo), np.abs(hi))
-    return bool(np.isfinite(lo).all() and np.isfinite(hi).all() and (mag < bound).all())
+    bound = nextafter(1.0 / (r * r), 0.0)  # at most 1/r^2
+    return bool((np.maximum(np.abs(lo), np.abs(hi)) < bound).all())  # False for inf

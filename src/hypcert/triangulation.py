@@ -2,9 +2,9 @@
 
 Parses a plain-text gluing table for a finite triangulation of a closed
 oriented 3-manifold, validates it (involutive gluings, orientability,
-spherical vertex links) and derives the structures every later stage
-needs: edge classes with orientation flags, vertex classes, and the
-hexagonal vertex-link complexes of the doubly truncated simplices.
+connectedness, spherical vertex links) and derives the structures every
+later stage needs: edge classes with orientation flags, vertex classes,
+and the hexagonal vertex-link complexes of the doubly truncated simplices.
 
 File format (UTF-8, line oriented, '#' comments allowed)::
 
@@ -195,6 +195,7 @@ def parse(text):
 
     tri = Triangulation(tets)
     _validate_gluings(tri)
+    _validate_connected(tri)
     _build_edge_classes(tri)
     _build_vertex_classes(tri)
     _validate_links(tri)
@@ -254,6 +255,20 @@ def _validate_gluings(tri):
                 raise TriangulationError(
                     f"gluing of tet {t.index} face {f} is not involutive"
                 )
+
+
+def _validate_connected(tri):
+    seen, components = set(), 0
+    for start in range(tri.n_tets):
+        components += start not in seen
+        stack = [start]
+        while stack:
+            t = stack.pop()
+            if t not in seen:
+                seen.add(t)
+                stack.extend(tri.tets[t].neighbors)
+    if components > 1:
+        raise TriangulationError(f"triangulation is disconnected: {components} components")
 
 
 def _cross(tri, tet, a, b, face):

@@ -401,15 +401,13 @@ def krawczyk_certify(tri, p0, partition, jsub, residual, kernel=None):
 # ---------------------------------------------------------------------------
 
 
-def check_realization_and_angles(tri, box, kernel=None):
+def check_realization_and_angles(tri, box):
     """Interval realization for every simplex plus loose angle sums.
 
     Fills box.theta and records step statuses; raises StepFailure when a
     simplex cannot be proven realized or a loose angle-sum enclosure does
     not contain a full turn.
     """
-    if kernel is None:
-        kernel = kernel_for_precision(box.precision)
     try:
         params = geo.EdgeParams(box.nu)
         data = geo.simplex_data(tri, params)
@@ -519,7 +517,7 @@ def run_pipeline(
 
     # steps III and IV
     try:
-        box = check_realization_and_angles(tri, box, kernel=kernel)
+        box = check_realization_and_angles(tri, box)
     except StepFailure as exc:
         statuses[exc.step] = f"failed: {exc.message}"
         return PipelineResult(False, exc.step, statuses, partition=partition,

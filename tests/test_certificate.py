@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -181,3 +185,29 @@ def test_golden_certificates(name, hyperbolic_triangulations, verified_all):
     text = cert.certificate_json(tri, result, "krawczyk")
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == GOLDEN_SHA256[name], f"{name}: certificate changed"
+
+
+_CERTIFY_DIGEST = (
+    "import hashlib, hypcert\n"
+    "tri = hypcert.parse(hypcert.bundled_fixture('dodec30x2.tri').read_text())\n"
+    "text = hypcert.certificate_json(tri, hypcert.run_pipeline(tri), 'krawczyk')\n"
+    "print(hashlib.sha256(text.encode()).hexdigest())\n"
+)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("coretype", ["Prescott", "Sandybridge", "Haswell"])
+def test_certificate_independent_of_blas_kernel_and_threads(coretype, threads):
+    # stage II's C J(X) and stage V's m N run on BLAS, whose kernel (SSE3,
+    # AVX, AVX2 with FMA) and thread split change the bits of each product's
+    # midpoint and error bound; the certificate must not change.  The
+    # variables are set in the child only: OpenBLAS reads them when it loads.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype, OPENBLAS_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-c", _CERTIFY_DIGEST], env=env, cwd=root,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == GOLDEN_SHA256["dodec30x2"]

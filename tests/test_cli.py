@@ -8,6 +8,7 @@ import pytest
 
 from hypcert import cli
 from tests.conftest import BAD_LINK_TEXT, S3_TEXT, data_path
+from tests.test_triangulation import _disjoint_copies
 
 
 def run_cli(capsys, *argv):
@@ -40,6 +41,17 @@ def test_check_bad_link(tmp_path, capsys):
     code, _, err = run_cli(capsys, "check", str(f))
     assert code == 1
     assert "Euler characteristic" in err
+
+
+def test_check_disconnected_exit_one(tmp_path, capsys, dodec27a):
+    # two disjoint copies of dodec27a: each is hyperbolic, but together
+    # they are not one closed 3-manifold
+    f = tmp_path / "two.tri"
+    f.write_text(_disjoint_copies(dodec27a, 2))
+    code, out, err = run_cli(capsys, "check", str(f))
+    assert code == 1
+    assert "OK" not in out
+    assert "disconnected: 2 components" in err
 
 
 def test_check_missing_file(capsys):

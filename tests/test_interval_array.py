@@ -1,8 +1,9 @@
 """The float kernel's array layer against the scalar `Interval` dunders.
 
-Every endpoint the array layer computes must be bit for bit the one the
-scalar loop computes, so that certificates do not depend on which of the
-two formed a product.
+Every endpoint that the elementwise operations compute must be bit for bit
+the one the scalar dunder or method computes.  The matrix product is
+midpoint-radius on BLAS: each of its entries must enclose the exact product,
+computed in rationals, and be as tight as its error bound says.
 """
 
 import math
@@ -25,10 +26,11 @@ from hypcert.interval import (
     IntervalError,
     MPInterval,
     MPKernel,
+    _mid_rad,
     inverse_residual,
     interval_matrix_invertible,
 )
-from tests.matrix_oracle import scalar_mat_mul
+from tests.matrix_oracle import assert_encloses_exact, exact_mat_mul, scalar_mat_mul
 
 inf = math.inf
 TINY = 2.0 ** -960  # below this a Dekker error term is unknown
@@ -73,12 +75,29 @@ def matrix_pairs(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(matrix_pairs())
-def test_array_mat_mul_is_bitwise_the_scalar_loop(ab):
+def test_array_mat_mul_encloses_exact_product(ab):
     a, b = ab
     k = FLOAT_KERNEL
-    want = scalar_or_error(lambda: bits(scalar_mat_mul(a, b)))
-    got = scalar_or_error(lambda: bits(k.mat_mul(k.array(a), k.array(b)).tolist()))
-    assert got == want
+    assert_encloses_exact(k.mat_mul(k.array(a), k.array(b)).tolist(), a, b)
+
+
+U = 2.0 ** -53
+
+
+def _assert_tight(got, a, b, exact):
+    """A point factor times an interval one, as in both callers: each entry
+    is at most the exact width plus the error bound of `FloatKernel.mat_mul`
+    (rounding, 2 n u |a| |b| and a few ulps) wider."""
+    n = len(b)
+
+    def mags(m):
+        return [[Interval.point(x.mag()) for x in row] for row in m]
+
+    for got_row, exact_row, mag_row in zip(got, exact, exact_mat_mul(mags(a), mags(b))):
+        for g, (lo, hi), (mag, _) in zip(got_row, exact_row, mag_row):
+            slack = (4 * (n + 4) * U * ((hi - lo) + mag) + 4 * U * abs(lo + hi)
+                     + Fraction(2.0 ** -1070))
+            assert Fraction(g.hi) - Fraction(g.lo) <= (hi - lo) + slack
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 5, 1), (1, 4, 6), (7, 3, 1), (8, 8, 8)])
@@ -90,11 +109,33 @@ def test_array_mat_mul_shapes(shape):
     b = [[Interval(v, v) for v in rng.normal(size=c)] for _ in range(n)]
     got = FLOAT_KERNEL.mat_mul(FLOAT_KERNEL.array(a), FLOAT_KERNEL.array(b))
     assert got.shape == (r, c)
-    assert bits(got.tolist()) == bits(scalar_mat_mul(a, b))
+    exact = assert_encloses_exact(got.tolist(), a, b)
+    _assert_tight(got.tolist(), a, b, exact)
+
+
+def test_mat_mul_encloses_underflowing_terms():
+    # eight products 0.4 * 2^-1074 round to 0, so the midpoint and its
+    # bound T are 0, but the exact sum is 3.2 * 2^-1074: the k eta term of
+    # the error bound must cover it
+    a = [[Interval.point(5e-324)] * 8, [Interval(5e-324, 1e-323)] * 8]
+    b = [[Interval.point(0.4)] for _ in range(8)]
+    got = FLOAT_KERNEL.mat_mul(FLOAT_KERNEL.array(a), FLOAT_KERNEL.array(b))
+    assert_encloses_exact(got.tolist(), a, b)
+
+
+def test_mat_mul_encloses_long_radius_sums():
+    # points times intervals centred on 0: the midpoint is exactly 0, and
+    # the rounding of the 1000-term radius sum must be covered by its
+    # factor A, not only by the final step up
+    rng = np.random.default_rng(3)
+    a = [[Interval.point(v) for v in rng.normal(size=1000)]]
+    b = [[Interval(-r, r) for r in row] for row in np.abs(rng.normal(size=(1000, 4))).tolist()]
+    got = FLOAT_KERNEL.mat_mul(FLOAT_KERNEL.array(a), FLOAT_KERNEL.array(b))
+    assert_encloses_exact(got.tolist(), a, b)
 
 
 # -- zero-heavy products: most terms of stage II's C J(X) and stage V's m N
-# are exact zeros, which the array product never forms
+# are exact zeros
 
 ZERO = Interval(0.0, 0.0)
 HUGE = [inf, -inf, 1.7e308, -1.7e308]
@@ -139,15 +180,15 @@ def with_negative_zeros(arr):
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(sparse_matrix_pairs())
-def test_zero_heavy_mat_mul_is_bitwise_the_scalar_loop(abz):
+def test_zero_heavy_mat_mul_encloses_exact_product(abz):
+    # infinite and near-overflow entries make some entries [-inf, inf]; an
+    # entry whose every term has a factor [0, 0] stays [0, 0] all the same
     a, b, negative_zeros = abz
     k = FLOAT_KERNEL
     aa, ba = k.array(a), k.array(b)
     if negative_zeros:
         aa, ba = with_negative_zeros(aa), with_negative_zeros(ba)
-    want = scalar_or_error(lambda: bits(scalar_mat_mul(a, b)))
-    got = scalar_or_error(lambda: bits(k.mat_mul(aa, ba).tolist()))
-    assert got == want
+    assert_encloses_exact(k.mat_mul(aa, ba).tolist(), a, b)
 
 
 @pytest.mark.parametrize("r, c", [(1, 1), (3, 5), (8, 2)])
@@ -179,8 +220,9 @@ def test_mat_mul_at_pipeline_sparsity(n, zero_share, point_left):
     dense = _sparse(rng, n, 0.0, points=True)
     sparse = _sparse(rng, n, zero_share, points=False)
     a, b = (dense, sparse) if point_left else (sparse, dense)
-    got = FLOAT_KERNEL.mat_mul(FLOAT_KERNEL.array(a), FLOAT_KERNEL.array(b))
-    assert bits(got.tolist()) == bits(scalar_mat_mul(a, b))
+    got = FLOAT_KERNEL.mat_mul(FLOAT_KERNEL.array(a), FLOAT_KERNEL.array(b)).tolist()
+    exact = assert_encloses_exact(got, a, b)
+    _assert_tight(got, a, b, exact)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -304,18 +346,28 @@ def test_array_arccos_is_bitwise_the_method(xs):
 
 
 def _oracle_residual_and_verdict(m):
-    """m @ n - Id and the verdict, by scalar loops only."""
+    """The verdict by scalar loops only, and the exact residual m @ n - Id
+    (rational (lo, hi) per entry) for the float inverse n of the midpoints."""
     r = m.nrows
-    n = np.linalg.inv(np.array([[x.mid() for x in row] for row in m.tolist()], dtype=float))
+    rows = m.tolist()
+    n = np.linalg.inv(np.array([[x.mid() for x in row] for row in rows], dtype=float))
     n_iv = FLOAT_KERNEL.array(n).tolist()
-    prod = scalar_mat_mul(m.tolist(), n_iv)
+    prod = scalar_mat_mul(rows, n_iv)
     resid = [
         [prod[i][j] - Interval.point(1.0 if i == j else 0.0) for j in range(r)]
         for i in range(r)
     ]
     bound = (Interval.point(1.0) / Interval.point(r * r)).lo
     verdict = all(x.is_finite() and x.mag() < bound for row in resid for x in row)
-    return resid, verdict
+    exact = [[(lo - (i == j), hi - (i == j)) for j, (lo, hi) in enumerate(row)]
+             for i, row in enumerate(exact_mat_mul(rows, n_iv))]
+    return exact, verdict
+
+
+def _assert_encloses(got, exact):
+    for got_row, exact_row in zip(got.tolist(), exact):
+        for g, (lo, hi) in zip(got_row, exact_row):
+            assert g.lo <= lo and hi <= g.hi
 
 
 @pytest.mark.parametrize("r, radius, verdict", [(75, 1e-13, True), (20, 1e-3, False)])
@@ -325,10 +377,10 @@ def test_invertibility_matches_scalar_oracle(r, radius, verdict):
     m = FLOAT_KERNEL.array(
         [[Interval(v - radius, v + radius) for v in row] for row in mid.tolist()]
     )
-    want_resid, want_verdict = _oracle_residual_and_verdict(m)
+    exact_resid, want_verdict = _oracle_residual_and_verdict(m)
     assert want_verdict is verdict
     assert interval_matrix_invertible(m) is want_verdict
-    assert bits(inverse_residual(m).tolist()) == bits(want_resid)
+    _assert_encloses(inverse_residual(m), exact_resid)
 
 
 def test_invertibility_midpoints_overflow_as_interval_mid():
@@ -336,9 +388,27 @@ def test_invertibility_midpoints_overflow_as_interval_mid():
     # to lo / 2 + hi / 2, as `Interval.mid` does
     big = Interval(1.0e308, 1.6e308)
     m = FLOAT_KERNEL.array([[big, Interval.point(0.5)], [Interval(-1.0, 1.0), big]])
-    want_resid, want_verdict = _oracle_residual_and_verdict(m)
+    mid, rad = _mid_rad(m.lo, m.hi)
+    assert mid.tolist() == [[x.mid() for x in row] for row in m.tolist()]
+    assert (mid - rad <= m.lo).all() and (m.hi <= mid + rad).all() and rad[0, 1] == 0.0
+    exact_resid, want_verdict = _oracle_residual_and_verdict(m)
     assert interval_matrix_invertible(m) is want_verdict
-    assert bits(inverse_residual(m).tolist()) == bits(want_resid)
+    _assert_encloses(inverse_residual(m), exact_resid)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_invertibility_never_raises_on_overflow():
+    # the BLAS sum of 1e308 * 2 and 1e308 * -2 meets inf - inf: the entry
+    # is [-inf, inf], and no IntervalError is raised
+    k = FLOAT_KERNEL
+    product = k.mat_mul(k.array(np.array([[1e308, 1e308]])), k.array(np.array([[2.0], [-2.0]])))
+    assert (product.lo[0, 0], product.hi[0, 0]) == (-inf, inf)
+    # n = [[1, -1e308], [0, 1]]: (m n)[0, 1] is exactly 1e308 - 1e308 = 0,
+    # but its error bound overflows, so the residual there is [-inf, inf]
+    m = k.array(np.array([[1.0, 1e308], [0.0, 1.0]]))
+    resid = inverse_residual(m)
+    assert (resid.lo[0, 1], resid.hi[0, 1]) == (-inf, inf)
+    assert interval_matrix_invertible(m) is False
 
 
 # -- the MP kernel's 53-bit hull and exact lift ------------------------------------

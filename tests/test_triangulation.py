@@ -75,6 +75,22 @@ def test_round_trip(dodec27a):
     ]
 
 
+def _disjoint_copies(tri, copies):
+    n = tri.n_tets
+    tets = [
+        tr.Tetrahedron(c * n + t.index, [c * n + j for j in t.neighbors], t.perms)
+        for c in range(copies)
+        for t in tri.tets
+    ]
+    return tr.serialize(tr.Triangulation(tets), lengths=tri.lengths * copies)
+
+
+@pytest.mark.parametrize("copies", [2, 3])
+def test_disconnected_triangulation_rejected(dodec27a, copies):
+    with pytest.raises(tr.TriangulationError, match=f"disconnected: {copies} components"):
+        tr.parse(_disjoint_copies(dodec27a, copies))
+
+
 def test_incidences_s3(s3):
     for ec in s3.edge_classes:
         assert len(tr.edge_incidences(s3, ec)) == 2

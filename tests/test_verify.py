@@ -11,6 +11,7 @@ from hypcert import scalars as sc
 from hypcert import verify
 from hypcert.interval import FLOAT_KERNEL, FloatKernel, MPInterval, MPKernel, contains_two_pi
 from tests import krawczyk_oracle
+from tests.matrix_oracle import assert_encloses_exact
 from tests.test_gimbal import _scaling_member
 
 
@@ -177,7 +178,7 @@ def test_s3_step_four_fails(s3):
         precision=53,
     )
     with pytest.raises(verify.StepFailure) as err:
-        verify.check_realization_and_angles(s3, box, kernel=k)
+        verify.check_realization_and_angles(s3, box)
     assert err.value.step == 4
 
 
@@ -195,7 +196,7 @@ def test_widened_box_conservative(dodec27a, verified27a):
         nu=wide, theta=None, partition=box0.partition, precision=53
     )
     try:
-        verify.check_realization_and_angles(dodec27a, box, kernel=k)
+        verify.check_realization_and_angles(dodec27a, box)
     except verify.StepFailure as exc:
         assert exc.step in (3, 4)
 
@@ -280,9 +281,11 @@ def _partial_by_loops(f_iv, x0, C, kernel):
 
 
 def _krawczyk_by_loops(f_iv, jac_iv, x0, X, C, kernel):
-    # the operator written out entry by entry, summing k ascending; the
+    # the operator written out entry by entry, summing j ascending; the
     # Jacobian term on 53-bit intervals (J on the outward float hull of X,
-    # X - x0 hulled outward), each of its terms lifted exactly into the kernel
+    # X - x0 hulled outward), each of its terms lifted exactly into the
+    # kernel.  The one product C J(X) is `FloatKernel.mat_mul`'s, checked
+    # to enclose the exact product
     n = len(x0)
     f64 = FloatKernel()
 
@@ -292,13 +295,13 @@ def _krawczyk_by_loops(f_iv, jac_iv, x0, X, C, kernel):
     x0_iv = [kernel.point(v) for v in x0]
     JX = jac_iv([hull(x) for x in X])
     dX = [hull(x - p) for x, p in zip(X, x0_iv)]
+    C_iv = f64.array(np.asarray(C, dtype=float))
+    CJ = f64.mat_mul(C_iv, f64.array(JX)).tolist()
+    assert_encloses_exact(CJ, C_iv.tolist(), JX)
     K = []
     for i, acc in enumerate(_partial_by_loops(f_iv, x0, C, kernel)):
         for j in range(n):
-            entry = f64.point(C[i][0]) * JX[0][j]
-            for k in range(1, n):
-                entry = entry + f64.point(C[i][k]) * JX[k][j]
-            term = (f64.point(1.0 if i == j else 0.0) - entry) * dX[j]
+            term = (f64.point(1.0 if i == j else 0.0) - CJ[i][j]) * dX[j]
             acc = acc + kernel.interval(term.lo, term.hi)
         K.append(acc)
     return K
@@ -497,7 +500,8 @@ def _system(name, dodec27a, kernel):
 @pytest.mark.parametrize("name", ["synthetic", "dodec27a"])
 def test_centre_term_and_operator_match_scalar_loops(dodec27a, name, bits):
     # the column terms of x0 - C f(x0) and of (I - C J(X)) (X - x0) are each
-    # formed in one product; every entry is still summed left to right over j
+    # formed in one product; every entry is still summed left to right over j,
+    # and C J(X) encloses the exact product
     kernel = FloatKernel() if bits == 53 else MPKernel(bits)
     f_iv, jac_iv, x0, C = _system(name, dodec27a, kernel)
     centre = verify.KrawczykCentre(f_iv, x0, C, kernel)

@@ -46,18 +46,18 @@ print("avoiding lock.")
 
 print("\na construction that is always locked: two polygons at antipodal")
 print("points of the link rotate about a single common axis")
-from hypcert.interval import TWO_PI, FloatKernel
-
-k = FloatKernel()
-half_turn = tuple(
-    tuple(k.point(v) for v in row)
-    for row in ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0))
-)
+from hypcert.interval import TWO_PI
 
 
 class AntipodalLabels:
-    def ball_for_letter(self, letter):
-        return gimbal.ball_from_interval_mat3(half_turn)
+    """Every edge letter is the half turn about x: one label slot."""
+
+    def label_bounds(self):
+        half_turn = np.diag([1.0, -1.0, -1.0])[None]
+        return half_turn, half_turn
+
+    def slot(self, letter):
+        return 0
 
 
 word = [
@@ -68,10 +68,10 @@ word = [
 ]
 loop = gimbal.GimbalLoop(0, None, (0, 1), word)
 loop.variable_of_pid = {0: 0, 1: 1}
-derivs = gimbal.gimbal_matrix_derivatives(
-    loop, AntipodalLabels(), gimbal.rotation_balls([TWO_PI, TWO_PI])
+(derivs,) = gimbal.gimbal_matrix_derivatives(
+    [loop], AntipodalLabels(), gimbal.rotation_balls([TWO_PI, TWO_PI])
 )
-D = np.array([[derivs[v][r][c].mid() for v in (0, 1)]
+D = np.array([[derivs[v].tolist()[r][c].mid() for v in (0, 1)]
               for (r, c) in ((0, 1), (0, 2), (1, 2))])
 print("  derivative columns:")
 print(D.T)

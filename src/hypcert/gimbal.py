@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from math import inf, nextafter
+from math import inf
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,12 +92,17 @@ class GimbalLoopError(ValueError):
 # with up(y) = nextafter(y, inf).  Midpoint products carry an a-priori
 # rounding-error bound (`_product_with_error`).  A non-finite midpoint or
 # bound makes the radius inf, and an infinite radius encloses everything.
-# Every 3x3 operand of a loop gets its ball, with its midpoint's norm
-# bound, from a table of float endpoints (`_balls_of_bounds`): one table
-# for the labels of all simplices (`CocycleLabels.label_bounds`) and one
-# for the rotations of a Jacobian's variables (`rotation_balls`).  The
-# products along a loop stay scalar and sequential (`ball_mul`).  Balls
-# follow Rump, Acta Numerica 19 (2010).
+#
+# Balls come in stacks: a ball stack is (mid, rad, norm), the midpoints
+# (k, 3, 3), the radii (k,) and rigorous bounds on the midpoints' spectral
+# norms (k,).  Every function below applies its rounding steps elementwise
+# over the stack, so each of its rows is bounded as one ball would be.
+# Every 3x3 operand of a loop gets its ball from a table of float endpoints
+# (`_balls_of_bounds`): one table for the labels of all simplices
+# (`CocycleLabels.label_bounds`) and one for the rotations of a Jacobian's
+# variables (`rotation_balls`).  The products along all loops of a Jacobian
+# come from one segmented scan (`_scan`).  Balls follow Rump, Acta Numerica
+# 19 (2010).
 # ---------------------------------------------------------------------------
 
 _U = 2.0 ** -53  # unit roundoff of round-to-nearest doubles
@@ -105,30 +110,10 @@ _GAMMA3_UP = 3 * _U * (1 + 8 * _U)  # exact; >= gamma_3 (1 + u)^4
 _UNDERFLOW3 = 3 * 2.0 ** -1074  # 3 eta, eta the smallest positive subnormal
 
 
-class BallMatrix3:
-    """{ mid + E : ||E||_2 <= rad }, entrywise |E_ij| <= rad as well.
-
-    `mid` is a 3x3 tuple of floats.  The norm bound of the midpoint is
-    given (the balls of an endpoint table carry theirs) or computed at most
-    once, when a product first needs it.
-    """
-
-    __slots__ = ("mid", "rad", "_norm")
-
-    def __init__(self, mid, rad, norm=None):
-        self.mid = mid
-        self.rad = rad
-        self._norm = norm
-
-    def norm_bound(self):
-        """Rigorous upper bound for the spectral norm of the midpoint."""
-        if self._norm is None:
-            self._norm = _norm_bound(self.mid)
-        return self._norm
-
-
+@np.errstate(all="ignore")
 def _product_with_error(a, b):
-    """fl(a b) for 3x3 float matrices, and entrywise bounds on its error.
+    """fl(a b) for stacks of 3x3 float matrices, and entrywise bounds on
+    its error.
 
     Entry (i, j) of the midpoint is p = x0 + x1 + x2 with x_k = a_ik * b_kj,
     all rounded to nearest and summed left to right.  Its bound is
@@ -148,155 +133,123 @@ def _product_with_error(a, b):
     eta / 2, and up(fl(y + 3 eta)) >= y + 3 eta.  An overflow makes p or s
     non-finite, and then e is inf or NaN.
     """
-    bt = tuple(zip(*b))
-    mid = []
-    err = []
-    for a0, a1, a2 in a:
-        mid_row = []
-        err_row = []
-        for b0, b1, b2 in bt:
-            x0 = a0 * b0
-            x1 = a1 * b1
-            x2 = a2 * b2
-            mid_row.append(x0 + x1 + x2)
-            err_row.append(nextafter(
-                _GAMMA3_UP * (abs(x0) + abs(x1) + abs(x2)) + _UNDERFLOW3, inf
-            ))
-        mid.append(tuple(mid_row))
-        err.append(err_row)
-    return tuple(mid), err
+    x0, x1, x2 = (a[..., :, k, None] * b[..., None, k, :] for k in range(3))
+    s = np.abs(x0) + np.abs(x1) + np.abs(x2)
+    return x0 + x1 + x2, np.nextafter(_GAMMA3_UP * s + _UNDERFLOW3, inf)
 
 
-def _max_row_sum(rows):
-    """Upper bound for the largest row sum of nonnegative floats; inf if
-    any entry is inf or NaN."""
-    worst = 0.0
-    for row in rows:
-        acc = row[0]
-        for x in row[1:]:
-            acc = nextafter(acc + x, inf)
-        if not acc <= worst:
-            worst = acc if acc < inf else inf
-    return worst
+@np.errstate(all="ignore")
+def _max_row_sums(rows):
+    """Upper bound for the largest row sum of each matrix in a stack
+    (k, r, c) of nonnegative floats: every row summed left to right, each
+    partial sum stepped up; inf where a sum is inf or NaN."""
+    acc = rows[..., 0]
+    for j in range(1, rows.shape[-1]):
+        acc = np.nextafter(acc + rows[..., j], inf)
+    return np.where(acc < inf, acc, inf).max(axis=-1)
 
 
+@np.errstate(all="ignore")
 def _spec_bound(radii):
-    """Rigorous upper bound for the spectral norm of a nonnegative 3x3
-    matrix of floats: sqrt(max row sum * max col sum)."""
-    prod = nextafter(_max_row_sum(radii) * _max_row_sum(zip(*radii)), inf)
-    return nextafter(math.sqrt(prod), inf)
+    """Rigorous upper bound for the spectral norm of each nonnegative 3x3
+    float matrix in a stack: sqrt(max row sum * max col sum)."""
+    prod = np.nextafter(_max_row_sums(radii) * _max_row_sums(np.swapaxes(radii, -1, -2)), inf)
+    return np.nextafter(np.sqrt(prod), inf)
 
 
 def _norm_bound(m):
-    """Rigorous upper bound for ||m||_2 via max row sum of |m^T m|, for a
-    3x3 float matrix m; m^T m is formed by `_product_with_error`."""
-    gram, err = _product_with_error(tuple(zip(*m)), m)
-    rows = (
-        (abs(g0), e0, abs(g1), e1, abs(g2), e2)
-        for (g0, g1, g2), (e0, e1, e2) in zip(gram, err)
-    )
-    return nextafter(math.sqrt(_max_row_sum(rows)), inf)
+    """Rigorous upper bound for ||m||_2 of each 3x3 float matrix m in a
+    stack, via the max row sum of |m^T m|; m^T m is formed by
+    `_product_with_error`, and its rows interleave |m^T m| with the error
+    bounds."""
+    gram, err = _product_with_error(np.swapaxes(m, -1, -2), m)
+    rows = np.stack([np.abs(gram), err], axis=-1).reshape(*gram.shape[:-1], 6)
+    return np.nextafter(np.sqrt(_max_row_sums(rows)), inf)
 
 
-def _max_row_sums(rows):
-    """`_max_row_sum` of each matrix in a stack (k, r, c) of nonnegative
-    floats, step by step."""
-    worst = np.zeros(rows.shape[0])
-    for i in range(rows.shape[1]):
-        acc = rows[:, i, 0]
-        for j in range(1, rows.shape[2]):
-            acc = np.nextafter(acc + rows[:, i, j], inf)
-        worst = np.where(acc <= worst, worst, np.where(acc < inf, acc, inf))
-    return worst
-
-
+@np.errstate(all="ignore")
 def _balls_of_bounds(lo, hi):
     """Enclose a stack of 3x3 interval matrices, given by their float
-    endpoints (k, 3, 3), in balls: midpoints (k, 3, 3), radii (k,) and the
-    midpoints' norm bounds (k,).  An entry's midpoint is c = 0.5 (lo + hi)
-    and its radius max(up(c - lo), up(hi - c)); a ball's radius is
-    `_spec_bound` of those, and its norm bound `_norm_bound` of its
-    midpoint, each rounding step applied elementwise in that order
-    (``max(a, b)`` keeps a unless b > a, NaN included)."""
-    with np.errstate(all="ignore"):
-        mid = 0.5 * (lo + hi)
-        a, b = np.nextafter(mid - lo, inf), np.nextafter(hi - mid, inf)
-        radii = np.where(b > a, b, a)
-        row_sum, col_sum = _max_row_sums(radii), _max_row_sums(radii.transpose(0, 2, 1))
-        prod = np.nextafter(row_sum * col_sum, inf)
-        rad = np.nextafter(np.sqrt(prod), inf)
-        # mid^T mid by `_product_with_error`: term k of entry (i, j) is
-        # mid[k][i] * mid[k][j]; rows interleave |gram| and the error bounds
-        x = mid[:, :, :, None] * mid[:, :, None, :]
-        gram = x[:, 0] + x[:, 1] + x[:, 2]
-        err = np.nextafter(
-            _GAMMA3_UP * (np.abs(x[:, 0]) + np.abs(x[:, 1]) + np.abs(x[:, 2])) + _UNDERFLOW3,
-            inf,
-        )
-        rows = np.stack([np.abs(gram), err], axis=-1).reshape(-1, 3, 6)
-        norm = np.nextafter(np.sqrt(_max_row_sums(rows)), inf)
-    return mid, rad, norm
-
-
-def _balls(lo, hi):
-    """The balls of `_balls_of_bounds` as `BallMatrix3`s with their norm
-    bounds, in stack order."""
-    mids, rads, norms = (x.tolist() for x in _balls_of_bounds(lo, hi))
-    return [BallMatrix3(tuple(map(tuple, m)), r, n) for m, r, n in zip(mids, rads, norms)]
-
-
-def ball_from_interval_mat3(m):
-    """Enclose an entrywise-interval 3x3 matrix in a ball: the one-matrix
-    case of `_balls_of_bounds`, from the entries' outward float bounds."""
-    lo = np.array([[[x.lo_float() for x in row] for row in m]])
-    hi = np.array([[[x.hi_float() for x in row] for row in m]])
-    return _balls(lo, hi)[0]
-
-
-def ball_identity():
-    return BallMatrix3(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), 0.0)
+    endpoints (k, 3, 3), in a ball stack.  An entry's midpoint is
+    c = 0.5 (lo + hi) and its radius max(up(c - lo), up(hi - c)); a ball's
+    radius is `_spec_bound` of those, and its norm bound `_norm_bound` of
+    its midpoint (``max(a, b)`` keeps a unless b > a, NaN included)."""
+    mid = 0.5 * (lo + hi)
+    a, b = np.nextafter(mid - lo, inf), np.nextafter(hi - mid, inf)
+    return mid, _spec_bound(np.where(b > a, b, a)), _norm_bound(mid)
 
 
 def _radius(rad):
     """inf for a NaN or infinite radius."""
-    return rad if rad < inf else inf
+    return np.where(rad < inf, rad, inf)
 
 
+@np.errstate(all="ignore")
 def ball_mul(a, b):
-    """Product enclosure: midpoint product with its rounding bound, plus
-    norm cross terms."""
-    mid, err = _product_with_error(a.mid, b.mid)
-    rad = nextafter(_spec_bound(err) + nextafter(a.norm_bound() * b.rad, inf), inf)
-    rad = nextafter(rad + nextafter(a.rad * b.norm_bound(), inf), inf)
-    rad = nextafter(rad + nextafter(a.rad * b.rad, inf), inf)
-    return BallMatrix3(mid, _radius(rad))
+    """Product enclosure of two ball stacks, row by row: midpoint product
+    with its rounding bound, plus norm cross terms."""
+    (a_mid, a_rad, a_norm), (b_mid, b_rad, b_norm) = a, b
+    mid, err = _product_with_error(a_mid, b_mid)
+    rad = np.nextafter(_spec_bound(err) + np.nextafter(a_norm * b_rad, inf), inf)
+    rad = np.nextafter(rad + np.nextafter(a_rad * b_norm, inf), inf)
+    rad = np.nextafter(rad + np.nextafter(a_rad * b_rad, inf), inf)
+    return mid, _radius(rad), _norm_bound(mid)
 
 
+@np.errstate(all="ignore")
 def ball_add(a, b):
-    """Sum enclosure: a rounded sum s is within u |s| of the exact one."""
-    mid = tuple(
-        tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.mid, b.mid)
-    )
-    radii = [[nextafter(_U * abs(s), inf) for s in row] for row in mid]
-    rad = nextafter(nextafter(_spec_bound(radii) + a.rad, inf) + b.rad, inf)
-    return BallMatrix3(mid, _radius(rad))
+    """Sum enclosure of two ball stacks, row by row: a rounded sum s is
+    within u |s| of the exact one."""
+    (a_mid, a_rad, _), (b_mid, b_rad, _) = a, b
+    mid = a_mid + b_mid
+    rad = np.nextafter(_spec_bound(np.nextafter(_U * np.abs(mid), inf)) + a_rad, inf)
+    rad = np.nextafter(rad + b_rad, inf)
+    return mid, _radius(rad), _norm_bound(mid)
 
 
-def ball_entries(ball, kernel):
-    """Entrywise interval enclosure of a ball (the whole line where its
-    radius is infinite)."""
-    r = ball.rad
-    if r == inf:
-        whole = kernel.interval(-inf, inf)
-        return ((whole,) * 3,) * 3
-    out = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            c = kernel.point(ball.mid[i][j])
-            row.append(c + kernel.interval(-r, r))
-        out.append(tuple(row))
-    return tuple(out)
+def _entries(ball):
+    """Entrywise enclosure of a ball stack as a 53-bit `IntervalArray`
+    (k, 3, 3): mid + [-rad, rad], or the whole line where the radius is
+    infinite."""
+    mid, rad, _ = ball
+    whole = rad == inf
+    r = np.where(whole, 0.0, rad)[:, None, None]
+    m = np.where(whole[:, None, None], 0.0, mid)
+    out = IntervalArray(m, m) + IntervalArray(-r, r)
+    out.lo[whole], out.hi[whole] = -inf, inf
+    return out
+
+
+def _take(ball, rows):
+    return tuple(x[rows] for x in ball)
+
+
+def _transpose(ball):
+    """The transposed balls: same radius, and the same norm bound, since
+    ||m^T||_2 = ||m||_2."""
+    mid, rad, norm = ball
+    return np.swapaxes(mid, -1, -2), rad, norm
+
+
+def _scan(x, start):
+    """Segmented inclusive scan of a ball stack by doubling (Hillis and
+    Steele, CACM 29, 1986): row t becomes x[t] x[t-1] ... x[start[t]].  At
+    d = 1, 2, 4, ... every row t with t - d >= start[t] becomes
+    ball_mul(x[t], x[t-d]), one stacked call per level.  Any bracketing of
+    sound ball products is sound."""
+    x = tuple(a.copy() for a in x)
+    pos = np.arange(len(start)) - start
+    d = 1
+    while d <= pos.max(initial=0):
+        t = np.flatnonzero(pos >= d)
+        for a, new in zip(x, ball_mul(_take(x, t), _take(x, t - d))):
+            a[t] = new
+        d *= 2
+    return x
+
+
+_IDENTITY = (np.eye(3)[None], np.zeros(1), _norm_bound(np.eye(3)[None]))
+_UPPER = ([0, 0, 1], [1, 2, 2])  # the (0,1), (0,2), (1,2) entries of a matrix
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +295,8 @@ class CocycleLabels:
     formulas (kept in `tests/geometry_oracle.py`), so bit for bit the
     scalar values.  Every label is read from one table: the float
     endpoints of the entries of every label slot (`label_bounds`), made
-    from the arrays on first use.  Interval labels enter stage V as the
-    balls of that table (`ball_for_letter`); float labels, whose two
+    from the arrays on first use, at the letter's `slot`.  Interval labels
+    enter stage V as the balls of that table; float labels, whose two
     endpoints are the label itself, feed `edge_direction_table`.  A middle
     edge is labelled from its canonical token, so identified edges of
     glued simplices share their label bit for bit.
@@ -363,9 +316,8 @@ class CocycleLabels:
             kernel.sqrt_nonneg(-(c * c) + 1.0) for c in (self.dihedral_cos, self.vertex_cos)
         )
         self._bounds = None  # lo, hi of every slot's label
-        self._balls = None  # every slot's ball
 
-    def _slot(self, letter):
+    def slot(self, letter):
         """The flat slot, 24 tet + local slot, of an edge letter's label."""
         kind = letter["kind"]
         if kind == "b":
@@ -405,13 +357,6 @@ class CocycleLabels:
             put(slots, 2, 2, c)
             self._bounds = lo.reshape(-1, 3, 3), hi.reshape(-1, 3, 3)
         return self._bounds
-
-    def ball_for_letter(self, letter):
-        """The ball of an edge letter's interval label, with its norm bound:
-        the balls of all slots are made from `label_bounds` on first use."""
-        if self._balls is None:
-            self._balls = _balls(*self.label_bounds())
-        return self._balls[self._slot(letter)]
 
 
 # ---------------------------------------------------------------------------
@@ -668,11 +613,11 @@ def validate_gimbal_loop(loop):
 def rotation_balls(boxes):
     """The z-rotation by each 53-bit interval angle of `boxes` and its
     derivative, ((c, -s, 0), (s, c, 0), (0, 0, 1)) and
-    ((-s, -c, 0), (c, -s, 0), (0, 0, 0)), as balls with their norm bounds:
-    one pair per box, in order.  One cos and one sin is taken per distinct
-    box, and all the balls come from one endpoint table
-    (`_balls_of_bounds`), filled from `IntervalArray`s, whose negation
-    makes -0.0 0.0 as `Interval`'s does."""
+    ((-s, -c, 0), (c, -s, 0), (0, 0, 0)), as two ball stacks with one row
+    per box, in order.  One cos and one sin is taken per distinct box, and
+    all the balls come from one endpoint table (`_balls_of_bounds`),
+    filled from `IntervalArray`s, whose negation makes -0.0 0.0 as
+    `Interval`'s does."""
     distinct = list(dict.fromkeys(boxes))
     k = len(distinct)
     c = FLOAT_KERNEL.array([w.cos() for w in distinct])
@@ -683,56 +628,77 @@ def rotation_balls(boxes):
     for which, i, j, x in entries:
         lo[which, :, i, j], hi[which, :, i, j] = FLOAT_KERNEL.bounds(x)
     lo[0, :, 2, 2] = hi[0, :, 2, 2] = 1.0
-    balls = _balls(lo.reshape(-1, 3, 3), hi.reshape(-1, 3, 3))
-    of_box = {w: (balls[i], balls[k + i]) for i, w in enumerate(distinct)}
-    return [of_box[w] for w in boxes]
+    balls = _balls_of_bounds(lo.reshape(-1, 3, 3), hi.reshape(-1, 3, 3))
+    of_box = {w: i for i, w in enumerate(distinct)}
+    rows = np.array([of_box[w] for w in boxes], dtype=int)
+    return _take(balls, rows), _take(balls, rows + k)
 
 
-def gimbal_matrix_derivatives(loop, labels, rotations):
-    """d(gimbal matrix)/d(T_var) for every variable occurring in the loop.
+def gimbal_matrix_derivatives(loops, labels, rotations):
+    """d(gimbal matrix)/d(T_var) for every variable occurring in each loop:
+    one dict per loop, from variable to the 53-bit entrywise enclosure of
+    its derivative, a 3x3 `IntervalArray`.
 
-    `rotations[var]` holds the balls of the rotation by variable var's
+    `rotations` holds the ball stacks of the rotation by each variable's
     angle and of its derivative (`rotation_balls`); an edge letter's ball
-    comes from the labels' `ball_for_letter`.  The derivative replaces one
-    rotation letter at a time by the rotation derivative and sums over
-    occurrences.  Prefix and suffix products make this linear in the word
-    length.  The products are balls (`ball_mul`, `ball_add`); the result is
-    their 53-bit entrywise enclosures.
+    is row `labels.slot(letter)` of the balls of the label table
+    `labels.label_bounds()`.  The derivative replaces one rotation letter i
+    at a time by the rotation derivative R' and sums over occurrences:
+    P R' S, with S = M(w[i-1]) ... M(w[0]) and P = M(w[n-1]) ... M(w[i+1]).
+    Every S and every P^T of every loop comes from one segmented scan
+    (`_scan`): a loop's forward segment holds its letters before its last
+    polygon letter, and its backward segment the transposes of its letters
+    after its first polygon letter, last letter first.  Transposing is
+    exact, fl(a b)^T = fl(b^T a^T) with the same error bound, so one
+    left-multiplying scan serves both.  The terms take two stacked
+    products, and the terms of one variable in one loop are summed in word
+    order.
     """
-    word = loop.word
-    n = len(word)
-    poly = [i for i, letter in enumerate(word) if letter["kind"] == "P"]
-    if not poly:
-        return {}
-    var_of = loop.variable_of_pid
-    mats = [
-        rotations[var_of[letter["pid"]]][0] if letter["kind"] == "P"
-        else labels.ball_for_letter(letter)
-        for letter in word
-    ]
-    # at each polygon letter i, suffix[i] = M(w[i-1]) ... M(w[0]) and
-    # prefix[i + 1] = M(w[n-1]) ... M(w[i+1]); the chains stop at the last
-    # and at the first polygon letter, since no product beyond is read
-    first, last = poly[0], poly[-1]
-    ident = part = ball_identity()
-    suffix, prefix = {}, {}
-    for i in range(last):
-        if word[i]["kind"] == "P":
-            suffix[i] = part
-        part = ball_mul(mats[i], part)
-    suffix[last] = part
-    part = ident
-    for i in range(n - 1, first, -1):
-        if word[i]["kind"] == "P":
-            prefix[i + 1] = part
-        part = ball_mul(part, mats[i])
-    prefix[first + 1] = part
-    acc = {}
-    for i in poly:
-        var = var_of[word[i]["pid"]]
-        term = ball_mul(prefix[i + 1], ball_mul(rotations[var][1], suffix[i]))
-        acc[var] = term if var not in acc else ball_add(acc[var], term)
-    return {v: ball_entries(b, FLOAT_KERNEL) for v, b in acc.items()}
+    lo, hi = labels.label_bounds()
+    rotation, derivative = rotations
+    index, flip, start = [], [], []  # the scan's rows: table row, transposed, segment
+    keys, s_rows, p_rows = [], [], []  # per polygon letter; -1 is the identity
+    for li, loop in enumerate(loops):
+        word, var_of = loop.word, loop.variable_of_pid
+        poly = [i for i, letter in enumerate(word) if letter["kind"] == "P"]
+        if not poly:
+            continue
+        ops = [len(lo) + var_of[letter["pid"]] if letter["kind"] == "P"
+               else labels.slot(letter) for letter in word]
+        n, first, last = len(word), poly[0], poly[-1]
+        fwd, back = len(index), len(index) + last
+        index += ops[:last] + ops[:first:-1]
+        flip += [False] * last + [True] * (n - 1 - first)
+        start += [fwd] * last + [back] * (n - 1 - first)
+        for i in poly:
+            keys.append((li, var_of[word[i]["pid"]]))
+            s_rows.append(fwd + i - 1 if i > 0 else -1)
+            p_rows.append(back + n - 2 - i if i < n - 1 else -1)
+    out = [{} for _ in loops]
+    if not keys:
+        return out
+    table = tuple(map(np.concatenate, zip(_balls_of_bounds(lo, hi), rotation, _IDENTITY)))
+    x = _take(table, index + [len(table[1]) - 1])
+    flip = np.array(flip + [False])
+    x[0][flip] = np.swapaxes(x[0][flip], 1, 2)
+    x = _scan(x, np.array(start + [len(index)], dtype=int))
+    var = [v for _, v in keys]
+    terms = ball_mul(_transpose(_take(x, p_rows)),
+                     ball_mul(_take(derivative, var), _take(x, s_rows)))
+    of_key = {}  # (loop, variable) -> its terms, in word order
+    for t, key in enumerate(keys):
+        of_key.setdefault(key, []).append(t)
+    groups = list(of_key.values())
+    sums = _take(terms, [ts[0] for ts in groups])
+    for r in range(1, max(map(len, groups))):
+        g = [k for k, ts in enumerate(groups) if len(ts) > r]
+        added = ball_add(_take(sums, g), _take(terms, [groups[k][r] for k in g]))
+        for a, new in zip(sums, added):
+            a[g] = new
+    entries = _entries(sums)
+    for k, (li, v) in enumerate(of_key):
+        out[li][v] = entries[k]
+    return out
 
 
 def assemble_gimbal_jacobian(loops, labels, box_of_variable):
@@ -743,20 +709,14 @@ def assemble_gimbal_jacobian(loops, labels, box_of_variable):
     The ball evaluation hands back 53-bit interval entries whatever the
     working precision; that is sound, and ample for the inversion margin.
     """
-    nvar = len(box_of_variable)
     zero = FLOAT_KERNEL.point(0.0)
-    rows = []
-    rotations = rotation_balls(box_of_variable)
-    for loop in loops:
-        derivs = gimbal_matrix_derivatives(loop, labels, rotations)
-        for (r, c) in ((0, 1), (0, 2), (1, 2)):
-            rows.append(
-                [
-                    derivs[v][r][c] if v in derivs else zero
-                    for v in range(nvar)
-                ]
-            )
-    return FLOAT_KERNEL.array(rows)
+    dg = FLOAT_KERNEL.array([[zero] * len(box_of_variable)] * (3 * len(loops)))
+    derivs = gimbal_matrix_derivatives(loops, labels, rotation_balls(box_of_variable))
+    for li, of_var in enumerate(derivs):
+        for v, m in of_var.items():
+            for r, x in enumerate(m[_UPPER].tolist()):
+                dg[3 * li + r, v] = x
+    return dg
 
 
 def build_loops_for_partition(tri, e_sim, links=None):
@@ -879,7 +839,7 @@ def edge_direction_table(tri, labels, links):
         for lv in queue:
             for letter in leaving[lv]:
                 if letter["end"] not in frames:
-                    frames[letter["end"]] = label[labels._slot(letter)] @ frames[lv]
+                    frames[letter["end"]] = label[labels.slot(letter)] @ frames[lv]
                     queue.append(letter["end"])
         for end in link.prism_ends:
             w = frames[min(end.boundary_lvs)][2]

@@ -64,26 +64,6 @@ def kernel_of(sample):
     return sample.kernel if is_interval(sample) else REAL_KERNEL
 
 
-def point_like(sample, x):
-    """The constant x as a scalar of the same kind and precision as sample."""
-    return kernel_of(sample).point(x)
-
-
-def sqrt(x):
-    return x.sqrt() if is_interval(x) else math.sqrt(x)
-
-
-def sqrt_nonneg(x):
-    """sqrt of a quantity that is mathematically >= 0; clamps rounding dips
-    below zero instead of failing.  Must not be used where negativity would
-    indicate a genuine domain violation."""
-    return x.sqrt_nonneg() if is_interval(x) else math.sqrt(max(x, 0.0))
-
-
-def arccos(x):
-    return x.arccos() if is_interval(x) else math.acos(x)
-
-
 def cosh(x):
     return x.cosh() if is_interval(x) else math.cosh(x)
 
@@ -91,10 +71,6 @@ def cosh(x):
 def surely_lt(x, c):
     """x < c for every member of x (floats compare directly)."""
     return x.hi_float() < c if is_interval(x) else x < c
-
-
-def surely_gt(x, c):
-    return x.lo_float() > c if is_interval(x) else x > c
 
 
 def midpoint(x):

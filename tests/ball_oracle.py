@@ -1,47 +1,241 @@
 """Test-only references for stage V's ball arithmetic.
 
-`scalar_ball_from_interval_mat3` encloses one interval matrix with the
-float rounding steps of `hypcert.gimbal`, one entry at a time: the scalar
-reference that `gimbal._balls_of_bounds`, which encloses a whole table of
-matrices at once, must match bit for bit.
+The scalar float balls (`ScalarBall` and the `scalar_*` functions) are
+`hypcert.gimbal`'s ball layer one 3x3 matrix at a time, with the same
+rounding steps in the same order: the reference that the stacked
+functions of `gimbal` (`_balls_of_bounds`, `rotation_balls`, `ball_mul`,
+`ball_add`, `_norm_bound`) must match bit for bit, row by row.
+`gimbal_matrix` multiplies them along a whole loop.
 
-The rest are the same midpoint-radius balls as `hypcert.gimbal`, with every
-product, sum and bound formed in outward-rounded `Interval` arithmetic: a
-midpoint product is the midpoint of the interval product of point
-matrices, and its error is that interval's distance to the midpoint.
-Slower, but it relies on nothing beyond the interval kernel, so the tests
-compare the float ball layer's enclosures with it.
-`oracle_balls(monkeypatch)` swaps these functions into `gimbal`, where
-`gimbal_matrix_derivatives` looks them up, and makes the labels' and the
-rotations' balls with them.
+The rest are the same midpoint-radius balls with every product, sum and
+bound formed in outward-rounded `Interval` arithmetic: a midpoint product
+is the midpoint of the interval product of point matrices, and its error
+is that interval's distance to the midpoint.  Slower, but it relies on
+nothing beyond the interval kernel.  `sequential_jacobian` builds stage V's
+Jacobian from them with sequential prefix and suffix chains along each
+loop, so the tests compare the float ball layer's scan with it.
 """
 
+import math
 from math import inf, nextafter
+
+import numpy as np
 
 from hypcert import gimbal as gb
 from hypcert.interval import Interval
 from tests.gimbal_oracle import label_of, rotation_matrix, rotation_matrix_derivative
 from tests.matrix_oracle import mat3_mul
 
+# -- scalar float balls ---------------------------------------------------------
 
-def scalar_ball_from_interval_mat3(m):
-    """Enclose an entrywise-interval 3x3 matrix in a `gimbal.BallMatrix3`,
-    entry by entry: midpoint c = 0.5 (lo + hi), radius up(max(c - lo,
-    hi - c)) and `gimbal._spec_bound` of those.  Its norm bound is left to
-    `gimbal._norm_bound`, on first use."""
+
+class ScalarBall:
+    """{ mid + E : ||E||_2 <= rad }, entrywise |E_ij| <= rad as well.
+
+    `mid` is a 3x3 tuple of floats.  The norm bound of the midpoint is
+    computed at most once, when a product first needs it."""
+
+    __slots__ = ("mid", "rad", "_norm")
+
+    def __init__(self, mid, rad):
+        self.mid = mid
+        self.rad = rad
+        self._norm = None
+
+    def norm_bound(self):
+        """Rigorous upper bound for the spectral norm of the midpoint."""
+        if self._norm is None:
+            self._norm = scalar_norm_bound(self.mid)
+        return self._norm
+
+
+def scalar_product_with_error(a, b):
+    """`gimbal._product_with_error` of two 3x3 float matrices: fl(a b),
+    each entry x0 + x1 + x2 summed left to right, and its error bounds
+    up(G s + 3 eta)."""
+    bt = tuple(zip(*b))
+    mid = []
+    err = []
+    for a0, a1, a2 in a:
+        mid_row = []
+        err_row = []
+        for b0, b1, b2 in bt:
+            x0 = a0 * b0
+            x1 = a1 * b1
+            x2 = a2 * b2
+            mid_row.append(x0 + x1 + x2)
+            err_row.append(nextafter(
+                gb._GAMMA3_UP * (abs(x0) + abs(x1) + abs(x2)) + gb._UNDERFLOW3, inf
+            ))
+        mid.append(tuple(mid_row))
+        err.append(err_row)
+    return tuple(mid), err
+
+
+def scalar_max_row_sum(rows):
+    """Upper bound for the largest row sum of nonnegative floats; inf if
+    any entry is inf or NaN."""
+    worst = 0.0
+    for row in rows:
+        acc = row[0]
+        for x in row[1:]:
+            acc = nextafter(acc + x, inf)
+        if not acc <= worst:
+            worst = acc if acc < inf else inf
+    return worst
+
+
+def scalar_spec_bound(radii):
+    """sqrt(max row sum * max col sum) of a nonnegative 3x3 float matrix."""
+    prod = nextafter(scalar_max_row_sum(radii) * scalar_max_row_sum(zip(*radii)), inf)
+    return nextafter(math.sqrt(prod), inf)
+
+
+def scalar_norm_bound(m):
+    """sqrt(max row sum of |m^T m|) for a 3x3 float matrix m, with m^T m
+    from `scalar_product_with_error` and each row interleaving |m^T m| and
+    the error bounds."""
+    gram, err = scalar_product_with_error(tuple(zip(*m)), m)
+    rows = (
+        (abs(g0), e0, abs(g1), e1, abs(g2), e2)
+        for (g0, g1, g2), (e0, e1, e2) in zip(gram, err)
+    )
+    return nextafter(math.sqrt(scalar_max_row_sum(rows)), inf)
+
+
+def _radius(rad):
+    return rad if rad < inf else inf
+
+
+def scalar_ball_of_bounds(lo, hi):
+    """The ball of a 3x3 interval matrix given by its float endpoints,
+    entry by entry: midpoint c = 0.5 (lo + hi), radius
+    up(max(c - lo, hi - c)), and `scalar_spec_bound` of those."""
     mid = []
     radii = []
-    for row in m:
+    for lo_row, hi_row in zip(lo, hi):
         mid_row = []
         rad_row = []
-        for x in row:
-            lo, hi = x.lo_float(), x.hi_float()
-            c = 0.5 * (lo + hi)
+        for a, b in zip(lo_row, hi_row):
+            c = 0.5 * (a + b)
             mid_row.append(c)
-            rad_row.append(max(nextafter(c - lo, inf), nextafter(hi - c, inf)))
+            rad_row.append(max(nextafter(c - a, inf), nextafter(b - c, inf)))
         mid.append(tuple(mid_row))
         radii.append(rad_row)
-    return gb.BallMatrix3(tuple(mid), gb._spec_bound(radii))
+    return ScalarBall(tuple(mid), scalar_spec_bound(radii))
+
+
+def scalar_ball_from_interval_mat3(m):
+    """`scalar_ball_of_bounds` of an entrywise-interval 3x3 matrix, from its
+    entries' outward float bounds."""
+    return scalar_ball_of_bounds([[x.lo_float() for x in row] for row in m],
+                                 [[x.hi_float() for x in row] for row in m])
+
+
+def scalar_identity():
+    return ScalarBall(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), 0.0)
+
+
+def scalar_ball_mul(a, b):
+    mid, err = scalar_product_with_error(a.mid, b.mid)
+    rad = nextafter(scalar_spec_bound(err) + nextafter(a.norm_bound() * b.rad, inf), inf)
+    rad = nextafter(rad + nextafter(a.rad * b.norm_bound(), inf), inf)
+    rad = nextafter(rad + nextafter(a.rad * b.rad, inf), inf)
+    return ScalarBall(mid, _radius(rad))
+
+
+def scalar_ball_add(a, b):
+    mid = tuple(
+        tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.mid, b.mid)
+    )
+    radii = [[nextafter(gb._U * abs(s), inf) for s in row] for row in mid]
+    rad = nextafter(nextafter(scalar_spec_bound(radii) + a.rad, inf) + b.rad, inf)
+    return ScalarBall(mid, _radius(rad))
+
+
+def scalar_entries(ball):
+    """Entrywise 53-bit interval enclosure of a ball (the whole line where
+    its radius is infinite)."""
+    r = ball.rad
+    if r == inf:
+        return ((Interval(-inf, inf),) * 3,) * 3
+    return tuple(tuple(Interval.point(c) + Interval(-r, r) for c in row) for row in ball.mid)
+
+
+def stack(balls):
+    """The scalar balls as a `gimbal` ball stack (mid, rad, norm)."""
+    return (np.array([b.mid for b in balls]).reshape(-1, 3, 3),
+            np.array([b.rad for b in balls]), np.array([b.norm_bound() for b in balls]))
+
+
+def each_row_alone(fn, *args):
+    """fn of stacked arguments (arrays, or ball stacks as tuples of arrays),
+    after checking that each row of its result is bit for bit fn of that
+    row's arguments alone, as stacks of one."""
+    def rows(x, r):
+        return tuple(rows(y, r) for y in x) if isinstance(x, tuple) else x[r:r + 1]
+
+    def bits(x):
+        return [bits(y) for y in x] if isinstance(x, tuple) else x.tobytes()
+
+    out = fn(*args)
+    first = args[0]
+    while isinstance(first, tuple):
+        first = first[0]
+    for r in range(len(first)):
+        alone = fn(*(rows(x, r) for x in args))
+        assert bits(rows(out, r)) == bits(alone), r
+    return out
+
+
+def scalar_balls_of_bounds(lo, hi):
+    """`gimbal._balls_of_bounds` one matrix at a time."""
+    return stack([scalar_ball_of_bounds(a, b) for a, b in zip(lo.tolist(), hi.tolist())])
+
+
+def _rotation_pairs(boxes, enclose):
+    """`enclose` of the `Interval` rotation and rotation-derivative
+    matrices of each box."""
+    one, zero = Interval.point(1.0), Interval.point(0.0)
+    out = []
+    for w in boxes:
+        c, s = w.cos(), w.sin()
+        out.append((enclose(rotation_matrix(c, s, one, zero)),
+                    enclose(rotation_matrix_derivative(c, s, zero))))
+    return out
+
+
+def scalar_rotation_balls(boxes):
+    """The scalar balls of each box's rotation and rotation derivative, as
+    pairs; `gimbal.rotation_balls` stacks them."""
+    return _rotation_pairs(boxes, scalar_ball_from_interval_mat3)
+
+
+def gimbal_matrix(loop, labels, box_of_variable):
+    """Product of the letter matrices, first-traversed letter rightmost.
+
+    The labels are intervals; `box_of_variable[var]` is the angle box of
+    variable var.  The product goes through the scalar float balls
+    (entrywise interval products of long near-rotation words diverge); the
+    result is an entrywise float-interval enclosure.
+    """
+    acc = scalar_identity()
+    for letter in loop.word:
+        if letter["kind"] == "P":
+            box = box_of_variable[loop.variable_of_pid[letter["pid"]]]
+            ball = scalar_rotation_balls([box])[0][0]
+        else:
+            ball = scalar_ball_from_interval_mat3(label_of(labels, letter))
+        acc = scalar_ball_mul(ball, acc)
+    return scalar_entries(acc)
+
+
+def gimbal_function(loop, labels, box_of_variable):
+    m = gimbal_matrix(loop, labels, box_of_variable)
+    return (m[0][1], m[0][2], m[1][2])
+
+
+# -- balls in Interval arithmetic -----------------------------------------------
 
 
 class BallMatrix3:
@@ -139,35 +333,53 @@ def ball_add(a, b):
     return BallMatrix3(mid, rad)
 
 
-def _rotation_pairs(boxes, enclose):
-    """`enclose` of the `Interval` rotation and rotation-derivative
-    matrices of each box, as `gimbal.rotation_balls` lists them."""
-    one, zero = Interval.point(1.0), Interval.point(0.0)
-    out = []
-    for w in boxes:
-        c, s = w.cos(), w.sin()
-        out.append((enclose(rotation_matrix(c, s, one, zero)),
-                    enclose(rotation_matrix_derivative(c, s, zero))))
-    return out
+def sequential_derivatives(loop, labels, rotations):
+    """d(gimbal matrix)/d(T_var) for every variable of the loop, as a dict
+    of `BallMatrix3`s: at each polygon letter i, P R' S with
+    S = M(w[i-1]) ... M(w[0]) and P = M(w[n-1]) ... M(w[i+1]), each chain
+    multiplied one letter at a time; terms summed in word order.
+    `rotations[var]` holds the balls of variable var's rotation and of its
+    derivative."""
+    word = loop.word
+    n = len(word)
+    mats = [
+        rotations[loop.variable_of_pid[letter["pid"]]][0] if letter["kind"] == "P"
+        else ball_from_interval_mat3(label_of(labels, letter))
+        for letter in word
+    ]
+    suffix = [ball_identity()]  # suffix[i] = M(w[i-1]) ... M(w[0])
+    for m in mats:
+        suffix.append(ball_mul(m, suffix[-1]))
+    prefix = [ball_identity()]  # prefix[k] = M(w[n-1]) ... M(w[n-k])
+    for m in reversed(mats):
+        prefix.append(ball_mul(prefix[-1], m))
+    acc = {}
+    for i, letter in enumerate(word):
+        if letter["kind"] != "P":
+            continue
+        var = loop.variable_of_pid[letter["pid"]]
+        term = ball_mul(prefix[n - 1 - i], ball_mul(rotations[var][1], suffix[i]))
+        acc[var] = term if var not in acc else ball_add(acc[var], term)
+    return acc
 
 
-def scalar_rotation_balls(boxes):
-    return _rotation_pairs(boxes, scalar_ball_from_interval_mat3)
-
-
-def rotation_balls(boxes):
-    return _rotation_pairs(boxes, ball_from_interval_mat3)
-
-
-def oracle_balls(monkeypatch):
-    """Make `gimbal` build its balls with this module's functions, the
-    labels' and the rotations' balls included: each encloses the label
-    matrix of its letter, or the rotation matrix of its box."""
-    names = ("ball_from_interval_mat3", "ball_identity", "ball_mul", "ball_add",
-             "rotation_balls")
-    for name in names:
-        monkeypatch.setattr(gb, name, globals()[name])
-    monkeypatch.setattr(
-        gb.CocycleLabels, "ball_for_letter",
-        lambda labels, letter: ball_from_interval_mat3(label_of(labels, letter)),
-    )
+def sequential_jacobian(loops, labels, boxes):
+    """Stage V's Jacobian from `sequential_derivatives` on the `Interval`
+    balls: rows of `Interval`s, three per loop, one column per variable."""
+    rotations = _rotation_pairs(boxes, ball_from_interval_mat3)
+    zero = Interval.point(0.0)
+    rows = []
+    for loop in loops:
+        derivs = sequential_derivatives(loop, labels, rotations)
+        for r, c in ((0, 1), (0, 2), (1, 2)):
+            row = []
+            for v in range(len(boxes)):
+                ball = derivs.get(v)
+                if ball is None:
+                    row.append(zero)
+                elif ball.rad == inf:
+                    row.append(Interval(-inf, inf))
+                else:
+                    row.append(Interval.point(ball.mid[r][c]) + Interval(-ball.rad, ball.rad))
+            rows.append(row)
+    return rows

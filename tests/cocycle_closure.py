@@ -20,7 +20,7 @@ from hypcert.triangulation import (
     hexagon_cycle,
     perm_parity,
 )
-from tests.geometry_oracle import cos_vertex_angle
+from tests.geometry_oracle import cos_vertex_angle, sqrt_nonneg
 from tests.gimbal_oracle import beta_label, dihedral_cs, gamma_label
 from tests.matrix_oracle import mat3_identity, mat3_mul
 
@@ -31,7 +31,7 @@ from tests.matrix_oracle import mat3_identity, mat3_mul
 
 def pgl2_alpha(labels, tet, sigma):
     v = labels.data[tet].gram[sigma[0]][sigma[1]]
-    x = sc.sqrt_nonneg(v * v - 1.0) - v
+    x = sqrt_nonneg(v * v - 1.0) - v
     zero, one = (labels.kernel.point(v) for v in (0.0, 1.0))
     return ((zero, x), (one, zero))
 
@@ -40,8 +40,8 @@ def pgl2_beta(labels, tet, sigma):
     g = labels.data[tet].gram
     # half angle via cos(e/2) = sqrt((1+cos e)/2), valid on (0, pi)
     ce = cos_vertex_angle(g, sigma[0], sigma[2], sigma[1])
-    ch = sc.sqrt_nonneg((ce + 1.0) / 2.0)
-    sh = sc.sqrt_nonneg((-ce + 1.0) / 2.0)
+    ch = sqrt_nonneg((ce + 1.0) / 2.0)
+    sh = sqrt_nonneg((-ce + 1.0) / 2.0)
     return ((-ch, sh), (sh, ch))
 
 

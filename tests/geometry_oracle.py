@@ -5,37 +5,67 @@ batched over simplices: each function here is the scalar formula, in the
 operation order the batched code must repeat bit for bit.  Tests only.
 """
 
+import math
+
 from hypcert import scalars as sc
 from hypcert.geometry import GramData, RealizationError, opposite_edge
 from hypcert.interval import DomainError
 from hypcert.triangulation import LOCAL_EDGES
+
+# the scalar helpers of the formulas below, for floats and intervals alike
+# (`hypcert.scalars` keeps the ones the pipeline calls)
+
+
+def point_like(sample, x):
+    """The constant x as a scalar of the same kind and precision as sample."""
+    return sc.kernel_of(sample).point(x)
+
+
+def sqrt(x):
+    return x.sqrt() if sc.is_interval(x) else math.sqrt(x)
+
+
+def sqrt_nonneg(x):
+    """sqrt of a quantity that is mathematically >= 0; clamps rounding dips
+    below zero instead of failing.  Must not be used where negativity would
+    indicate a genuine domain violation."""
+    return x.sqrt_nonneg() if sc.is_interval(x) else math.sqrt(max(x, 0.0))
+
+
+def arccos(x):
+    return x.arccos() if sc.is_interval(x) else math.acos(x)
+
+
+def surely_gt(x, c):
+    """x > c for every member of x (floats compare directly)."""
+    return x.lo_float() > c if sc.is_interval(x) else x > c
 
 
 # the scalar formulas of the stage-V labels (`gimbal.CocycleLabels`)
 
 
 def cos_dihedral(cof, i, j):
-    return cof[i][j] / sc.sqrt(cof[i][i] * cof[j][j])
+    return cof[i][j] / sqrt(cof[i][i] * cof[j][j])
 
 
 def sin_dihedral(cof, i, j):
     c = cos_dihedral(cof, i, j)
-    return sc.sqrt_nonneg(-(c * c) + 1.0)
+    return sqrt_nonneg(-(c * c) + 1.0)
 
 
 def cos_vertex_angle(g, i, j, k):
     num = g[i][j] * g[i][k] + g[j][k]
-    den = sc.sqrt(g[i][j] * g[i][j] - 1.0) * sc.sqrt(g[i][k] * g[i][k] - 1.0)
+    den = sqrt(g[i][j] * g[i][j] - 1.0) * sqrt(g[i][k] * g[i][k] - 1.0)
     return num / den
 
 
 def sin_vertex_angle(g, i, j, k):
     c = cos_vertex_angle(g, i, j, k)
-    return sc.sqrt_nonneg(-(c * c) + 1.0)
+    return sqrt_nonneg(-(c * c) + 1.0)
 
 
 def gram_matrix(tri, params, tet):
-    neg_one = sc.point_like(params[0], -1.0)
+    neg_one = point_like(params[0], -1.0)
     g = [[neg_one if i == j else None for j in range(4)] for i in range(4)]
     for (a, b) in LOCAL_EDGES:
         v = params[tri.edge_class_index(tet, a, b)]
@@ -94,7 +124,7 @@ def realization_check(g, cof=None):
     a0 = _det4(g, cof)
     if not sc.surely_lt(a2, 0.0):
         return False, "char-poly coefficient a2 not proven negative"
-    if not sc.surely_gt(a1, 0.0):
+    if not surely_gt(a1, 0.0):
         return False, "char-poly coefficient a1 not proven positive"
     if not sc.surely_lt(a0, 0.0):
         return False, "determinant not proven negative"
@@ -112,7 +142,7 @@ def realization_check(g, cof=None):
 def dihedral_angle(g, cof, i, j):
     """Angle between faces i and j, in (0, pi) for a realized simplex."""
     try:
-        return sc.arccos(cos_dihedral(cof, i, j))
+        return arccos(cos_dihedral(cof, i, j))
     except DomainError as exc:
         raise RealizationError(f"dihedral angle ({i},{j}): {exc}") from exc
 
@@ -120,7 +150,7 @@ def dihedral_angle(g, cof, i, j):
 def vertex_angle(g, i, j, k):
     """Angle at vertex i of the triangle ijk."""
     try:
-        return sc.arccos(cos_vertex_angle(g, i, j, k))
+        return arccos(cos_vertex_angle(g, i, j, k))
     except DomainError as exc:
         raise RealizationError(f"vertex angle ({i},{j}{k}): {exc}") from exc
 
@@ -178,7 +208,7 @@ def jacobian(tri, params, data=None, rows=None, cols=None):
     simplex, each entry summed over the simplices in simplex order."""
     if data is None:
         data = [simplex_data(tri, params, t) for t in range(tri.n_tets)]
-    zero = sc.point_like(params[0], 0.0)
+    zero = point_like(params[0], 0.0)
     rows = range(tri.m) if rows is None else rows
     cols = range(tri.m) if cols is None else cols
     row_at = {e: r for r, e in enumerate(rows)}
@@ -196,14 +226,14 @@ def jacobian(tri, params, data=None, rows=None, cols=None):
         for (a, b) in LOCAL_EDGES:
             i, j = opposite_edge(a, b)
             gap = cof[i][i] * cof[j][j] - cof[i][j] * cof[i][j]
-            if not sc.surely_gt(gap, 0.0):
+            if not surely_gt(gap, 0.0):
                 raise RealizationError(
                     f"tet {tet}: degenerate angle gap at faces ({i},{j})"
                 )
             r = row_at.get(tri.edge_class_index(tet, a, b))
             if r is None or not local_cols:
                 continue
-            inv_sqrt_gap = 1.0 / sc.sqrt(gap)
+            inv_sqrt_gap = 1.0 / sqrt(gap)
             ratios = (
                 (i, cof[i][j] / (cof[i][i] * 2.0)),
                 (j, cof[i][j] / (cof[j][j] * 2.0)),

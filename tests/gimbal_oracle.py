@@ -1,19 +1,19 @@
 """Gimbal-side geometry that no stage of the pipeline computes.
 
-Scalar label and rotation matrices, prism holonomies, polygon angle sums,
-the gimbal matrix and function themselves (stage V needs only their
-derivatives) and the float edge directions on a vertex link.  The tests
-check stage V's labels and Jacobian and the probe's edge-direction table
-against these identities, and the batched labels against `label_matrix`,
-one letter at a time from the scalar formulas.  Stage V reads its labels
-only as a table of endpoints; `label_of` rebuilds a label as a matrix of
-scalars from the label arrays.  Tests only.
+Scalar label and rotation matrices, prism holonomies, polygon angle sums
+and the float edge directions on a vertex link (the gimbal matrix and
+function themselves, which stage V does not need, are ball products and
+live in `tests/ball_oracle.py`).  The tests check stage V's labels and
+Jacobian and the probe's edge-direction table against these identities,
+and the batched labels against `label_matrix`, one letter at a time from
+the scalar formulas.  Stage V reads its labels only as a table of
+endpoints; `label_of` rebuilds a label as a matrix of scalars from the
+label arrays.  Tests only.
 """
 
 from hypcert import gimbal as gb
 from hypcert import scalars as sc
 from hypcert.geometry import opposite_edge
-from hypcert.interval import FLOAT_KERNEL
 from hypcert.triangulation import (
     LOCAL_EDGE_INDEX,
     perm_parity,
@@ -56,9 +56,9 @@ def _one_zero(labels):
 
 def label_of(labels, letter):
     """The pipeline's label of an edge letter as a matrix of scalars, from
-    the label arrays at its slot `labels._slot(letter)`."""
+    the label arrays at its slot `labels.slot(letter)`."""
     one, zero = _one_zero(labels)
-    tet, local = divmod(labels._slot(letter), 24)
+    tet, local = divmod(labels.slot(letter), 24)
     if local < 12:
         e, negative = divmod(local, 2)
         c, s = labels.dihedral_cos[tet].tolist()[e], labels.dihedral_sin[tet].tolist()[e]
@@ -141,30 +141,6 @@ def polygon_angle_sum(labels, link, pid):
         th = theta_interval(labels, tet, a, b)
         acc = th if acc is None else acc + th
     return acc
-
-
-def gimbal_matrix(loop, labels, rotations):
-    """Product of the letter matrices, first-traversed letter rightmost.
-
-    The labels are intervals, and `rotations[var]` starts with the ball of
-    the rotation by variable var's angle (`gimbal.rotation_balls`).  The
-    product goes through ball arithmetic (entrywise interval products of
-    long near-rotation words diverge); the result is an entrywise
-    float-interval enclosure.
-    """
-    acc = gb.ball_identity()
-    for letter in loop.word:
-        if letter["kind"] == "P":
-            ball = rotations[loop.variable_of_pid[letter["pid"]]][0]
-        else:
-            ball = labels.ball_for_letter(letter)
-        acc = gb.ball_mul(ball, acc)
-    return gb.ball_entries(acc, FLOAT_KERNEL)
-
-
-def gimbal_function(loop, labels, rotations):
-    m = gimbal_matrix(loop, labels, rotations)
-    return (m[0][1], m[0][2], m[1][2])
 
 
 def edge_end_directions(tri, params, vertex_class=0, links=None):

@@ -46,45 +46,54 @@ def mat3_identity(one, zero):
     return ((one, zero, zero), (zero, one, zero), (zero, zero, one))
 
 
-_SCALE = 1074  # a float times 2^1074 is an integer
 _INF = 2 ** 5000  # stands for an infinite endpoint: above every finite product
 
 
-def _scaled(endpoints):
-    """Float endpoints as an object array of exact integers x * 2^1074, with
-    +-inf as +-_INF."""
-    def scaled(x):
-        if math.isinf(x):
-            return _INF if x > 0 else -_INF
-        num, den = x.as_integer_ratio()
-        return num * (2 ** _SCALE // den)
-    flat = [scaled(x) for x in np.asarray(endpoints, dtype=float).ravel().tolist()]
-    return np.array(flat, dtype=object).reshape(np.shape(endpoints))
+def _scaled(matrices):
+    """Float endpoint matrices as object arrays of exact integers x * 2^s,
+    with +-inf as +-_INF, and the scale s: the least (at most 1074) that
+    makes every endpoint an integer."""
+    ratios = [[x.as_integer_ratio() if math.isfinite(x) else (x, 0)
+               for x in np.asarray(m, dtype=float).ravel().tolist()] for m in matrices]
+    den = max((d for r in ratios for _, d in r), default=1)
+    scale = den.bit_length() - 1
+
+    def scaled(num, d):
+        if d == 0:
+            return _INF if num > 0 else -_INF
+        return num * (den // d)
+
+    arrays = [np.array([scaled(*x) for x in r], dtype=object).reshape(np.shape(m))
+              for r, m in zip(ratios, matrices)]
+    return arrays, scale
 
 
-def _total(terms, undefined):
-    """The sums along rows of scaled endpoint products, as Fractions or
-    +-inf; `undefined` where +inf meets -inf."""
+def _total(terms, undefined, scale):
+    """The sums along rows of endpoint products scaled by 2^scale, as
+    Fractions or +-inf; `undefined` where +inf meets -inf."""
     pos = (terms >= _INF).any(axis=1)
     neg = (terms <= -_INF).any(axis=1)
     sums = terms.sum(axis=1)
-    return [undefined if p and n else -inf if n else inf if p else Fraction(t, 4 ** _SCALE)
+    return [undefined if p and n else -inf if n else inf if p else Fraction(t, 2 ** scale)
             for p, n, t in zip(pos.tolist(), neg.tolist(), sums.tolist())]
 
 
 def exact_mat_mul(a, b):
     """The exact product of nested lists of `Interval`s: per entry the pair
-    (lo, hi) of Fractions (or +-inf), each term's hull from its four endpoint
-    products in integers scaled by 2^2148.  0 * inf is 0, as for endpoint
-    products of closed real intervals.  An entry whose lower (upper) sum
-    meets both infinities has lo = -inf (hi = +inf): it constrains nothing."""
-    alo, ahi, blo, bhi = (_scaled([[getattr(x, end) for x in row] for row in m])
-                          for m, end in ((a, "lo"), (a, "hi"), (b, "lo"), (b, "hi")))
+    (lo, hi) of Fractions (or +-inf), each term's hull from its endpoint
+    products in integers, all endpoints scaled by one power of two.  0 * inf
+    is 0, as for endpoint products of closed real intervals.  An entry whose
+    lower (upper) sum meets both infinities has lo = -inf (hi = +inf): it
+    constrains nothing."""
+    (alo, ahi, blo, bhi), scale = _scaled([[[getattr(x, end) for x in row] for row in m]
+                                           for m, end in ((a, "lo"), (a, "hi"),
+                                                          (b, "lo"), (b, "hi"))])
     columns = []
     for ylo, yhi in zip(blo.T, bhi.T):
-        products = np.array([x * y for x in (alo, ahi) for y in (ylo, yhi)])
-        columns.append(zip(_total(products.min(axis=0), -inf),
-                           _total(products.max(axis=0), inf)))
+        ys = (ylo,) if (ylo == yhi).all() else (ylo, yhi)  # a column of points
+        products = np.array([x * y for x in (alo, ahi) for y in ys])
+        columns.append(zip(_total(products.min(axis=0), -inf, 2 * scale),
+                           _total(products.max(axis=0), inf, 2 * scale)))
     return [list(row) for row in zip(*columns)]
 
 

@@ -33,7 +33,8 @@ from tests.geometry_oracle import (
     simplex_data,
     vertex_angle,
 )
-from tests.gimbal_oracle import gimbal_function, polygon_angle_sum, prism_holonomy
+from tests.ball_oracle import gimbal_function
+from tests.gimbal_oracle import polygon_angle_sum, prism_holonomy
 
 
 def report(n, text):
@@ -198,14 +199,13 @@ def test_criterion_06_polygon_identities(hyperbolic_triangulations, verified_all
         links = [tr.vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
         for loop in res.box.loops:
             link = links[loop.vertex_class]
-            turns = gb.rotation_balls([TWO_PI] * len(res.partition.e_sim))
+            turns = [TWO_PI] * len(res.partition.e_sim)
             g_turns = gimbal_function(loop, labels, turns)
             assert all(comp.contains(0.0) for comp in g_turns), name
             deltas = {}  # variable -> the angle sum of one of its polygons
             for pid, var in loop.variable_of_pid.items():
                 deltas.setdefault(var, polygon_angle_sum(labels, link, pid))
-            rotations = dict(zip(deltas, gb.rotation_balls(list(deltas.values()))))
-            g_delta = gimbal_function(loop, labels, rotations)
+            g_delta = gimbal_function(loop, labels, deltas)
             assert all(comp.contains(0.0) for comp in g_delta), name
             checked_loops += 1
         for link in links:
@@ -291,15 +291,14 @@ def test_criterion_09_gimbal_probe(dodec27a):
 
     # the geodesic-style lock: a loop whose polygons sit at antipodal
     # points produces rotations about one common axis
-    k = FloatKernel()
-    half_turn_x = tuple(
-        tuple(k.point(x) for x in row)
-        for row in ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0))
-    )
+    half_turn_x = np.diag([1.0, -1.0, -1.0])[None]
 
     class SyntheticLabels:
-        def ball_for_letter(self, letter):
-            return gb.ball_from_interval_mat3(half_turn_x)
+        def label_bounds(self):
+            return half_turn_x, half_turn_x
+
+        def slot(self, letter):
+            return 0
 
     word = [
         {"kind": "edge", "token": "pi_inv"},
@@ -309,9 +308,10 @@ def test_criterion_09_gimbal_probe(dodec27a):
     ]
     loop = gb.GimbalLoop(0, None, (0, 1), word)
     loop.variable_of_pid = {0: 0, 1: 1}
-    derivs = gb.gimbal_matrix_derivatives(
-        loop, SyntheticLabels(), gb.rotation_balls([TWO_PI, TWO_PI])
+    (derivs,) = gb.gimbal_matrix_derivatives(
+        [loop], SyntheticLabels(), gb.rotation_balls([TWO_PI, TWO_PI])
     )
+    derivs = {v: m.tolist() for v, m in derivs.items()}
     D = np.array(
         [
             [derivs[v][r][c].mid() for v in (0, 1)]

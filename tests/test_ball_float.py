@@ -1,9 +1,13 @@
 """Stage V's float ball layer against exact rational arithmetic and
-against the interval oracle in `tests/ball_oracle.py`.
+against the references in `tests/ball_oracle.py`.
 
 `gimbal`'s balls hold plain floats in round-to-nearest with a-priori
-rounding bounds.  `fractions.Fraction` gives the exact products and sums
-those bounds must cover; the oracle gives the enclosures they must match.
+rounding bounds, and every function of the layer takes stacks of balls.
+`fractions.Fraction` and exact dyadic integers give the exact products and
+sums those bounds must cover; the oracle gives the enclosures they must
+match.  Each stacked function is run on a stack that mixes draws, whose
+rows must be bit for bit the function of each draw alone
+(`each_row_alone`).
 """
 
 import itertools
@@ -21,11 +25,17 @@ from hypcert import gimbal as gb
 from hypcert import verify
 from hypcert.interval import FLOAT_KERNEL, Interval, inverse_residual
 from tests.ball_oracle import (
-    oracle_balls,
+    ScalarBall,
+    each_row_alone,
+    scalar_ball_add,
     scalar_ball_from_interval_mat3,
+    scalar_ball_mul,
+    scalar_norm_bound,
+    scalar_product_with_error,
     scalar_rotation_balls,
+    sequential_jacobian,
 )
-from tests.test_gimbal import _scaling_member
+from tests.test_gimbal import _bounds, _scaling_member
 
 inf = math.inf
 U = Q(1, 2 ** 53)
@@ -75,6 +85,12 @@ matrices = st.one_of(
     rotations(),
 )
 
+
+def stacks(*strategies):
+    """One to three draws of each strategy, to be stacked."""
+    return st.lists(st.tuples(*strategies), min_size=1, max_size=3)
+
+
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
                     database=None)
 
@@ -117,14 +133,48 @@ def spectral_at_most(e, r):
     )
 
 
-def covers_point_error(ball, want):
-    """The ball's radius bounds exact - midpoint entrywise and in norm."""
-    if ball.rad == inf:
+def dyadic(m):
+    """A 3x3 matrix of floats or of Fractions with power-of-two denominators,
+    exactly, as (A, d): integers A over one power of two d."""
+    q = [[Q(x) for x in row] for row in m]
+    d = max(x.denominator for row in q for x in row)
+    return [[x.numerator * (d // x.denominator) for x in row] for row in q], d
+
+
+def dyadic_mul(a, b):
+    (x, dx), (y, dy) = a, b
+    return [[sum(x[i][k] * y[k][j] for k in range(3)) for j in range(3)]
+            for i in range(3)], dx * dy
+
+
+def covers_point_error(mid, rad, want):
+    """The ball's radius bounds want - mid entrywise and in norm; `want` is
+    exact, a dyadic (A, d) or a matrix of Fractions.  Compared in integers
+    scaled by one power of two."""
+    if rad == inf:
         return True
-    e = [[want[i][j] - Q(ball.mid[i][j]) for j in range(3)] for i in range(3)]
-    if not all(abs(x) <= Q(ball.rad) for row in e for x in row):
+    (a, da), (m, dm) = want if isinstance(want, tuple) else dyadic(want), dyadic(mid)
+    r = Q(rad)
+    d = max(da, dm, r.denominator)
+    e = [[a[i][j] * (d // da) - m[i][j] * (d // dm) for j in range(3)] for i in range(3)]
+    r = r.numerator * (d // r.denominator)
+    if not all(abs(x) <= r for row in e for x in row):
         return False
-    return spectral_at_most(e, ball.rad)
+    return spectral_at_most(e, r)
+
+
+def _hex(m):
+    return [[x.hex() for x in row] for row in m]
+
+
+def _stack(ms):
+    return np.array(ms, dtype=float).reshape(-1, 3, 3)
+
+
+def _point_balls(ms):
+    """Balls of radius 0 about float 3x3 matrices, with their norm bounds."""
+    mid = _stack(ms)
+    return mid, np.zeros(len(mid)), gb._norm_bound(mid)
 
 
 def test_constants():
@@ -134,55 +184,73 @@ def test_constants():
 
 
 @SETTINGS
-@given(matrices, matrices)
-@example(SUB_ROW, SUB_COL)
-def test_product_error_bound_covers_exact_product(a, b):
-    mid, err = gb._product_with_error(a, b)
-    want = exact_product(a, b)
-    for i in range(3):
-        for j in range(3):
-            if math.isfinite(mid[i][j]) and math.isfinite(err[i][j]):
-                assert abs(want[i][j] - Q(mid[i][j])) <= Q(err[i][j]), (i, j)
-            else:
-                # an overflow shows in the bound, which makes the radius inf
-                assert not math.isfinite(err[i][j])
+@given(stacks(matrices, matrices))
+@example([(SUB_ROW, SUB_COL)])
+def test_product_error_bound_covers_exact_product(pairs):
+    a, b = (_stack(ms) for ms in zip(*pairs))
+    mids, errs = each_row_alone(gb._product_with_error, a, b)
+    for (ma, mb), mid, err in zip(pairs, mids.tolist(), errs.tolist()):
+        assert (_hex(mid), _hex(err)) == tuple(map(_hex, scalar_product_with_error(ma, mb)))
+        want = exact_product(ma, mb)
+        for i in range(3):
+            for j in range(3):
+                if math.isfinite(mid[i][j]) and math.isfinite(err[i][j]):
+                    assert abs(want[i][j] - Q(mid[i][j])) <= Q(err[i][j]), (i, j)
+                else:
+                    # an overflow shows in the bound, which makes the radius inf
+                    assert not math.isfinite(err[i][j])
 
 
 @SETTINGS
-@given(matrices, matrices)
-@example(SUB_ROW, SUB_COL)
-def test_ball_mul_of_point_balls_covers_exact_product(a, b):
-    ball = gb.ball_mul(gb.BallMatrix3(a, 0.0), gb.BallMatrix3(b, 0.0))
-    assert not math.isnan(ball.rad)
-    if not finite(ball.mid):
-        assert ball.rad == inf
-        return
-    assert covers_point_error(ball, exact_product(a, b))
+@given(stacks(matrices, matrices))
+@example([(SUB_ROW, SUB_COL)])
+def test_ball_mul_of_point_balls_covers_exact_product(pairs):
+    a, b = (_point_balls(ms) for ms in zip(*pairs))
+    mids, rads, norms = each_row_alone(gb.ball_mul, a, b)
+    for (ma, mb), mid, rad, norm in zip(pairs, mids.tolist(), rads.tolist(), norms.tolist()):
+        ref = scalar_ball_mul(ScalarBall(ma, 0.0), ScalarBall(mb, 0.0))
+        assert (_hex(mid), rad.hex(), norm.hex()) == \
+            (_hex(ref.mid), ref.rad.hex(), ref.norm_bound().hex())
+        assert not math.isnan(rad)
+        if not finite(mid):
+            assert rad == inf
+            continue
+        assert covers_point_error(mid, rad, exact_product(ma, mb))
 
 
 @SETTINGS
-@given(matrices)
-def test_norm_bound_squared_covers_gram_row_sums(m):
-    nb = gb.BallMatrix3(m, 0.0).norm_bound()
-    assert not math.isnan(nb)
-    if nb == inf:
-        return
-    gram = exact_product(tuple(zip(*m)), m)
-    assert Q(nb) ** 2 >= max(sum(abs(x) for x in row) for row in gram)
+@given(stacks(matrices))
+def test_norm_bound_squared_covers_gram_row_sums(ms):
+    ms = [m for (m,) in ms]
+    norms = each_row_alone(gb._norm_bound, _stack(ms))
+    for m, nb in zip(ms, norms.tolist()):
+        assert nb.hex() == scalar_norm_bound(m).hex()
+        assert not math.isnan(nb)
+        if nb == inf:
+            continue
+        gram = exact_product(tuple(zip(*m)), m)
+        assert Q(nb) ** 2 >= max(sum(abs(x) for x in row) for row in gram)
 
 
 @SETTINGS
-@given(matrices, matrices, st.sampled_from([0.0, 1e-300, 1e-9]))
-def test_ball_add_covers_exact_sum(a, b, r):
-    ball = gb.ball_add(gb.BallMatrix3(a, r), gb.BallMatrix3(b, 2 * r))
-    assert not math.isnan(ball.rad)
-    if not finite(ball.mid):
-        assert ball.rad == inf
-        return
-    assert ball.rad >= 3 * r
-    want = [[Q(a[i][j]) + Q(b[i][j]) for j in range(3)] for i in range(3)]
-    point = gb.ball_add(gb.BallMatrix3(a, 0.0), gb.BallMatrix3(b, 0.0))
-    assert covers_point_error(point, want)
+@given(stacks(matrices, matrices, st.sampled_from([0.0, 1e-300, 1e-9])))
+def test_ball_add_covers_exact_sum(cases):
+    ma, mb, r = zip(*cases)
+    r = np.array(r)
+    a, b = _point_balls(ma), _point_balls(mb)
+    mids, rads, _ = each_row_alone(gb.ball_add, (a[0], r, a[2]), (b[0], 2 * r, b[2]))
+    point_mids, point_rads, _ = each_row_alone(gb.ball_add, a, b)
+    for (x, y, r), mid, rad, point_mid, point_rad in zip(
+            cases, mids.tolist(), rads.tolist(), point_mids.tolist(), point_rads.tolist()):
+        ref = scalar_ball_add(ScalarBall(x, r), ScalarBall(y, 2 * r))
+        assert (_hex(mid), rad.hex()) == (_hex(ref.mid), ref.rad.hex())
+        assert not math.isnan(rad)
+        if not finite(mid):
+            assert rad == inf
+            continue
+        assert rad >= 3 * r
+        want = [[Q(x[i][j]) + Q(y[i][j]) for j in range(3)] for i in range(3)]
+        assert covers_point_error(point_mid, point_rad, want)
 
 
 @st.composite
@@ -198,48 +266,40 @@ def interval_matrices(draw):
 
 
 @SETTINGS
-@given(interval_matrices())
-@example(((Interval(-1.0, 1e-300),) * 3,) * 3)
-@example(((Interval(1.0, 1.0),) * 3,) * 3)
-def test_ball_from_interval_mat3_covers_every_member(m):
-    ball = gb.ball_from_interval_mat3(m)
-    assert not math.isnan(ball.rad)
-    if not all(x.is_finite() for row in m for x in row) or not finite(ball.mid):
-        assert ball.rad == inf
-        return
-    # every member differs from the midpoint by at most d entrywise, and
-    # ||E||_2 <= || |E| ||_2 <= ||d||_2
-    d = []
-    for row, mid_row in zip(m, ball.mid):
-        d.append([])
-        for x, c in zip(row, mid_row):
-            assert x.lo <= c <= x.hi
-            d[-1].append(max(Q(c) - Q(x.lo), Q(x.hi) - Q(c)))
-    assert spectral_at_most(d, ball.rad)
-
-
-def _hex(m):
-    return [[x.hex() for x in row] for row in m]
+@given(st.lists(interval_matrices(), min_size=1, max_size=3))
+@example([((Interval(-1.0, 1e-300),) * 3,) * 3])
+@example([((Interval(1.0, 1.0),) * 3,) * 3])
+def test_ball_from_interval_mat3_covers_every_member(ms):
+    # the balls of a stack of interval matrices (`_balls_of_bounds`)
+    mids, rads, _ = each_row_alone(gb._balls_of_bounds, *_bounds(ms))
+    for m, mid, rad in zip(ms, mids.tolist(), rads.tolist()):
+        assert not math.isnan(rad)
+        if not all(x.is_finite() for row in m for x in row) or not finite(mid):
+            assert rad == inf
+            continue
+        # every member differs from the midpoint by at most d entrywise, and
+        # ||E||_2 <= || |E| ||_2 <= ||d||_2
+        d = []
+        for row, mid_row in zip(m, mid):
+            d.append([])
+            for x, c in zip(row, mid_row):
+                assert x.lo <= c <= x.hi
+                d[-1].append(max(Q(c) - Q(x.lo), Q(x.hi) - Q(c)))
+        assert spectral_at_most(d, rad)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.lists(interval_matrices(), min_size=1, max_size=3))
 @example([((Interval(-1.0, inf),) * 3,) * 3, ((Interval(-inf, inf),) * 3,) * 3])
 def test_label_balls_from_bounds_are_bitwise_the_scalar_balls(ms):
-    # the ball tables: the scalar reference ball and `_norm_bound` of a
-    # stack of interval matrices at once, from their endpoints, and
-    # `ball_from_interval_mat3` as the stack of one
-    lo = np.array([[[x.lo for x in row] for row in m] for m in ms])
-    hi = np.array([[[x.hi for x in row] for row in m] for m in ms])
-    mids, rads, norms = (x.tolist() for x in gb._balls_of_bounds(lo, hi))
+    # the ball tables: the scalar reference ball and its norm bound, for a
+    # stack of interval matrices at once and for each alone
+    mids, rads, norms = (x.tolist() for x in each_row_alone(gb._balls_of_bounds, *_bounds(ms)))
     for m, mid, rad, norm in zip(ms, mids, rads, norms):
         ref = scalar_ball_from_interval_mat3(m)
         assert _hex(mid) == _hex(ref.mid)
         assert rad.hex() == ref.rad.hex()
-        assert norm.hex() == gb._norm_bound(ref.mid).hex()
-        one = gb.ball_from_interval_mat3(m)
-        assert (_hex(one.mid), one.rad.hex(), one.norm_bound().hex()) == \
-            (_hex(mid), rad.hex(), norm.hex())
+        assert norm.hex() == ref.norm_bound().hex()
 
 
 def _rotation_boxes():
@@ -277,31 +337,42 @@ def test_rotation_balls_are_bitwise_the_scalar_balls(monkeypatch):
         got = gb.rotation_balls(boxes)
     assert len(calls) == 2 * len(set(boxes))  # one cos and one sin per box
     want = scalar_rotation_balls(boxes)
-    assert len(got) == len(want) == len(boxes)
-    for box, pair, ref_pair in zip(boxes, got, want):
-        for ball, ref in zip(pair, ref_pair):
-            assert _hex(ball.mid) == _hex(ref.mid), box
-            assert ball.rad.hex() == ref.rad.hex(), box
-            assert ball.norm_bound().hex() == ref.norm_bound().hex(), box
+    assert len(want) == len(boxes)
+    for stack, refs in zip(got, zip(*want)):  # rotations, then derivatives
+        mids, rads, norms = (x.tolist() for x in stack)
+        assert len(mids) == len(boxes)
+        for box, mid, rad, norm, ref in zip(boxes, mids, rads, norms, refs):
+            assert _hex(mid) == _hex(ref.mid), box
+            assert rad.hex() == ref.rad.hex(), box
+            assert norm.hex() == ref.norm_bound().hex(), box
 
 
 def test_non_finite_label_gives_infinite_radius():
-    k = gb.FLOAT_KERNEL
-    rot = ((k.point(0.6), k.point(-0.8), k.point(0.0)),
-           (k.point(0.8), k.point(0.6), k.point(0.0)),
-           (k.point(0.0), k.point(0.0), k.point(1.0)))
-    bad = ((Interval(-inf, 0.5),) + rot[0][1:],) + rot[1:]
-    ball = gb.ball_from_interval_mat3(bad)
-    assert ball.rad == inf
-    good = gb.ball_from_interval_mat3(rot)
-    for out in (gb.ball_mul(ball, good), gb.ball_mul(good, ball),
-                gb.ball_add(good, ball)):
-        assert out.rad == inf
-    huge = gb.BallMatrix3(((1e200,) * 3,) * 3, 0.0)
-    assert gb.ball_mul(huge, huge).rad == inf
-    for row in gb.ball_entries(ball, k):
-        for x in row:
-            assert (x.lo, x.hi) == (-inf, inf)
+    rot = ((0.6, -0.8, 0.0), (0.8, 0.6, 0.0), (0.0, 0.0, 1.0))
+    lo, hi = np.array([rot, rot]), np.array([rot, rot])
+    lo[0, 0, 0] = -inf
+    hi[0, 0, 0] = 0.5
+    balls = gb._balls_of_bounds(lo, hi)
+    assert balls[1][0] == inf and balls[1][1] < inf
+    bad, good = (gb._take(balls, [r]) for r in (0, 1))
+    for out in (gb.ball_mul(bad, good), gb.ball_mul(good, bad),
+                gb.ball_add(good, bad)):
+        assert out[1].tolist() == [inf]
+    huge = _point_balls([((1e200,) * 3,) * 3])
+    assert gb.ball_mul(huge, huge)[1].tolist() == [inf]
+    # inf - inf in the midpoint: a NaN midpoint with an infinite radius
+    a = _point_balls([((1e200, 1e200, 0.0),) * 3])
+    b = _point_balls([((1e200,) * 3, (-1e200,) * 3, (0.0,) * 3)])
+    nan_ball = gb.ball_mul(a, b)
+    assert np.isnan(nan_ball[0]).all() and nan_ball[1].tolist() == [inf]
+    entries = gb._entries(tuple(np.concatenate(x) for x in zip(balls, nan_ball)))
+    for k, enc in enumerate(entries.tolist()):
+        for i, row in enumerate(enc):
+            for j, x in enumerate(row):
+                if k == 1:
+                    assert x.lo <= rot[i][j] <= x.hi and x.hi - x.lo < 1e-15
+                else:
+                    assert (x.lo, x.hi) == (-inf, inf)
 
 
 def _stage5_inputs(tri, result):
@@ -317,22 +388,105 @@ def test_infinite_label_endpoint_is_not_avoided(dodec27a, verified27a,
     labels, box = _stage5_inputs(dodec27a, verified27a)
     e_sim = verified27a.partition.e_sim
     labels.vertex_cos.hi[:] = inf
-    lookups = []
-    ball_for_letter = gb.CocycleLabels.ball_for_letter
+    tables = []
+    balls_of_bounds = gb._balls_of_bounds
 
-    def recording(lab, letter):
-        ball = ball_for_letter(lab, letter)
-        lookups.append((letter["kind"], ball.rad))
-        return ball
+    def recording(lo, hi):
+        balls = balls_of_bounds(lo, hi)
+        tables.append((lo, balls))
+        return balls
 
-    monkeypatch.setattr(gb.CocycleLabels, "ball_for_letter", recording)
+    monkeypatch.setattr(gb, "_balls_of_bounds", recording)
     verdict = gb.gimbal_lock_check(
         dodec27a, labels, e_sim, [box.theta[e] for e in e_sim]
     )
     assert not verdict.avoided
     assert "no finite inverse" in verdict.reason
-    assert {rad for kind, rad in lookups if kind == "b"} == {inf}
-    assert all(rad < inf for kind, rad in lookups if kind == "g")
+    (rad,) = [balls[1] for lo, balls in tables if lo is labels.label_bounds()[0]]
+    letters = [let for loop in verdict.loops for let in loop.word if let["kind"] != "P"]
+    assert {rad[labels.slot(let)] for let in letters if let["kind"] == "b"} == {inf}
+    assert all(rad[labels.slot(let)] < inf for let in letters if let["kind"] == "g")
+
+
+@st.composite
+def segmented_stacks(draw):
+    """Segments of 1 to 40 matrices each, stacked: the segment lengths and
+    the matrices in stack order, each picked from up to 8 drawn ones."""
+    lengths = draw(st.lists(st.integers(1, 40), min_size=1, max_size=4))
+    pool = draw(st.lists(matrices, min_size=1, max_size=8))
+    rng = draw(st.randoms(use_true_random=False))
+    return lengths, [rng.choice(pool) for _ in range(sum(lengths))]
+
+
+def _turn(a):
+    c, s = math.cos(a), math.sin(a)
+    return ((c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0))
+
+
+# one-row segments around a long one, with subnormal products and an overflow
+SCAN_EXAMPLE = ([1, 40, 1, 3],
+                [SUB_ROW] + [_turn(0.1 * k) for k in range(38)] + [SUB_COL, SUB_ROW]
+                + [SUB_COL, ((1e300,) * 3,) * 3, ((1e300,) * 3,) * 3, _turn(1.0)])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(segmented_stacks())
+@example(SCAN_EXAMPLE)
+def test_scan_covers_exact_segment_products(case):
+    # row t of the scan encloses ms[t] ms[t-1] ... ms[start of its segment]
+    lengths, ms = case
+    start = np.repeat(np.cumsum([0] + lengths[:-1]), lengths)
+    mids, rads, _ = gb._scan(_point_balls(ms), start)
+    for t, (m, mid, rad) in enumerate(zip(ms, mids.tolist(), rads.tolist())):
+        exact = dyadic(m) if t == start[t] else dyadic_mul(dyadic(m), exact)
+        assert not math.isnan(rad)
+        if not finite(mid):
+            assert rad == inf
+            continue
+        assert covers_point_error(mid, rad, exact), t
+
+
+@pytest.mark.parametrize("name", ["dodec27a", "dodec30x2"])
+def test_jacobian_contains_exact_derivative_of_operand_midpoints(
+        name, hyperbolic_triangulations, verified_all):
+    # the exact derivative of each loop's word product, taken at the
+    # midpoints of the operand balls: the label table's, and the rotation
+    # and derivative balls', with the derivative at each polygon letter
+    tri, result = hyperbolic_triangulations[name], verified_all[name]
+    labels, box = _stage5_inputs(tri, result)
+    e_sim = result.partition.e_sim
+    loops = gb.build_loops_for_partition(tri, e_sim)
+    theta_boxes = [box.theta[e] for e in e_sim]
+    lo, hi = FLOAT_KERNEL.bounds(gb.assemble_gimbal_jacobian(loops, labels, theta_boxes))
+    label_mid = gb._balls_of_bounds(*labels.label_bounds())[0].tolist()
+    rotation_mid, derivative_mid = (stack[0].tolist() for stack in gb.rotation_balls(theta_boxes))
+    identity = ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1)
+    for li, loop in enumerate(loops):
+        var_of = loop.variable_of_pid
+        mats = [dyadic(rotation_mid[var_of[let["pid"]]]) if let["kind"] == "P"
+                else dyadic(label_mid[labels.slot(let)]) for let in loop.word]
+        n = len(mats)
+        before = [identity]  # before[i] = M(w[i-1]) ... M(w[0])
+        for m in mats:
+            before.append(dyadic_mul(m, before[-1]))
+        after = [identity]  # after[k] = M(w[n-1]) ... M(w[n-k])
+        for m in reversed(mats):
+            after.append(dyadic_mul(after[-1], m))
+        want = {}
+        for i, let in enumerate(loop.word):
+            if let["kind"] != "P":
+                continue
+            var = var_of[let["pid"]]
+            d_var = dyadic(derivative_mid[var])
+            a, d = dyadic_mul(after[n - 1 - i], dyadic_mul(d_var, before[i]))
+            term = [[Q(x, d) for x in row] for row in a]
+            want[var] = term if var not in want else [
+                [x + y for x, y in zip(r1, r2)] for r1, r2 in zip(want[var], term)]
+        assert want
+        for var in range(len(theta_boxes)):
+            for r, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
+                exact = want[var][i][j] if var in want else 0
+                assert Q(lo[3 * li + r, var]) <= exact <= Q(hi[3 * li + r, var]), (li, var, r)
 
 
 def _margin(dg):
@@ -350,7 +504,8 @@ def scaling12_result():
 
 @pytest.mark.parametrize("name", ["dodec27a", "scaling12"])
 def test_float_balls_as_tight_as_interval_oracle(name, dodec27a, verified27a,
-                                                 scaling12_result, monkeypatch):
+                                                 scaling12_result):
+    # the scan on float balls against sequential chains on `Interval` balls
     tri, result = ((dodec27a, verified27a) if name == "dodec27a"
                    else scaling12_result)
     labels, box = _stage5_inputs(tri, result)
@@ -358,14 +513,12 @@ def test_float_balls_as_tight_as_interval_oracle(name, dodec27a, verified27a,
     loops = gb.build_loops_for_partition(tri, e_sim)
     theta_boxes = [box.theta[e] for e in e_sim]
     dg = gb.assemble_gimbal_jacobian(loops, labels, theta_boxes)
-    with monkeypatch.context() as mp:
-        oracle_balls(mp)
-        ref = gb.assemble_gimbal_jacobian(loops, labels, theta_boxes)
-    for row, ref_row in zip(dg.tolist(), ref.tolist()):
+    ref = sequential_jacobian(loops, labels, theta_boxes)
+    for row, ref_row in zip(dg.tolist(), ref):
         for x, y in zip(row, ref_row):
             assert x.lo <= y.hi and y.lo <= x.hi
             assert x.hi - x.lo <= 1.001 * (y.hi - y.lo)
-    assert _margin(dg) == pytest.approx(_margin(ref), rel=1e-3)
+    assert _margin(dg) == pytest.approx(_margin(FLOAT_KERNEL.array(ref)), rel=1e-3)
 
 
 def test_lock_failure_quotes_its_margin(dodec27a, verified27a, monkeypatch):

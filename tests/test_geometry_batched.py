@@ -221,7 +221,7 @@ def _shrunk_sqrt(monkeypatch, kind):
         return lambda x: fn(x) * 0.1
 
     if kind == "float":
-        monkeypatch.setattr(sc, "sqrt", shrink(math.sqrt))
+        monkeypatch.setattr(oracle, "sqrt", shrink(math.sqrt))
         monkeypatch.setattr(sc.RealKernel, "sqrt", staticmethod(shrink(np.sqrt)))
     elif kind == "interval53":
         monkeypatch.setattr(Interval, "sqrt", shrink(Interval.sqrt))

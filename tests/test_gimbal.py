@@ -20,15 +20,20 @@ from hypcert.interval import (
     Interval,
     interval_matrix_invertible,
 )
-from tests.ball_oracle import scalar_ball_from_interval_mat3, scalar_rotation_balls
+from tests.ball_oracle import (
+    each_row_alone,
+    gimbal_function,
+    gimbal_matrix,
+    scalar_balls_of_bounds,
+    scalar_rotation_balls,
+    stack,
+)
 from tests.cocycle_closure import check_cocycle_closure
 from tests.gimbal_oracle import (
     beta_label,
     dihedral_cs,
     edge_end_directions,
     gamma_label,
-    gimbal_function,
-    gimbal_matrix,
     label_matrix,
     middle_edge_matrix,
     prism_holonomy,
@@ -102,13 +107,12 @@ def test_identified_middle_edges_share_labels(dodec27a, verified27a):
     labels = gb.CocycleLabels(dodec27a, verified27a.box.nu)
     link = tr.vertex_link_hexagon_complex(dodec27a, 0)
     # the two hexagons adjacent to a middle edge fetch one label slot, and
-    # so one ball
+    # so one row of the ball table
     for token, (c1, c2) in list(link.beta_pairs.items())[:40]:
         sides = [let for c in (c1, c2) for let in link.hexagons[c]
                  if let["kind"] == "b" and let["token"] == token]
         assert len(sides) == 2
-        assert labels._slot(sides[0]) == labels._slot(sides[1])
-        assert labels.ball_for_letter(sides[0]) is labels.ball_for_letter(sides[1])
+        assert labels.slot(sides[0]) == labels.slot(sides[1])
 
 
 # -- cocycle closure ----------------------------------------------------------
@@ -138,7 +142,7 @@ def test_cocycle_closure_detects_wrong_index_rule(s3m):
     rng = random.Random(13)
     labels, _ = random_realized_labels(s3m, rng, kernel=k)
 
-    orig = gb.CocycleLabels._slot
+    orig = gb.CocycleLabels.slot
 
     def wrong_face_pair(self, letter):
         if letter["kind"] == "g":
@@ -147,10 +151,10 @@ def test_cocycle_closure_detects_wrong_index_rule(s3m):
         return orig(self, letter)
 
     try:
-        gb.CocycleLabels._slot = wrong_face_pair
+        gb.CocycleLabels.slot = wrong_face_pair
         fails = check_cocycle_closure(s3m, labels)
     finally:
-        gb.CocycleLabels._slot = orig
+        gb.CocycleLabels.slot = orig
     assert fails
 
 
@@ -266,9 +270,9 @@ def test_gimbal_derivative_finite_differences(dodec27a):
     t0 = {0: 6.2, 3: 6.4, 5: 6.0}
 
     def at(angles):
-        return gb.rotation_balls([FLOAT_KERNEL.point(angles[pid]) for pid in (0, 3, 5)])
+        return [FLOAT_KERNEL.point(angles[pid]) for pid in (0, 3, 5)]
 
-    der = gb.gimbal_matrix_derivatives(loop, labels, at(t0))
+    der = _derivatives(loop, labels, at(t0))
     h = 1e-7
     for var, pid in ((0, 0), (1, 3), (2, 5)):
         tp = dict(t0)
@@ -317,8 +321,7 @@ def test_direction_sum_oracle(dodec27a, verified27a):
     loops = gb.build_loops_for_partition(dodec27a, part.e_sim, links=links)
     loop = loops[0]
     dirs = edge_end_directions(dodec27a, geo.EdgeParams(list(p0)))
-    t2 = gb.rotation_balls([TWO_PI] * len(part.e_sim))
-    der = gb.gimbal_matrix_derivatives(loop, labels, t2)
+    der = _derivatives(loop, labels, [TWO_PI] * len(part.e_sim))
     ends_of_var = {}
     for pid, var in loop.variable_of_pid.items():
         ends_of_var.setdefault(var, []).append(pid)
@@ -370,22 +373,38 @@ def test_lock_check_avoided_on_fixture(dodec27a, verified27a):
 def test_gimbal_function_zero_at_full_turns(dodec27a, verified27a):
     box = verified27a.box
     labels = gb.CocycleLabels(dodec27a, box.nu)
-    rotations = gb.rotation_balls([TWO_PI] * len(verified27a.partition.e_sim))
+    turns = [TWO_PI] * len(verified27a.partition.e_sim)
     for loop in box.loops:
-        g0 = gimbal_function(loop, labels, rotations)
+        g0 = gimbal_function(loop, labels, turns)
         for comp in g0:
             assert comp.contains(0.0)
 
 
 class _SyntheticLabels:
     """Labels for a hand-made loop: every edge letter looks up a fixed
-    float-interval matrix by token."""
+    float-interval matrix by token, one label slot per token."""
 
     def __init__(self, mats):
-        self.mats = mats
+        self.tokens = list(mats)
+        self.bounds = _bounds(mats.values())
 
-    def ball_for_letter(self, letter):
-        return gb.ball_from_interval_mat3(self.mats[letter["token"]])
+    def label_bounds(self):
+        return self.bounds
+
+    def slot(self, letter):
+        return self.tokens.index(letter["token"])
+
+
+def _bounds(ms):
+    """The float endpoints lo, hi (k, 3, 3) of interval 3x3 matrices."""
+    return (np.array([[[x.lo_float() for x in row] for row in m] for m in ms]),
+            np.array([[[x.hi_float() for x in row] for row in m] for m in ms]))
+
+
+def _derivatives(loop, labels, boxes):
+    """Stage V's derivatives of one loop, variable -> 3x3 nested `Interval`s."""
+    (derivs,) = gb.gimbal_matrix_derivatives([loop], labels, gb.rotation_balls(boxes))
+    return {v: m.tolist() for v, m in derivs.items()}
 
 
 def _synthetic_loop(removed_pids, word):
@@ -416,7 +435,7 @@ def test_example_gimbal_lock_antipodal_axes():
     ]
     loop = _synthetic_loop([0, 1], word)
     boxes = [TWO_PI, TWO_PI]
-    derivs = gb.gimbal_matrix_derivatives(loop, labels, gb.rotation_balls(boxes))
+    derivs = _derivatives(loop, labels, boxes)
     D = np.zeros((2, 3))
     for var, mat in derivs.items():
         D[var] = [mat[0][1].mid(), mat[0][2].mid(), mat[1][2].mid()]
@@ -447,7 +466,7 @@ def test_example_lock_avoided_after_perturbation():
         {"kind": "P", "pid": 0},
     ]
     loop = _synthetic_loop([0, 1], word)
-    derivs = gb.gimbal_matrix_derivatives(loop, labels, gb.rotation_balls([TWO_PI, TWO_PI]))
+    derivs = _derivatives(loop, labels, [TWO_PI, TWO_PI])
     D = np.zeros((2, 3))
     for var, mat in derivs.items():
         D[var] = [mat[0][1].mid(), mat[0][2].mid(), mat[1][2].mid()]
@@ -474,19 +493,37 @@ def _member(rng, m):
     return [[rng.uniform(m[i][j].lo, m[i][j].hi) for j in range(3)] for i in range(3)]
 
 
+def _word_products(words):
+    """The ball product of each of equally long words of interval 3x3
+    matrices, first letter rightmost, one `ball_mul` per letter on a stack
+    with a row per word; each word alone, as a stack of one, must give its
+    row bit for bit."""
+    def products(ws):
+        ball = tuple(np.repeat(x, len(ws), axis=0) for x in gb._IDENTITY)
+        for letters in zip(*ws):
+            ball = gb.ball_mul(gb._balls_of_bounds(*_bounds(letters)), ball)
+        return ball
+
+    mixed = products(words)
+    for r, word in enumerate(words):
+        assert [x[r:r + 1].tobytes() for x in mixed] == [x.tobytes() for x in products([word])]
+    return mixed
+
+
 def test_ball_product_encloses_member_products():
     # the midpoint/spectral-radius representation must contain every
     # product of member matrices, including for long words
     k = FloatKernel()
     rng = random.Random(77)
+    words, exacts = [], []
     for scale in (1.0, 0.3):
         mats = [_random_interval_mat3(rng, k, scale=scale) for _ in range(40)]
-        ball = gb.ball_identity()
         exact = np.eye(3)
         for m in mats:
-            ball = gb.ball_mul(gb.ball_from_interval_mat3(m), ball)
             exact = np.array(_member(rng, m)) @ exact
-        enc = gb.ball_entries(ball, k)
+        words.append(mats)
+        exacts.append(exact)
+    for enc, exact in zip(gb._entries(_word_products(words)).tolist(), exacts):
         for i in range(3):
             for j in range(3):
                 assert enc[i][j].contains(exact[i][j]), (i, j)
@@ -498,29 +535,32 @@ def test_ball_radius_additive_for_rotations():
     k = FloatKernel()
     rng = random.Random(5)
     n, w = 300, 1e-12
-    ball = gb.ball_identity()
-    for _ in range(n):
-        ang = rng.uniform(0, 2 * math.pi)
-        c, s = math.cos(ang), math.sin(ang)
-        m = tuple(
-            tuple(k.interval(x - w, x + w) for x in row)
-            for row in ((c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0))
-        )
-        ball = gb.ball_mul(gb.ball_from_interval_mat3(m), ball)
-    assert ball.rad < 100 * n * w
+    words = []
+    for _ in range(2):
+        word = []
+        for _ in range(n):
+            ang = rng.uniform(0, 2 * math.pi)
+            c, s = math.cos(ang), math.sin(ang)
+            word.append(tuple(
+                tuple(k.interval(x - w, x + w) for x in row)
+                for row in ((c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0))
+            ))
+        words.append(word)
+    _, rad, _ = _word_products(words)
+    assert (rad < 100 * n * w).all()
 
 
 def test_ball_add_soundness():
     k = FloatKernel()
     rng = random.Random(13)
-    a = _random_interval_mat3(rng, k, width=1e-6)
-    b = _random_interval_mat3(rng, k, width=1e-6)
-    ball = gb.ball_add(gb.ball_from_interval_mat3(a), gb.ball_from_interval_mat3(b))
-    enc = gb.ball_entries(ball, k)
-    sa = np.array(_member(rng, a)) + np.array(_member(rng, b))
-    for i in range(3):
-        for j in range(3):
-            assert enc[i][j].contains(sa[i][j])
+    pairs = [[_random_interval_mat3(rng, k, width=1e-6) for _ in range(2)] for _ in range(2)]
+    a, b = (gb._balls_of_bounds(*_bounds(ms)) for ms in zip(*pairs))
+    enc = gb._entries(each_row_alone(gb.ball_add, a, b)).tolist()
+    for (ma, mb), e in zip(pairs, enc):
+        sa = np.array(_member(rng, ma)) + np.array(_member(rng, mb))
+        for i in range(3):
+            for j in range(3):
+                assert e[i][j].contains(sa[i][j])
 
 
 # -- probe ---------------------------------------------------------------------
@@ -599,71 +639,50 @@ def _entries(dg):
 
 @pytest.mark.parametrize("name", ["dodec27a", "scaling12"])
 def test_gimbal_jacobian_memo_changes_no_bit(name, dodec27a, monkeypatch):
+    # stage V takes every label ball from one table row per slot, shared by
+    # the letters of that slot, and every rotation ball from one table row
+    # per distinct box
     tri = dodec27a if name == "dodec27a" else _scaling_member(12)
     loops, labels, theta_boxes = _gimbal_inputs(tri)
+    memo = gb.assemble_gimbal_jacobian(loops, labels, theta_boxes)
 
-    # a normal run: each label and rotation ball comes from a table with
-    # its norm bound; every other ball multiplied gets its norm bound once
-    norms, operands, looked_up, rotated = [], {}, {}, {}
-    norm_bound, ball_mul = gb._norm_bound, gb.ball_mul
-    ball_for_letter, rotation_balls = gb.CocycleLabels.ball_for_letter, gb.rotation_balls
+    # reference: a table row per letter occurrence, enclosing the label from
+    # the scalar formulas, and every ball of the label and rotation tables
+    # made one matrix at a time by the scalar reference
+    letters = [let for loop in loops if any(let["kind"] == "P" for let in loop.word)
+               for let in loop.word if let["kind"] != "P"]
+    row_of = {id(let): r for r, let in enumerate(letters)}
+    ends = np.array([[[(x.lo_float(), x.hi_float()) for x in row]
+                      for row in label_matrix(labels, let)] for let in letters])
+    looked_up = []
 
-    def counting_norm(m):
-        norms.append(m)
-        return norm_bound(m)
+    class PerOccurrence:
+        def label_bounds(self):
+            return ends[..., 0], ends[..., 1]
 
-    def recording_mul(a, b):
-        operands[id(a)], operands[id(b)] = a, b
-        return ball_mul(a, b)
+        def slot(self, letter):
+            looked_up.append(id(letter))
+            return row_of[id(letter)]
 
-    def recording_lookup(lab, letter):
-        ball = ball_for_letter(lab, letter)
-        looked_up[id(ball)] = ball
-        return ball
-
-    def recording_rotations(boxes):
-        pairs = rotation_balls(boxes)
-        rotated.update((id(ball), ball) for pair in pairs for ball in pair)
-        return pairs
+    def scalar_rotation_stacks(boxes):
+        return tuple(stack(balls) for balls in zip(*scalar_rotation_balls(boxes)))
 
     with monkeypatch.context() as mp:
-        mp.setattr(gb, "_norm_bound", counting_norm)
-        mp.setattr(gb, "ball_mul", recording_mul)
-        mp.setattr(gb.CocycleLabels, "ball_for_letter", recording_lookup)
-        mp.setattr(gb, "rotation_balls", recording_rotations)
-        memo = gb.assemble_gimbal_jacobian(loops, labels, theta_boxes)
-    assert looked_up and looked_up.keys() <= operands.keys()
-    from_tables = looked_up.keys() | (rotated.keys() & operands.keys())
-    assert len(rotated.keys() & operands.keys()) >= len(set(theta_boxes))
-    assert len(norms) == len(operands) - len(from_tables)  # none twice
-
-    # reference: a new ball per letter occurrence, enclosing the label from
-    # the scalar formulas one entry at a time, rotation balls made one entry
-    # at a time too, and norm bounds recomputed at every product
-    made = []
-
-    def oracle_ball(lab, letter):
-        made.append(letter)
-        return scalar_ball_from_interval_mat3(label_matrix(lab, letter))
-
-    with monkeypatch.context() as mp:
-        mp.setattr(gb.BallMatrix3, "norm_bound",
-                   lambda ball: gb._norm_bound(ball.mid))
-        mp.setattr(gb.CocycleLabels, "ball_for_letter", oracle_ball)
-        mp.setattr(gb, "rotation_balls", scalar_rotation_balls)
-        reference = gb.assemble_gimbal_jacobian(loops, labels, theta_boxes)
+        mp.setattr(gb, "_balls_of_bounds", scalar_balls_of_bounds)
+        mp.setattr(gb, "rotation_balls", scalar_rotation_stacks)
+        reference = gb.assemble_gimbal_jacobian(loops, PerOccurrence(), theta_boxes)
     # the reference went through the seam: once per edge letter
-    assert len(made) == sum(let["kind"] != "P" for loop in loops for let in loop.word)
+    assert sorted(looked_up) == sorted(row_of)
     assert _entries(memo) == _entries(reference)
 
 
 # sha256 of stage V's Jacobian (rows of (lo, hi) endpoints as little-endian
-# doubles) at each certified box, recorded before the rotations of a
-# Jacobian were shared between its letters
+# doubles) at each certified box, recorded when the prefix and suffix
+# chains became one segmented scan, which brackets the products differently
 DG_SHA256 = {
-    "dodec27a": "b786b2836b22d166f7532e1dabd31f843346d9d48a056e45ce20b78e47021d06",
-    "dodec30x2": "e2215b85e2e6afe901e6a8b6b01165d2f02568fc999d7dbb447db6f33607af9f",
-    "scaling12": "1dc340a82db3f2f266bf783008c5bc4a4653a78272db0311b23c471a577b3b36",
+    "dodec27a": "dc23ba75663866873b3cd97a43c61651aa389814b7977e838a6897547b73ad54",
+    "dodec30x2": "a8756237ce6bb996513134908a6ff035229f92acd474509b594376810e926e7e",
+    "scaling12": "f6608c3fcc940178980b1e5ba99e224e91c596d2153f6263b84fe75dcd24b013",
 }
 
 

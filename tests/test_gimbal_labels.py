@@ -2,15 +2,16 @@
 
 `gimbal.CocycleLabels` computes the cosine and sine of every dihedral and
 vertex angle as kernel arrays over all simplices, one table of the labels'
-float endpoints, and the balls of interval labels from that table.  Every
-label read from the arrays (`tests/gimbal_oracle.label_of`) must be bit for
-bit the matrix the scalar formulas of `tests/geometry_oracle.py` give one
-letter at a time (`tests/gimbal_oracle.label_matrix`), the table must hold
-that matrix's outward float endpoints, and every ball must be what the
-scalar reference `tests/ball_oracle.scalar_ball_from_interval_mat3` and
-`_norm_bound` make of it: for floats, 53-bit intervals and 80-bit
-intervals, on the bundled fixtures, a re-subdivided input and random
-simplices.
+float endpoints, and stage V makes the balls of interval labels from that
+table.  Every label read from the arrays (`tests/gimbal_oracle.label_of`)
+must be bit for bit the matrix the scalar formulas of
+`tests/geometry_oracle.py` give one letter at a time
+(`tests/gimbal_oracle.label_matrix`), the table must hold that matrix's
+outward float endpoints at the letter's slot, and every ball of the table
+must be what the scalar reference
+`tests/ball_oracle.scalar_ball_from_interval_mat3` makes of it, norm bound
+included: for floats, 53-bit intervals and 80-bit intervals, on the
+bundled fixtures, a re-subdivided input and random simplices.
 """
 
 import itertools
@@ -60,23 +61,24 @@ def _check_labels(tri, params):
     interval = labels.kernel is not REAL_KERNEL
     lo, hi = labels.label_bounds()
     assert lo.shape == hi.shape == (24 * tri.n_tets, 3, 3)
+    balls = gb._balls_of_bounds(lo, hi)
     checked = 0
     for letter in _letters(tri.n_tets):
         want = label_matrix(labels, letter)
         assert _matrix_bits(label_of(labels, letter)) == _matrix_bits(want), letter
         ends = [[(x.lo_float(), x.hi_float()) if interval else (x, x) for x in row]
                 for row in want]
-        slot = labels._slot(letter)
+        slot = labels.slot(letter)
         assert _matrix_bits(lo[slot].tolist()) == _matrix_bits(
             [[a for a, _ in row] for row in ends]), letter
         assert _matrix_bits(hi[slot].tolist()) == _matrix_bits(
             [[b for _, b in row] for row in ends]), letter
         if interval:
-            ball, ref = labels.ball_for_letter(letter), scalar_ball_from_interval_mat3(want)
-            assert [[x.hex() for x in row] for row in ball.mid] == \
-                [[x.hex() for x in row] for row in ref.mid], letter
-            assert ball.rad.hex() == ref.rad.hex(), letter
-            assert ball.norm_bound().hex() == gb._norm_bound(ref.mid).hex(), letter
+            mid, rad, norm = (x[slot].tolist() for x in balls)
+            ref = scalar_ball_from_interval_mat3(want)
+            assert _matrix_bits(mid) == _matrix_bits(ref.mid), letter
+            assert rad.hex() == ref.rad.hex(), letter
+            assert norm.hex() == ref.norm_bound().hex(), letter
         checked += 1
     return checked
 

@@ -46,10 +46,12 @@ def test_traced_run_reports_stage_v(tracing, dodec27a):
         metrics, _ = tracer.summary(mark)
     assert res.verified
     assert metrics["interval.invertible_dim"] == 3 * dodec27a.o
-    # per loop, the suffix chain up to the last polygon letter L, the prefix
-    # chain down to the first F, and two products per polygon letter
-    want = 0
+    # `ball_mul` takes stacks: one call per level of the segmented scan,
+    # whose longest segment is a loop's letters before its last polygon
+    # letter L or after its first F, and two for the terms
+    longest = 0
     for loop in res.box.loops:
         poly = [i for i, let in enumerate(loop.word) if let["kind"] == "P"]
-        want += poly[-1] + (len(loop.word) - 1 - poly[0]) + 2 * len(poly)
-    assert metrics["gimbal.ball_mul_count"] == want == 484
+        longest = max(longest, poly[-1], len(loop.word) - 1 - poly[0])
+    want = (longest - 1).bit_length() + 2
+    assert metrics["gimbal.ball_mul_count"] == want == 10

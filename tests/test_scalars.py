@@ -1,5 +1,6 @@
 """The interval protocol shared by `Interval` and `MPInterval`, and the
-`scalars` helpers that generic formulas call."""
+scalar helpers that generic formulas call: those of `hypcert.scalars`, and
+the ones only the tests' scalar formulas need (`tests/geometry_oracle.py`)."""
 
 import math
 
@@ -8,6 +9,7 @@ import pytest
 
 from hypcert import scalars as sc
 from hypcert.interval import DomainError, Interval, MPInterval
+from tests import geometry_oracle as go
 
 KINDS = {
     "float53": lambda lo, hi: Interval(lo, hi),
@@ -41,13 +43,13 @@ def test_float_bounds_bracket(make):
 
 def test_sqrt_nonneg_clamps_and_rejects(make):
     # [0, 2] up to the outward slack of the wider kernel
-    for r in (make(-1e-30, 4.0).sqrt_nonneg(), sc.sqrt_nonneg(make(-1e-30, 4.0))):
+    for r in (make(-1e-30, 4.0).sqrt_nonneg(), go.sqrt_nonneg(make(-1e-30, 4.0))):
         assert r.lo_float() == 0.0
         assert 2.0 <= r.hi_float() <= 2.0 + math.ulp(2.0)
     with pytest.raises(DomainError):
         make(-2.0, -1.0).sqrt_nonneg()
     with pytest.raises(DomainError):
-        sc.sqrt_nonneg(make(-2.0, -1.0))
+        go.sqrt_nonneg(make(-2.0, -1.0))
     with pytest.raises(DomainError):
         make(-1e-30, 4.0).sqrt()
 
@@ -56,17 +58,17 @@ def test_is_interval_tells_numbers_from_intervals(make):
     assert sc.is_interval(make(1.0, 2.0))
     for v in (1, 1.5, np.float64(1.5)):
         assert not sc.is_interval(v)
-        assert sc.point_like(v, 2) == 2.0
-    p = sc.point_like(make(1.0, 2.0), -1.0)
+        assert go.point_like(v, 2) == 2.0
+    p = go.point_like(make(1.0, 2.0), -1.0)
     assert type(p) is type(make(1.0, 2.0)) and p.mid() == -1.0
 
 
 @pytest.mark.parametrize(
     "fn, c",
     [
-        (sc.sqrt, 2.0),
-        (sc.sqrt_nonneg, 2.0),
-        (sc.arccos, 0.3),
+        (go.sqrt, 2.0),
+        (go.sqrt_nonneg, 2.0),
+        (go.arccos, 0.3),
         (sc.cosh, 1.3),
         (sc.midpoint, -0.25),
     ],
@@ -88,6 +90,6 @@ def test_sign_tests_agree_on_floats_and_points(make):
         x = make(c, c)
         for t in (-1.0, 0.0):
             assert sc.surely_lt(x, t) == sc.surely_lt(c, t) == (c < t)
-            assert sc.surely_gt(x, t) == sc.surely_gt(c, t) == (c > t)
+            assert go.surely_gt(x, t) == go.surely_gt(c, t) == (c > t)
     wide = make(-1.5, -0.5)
-    assert not sc.surely_lt(wide, -1.0) and not sc.surely_gt(wide, -1.0)
+    assert not sc.surely_lt(wide, -1.0) and not go.surely_gt(wide, -1.0)

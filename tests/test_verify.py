@@ -7,10 +7,10 @@ import pytest
 
 from hypcert import geometry as geo
 from hypcert import gimbal
-from hypcert import scalars as sc
 from hypcert import verify
 from hypcert.interval import FLOAT_KERNEL, FloatKernel, MPInterval, MPKernel, contains_two_pi
 from tests import krawczyk_oracle
+from tests.geometry_oracle import point_like
 from tests.matrix_oracle import assert_encloses_exact
 from tests.test_gimbal import _scaling_member
 
@@ -316,7 +316,7 @@ def test_krawczyk_step_matches_entrywise_operator(kernel):
 
     def jac_iv(v):
         x, y, z = v
-        one, zero = sc.point_like(x, 1.0), sc.point_like(x, 0.0)
+        one, zero = point_like(x, 1.0), point_like(x, 0.0)
         return [[x * 2.0, one, zero], [y, x, zero], [one, z, y]]
 
     x0 = [1.01, 1.98, 0.003]
@@ -342,7 +342,7 @@ def test_certify_root_evaluates_f_once_per_centre(kernel):
     def jac_iv(v):
         jac_calls.append(1)
         x, y, z = v
-        one, zero = sc.point_like(x, 1.0), sc.point_like(x, 0.0)
+        one, zero = point_like(x, 1.0), point_like(x, 0.0)
         return [[x * 2.0, one, zero], [y, x, zero], [one, z, y]]
 
     # the root (1, 2, 0) is singular; (-2, -1, -3) is not.  Centred on that
@@ -397,7 +397,7 @@ def test_jacobian_and_gimbal_labels_are_53_bit_at_every_precision(dodec27a, monk
     seen = []
     jacobian, lock_check = geo.jacobian, gimbal.gimbal_lock_check
     labels_init = gimbal.CocycleLabels.__init__
-    ball_for_letter = gimbal.CocycleLabels.ball_for_letter
+    label_bounds = gimbal.CocycleLabels.label_bounds
 
     def spy_jacobian(tri, params, *args, **kwargs):
         seen.append(("jacobian", params.values))
@@ -411,9 +411,9 @@ def test_jacobian_and_gimbal_labels_are_53_bit_at_every_precision(dodec27a, monk
                                              self.vertex_cos, self.vertex_sin)
                                for row in arr.tolist() for x in row]))
 
-    def spy_ball_for_letter(self, letter):
-        seen.append(("ball", [self.kernel]))
-        return ball_for_letter(self, letter)
+    def spy_label_bounds(self):
+        seen.append(("bounds", [self.kernel]))
+        return label_bounds(self)
 
     def spy_lock_check(tri, labels, e_sim, theta_boxes, links=None):
         seen.append(("theta", theta_boxes))
@@ -422,14 +422,14 @@ def test_jacobian_and_gimbal_labels_are_53_bit_at_every_precision(dodec27a, monk
     monkeypatch.setattr(geo, "jacobian", spy_jacobian)
     monkeypatch.setattr(gimbal, "gimbal_lock_check", spy_lock_check)
     monkeypatch.setattr(gimbal.CocycleLabels, "__init__", spy_labels_init)
-    monkeypatch.setattr(gimbal.CocycleLabels, "ball_for_letter", spy_ball_for_letter)
+    monkeypatch.setattr(gimbal.CocycleLabels, "label_bounds", spy_label_bounds)
     res = verify.run_pipeline(dodec27a, precision=bits)
     assert res.verified, res.statuses
     assert all(isinstance(x, MPInterval) for x in res.box.nu + res.box.theta)
-    assert {name for name, _ in seen} == {"jacobian", "labels", "label", "ball", "theta"}
+    assert {name for name, _ in seen} == {"jacobian", "labels", "label", "bounds", "theta"}
     for name, values in seen:
         assert not any(isinstance(v, MPInterval) for v in values), name
-    assert {values[0] for name, values in seen if name == "ball"} == {FLOAT_KERNEL}
+    assert {values[0] for name, values in seen if name == "bounds"} == {FLOAT_KERNEL}
     assert not hasattr(MPKernel, "mat_mul")
 
 
@@ -466,7 +466,7 @@ def _synthetic_system():
 
     def jac_iv(v):
         x, y, z = v
-        one, zero = sc.point_like(x, 1.0), sc.point_like(x, 0.0)
+        one, zero = point_like(x, 1.0), point_like(x, 0.0)
         return [[x * 2.0, one, zero], [y, x, zero], [one, z, y]]
 
     x0 = [1.01, 1.98, 0.003]

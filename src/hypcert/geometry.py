@@ -202,19 +202,10 @@ _D_DIAG = _dcof_table([(k, k) for k in range(4)])  # d c_kk, [k, col]
 # ---------------------------------------------------------------------------
 
 
-def _edge_table(tri):
-    """(n_tets, 6) edge class of every local edge."""
-    return np.array(
-        [[tri.edge_class_index(t, a, b) for (a, b) in LOCAL_EDGES]
-         for t in range(tri.n_tets)],
-        dtype=np.intp,
-    ).reshape(tri.n_tets, 6)
-
-
 def _gram_index(tri):
     """(n_tets, 16) Gram entries as positions in the edge parameters
     followed by -1: an edge class off the diagonal, m on it."""
-    edges = _edge_table(tri)
+    edges = tri.edge_table
     index = np.full((tri.n_tets, 16), tri.m, dtype=np.intp)
     for e, (a, b) in enumerate(LOCAL_EDGES):
         index[:, _ix(a, b)] = index[:, _ix(b, a)] = edges[:, e]
@@ -427,7 +418,7 @@ def jacobian(tri, params, data=None, rows=None, cols=None):
     rows = list(range(tri.m) if rows is None else rows)
     cols = list(range(tri.m) if cols is None else cols)
     n_rows, n_cols = len(rows), len(cols)
-    edges = _edge_table(tri)
+    edges = tri.edge_table
     row_at = np.full(tri.m, -1, dtype=np.intp)
     row_at[rows] = np.arange(n_rows)
     col_at = np.full(tri.m, -1, dtype=np.intp)

@@ -101,8 +101,9 @@ class GimbalLoopError(ValueError):
 # (`_balls_of_bounds`): one table for the labels of all simplices
 # (`CocycleLabels.label_bounds`) and one for the rotations of a Jacobian's
 # variables (`rotation_balls`).  The products along all loops of a Jacobian
-# come from one segmented scan (`_scan`).  Balls follow Rump, Acta Numerica
-# 19 (2010).
+# come from one segmented tree reduction of the letters between polygon
+# letters (`_reduce`) and one segmented scan of the block products (`_scan`).
+# Balls follow Rump, Acta Numerica 19 (2010).
 # ---------------------------------------------------------------------------
 
 _U = 2.0 ** -53  # unit roundoff of round-to-nearest doubles
@@ -246,6 +247,26 @@ def _scan(x, start):
             a[t] = new
         d *= 2
     return x
+
+
+def _reduce(x, block):
+    """Segmented tree reduction of a ball stack (Blelloch, CMU-CS-90-190,
+    1990): one row per block, x[last] ... x[first] over the block's rows,
+    `block` being every row's nondecreasing block number.  At each level
+    every row at an even position in its block, with a next row in the
+    block, becomes ball_mul(next row, row), one stacked call per level, and
+    the odd rows drop out.  Any bracketing of sound ball products is sound."""
+    x = tuple(a.copy() for a in x)
+    while True:
+        rows = np.arange(len(block))
+        first = np.r_[True, block[1:] != block[:-1]]
+        even = (rows - np.maximum.accumulate(np.where(first, rows, 0))) % 2 == 0
+        t = np.flatnonzero(even[:-1] & ~first[1:])
+        if not len(t):
+            return x
+        for a, new in zip(x, ball_mul(_take(x, t + 1), _take(x, t))):
+            a[t] = new
+        x, block = _take(x, even), block[even]
 
 
 _IDENTITY = (np.eye(3)[None], np.zeros(1), _norm_bound(np.eye(3)[None]))
@@ -645,18 +666,22 @@ def gimbal_matrix_derivatives(loops, labels, rotations):
     `labels.label_bounds()`.  The derivative replaces one rotation letter i
     at a time by the rotation derivative R' and sums over occurrences:
     P R' S, with S = M(w[i-1]) ... M(w[0]) and P = M(w[n-1]) ... M(w[i+1]).
-    Every S and every P^T of every loop comes from one segmented scan
-    (`_scan`): a loop's forward segment holds its letters before its last
-    polygon letter, and its backward segment the transposes of its letters
-    after its first polygon letter, last letter first.  Transposing is
-    exact, fl(a b)^T = fl(b^T a^T) with the same error bound, so one
-    left-multiplying scan serves both.  The terms take two stacked
+    A loop's forward segment holds its letters before its last polygon
+    letter, and its backward segment the transposes of its letters after its
+    first polygon letter, last letter first.  Transposing is exact,
+    fl(a b)^T = fl(b^T a^T) with the same error bound, so left-multiplying
+    products serve both.  Each segment is cut into blocks at its first row
+    and at every polygon letter, so a block ends just before a polygon
+    letter; `_reduce` multiplies out every block, and one segmented scan
+    (`_scan`) of the block products gives every S and every P^T, one block
+    row each.  That is linear work in the letters; only the scan over the
+    blocks pays the doubling's log factor.  The terms take two stacked
     products, and the terms of one variable in one loop are summed in word
     order.
     """
     lo, hi = labels.label_bounds()
     rotation, derivative = rotations
-    index, flip, start = [], [], []  # the scan's rows: table row, transposed, segment
+    index, flip, start = [], [], []  # the stack's rows: table row, transposed, segment
     keys, s_rows, p_rows = [], [], []  # per polygon letter; -1 is the identity
     for li, loop in enumerate(loops):
         word, var_of = loop.word, loop.variable_of_pid
@@ -678,10 +703,16 @@ def gimbal_matrix_derivatives(loops, labels, rotations):
     if not keys:
         return out
     table = tuple(map(np.concatenate, zip(_balls_of_bounds(lo, hi), rotation, _IDENTITY)))
-    x = _take(table, index + [len(table[1]) - 1])
+    rows, start = np.array(index + [len(table[1]) - 1]), np.array(start + [len(index)])
+    x = _take(table, rows)
     flip = np.array(flip + [False])
     x[0][flip] = np.swapaxes(x[0][flip], 1, 2)
-    x = _scan(x, np.array(start + [len(index)], dtype=int))
+    # a block starts at its segment's first row and at every polygon letter,
+    # whose operand lies past the label table
+    cut = (start == np.arange(len(rows))) | (rows >= len(lo))
+    block = np.cumsum(cut) - 1
+    x = _scan(_reduce(x, block), block[start[cut]])
+    s_rows, p_rows = block[s_rows], block[p_rows]
     var = [v for _, v in keys]
     terms = ball_mul(_transpose(_take(x, p_rows)),
                      ball_mul(_take(derivative, var), _take(x, s_rows)))
@@ -709,14 +740,12 @@ def assemble_gimbal_jacobian(loops, labels, box_of_variable):
     The ball evaluation hands back 53-bit interval entries whatever the
     working precision; that is sound, and ample for the inversion margin.
     """
-    zero = FLOAT_KERNEL.point(0.0)
-    dg = FLOAT_KERNEL.array([[zero] * len(box_of_variable)] * (3 * len(loops)))
+    lo, hi = np.zeros((2, 3 * len(loops), len(box_of_variable)))
     derivs = gimbal_matrix_derivatives(loops, labels, rotation_balls(box_of_variable))
     for li, of_var in enumerate(derivs):
         for v, m in of_var.items():
-            for r, x in enumerate(m[_UPPER].tolist()):
-                dg[3 * li + r, v] = x
-    return dg
+            lo[3 * li:3 * li + 3, v], hi[3 * li:3 * li + 3, v] = m.lo[_UPPER], m.hi[_UPPER]
+    return FLOAT_KERNEL.from_bounds(lo, hi)
 
 
 def build_loops_for_partition(tri, e_sim, links=None):

@@ -1079,6 +1079,11 @@ class FloatKernel:
         return IntervalArray.of(intervals)
 
     @staticmethod
+    def from_bounds(lo, hi):
+        """The array of the intervals [lo, hi], from float endpoint arrays."""
+        return IntervalArray(lo, hi)
+
+    @staticmethod
     def mat_mul(a, b):
         """a @ b for 2-D IntervalArrays, midpoint-radius on BLAS (Rump, BIT 39, 1999).
 

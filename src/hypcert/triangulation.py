@@ -27,6 +27,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = [
     "TriangulationError",
     "Tetrahedron",
@@ -98,6 +100,9 @@ class Triangulation:
     edge_classes: list = field(default_factory=list)
     vertex_classes: list = field(default_factory=list)
     edge_class_of: dict = field(default_factory=dict)  # (tet, (a,b) sorted) -> idx
+    # (n_tets, 6) read-only np.intp: the edge class of every local edge, in
+    # LOCAL_EDGES order
+    edge_table: np.ndarray = field(default=None, compare=False, repr=False)
     vertex_class_of: dict = field(default_factory=dict)  # (tet, v) -> idx
     lengths: list = None
 
@@ -337,6 +342,11 @@ def _build_edge_classes(tri):
         tri.edge_classes.append(EdgeClass(idx, reps))
         for (t, e, _) in reps:
             tri.edge_class_of[(t, e)] = idx
+    tri.edge_table = np.array(
+        [[tri.edge_class_of[(t, e)] for e in LOCAL_EDGES] for t in range(tri.n_tets)],
+        dtype=np.intp,
+    ).reshape(tri.n_tets, 6)
+    tri.edge_table.flags.writeable = False
 
 
 def _build_vertex_classes(tri):

@@ -446,6 +446,30 @@ def test_scan_covers_exact_segment_products(case):
         assert covers_point_error(mid, rad, exact), t
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(segmented_stacks())
+@example(SCAN_EXAMPLE)
+def test_reduce_covers_exact_block_products(case):
+    # row b of the reduction encloses the product of block b's rows, its
+    # last row leftmost; the segments serve as blocks, one-row and odd ones
+    # included
+    lengths, ms = case
+    block = np.repeat(np.arange(len(lengths)), lengths)
+    mids, rads, _ = gb._reduce(_point_balls(ms), block)
+    assert len(mids) == len(lengths)
+    ends = np.cumsum(lengths)
+    for b, (mid, rad) in enumerate(zip(mids.tolist(), rads.tolist())):
+        first = ends[b] - lengths[b]
+        exact = dyadic(ms[first])
+        for m in ms[first + 1:ends[b]]:
+            exact = dyadic_mul(dyadic(m), exact)
+        assert not math.isnan(rad)
+        if not finite(mid):
+            assert rad == inf
+            continue
+        assert covers_point_error(mid, rad, exact), b
+
+
 @pytest.mark.parametrize("name", ["dodec27a", "dodec30x2"])
 def test_jacobian_contains_exact_derivative_of_operand_midpoints(
         name, hyperbolic_triangulations, verified_all):

@@ -676,13 +676,40 @@ def test_gimbal_jacobian_memo_changes_no_bit(name, dodec27a, monkeypatch):
     assert _entries(memo) == _entries(reference)
 
 
+@pytest.mark.parametrize("name", ["dodec27a", "scaling12"])
+def test_stage_v_multiplies_at_most_two_rows_per_stack_row(name, dodec27a, monkeypatch):
+    # the reduction multiplies each row into its block once, and only the
+    # block products, one per polygon letter and segment, are scanned
+    tri = dodec27a if name == "dodec27a" else _scaling_member(12, seed=7)
+    loops, labels, theta_boxes = _gimbal_inputs(tri)
+    rows = []
+    ball_mul = gb.ball_mul
+
+    def counting(a, b):
+        rows.append(len(a[0]))
+        return ball_mul(a, b)
+
+    monkeypatch.setattr(gb, "ball_mul", counting)
+    gb.assemble_gimbal_jacobian(loops, labels, theta_boxes)
+    # the stack: per loop, its letters before its last polygon letter and
+    # after its first
+    stack = 0
+    for loop in loops:
+        poly = [i for i, let in enumerate(loop.word) if let["kind"] == "P"]
+        if poly:
+            stack += poly[-1] + len(loop.word) - 1 - poly[0]
+    assert stack > 0
+    assert sum(rows) <= 2 * stack
+
+
 # sha256 of stage V's Jacobian (rows of (lo, hi) endpoints as little-endian
-# doubles) at each certified box, recorded when the prefix and suffix
-# chains became one segmented scan, which brackets the products differently
+# doubles) at each certified box, recorded when each block of letters
+# between polygon letters became one tree reduction, with only the block
+# products scanned, which brackets the products differently
 DG_SHA256 = {
-    "dodec27a": "dc23ba75663866873b3cd97a43c61651aa389814b7977e838a6897547b73ad54",
-    "dodec30x2": "a8756237ce6bb996513134908a6ff035229f92acd474509b594376810e926e7e",
-    "scaling12": "f6608c3fcc940178980b1e5ba99e224e91c596d2153f6263b84fe75dcd24b013",
+    "dodec27a": "7a5e0b2486ef4ef81f4614b04ea627a312e78291f2b0ab0348fe47d2f5e2c2b7",
+    "dodec30x2": "49ce2b48d413b6dae5d97ab158efb879f23c2c0f7f81c1d664619b3261e2c70d",
+    "scaling12": "64fa5e19cb5dac545f240746c3023f7957cfaf59a0abe89a4d977b818ca26384",
 }
 
 

@@ -521,12 +521,15 @@ def test_certificate_identical_with_scalar_matrix_layer(
 ):
     """With the float kernel's whole array layer replaced by numpy object
     arrays of `Interval` (every entry through the scalar dunders and
-    methods, products by `scalar_mat_mul`), dodec27a certifies to the same
-    bytes."""
+    methods, products by `scalar_mat_mul`, arrays from endpoints by one
+    `Interval` each), dodec27a certifies to the same bytes."""
     objects = MPKernel.array
     monkeypatch.setattr(FloatKernel, "array", staticmethod(objects))
     monkeypatch.setattr(
         FloatKernel, "mat_mul", staticmethod(lambda a, b: objects(scalar_mat_mul(a, b)))
+    )
+    monkeypatch.setattr(
+        FloatKernel, "from_bounds", staticmethod(np.frompyfunc(Interval, 2, 1))
     )
     for name in ("bounds", "sqrt", "sqrt_nonneg", "arccos"):
         monkeypatch.setattr(FloatKernel, name, staticmethod(getattr(MPKernel, name)))

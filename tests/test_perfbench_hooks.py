@@ -46,12 +46,24 @@ def test_traced_run_reports_stage_v(tracing, dodec27a):
         metrics, _ = tracer.summary(mark)
     assert res.verified
     assert metrics["interval.invertible_dim"] == 3 * dodec27a.o
-    # `ball_mul` takes stacks: one call per level of the segmented scan,
-    # whose longest segment is a loop's letters before its last polygon
-    # letter L or after its first F, and two for the terms
-    longest = 0
+    # `ball_mul` takes stacks: one call per level of the reduction, whose
+    # longest block runs from a segment's first row or a polygon letter to
+    # just before the next polygon letter; one per level of the scan over
+    # the block products, whose longest segment has the most blocks; and two
+    # for the terms.  A loop's forward segment is its letters before its
+    # last polygon letter L, its backward one its letters after its first F,
+    # last letter first.
+    def block_lengths(cuts, rows):
+        cuts = sorted({0, *cuts}) if rows else []
+        return [b - a for a, b in zip(cuts, cuts[1:] + [rows])]
+
+    longest_block = longest_segment = 1
     for loop in res.box.loops:
+        n = len(loop.word)
         poly = [i for i, let in enumerate(loop.word) if let["kind"] == "P"]
-        longest = max(longest, poly[-1], len(loop.word) - 1 - poly[0])
-    want = (longest - 1).bit_length() + 2
-    assert metrics["gimbal.ball_mul_count"] == want == 10
+        for lengths in (block_lengths(poly[:-1], poly[-1]),
+                        block_lengths([n - 1 - p for p in poly[1:]], n - 1 - poly[0])):
+            longest_block = max([longest_block, *lengths])
+            longest_segment = max(longest_segment, len(lengths))
+    want = (longest_block - 1).bit_length() + (longest_segment - 1).bit_length() + 2
+    assert metrics["gimbal.ball_mul_count"] == want == 12

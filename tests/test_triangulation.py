@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from hypcert import triangulation as tr
@@ -135,6 +136,12 @@ def test_edge_classes_match_brute_force(hyperbolic_triangulations, s3):
             for ec in t.edge_classes
         }
         assert mine == _brute_force_edge_orbits(t)
+        # the parsed edge table names the same class at every local edge
+        table = t.edge_table
+        assert table.shape == (t.n_tets, 6) and table.dtype == np.intp
+        assert not table.flags.writeable
+        assert all(table[tt, tr.LOCAL_EDGE_INDEX[e]] == ec.index
+                   for ec in t.edge_classes for (tt, e, _) in ec.representatives)
 
 
 ONE_TET_ONE_VERTEX = "tets 1\ntet 0: 0:1023 0:1023 0:1230 0:3012\n"

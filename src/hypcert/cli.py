@@ -158,7 +158,7 @@ def cmd_probe_gimbal(args):
     try:
         params = geo.EdgeParams.from_lengths([float(l) for l in tri.lengths])
         rows = probe_partitions(tri, params, budget=args.budget, seed=args.seed)
-    except geo.RealizationError as exc:
+    except (geo.RealizationError, TriangulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     locked = sum(1 for r in rows if r[2])

@@ -415,91 +415,78 @@ def build_gimbal_loop(link, removed_pids):
     with the other five edges of the unused hexagon behind it, hexagon by
     hexagon in breadth-first order; afterwards each removed-polygon letter
     is spliced in after the first word position ending on its boundary.
+    Linear in the loop's letters: the word is a linked list of the link's
+    own letters, node i holding `letters[i]` and followed by `after[i]`,
+    and a map from its middle-edge tokens to their nodes makes a splice
+    O(1).
     """
     removed = sorted(removed_pids)
     for pid in removed:
         if pid >= len(link.prism_ends):
             raise GimbalLoopError(f"no prism end {pid} in this link")
 
+    lv_to_pid = link.lv_to_pid
     start = link.corners[0]
-    word = [dict(letter, owner=start) for letter in link.hexagons[start]]
-    # the middle-edge token at each word position (None at a short edge),
-    # kept in step with word, so that list.index finds a token's position
-    betas = [letter["token"] if letter["kind"] == "b" else None for letter in word]
+    letters = list(link.hexagons[start])
+    after = [1, 2, 3, 4, 5, -1]
+    node_of = {let["token"]: i for i, let in enumerate(letters) if let["kind"] == "b"}
     used = {start}
     queue = [start]
     untouched = set(removed)
-    for letter in word:
-        untouched.discard(link.lv_to_pid[letter["end"]])
+    for letter in letters:
+        untouched.discard(lv_to_pid[letter["end"]])
 
+    head = 0
     while untouched:
-        if not queue:
-            raise GimbalLoopError(
-                "link exhausted before touching every removed polygon"
-            )
-        h = queue.pop(0)
+        if head == len(queue):
+            raise GimbalLoopError("link exhausted before touching every removed polygon")
+        h = queue[head]
+        head += 1
         for token in link.beta_of_corner[h]:
             c1, c2 = link.beta_pairs[token]
             other = c2 if c1 == h else c1
-            if other in used:
+            if other in used or token not in node_of:
                 continue
-            try:
-                idx = betas.index(token)
-            except ValueError:
-                continue
+            x = node_of.pop(token)
             cycle = link.hexagons[other]
-            j0 = next(
-                i
-                for i, let in enumerate(cycle)
-                if let["kind"] == "b" and let["token"] == token
-            )
-            replacement = [
-                dict(letter, owner=other)
-                for letter in cycle[j0 + 1 :] + cycle[:j0]
-            ]
-            assert replacement[0]["start"] == word[idx]["start"]
-            assert replacement[-1]["end"] == word[idx]["end"]
-            word[idx : idx + 1] = replacement
-            betas[idx : idx + 1] = [
-                letter["token"] if letter["kind"] == "b" else None
-                for letter in replacement
-            ]
+            j0 = 2 * link.beta_of_corner[other].index(token) + 1
+            replacement = cycle[j0 + 1 :] + cycle[:j0]
+            if (replacement[0]["start"] != letters[x]["start"]
+                    or replacement[-1]["end"] != letters[x]["end"]):
+                raise GimbalLoopError(f"the sides of middle edge {token} do not match")
+            n = len(letters)
+            letters[x] = replacement[0]
+            letters += replacement[1:]
+            after += [n + 1, n + 2, n + 3, after[x]]
+            after[x] = n
+            # the letters run short, middle, short, middle, short
+            node_of[replacement[1]["token"]], node_of[replacement[3]["token"]] = n, n + 2
             used.add(other)
             queue.append(other)
             for letter in replacement:
-                untouched.discard(link.lv_to_pid[letter["end"]])
+                untouched.discard(lv_to_pid[letter["end"]])
             if not untouched:
                 break
 
-    # splice removed-polygon letters after the first anchoring edge
-    insert_at = {}
+    # walk the list; splice removed-polygon letters after the first
+    # anchoring edge
+    word = []
     pending = set(removed)
-    for i, let in enumerate(word):
-        pid = link.lv_to_pid[let["end"]]
-        if pid in pending:
-            insert_at[i] = pid
+    x = 0
+    while x >= 0:
+        letter = letters[x]
+        word.append(letter)
+        if pending and lv_to_pid[letter["end"]] in pending:
+            pid = lv_to_pid[letter["end"]]
             pending.discard(pid)
-        if not pending:
-            break
-    final = []
-    for i, letter in enumerate(word):
-        final.append(letter)
-        if i in insert_at:
-            pid = insert_at[i]
-            final.append(
-                {
-                    "kind": "P",
-                    "pid": pid,
-                    "edge_class": link.prism_ends[pid].edge_class,
-                    "start": letter["end"],
-                    "end": letter["end"],
-                }
-            )
+            word.append({"kind": "P", "pid": pid, "edge_class": link.prism_ends[pid].edge_class,
+                         "start": letter["end"], "end": letter["end"]})
+        x = after[x]
     loop = GimbalLoop(
         vertex_class=link.vertex_class,
         link=link,
         removed=tuple(removed),
-        word=final,
+        word=word,
     )
     validate_gimbal_loop(loop)
     return loop
@@ -513,24 +500,25 @@ def validate_gimbal_loop(loop):
     polygon letters leaves a closed edge path; that path is the boundary
     of a disk of hexagons glued along the crossed middle edges, traversed
     with the link's orientation.
+
+    Linear in the loop's letters: each letter's owner and token are looked
+    up once in the link's integer ids, and the slot claims and both
+    union-finds run on slot 6 u + i, letter i of the u-th used hexagon.
     """
     link = loop.link
     word = loop.word
-    n = len(word)
-    if n == 0:
+    if not word:
         raise GimbalLoopError("empty loop")
 
     # polygon letters: multiplicity and anchoring
-    seen_p = [let["pid"] for let in word if let["kind"] == "P"]
-    if sorted(seen_p) != sorted(loop.removed):
+    poly = [i for i, let in enumerate(word) if let["kind"] == "P"]
+    if sorted(word[i]["pid"] for i in poly) != sorted(loop.removed):
         raise GimbalLoopError("removed polygons not each visited exactly once")
-    for i, let in enumerate(word):
-        if let["kind"] != "P":
-            continue
-        prev = word[(i - 1) % n]
+    for i in poly:
+        prev = word[i - 1]
         if prev["kind"] == "P":
             raise GimbalLoopError("polygon letter preceded by another polygon")
-        if prev["end"] not in link.prism_ends[let["pid"]].boundary_lvs:
+        if prev["end"] not in link.prism_ends[word[i]["pid"]].boundary_lvs:
             raise GimbalLoopError("polygon letter not anchored on its boundary")
 
     # dropping polygons leaves a closed edge path
@@ -540,82 +528,66 @@ def validate_gimbal_loop(loop):
             raise GimbalLoopError("edge word is not a closed path")
 
     # reconstruct the disk: used hexagons glued along crossed middle edges
-    used = sorted({let["owner"] for let in edges})
-    used_set = set(used)
-    word_count = {}
-    for let in edges:
-        word_count[let["token"]] = word_count.get(let["token"], 0) + 1
-    crossed = []
-    for token, (c1, c2) in link.beta_pairs.items():
-        if c1 in used_set and c2 in used_set and word_count.get(token, 0) == 0:
-            crossed.append(token)
-
-    token_slots = {}
-    all_slots = []
-    for h in used:
-        for i, letter in enumerate(link.hexagons[h]):
-            token_slots.setdefault(letter["token"], []).append((h, i))
-            all_slots.append((h, i))
+    owners = [link.corner_id.get(let["owner"], -1) for let in edges]  # -1 claims no slot
+    used = sorted(set(owners))
+    base = dict(zip(used, range(0, 6 * len(used), 6)))  # corner id -> 6 u
 
     # every slot of every used hexagon is either crossed or claimed exactly
-    # once by a word letter running in the hexagon's own direction
-    claims = {}
-    for let in edges:
-        h = let["owner"]
-        cands = [
-            (hh, i)
-            for (hh, i) in token_slots.get(let["token"], ())
-            if hh == h
-            and link.hexagons[h][i]["start"] == let["start"]
-            and link.hexagons[h][i]["end"] == let["end"]
-        ]
-        if len(cands) != 1:
+    # once by a word letter running in the hexagon's own direction; a middle
+    # edge is crossed when the word has neither of its two used sides
+    claims = [0] * (6 * len(used))
+    for let, c in zip(edges, owners):
+        claim = None
+        for s in link.slots_of_token.get(let["token"], ()):
+            if s // 6 != c:
+                continue
+            slot = link.hexagons[let["owner"]][s % 6]
+            if slot["start"] == let["start"] and slot["end"] == let["end"]:
+                if claim is not None:
+                    raise GimbalLoopError("letter does not match a unique owner slot")
+                claim = base[c] + s % 6
+        if claim is None:
             raise GimbalLoopError("letter does not match a unique owner slot")
-        claims[cands[0]] = claims.get(cands[0], 0) + 1
-    crossed_slots = set()
-    for token in crossed:
-        slots = token_slots.get(token, ())
-        if len(slots) != 2:
-            raise GimbalLoopError("crossed edge without two used sides")
-        crossed_slots.update(slots)
-    for slot in all_slots:
-        want = 0 if slot in crossed_slots else 1
-        if claims.get(slot, 0) != want:
-            raise GimbalLoopError("hexagon slots and word letters disagree")
+        claims[claim] += 1
+    crossed, want = [], [1] * len(claims)  # the used slots of crossed edges
+    for c, u6 in base.items():
+        for i in (1, 3, 5):
+            s, t = 6 * c + i, link.other_side[6 * c + i]
+            if s <= t and t // 6 in base and not claims[u6 + i]:
+                if s == t:
+                    raise GimbalLoopError("crossed edge without two used sides")
+                t = base[t // 6] + t % 6
+                if not claims[t]:
+                    crossed.append((u6 + i, t))
+                    want[u6 + i] = want[t] = 0
+    if claims != want:
+        raise GimbalLoopError("hexagon slots and word letters disagree")
 
-    # Euler characteristic of the glued hexagon complex must be a disk's
-    parent = {}
+    # Euler characteristic of the glued hexagon complex must be a disk's;
+    # a union that merges two classes removes one vertex or one component
+    parent, hex_parent = list(range(len(claims))), list(range(len(used)))
 
-    def find(x):
+    def find(parent, x):
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
+    def union(parent, x, y):
+        rx, ry = find(parent, x), find(parent, y)
+        parent[rx] = ry
+        return rx != ry
 
-    for h in used:
-        for i in range(6):
-            parent[(h, i)] = (h, i)
-    hex_parent = {h: h for h in used}
+    def turn(s):  # the next slot of the same hexagon
+        return s + 1 if s % 6 < 5 else s - 5
 
-    def hfind(x):
-        while hex_parent[x] != x:
-            hex_parent[x] = hex_parent[hex_parent[x]]
-            x = hex_parent[x]
-        return x
-
-    for token in crossed:
-        (h1, i1), (h2, i2) = token_slots[token]
-        union((h1, i1), (h2, (i2 + 1) % 6))
-        union((h1, (i1 + 1) % 6), (h2, i2))
-        hex_parent[hfind(h1)] = hfind(h2)
-    if len({hfind(h) for h in used}) != 1:
+    merged = hexagons_merged = 0
+    for s1, s2 in crossed:
+        merged += union(parent, s1, turn(s2)) + union(parent, turn(s1), s2)
+        hexagons_merged += union(hex_parent, s1 // 6, s2 // 6)
+    if hexagons_merged != len(used) - 1:
         raise GimbalLoopError("hexagon disk is not connected")
-    v = len({find(x) for x in parent})
+    v = len(parent) - merged
     e = 6 * len(used) - len(crossed)
     f = len(used)
     if v - e + f != 1:
@@ -662,9 +634,10 @@ def gimbal_matrix_derivatives(loops, labels, rotations):
 
     `rotations` holds the ball stacks of the rotation by each variable's
     angle and of its derivative (`rotation_balls`); an edge letter's ball
-    is row `labels.slot(letter)` of the balls of the label table
-    `labels.label_bounds()`.  The derivative replaces one rotation letter i
-    at a time by the rotation derivative R' and sums over occurrences:
+    is the ball of row `labels.slot(letter)` of the label table
+    `labels.label_bounds()`; only the rows the loops read are balled.  The
+    derivative replaces one rotation letter i at a time by the rotation
+    derivative R' and sums over occurrences:
     P R' S, with S = M(w[i-1]) ... M(w[0]) and P = M(w[n-1]) ... M(w[i+1]).
     A loop's forward segment holds its letters before its last polygon
     letter, and its backward segment the transposes of its letters after its
@@ -688,7 +661,7 @@ def gimbal_matrix_derivatives(loops, labels, rotations):
         poly = [i for i, letter in enumerate(word) if letter["kind"] == "P"]
         if not poly:
             continue
-        ops = [len(lo) + var_of[letter["pid"]] if letter["kind"] == "P"
+        ops = [-1 - var_of[letter["pid"]] if letter["kind"] == "P"
                else labels.slot(letter) for letter in word]
         n, first, last = len(word), poly[0], poly[-1]
         fwd, back = len(index), len(index) + last
@@ -702,14 +675,17 @@ def gimbal_matrix_derivatives(loops, labels, rotations):
     out = [{} for _ in loops]
     if not keys:
         return out
-    table = tuple(map(np.concatenate, zip(_balls_of_bounds(lo, hi), rotation, _IDENTITY)))
-    rows, start = np.array(index + [len(table[1]) - 1]), np.array(start + [len(index)])
+    rows, start = np.array(index + [-1 - len(rotation[1])]), np.array(start + [len(index)])
+    label = rows >= 0  # the label rows read; then a polygon's rotation, -1 - var so far
+    read, rows[label] = np.unique(rows[label], return_inverse=True)
+    rows[~label] = len(read) - 1 - rows[~label]
+    table = tuple(map(np.concatenate,
+                      zip(_balls_of_bounds(lo[read], hi[read]), rotation, _IDENTITY)))
     x = _take(table, rows)
     flip = np.array(flip + [False])
     x[0][flip] = np.swapaxes(x[0][flip], 1, 2)
-    # a block starts at its segment's first row and at every polygon letter,
-    # whose operand lies past the label table
-    cut = (start == np.arange(len(rows))) | (rows >= len(lo))
+    # a block starts at its segment's first row and at every polygon letter
+    cut = (start == np.arange(len(rows))) | ~label
     block = np.cumsum(cut) - 1
     x = _scan(_reduce(x, block), block[start[cut]])
     s_rows, p_rows = block[s_rows], block[p_rows]

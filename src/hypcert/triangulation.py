@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,11 +63,6 @@ def perm_inverse(p):
     for i, v in enumerate(p):
         q[v] = i
     return tuple(q)
-
-
-def compose(p, q):
-    """(p o q)(i) = p(q(i))."""
-    return (p[q[0]], p[q[1]], p[q[2]], p[q[3]])
 
 
 class TriangulationError(ValueError):
@@ -448,23 +444,22 @@ def hexagon_cycle(a):
     (short) or 'b' (middle), starting from the minimal even permutation
     with s(0) = a.  Computed once per vertex.
     """
-    rest = sorted(v for v in range(4) if v != a)
-    start = None
-    for perm in itertools.permutations(rest):
-        s = (a,) + perm
-        if perm_parity(s) == 1:
-            start = s
-            break
-    letters = []
-    s = start
+    start = min(s for s in itertools.permutations(range(4)) if s[0] == a and perm_parity(s) == 1)
+    letters, s = [], start
     for _ in range(3):
         t = _swap23(s)
-        letters.append(("g", s, t))
         u = _swap12(t)
-        letters.append(("b", t, u))
+        letters += [("g", s, t), ("b", t, u)]
         s = u
-    assert s == start
+    # a middle edge keeps s(3), the face its other side lies across
+    if s != start or any(k == "b" and s0[3] != s1[3] for k, s0, s1 in letters):
+        raise TriangulationError(f"hexagon at vertex {a} does not close on its faces")
     return tuple(letters)
+
+
+# picks a hexagon's short edges out of its letters, in token order
+_SHORT_EDGES = [operator.itemgetter(*sorted((0, 2, 4), key=lambda i: hexagon_cycle(a)[i][1][1]))
+                for a in range(4)]
 
 
 @dataclass
@@ -488,155 +483,105 @@ class LinkComplex:
     prism_ends: list  # PrismEnd, sorted by pid
     gamma_to_end: dict  # gamma token (tet,a,b) -> pid
     ends_of_class: dict  # edge class -> list of pids in this link
-    lv_to_pid: dict = field(default_factory=dict)  # link vertex -> its polygon
+    lv_to_pid: dict  # link vertex -> its polygon
+    # for the loop validator, slot 6 c + i being letter i of corners[c]:
+    corner_id: dict  # corner -> c
+    slots_of_token: dict  # token -> its slots
+    other_side: list  # slot -> its middle edge's other side (own if unpaired), or -1
 
     @property
     def n_hexagons(self):
         return len(self.corners)
 
 
-def _letterize(tet, kind, s_start, s_end):
-    """Uniform letter record used by the loop builder and validator."""
-    return {
-        "kind": kind,
-        "tet": tet,
-        "s_start": s_start,
-        "s_end": s_end,
-        "start": (tet, s_start),
-        "end": (tet, s_end),
-    }
-
-
 def vertex_link_hexagon_complex(tri, vertex_class):
-    """Build the hexagon-and-polygon decomposition of one vertex link."""
-    if isinstance(vertex_class, VertexClass):
-        k = vertex_class.index
-    else:
-        k = vertex_class
+    """Build the hexagon-and-polygon decomposition of one vertex link.
+
+    Linear in the link's letters.  One pass over the corners makes each
+    letter, owner included, in final form: a corner's six link-vertex ids
+    are computed once, each the smaller of (tet, s) and its partner across
+    face s(3), and a middle edge's token, its smaller side, comes from the
+    partners of its ends.  The prism-end polygons are walked from the
+    short-edge tokens in sorted order; as a gluing flips the parity of s,
+    each short edge starts where the last one ended.  A degree-1 edge's
+    prism end, one-sided, raises TriangulationError.
+    """
+    k = vertex_class.index if isinstance(vertex_class, VertexClass) else vertex_class
     corners = sorted(tri.vertex_classes[k].representatives)
-    corner_set = set(corners)
-
-    # canonical link-vertex id: the identified partner of (tet, s) across
-    # the face s(3); keep the lexicographically smaller of the pair
-    def lv_id(tet, s):
-        f = s[3]
-        j, p = tri.neighbor(tet, f)
-        partner = (j, compose(p, s))
-        return min((tet, s), partner)
-
-    hexagons = {}
-    lv_of = {}
-    beta_sides = {}
-    beta_of_corner = {}
-    for corner in corners:
+    hexagons, lv_of, beta_pairs, beta_of_corner = {}, {}, {}, {}
+    corner_id, slots_of_token, other_side = {}, {}, []
+    gammas = []  # short-edge letters, by token
+    gamma_from = {}  # link vertex -> token and end of the short edge starting there
+    for c, corner in enumerate(corners):
         tet, a = corner
-        letters = []
-        betas = []
-        for kind, s0, s1 in hexagon_cycle(a):
-            letters.append(_letterize(tet, kind, s0, s1))
-            lv_of[(tet, s0)] = lv_id(tet, s0)
-            if kind == "b":
-                token_side = (tet, min(s0, s1), max(s0, s1))
-                betas.append(token_side)
+        neighbors, perms = tri.tets[tet].neighbors, tri.tets[tet].perms
+        corner_id[corner] = c
+        cycle = hexagon_cycle(a)
+        # pairs compare by tet first: only a partner in a tet <= tet can win
+        partners, lvs = [], []
+        for _, s, _ in cycle:
+            own, j, t = (tet, s), neighbors[s[3]], None
+            if j <= tet:
+                p = perms[s[3]]
+                t = (p[s[0]], p[s[1]], p[s[2]], p[s[3]])
+            lv_of[own] = lv = (j, t) if t is not None and (j < tet or t < s) else own
+            partners.append(t)
+            lvs.append(lv)
+        letters, betas = [], []
+        for i in (0, 2, 4):  # a short edge, then a middle edge
+            (_, g0, g1), (_, b0, b1) = cycle[i], cycle[i + 1]
+            start, mid, end = lvs[i], lvs[i + 1], lvs[i - 4]
+            gamma = (tet, a, g0[1])
+            gamma_from[start] = gamma, mid
+            beta = (tet, b0, b1) if b0 < b1 else (tet, b1, b0)  # this side
+            j, t0, t1 = neighbors[b0[3]], partners[i + 1], partners[i - 4]
+            if j <= tet:  # the other side may be smaller
+                other = (j, t0, t1) if t0 < t1 else (j, t1, t0)
+                beta = other if other < beta else beta
+            betas.append(beta)
+            slots_of_token[gamma] = (6 * c + i,)
+            sides = slots_of_token[beta] = slots_of_token.get(beta, ()) + (6 * c + i + 1,)
+            other_side += (-1, sides[0])
+            other_side[sides[0]] = sides[-1]
+            beta_pairs[beta] = beta_pairs.get(beta, ()) + (corner,)
+            letters += (
+                {"kind": "g", "tet": tet, "s_start": g0, "s_end": g1,
+                 "start": start, "end": mid, "token": gamma, "owner": corner},
+                {"kind": "b", "tet": tet, "s_start": b0, "s_end": b1,
+                 "start": mid, "end": end, "token": beta, "owner": corner},
+            )
         hexagons[corner] = letters
         beta_of_corner[corner] = betas
+        gammas += _SHORT_EDGES[a](letters)
+    if any(len(cs) != 2 for cs in beta_pairs.values()):
+        raise TriangulationError("middle edge not shared by two hexagons")
 
-    # identify beta edges across face gluings
-    beta_canon = {}
-    beta_pairs = {}
-    for corner in corners:
-        tet, a = corner
-        for side in beta_of_corner[corner]:
-            _, s0, s1 = side
-            f = s0[3]
-            assert s1[3] == f
-            j, p = tri.neighbor(tet, f)
-            t0, t1 = compose(p, s0), compose(p, s1)
-            other = (j, min(t0, t1), max(t0, t1))
-            token = min(side, other)
-            beta_canon[side] = token
-            beta_pairs.setdefault(token, []).append(corner)
-    for token, cs in beta_pairs.items():
-        if len(cs) != 2:
-            raise TriangulationError("middle edge not shared by two hexagons")
-    beta_pairs = {tok: tuple(cs) for tok, cs in beta_pairs.items()}
-    beta_of_corner = {
-        c: [beta_canon[s] for s in sides] for c, sides in beta_of_corner.items()
-    }
-    # rewrite letters to carry canonical tokens and link-vertex endpoints
-    for corner in corners:
-        for letter in hexagons[corner]:
-            tet = letter["tet"]
-            s0, s1 = letter["s_start"], letter["s_end"]
-            if letter["kind"] == "b":
-                letter["token"] = beta_canon[(tet, min(s0, s1), max(s0, s1))]
-            else:
-                letter["token"] = (tet, s0[0], s0[1])
-            letter["start"] = lv_of[(tet, s0)]
-            letter["end"] = lv_of[(tet, s1)]
-
-    # prism end polygons: connected cycles of gamma edges through shared
-    # link-vertices
-    gamma_endpoints = {}
-    for corner in corners:
-        for letter in hexagons[corner]:
-            if letter["kind"] == "g":
-                gamma_endpoints[letter["token"]] = (letter["start"], letter["end"])
-    lv_to_gammas = {}
-    for tok, (u, v) in gamma_endpoints.items():
-        lv_to_gammas.setdefault(u, []).append(tok)
-        lv_to_gammas.setdefault(v, []).append(tok)
-    for lv, toks in lv_to_gammas.items():
-        if len(toks) != 2:
-            raise TriangulationError("link vertex not on exactly two short edges")
-
-    prism_ends = []
-    gamma_to_end = {}
-    ends_of_class = {}
-    unvisited = set(gamma_endpoints)
-    comps = []
-    while unvisited:
-        start = min(unvisited)
-        comp = [start]
-        unvisited.discard(start)
-        frontier = start
-        cur_lv = gamma_endpoints[start][1]
+    prism_ends, gamma_to_end, ends_of_class, lv_to_pid = [], {}, {}, {}
+    for letter in gammas:
+        first, lv = letter["token"], letter["start"]
+        if first in gamma_to_end:
+            continue
+        pid = len(prism_ends)
+        cls = tri.edge_class_index(*first)
+        comp, lvs = [], []
         while True:
-            nxt = [g for g in lv_to_gammas[cur_lv] if g != frontier]
-            assert len(nxt) == 1
-            nxt = nxt[0]
-            if nxt == start:
+            token, end = gamma_from[lv]
+            if token in gamma_to_end:
                 break
-            comp.append(nxt)
-            unvisited.discard(nxt)
-            u, v = gamma_endpoints[nxt]
-            cur_lv = v if u == cur_lv else u
-            frontier = nxt
-        comps.append(comp)
-    comps.sort(key=lambda c: min(c))
-    lv_to_pid = {}
-    for pid, comp in enumerate(comps):
-        tet, a, b = comp[0]
-        cls = tri.edge_class_index(tet, a, b)
-        lvs = set()
-        for tok in comp:
-            u, v = gamma_endpoints[tok]
-            lvs.update((u, v))
-            gamma_to_end[tok] = pid
-        for lv in lvs:
-            lv_to_pid[lv] = pid
+            if end == lv:
+                raise TriangulationError(
+                    f"edge class {cls} has degree 1: its prism end in the link of "
+                    f"vertex class {k} is a one-sided polygon"
+                )
+            comp.append(token)
+            lvs.append(lv)
+            gamma_to_end[token] = lv_to_pid[lv] = pid
+            lv = end
+        if token != first:
+            raise TriangulationError("link vertex not on exactly two short edges")
         prism_ends.append(PrismEnd(pid, cls, comp, frozenset(lvs)))
         ends_of_class.setdefault(cls, []).append(pid)
 
-    return LinkComplex(
-        vertex_class=k,
-        corners=corners,
-        hexagons=hexagons,
-        lv_of=lv_of,
-        beta_pairs=beta_pairs,
-        beta_of_corner=beta_of_corner,
-        prism_ends=prism_ends,
-        gamma_to_end=gamma_to_end,
-        ends_of_class=ends_of_class,
-        lv_to_pid=lv_to_pid,
-    )
+    return LinkComplex(k, corners, hexagons, lv_of, beta_pairs, beta_of_corner, prism_ends,
+                       gamma_to_end, ends_of_class, lv_to_pid, corner_id, slots_of_token,
+                       other_side)

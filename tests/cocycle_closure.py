@@ -16,12 +16,12 @@ from hypcert.triangulation import (
     LOCAL_EDGES,
     _swap12,
     _swap23,
-    compose,
     hexagon_cycle,
     perm_parity,
 )
 from tests.geometry_oracle import cos_vertex_angle, sqrt_nonneg
 from tests.gimbal_oracle import beta_label, dihedral_cs, gamma_label
+from tests.link_oracle import compose
 from tests.matrix_oracle import mat3_identity, mat3_mul
 
 # ---------------------------------------------------------------------------

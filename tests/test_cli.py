@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from hypcert import cli
-from tests.conftest import BAD_LINK_TEXT, S3_TEXT, data_path
+from tests.conftest import BAD_LINK_TEXT, DEGREE_ONE_TEXT, S3_TEXT, data_path
 from tests.test_triangulation import _disjoint_copies
 
 
@@ -411,3 +411,14 @@ def test_python_m_hypcert_without_arguments_exits_one():
     proc = _python_m_hypcert()
     assert proc.returncode == 1
     assert "the following arguments are required: command" in proc.stderr
+
+
+def test_probe_gimbal_degree_one_edge_exit_one(tmp_path):
+    # `check` accepts the gluing; the probe's vertex link cannot be built
+    f = tmp_path / "degree_one.tri"
+    f.write_text(DEGREE_ONE_TEXT)
+    assert _python_m_hypcert("check", str(f)).returncode == 0
+    proc = _python_m_hypcert("probe-gimbal", str(f))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: edge class 2 has degree 1")
+    assert "Traceback" not in proc.stderr + proc.stdout

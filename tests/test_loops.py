@@ -1,0 +1,159 @@
+"""Stage V's vertex links and gimbal loops against their reference.
+
+`tests/link_oracle.py` keeps the link builder, the loop builder and the
+loop validator as they were before they became linear in a link's
+letters.  The links must match it field for field and the loops letter
+for letter, on the bundled fixtures, on the benchmark's scaling inputs and
+on every removed set `tests/test_gimbal.py` builds loops for; and both
+validators must reject each tampered loop with the same message.
+"""
+
+import math
+import random
+
+import pytest
+
+from hypcert import geometry as geo
+from hypcert import gimbal as gb
+from hypcert import triangulation as tr
+from hypcert import verify
+from tests import link_oracle
+from tests.conftest import data_path
+from tests.test_gimbal import _scaling_member
+from tests.test_triangulation import assert_link_matches
+
+FIXTURES = ("dodec27a", "dodec27b", "dodec30x2", "s3_twotet")
+SCALING = tuple(f"scaling{k}-seed{seed}" for k in (12, 24) for seed in (1, 2, 3, 7, 8))
+
+
+def _input(name):
+    if name.startswith("scaling"):
+        moves, seed = name[len("scaling"):].split("-seed")
+        return _scaling_member(int(moves), seed=int(seed))
+    return tr.parse_file(data_path(name + ".tri"))
+
+
+def _loose_edge_sets(name, tri):
+    """The loose edges `tests/test_gimbal.py` builds loops for: stage I's,
+    and on dodec27a twenty random triples as well."""
+    if name == "s3_twotet":  # rejected in stage I
+        return []
+    p0 = [-math.cosh(float(l)) for l in tri.lengths]
+    rows, cols = verify.select_submatrix(geo.jacobian(tri, geo.EdgeParams(p0)),
+                                         tri.m - 3 * tri.o)
+    out = [verify.make_partition(tri, rows, cols).e_sim]
+    if name == "dodec27a":
+        rng = random.Random(13)
+        out += [sorted(rng.sample(range(tri.m), 3)) for _ in range(20)]
+    return out
+
+
+@pytest.mark.parametrize("name", FIXTURES + SCALING)
+def test_links_and_loops_match_reference(name):
+    tri = _input(name)
+    loose = [set(e_sim) for e_sim in _loose_edge_sets(name, tri)]
+    for k in range(tri.o):
+        link = tr.vertex_link_hexagon_complex(tri, k)
+        ref = link_oracle.vertex_link_hexagon_complex(tri, k)
+        assert_link_matches(link, ref)
+        n = len(link.prism_ends)
+        picks = [s for s in ([0], [n - 1], [0, 1, 2], [0, 1], [0, 3, 5]) if max(s) < n]
+        picks += [[pid for pid, end in enumerate(link.prism_ends) if end.edge_class in e]
+                  for e in loose]
+        for removed in picks:
+            loop = gb.build_gimbal_loop(link, removed)
+            want = link_oracle.build_gimbal_loop(ref, removed)
+            assert loop.word == want.word, (k, removed)
+            assert loop.serialize() == want.serialize()
+            assert link_oracle.validate_gimbal_loop(loop)
+        for build, lk in ((gb.build_gimbal_loop, link), (link_oracle.build_gimbal_loop, ref)):
+            with pytest.raises(gb.GimbalLoopError, match=f"^no prism end {n} in this link$"):
+                build(lk, [n])
+
+
+# -- the validator, clause by clause ---------------------------------------------
+
+
+def _lap(link, corner, lv):
+    """The boundary of a hexagon, from its letter that starts at lv."""
+    letters = link.hexagons[corner]
+    i = next(i for i, let in enumerate(letters) if let["start"] == lv)
+    return letters[i:] + letters[:i]
+
+
+def _move(word, i, j):
+    """The word with its letter i moved to just after its letter j."""
+    out = list(word)
+    letter = out.pop(i)
+    out.insert(j + (j < i), letter)
+    return out
+
+
+def _tampered(case, link):
+    """A loop over `link` broken in one way, and the message it must raise."""
+    loop = gb.build_gimbal_loop(link, [0, 1, len(link.prism_ends) - 1])
+    word, removed = loop.word, loop.removed
+    poly = [i for i, let in enumerate(word) if let["kind"] == "P"]
+    # an edge letter followed by an edge letter
+    i = next(i for i in range(len(word) - 1)
+             if word[i]["kind"] != "P" and word[i + 1]["kind"] != "P")
+    # a middle edge of the loop's first hexagon, and the hexagon behind it
+    token = link.beta_of_corner[link.corners[0]][0]
+    a, b = link.beta_pairs[token]
+    side_a, side_b = ([let for let in link.hexagons[c] if let["token"] == token][0]
+                      for c in (a, b))
+    if case == "empty loop":
+        word, message = [], "empty loop"
+    elif case == "doubled polygon letter":
+        word = word[:poly[0] + 1] + word[poly[0]:]
+        message = "removed polygons not each visited exactly once"
+    elif case == "polygon letter after a polygon letter":
+        word = _move(word, poly[1], poly[0])
+        message = "polygon letter preceded by another polygon"
+    elif case == "unanchored polygon letter":
+        boundary = link.prism_ends[word[poly[0]]["pid"]].boundary_lvs
+        j = next(j for j in range(len(word) - 1)
+                 if word[j]["kind"] != "P" and word[j + 1]["kind"] != "P"
+                 and word[j]["end"] not in boundary)
+        word, message = _move(word, poly[0], j), "polygon letter not anchored on its boundary"
+    elif case == "open edge path":
+        word, message = word[:i] + word[i + 1:], "edge word is not a closed path"
+    elif case == "owner slot does not match":
+        other = next(let["owner"] for let in word
+                     if let["kind"] != "P" and let["owner"] != word[i]["owner"])
+        word = word[:i] + [dict(word[i], owner=other)] + word[i + 1:]
+        message = "letter does not match a unique owner slot"
+    elif case == "unclaimed slot":
+        # both sides of one middle edge, there and back: the other ten slots
+        # of their hexagons are neither claimed nor crossed
+        word, removed = [side_a, side_b], ()
+        message = "hexagon slots and word letters disagree"
+    elif case == "doubly claimed slot":
+        # a second lap around a used hexagon
+        word = word[:i] + _lap(link, word[i]["owner"], word[i]["start"]) + word[i:]
+        message = "hexagon slots and word letters disagree"
+    elif case == "disconnected hexagons":
+        # laps around two neighbours that cross no middle edge
+        word = _lap(link, a, side_a["start"]) + _lap(link, b, side_a["start"])
+        removed, message = (), "hexagon disk is not connected"
+    return gb.GimbalLoop(loop.vertex_class, link, removed, word), message
+
+
+@pytest.mark.parametrize("case", [
+    "empty loop",
+    "doubled polygon letter",
+    "polygon letter after a polygon letter",
+    "unanchored polygon letter",
+    "open edge path",
+    "owner slot does not match",
+    "unclaimed slot",
+    "doubly claimed slot",
+    "disconnected hexagons",
+])
+@pytest.mark.parametrize("name", ["dodec27a", "dodec30x2"])
+def test_validator_rejects_tampering(case, name, hyperbolic_triangulations):
+    link = tr.vertex_link_hexagon_complex(hyperbolic_triangulations[name], 0)
+    bad, message = _tampered(case, link)
+    for validate in (gb.validate_gimbal_loop, link_oracle.validate_gimbal_loop):
+        with pytest.raises(gb.GimbalLoopError, match=f"^{message}$"):
+            validate(bad)

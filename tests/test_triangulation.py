@@ -1,8 +1,13 @@
+import dataclasses
+import itertools
+import random
+
 import numpy as np
 import pytest
 
 from hypcert import triangulation as tr
-from tests.conftest import BAD_LINK_TEXT, S3_TEXT
+from tests import link_oracle
+from tests.conftest import BAD_LINK_TEXT, DEGREE_ONE_TEXT, S3_TEXT
 
 
 def test_s3_classes(s3):
@@ -242,6 +247,73 @@ def test_hexagon_boundary_closes(dodec27a):
             assert cur["end"] == nxt["start"]
         kinds = [let["kind"] for let in letters]
         assert kinds == ["g", "b"] * 3
+
+
+def test_degree_one_edge_has_no_link():
+    tri = tr.parse(DEGREE_ONE_TEXT)
+    assert [len(ec.representatives) for ec in tri.edge_classes] == [2, 9, 1]
+    with pytest.raises(tr.TriangulationError,
+                       match="^edge class 2 has degree 1: its prism end in the link of "
+                             "vertex class 0 is a one-sided polygon$"):
+        tr.vertex_link_hexagon_complex(tri, 0)
+
+
+def assert_link_matches(link, ref):
+    """`link` has every field of the reference's `LinkComplex`, equal, and
+    in the same order where the reference's order is deterministic (it
+    fills `lv_to_pid` from a set).  A letter has one key more than the
+    reference's, its owner hexagon."""
+    for f in dataclasses.fields(ref):
+        got, want = getattr(link, f.name), getattr(ref, f.name)
+        if f.name == "hexagons":
+            assert all(let["owner"] == c for c, lets in got.items() for let in lets)
+            got = {c: [{key: v for key, v in let.items() if key != "owner"} for let in lets]
+                   for c, lets in got.items()}
+        assert got == want, f.name
+        if isinstance(want, dict) and f.name != "lv_to_pid":
+            assert list(got) == list(want), f.name
+
+
+_ODD = [p for p in itertools.permutations(range(4)) if tr.perm_parity(p) == -1]
+
+
+def _random_gluing(rng, n):
+    """A random closed, oriented gluing of n tetrahedra: the faces paired at
+    random, each pair by a random odd permutation."""
+    faces = [(t, f) for t in range(n) for f in range(4)]
+    rng.shuffle(faces)
+    rows = [[None] * 4 for _ in range(n)]
+    for (t1, f1), (t2, f2) in zip(faces[::2], faces[1::2]):
+        p = rng.choice([p for p in _ODD if p[f1] == f2])
+        rows[t1][f1] = f"{t2}:{''.join(map(str, p))}"
+        rows[t2][f2] = f"{t1}:{''.join(map(str, tr.perm_inverse(p)))}"
+    return f"tets {n}\n" + "".join(f"tet {t}: {' '.join(r)}\n" for t, r in enumerate(rows))
+
+
+def test_random_gluings_links_match_reference():
+    # small gluings are full of self-glued tetrahedra and low-degree edges;
+    # where the reference's polygon walk fails on a one-sided polygon, the
+    # link raises and names an edge class of degree 1
+    rng = random.Random(19)
+    parsed = one_sided = 0
+    while parsed < 300:
+        try:
+            tri = tr.parse(_random_gluing(rng, rng.randint(1, 3)))
+        except tr.TriangulationError:
+            continue
+        parsed += 1
+        for k in range(tri.o):
+            try:
+                ref = link_oracle.vertex_link_hexagon_complex(tri, k)
+            except AssertionError:
+                with pytest.raises(tr.TriangulationError, match="has degree 1") as exc:
+                    tr.vertex_link_hexagon_complex(tri, k)
+                cls = int(str(exc.value).split()[2])
+                assert len(tri.edge_classes[cls].representatives) == 1
+                one_sided += 1
+                continue
+            assert_link_matches(tr.vertex_link_hexagon_complex(tri, k), ref)
+    assert one_sided > 0
 
 
 @pytest.mark.parametrize("bad", ["1000", "711", "-1000", "nan", "inf", "-inf"])

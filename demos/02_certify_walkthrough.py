@@ -12,7 +12,7 @@ import numpy as np
 
 import hypcert
 from hypcert import certificate, geometry, gimbal, verify
-from hypcert.interval import contains_two_pi
+from hypcert.interval import FLOAT_KERNEL, contains_two_pi
 from hypcert.triangulation import vertex_link_hexagon_complex
 
 tri = hypcert.parse(hypcert.bundled_fixture("dodec27a.tri").read_text())
@@ -25,7 +25,7 @@ resid = np.max(np.abs(r0))
 print(f"candidate angle-sum residual: {resid:.2e}\n")
 
 print("stage I: full-rank subsystem by full pivoting")
-M = geometry.jacobian(tri, geometry.EdgeParams(list(p0)))
+M = geometry.jacobian(tri, geometry.EdgeParams(p0))  # a float ndarray
 h = tri.m - 3 * tri.o
 rows, cols = verify.select_submatrix(M, h)
 part = verify.make_partition(tri, rows, cols)
@@ -33,7 +33,7 @@ print(f"  kept {h} of {tri.m} equations; loose edges {part.e_sim}, "
       f"frozen parameters {part.e_fixed}")
 
 print("stage II: Krawczyk enclosure of the kept equations")
-jsub = np.array(M)[part.e_eq][:, part.e_var]
+jsub = M[np.ix_(part.e_eq, part.e_var)]
 box = verify.krawczyk_certify(tri, p0, part, jsub, r0)
 print(f"  enclosure width: {max(x.width() for x in box.nu):.2e}")
 
@@ -46,7 +46,8 @@ for e, th in zip(part.e_sim, loose):
           f"contains full turn: {contains_two_pi(th)}")
 
 print("stage V: excluding gimbal lock")
-labels = gimbal.CocycleLabels(tri, box.nu)
+# the box's 53-bit intervals, as edge parameters of the float interval kernel
+labels = gimbal.CocycleLabels(tri, geometry.EdgeParams(box.nu, FLOAT_KERNEL))
 links = [vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
 verdict = gimbal.gimbal_lock_check(tri, labels, part.e_sim, loose, links=links)
 print(f"  {verdict.reason}")

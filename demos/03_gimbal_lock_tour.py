@@ -34,7 +34,7 @@ print(f"  loose edges {result.partition.e_sim} -> {result.statuses[5]}")
 print("\nper loose edge, the sum of the two directions in which it leaves")
 print("the vertex, read off the float gimbal Jacobian at full turns")
 print("(the edge-direction table the scan above reads its columns from):")
-labels = gimbal.CocycleLabels(tri, list(params.values))
+labels = gimbal.CocycleLabels(tri, params)
 links = [triangulation.vertex_link_hexagon_complex(tri, 0)]
 table = gimbal.edge_direction_table(tri, labels, links)
 for edge in result.partition.e_sim:

@@ -60,7 +60,7 @@ def _decimal(x, digits, rounding):
 
 
 def _endpoints(iv, precision):
-    if isinstance(iv, MPInterval):
+    if precision != 53:
         digits = int(precision * 0.302) + 8
         lo = _decimal(Fraction(*libmp.to_rational(iv.lo)), digits, decimal.ROUND_FLOOR)
         hi = _decimal(Fraction(*libmp.to_rational(iv.hi)), digits, decimal.ROUND_CEILING)

@@ -7,35 +7,36 @@ it.  This module computes the cofactors, the realization conditions, the
 dihedral angles, the angle sums around edge classes and the exact
 Jacobian d(angle sums)/d(edge parameters).
 
-Every per-simplex quantity is one kernel array over all simplices
-(`scalars.kernel_of`): a numpy float64 array for plain floats (the
-unverified solver and the pivot search), an `IntervalArray` for 53-bit
-intervals and an object array of `MPInterval` above 53 bits, so one code
-path serves all three kinds.  Each formula -- a cofactor, a realization
+The kind of number is the kernel of the `EdgeParams`, and every quantity
+is one array of that kernel (`hypcert.interval`): a numpy float64 array
+for plain floats (`REAL_KERNEL`: the unverified solver and the pivot
+search), an `IntervalArray` for 53-bit intervals and an object array of
+`MPInterval` above 53 bits, so one code path serves all three kinds.  The
+Gram matrices and cofactors are (n_tets, 16) arrays, the dihedral
+quantities (n_tets, 6) arrays, the angle sums one (m,) array and a
+Jacobian block one 2-D array.  Each formula -- a cofactor, a realization
 condition, a dihedral cosine, a 2x2 determinant of a cofactor
 derivative -- is evaluated once for all of its instances and all
 simplices, its operands gathered with index tables, in the operation order
 of the per-simplex formula; every result is bit for bit the one a loop
-over simplices and scalars gives.  Arccos endpoints are `math.acos` per
-element, never `np.arccos`, which may differ by an ulp.  The formulas
-avoid automatic differentiation and stay well defined at right dihedral
-angles.
+over simplices and scalars gives (`tests/geometry_oracle.py`).  Arccos
+endpoints are `math.acos` per element, never `np.arccos`, which may differ
+by an ulp.  The formulas avoid automatic differentiation and stay well
+defined at right dihedral angles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
-from . import scalars as sc
-from .interval import DomainError
+from .interval import REAL_KERNEL, DomainError
 from .triangulation import LOCAL_EDGE_INDEX, LOCAL_EDGES
 
 __all__ = [
     "RealizationError",
     "EdgeParams",
-    "GramData",
     "SimplexData",
     "simplex_data",
     "angle_sums",
@@ -64,42 +65,25 @@ class RealizationError(ValueError):
 
 
 class EdgeParams:
-    """Edge parameters nu_e = -cosh(l_e) in canonical edge-class order."""
+    """Edge parameters nu_e = -cosh(l_e) in canonical edge-class order, as
+    one 1-D array of `kernel` (plain floats unless a kernel is given)."""
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "kernel")
 
-    def __init__(self, values, check=True):
-        self.values = list(values)
+    def __init__(self, values, kernel=REAL_KERNEL, check=True):
+        self.kernel = kernel
+        self.values = kernel.array(values)
         if check:
-            for i, v in enumerate(self.values):
-                if not sc.surely_lt(v, -1.0):
-                    raise RealizationError(
-                        f"edge parameter {i} not proven < -1: {v!r}"
-                    )
+            bad = ~(kernel.bounds(self.values)[1] < -1.0)
+            if bad.any():
+                i = int(np.argmax(bad))
+                v = self.values[i:i + 1].tolist()[0]
+                raise RealizationError(f"edge parameter {i} not proven < -1: {v!r}")
 
     @classmethod
-    def from_lengths(cls, lengths, kernel=None):
-        """Lengths l_e > 0 to parameters; interval-valued if a kernel is given."""
-        if kernel is None:
-            return cls([-sc.cosh(float(l)) for l in lengths])
-        return cls([-(kernel.point(float(l)).cosh()) for l in lengths])
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-
-@dataclass
-class GramData:
-    """One simplex's Gram matrix, cofactors (4x4 lists) and dihedral angle
-    along each local edge (a, b), a < b, as scalars."""
-
-    tet: int
-    gram: list
-    cof: list
-    theta_at_edge: dict
+    def from_lengths(cls, lengths):
+        """Lengths l_e > 0 to float parameters."""
+        return cls([-math.cosh(float(l)) for l in lengths])
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +187,10 @@ _D_DIAG = _dcof_table([(k, k) for k in range(4)])  # d c_kk, [k, col]
 
 
 def _gram_index(tri):
-    """(n_tets, 16) Gram entries as positions in the edge parameters
-    followed by -1: an edge class off the diagonal, m on it."""
+    """(n_tets, 16) Gram entries as edge classes; the diagonal, which is -1,
+    reads class 0."""
     edges = tri.edge_table
-    index = np.full((tri.n_tets, 16), tri.m, dtype=np.intp)
+    index = np.zeros((tri.n_tets, 16), dtype=np.intp)
     for e, (a, b) in enumerate(LOCAL_EDGES):
         index[:, _ix(a, b)] = index[:, _ix(b, a)] = edges[:, e]
     return index
@@ -255,19 +239,14 @@ def _unrealized(kernel, G, C):
 class SimplexData:
     """Gram matrices and cofactors (kernel arrays of shape (n_tets, 16))
     and dihedral cosines ((n_tets, 6)) of all simplices.  The dihedral
-    angles `theta` are computed on first use; indexing gives one simplex's
-    `GramData` of scalars, whose Gram entries are the edge parameters
-    themselves."""
+    angles `theta` are computed on first use."""
 
-    def __init__(self, kernel, gram, entries, index, cof, cos):
+    def __init__(self, kernel, gram, cof, cos):
         self.kernel = kernel
-        self.gram = gram  # entries[index]
+        self.gram = gram
         self.cof = cof
         self.cos = cos
-        self._entries = entries
-        self._index = index
         self._theta = None
-        self._simplices = None
 
     @property
     def theta(self):
@@ -275,19 +254,6 @@ class SimplexData:
         if self._theta is None:
             self._theta = self.kernel.arccos(self.cos)
         return self._theta
-
-    def __getitem__(self, tet):
-        if self._simplices is None:
-            entries = self._entries
-            self._simplices = [
-                GramData(t, [[entries[k] for k in g[4 * i:4 * i + 4]] for i in range(4)],
-                         [c[4 * i:4 * i + 4] for i in range(4)],
-                         dict(zip(LOCAL_EDGES, th)))
-                for t, (g, c, th) in enumerate(zip(
-                    self._index.tolist(), self.cof.tolist(), self.theta.tolist()
-                ))
-            ]
-        return self._simplices[tet]
 
 
 def simplex_data(tri, params):
@@ -298,10 +264,9 @@ def simplex_data(tri, params):
     first dihedral cosine whose enclosure leaves [-1, 1], arccos's domain
     (for plain floats that is math.acos's ValueError).
     """
-    kernel = sc.kernel_of(params[0])
-    entries = list(params) + [kernel.point(-1.0)]
-    index = _gram_index(tri)
-    G = kernel.array(entries)[index]
+    kernel = params.kernel
+    G = params.values[_gram_index(tri)]
+    G[:, _DIAG] = kernel.point(-1.0)
     C = _cofactors(G)
     failed = _unrealized(kernel, G, C)
     first_failed = int(np.argmax(failed.any(axis=1))) if failed.any() else tri.n_tets
@@ -319,7 +284,7 @@ def simplex_data(tri, params):
     if first_failed < tri.n_tets:
         reason = _REASONS[int(np.argmax(failed[first_failed]))]
         raise RealizationError(f"tet {first_failed}: {reason}")
-    return SimplexData(kernel, G, entries, index, C, cos)
+    return SimplexData(kernel, G, C, cos)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +313,9 @@ def _rounds(target):
 
 
 def angle_sums(tri, params, data=None):
-    """Theta_e per edge class, in canonical order: the dihedral angles at
-    the class's representatives, summed in representative order."""
+    """Theta_e per edge class, in canonical order, as one (m,) kernel array:
+    the dihedral angles at the class's representatives, summed in
+    representative order."""
     if data is None:
         data = simplex_data(tri, params)
     # by class index; the stable sort keeps each class's representative order
@@ -361,7 +327,7 @@ def angle_sums(tri, params, data=None):
     sums = theta[first]
     for sel in later:
         sums[cls[sel]] = sums[cls[sel]] + theta[sel]
-    return sums.tolist()
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +362,8 @@ def _dcofs(G, tets, table, rows, cols):
 
 
 def jacobian(tri, params, data=None, rows=None, cols=None):
-    """Block M with M[r][c] = d Theta_rows[r] / d nu_cols[c].
+    """Block M with M[r, c] = d Theta_rows[r] / d nu_cols[c], as a 2-D
+    kernel array.
 
     `rows` (edge equations) and `cols` (edge variables) are lists of
     distinct edge classes; the default, all classes in canonical order,
@@ -428,18 +395,14 @@ def jacobian(tri, params, data=None, rows=None, cols=None):
     # simplex order, then local edge order
     live = (R >= 0) & (K >= 0).any(axis=1)[:, None]
     tets, a, c = np.nonzero(live[:, :, None] & (K >= 0)[:, None, :])
-    zero = kernel.point(0.0)
-    flat = [zero] * (n_rows * n_cols)
+    M = kernel.array([kernel.point(0.0)])[np.zeros((n_rows, n_cols), dtype=np.intp)]
     if len(tets):
         terms = _jacobian_terms(kernel, G, C, gap, tets, a, c)
-        # the entries some triple reaches, each summed from zero
-        entries, slot = _distinct(R[tets, a] * n_cols + K[tets, c], n_rows * n_cols)
-        M = kernel.array([zero])[np.zeros(len(entries), dtype=np.intp)]
-        for sel in _rounds(slot):
-            M[slot[sel]] = M[slot[sel]] + terms[sel]
-        for e, value in zip(entries.tolist(), M.tolist()):
-            flat[e] = value
-    return [flat[r * n_cols:(r + 1) * n_cols] for r in range(n_rows)]
+        # every entry summed from zero over its triples, in triple order
+        r, k = R[tets, a], K[tets, c]
+        for sel in _rounds(r * n_cols + k):
+            M[r[sel], k[sel]] = M[r[sel], k[sel]] + terms[sel]
+    return M
 
 
 def _jacobian_terms(kernel, G, C, gap, tets, a, c):

@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry as geo
-from . import scalars as sc
 from .interval import (
     FLOAT_KERNEL,
     IntervalArray,
@@ -308,7 +307,8 @@ del _s
 class CocycleLabels:
     """SO(3) labels for the short and middle edges of every simplex.
 
-    Generic over the kind of `params` (floats or intervals).  The cosine
+    Generic over the kernel of the `EdgeParams` (floats or intervals),
+    which `data`, when given, must be the `SimplexData` of.  The cosine
     and sine of every dihedral angle and every vertex angle are kernel
     arrays over all simplices: the dihedral cosines are `SimplexData.cos`,
     the vertex-angle cosines come from the Gram columns, and each sine is
@@ -360,8 +360,7 @@ class CocycleLabels:
             lo, hi = np.zeros((2, n, 24, 3, 3))
 
             def put(slots, i, j, x):
-                lo[:, slots, i, j], hi[:, slots, i, j] = (
-                    (x, x) if isinstance(x, float) else kernel.bounds(x))
+                lo[:, slots, i, j], hi[:, slots, i, j] = kernel.bounds(x)
 
             c, s = self.dihedral_cos, self.dihedral_sin
             for slots, s_arg in ((slice(0, 12, 2), s), (slice(1, 12, 2), -s)):
@@ -369,13 +368,13 @@ class CocycleLabels:
                 put(slots, 0, 1, -s_arg)
                 put(slots, 1, 0, s_arg)
                 put(slots, 1, 1, c)
-                put(slots, 2, 2, 1.0)
-            c, s, slots = self.vertex_cos, self.vertex_sin, slice(12, 24)
-            put(slots, 0, 0, -c)
-            put(slots, 0, 2, s)
-            put(slots, 1, 1, -1.0)
-            put(slots, 2, 0, s)
-            put(slots, 2, 2, c)
+            c, s = self.vertex_cos, self.vertex_sin
+            put(slice(12, 24), 0, 0, -c)
+            put(slice(12, 24), 0, 2, s)
+            put(slice(12, 24), 2, 0, s)
+            put(slice(12, 24), 2, 2, c)
+            lo[:, :12, 2, 2] = hi[:, :12, 2, 2] = 1.0
+            lo[:, 12:, 1, 1] = hi[:, 12:, 1, 1] = -1.0
             self._bounds = lo.reshape(-1, 3, 3), hi.reshape(-1, 3, 3)
         return self._bounds
 
@@ -864,11 +863,11 @@ def probe_partitions(tri, params, budget=20000, seed=0):
     recorded; the set is locked when that is at most 1e-7 times
     max(1, largest).  Exhaustive when the number of partitions fits
     the budget (always the case for one or two vertices at moderate size),
-    sampled otherwise.  Rows: (partition tuple, sigma_min, locked flag).
+    sampled otherwise.  `params` are float `EdgeParams`.  Rows: (partition
+    tuple, sigma_min, locked flag).
     """
-    floats = [float(sc.midpoint(v)) for v in params.values]
     links = [vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
-    table = edge_direction_table(tri, CocycleLabels(tri, floats), links)
+    table = edge_direction_table(tri, CocycleLabels(tri, params), links)
     m, need = tri.m, 3 * tri.o
     if math.comb(m, need) <= budget:
         candidates = itertools.combinations(range(m), need)

@@ -26,16 +26,15 @@ expose the same protocol, which is all that generic code may rely on:
 
 * ``lo_float()`` / ``hi_float()`` -- float bounds rounded outward;
 * ``sqrt_nonneg()`` -- sqrt of a quantity that is mathematically >= 0,
-  clamping a rounding dip below zero (DomainError if entirely negative);
-* ``kernel`` -- the ``FloatKernel`` / ``MPKernel`` that builds constants
-  of the same kind and precision.
+  clamping a rounding dip below zero (DomainError if entirely negative).
 
-``scalars.is_interval`` is the one test that tells an interval from a
-plain real number.
-
-The kernel also owns the array layer.  ``kernel.array`` turns (nested)
-lists of its intervals, or a float ndarray as points, into an array with
-elementwise, broadcasting ``+``, ``-``, ``*`` and ``/``, numpy indexing
+The kind of number is carried by a kernel, never read off a value:
+``REAL_KERNEL`` for plain floats, ``FLOAT_KERNEL`` for 53-bit intervals and
+an ``MPKernel`` above 53 bits (``kernel_for_precision`` gives the interval
+kernel of a precision).  A kernel builds scalars of its kind (``point``,
+``interval``, ``two_pi``) and owns the array layer.  ``kernel.array`` turns
+(nested) lists of its scalars, or a float ndarray as points, into an array
+with elementwise, broadcasting ``+``, ``-``, ``*`` and ``/``, numpy indexing
 and item assignment; ``kernel.sqrt``, ``kernel.sqrt_nonneg`` and
 ``kernel.arccos`` apply the scalar methods entrywise; ``kernel.bounds``
 gives an array's outward float endpoints, ``kernel.float_hull`` its
@@ -47,14 +46,14 @@ and lift are the identity.  It is the one interval matrix type, and
 ``FloatKernel.mat_mul`` its one product: midpoint-radius on BLAS, with an
 error bound that holds for any summation order, blocking, thread count
 and use of FMA.  Its endpoints enclose the exact product, but they are
-not the scalar loop's.  Stage V's Jacobian is such an array, and
-``inverse_residual`` and ``interval_matrix_invertible`` take one.  The MP
-kernel's array is a numpy object array of ``MPInterval``; it has no
-product, since every matrix product runs on the 53-bit hull.
-``scalars.REAL_KERNEL`` gives plain floats the same array protocol, so
-``geometry`` and stage V's labels run one code path for all three kinds.
-Stage V's 3x3 ball products (``gimbal``) do not use this layer: they run
-on plain floats with a-priori rounding-error bounds.
+not the scalar loop's.  Stage II's and stage V's Jacobians are such
+arrays, and ``inverse_residual`` and ``interval_matrix_invertible`` take
+one.  The MP kernel's array is a numpy object array of ``MPInterval``; it
+has no product, since every matrix product runs on the 53-bit hull.  The
+real kernel's array is a numpy float64 array, so ``geometry`` and stage
+V's labels run one code path for all three kinds.  Stage V's 3x3 ball
+products (``gimbal``) do not use this layer: they run on plain floats with
+a-priori rounding-error bounds.
 
 No global floating-point state is touched; rounding is done value-by-value,
 so intervals are safe to share across threads.
@@ -77,7 +76,9 @@ __all__ = [
     "DomainError",
     "FloatKernel",
     "MPKernel",
+    "RealKernel",
     "FLOAT_KERNEL",
+    "REAL_KERNEL",
     "kernel_for_precision",
     "IntervalArray",
     "inverse_residual",
@@ -202,10 +203,6 @@ class Interval:
 
     def hi_float(self):
         return self.hi
-
-    @property
-    def kernel(self):
-        return FLOAT_KERNEL
 
     def mag(self):
         return max(abs(self.lo), abs(self.hi))
@@ -596,10 +593,6 @@ class MPInterval:
             f = nextafter(f, inf)
         return f
 
-    @property
-    def kernel(self):
-        return MPKernel(self.prec)
-
     def mid(self):
         m = libmp.mpf_shift(libmp.mpf_add(self.lo, self.hi, self.prec + 8, "n"), -1)
         return libmp.to_float(m, rnd="n")
@@ -887,7 +880,10 @@ class IntervalArray:
 
     @classmethod
     def of(cls, intervals):
-        """The array of nested ``Interval``s, or the points of a float ndarray."""
+        """The array of nested ``Interval``s, or the points of a float
+        ndarray; an ``IntervalArray`` is returned as it is."""
+        if isinstance(intervals, IntervalArray):
+            return intervals
         if isinstance(intervals, np.ndarray) and intervals.dtype == float:
             return cls(intervals, intervals)
         obj = np.array(intervals, dtype=object)
@@ -896,6 +892,9 @@ class IntervalArray:
     def tolist(self):
         """Nested lists of ``Interval``s, like ``ndarray.tolist``."""
         return _INTERVALS(self.lo, self.hi).tolist()
+
+    def copy(self):
+        return IntervalArray(self.lo.copy(), self.hi.copy())
 
     @property
     def shape(self):
@@ -1053,7 +1052,7 @@ def _mid_rad(lo, hi):
 
 
 # ---------------------------------------------------------------------------
-# kernels: uniform constructors for the two backends
+# kernels: uniform constructors for the three kinds of number
 # ---------------------------------------------------------------------------
 
 
@@ -1211,7 +1210,39 @@ class MPKernel:
         return _ARCCOS(arr)
 
 
+class RealKernel:
+    """Plain floats in the kernels' array protocol: numpy float64 arrays,
+    whose elementwise IEEE arithmetic is that of Python floats.  Arccos is
+    ``math.acos`` per element, as for a float, never ``np.arccos``."""
+
+    @staticmethod
+    def point(x):
+        return float(x)
+
+    @staticmethod
+    def array(values):
+        return np.array(values, dtype=float)
+
+    @staticmethod
+    def bounds(arr):
+        return arr, arr
+
+    @staticmethod
+    def sqrt(arr):
+        return np.sqrt(arr)
+
+    @staticmethod
+    def sqrt_nonneg(arr):
+        # math.sqrt(max(x, 0.0)) per element; max keeps x unless 0.0 > x
+        return np.sqrt(np.where(0.0 > arr, 0.0, arr))
+
+    @staticmethod
+    def arccos(arr):
+        return np.array([math.acos(x) for x in arr.ravel().tolist()]).reshape(arr.shape)
+
+
 FLOAT_KERNEL = FloatKernel()
+REAL_KERNEL = RealKernel()
 
 
 def kernel_for_precision(precision):

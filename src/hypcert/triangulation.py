@@ -2,7 +2,7 @@
 
 Parses a plain-text gluing table for a finite triangulation of a closed
 oriented 3-manifold, validates it (involutive gluings, orientability,
-connectedness, spherical vertex links) and derives the structures every
+connectedness, spherical vertex links, no edge of degree 1) and derives the structures every
 later stage needs: edge classes with orientation flags, vertex classes,
 and the hexagonal vertex-link complexes of the doubly truncated simplices.
 
@@ -200,6 +200,7 @@ def parse(text):
     _build_edge_classes(tri)
     _build_vertex_classes(tri)
     _validate_links(tri)
+    _validate_degrees(tri)
     tri.lengths = lengths
     if lengths is not None and len(lengths) != tri.m:
         raise TriangulationError(
@@ -404,6 +405,17 @@ def _validate_links(tri):
             )
 
 
+def _validate_degrees(tri):
+    # a degree-1 edge's angle sum is one dihedral angle, less than pi, and no
+    # vertex link through it has a hexagon decomposition
+    for ec in tri.edge_classes:
+        if len(ec.representatives) == 1:
+            raise TriangulationError(
+                f"edge class {ec.index} has degree 1: a single dihedral angle, "
+                "less than pi, cannot make a full turn"
+            )
+
+
 def edge_incidences(tri, edge_class):
     """All (tet, local-edge) incidences of the class, multiplicity kept."""
     if isinstance(edge_class, int):
@@ -477,12 +489,10 @@ class LinkComplex:
     vertex_class: int
     corners: list  # (tet, a), sorted
     hexagons: dict  # corner -> list of 6 letter dicts
-    lv_of: dict  # (tet, sigma) -> canonical link-vertex id
     beta_pairs: dict  # beta token -> (corner, corner)
     beta_of_corner: dict  # corner -> list of beta tokens in boundary order
     prism_ends: list  # PrismEnd, sorted by pid
     gamma_to_end: dict  # gamma token (tet,a,b) -> pid
-    ends_of_class: dict  # edge class -> list of pids in this link
     lv_to_pid: dict  # link vertex -> its polygon
     # for the loop validator, slot 6 c + i being letter i of corners[c]:
     corner_id: dict  # corner -> c
@@ -503,12 +513,11 @@ def vertex_link_hexagon_complex(tri, vertex_class):
     face s(3), and a middle edge's token, its smaller side, comes from the
     partners of its ends.  The prism-end polygons are walked from the
     short-edge tokens in sorted order; as a gluing flips the parity of s,
-    each short edge starts where the last one ended.  A degree-1 edge's
-    prism end, one-sided, raises TriangulationError.
+    each short edge starts where the last one ended.
     """
     k = vertex_class.index if isinstance(vertex_class, VertexClass) else vertex_class
     corners = sorted(tri.vertex_classes[k].representatives)
-    hexagons, lv_of, beta_pairs, beta_of_corner = {}, {}, {}, {}
+    hexagons, beta_pairs, beta_of_corner = {}, {}, {}
     corner_id, slots_of_token, other_side = {}, {}, []
     gammas = []  # short-edge letters, by token
     gamma_from = {}  # link vertex -> token and end of the short edge starting there
@@ -524,9 +533,8 @@ def vertex_link_hexagon_complex(tri, vertex_class):
             if j <= tet:
                 p = perms[s[3]]
                 t = (p[s[0]], p[s[1]], p[s[2]], p[s[3]])
-            lv_of[own] = lv = (j, t) if t is not None and (j < tet or t < s) else own
             partners.append(t)
-            lvs.append(lv)
+            lvs.append((j, t) if t is not None and (j < tet or t < s) else own)
         letters, betas = [], []
         for i in (0, 2, 4):  # a short edge, then a middle edge
             (_, g0, g1), (_, b0, b1) = cycle[i], cycle[i + 1]
@@ -556,7 +564,7 @@ def vertex_link_hexagon_complex(tri, vertex_class):
     if any(len(cs) != 2 for cs in beta_pairs.values()):
         raise TriangulationError("middle edge not shared by two hexagons")
 
-    prism_ends, gamma_to_end, ends_of_class, lv_to_pid = [], {}, {}, {}
+    prism_ends, gamma_to_end, lv_to_pid = [], {}, {}
     for letter in gammas:
         first, lv = letter["token"], letter["start"]
         if first in gamma_to_end:
@@ -568,11 +576,6 @@ def vertex_link_hexagon_complex(tri, vertex_class):
             token, end = gamma_from[lv]
             if token in gamma_to_end:
                 break
-            if end == lv:
-                raise TriangulationError(
-                    f"edge class {cls} has degree 1: its prism end in the link of "
-                    f"vertex class {k} is a one-sided polygon"
-                )
             comp.append(token)
             lvs.append(lv)
             gamma_to_end[token] = lv_to_pid[lv] = pid
@@ -580,8 +583,6 @@ def vertex_link_hexagon_complex(tri, vertex_class):
         if token != first:
             raise TriangulationError("link vertex not on exactly two short edges")
         prism_ends.append(PrismEnd(pid, cls, comp, frozenset(lvs)))
-        ends_of_class.setdefault(cls, []).append(pid)
 
-    return LinkComplex(k, corners, hexagons, lv_of, beta_pairs, beta_of_corner, prism_ends,
-                       gamma_to_end, ends_of_class, lv_to_pid, corner_id, slots_of_token,
-                       other_side)
+    return LinkComplex(k, corners, hexagons, beta_pairs, beta_of_corner, prism_ends,
+                       gamma_to_end, lv_to_pid, corner_id, slots_of_token, other_side)

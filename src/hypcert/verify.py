@@ -29,7 +29,6 @@ import numpy as np
 
 from . import geometry as geo
 from . import gimbal
-from . import scalars as sc
 from .interval import FLOAT_KERNEL, contains_two_pi, kernel_for_precision
 from .triangulation import vertex_link_hexagon_complex
 
@@ -110,8 +109,7 @@ class SolveFailure(RuntimeError):
 
 
 def _residual_vec(tri, values):
-    sums = geo.angle_sums(tri, geo.EdgeParams(values))
-    return np.array([s - sc.TWO_PI_FLOAT for s in sums])
+    return geo.angle_sums(tri, geo.EdgeParams(values)) - 2.0 * math.pi
 
 
 def bootstrap_solve(tri, init=None, max_iters=100, seed=0, tol=1e-9):
@@ -145,7 +143,7 @@ def bootstrap_solve(tri, init=None, max_iters=100, seed=0, tol=1e-9):
     for _ in range(max_iters):
         if best < tol:
             break
-        J = np.array(geo.jacobian(tri, geo.EdgeParams(values)), dtype=float)
+        J = geo.jacobian(tri, geo.EdgeParams(values))
         step, *_ = np.linalg.lstsq(J, -r, rcond=1e-10)
         t = 1.0
         improved = False
@@ -232,14 +230,14 @@ class KrawczykCentre:
     """What the Krawczyk operator needs of a centre x0, evaluated once per
     centre: the kernel, x0 as the kernel's array, the partial sums
     x0 - C f(x0), each row summed left to right over j, and the point
-    matrix C and the identity as 53-bit arrays."""
+    matrix C and the identity as 53-bit arrays.  `f_iv` maps a kernel
+    array to a kernel array."""
 
     def __init__(self, f_iv, x0, C, kernel):
         n = len(x0)
-        x0_iv = [kernel.point(v) for v in x0]
-        fx0 = kernel.array(f_iv(x0_iv))
         self.kernel = kernel
-        self.x0 = kernel.array(x0_iv)
+        self.x0 = kernel.array([kernel.point(v) for v in x0])
+        fx0 = f_iv(self.x0)
         self.C = FLOAT_KERNEL.array(np.asarray(C, dtype=float))
         self.identity = FLOAT_KERNEL.array(np.eye(n))
         terms = kernel.lift(self.C) * fx0
@@ -255,11 +253,12 @@ def krawczyk_step(centre, jac_iv, X):
     K(x0, X) = x0 - C f(x0) + (I - C J(X)) (X - x0), everything except
     the float vectors x0 and C evaluated in interval arithmetic.  Every
     root of f in X lies in K when x0 lies in X.  The Jacobian term is 53-bit:
-    J on the outward hull of X, X - x0 hulled, column terms lifted exactly.
+    J on the outward hull of X, X - x0 hulled, column terms lifted exactly;
+    `jac_iv` maps that 53-bit hull to a 2-D 53-bit array.
     """
     kernel = centre.kernel
     Xw = kernel.array(X)
-    J = FLOAT_KERNEL.array(jac_iv(kernel.float_hull(Xw).tolist()))
+    J = jac_iv(kernel.float_hull(Xw))
     delta = centre.identity - FLOAT_KERNEL.mat_mul(centre.C, J)
     terms = kernel.lift(delta * kernel.float_hull(Xw - centre.x0))
     K = centre.partial
@@ -324,28 +323,25 @@ def _certify_root(f_iv, jac_iv, x0, C, kernel, residual_scale):
 
 def _subsystem_functions(tri, partition, fixed_values, kernel):
     """Interval residual and Jacobian of the kept equations over the
-    variable parameters, with the fixed parameters frozen at floats (53-bit
-    points in the Jacobian, which the operator evaluates on 53-bit boxes)."""
+    variable parameters, kernel arrays in and out, with the fixed parameters
+    frozen at floats (53-bit points in the Jacobian, which the operator
+    evaluates on 53-bit boxes)."""
     e_var = partition.e_var
     e_eq = partition.e_eq
-    fixed_iv = {e: kernel.point(fixed_values[e]) for e in partition.e_fixed}
-    fixed_53 = {e: FLOAT_KERNEL.point(fixed_values[e]) for e in partition.e_fixed}
-    two_pi = kernel.two_pi()
+    # all edges at the float points; each call fills in e_var
+    points = {k: k.array([k.point(v) for v in fixed_values]) for k in (kernel, FLOAT_KERNEL)}
+    two_pi = kernel.array([kernel.two_pi()])
 
-    def full_params(xs, fixed=fixed_iv):
-        nu = [None] * tri.m
-        for e, x in zip(e_var, xs):
-            nu[e] = x
-        for e, v in fixed.items():
-            nu[e] = v
-        return geo.EdgeParams(nu)
+    def full_params(xs, k):
+        nu = points[k].copy()
+        nu[e_var] = xs
+        return geo.EdgeParams(nu, k)
 
     def f_iv(xs):
-        sums = geo.angle_sums(tri, full_params(xs))
-        return [sums[e] - two_pi for e in e_eq]
+        return geo.angle_sums(tri, full_params(xs, kernel))[e_eq] - two_pi
 
     def jac_iv(xs):
-        return geo.jacobian(tri, full_params(xs, fixed_53), rows=e_eq, cols=e_var)
+        return geo.jacobian(tri, full_params(xs, FLOAT_KERNEL), rows=e_eq, cols=e_var)
 
     return f_iv, jac_iv
 
@@ -409,13 +405,12 @@ def check_realization_and_angles(tri, box):
     not contain a full turn.
     """
     try:
-        params = geo.EdgeParams(box.nu)
+        params = geo.EdgeParams(box.nu, kernel_for_precision(box.precision))
         data = geo.simplex_data(tri, params)
     except geo.RealizationError as exc:
         raise StepFailure(3, str(exc))
     box.statuses[3] = "all simplices realized"
-    sums = geo.angle_sums(tri, params, data=data)
-    box.theta = sums
+    sums = box.theta = geo.angle_sums(tri, params, data=data).tolist()
     for e in box.partition.e_sim:
         if not contains_two_pi(sums[e]):
             raise StepFailure(
@@ -430,15 +425,14 @@ def check_gimbal_lock(tri, box):
     """Step V on a box that passed steps III and IV: records the verdict and
     the loops, or raises StepFailure.  Labels and loose angle sums are
     53-bit: the box's own at 53 bits, its outward float hull above."""
-    nu, theta, data, e_sim = box.nu, box.theta, box.gram_data, box.partition.e_sim
-    if box.precision != 53:
-        kernel = kernel_for_precision(box.precision)
-        nu, theta = (kernel.float_hull(kernel.array(xs)).tolist() for xs in (nu, theta))
-        data = None
+    kernel = kernel_for_precision(box.precision)
+    nu, theta = (kernel.float_hull(kernel.array(xs)) for xs in (box.nu, box.theta))
+    data = box.gram_data if box.precision == 53 else None
+    e_sim = box.partition.e_sim
     try:
-        labels = gimbal.CocycleLabels(tri, nu, data=data)
+        labels = gimbal.CocycleLabels(tri, geo.EdgeParams(nu, FLOAT_KERNEL), data=data)
         links = [vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
-        verdict = gimbal.gimbal_lock_check(tri, labels, e_sim, [theta[e] for e in e_sim],
+        verdict = gimbal.gimbal_lock_check(tri, labels, e_sim, theta[e_sim].tolist(),
                                            links=links)
     except (geo.RealizationError, gimbal.GimbalLoopError) as exc:
         raise StepFailure(5, str(exc))
@@ -494,8 +488,7 @@ def run_pipeline(
         )
         return PipelineResult(False, 1, statuses, p0=p0, residual=resid)
     try:
-        params0 = geo.EdgeParams(list(p0))
-        M = geo.jacobian(tri, params0)
+        M = geo.jacobian(tri, geo.EdgeParams(p0))
         rows, cols = select_submatrix(M, h)
         partition = make_partition(tri, rows, cols)
     except (geo.RealizationError, RankDeficiency) as exc:
@@ -504,7 +497,7 @@ def run_pipeline(
     statuses[1] = f"kept {h} equations of {tri.m}"
 
     # stage I's float data at p0 serves step II
-    jsub = np.array(M)[partition.e_eq][:, partition.e_var]
+    jsub = M[np.ix_(partition.e_eq, partition.e_var)]
 
     # step II
     try:

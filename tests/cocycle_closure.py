@@ -11,7 +11,6 @@ scalar matrix.
 
 import itertools
 
-from hypcert import scalars as sc
 from hypcert.triangulation import (
     LOCAL_EDGES,
     _swap12,
@@ -19,7 +18,7 @@ from hypcert.triangulation import (
     hexagon_cycle,
     perm_parity,
 )
-from tests.geometry_oracle import cos_vertex_angle, sqrt_nonneg
+from tests.geometry_oracle import cos_vertex_angle, is_interval, simplices, sqrt_nonneg
 from tests.gimbal_oracle import beta_label, dihedral_cs, gamma_label
 from tests.link_oracle import compose
 from tests.matrix_oracle import mat3_identity, mat3_mul
@@ -30,14 +29,14 @@ from tests.matrix_oracle import mat3_identity, mat3_mul
 
 
 def pgl2_alpha(labels, tet, sigma):
-    v = labels.data[tet].gram[sigma[0]][sigma[1]]
+    v = simplices(labels.data)[tet].gram[sigma[0]][sigma[1]]
     x = sqrt_nonneg(v * v - 1.0) - v
     zero, one = (labels.kernel.point(v) for v in (0.0, 1.0))
     return ((zero, x), (one, zero))
 
 
 def pgl2_beta(labels, tet, sigma):
-    g = labels.data[tet].gram
+    g = simplices(labels.data)[tet].gram
     # half angle via cos(e/2) = sqrt((1+cos e)/2), valid on (0, pi)
     ce = cos_vertex_angle(g, sigma[0], sigma[2], sigma[1])
     ch = sqrt_nonneg((ce + 1.0) / 2.0)
@@ -83,7 +82,7 @@ def _as_mat2c(m, zero):
 
 
 def _contains_zero(x):
-    return x.contains(0.0) if sc.is_interval(x) else abs(x) < 1e-9
+    return x.contains(0.0) if is_interval(x) else abs(x) < 1e-9
 
 
 # ---------------------------------------------------------------------------

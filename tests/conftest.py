@@ -23,7 +23,7 @@ tet 1: 0:3012 0:2031 1:2031 1:1302
 
 # closed and oriented, with edge valences 1, 2 and 9: the degree-1 edge's
 # prism end is a one-sided polygon, so its vertex link has no hexagon
-# decomposition
+# decomposition, and parsing rejects it
 DEGREE_ONE_TEXT = """tets 2
 tet 0: 0:1023 0:1023 1:2310 1:2310
 tet 1: 0:3201 0:3201 1:1230 1:3012

@@ -2,43 +2,107 @@
 
 The reference for `hypcert.geometry`, which evaluates the same formulas
 batched over simplices: each function here is the scalar formula, in the
-operation order the batched code must repeat bit for bit.  Tests only.
+operation order the batched code must repeat bit for bit.  `simplices`
+reads a batched `SimplexData` back as one `GramData` of scalars per
+simplex.  Tests only.
 """
 
+import functools
 import math
+from dataclasses import dataclass
 
-from hypcert import scalars as sc
-from hypcert.geometry import GramData, RealizationError, opposite_edge
-from hypcert.interval import DomainError
+from hypcert.geometry import EdgeParams, RealizationError, opposite_edge
+from hypcert.interval import (
+    FLOAT_KERNEL,
+    REAL_KERNEL,
+    DomainError,
+    Interval,
+    MPInterval,
+    MPKernel,
+)
 from hypcert.triangulation import LOCAL_EDGES
 
-# the scalar helpers of the formulas below, for floats and intervals alike
-# (`hypcert.scalars` keeps the ones the pipeline calls)
+# the scalar helpers of the formulas below, for floats and intervals alike:
+# the pipeline carries the kind of number in a kernel, these read it off
+# the value
+
+
+def is_interval(x):
+    return isinstance(x, (Interval, MPInterval))
+
+
+def kernel_of(sample):
+    """The kernel of sample's kind: an interval's, or `REAL_KERNEL`."""
+    if isinstance(sample, MPInterval):
+        return MPKernel(sample.prec)
+    return FLOAT_KERNEL if isinstance(sample, Interval) else REAL_KERNEL
 
 
 def point_like(sample, x):
     """The constant x as a scalar of the same kind and precision as sample."""
-    return sc.kernel_of(sample).point(x)
+    return kernel_of(sample).point(x)
+
+
+def cosh(x):
+    return x.cosh() if is_interval(x) else math.cosh(x)
+
+
+def midpoint(x):
+    return x.mid() if is_interval(x) else float(x)
+
+
+def surely_lt(x, c):
+    """x < c for every member of x (floats compare directly)."""
+    return x.hi_float() < c if is_interval(x) else x < c
 
 
 def sqrt(x):
-    return x.sqrt() if sc.is_interval(x) else math.sqrt(x)
+    return x.sqrt() if is_interval(x) else math.sqrt(x)
 
 
 def sqrt_nonneg(x):
     """sqrt of a quantity that is mathematically >= 0; clamps rounding dips
     below zero instead of failing.  Must not be used where negativity would
     indicate a genuine domain violation."""
-    return x.sqrt_nonneg() if sc.is_interval(x) else math.sqrt(max(x, 0.0))
+    return x.sqrt_nonneg() if is_interval(x) else math.sqrt(max(x, 0.0))
 
 
 def arccos(x):
-    return x.arccos() if sc.is_interval(x) else math.acos(x)
+    return x.arccos() if is_interval(x) else math.acos(x)
 
 
 def surely_gt(x, c):
     """x > c for every member of x (floats compare directly)."""
-    return x.lo_float() > c if sc.is_interval(x) else x > c
+    return x.lo_float() > c if is_interval(x) else x > c
+
+
+def edge_params_from_lengths(lengths, kernel):
+    """Edge parameters -cosh(l_e) of `kernel`, each cosh on the point l_e."""
+    return EdgeParams([-cosh(kernel.point(float(l))) for l in lengths], kernel)
+
+
+@dataclass
+class GramData:
+    """One simplex's Gram matrix, cofactors (4x4 lists) and dihedral angle
+    along each local edge (a, b), a < b, as scalars."""
+
+    tet: int
+    gram: list
+    cof: list
+    theta_at_edge: dict
+
+
+@functools.lru_cache(maxsize=8)
+def simplices(data):
+    """The `GramData` of every simplex of a batched `SimplexData`."""
+    return [
+        GramData(t, [g[4 * i:4 * i + 4] for i in range(4)],
+                 [c[4 * i:4 * i + 4] for i in range(4)],
+                 dict(zip(LOCAL_EDGES, th)))
+        for t, (g, c, th) in enumerate(zip(
+            data.gram.tolist(), data.cof.tolist(), data.theta.tolist()
+        ))
+    ]
 
 
 # the scalar formulas of the stage-V labels (`gimbal.CocycleLabels`)
@@ -65,10 +129,11 @@ def sin_vertex_angle(g, i, j, k):
 
 
 def gram_matrix(tri, params, tet):
-    neg_one = point_like(params[0], -1.0)
+    neg_one = params.kernel.point(-1.0)
+    values = params.values.tolist()
     g = [[neg_one if i == j else None for j in range(4)] for i in range(4)]
     for (a, b) in LOCAL_EDGES:
-        v = params[tri.edge_class_index(tet, a, b)]
+        v = values[tri.edge_class_index(tet, a, b)]
         g[a][b] = v
         g[b][a] = v
     return g
@@ -122,19 +187,19 @@ def realization_check(g, cof=None):
     e3 = cof[0][0] + cof[1][1] + cof[2][2] + cof[3][3]
     a1 = -e3
     a0 = _det4(g, cof)
-    if not sc.surely_lt(a2, 0.0):
+    if not surely_lt(a2, 0.0):
         return False, "char-poly coefficient a2 not proven negative"
     if not surely_gt(a1, 0.0):
         return False, "char-poly coefficient a1 not proven positive"
-    if not sc.surely_lt(a0, 0.0):
+    if not surely_lt(a0, 0.0):
         return False, "determinant not proven negative"
     for i in range(4):
-        if not sc.surely_lt(cof[i][i], 0.0):
+        if not surely_lt(cof[i][i], 0.0):
             return False, f"cofactor c_{i}{i} not proven negative"
     for i in range(4):
         for j in range(i + 1, 4):
             gap = cof[i][j] * cof[i][j] - cof[i][i] * cof[j][j]
-            if not sc.surely_lt(gap, 0.0):
+            if not surely_lt(gap, 0.0):
                 return False, f"c_{i}{j}^2 < c_{i}{i} c_{j}{j} not proven"
     return True, None
 
@@ -204,11 +269,12 @@ def _dcof(g, k, l, m, n):
 
 
 def jacobian(tri, params, data=None, rows=None, cols=None):
-    """Block M with M[r][c] = d Theta_rows[r] / d nu_cols[c], simplex by
-    simplex, each entry summed over the simplices in simplex order."""
+    """Block M with M[r][c] = d Theta_rows[r] / d nu_cols[c], as nested
+    lists, simplex by simplex, each entry summed over the simplices in
+    simplex order."""
     if data is None:
         data = [simplex_data(tri, params, t) for t in range(tri.n_tets)]
-    zero = point_like(params[0], 0.0)
+    zero = params.kernel.point(0.0)
     rows = range(tri.m) if rows is None else rows
     cols = range(tri.m) if cols is None else cols
     row_at = {e: r for r, e in enumerate(rows)}

@@ -12,8 +12,7 @@ label arrays.  Tests only.
 """
 
 from hypcert import gimbal as gb
-from hypcert import scalars as sc
-from hypcert.geometry import opposite_edge
+from hypcert.geometry import EdgeParams, opposite_edge
 from hypcert.triangulation import (
     LOCAL_EDGE_INDEX,
     perm_parity,
@@ -22,6 +21,8 @@ from hypcert.triangulation import (
 from tests.geometry_oracle import (
     cos_dihedral,
     cos_vertex_angle,
+    midpoint,
+    simplices,
     sin_dihedral,
     sin_vertex_angle,
 )
@@ -95,13 +96,13 @@ def label_matrix(labels, letter):
     one, zero = _one_zero(labels)
     if letter["kind"] == "b":
         tet, s0, _s1 = letter["token"]
-        g = labels.data[tet].gram
+        g = simplices(labels.data)[tet].gram
         i, j, k = s0[0], s0[2], s0[1]
         return middle_edge_matrix(
             cos_vertex_angle(g, i, j, k), sin_vertex_angle(g, i, j, k), one, zero
         )
     tet, sigma = letter["tet"], letter["s_start"]
-    cof = labels.data[tet].cof
+    cof = simplices(labels.data)[tet].cof
     i, j = opposite_edge(sigma[0], sigma[1])
     c, s = cos_dihedral(cof, i, j), sin_dihedral(cof, i, j)
     return rotation_matrix(c, s if perm_parity(sigma) == -1 else -s, one, zero)
@@ -109,7 +110,7 @@ def label_matrix(labels, letter):
 
 def theta_interval(labels, tet, a, b):
     """The dihedral angle of simplex `tet` at its edge {a, b}."""
-    return labels.data[tet].theta_at_edge[(min(a, b), max(a, b))]
+    return simplices(labels.data)[tet].theta_at_edge[(min(a, b), max(a, b))]
 
 
 def prism_holonomy(labels, link, pid):
@@ -151,7 +152,8 @@ def edge_end_directions(tri, params, vertex_class=0, links=None):
     the vertex (the z-axis of any corner frame on that polygon).  Returns
     {pid: direction}, in the frame of the first corner.
     """
-    labels = gb.CocycleLabels(tri, [float(sc.midpoint(v)) for v in params.values])
+    floats = [float(midpoint(v)) for v in params.values.tolist()]
+    labels = gb.CocycleLabels(tri, EdgeParams(floats))
     if links is None:
         link = vertex_link_hexagon_complex(tri, vertex_class)
     else:

@@ -27,12 +27,10 @@ class LinkComplex:
     vertex_class: int
     corners: list  # (tet, a), sorted
     hexagons: dict  # corner -> list of 6 letter dicts
-    lv_of: dict  # (tet, sigma) -> canonical link-vertex id
     beta_pairs: dict  # beta token -> (corner, corner)
     beta_of_corner: dict  # corner -> list of beta tokens in boundary order
     prism_ends: list  # PrismEnd, sorted by pid
     gamma_to_end: dict  # gamma token (tet,a,b) -> pid
-    ends_of_class: dict  # edge class -> list of pids in this link
     lv_to_pid: dict = field(default_factory=dict)  # link vertex -> its polygon
 
     @property
@@ -137,7 +135,6 @@ def vertex_link_hexagon_complex(tri, vertex_class):
 
     prism_ends = []
     gamma_to_end = {}
-    ends_of_class = {}
     unvisited = set(gamma_endpoints)
     comps = []
     while unvisited:
@@ -171,18 +168,15 @@ def vertex_link_hexagon_complex(tri, vertex_class):
         for lv in lvs:
             lv_to_pid[lv] = pid
         prism_ends.append(PrismEnd(pid, cls, comp, frozenset(lvs)))
-        ends_of_class.setdefault(cls, []).append(pid)
 
     return LinkComplex(
         vertex_class=k,
         corners=corners,
         hexagons=hexagons,
-        lv_of=lv_of,
         beta_pairs=beta_pairs,
         beta_of_corner=beta_of_corner,
         prism_ends=prism_ends,
         gamma_to_end=gamma_to_end,
-        ends_of_class=ends_of_class,
         lv_to_pid=lv_to_pid,
     )
 

@@ -181,7 +181,7 @@ def test_criterion_05_cocycle_closure(hyperbolic_triangulations, verified_all):
     cells = 0
     for name, tri in hyperbolic_triangulations.items():
         box = verified_all[name].box
-        labels = gb.CocycleLabels(tri, box.nu)
+        labels = gb.CocycleLabels(tri, geo.EdgeParams(box.nu, FLOAT_KERNEL))
         failures = check_cocycle_closure(tri, labels)
         assert failures == [], (name, failures[:3])
         cells += tri.n_tets * 14  # 4 small + 4 big hexagons + 6 rectangles
@@ -195,7 +195,7 @@ def test_criterion_06_polygon_identities(hyperbolic_triangulations, verified_all
     for name, tri in hyperbolic_triangulations.items():
         res = verified_all[name]
         box = res.box
-        labels = gb.CocycleLabels(tri, box.nu)
+        labels = gb.CocycleLabels(tri, geo.EdgeParams(box.nu, FLOAT_KERNEL))
         links = [tr.vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
         for loop in res.box.loops:
             link = links[loop.vertex_class]
@@ -334,10 +334,10 @@ def test_criterion_10_krawczyk_unit_check():
     k = FloatKernel()
 
     def f(xs):
-        return [xs[0] * xs[0] - 2.0]
+        return xs * xs - 2.0
 
     def jac(xs):
-        return [[xs[0] * 2.0]]
+        return (xs * 2.0)[None]
 
     X = [k.interval(1.41, 1.42)]
     centre = verify.KrawczykCentre(f, [1.4142], [[0.35356]], k)

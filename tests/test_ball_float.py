@@ -377,7 +377,7 @@ def test_non_finite_label_gives_infinite_radius():
 
 def _stage5_inputs(tri, result):
     box = result.box
-    labels = gb.CocycleLabels(tri, box.nu, data=box.gram_data)
+    labels = gb.CocycleLabels(tri, geo.EdgeParams(box.nu, FLOAT_KERNEL), data=box.gram_data)
     return labels, box
 
 

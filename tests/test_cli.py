@@ -414,11 +414,12 @@ def test_python_m_hypcert_without_arguments_exits_one():
 
 
 def test_probe_gimbal_degree_one_edge_exit_one(tmp_path):
-    # `check` accepts the gluing; the probe's vertex link cannot be built
+    # parsing rejects the gluing, so every command that reads it exits 1
     f = tmp_path / "degree_one.tri"
     f.write_text(DEGREE_ONE_TEXT)
-    assert _python_m_hypcert("check", str(f)).returncode == 0
-    proc = _python_m_hypcert("probe-gimbal", str(f))
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error: edge class 2 has degree 1")
-    assert "Traceback" not in proc.stderr + proc.stdout
+    for args in (["check"], ["certify"], ["probe-gimbal"], ["recheck"]):
+        extra = [str(tmp_path / "no.json")] if args == ["recheck"] else []
+        proc = _python_m_hypcert(*args, str(f), *extra)
+        assert proc.returncode == 1, args
+        assert proc.stderr.startswith("error: edge class 2 has degree 1"), args
+        assert "Traceback" not in proc.stderr + proc.stdout

@@ -14,10 +14,17 @@ import numpy as np
 import pytest
 
 from hypcert import geometry as geo
-from hypcert import scalars as sc
 from hypcert import triangulation as tr
 from hypcert import verify
-from hypcert.interval import FLOAT_KERNEL, Interval, IntervalArray, MPInterval, MPKernel
+from hypcert.interval import (
+    FLOAT_KERNEL,
+    REAL_KERNEL,
+    Interval,
+    IntervalArray,
+    MPInterval,
+    MPKernel,
+    RealKernel,
+)
 from tests import geometry_oracle as oracle
 from tests.test_geometry import _bits, _fixture_param_sets
 from tests.test_gimbal import _scaling_member
@@ -38,7 +45,10 @@ def verified_inputs(hyperbolic_triangulations, verified_all):
 
 
 def bits(x):
-    """Every endpoint of a scalar, or of nested lists and dicts of them."""
+    """Every endpoint of a scalar, or of kernel arrays, nested lists and
+    dicts of them."""
+    if isinstance(x, (np.ndarray, IntervalArray)):
+        return bits(x.tolist())
     if isinstance(x, dict):
         return {k: bits(v) for k, v in x.items()}
     if isinstance(x, list):
@@ -53,7 +63,7 @@ def raised(fn, exc=geo.RealizationError):
 
 
 def kernel_of_kind(kind):
-    return {"float": sc.REAL_KERNEL, "interval53": FLOAT_KERNEL,
+    return {"float": REAL_KERNEL, "interval53": FLOAT_KERNEL,
             "mp80": MPKernel(80)}[kind]
 
 
@@ -64,11 +74,11 @@ def test_simplex_data_and_angle_sums_match_oracle(name, kind, verified_inputs):
     params = _fixture_param_sets(result)[kind]
     data = geo.simplex_data(tri, params)
     want = [oracle.simplex_data(tri, params, t) for t in range(tri.n_tets)]
-    for t in range(tri.n_tets):
-        assert data[t].tet == t
-        assert bits(data[t].gram) == bits(want[t].gram)
-        assert bits(data[t].cof) == bits(want[t].cof)
-        assert bits(data[t].theta_at_edge) == bits(want[t].theta_at_edge)
+    for t, got in enumerate(oracle.simplices(data)):
+        assert got.tet == t
+        assert bits(got.gram) == bits(want[t].gram)
+        assert bits(got.cof) == bits(want[t].cof)
+        assert bits(got.theta_at_edge) == bits(want[t].theta_at_edge)
     sums = bits(oracle.angle_sums(tri, params, data=want))
     assert bits(geo.angle_sums(tri, params)) == sums
     assert bits(geo.angle_sums(tri, params, data=data)) == sums
@@ -150,7 +160,7 @@ def test_first_failure_message_matches_oracle(kind, s3):
         vals = [rng.uniform(lo, hi) for _ in range(s3.m)]
         if kind != "float":
             vals = [_widened(v, rng, k) for v in vals]
-        params = geo.EdgeParams(vals, check=False)
+        params = geo.EdgeParams(vals, k, check=False)
         want = _oracle_failure(s3, params)
         if want is None:
             geo.simplex_data(s3, params)
@@ -197,7 +207,7 @@ def test_two_bad_simplices_raise_the_first(kind, dodec27a):
         for (a, b) in tr.LOCAL_EDGES:
             e = dodec27a.edge_class_index(tet, a, b)
             nu[e] = k.interval(p0[e] - 0.3, p0[e] + 0.3)
-    params = geo.EdgeParams(nu)
+    params = geo.EdgeParams(nu, k)
     bad = [t for t in range(dodec27a.n_tets)
            if not oracle.realization_check(oracle.gram_matrix(dodec27a, params, t))[0]]
     assert len(bad) >= 2
@@ -222,7 +232,7 @@ def _shrunk_sqrt(monkeypatch, kind):
 
     if kind == "float":
         monkeypatch.setattr(oracle, "sqrt", shrink(math.sqrt))
-        monkeypatch.setattr(sc.RealKernel, "sqrt", staticmethod(shrink(np.sqrt)))
+        monkeypatch.setattr(RealKernel, "sqrt", staticmethod(shrink(np.sqrt)))
     elif kind == "interval53":
         monkeypatch.setattr(Interval, "sqrt", shrink(Interval.sqrt))
         monkeypatch.setattr(IntervalArray, "sqrt", shrink(IntervalArray.sqrt))
@@ -258,7 +268,7 @@ def test_angle_gap_is_checked_on_every_simplex(dodec27a):
     # fails the Jacobian with the oracle's message, first simplex first
     k = FLOAT_KERNEL
     p0 = [-math.cosh(float(l)) for l in dodec27a.lengths]
-    params = geo.EdgeParams([k.point(v) for v in p0])
+    params = geo.EdgeParams([k.point(v) for v in p0], k)
     data = geo.simplex_data(dodec27a, params)
     want = [oracle.simplex_data(dodec27a, params, t) for t in range(dodec27a.n_tets)]
     for t, (i, j) in ((4, (0, 1)), (11, (1, 3))):
@@ -267,7 +277,7 @@ def test_angle_gap_is_checked_on_every_simplex(dodec27a):
         )
         cof = [list(row) for row in want[t].cof]
         cof[i][j] = cof[j][i] = cof[i][i] + cof[j][j]
-        want[t] = geo.GramData(t, want[t].gram, cof, want[t].theta_at_edge)
+        want[t] = oracle.GramData(t, want[t].gram, cof, want[t].theta_at_edge)
     expected = raised(lambda: oracle.jacobian(dodec27a, params, data=want))
     assert expected == "tet 4: degenerate angle gap at faces (0,1)"
     assert raised(lambda: geo.jacobian(dodec27a, params, data=data)) == expected
@@ -289,7 +299,7 @@ def test_earlier_arccos_failure_wins_over_later_realization_failure(
     far = max(t for t in range(dodec27a.n_tets) if not edges(t) & edges(0))
     for e in edges(far):
         nu[e] = k.interval(p0[e] - 0.3, p0[e] + 0.3)
-    params = geo.EdgeParams(nu)
+    params = geo.EdgeParams(nu, k)
     assert not oracle.realization_check(oracle.gram_matrix(dodec27a, params, far))[0]
     _shrunk_sqrt(monkeypatch, kind)
     want = _oracle_failure(dodec27a, params)

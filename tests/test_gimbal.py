@@ -53,8 +53,8 @@ def random_realized_labels(t, rng, kernel=None):
         vals = [-1.0 - rng.uniform(0.05, 2.0) for _ in range(t.m)]
         try:
             if kernel is None:
-                return gb.CocycleLabels(t, vals), vals
-            params = [kernel.point(v) for v in vals]
+                return gb.CocycleLabels(t, geo.EdgeParams(vals)), vals
+            params = geo.EdgeParams([kernel.point(v) for v in vals], kernel)
             return gb.CocycleLabels(t, params), vals
         except geo.RealizationError:
             continue
@@ -104,7 +104,7 @@ def test_gamma_reversal_inverts(s3m):
 
 
 def test_identified_middle_edges_share_labels(dodec27a, verified27a):
-    labels = gb.CocycleLabels(dodec27a, verified27a.box.nu)
+    labels = gb.CocycleLabels(dodec27a, geo.EdgeParams(verified27a.box.nu, FLOAT_KERNEL))
     link = tr.vertex_link_hexagon_complex(dodec27a, 0)
     # the two hexagons adjacent to a middle edge fetch one label slot, and
     # so one row of the ball table
@@ -164,7 +164,7 @@ def test_cocycle_closure_detects_wrong_index_rule(s3m):
 def test_prism_holonomy_s3(s3m):
     k = FloatKernel()
     v = -2.0
-    labels = gb.CocycleLabels(s3m, [k.point(v)] * 6)
+    labels = gb.CocycleLabels(s3m, geo.EdgeParams([k.point(v)] * 6, k))
     link = tr.vertex_link_hexagon_complex(s3m, 0)
     theta = math.acos(-v / (1 - 2 * v))
     c2, s2 = math.cos(2 * theta), math.sin(2 * theta)
@@ -180,7 +180,7 @@ def test_prism_holonomy_s3(s3m):
 
 def test_prism_holonomy_single_incidence_synthetic(s3m):
     k = FloatKernel()
-    labels = gb.CocycleLabels(s3m, [k.point(-2.0)] * 6)
+    labels = gb.CocycleLabels(s3m, geo.EdgeParams([k.point(-2.0)] * 6, k))
     link = tr.vertex_link_hexagon_complex(s3m, 0)
     end = link.prism_ends[0]
     solo = tr.PrismEnd(0, end.edge_class, end.gammas[:1], end.boundary_lvs)
@@ -199,7 +199,7 @@ def test_prism_holonomy_single_incidence_synthetic(s3m):
 
 def test_prism_holonomy_certified_encloses_identity(dodec27a, verified27a):
     box = verified27a.box
-    labels = gb.CocycleLabels(dodec27a, box.nu)
+    labels = gb.CocycleLabels(dodec27a, geo.EdgeParams(box.nu, FLOAT_KERNEL))
     link = tr.vertex_link_hexagon_complex(dodec27a, 0)
     for end in link.prism_ends[:6]:
         H = prism_holonomy(labels, link, end.pid)
@@ -258,7 +258,8 @@ def test_loop_missing_polygon_error(dodec27a):
 def _point_labels(tri, values):
     """Labels over point intervals: interval labels whose ball midpoints
     are (nearly) the float labels at `values`."""
-    return gb.CocycleLabels(tri, [FLOAT_KERNEL.point(v) for v in values])
+    return gb.CocycleLabels(tri, geo.EdgeParams([FLOAT_KERNEL.point(v) for v in values],
+                                                FLOAT_KERNEL))
 
 
 def test_gimbal_derivative_finite_differences(dodec27a):
@@ -292,7 +293,7 @@ def test_gimbal_derivative_finite_differences(dodec27a):
 def test_absent_variable_gives_zero_block(dodec30x2, verified_all):
     res = verified_all["dodec30x2"]
     box, part = res.box, res.partition
-    labels = gb.CocycleLabels(dodec30x2, box.nu)
+    labels = gb.CocycleLabels(dodec30x2, geo.EdgeParams(box.nu, FLOAT_KERNEL))
     links = [tr.vertex_link_hexagon_complex(dodec30x2, k) for k in range(2)]
     loops = gb.build_loops_for_partition(dodec30x2, part.e_sim, links=links)
     theta_boxes = [box.theta[e] for e in part.e_sim]
@@ -339,7 +340,7 @@ def test_edge_direction_table(name, hyperbolic_triangulations, verified_all):
     tri = hyperbolic_triangulations[name]
     params = geo.EdgeParams.from_lengths([float(l) for l in tri.lengths])
     links = [tr.vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
-    table = gb.edge_direction_table(tri, gb.CocycleLabels(tri, list(params.values)), links)
+    table = gb.edge_direction_table(tri, gb.CocycleLabels(tri, params), links)
     assert table.shape == (3 * tri.o, tri.m)
     for k, link in enumerate(links):
         dirs = edge_end_directions(tri, params, k, links)
@@ -372,7 +373,7 @@ def test_lock_check_avoided_on_fixture(dodec27a, verified27a):
 
 def test_gimbal_function_zero_at_full_turns(dodec27a, verified27a):
     box = verified27a.box
-    labels = gb.CocycleLabels(dodec27a, box.nu)
+    labels = gb.CocycleLabels(dodec27a, geo.EdgeParams(box.nu, FLOAT_KERNEL))
     turns = [TWO_PI] * len(verified27a.partition.e_sim)
     for loop in box.loops:
         g0 = gimbal_function(loop, labels, turns)
@@ -626,11 +627,11 @@ def _gimbal_inputs(tri):
     M = geo.jacobian(tri, geo.EdgeParams(p0))
     rows, cols = verify.select_submatrix(M, tri.m - 3 * tri.o)
     part = verify.make_partition(tri, rows, cols)
-    params = geo.EdgeParams([k.point(v) for v in p0])
+    params = geo.EdgeParams([k.point(v) for v in p0], k)
     labels = gb.CocycleLabels(tri, params)
     sums = geo.angle_sums(tri, params, data=labels.data)
     loops = gb.build_loops_for_partition(tri, part.e_sim)
-    return loops, labels, [sums[e] for e in part.e_sim]
+    return loops, labels, sums[part.e_sim].tolist()
 
 
 def _entries(dg):
@@ -723,7 +724,7 @@ def test_gimbal_jacobian_bytes_pinned(name, hyperbolic_triangulations, verified_
     else:
         tri, result = hyperbolic_triangulations[name], verified_all[name]
     box, e_sim = result.box, result.partition.e_sim
-    labels = gb.CocycleLabels(tri, box.nu, data=box.gram_data)
+    labels = gb.CocycleLabels(tri, geo.EdgeParams(box.nu, FLOAT_KERNEL), data=box.gram_data)
     loops = gb.build_loops_for_partition(tri, e_sim)
     theta_boxes = [box.theta[e] for e in e_sim]
 

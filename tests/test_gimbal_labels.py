@@ -24,14 +24,21 @@ import pytest
 from hypcert import geometry as geo
 from hypcert import gimbal as gb
 from hypcert import triangulation as tr
-from hypcert.interval import FLOAT_KERNEL, DomainError, Interval, MPInterval, MPKernel
-from hypcert.scalars import REAL_KERNEL
+from hypcert.interval import (
+    FLOAT_KERNEL,
+    REAL_KERNEL,
+    DomainError,
+    Interval,
+    MPInterval,
+    MPKernel,
+)
 from tests.ball_oracle import scalar_ball_from_interval_mat3
 from tests.conftest import S3_TEXT
+from tests.geometry_oracle import edge_params_from_lengths
 from tests.gimbal_oracle import label_matrix, label_of
 from tests.test_gimbal import _scaling_member
 
-KERNELS = {"float": None, "53": FLOAT_KERNEL, "80": MPKernel(80)}
+KERNELS = {"float": REAL_KERNEL, "53": FLOAT_KERNEL, "80": MPKernel(80)}
 
 
 def _bits(x):
@@ -93,7 +100,7 @@ def scaling12():
 def test_batched_labels_are_bitwise_the_scalar_formulas(name, kind, hyperbolic_triangulations,
                                                         scaling12):
     tri = scaling12 if name == "scaling12" else hyperbolic_triangulations[name]
-    params = geo.EdgeParams.from_lengths([float(l) for l in tri.lengths], KERNELS[kind])
+    params = edge_params_from_lengths(tri.lengths, KERNELS[kind])
     assert _check_labels(tri, params) == 36 * tri.n_tets
 
 
@@ -101,7 +108,8 @@ def test_batched_labels_are_bitwise_the_scalar_formulas(name, kind, hyperbolic_t
 def test_batched_labels_at_the_certified_box(name, hyperbolic_triangulations, verified_all):
     # the box stage V labels: wide intervals, not points
     tri = hyperbolic_triangulations[name]
-    assert _check_labels(tri, verified_all[name].box.nu) == 36 * tri.n_tets
+    params = geo.EdgeParams(verified_all[name].box.nu, FLOAT_KERNEL)
+    assert _check_labels(tri, params) == 36 * tri.n_tets
 
 
 @pytest.mark.parametrize("kind", list(KERNELS))
@@ -112,9 +120,8 @@ def test_batched_labels_on_random_simplices(kind):
     done = 0
     while done < 8:
         vals = [-1.0 - rng.uniform(0.05, 2.0) for _ in range(tri.m)]
-        params = vals if kernel is None else [kernel.point(v) for v in vals]
         try:
-            _check_labels(tri, params)
+            _check_labels(tri, geo.EdgeParams([kernel.point(v) for v in vals], kernel))
         except geo.RealizationError:
             continue
         done += 1

@@ -65,18 +65,40 @@ def scalar_or_error(fn):
         return type(exc), str(exc)
 
 
-@st.composite
-def matrix_pairs(draw):
-    r, n, c = (draw(st.integers(1, 8)) for _ in range(3))
-    a = [[draw(entries) for _ in range(n)] for _ in range(r)]
-    b = [[draw(entries) for _ in range(c)] for _ in range(n)]
-    return a, b
+# The matrix products below draw a shape and a seed, and fill the entries
+# from a numpy generator seeded with it, in the mixes of the strategies
+# above: drawing every entry with Hypothesis took most of their time.
+
+
+def random_endpoints(rng, shape):
+    """Floats mixed as `endpoints` mixes them: SPECIAL values, any float
+    but NaN (random bit patterns) and floats in [-10, 10], a third each."""
+    special = np.array(SPECIAL)[rng.integers(len(SPECIAL), size=shape)]
+    anything = rng.integers(0, 2 ** 64, size=shape, dtype=np.uint64).view(float)
+    anything[np.isnan(anything)] = inf
+    return np.choose(rng.integers(3, size=shape), [special, anything,
+                                                   rng.uniform(-10.0, 10.0, shape)])
+
+
+def random_hulls(x, y, point):
+    """[x, x] where `point`, else the hull of x and y, as nested lists."""
+    lo = np.where(point, x, np.minimum(x, y))
+    hi = np.where(point, x, np.maximum(x, y))
+    return [[Interval(l, h) for l, h in zip(lr, hr)] for lr, hr in zip(lo.tolist(), hi.tolist())]
+
+
+def random_entries(rng, shape):
+    """Intervals mixed as `entries` mixes them: points and hulls of two
+    endpoints, half each."""
+    return random_hulls(random_endpoints(rng, shape), random_endpoints(rng, shape),
+                        rng.random(shape) < 0.5)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(matrix_pairs())
-def test_array_mat_mul_encloses_exact_product(ab):
-    a, b = ab
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+def test_array_mat_mul_encloses_exact_product(r, n, c, seed):
+    rng = np.random.default_rng(seed)
+    a, b = random_entries(rng, (r, n)), random_entries(rng, (n, c))
     k = FLOAT_KERNEL
     assert_encloses_exact(k.mat_mul(k.array(a), k.array(b)).tolist(), a, b)
 
@@ -139,36 +161,37 @@ def test_mat_mul_encloses_long_radius_sums():
 
 ZERO = Interval(0.0, 0.0)
 HUGE = [inf, -inf, 1.7e308, -1.7e308]
-huge_endpoints = st.one_of(st.sampled_from(HUGE), endpoints)
-huge_entries = st.tuples(st.sampled_from(HUGE), huge_endpoints).map(
-    lambda ab: Interval(min(ab), max(ab))
-)
-zeros = st.sampled_from([ZERO, Interval(-0.0, -0.0), Interval(-0.0, 0.0)])
+ZEROS = [ZERO, Interval(-0.0, -0.0), Interval(-0.0, 0.0)]
 
 
-@st.composite
-def sparse_matrices(draw, r, c):
+def random_sparse(rng, r, c):
     """r x c entries, at least half of them the point [0, 0], with whole
     zero rows, columns or all entries zero now and then, and the other
-    entries often infinite or near the float range, so that sums overflow."""
-    nonzero = st.one_of(entries, huge_entries, huge_endpoints.map(Interval.point))
-    cells = [(i, j) for i in range(r) for j in range(c)]
-    n_zero = draw(st.one_of(st.just(len(cells)), st.integers((len(cells) + 1) // 2, len(cells))))
-    zero_cells = set(draw(st.permutations(cells))[:n_zero])
-    structure = draw(st.sampled_from(["scattered", "row", "column"]))
-    zero_line = draw(st.integers(0, max(r, c) - 1))
-    for i, j in cells:
-        if (structure == "row" and i == zero_line) or (structure == "column" and j == zero_line):
-            zero_cells.add((i, j))
-    return [[draw(zeros) if (i, j) in zero_cells else draw(nonzero) for j in range(c)]
-            for i in range(r)]
+    entries often infinite or near the float range, so that sums overflow:
+    a third each `random_entries`, points at a huge endpoint and hulls of a
+    HUGE value and a huge endpoint, a huge endpoint being HUGE or
+    `random_endpoints` at even odds."""
+    cells = r * c
+    n_zero = cells if rng.random() < 0.5 else rng.integers((cells + 1) // 2, cells + 1)
+    zero = np.zeros(cells, dtype=bool)
+    zero[rng.permutation(cells)[:n_zero]] = True
+    zero = zero.reshape(r, c)
+    structure, line = rng.integers(3), rng.integers(max(r, c))
+    if structure == 1 and line < r:
+        zero[line, :] = True
+    if structure == 2 and line < c:
+        zero[:, line] = True
 
+    def huge():
+        return np.array(HUGE)[rng.integers(len(HUGE), size=(r, c))]
 
-@st.composite
-def sparse_matrix_pairs(draw):
-    # up to 16 terms per entry, so that some entries keep three or more
-    r, n, c = draw(st.integers(1, 8)), draw(st.integers(1, 16)), draw(st.integers(1, 8))
-    return draw(sparse_matrices(r, n)), draw(sparse_matrices(n, c)), draw(st.booleans())
+    huge_endpoints = np.where(rng.random((r, c)) < 0.5, huge(), random_endpoints(rng, (r, c)))
+    kind = rng.integers(3, size=(r, c))
+    hulls = random_hulls(huge_endpoints, huge(), kind == 2)
+    dense = random_entries(rng, (r, c))
+    zeros = rng.integers(len(ZEROS), size=(r, c)).tolist()
+    return [[ZEROS[zeros[i][j]] if zero[i, j] else dense[i][j] if kind[i, j] == 0
+             else hulls[i][j] for j in range(c)] for i in range(r)]
 
 
 def with_negative_zeros(arr):
@@ -179,11 +202,14 @@ def with_negative_zeros(arr):
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(sparse_matrix_pairs())
-def test_zero_heavy_mat_mul_encloses_exact_product(abz):
+@given(st.integers(1, 8), st.integers(1, 16), st.integers(1, 8), st.integers(0, 2 ** 32 - 1),
+       st.booleans())
+def test_zero_heavy_mat_mul_encloses_exact_product(r, n, c, seed, negative_zeros):
     # infinite and near-overflow entries make some entries [-inf, inf]; an
-    # entry whose every term has a factor [0, 0] stays [0, 0] all the same
-    a, b, negative_zeros = abz
+    # entry whose every term has a factor [0, 0] stays [0, 0] all the same;
+    # up to 16 terms per entry, so that some entries keep three or more
+    rng = np.random.default_rng(seed)
+    a, b = random_sparse(rng, r, n), random_sparse(rng, n, c)
     k = FLOAT_KERNEL
     aa, ba = k.array(a), k.array(b)
     if negative_zeros:
@@ -491,7 +517,7 @@ def test_lift_is_exact_and_hull_undoes_it(prec):
     a = IntervalArray(np.array([0.1, -1e300, 5e-324, -inf]), np.array([0.3, 2.0, 1e-310, inf]))
     lifted = k.lift(a)
     for x, lo, hi in zip(lifted.tolist(), a.lo.tolist(), a.hi.tolist()):
-        assert x.kernel.precision == prec
+        assert getattr(x, "prec", 53) == prec
         assert (x.lo_float(), x.hi_float()) == (lo, hi)
     back = k.float_hull(lifted)
     assert back.lo.tolist() == a.lo.tolist() and back.hi.tolist() == a.hi.tolist()

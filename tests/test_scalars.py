@@ -1,13 +1,13 @@
 """The interval protocol shared by `Interval` and `MPInterval`, and the
-scalar helpers that generic formulas call: those of `hypcert.scalars`, and
-the ones only the tests' scalar formulas need (`tests/geometry_oracle.py`)."""
+scalar helpers of the tests' scalar formulas (`tests/geometry_oracle.py`),
+which read the kind of number off a value where the pipeline carries it
+in a kernel."""
 
 import math
 
 import numpy as np
 import pytest
 
-from hypcert import scalars as sc
 from hypcert.interval import DomainError, Interval, MPInterval
 from tests import geometry_oracle as go
 
@@ -24,13 +24,14 @@ def make(request):
 
 def test_kernel_builds_same_kind_and_precision(make):
     x = make(1.0, 2.0)
+    kernel = go.kernel_of(x)
     for c in (0.0, -1.0, 0.1, 3):
-        p = x.kernel.point(c)
+        p = kernel.point(c)
         assert type(p) is type(x)
-        assert p.kernel.precision == x.kernel.precision
+        assert go.kernel_of(p).precision == kernel.precision
         assert p.lo_float() == p.hi_float() == float(c)
-    assert x.kernel.interval(0.5, 1.5).kernel.precision == x.kernel.precision
-    assert getattr(x.kernel.point(0.3), "prec", 53) == x.kernel.precision
+    assert go.kernel_of(kernel.interval(0.5, 1.5)).precision == kernel.precision
+    assert getattr(kernel.point(0.3), "prec", 53) == kernel.precision
 
 
 def test_float_bounds_bracket(make):
@@ -55,9 +56,9 @@ def test_sqrt_nonneg_clamps_and_rejects(make):
 
 
 def test_is_interval_tells_numbers_from_intervals(make):
-    assert sc.is_interval(make(1.0, 2.0))
+    assert go.is_interval(make(1.0, 2.0))
     for v in (1, 1.5, np.float64(1.5)):
-        assert not sc.is_interval(v)
+        assert not go.is_interval(v)
         assert go.point_like(v, 2) == 2.0
     p = go.point_like(make(1.0, 2.0), -1.0)
     assert type(p) is type(make(1.0, 2.0)) and p.mid() == -1.0
@@ -69,8 +70,8 @@ def test_is_interval_tells_numbers_from_intervals(make):
         (go.sqrt, 2.0),
         (go.sqrt_nonneg, 2.0),
         (go.arccos, 0.3),
-        (sc.cosh, 1.3),
-        (sc.midpoint, -0.25),
+        (go.cosh, 1.3),
+        (go.midpoint, -0.25),
     ],
 )
 def test_helpers_agree_on_floats_and_points(make, fn, c):
@@ -78,10 +79,10 @@ def test_helpers_agree_on_floats_and_points(make, fn, c):
     for v in (c, np.float64(c)):
         assert fn(v) == want
     got = fn(make(c, c))
-    if sc.is_interval(got):
+    if go.is_interval(got):
         assert got.lo_float() <= want + 4 * math.ulp(want)
         assert want - 4 * math.ulp(want) <= got.hi_float()
-        got = sc.midpoint(got)
+        got = go.midpoint(got)
     assert got == pytest.approx(want, rel=4e-16)
 
 
@@ -89,7 +90,7 @@ def test_sign_tests_agree_on_floats_and_points(make):
     for c in (-2.5, -1.0 - 1e-9, 0.5):
         x = make(c, c)
         for t in (-1.0, 0.0):
-            assert sc.surely_lt(x, t) == sc.surely_lt(c, t) == (c < t)
+            assert go.surely_lt(x, t) == go.surely_lt(c, t) == (c < t)
             assert go.surely_gt(x, t) == go.surely_gt(c, t) == (c > t)
     wide = make(-1.5, -0.5)
-    assert not sc.surely_lt(wide, -1.0) and not go.surely_gt(wide, -1.0)
+    assert not go.surely_lt(wide, -1.0) and not go.surely_gt(wide, -1.0)

@@ -8,7 +8,14 @@ import pytest
 from hypcert import geometry as geo
 from hypcert import gimbal
 from hypcert import verify
-from hypcert.interval import FLOAT_KERNEL, FloatKernel, MPInterval, MPKernel, contains_two_pi
+from hypcert.interval import (
+    FLOAT_KERNEL,
+    REAL_KERNEL,
+    FloatKernel,
+    MPInterval,
+    MPKernel,
+    contains_two_pi,
+)
 from tests import krawczyk_oracle
 from tests.geometry_oracle import point_like
 from tests.matrix_oracle import assert_encloses_exact
@@ -83,14 +90,22 @@ def test_pivot_partition_gives_invertible_subsystem(dodec27a):
 # -- step II: the Krawczyk operator ------------------------------------------
 
 
+def _on_arrays(kernel, f, jac):
+    """f and its Jacobian, written on lists of scalars, in the protocol of
+    `KrawczykCentre` and `krawczyk_step`: kernel arrays in and out, the
+    Jacobian on 53-bit arrays."""
+    return (lambda v: kernel.array(f(v.tolist())),
+            lambda v: FLOAT_KERNEL.array(jac(v.tolist())))
+
+
 def test_krawczyk_scalar_instance():
     k = FloatKernel()
 
     def f(xs):
-        return [xs[0] * xs[0] - 2.0]
+        return xs * xs - 2.0
 
     def jac(xs):
-        return [[xs[0] * 2.0]]
+        return (xs * 2.0)[None]
 
     X = [k.interval(1.41, 1.42)]
     centre = verify.KrawczykCentre(f, [1.4142], [[0.35356]], k)
@@ -112,6 +127,8 @@ def test_krawczyk_synthetic_system_contains_true_root():
         x, y = xs
         return [[x * 2.0, y * 2.0], [y, x]]
 
+    f, jac = _on_arrays(k, f, jac)
+
     mpmath.mp.prec = 120
     gx, gy = mpmath.mpf("1.9"), mpmath.mpf("0.5")
     for _ in range(80):
@@ -131,10 +148,10 @@ def test_krawczyk_scalar_mp_kernel():
     k = MPKernel(100)
 
     def f(xs):
-        return [xs[0] * xs[0] - 2.0]
+        return xs * xs - 2.0
 
     def jac(xs):
-        return [[xs[0] * 2.0]]
+        return (xs * 2.0)[None]
 
     enc = verify._certify_root(f, jac, [1.41421356237], [[0.35355339]], k, 1e-11)
     assert enc is not None
@@ -270,7 +287,7 @@ def test_partition_check_raises_on_bad_input():
 def _partial_by_loops(f_iv, x0, C, kernel):
     # the centre term x0 - sum_j C[:, j] f(x0)[j], one scalar at a time
     x0_iv = [kernel.point(v) for v in x0]
-    fx0 = f_iv(x0_iv)
+    fx0 = f_iv(kernel.array(x0_iv)).tolist()
     partial = []
     for i in range(len(x0)):
         acc = x0_iv[i]
@@ -293,7 +310,7 @@ def _krawczyk_by_loops(f_iv, jac_iv, x0, X, C, kernel):
         return f64.interval(x.lo_float(), x.hi_float())
 
     x0_iv = [kernel.point(v) for v in x0]
-    JX = jac_iv([hull(x) for x in X])
+    JX = jac_iv(f64.array([hull(x) for x in X])).tolist()
     dX = [hull(x - p) for x, p in zip(X, x0_iv)]
     C_iv = f64.array(np.asarray(C, dtype=float))
     CJ = f64.mat_mul(C_iv, f64.array(JX)).tolist()
@@ -319,6 +336,7 @@ def test_krawczyk_step_matches_entrywise_operator(kernel):
         one, zero = point_like(x, 1.0), point_like(x, 0.0)
         return [[x * 2.0, one, zero], [y, x, zero], [one, z, y]]
 
+    f_iv, jac_iv = _on_arrays(kernel, f_iv, jac_iv)
     x0 = [1.01, 1.98, 0.003]
     C = np.linalg.inv(np.array([[2.02, 1, 0], [1.98, 1.01, 0], [1, 0.003, 1.98]])).tolist()
     X = [kernel.interval(v - 0.05, v + 0.05) for v in x0]
@@ -344,6 +362,8 @@ def test_certify_root_evaluates_f_once_per_centre(kernel):
         x, y, z = v
         one, zero = point_like(x, 1.0), point_like(x, 0.0)
         return [[x * 2.0, one, zero], [y, x, zero], [one, z, y]]
+
+    f_iv, jac_iv = _on_arrays(kernel, f_iv, jac_iv)
 
     # the root (1, 2, 0) is singular; (-2, -1, -3) is not.  Centred on that
     # root, every contracted box still contains the centre, so refinement
@@ -400,11 +420,11 @@ def test_jacobian_and_gimbal_labels_are_53_bit_at_every_precision(dodec27a, monk
     label_bounds = gimbal.CocycleLabels.label_bounds
 
     def spy_jacobian(tri, params, *args, **kwargs):
-        seen.append(("jacobian", params.values))
+        seen.append(("jacobian", params.values.tolist()))
         return jacobian(tri, params, *args, **kwargs)
 
     def spy_labels_init(self, tri, params, data=None):
-        seen.append(("labels", list(params)))
+        seen.append(("labels", params.values.tolist()))
         labels_init(self, tri, params, data=data)
         # the arrays every label and label ball is built from
         seen.append(("label", [x for arr in (self.dihedral_cos, self.dihedral_sin,
@@ -440,7 +460,7 @@ def test_stage_two_reuses_stage_one_float_data(dodec27a, verified27a, monkeypatc
 
     def counting(fn, name):
         def wrapper(tri, params, *args, **kwargs):
-            if isinstance(params[0], float):
+            if params.kernel is REAL_KERNEL:
                 calls.append(name)
             return fn(tri, params, *args, **kwargs)
         return wrapper
@@ -458,7 +478,7 @@ def test_stage_two_reuses_stage_one_float_data(dodec27a, verified27a, monkeypatc
 # -- step II: the skipped inflation rounds ------------------------------------
 
 
-def _synthetic_system():
+def _synthetic_system(kernel):
     # the system of test_krawczyk_step_matches_entrywise_operator
     def f_iv(v):
         x, y, z = v
@@ -471,7 +491,7 @@ def _synthetic_system():
 
     x0 = [1.01, 1.98, 0.003]
     C = np.linalg.inv(np.array([[2.02, 1, 0], [1.98, 1.01, 0], [1, 0.003, 1.98]])).tolist()
-    return f_iv, jac_iv, x0, C
+    return (*_on_arrays(kernel, f_iv, jac_iv), x0, C)
 
 
 def _kept_system(tri, kernel, lengths=None):
@@ -492,7 +512,7 @@ def _kept_system(tri, kernel, lengths=None):
 
 def _system(name, dodec27a, kernel):
     if name == "synthetic":
-        return _synthetic_system()
+        return _synthetic_system(kernel)
     return _kept_system(dodec27a, kernel)[:4]
 
 

@@ -14,15 +14,18 @@ search), an `IntervalArray` for 53-bit intervals and an object array of
 `MPInterval` above 53 bits, so one code path serves all three kinds.  The
 Gram matrices and cofactors are (n_tets, 16) arrays, the dihedral
 quantities (n_tets, 6) arrays, the angle sums one (m,) array and a
-Jacobian block one 2-D array.  Each formula -- a cofactor, a realization
-condition, a dihedral cosine, a 2x2 determinant of a cofactor
-derivative -- is evaluated once for all of its instances and all
-simplices, its operands gathered with index tables, in the operation order
-of the per-simplex formula; every result is bit for bit the one a loop
-over simplices and scalars gives (`tests/geometry_oracle.py`).  Arccos
-endpoints are `math.acos` per element, never `np.arccos`, which may differ
-by an ulp.  The formulas avoid automatic differentiation and stay well
-defined at right dihedral angles.
+Jacobian block one 2-D array.  The cofactor matrix is symmetric by
+construction: the upper cofactors c_ij, i <= j, are expanded from one
+shared table of 2x2 minors and each c_ji is a copy of c_ij.  Each
+formula -- a 2x2 minor, a cofactor, a realization condition, a dihedral
+cosine, a 2x2 determinant of a cofactor derivative -- is evaluated once
+for all of its instances and all simplices, its operands gathered with
+index tables, in the operation order of the per-simplex formula; every
+result is bit for bit the one a loop over simplices and scalars gives
+(`tests/geometry_oracle.py`).  Arccos endpoints are `math.acos` per
+element, never `np.arccos`, which may differ by an ulp.  The formulas
+avoid automatic differentiation and stay well defined at right dihedral
+angles.
 """
 
 from __future__ import annotations
@@ -113,23 +116,38 @@ _P_JI = np.array([_ix(j, i) for (i, j) in LOCAL_EDGES])
 _DIAG = np.array([_ix(i, i) for i in range(4)])
 
 
-def _minor_table():
-    """For the 3x3 minor of every entry (i, j): the columns of its nine
-    Gram entries g[x][y], x in rows (a, b, c) without i, y in cols
-    (p, q, r) without j, keyed by the letters xy."""
-    table = {}
+def _cofactor_tables():
+    """The index tables of `_cofactors`.  The cofactor c_ij, i <= j,
+    expands along the first row a of its 3x3 minor (rows a, b, c without
+    i, columns p, q, r without j) as ap * m_qr - aq * m_pr + ar * m_pq,
+    where m_st = g[b][s] g[c][t] - g[b][t] g[c][s] is a 2x2 minor of rows
+    b, c.  The ten expansions read only 14 distinct minors.
+
+    Returns the Gram columns (bs, ct, bt, cs) of each distinct minor, each
+    (14,); the Gram columns of ap, aq, ar and the minors m_qr, m_pr, m_pq
+    of each expansion, each (10,); the expansions negated, those with
+    i + j odd; and for every entry (i, j) of the cofactor matrix the
+    expansion of (min(i, j), max(i, j)), (16,)."""
+    minors = {}  # (b, c, s, t): column of m_st in the minor table
+    upper = {}  # (i, j), i <= j: column of c_ij among the expansions
+    a_cols, m_cols = [[], [], []], [[], [], []]
     for i in range(4):
-        for j in range(4):
-            rows = dict(zip("abc", [x for x in range(4) if x != i]))
-            cols = dict(zip("pqr", [y for y in range(4) if y != j]))
-            for x, rx in rows.items():
-                for y, cy in cols.items():
-                    table.setdefault(x + y, []).append(_ix(rx, cy))
-    return {key: np.array(v) for key, v in table.items()}
+        for j in range(i, 4):
+            upper[(i, j)] = len(upper)
+            a, b, c = (x for x in range(4) if x != i)
+            p, q, r = (y for y in range(4) if y != j)
+            for slot, (y, s, t) in enumerate(((p, q, r), (q, p, r), (r, p, q))):
+                a_cols[slot].append(_ix(a, y))
+                m_cols[slot].append(minors.setdefault((b, c, s, t), len(minors)))
+    where = [[_ix(b, s), _ix(c, t), _ix(b, t), _ix(c, s)] for (b, c, s, t) in minors]
+    odd = [k for (i, j), k in upper.items() if (i + j) % 2 == 1]
+    sym = [upper[(min(i, j), max(i, j))] for i in range(4) for j in range(4)]
+    return (*np.array(where).T, *map(np.array, a_cols), *map(np.array, m_cols),
+            np.array(odd), np.array(sym))
 
 
-_MINOR = _minor_table()
-_ODD = np.array([k for k in range(16) if (k // 4 + k % 4) % 2 == 1])
+(_M_BS, _M_CT, _M_BT, _M_CS, _C_AP, _C_AQ, _C_AR, _C_QR, _C_PR, _C_PQ,
+ _C_ODD, _C_SYM) = _cofactor_tables()
 
 _REASONS = (
     "char-poly coefficient a2 not proven negative",
@@ -197,15 +215,20 @@ def _gram_index(tri):
 
 
 def _cofactors(G):
-    """All 16 signed 3x3 minors of every Gram row."""
-    g = {key: G[:, cols] for key, cols in _MINOR.items()}
-    cof = (
-        g["ap"] * (g["bq"] * g["cr"] - g["br"] * g["cq"])
-        - g["aq"] * (g["bp"] * g["cr"] - g["br"] * g["cp"])
-        + g["ar"] * (g["bp"] * g["cq"] - g["bq"] * g["cp"])
+    """The 16 cofactors of every Gram row, symmetric by construction: the
+    14 distinct 2x2 minors of the upper-triangle expansions are formed
+    once per row, each c_ij, i <= j, is expanded along the first row of
+    its minor from them, and c_ji is a copy of c_ij.  The operands and
+    their order are those of the scalar expansion (`_cofactor_tables`),
+    so every upper cofactor is bit for bit the scalar one."""
+    m = G[:, _M_BS] * G[:, _M_CT] - G[:, _M_BT] * G[:, _M_CS]
+    upper = (
+        G[:, _C_AP] * m[:, _C_QR]
+        - G[:, _C_AQ] * m[:, _C_PR]
+        + G[:, _C_AR] * m[:, _C_PQ]
     )
-    cof[:, _ODD] = -cof[:, _ODD]
-    return cof
+    upper[:, _C_ODD] = -upper[:, _C_ODD]
+    return upper[:, _C_SYM]
 
 
 def _running_sum(x):
@@ -238,8 +261,10 @@ def _unrealized(kernel, G, C):
 
 class SimplexData:
     """Gram matrices and cofactors (kernel arrays of shape (n_tets, 16))
-    and dihedral cosines ((n_tets, 6)) of all simplices.  The dihedral
-    angles `theta` are computed on first use."""
+    and dihedral cosines ((n_tets, 6)) of all simplices.  Both (n_tets,
+    16) arrays are symmetric: the cofactors are `_cofactors`, whose lower
+    entries are copies of the upper ones.  The dihedral angles `theta`
+    are computed on first use."""
 
     def __init__(self, kernel, gram, cof, cos):
         self.kernel = kernel

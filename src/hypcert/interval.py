@@ -904,6 +904,16 @@ class IntervalArray:
     def nrows(self):
         return self.lo.shape[0]
 
+    def __len__(self):
+        return len(self.lo)
+
+    def __iter__(self):
+        """Like a numpy array's: the entries of a 1-D array as
+        ``Interval``s, the rows of a higher one as ``IntervalArray``s."""
+        if self.lo.ndim == 1:
+            return iter(self.tolist())
+        return map(IntervalArray, self.lo, self.hi)
+
     def _entry(self, mask):
         """The first entry where mask holds, as an ``Interval``."""
         i = np.unravel_index(np.argmax(mask), mask.shape)

@@ -152,12 +152,16 @@ def _minor3(g, i, j):
 
 
 def cofactors(g):
-    """All 16 signed 3x3 minors; symmetric for symmetric input."""
+    """The 16 signed 3x3 minors of a symmetric g, symmetric by
+    construction: each c_ij, i <= j, is its own minor, expanded along the
+    minor's first row, and c_ji is a copy of it.  The batched code shares
+    the 2x2 minors between expansions; the operands and their order are
+    these."""
     out = [[None] * 4 for _ in range(4)]
     for i in range(4):
-        for j in range(4):
+        for j in range(i, 4):
             m = _minor3(g, i, j)
-            out[i][j] = m if (i + j) % 2 == 0 else -m
+            out[i][j] = out[j][i] = m if (i + j) % 2 == 0 else -m
     return out
 
 

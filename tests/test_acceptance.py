@@ -96,21 +96,14 @@ def test_criterion_02_soundness_negatives():
 
 
 def _fd_column(tri, vals, i, h):
-    """Central finite difference of all angle sums in one parameter, summed
-    over the simplices the edge class touches (no other angle moves)."""
-    touched = {t for (t, _, _) in tri.edge_classes[i].representatives}
-    theta = {}
+    """Central finite difference of all angle sums in one parameter, from
+    the batched float `geometry.angle_sums`."""
+    sums = {}
     for sign in (+1, -1):
         w = list(vals)
         w[i] += sign * h
-        params = geo.EdgeParams(w)
-        theta[sign] = {t: simplex_data(tri, params, t).theta_at_edge for t in touched}
-    col = [0.0] * tri.m
-    for ec in tri.edge_classes:
-        for (t, e, _) in ec.representatives:
-            if t in touched:
-                col[ec.index] += (theta[1][t][e] - theta[-1][t][e]) / (2 * h)
-    return col
+        sums[sign] = geo.angle_sums(tri, geo.EdgeParams(w))
+    return ((sums[1] - sums[-1]) / (2 * h)).tolist()
 
 
 def _richardson_column(tri, vals, i, h):

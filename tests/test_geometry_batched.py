@@ -185,6 +185,30 @@ def test_cofactors_match_oracle_on_random_gram_matrices(kind):
     C = geo._cofactors(k.array([[x for row in g for x in row] for g in gs]))
     for g, row in zip(gs, C.tolist()):
         assert bits(row) == bits([x for r in oracle.cofactors(g) for x in r])
+        # symmetric bit for bit: c_ji is a copy of c_ij
+        assert all(bits(row[4 * i + j]) == bits(row[4 * j + i])
+                   for i in range(4) for j in range(i))
+
+
+@pytest.mark.parametrize("n", [1, 7])
+def test_cofactors_make_58_products_per_simplex(n, monkeypatch):
+    # 14 shared 2x2 minors of two products and ten upper expansions of
+    # three per Gram row: at 80 bits each product is one MPInterval call
+    k = MPKernel(80)
+    rng = random.Random(n)
+    gs = [_random_gram_and_cofactors(rng)[0] for _ in range(n)]
+    G = k.array([[k.point(x) for row in g for x in row] for g in gs])
+    calls = []
+    mul = MPInterval.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(MPInterval, "__mul__", counted)
+    monkeypatch.setattr(MPInterval, "__rmul__", counted)
+    geo._cofactors(G)
+    assert len(calls) == 58 * n
 
 
 def _oracle_failure(tri, params):

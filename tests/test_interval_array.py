@@ -19,6 +19,7 @@ from hypcert import certificate as cert
 from hypcert import verify
 from hypcert.interval import (
     FLOAT_KERNEL,
+    REAL_KERNEL,
     DomainError,
     FloatKernel,
     Interval,
@@ -249,6 +250,47 @@ def test_mat_mul_at_pipeline_sparsity(n, zero_share, point_left):
     got = FLOAT_KERNEL.mat_mul(FLOAT_KERNEL.array(a), FLOAT_KERNEL.array(b)).tolist()
     exact = assert_encloses_exact(got, a, b)
     _assert_tight(got, a, b, exact)
+
+
+def _endpoints(x):
+    """A float's or a scalar interval's endpoints, or those of every entry
+    of a kernel array, as nested lists."""
+    if isinstance(x, (np.ndarray, IntervalArray)):
+        return _endpoints(x.tolist())
+    if isinstance(x, list):
+        return [_endpoints(v) for v in x]
+    if isinstance(x, float):
+        return (x, x)
+    return (x.lo_float(), x.hi_float())
+
+
+@pytest.mark.parametrize("values", [[0.5, -1.25, 3.0], [[0.5, -1.25, 3.0], [2.0, 0.0, -7.5]]])
+def test_iteration_matches_the_other_kernels(values):
+    # the same entries as plain floats, 53-bit and 80-bit intervals: len,
+    # list and zip see the same entries (1-D) or rows (2-D) in all three
+    def points(k, v):
+        return [points(k, x) for x in v] if isinstance(v, list) else k.point(v)
+
+    mp = MPKernel(80)
+    real = REAL_KERNEL.array(values)
+    f53 = FLOAT_KERNEL.array(points(FLOAT_KERNEL, values))
+    m80 = mp.array(points(mp, values))
+    assert len(f53) == len(m80) == len(real) == len(values)
+    one_d = real.ndim == 1
+    for arr, kind in ((real, float if one_d else np.ndarray),
+                      (f53, Interval if one_d else IntervalArray),
+                      (m80, MPInterval if one_d else np.ndarray)):
+        items = list(arr)
+        assert all(isinstance(x, kind) for x in items)
+        assert [_endpoints(x) for x in items] == _endpoints(real)
+    triples = list(zip(real, f53, m80))
+    assert len(triples) == len(values)
+    for x, y, z in triples:
+        assert _endpoints(y) == _endpoints(z) == _endpoints(x)
+    with pytest.raises(TypeError):  # a 0-d array, like numpy's
+        len(f53[(0,) * real.ndim])
+    with pytest.raises(TypeError):
+        iter(f53[(0,) * real.ndim])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -20,7 +20,7 @@ print(f"triangulation: {tri.n_tets} tetrahedra, {tri.m} edge classes, "
       f"{tri.o} vertex class(es)")
 
 p0 = [-math.cosh(float(l)) for l in tri.lengths]
-r0 = verify._residual_vec(tri, p0)
+r0 = verify._evaluate(tri, p0)[2]
 resid = np.max(np.abs(r0))
 print(f"candidate angle-sum residual: {resid:.2e}\n")
 

@@ -26,6 +26,24 @@ result is bit for bit the one a loop over simplices and scalars gives
 element, never `np.arccos`, which may differ by an ulp.  The formulas
 avoid automatic differentiation and stay well defined at right dihedral
 angles.
+
+A kernel call costs about the same on one entry as on hundreds, so
+independent products and quotients share one call over gathered or
+joined (`kernel.concat`) operand columns: the minors' products are one
+product, the expansions' another, and every product of the realization
+conditions and dihedral cosines one more, over the columns of [G | C].
+The Jacobian takes every 2x2 determinant of a cofactor derivative from
+one table of the 21 distinct 2x2 minors of each symmetric Gram matrix,
+whose products and the doubled cofactors are one product, and its reciprocal gap roots and
+cofactor ratios are one quotient; it forms the derivative of every
+dihedral angle of every simplex in every parameter of the simplex, and
+a block gathers its entries from them.  A product two formulas share,
+c_ii c_jj of the cosines and the angle gaps, is formed once per
+`simplex_data` and kept on `SimplexData`.  What depends only on the
+gluing -- the Gram gather index, the angle sums' representative order
+and rounds, and per Jacobian block its (simplex, local row, local
+column) triples and the rounds that sum them -- is a `_Plan` built on
+first use and kept on the `Triangulation`.
 """
 
 from __future__ import annotations
@@ -123,11 +141,13 @@ def _cofactor_tables():
     where m_st = g[b][s] g[c][t] - g[b][t] g[c][s] is a 2x2 minor of rows
     b, c.  The ten expansions read only 14 distinct minors.
 
-    Returns the Gram columns (bs, ct, bt, cs) of each distinct minor, each
-    (14,); the Gram columns of ap, aq, ar and the minors m_qr, m_pr, m_pq
-    of each expansion, each (10,); the expansions negated, those with
-    i + j odd; and for every entry (i, j) of the cofactor matrix the
-    expansion of (min(i, j), max(i, j)), (16,)."""
+    Returns the Gram columns of the minors' two products, left and right
+    factors, (28,): g[b][s] g[c][t] of every distinct minor, then g[b][t]
+    g[c][s]; the Gram columns and minors of the expansions' three
+    products, (30,): ap and m_qr of every expansion, then aq and m_pr,
+    then ar and m_pq; the expansions negated, those with i + j odd; and
+    for every entry (i, j) of the cofactor matrix the expansion of
+    (min(i, j), max(i, j)), (16,)."""
     minors = {}  # (b, c, s, t): column of m_st in the minor table
     upper = {}  # (i, j), i <= j: column of c_ij among the expansions
     a_cols, m_cols = [[], [], []], [[], [], []]
@@ -139,15 +159,44 @@ def _cofactor_tables():
             for slot, (y, s, t) in enumerate(((p, q, r), (q, p, r), (r, p, q))):
                 a_cols[slot].append(_ix(a, y))
                 m_cols[slot].append(minors.setdefault((b, c, s, t), len(minors)))
-    where = [[_ix(b, s), _ix(c, t), _ix(b, t), _ix(c, s)] for (b, c, s, t) in minors]
+    bs, ct, bt, cs = np.array([[_ix(b, s), _ix(c, t), _ix(b, t), _ix(c, s)]
+                               for (b, c, s, t) in minors]).T
     odd = [k for (i, j), k in upper.items() if (i + j) % 2 == 1]
     sym = [upper[(min(i, j), max(i, j))] for i in range(4) for j in range(4)]
-    return (*np.array(where).T, *map(np.array, a_cols), *map(np.array, m_cols),
-            np.array(odd), np.array(sym))
+    return (np.r_[bs, bt], np.r_[ct, cs], np.concatenate(a_cols),
+            np.concatenate(m_cols), np.array(odd), np.array(sym))
 
 
-(_M_BS, _M_CT, _M_BT, _M_CS, _C_AP, _C_AQ, _C_AR, _C_QR, _C_PR, _C_PQ,
- _C_ODD, _C_SYM) = _cofactor_tables()
+_M_LEFT, _M_RIGHT, _C_A, _C_M, _C_ODD, _C_SYM = _cofactor_tables()
+
+# The products of the realization conditions and the dihedral angles, as
+# columns of [G | C] (cofactor (i, j) at column 16 + 4 i + j), left and
+# right factors: g_ii g_jj and g_ij g_ji of each pair i < j, the terms of
+# the coefficient a2; g_0j c_0j, the terms of det g along row 0; and c_ii
+# c_jj and c_ij c_ij about the faces (i, j) of each local edge.
+_R_LEFT = np.r_[_P_II, _P_IJ, 0:4, 16 + _F_II, 16 + _F_IJ]
+_R_RIGHT = np.r_[_P_JJ, _P_JI, 16:20, 16 + _F_JJ, 16 + _F_IJ]
+# the differences of those products: a2's terms, then the angle gaps
+# c_ii c_jj - c_ij^2
+_R_PLUS = np.r_[0:6, 16:22]
+_R_MINUS = np.r_[6:12, 22:28]
+
+
+def _sum_rounds(lengths):
+    """Rounds that sum runs of consecutive columns, of the given lengths,
+    each left to right and all side by side: the first column of every
+    run, then for each d > 0 the runs longer than d and their d-th
+    columns."""
+    starts = np.cumsum([0, *lengths[:-1]])
+    later = []
+    for d in range(1, max(lengths)):
+        live = np.array([i for i, n in enumerate(lengths) if n > d])
+        later.append((live, starts[live] + d))
+    return starts, later
+
+
+# a2's six terms, the four c_kk and the four terms of det g along row 0
+_SUMS = _sum_rounds((6, 4, 4))
 
 _REASONS = (
     "char-poly coefficient a2 not proven negative",
@@ -175,28 +224,129 @@ def _dcof_terms(k, l, m, n):
     return terms, (k + l) % 2 == 1
 
 
-def _dcof_table(pairs):
-    """The derivative of each cofactor c_kl, (k, l) in pairs, in each local
-    edge parameter, as arrays indexed [pair, local edge]: the number of
-    determinants; per determinant slot its Gram columns (r0c0, r1c1, r0c1,
-    r1c0) and whether it is negated (a missing second determinant repeats
-    the first); and whether the sum is negated."""
-    count = np.zeros((len(pairs), 6), dtype=np.int8)
-    where = np.zeros((len(pairs), 6, 2, 4), dtype=np.int8)
-    negated = np.zeros((len(pairs), 6, 2), dtype=bool)
-    sum_negated = np.zeros((len(pairs), 6), dtype=bool)
-    for s, (k, l) in enumerate(pairs):
-        for c, (m, n) in enumerate(LOCAL_EDGES):
-            terms, sum_negated[s, c] = _dcof_terms(k, l, m, n)
-            count[s, c] = len(terms)
-            for slot, (r0, c0, r1, c1, neg) in enumerate((terms + terms)[:2]):
-                where[s, c, slot] = (_ix(r0, c0), _ix(r1, c1), _ix(r0, c1), _ix(r1, c0))
-                negated[s, c, slot] = neg
-    return count, where, negated, sum_negated
+def _derivative_tables():
+    """The index tables of `_derivatives`, over the columns of one simplex.
+
+    Every 2x2 determinant of a cofactor derivative (`_dcof_terms`) is a
+    minor g[a][s] g[b][t] - g[a][t] g[b][s] of G, rows a < b and columns
+    s < t, its operands in that order, the rows and columns of local
+    edges R and C.  G is symmetric entry for entry, so the minor of (C, R)
+    has the same first product and the second commuted, which gives the
+    same bits: the table holds the 21 minors with R <= C.  The derivatives
+    are every dc_kk that does not vanish, in the parameter of each local
+    edge c without the end k, then dc_ij, (i, j) the faces of local edge
+    a, in the parameter of each local edge c, at 12 + 6 a + c.
+
+    Returns the Gram columns of the minors' products, left and right
+    factors, (42,): g[a][s] g[b][t] of every minor, then g[a][t] g[b][s];
+    the minor of every derivative's first determinant, then of the second
+    determinant of those with two; which of these determinants are
+    negated; the derivatives with two determinants; the derivatives
+    negated; the positions 6 a + c with a term c_ij/(2 c_ii) dc_ii, and
+    with a term c_ij/(2 c_jj) dc_jj; and for those terms, face i first,
+    their ratio's column in `_derivatives`' quotient and their dc_kk."""
+    pairs = [(R, C) for R in range(6) for C in range(R, 6)]
+    minor = {}  # (R, C) and (C, R): column of their minor
+    for x, (R, C) in enumerate(pairs):
+        minor[(R, C)] = minor[(C, R)] = x
+    rows_cols = [(*LOCAL_EDGES[R], *LOCAL_EDGES[C]) for (R, C) in pairs]
+    minor_left = ([_ix(a, s) for (a, b, s, t) in rows_cols]
+                  + [_ix(a, t) for (a, b, s, t) in rows_cols])
+    minor_right = ([_ix(b, t) for (a, b, s, t) in rows_cols]
+                   + [_ix(b, s) for (a, b, s, t) in rows_cols])
+    derivs = [((k, k), c) for k in range(4) for c, e in enumerate(LOCAL_EDGES) if k not in e]
+    diag = {(k, c): x for x, ((k, _), c) in enumerate(derivs)}
+    derivs += [(tuple(f), c) for f in _FACES for c in range(6)]
+    first, second, two, sum_negated = [], [], [], []
+    for (k, l), c in derivs:
+        terms, negated = _dcof_terms(k, l, *LOCAL_EDGES[c])
+        dets = [(minor[(LOCAL_EDGE_INDEX[(r0, r1)], LOCAL_EDGE_INDEX[(c0, c1)])], neg)
+                for (r0, c0, r1, c1, neg) in terms]
+        first.append(dets[0])
+        second += dets[1:]
+        two.append(len(dets) == 2)
+        sum_negated.append(negated)
+    faces = ([], [])  # per face: (position 6 a + c, ratio column, dc_kk)
+    for a, ij in enumerate(_FACES):
+        for c in range(6):
+            for slot, k in enumerate(ij):
+                if (k, c) in diag:
+                    faces[slot].append((6 * a + c, 6 + 6 * slot + a, diag[(k, c)]))
+    (pos_i, ratio_i, diag_i), (pos_j, ratio_j, diag_j) = (zip(*f) for f in faces)
+    minors, negated = zip(*(first + second))
+    return (np.array(minor_left), np.array(minor_right), np.array(minors),
+            np.array(negated), np.array(two), np.array(sum_negated), np.array(pos_i),
+            np.array(pos_j), np.array(ratio_i + ratio_j), np.array(diag_i + diag_j))
 
 
-_D_OFF = _dcof_table([tuple(f) for f in _FACES])  # d c_ij, [local row, col]
-_D_DIAG = _dcof_table([(k, k) for k in range(4)])  # d c_kk, [k, col]
+(_J_LEFT, _J_RIGHT, _DC_MINOR, _DC_NEGATED, _DC_TWO, _DC_SUM_NEGATED, _T_I, _T_J,
+ _T_RATIO, _T_DC) = _derivative_tables()
+_N_DIAG = 12  # the dc_kk that do not vanish, four faces times three edges
+_T_ROW = np.repeat(np.arange(6), 6)  # the local row a of each position 6 a + c
+_J_DEN = np.r_[_F_II, _F_JJ]  # c_ii, then c_jj, per local edge
+_J_NUM = np.r_[_F_IJ, _F_IJ]
+
+
+# ---------------------------------------------------------------------------
+# index plans
+# ---------------------------------------------------------------------------
+
+
+def _rounds(target):
+    """Split term indices into rounds that add each target's terms in
+    index order: round d holds the d-th term of every target with more
+    than d terms, so no round has a target twice."""
+    order = np.argsort(target, kind="stable")
+    starts = np.flatnonzero(np.r_[True, np.diff(target[order]) != 0])
+    sizes = np.diff(np.r_[starts, len(target)])
+    rank = np.empty(len(target), dtype=np.intp)
+    rank[order] = np.arange(len(target)) - np.repeat(starts, sizes)
+    return [np.flatnonzero(rank == d) for d in range(rank.max() + 1)]
+
+
+class _Plan:
+    """What `simplex_data`, `angle_sums` and `jacobian` gather and sum by,
+    which depends only on the gluing: the Gram gather index, the angle
+    sums' representatives and rounds, and one `_Block` per Jacobian block
+    asked for.  Built once per triangulation (`_plan`)."""
+
+    def __init__(self, tri):
+        self.m = tri.m
+        self.edges = tri.edge_table
+        # (n_tets, 16) Gram entries as edge classes; the diagonal, which is
+        # -1, reads class 0
+        self.gram = np.zeros((tri.n_tets, 16), dtype=np.intp)
+        for e, (a, b) in enumerate(LOCAL_EDGES):
+            self.gram[:, _ix(a, b)] = self.gram[:, _ix(b, a)] = self.edges[:, e]
+        # by class index; the stable sort keeps each class's representative
+        # order
+        reps = sorted(((ec.index, t, LOCAL_EDGE_INDEX[e]) for ec in tri.edge_classes
+                       for (t, e, _) in ec.representatives), key=lambda r: r[0])
+        cls, tets, edges = (np.array(x, dtype=np.intp) for x in zip(*reps))
+        self.reps = tets, edges
+        self.sum_first, *later = _rounds(cls)
+        self.sum_later = [(sel, cls[sel]) for sel in later]
+        self.blocks = {}
+
+    def block(self, rows, cols):
+        """The `_Block` of rows x cols (None: every class), built on first
+        use."""
+        key = (None if rows is None else tuple(rows), None if cols is None else tuple(cols))
+        if key not in self.blocks:
+            self.blocks[key] = _Block(self, rows, cols)
+        return self.blocks[key]
+
+
+def _plan(tri):
+    """The triangulation's `_Plan`, kept on it from the first use on."""
+    if tri.geometry_plan is None:
+        tri.geometry_plan = _Plan(tri)
+    return tri.geometry_plan
+
+
+def _constant(kernel, x, shape):
+    """The kernel array of `shape` with the point x everywhere."""
+    return kernel.array([kernel.point(x)])[np.zeros(shape, dtype=np.intp)]
 
 
 # ---------------------------------------------------------------------------
@@ -204,73 +354,82 @@ _D_DIAG = _dcof_table([(k, k) for k in range(4)])  # d c_kk, [k, col]
 # ---------------------------------------------------------------------------
 
 
-def _gram_index(tri):
-    """(n_tets, 16) Gram entries as edge classes; the diagonal, which is -1,
-    reads class 0."""
-    edges = tri.edge_table
-    index = np.zeros((tri.n_tets, 16), dtype=np.intp)
-    for e, (a, b) in enumerate(LOCAL_EDGES):
-        index[:, _ix(a, b)] = index[:, _ix(b, a)] = edges[:, e]
-    return index
-
-
 def _cofactors(G):
     """The 16 cofactors of every Gram row, symmetric by construction: the
     14 distinct 2x2 minors of the upper-triangle expansions are formed
     once per row, each c_ij, i <= j, is expanded along the first row of
-    its minor from them, and c_ji is a copy of c_ij.  The operands and
-    their order are those of the scalar expansion (`_cofactor_tables`),
-    so every upper cofactor is bit for bit the scalar one."""
-    m = G[:, _M_BS] * G[:, _M_CT] - G[:, _M_BT] * G[:, _M_CS]
-    upper = (
-        G[:, _C_AP] * m[:, _C_QR]
-        - G[:, _C_AQ] * m[:, _C_PR]
-        + G[:, _C_AR] * m[:, _C_PQ]
-    )
+    its minor from them, and c_ji is a copy of c_ij.  The minors' 28
+    products are one kernel product, the expansions' 30 another; the
+    operands and their order are those of the scalar expansion
+    (`_cofactor_tables`), so every upper cofactor is bit for bit the
+    scalar one."""
+    p = G[:, _M_LEFT] * G[:, _M_RIGHT]
+    m = p[:, :14] - p[:, 14:]
+    x = G[:, _C_A] * m[:, _C_M]
+    upper = x[:, :10] - x[:, 10:20] + x[:, 20:]
     upper[:, _C_ODD] = -upper[:, _C_ODD]
     return upper[:, _C_SYM]
 
 
-def _running_sum(x):
-    """The columns of x summed left to right."""
-    acc = x[:, 0]
-    for k in range(1, x.shape[1]):
-        acc = acc + x[:, k]
+def _running_sums(x, first, later):
+    """The runs of columns of x that `_sum_rounds` describes, each summed
+    left to right, as the columns of one array."""
+    acc = x[:, first]
+    for live, cols in later:
+        acc[:, live] = acc[:, live] + x[:, cols]
     return acc
 
 
-def _unrealized(kernel, G, C):
-    """(n_tets, 13) booleans: the conditions for a finite non-flat simplex
-    that each Gram matrix is not proven to satisfy, in the order of
-    `_REASONS`.  With intervals a condition holds only over the whole
-    enclosure, so an enclosure touching a boundary fails conservatively."""
+def _realization(kernel, G, C):
+    """The realization conditions of every Gram row, and the products the
+    dihedral angles share with them.
+
+    Returns (failed, cc, gap): (n_tets, 13) booleans, the conditions for a
+    finite non-flat simplex that each Gram matrix is not proven to
+    satisfy, in the order of `_REASONS`; and c_ii c_jj and the angle gap
+    c_ii c_jj - c_ij^2 about the faces (i, j) of each local edge, (n_tets,
+    6) each.  All products are one kernel product over the columns of [G |
+    C].  With intervals a condition holds only over the whole enclosure,
+    so an enclosure touching a boundary fails conservatively."""
     # characteristic polynomial x^4 + 4x^3 + a2 x^2 + a1 x + a0 (diag is -1,
     # so the trace term is fixed); signs of a2, a1, a0 decide the signature
-    a2 = _running_sum(G[:, _P_II] * G[:, _P_JJ] - G[:, _P_IJ] * G[:, _P_JI])
-    a1 = -_running_sum(C[:, _DIAG])
-    a0 = _running_sum(G[:, 0:4] * C[:, 0:4])  # det g along row 0
-    gap = C[:, _P_IJ] * C[:, _P_IJ] - C[:, _P_II] * C[:, _P_JJ]
-    return np.column_stack([
+    w = kernel.concat([G, C])
+    p = w[:, _R_LEFT] * w[:, _R_RIGHT]
+    d = p[:, _R_PLUS] - p[:, _R_MINUS]
+    sums = _running_sums(kernel.concat([d[:, :6], C[:, _DIAG], p[:, 12:16]]), *_SUMS)
+    a2, a1, a0 = sums[:, 0], -sums[:, 1], sums[:, 2]  # a0 = det g along row 0
+    gap = d[:, 6:]
+    failed = np.column_stack([
         ~(kernel.bounds(a2)[1] < 0.0),
         ~(kernel.bounds(a1)[0] > 0.0),
         ~(kernel.bounds(a0)[1] < 0.0),
         ~(kernel.bounds(C[:, _DIAG])[1] < 0.0),
-        ~(kernel.bounds(gap)[1] < 0.0),
+        # c_ij^2 < c_ii c_jj, pairs (i, j) in LOCAL_EDGES order: the faces
+        # of the local edges in reverse order
+        ~(kernel.bounds(gap)[0] > 0.0)[:, ::-1],
     ])
+    return failed, p[:, 16:22], gap
+
+
+def _unrealized(kernel, G, C):
+    """The `failed` booleans of `_realization`."""
+    return _realization(kernel, G, C)[0]
 
 
 class SimplexData:
-    """Gram matrices and cofactors (kernel arrays of shape (n_tets, 16))
-    and dihedral cosines ((n_tets, 6)) of all simplices.  Both (n_tets,
-    16) arrays are symmetric: the cofactors are `_cofactors`, whose lower
-    entries are copies of the upper ones.  The dihedral angles `theta`
-    are computed on first use."""
+    """Gram matrices and cofactors (kernel arrays of shape (n_tets, 16)),
+    dihedral cosines and angle gaps c_ii c_jj - c_ij^2 ((n_tets, 6)) of
+    all simplices.  Both (n_tets, 16) arrays are symmetric: the cofactors
+    are `_cofactors`, whose lower entries are copies of the upper ones.
+    The gaps are those of the realization conditions, which the Jacobian
+    reads too.  The dihedral angles `theta` are computed on first use."""
 
-    def __init__(self, kernel, gram, cof, cos):
+    def __init__(self, kernel, gram, cof, cos, gap):
         self.kernel = kernel
         self.gram = gram
         self.cof = cof
         self.cos = cos
+        self.gap = gap
         self._theta = None
 
     @property
@@ -290,13 +449,12 @@ def simplex_data(tri, params):
     (for plain floats that is math.acos's ValueError).
     """
     kernel = params.kernel
-    G = params.values[_gram_index(tri)]
+    G = params.values[_plan(tri).gram]
     G[:, _DIAG] = kernel.point(-1.0)
     C = _cofactors(G)
-    failed = _unrealized(kernel, G, C)
+    failed, cc, gap = _realization(kernel, G, C)
     first_failed = int(np.argmax(failed.any(axis=1))) if failed.any() else tri.n_tets
-    head = C[:first_failed]
-    cos = head[:, _F_IJ] / kernel.sqrt(head[:, _F_II] * head[:, _F_JJ])
+    cos = C[:first_failed, _F_IJ] / kernel.sqrt(cc[:first_failed])
     lo, hi = kernel.bounds(cos)
     outside = (lo < -1.0) | (hi > 1.0)
     if outside.any():
@@ -309,32 +467,12 @@ def simplex_data(tri, params):
     if first_failed < tri.n_tets:
         reason = _REASONS[int(np.argmax(failed[first_failed]))]
         raise RealizationError(f"tet {first_failed}: {reason}")
-    return SimplexData(kernel, G, C, cos)
+    return SimplexData(kernel, G, C, cos, gap)
 
 
 # ---------------------------------------------------------------------------
 # sums over simplices
 # ---------------------------------------------------------------------------
-
-
-def _distinct(keys, size):
-    """The distinct keys, integers below size, in increasing order, and the
-    position of each key among them."""
-    present = np.zeros(size, dtype=bool)
-    present[keys] = True
-    return np.flatnonzero(present), (np.cumsum(present) - 1)[keys]
-
-
-def _rounds(target):
-    """Split term indices into rounds that add each target's terms in
-    index order: round d holds the d-th term of every target with more
-    than d terms, so no round has a target twice."""
-    order = np.argsort(target, kind="stable")
-    starts = np.flatnonzero(np.r_[True, np.diff(target[order]) != 0])
-    sizes = np.diff(np.r_[starts, len(target)])
-    rank = np.empty(len(target), dtype=np.intp)
-    rank[order] = np.arange(len(target)) - np.repeat(starts, sizes)
-    return [np.flatnonzero(rank == d) for d in range(rank.max() + 1)]
 
 
 def angle_sums(tri, params, data=None):
@@ -343,15 +481,11 @@ def angle_sums(tri, params, data=None):
     representative order."""
     if data is None:
         data = simplex_data(tri, params)
-    # by class index; the stable sort keeps each class's representative order
-    reps = sorted(((ec.index, t, LOCAL_EDGE_INDEX[e]) for ec in tri.edge_classes
-                   for (t, e, _) in ec.representatives), key=lambda r: r[0])
-    cls, tets, edges = (np.array(x, dtype=np.intp) for x in zip(*reps))
-    theta = data.theta[tets, edges]
-    first, *later = _rounds(cls)
-    sums = theta[first]
-    for sel in later:
-        sums[cls[sel]] = sums[cls[sel]] + theta[sel]
+    plan = _plan(tri)
+    theta = data.theta[plan.reps]
+    sums = theta[plan.sum_first]
+    for sel, cls in plan.sum_later:
+        sums[cls] = sums[cls] + theta[sel]
     return sums
 
 
@@ -369,21 +503,28 @@ def angle_sums(tri, params, data=None):
 # does exactly when k is an end of the edge mn.
 
 
-def _dcofs(G, tets, table, rows, cols):
-    """d c / d v of each instance: simplex tets[x], the cofactor of `table`
-    row rows[x] (a `_dcof_table`), local edge cols[x]; each instance has at
-    least one determinant."""
-    count, where, negated, sum_negated = (x[rows, cols] for x in table)
-    two = count == 2
-    t = np.concatenate([tets, tets[two]])
-    w = np.concatenate([where[:, 0], where[two, 1]])
-    det2 = G[t, w[:, 0]] * G[t, w[:, 1]] - G[t, w[:, 2]] * G[t, w[:, 3]]
-    neg = np.concatenate([negated[:, 0], negated[two, 1]])
-    det2[neg] = -det2[neg]
-    acc = det2[:len(tets)]
-    acc[two] = acc[two] + det2[len(tets):]
-    acc[sum_negated] = -acc[sum_negated]
-    return acc
+class _Block:
+    """The index plan of one Jacobian block rows x cols: its (simplex,
+    local row, local column) triples, in simplex order, then local edge
+    order, as positions in `_derivatives`' array, and the rounds that sum
+    every entry over its triples."""
+
+    def __init__(self, plan, rows, cols):
+        rows = list(range(plan.m) if rows is None else rows)
+        cols = list(range(plan.m) if cols is None else cols)
+        self.shape = n_rows, n_cols = len(rows), len(cols)
+        row_at = np.full(plan.m, -1, dtype=np.intp)
+        row_at[rows] = np.arange(n_rows)
+        col_at = np.full(plan.m, -1, dtype=np.intp)
+        col_at[cols] = np.arange(n_cols)
+        R, K = row_at[plan.edges], col_at[plan.edges]
+        live = (R >= 0) & (K >= 0).any(axis=1)[:, None]
+        tets, a, c = np.nonzero(live[:, :, None] & (K >= 0)[:, None, :])
+        self.at = tets, 6 * a + c
+        # every entry summed from zero over its triples, in triple order
+        r, k = R[tets, a], K[tets, c]
+        self.rounds = ([(r[sel], k[sel], sel) for sel in _rounds(r * n_cols + k)]
+                       if len(tets) else [])
 
 
 def jacobian(tri, params, data=None, rows=None, cols=None):
@@ -393,67 +534,51 @@ def jacobian(tri, params, data=None, rows=None, cols=None):
     `rows` (edge equations) and `cols` (edge variables) are lists of
     distinct edge classes; the default, all classes in canonical order,
     gives the full m x m matrix.  Only the entries of the block are
-    computed, each summed over the simplices in simplex order from zero,
-    so a block equals the same entries of the full matrix bit for bit.
+    summed, each over the simplices in simplex order from zero, so a block
+    equals the same entries of the full matrix bit for bit.
     Every simplex is still checked whole: a realization failure or a
     degenerate angle gap raises whatever block is asked for.
     """
     if data is None:
         data = simplex_data(tri, params)
-    kernel, G, C = data.kernel, data.gram, data.cof
-    gap = C[:, _F_II] * C[:, _F_JJ] - C[:, _F_IJ] * C[:, _F_IJ]
-    degenerate = ~(kernel.bounds(gap)[0] > 0.0)
+    kernel = data.kernel
+    degenerate = ~(kernel.bounds(data.gap)[0] > 0.0)
     if degenerate.any():
         t, e = np.unravel_index(np.argmax(degenerate), degenerate.shape)
         i, j = _FACES[e]
         raise RealizationError(f"tet {t}: degenerate angle gap at faces ({i},{j})")
-    rows = list(range(tri.m) if rows is None else rows)
-    cols = list(range(tri.m) if cols is None else cols)
-    n_rows, n_cols = len(rows), len(cols)
-    edges = tri.edge_table
-    row_at = np.full(tri.m, -1, dtype=np.intp)
-    row_at[rows] = np.arange(n_rows)
-    col_at = np.full(tri.m, -1, dtype=np.intp)
-    col_at[cols] = np.arange(n_cols)
-    R, K = row_at[edges], col_at[edges]
-    # the (simplex, local row, local column) triples of the block, in
-    # simplex order, then local edge order
-    live = (R >= 0) & (K >= 0).any(axis=1)[:, None]
-    tets, a, c = np.nonzero(live[:, :, None] & (K >= 0)[:, None, :])
-    M = kernel.array([kernel.point(0.0)])[np.zeros((n_rows, n_cols), dtype=np.intp)]
-    if len(tets):
-        terms = _jacobian_terms(kernel, G, C, gap, tets, a, c)
-        # every entry summed from zero over its triples, in triple order
-        r, k = R[tets, a], K[tets, c]
-        for sel in _rounds(r * n_cols + k):
-            M[r[sel], k[sel]] = M[r[sel], k[sel]] + terms[sel]
+    block = _plan(tri).block(rows, cols)
+    M = _constant(kernel, 0.0, block.shape)
+    if block.rounds:
+        terms = _derivatives(kernel, data)[block.at]
+        for r, k, sel in block.rounds:
+            M[r, k] = M[r, k] + terms[sel]
     return M
 
 
-def _jacobian_terms(kernel, G, C, gap, tets, a, c):
-    """-d theta / d v for each triple (tets[x], local row a[x], local
-    column c[x]): the dihedral angle along local edge a in the parameter of
-    local edge c."""
-    # per (simplex, local row): 1/sqrt(gap) and c_ij/(2 c_ii), c_ij/(2 c_jj)
-    rows, row_of = _distinct(tets * 6 + a, C.shape[0] * 6)
-    rt, ra = rows // 6, rows % 6
-    inv_sqrt_gap = 1.0 / kernel.sqrt(gap[rt, ra])
-    rt2 = np.concatenate([rt, rt])
-    ratio = C[rt2, np.concatenate([_F_IJ[ra], _F_IJ[ra]])] / (
-        C[rt2, np.concatenate([_F_II[ra], _F_JJ[ra]])] * 2.0
-    )
-    # dc_kk per (simplex, face k, local column), once for the rows sharing
-    # face k; it vanishes where k is an end of the column's edge
-    faces = _FACES[a]
-    key = (tets[:, None] * 4 + faces) * 6 + c[:, None]
-    needed = _D_DIAG[0][faces, c[:, None]] > 0
-    diag_keys, diag_of = _distinct(key[needed], C.shape[0] * 24)
-    diag = _dcofs(G, diag_keys // 24, _D_DIAG, diag_keys // 6 % 4, diag_keys % 6)
-    diag_at = np.zeros(key.shape, dtype=np.intp)
-    diag_at[needed] = diag_of
-    acc = _dcofs(G, tets, _D_OFF, a, c)
-    for s in (0, 1):  # face i, then face j
-        n = needed[:, s]
-        term = ratio[s * len(rows) + row_of[n]] * diag[diag_at[n, s]]
-        acc[n] = acc[n] - term
-    return -(inv_sqrt_gap[row_of] * acc)
+def _derivatives(kernel, data):
+    """-d theta / d v of every simplex, the dihedral angle along local edge
+    a in the parameter of local edge c at column 6 a + c of an (n_tets, 36)
+    kernel array, from the formula above with the vanishing dc_kk left
+    out."""
+    G, C = data.gram, data.cof
+    n = G.shape[0]
+    # the 21 minors' products, and 2 c_ii, 2 c_jj per local edge, in one
+    # product
+    p = (kernel.concat([G[:, _J_LEFT], C[:, _J_DEN]])
+         * kernel.concat([G[:, _J_RIGHT], _constant(kernel, 2.0, (n, 12))]))
+    minors = p[:, :21] - p[:, 21:42]
+    det = minors[:, _DC_MINOR]
+    det[:, _DC_NEGATED] = -det[:, _DC_NEGATED]
+    dc = det[:, :len(_DC_TWO)]
+    dc[:, _DC_TWO] = dc[:, _DC_TWO] + det[:, len(_DC_TWO):]
+    dc[:, _DC_SUM_NEGATED] = -dc[:, _DC_SUM_NEGATED]
+    # 1/sqrt(gap), c_ij/(2 c_ii) and c_ij/(2 c_jj) per local edge, in one
+    # quotient
+    q = (kernel.concat([_constant(kernel, 1.0, (n, 6)), C[:, _J_NUM]])
+         / kernel.concat([kernel.sqrt(data.gap), p[:, 42:]]))
+    term = q[:, _T_RATIO] * dc[:, _T_DC]
+    acc = dc[:, _N_DIAG:]
+    acc[:, _T_I] = acc[:, _T_I] - term[:, :len(_T_I)]
+    acc[:, _T_J] = acc[:, _T_J] - term[:, len(_T_I):]
+    return -(q[:, _T_ROW] * acc)

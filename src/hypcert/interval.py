@@ -1093,6 +1093,12 @@ class FloatKernel:
         return IntervalArray(lo, hi)
 
     @staticmethod
+    def concat(arrays):
+        """The arrays joined along their last axis."""
+        return IntervalArray(np.concatenate([a.lo for a in arrays], axis=-1),
+                             np.concatenate([a.hi for a in arrays], axis=-1))
+
+    @staticmethod
     def mat_mul(a, b):
         """a @ b for 2-D IntervalArrays, midpoint-radius on BLAS (Rump, BIT 39, 1999).
 
@@ -1197,6 +1203,10 @@ class MPKernel:
         return np.array(intervals, dtype=object)
 
     @staticmethod
+    def concat(arrays):
+        return np.concatenate(arrays, axis=-1)
+
+    @staticmethod
     def bounds(arr):
         with np.errstate(over="ignore"):  # beyond the float range: +-inf, sound
             return _LO_FLOAT(arr).astype(float), _HI_FLOAT(arr).astype(float)
@@ -1232,6 +1242,10 @@ class RealKernel:
     @staticmethod
     def array(values):
         return np.array(values, dtype=float)
+
+    @staticmethod
+    def concat(arrays):
+        return np.concatenate(arrays, axis=-1)
 
     @staticmethod
     def bounds(arr):

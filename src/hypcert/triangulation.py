@@ -101,6 +101,9 @@ class Triangulation:
     edge_table: np.ndarray = field(default=None, compare=False, repr=False)
     vertex_class_of: dict = field(default_factory=dict)  # (tet, v) -> idx
     lengths: list = None
+    # the index plans of `geometry`, which depend only on the gluing: built
+    # on first use and kept here, like edge_table
+    geometry_plan: object = field(default=None, compare=False, repr=False)
 
     @property
     def n_tets(self):

@@ -108,16 +108,24 @@ class SolveFailure(RuntimeError):
     pass
 
 
-def _residual_vec(tri, values):
-    return geo.angle_sums(tri, geo.EdgeParams(values)) - 2.0 * math.pi
+def _evaluate(tri, values):
+    """One float geometry evaluation at the parameters `values`: their
+    EdgeParams, SimplexData and residual (Theta_e - 2pi)_e.  Raises
+    RealizationError unless every simplex is realized."""
+    params = geo.EdgeParams(values)
+    data = geo.simplex_data(tri, params)
+    return params, data, geo.angle_sums(tri, params, data=data) - 2.0 * math.pi
 
 
 def bootstrap_solve(tri, init=None, max_iters=100, seed=0, tol=1e-9):
     """Damped Gauss-Newton on the full residual (Theta_e - 2pi)_e.
 
     The Jacobian has corank three per vertex at solutions, so steps use
-    the pseudo-inverse.  Unverified by design: its output is only a
-    candidate for certification.  Returns (values, residual_inf_norm).
+    the pseudo-inverse.  Every point, the start and each line-search
+    candidate, is evaluated once (`_evaluate`), and the Jacobian at the
+    current point reuses its SimplexData.  Unverified by design: its
+    output is only a candidate for certification.  Returns (values,
+    residual_inf_norm).
     """
     m = tri.m
     if init is not None:
@@ -129,31 +137,33 @@ def bootstrap_solve(tri, init=None, max_iters=100, seed=0, tol=1e-9):
         base = -math.cosh(1.0)
         values = [base * (1.0 + 0.01 * rng.uniform(-1, 1)) for _ in range(m)]
 
-    def realized(vals):
+    def evaluate(vals):
+        """`_evaluate` at vals, or None unless every simplex is realized."""
         try:
-            geo.simplex_data(tri, geo.EdgeParams(vals))
-            return True
+            return _evaluate(tri, vals)
         except geo.RealizationError:
-            return False
+            return None
 
-    if not realized(values):
+    point = evaluate(values)
+    if point is None:
         raise SolveFailure("initial parameters do not realize every simplex")
-    r = _residual_vec(tri, values)
+    params, data, r = point
     best = float(np.max(np.abs(r)))
     for _ in range(max_iters):
         if best < tol:
             break
-        J = geo.jacobian(tri, geo.EdgeParams(values))
+        J = geo.jacobian(tri, params, data=data)
         step, *_ = np.linalg.lstsq(J, -r, rcond=1e-10)
         t = 1.0
         improved = False
         for _bt in range(30):
             cand = [v + t * s for v, s in zip(values, step)]
-            if all(v < -1.0 for v in cand) and realized(cand):
-                rc = _residual_vec(tri, cand)
-                nc = float(np.max(np.abs(rc)))
+            point = evaluate(cand) if all(v < -1.0 for v in cand) else None
+            if point is not None:
+                nc = float(np.max(np.abs(point[2])))
                 if nc < best:
-                    values, r, best = cand, rc, nc
+                    values, best = cand, nc
+                    params, data, r = point
                     improved = True
                     break
             t *= 0.5
@@ -214,8 +224,9 @@ def make_partition(tri, rows, cols):
     m, o = tri.m, tri.o
     e_eq = sorted(rows)
     e_var = sorted(cols)
-    e_sim = [e for e in range(m) if e not in set(e_eq)]
-    e_fixed = [e for e in range(m) if e not in set(e_var)]
+    eq, var = set(e_eq), set(e_var)
+    e_sim = [e for e in range(m) if e not in eq]
+    e_fixed = [e for e in range(m) if e not in var]
     part = Partition(e_sim=e_sim, e_eq=e_eq, e_fixed=e_fixed, e_var=e_var)
     part.check(m, o)
     return part
@@ -467,13 +478,11 @@ def run_pipeline(
     try:
         if lengths is not None:
             p0 = [-math.cosh(float(l)) for l in lengths]
-            r0 = _residual_vec(tri, p0)
-            resid = float(np.max(np.abs(r0)))
         else:
-            p0, resid = bootstrap_solve(
-                tri, max_iters=solver_max_iters, seed=seed
-            )
-            r0 = _residual_vec(tri, p0)
+            p0, _ = bootstrap_solve(tri, max_iters=solver_max_iters, seed=seed)
+        # one float evaluation at p0 serves the residual and stage I
+        params0, data0, r0 = _evaluate(tri, p0)
+        resid = float(np.max(np.abs(r0)))
     except (SolveFailure, geo.RealizationError) as exc:
         statuses["bootstrap"] = f"failed: {exc}"
         statuses[1] = "failed: no usable candidate parameters"
@@ -488,7 +497,7 @@ def run_pipeline(
         )
         return PipelineResult(False, 1, statuses, p0=p0, residual=resid)
     try:
-        M = geo.jacobian(tri, geo.EdgeParams(p0))
+        M = geo.jacobian(tri, params0, data=data0)
         rows, cols = select_submatrix(M, h)
         partition = make_partition(tri, rows, cols)
     except (geo.RealizationError, RankDeficiency) as exc:

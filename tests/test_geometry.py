@@ -405,6 +405,9 @@ def test_jacobian_block_checks_every_angle_gap(kind, dodec27a):
     data = geo.simplex_data(dodec27a, params)
     c22_plus_c33 = data.cof[7:8, 10] + data.cof[7:8, 15]
     data.cof[7:8, 11] = data.cof[7:8, 14] = c22_plus_c33
+    # the simplex data keeps the gaps of its realization check: the gap
+    # c_22 c_33 - c_23^2 about faces (2, 3), along local edge (0, 1)
+    data.gap[7:8, 0] = data.cof[7:8, 10] * data.cof[7:8, 15] - c22_plus_c33 * c22_plus_c33
     away = _away_from(dodec27a, 7)
     full = _raised(lambda: geo.jacobian(dodec27a, params, data=data))
     block = _raised(lambda: geo.jacobian(dodec27a, params, data=data,

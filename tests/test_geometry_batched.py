@@ -289,16 +289,20 @@ def test_cosine_outside_arccos_domain_still_raises_in_the_jacobian(
 
 def test_angle_gap_is_checked_on_every_simplex(dodec27a):
     # a simplex whose angle gap the cofactors no longer prove positive
-    # fails the Jacobian with the oracle's message, first simplex first
+    # fails the Jacobian with the oracle's message, first simplex first;
+    # the simplex data keeps the gaps of its realization check, so they are
+    # formed again from the changed cofactors
     k = FLOAT_KERNEL
     p0 = [-math.cosh(float(l)) for l in dodec27a.lengths]
     params = geo.EdgeParams([k.point(v) for v in p0], k)
     data = geo.simplex_data(dodec27a, params)
     want = [oracle.simplex_data(dodec27a, params, t) for t in range(dodec27a.n_tets)]
     for t, (i, j) in ((4, (0, 1)), (11, (1, 3))):
-        data.cof[t:t + 1, 4 * i + j] = data.cof[t:t + 1, 4 * j + i] = (
-            data.cof[t:t + 1, 5 * i] + data.cof[t:t + 1, 5 * j]
-        )
+        c = data.cof[t:t + 1]
+        c_ij = c[:, 5 * i] + c[:, 5 * j]
+        data.cof[t:t + 1, 4 * i + j] = data.cof[t:t + 1, 4 * j + i] = c_ij
+        edge = tr.LOCAL_EDGES.index(tuple(x for x in range(4) if x not in (i, j)))
+        data.gap[t:t + 1, edge] = c[:, 5 * i] * c[:, 5 * j] - c_ij * c_ij
         cof = [list(row) for row in want[t].cof]
         cof[i][j] = cof[j][i] = cof[i][i] + cof[j][j]
         want[t] = oracle.GramData(t, want[t].gram, cof, want[t].theta_at_edge)

@@ -293,6 +293,20 @@ def test_iteration_matches_the_other_kernels(values):
         iter(f53[(0,) * real.ndim])
 
 
+@pytest.mark.parametrize("values", [([0.5, -1.25], [3.0]),
+                                    ([[0.5, -1.25], [2.0, 0.0]], [[3.0], [-7.5]])])
+def test_concat_matches_the_other_kernels(values):
+    # each kernel joins arrays along the last axis, entry for entry
+    def points(k, v):
+        return [points(k, x) for x in v] if isinstance(v, list) else k.point(v)
+
+    mp = MPKernel(80)
+    want = _endpoints(np.concatenate([np.array(v) for v in values], axis=-1))
+    for k in (REAL_KERNEL, FLOAT_KERNEL, mp):
+        parts = [k.array(v if k is REAL_KERNEL else points(k, v)) for v in values]
+        assert _endpoints(k.concat(parts)) == want
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(entries, entries)
 def test_array_arithmetic_is_bitwise_the_dunders(x, y):
@@ -301,6 +315,18 @@ def test_array_arithmetic_is_bitwise_the_dunders(x, y):
         want = scalar_or_error(lambda: bits([[op(x, y)]]))
         got = scalar_or_error(lambda: bits([op(xa, ya).tolist()]))
         assert got == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(entries, entries)
+def test_products_commute_bit_for_bit(x, y):
+    # the geometry reads a 2x2 minor of a symmetric Gram matrix for its
+    # transpose, whose second product has its factors swapped
+    xa, ya = IntervalArray.of([x]), IntervalArray.of([y])
+    assert bits([(xa * ya).tolist()]) == bits([(ya * xa).tolist()])
+    assert bits([[x * y]]) == bits([[y * x]])
+    xm, ym = (MPInterval.from_floats(v.lo, v.hi, 80) for v in (x, y))
+    assert ((xm * ym).lo, (xm * ym).hi) == ((ym * xm).lo, (ym * xm).hi)
 
 
 @pytest.mark.parametrize("op", ["add", "sub"])
@@ -599,7 +625,7 @@ def test_certificate_identical_with_scalar_matrix_layer(
     monkeypatch.setattr(
         FloatKernel, "from_bounds", staticmethod(np.frompyfunc(Interval, 2, 1))
     )
-    for name in ("bounds", "sqrt", "sqrt_nonneg", "arccos"):
+    for name in ("bounds", "concat", "sqrt", "sqrt_nonneg", "arccos"):
         monkeypatch.setattr(FloatKernel, name, staticmethod(getattr(MPKernel, name)))
     scalar = verify.run_pipeline(dodec27a)
     assert scalar.verified

@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -16,7 +17,9 @@ from hypcert.interval import (
     MPKernel,
     contains_two_pi,
 )
+from hypcert.triangulation import parse_file
 from tests import krawczyk_oracle
+from tests.conftest import data_path
 from tests.geometry_oracle import point_like
 from tests.matrix_oracle import assert_encloses_exact
 from tests.test_gimbal import _scaling_member
@@ -178,6 +181,37 @@ def test_bootstrap_exact_init_fixed_point(dodec27a):
 def test_bootstrap_s3_fails(s3):
     with pytest.raises(verify.SolveFailure):
         verify.bootstrap_solve(s3, init=[-2.0] * 6, max_iters=60)
+
+
+def test_bootstrap_evaluates_each_point_once(monkeypatch):
+    # s3's solve fails: every line-search candidate is one simplex_data
+    # call, and the Jacobian at the current point reuses its data
+    points = []
+    simplex_data = geo.simplex_data
+
+    def spy(tri, params):
+        points.append(tuple(params.values.tolist()))
+        return simplex_data(tri, params)
+
+    monkeypatch.setattr(geo, "simplex_data", spy)
+    tri = parse_file(data_path("s3_twotet.tri"))
+    with pytest.raises(verify.SolveFailure) as info:
+        verify.bootstrap_solve(tri)
+    assert str(info.value) == "no convergence: residual 3.903e+00 >= 1.0e-09"
+    assert len(points) > 1
+    assert len(set(points)) == len(points)
+
+
+def test_make_partition_complements_are_exact_and_sorted():
+    # the size of a 125-fold cover: m = 3,500 edges, o = 125 vertices
+    rng = random.Random(3)
+    tri = SimpleNamespace(m=3500, o=125)
+    rows = rng.sample(range(tri.m), tri.m - 3 * tri.o)
+    cols = rng.sample(range(tri.m), tri.m - 3 * tri.o)
+    part = verify.make_partition(tri, rows, cols)
+    assert part.e_eq == sorted(rows) and part.e_var == sorted(cols)
+    assert part.e_sim == sorted(set(range(tri.m)) - set(rows))
+    assert part.e_fixed == sorted(set(range(tri.m)) - set(cols))
 
 
 # -- steps III/IV and the pipeline -------------------------------------------
@@ -501,7 +535,7 @@ def _kept_system(tri, kernel, lengths=None):
     M = geo.jacobian(tri, geo.EdgeParams(p0))
     partition = verify.make_partition(tri, *verify.select_submatrix(M, tri.m - 3 * tri.o))
     jsub = np.array(M)[partition.e_eq][:, partition.e_var]
-    residual = verify._residual_vec(tri, p0)
+    residual = verify._evaluate(tri, p0)[2]
     captured = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "_certify_root", lambda *args: captured.append(args))

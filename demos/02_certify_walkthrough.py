@@ -20,20 +20,21 @@ print(f"triangulation: {tri.n_tets} tetrahedra, {tri.m} edge classes, "
       f"{tri.o} vertex class(es)")
 
 p0 = [-math.cosh(float(l)) for l in tri.lengths]
-r0 = verify._evaluate(tri, p0)[2]
+params, data, r0 = verify._evaluate(tri, p0)  # float geometry at p0
 resid = np.max(np.abs(r0))
 print(f"candidate angle-sum residual: {resid:.2e}\n")
 
-print("stage I: full-rank subsystem by full pivoting")
-M = geometry.jacobian(tri, geometry.EdgeParams(p0))  # a float ndarray
-h = tri.m - 3 * tri.o
-rows, cols = verify.select_submatrix(M, h)
-part = verify.make_partition(tri, rows, cols)
-print(f"  kept {h} of {tri.m} equations; loose edges {part.e_sim}, "
-      f"frozen parameters {part.e_fixed}")
+print("stage I: loose edges by full pivoting on the gimbal table")
+links = [vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
+T = gimbal.edge_direction_table(tri, gimbal.CocycleLabels(tri, params, data=data), links)
+_, loose = verify.select_submatrix(T, 3 * tri.o)
+print(f"  table T: {T.shape[0]} x {T.shape[1]} (3 rows per vertex, one column "
+      f"per edge); its pivots chose the loose edges {loose}")
+part, jsub = verify.select_subsystem(tri, params, data, links)
+print(f"  kept {len(part.e_eq)} of {tri.m} equations over the kept edges' "
+      f"parameters; condition of the kept block {np.linalg.cond(jsub):.1e}")
 
 print("stage II: Krawczyk enclosure of the kept equations")
-jsub = M[np.ix_(part.e_eq, part.e_var)]
 box = verify.krawczyk_certify(tri, p0, part, jsub, r0)
 print(f"  enclosure width: {max(x.width() for x in box.nu):.2e}")
 
@@ -48,7 +49,6 @@ for e, th in zip(part.e_sim, loose):
 print("stage V: excluding gimbal lock")
 # the box's 53-bit intervals, as edge parameters of the float interval kernel
 labels = gimbal.CocycleLabels(tri, geometry.EdgeParams(box.nu, FLOAT_KERNEL))
-links = [vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
 verdict = gimbal.gimbal_lock_check(tri, labels, part.e_sim, loose, links=links)
 print(f"  {verdict.reason}")
 loop = verdict.loops[0]

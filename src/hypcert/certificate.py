@@ -22,7 +22,7 @@ from mpmath import libmp
 
 from . import verify as vf
 from .interval import MPInterval, kernel_for_precision
-from .triangulation import serialize, vertex_link_hexagon_complex  # noqa: F401 (for perfbench)
+from .triangulation import serialize, vertex_link_hexagon_complex
 
 __all__ = [
     "CertificateError",
@@ -125,11 +125,12 @@ def certificate_dict(tri, result, method, timings=None):
     if not result.verified:
         out["failed_step"] = result.failed_step
     if part is not None:
+        # format 1 also lists the fixed (= loose) and variable (= kept) edges
         out["partition"] = {
             "loose": part.e_sim,
             "kept": part.e_eq,
-            "fixed": part.e_fixed,
-            "variable": part.e_var,
+            "fixed": part.e_sim,
+            "variable": part.e_eq,
         }
     if box is not None and box.nu is not None:
         p = box.precision
@@ -159,12 +160,10 @@ def parse_certificate(text):
 
 
 def _parse_box(tri, doc, kernel):
-    """The partition and the edge-parameter box of a certificate."""
+    """The partition and the edge-parameter box of a certificate.  Only the
+    loose and kept edges are read: `fixed` and `variable` repeat them."""
     try:
-        part = vf.Partition(*(
-            _edge_list(doc["partition"][key])
-            for key in ("loose", "kept", "fixed", "variable")
-        ))
+        part = vf.Partition(*(_edge_list(doc["partition"][key]) for key in ("loose", "kept")))
         part.check(tri.m, tri.o)
         if len(doc["nu"]) != tri.m:
             raise ValueError(f"nu must list {tri.m} intervals")
@@ -196,8 +195,9 @@ def recheck(tri, doc, precision=None):
     box = vf.CertifiedBox(
         nu=nu, theta=None, partition=part, precision=precision
     )
+    links = [vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
     try:
-        vf.check_gimbal_lock(tri, vf.check_realization_and_angles(tri, box))
+        vf.check_gimbal_lock(tri, vf.check_realization_and_angles(tri, box), links)
     except vf.StepFailure as exc:
         return False, f"recheck failed: {exc}"
     return True, "realization, angle sums and gimbal check reverified"

@@ -31,7 +31,8 @@ closes, so the Jacobian's column of a loose edge is, per link, the sum of
 the directions in which the edge leaves the vertex, written
 (-w_z, w_y, -w_x).  Those directions do not depend on the partition: the
 unverified partition probe reads every partition's float Jacobian off one
-table of them (`edge_direction_table`).
+table of them (`edge_direction_table`), and stage I picks the loose edges
+by full pivoting on that table (`verify.select_subsystem`).
 """
 
 from __future__ import annotations
@@ -723,12 +724,10 @@ def assemble_gimbal_jacobian(loops, labels, box_of_variable):
     return FLOAT_KERNEL.from_bounds(lo, hi)
 
 
-def build_loops_for_partition(tri, e_sim, links=None):
-    """One gimbal loop per vertex class; polygon variables indexed by the
-    position of their edge class in e_sim."""
+def build_loops_for_partition(tri, e_sim, links):
+    """One gimbal loop per vertex class, over the vertex links `links`;
+    polygon variables indexed by the position of their edge class in e_sim."""
     var_of_class = {cls: i for i, cls in enumerate(e_sim)}
-    if links is None:
-        links = [vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
     loops = []
     for link in links:
         removed = [
@@ -752,7 +751,7 @@ class GimbalVerdict:
     jacobian: IntervalArray = None
 
 
-def gimbal_lock_check(tri, labels, e_sim, theta_boxes, links=None):
+def gimbal_lock_check(tri, labels, e_sim, theta_boxes, links):
     """Step that upgrades approximate edge equations to exact ones.
 
     e_sim: edge-class indices whose angle sums are only enclosed; the box
@@ -799,72 +798,86 @@ def _invertibility_margin(dg):
 
 # ---------------------------------------------------------------------------
 # the partition probe
-#
-# At full turns every polygon letter of a loop is the identity, and the
-# rest of the word bounds a disk of hexagons, whose labels close: the whole
-# product is the identity.  So at polygon letter i the derivative
-# P R'(2 pi) S, with S the product of the letters before i and P of those
-# after, is S^T Z S, where Z = R'(0) is the cross product with e_z.  For a
-# rotation S that is the cross product with w = S^T e_z, the third row of
-# S; its (0,1), (0,2), (1,2) entries are (-w_z, w_y, -w_x).  S is the frame
-# at the letter's vertex, transported from the loop's first vertex, and w is
-# the direction in which the polygon's edge leaves the vertex: the same at
-# every boundary vertex of the polygon, since short-edge labels are
-# z-rotations.  None of this depends on the partition, so the float
-# Jacobian of every partition is a choice of columns of one table.
 # ---------------------------------------------------------------------------
 
 _SIGMA_TOL = 1e-7  # locked: sigma_min <= _SIGMA_TOL * max(sigma_max, 1)
 
 
 def edge_direction_table(tri, labels, links):
-    """The float gimbal Jacobian at full turns, one column per edge class.
+    """The float gimbal Jacobian T at full turns, one column per edge class.
 
-    `labels` are float `CocycleLabels`, read from their `label_bounds`,
-    and `links` the vertex links in vertex-class order.  On link k, frames
-    are transported from the vertex where its gimbal loops begin,
-    S(end) = label S(start) along the hexagon letters.  Each prism end adds
-    (-w_z, w_y, -w_x), w the third row of the frame at one of its boundary
-    vertices, to rows 3k..3k+2 of its edge class's column.  A path to a vertex other than the loop's differs from
-    it by closing hexagons and by polygons whose holonomies are rotations
-    by their angle sums, so columns e_sim are the partition's float
-    Jacobian up to the float point's angle-sum residuals.
+    At full turns every polygon letter of a loop is the identity and the
+    rest of the word bounds a disk of hexagons, whose labels close.  So at
+    a polygon letter the derivative P R'(2 pi) S, S the product of the
+    letters before it and P of those after, is S^T Z S, Z = R'(0): the
+    cross product with w = S^T e_z, the third row of the frame S, whose
+    (0,1), (0,2), (1,2) entries are (-w_z, w_y, -w_x).  w is the direction
+    in which the polygon's edge leaves the vertex, the same at each of its
+    boundary vertices since short-edge labels are z-rotations.  None of
+    this depends on the partition: columns e_sim of T are that partition's
+    float Jacobian up to the angle-sum residuals, and with every polygon in
+    the word the closing identity gives T M = 0 for the angle sums'
+    Jacobian M (`verify.select_subsystem`).
+
+    `labels` are float `CocycleLabels` and `links` the vertex links in
+    vertex-class order.  On link k, frames are transported along hexagon
+    letters, S(end) = label S(start), from the first vertex of its first
+    hexagon, where its loops begin, over a breadth-first tree of hexagons,
+    each entered where it shares a middle letter with its parent: stacked
+    over all links, each hexagon's letter products from its entry on, then
+    the entry frames by pointer jumping up the tree.  Each prism end adds
+    (-w_z, w_y, -w_x), w where its first short edge starts, to rows
+    3k..3k+2 of its edge class's column.
     """
-    table = np.zeros((3 * len(links), tri.m))
+    def mul(a, b):  # off BLAS, left to right: stage I pivots on T's bits, the same anywhere
+        return sum(a[..., :, k, None] * b[..., None, k, :] for k in range(3))
+
     label, _ = labels.label_bounds()
+    slots, parent, entry, step, ends = [], [], [], [], []
     for k, link in enumerate(links):
-        leaving = {}  # link vertex -> the hexagon letters starting there
-        for cycle in link.hexagons.values():
-            for letter in cycle:
-                leaving.setdefault(letter["start"], []).append(letter)
-        start = link.hexagons[link.corners[0]][0]["start"]
-        frames = {start: np.eye(3)}
-        queue = [start]
-        for lv in queue:
-            for letter in leaving[lv]:
-                if letter["end"] not in frames:
-                    frames[letter["end"]] = label[labels.slot(letter)] @ frames[lv]
-                    queue.append(letter["end"])
+        base = len(parent)
+        slots += [[labels.slot(letter) for letter in link.hexagons[c]] for c in link.corners]
+        parent += [base] * link.n_hexagons
+        entry += [0] + [-1] * (link.n_hexagons - 1)
+        step += [0] * link.n_hexagons
+        queue = [0]
+        for h in queue:  # letter 6 h + j runs from vertex j to vertex j + 1
+            for j in (1, 3, 5):
+                c, i = divmod(link.other_side[6 * h + j], 6)
+                if entry[base + c] < 0:
+                    queue.append(c)
+                    parent[base + c], entry[base + c] = base + h, i
+                    step[base + c] = (j + 1 - entry[base + h]) % 6
         for end in link.prism_ends:
-            w = frames[min(end.boundary_lvs)][2]
-            table[3 * k:3 * k + 3, end.edge_class] += (-w[2], w[1], -w[0])
+            c, i = divmod(link.slots_of_token[end.gammas[0]][0], 6)
+            ends.append((3 * k, end.edge_class, base + c, i))
+    parent, entry, step = np.array(parent), np.array(entry), np.array(step)
+    # prod[h, i]: the letters of hexagon h from its entry vertex on, i of them
+    turn = (entry[:, None] + np.arange(6)) % 6
+    letters = label[np.take_along_axis(np.array(slots), turn, 1)]
+    prod = np.tile(np.eye(3), (len(parent), 6, 1, 1))
+    for i in range(5):
+        prod[:, i + 1] = mul(letters[:, i], prod[:, i])
+    # frame[h]: the frame at h's entry relative to the one at up[h]'s
+    frame, up = prod[parent, step], parent
+    while (up[up] != up).any():
+        frame, up = mul(frame, frame[up]), up[up]
+    row, cls, h, i = np.array(ends).T
+    w = mul(prod[h, (i - entry[h]) % 6], frame[h])[:, 2]
+    table = np.zeros((3 * len(links), tri.m))
+    np.add.at(table, (row[:, None] + np.arange(3), cls[:, None]), w[:, ::-1] * (-1.0, 1.0, -1.0))
     return table
 
 
 def probe_partitions(tri, params, budget=20000, seed=0):
-    """Scan edge partitions for gimbal lock at the float level.
+    """Scan loose-edge sets for gimbal lock at the float level.
 
-    At full turns a loose edge's column of the float gimbal Jacobian is,
-    per vertex link, the sum of the directions in which the edge leaves
-    the vertex: the polygon letters are identities there and the rest of
-    each loop closes (see the comment above).  No partition changes those
-    directions, so for each candidate loose set of 3o edges the Jacobian is
-    read off one `edge_direction_table`, and its smallest singular value
-    recorded; the set is locked when that is at most 1e-7 times
-    max(1, largest).  Exhaustive when the number of partitions fits
-    the budget (always the case for one or two vertices at moderate size),
-    sampled otherwise.  `params` are float `EdgeParams`.  Rows: (partition
-    tuple, sigma_min, locked flag).
+    Each set's float gimbal Jacobian at full turns is a choice of columns
+    of one `edge_direction_table`.  Its smallest singular value is
+    recorded, and the set is locked when that is at most 1e-7 times
+    max(1, largest).  Exhaustive when the number of sets fits the budget,
+    a seeded sample otherwise.  `params` are float `EdgeParams`.  Rows:
+    (loose-edge tuple, sigma_min, locked flag).
     """
     links = [vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
     table = edge_direction_table(tri, CocycleLabels(tri, params), links)

@@ -920,7 +920,13 @@ class IntervalArray:
         return Interval(float(self.lo[i]), float(self.hi[i]))
 
     def __getitem__(self, idx):
-        return IntervalArray(self.lo[idx], self.hi[idx])
+        # the endpoints are normalised already, so a gather is kept as it is;
+        # a basic-index view is copied, so no result aliases its parent
+        out = object.__new__(IntervalArray)
+        out.lo, out.hi = self.lo[idx], self.hi[idx]
+        if np.may_share_memory(out.lo, self.lo):
+            out.lo, out.hi = out.lo.copy(), out.hi.copy()
+        return out
 
     def __setitem__(self, idx, value):
         self.lo[idx] = value.lo

@@ -2,10 +2,11 @@
 
 Five stages turn approximate edge lengths into a rigorous certificate:
 
-I    pick a full-rank subsystem of the edge equations (full-pivot
-     elimination on the float Jacobian, expecting corank three per
-     vertex) and split the edges into loose/kept equations and
-     fixed/variable parameters;
+I    pick the 3o loose edges by full pivoting on the float gimbal table
+     (`gimbal.edge_direction_table`) and keep the rest: the kept equations
+     over the kept edges' parameters are a square system, invertible
+     exactly when the loose edges avoid gimbal lock at the float point
+     (the redundancy theorem, proved at `select_subsystem`);
 II   enclose a solution of the kept equations over the variable
      parameters with the Krawczyk operator and epsilon inflation (rounds
      whose centre term leaves the box are skipped), its small Jacobian
@@ -39,7 +40,7 @@ __all__ = [
     "PipelineResult",
     "bootstrap_solve",
     "select_submatrix",
-    "make_partition",
+    "select_subsystem",
     "KrawczykCentre",
     "krawczyk_step",
     "krawczyk_certify",
@@ -61,25 +62,24 @@ class StepFailure(RuntimeError):
 
 @dataclass
 class Partition:
-    e_sim: list  # loose edges, |.| = 3o
-    e_eq: list  # kept equations, |.| = m - 3o
-    e_fixed: list  # frozen parameters, |.| = 3o
-    e_var: list  # free parameters, |.| = m - 3o
+    e_sim: list  # loose edges, |.| = 3o: enclosed sums, fixed parameters
+    e_eq: list  # kept edges, |.| = m - 3o: solved equations and parameters
+
+    @property
+    def e_var(self):  # the variable parameters are the kept edges
+        return self.e_eq
 
     def check(self, m, o):
-        """Raise ValueError unless this is a partition of m edges with 3o
-        loose and 3o fixed ones."""
+        """Raise ValueError unless this splits m edges, 3o of them loose."""
         if sorted(self.e_sim + self.e_eq) != list(range(m)):
             raise ValueError("loose and kept edges do not split the edges")
-        if sorted(self.e_fixed + self.e_var) != list(range(m)):
-            raise ValueError("fixed and variable edges do not split the edges")
-        if len(self.e_sim) != 3 * o or len(self.e_fixed) != 3 * o:
-            raise ValueError(f"need {3 * o} loose and {3 * o} fixed edges")
+        if len(self.e_sim) != 3 * o:
+            raise ValueError(f"need {3 * o} loose edges")
 
 
 @dataclass
 class CertifiedBox:
-    nu: list  # interval per edge, canonical order (points on e_fixed)
+    nu: list  # interval per edge, canonical order (points on e_sim)
     theta: list  # interval angle sum per edge
     partition: Partition
     statuses: dict = field(default_factory=dict)
@@ -175,7 +175,7 @@ def bootstrap_solve(tri, init=None, max_iters=100, seed=0, tol=1e-9):
 
 
 # ---------------------------------------------------------------------------
-# step I: full-rank subsystem by full-pivot elimination
+# step I: the loose edges by the redundancy theorem
 # ---------------------------------------------------------------------------
 
 
@@ -184,52 +184,72 @@ class RankDeficiency(RuntimeError):
 
 
 def select_submatrix(M, h):
-    """h rounds of full pivoting; returns the chosen (rows, cols).
+    """h rounds of full pivoting; returns the chosen (rows, cols), sorted.
 
     Each round takes the largest-magnitude entry outside the used rows
-    and columns (ties: lowest row, then column), clears its column with
-    row operations and its row with column operations, and records the
-    indices.  The submatrix of the original matrix on the returned index
-    sets is the certification target.
+    and columns (ties: lowest row, then column), eliminates with it, and
+    records the indices.  Only the block of rows and columns not yet used
+    is kept and updated: a used row or column is zero outside its pivot
+    once its round is done, so an update of it would subtract exact zeros.
     """
     A = np.array(M, dtype=float, copy=True)
-    n_rows, n_cols = A.shape
-    if h > min(n_rows, n_cols):
+    if h > min(A.shape):
         raise RankDeficiency(f"cannot select {h} pivots from {A.shape}")
+    row_ids, col_ids = list(range(A.shape[0])), list(range(A.shape[1]))
     rows, cols = [], []
-    row_mask = np.ones(n_rows, dtype=bool)
-    col_mask = np.ones(n_cols, dtype=bool)
     for _ in range(h):
-        B = np.abs(A)
-        B[~row_mask, :] = -1.0
-        B[:, ~col_mask] = -1.0
-        r, c = np.unravel_index(np.argmax(B), B.shape)
-        if A[r, c] == 0.0:
-            raise RankDeficiency("zero pivot before filling the expected rank")
+        r, c = divmod(int(np.argmax(np.abs(A))), A.shape[1])
         piv = A[r, c]
-        factors = A[:, c] / piv
-        factors[r] = 0.0
-        A -= np.outer(factors, A[r, :])
-        A[:, c] = 0.0
-        A[r, :] = 0.0
-        A[r, c] = piv
-        rows.append(int(r))
-        cols.append(int(c))
-        row_mask[r] = False
-        col_mask[c] = False
+        if piv == 0.0:
+            raise RankDeficiency("zero pivot before filling the expected rank")
+        rows.append(row_ids.pop(r))
+        cols.append(col_ids.pop(c))
+        A -= np.outer(A[:, c] / piv, A[r])
+        A = np.delete(np.delete(A, r, axis=0), c, axis=1)
     return sorted(rows), sorted(cols)
 
 
-def make_partition(tri, rows, cols):
-    m, o = tri.m, tri.o
-    e_eq = sorted(rows)
-    e_var = sorted(cols)
-    eq, var = set(e_eq), set(e_var)
-    e_sim = [e for e in range(m) if e not in eq]
-    e_fixed = [e for e in range(m) if e not in var]
-    part = Partition(e_sim=e_sim, e_eq=e_eq, e_fixed=e_fixed, e_var=e_var)
-    part.check(m, o)
-    return part
+def select_subsystem(tri, params, data, links):
+    """Stage I: the loose edges R, the kept edges K and the float Jacobian
+    block M[K, K] of the kept equations, M = dTheta/dnu.
+
+    `params` are the candidate's float edge parameters, `data` their
+    SimplexData and `links` the vertex links.  R is the 3o columns that
+    full pivoting picks from the float gimbal table T (3o x m,
+    `gimbal.edge_direction_table`); the fixed parameters are R and the
+    variable ones K.  Returns (Partition, M[K, K]); raises RankDeficiency
+    when T has rank below 3o, where every loose set is locked.
+
+    The redundancy theorem: M[K, K] is invertible exactly when T[:, R]
+    is, so the kept equations are independent exactly when the loose
+    edges avoid gimbal lock.  At a solution, and at the float point up to
+    its residual:
+    * T M = 0 (`gimbal.edge_direction_table`): on each vertex link, a
+      sphere, the polygons' holonomies multiply to the identity.
+    * J_l = dTheta/dl is symmetric: by Schlafli's formula each simplex's
+      angles are the gradient of 2 V + sum_e l_e theta_e in its lengths.
+      M = J_l D with D = diag(dl/dnu) nonsingular, so J_l T^T = 0, and
+      with J_l of corank 3o (three per vertex) and T of rank 3o,
+      null(J_l) = col(N), N = T^T.
+    * For A symmetric with null(A) = col(N), N of full column rank d, and
+      R of d indices with complement K, A[K, K] is invertible exactly when
+      N[R, :] is.  If N[R, :] c = 0, c != 0, then y = N c != 0 is zero on
+      R, and A[K, K] y[K] = (A y)[K] = 0.  If A[K, K] x = 0, x != 0, let y
+      be x on K and 0 on R: A y is zero on K and orthogonal to col(N), so
+      N[R, :]^T (A y)[R] = 0; N[R, :] invertible gives A y = 0, y = N c
+      and N[R, :] c = y[R] = 0, so y = 0.
+    Apply it to A = J_l: M[K, K] = J_l[K, K] D[K, K].
+    """
+    labels = gimbal.CocycleLabels(tri, params, data=data)
+    table = gimbal.edge_direction_table(tri, labels, links)
+    try:
+        _, loose = select_submatrix(table, 3 * tri.o)
+    except RankDeficiency as exc:
+        raise RankDeficiency(f"gimbal lock at the candidate: every set of {3 * tri.o} "
+                             f"loose edges is locked ({exc})") from exc
+    kept = sorted(set(range(tri.m)) - set(loose))
+    jsub = geo.jacobian(tri, params, data=data, rows=kept, cols=kept)
+    return Partition(e_sim=loose, e_eq=kept), jsub
 
 
 # ---------------------------------------------------------------------------
@@ -334,25 +354,24 @@ def _certify_root(f_iv, jac_iv, x0, C, kernel, residual_scale):
 
 def _subsystem_functions(tri, partition, fixed_values, kernel):
     """Interval residual and Jacobian of the kept equations over the
-    variable parameters, kernel arrays in and out, with the fixed parameters
-    frozen at floats (53-bit points in the Jacobian, which the operator
-    evaluates on 53-bit boxes)."""
-    e_var = partition.e_var
-    e_eq = partition.e_eq
-    # all edges at the float points; each call fills in e_var
+    kept edges' parameters, kernel arrays in and out, with the loose
+    parameters frozen at floats (53-bit points in the Jacobian, which the
+    operator evaluates on 53-bit boxes)."""
+    kept = partition.e_eq
+    # all edges at the float points; each call fills in the kept ones
     points = {k: k.array([k.point(v) for v in fixed_values]) for k in (kernel, FLOAT_KERNEL)}
     two_pi = kernel.array([kernel.two_pi()])
 
     def full_params(xs, k):
         nu = points[k].copy()
-        nu[e_var] = xs
+        nu[kept] = xs
         return geo.EdgeParams(nu, k)
 
     def f_iv(xs):
-        return geo.angle_sums(tri, full_params(xs, kernel))[e_eq] - two_pi
+        return geo.angle_sums(tri, full_params(xs, kernel))[kept] - two_pi
 
     def jac_iv(xs):
-        return geo.jacobian(tri, full_params(xs, FLOAT_KERNEL), rows=e_eq, cols=e_var)
+        return geo.jacobian(tri, full_params(xs, FLOAT_KERNEL), rows=kept, cols=kept)
 
     return f_iv, jac_iv
 
@@ -361,46 +380,30 @@ def krawczyk_certify(tri, p0, partition, jsub, residual, kernel=None):
     """Step II of the pipeline: enclose a solution of the kept equations.
 
     p0: float edge parameters approximately solving the system.  `jsub`
-    and `residual` are stage I's float e_eq x e_var Jacobian block and the
+    and `residual` are stage I's float kept x kept Jacobian block and the
     float residual vector (Theta_e - 2 pi)_e at p0.  Returns a CertifiedBox
-    with point intervals on the fixed edges; raises StepFailure on no
+    with point intervals on the loose edges; raises StepFailure on no
     containment.
     """
     if kernel is None:
         kernel = FLOAT_KERNEL
-    m, o = tri.m, tri.o
-    q = m - 3 * o
-    f_iv, jac_iv = _subsystem_functions(tri, partition, p0, kernel)
-    x0 = [p0[e] for e in partition.e_var]
-
-    if q > 0:
+    kept = partition.e_eq
+    nu = [kernel.point(v) for v in p0]
+    if kept:
+        f_iv, jac_iv = _subsystem_functions(tri, partition, p0, kernel)
         try:
             C = np.linalg.inv(np.array(jsub, dtype=float))
         except np.linalg.LinAlgError:
             raise StepFailure(2, "selected subsystem numerically singular")
-        resid = float(np.max(np.abs(np.asarray(residual)[partition.e_eq])))
-        enclosure = _certify_root(f_iv, jac_iv, x0, C, kernel, resid)
+        resid = float(np.max(np.abs(np.asarray(residual)[kept])))
+        enclosure = _certify_root(f_iv, jac_iv, [p0[e] for e in kept], C, kernel, resid)
         if enclosure is None:
-            raise StepFailure(
-                2,
-                "no interval containment: the candidate is not close enough "
-                "to a solution of the kept equations",
-            )
-    else:
-        enclosure = []
-
-    nu = [None] * m
-    for e, x in zip(partition.e_var, enclosure):
-        nu[e] = x
-    for e in partition.e_fixed:
-        nu[e] = kernel.point(p0[e])
-    return CertifiedBox(
-        nu=nu,
-        theta=None,
-        partition=partition,
-        statuses={2: "contained"},
-        precision=kernel.precision,
-    )
+            raise StepFailure(2, "no interval containment: the candidate is not close "
+                                 "enough to a solution of the kept equations")
+        for e, x in zip(kept, enclosure):
+            nu[e] = x
+    return CertifiedBox(nu=nu, theta=None, partition=partition, statuses={2: "contained"},
+                        precision=kernel.precision)
 
 
 # ---------------------------------------------------------------------------
@@ -432,17 +435,17 @@ def check_realization_and_angles(tri, box):
     return box
 
 
-def check_gimbal_lock(tri, box):
-    """Step V on a box that passed steps III and IV: records the verdict and
-    the loops, or raises StepFailure.  Labels and loose angle sums are
-    53-bit: the box's own at 53 bits, its outward float hull above."""
+def check_gimbal_lock(tri, box, links):
+    """Step V on a box that passed steps III and IV, over the vertex links
+    `links`: records the verdict and the loops, or raises StepFailure.
+    Labels and loose angle sums are 53-bit: the box's own at 53 bits, its
+    outward float hull above."""
     kernel = kernel_for_precision(box.precision)
     nu, theta = (kernel.float_hull(kernel.array(xs)) for xs in (box.nu, box.theta))
     data = box.gram_data if box.precision == 53 else None
     e_sim = box.partition.e_sim
     try:
         labels = gimbal.CocycleLabels(tri, geo.EdgeParams(nu, FLOAT_KERNEL), data=data)
-        links = [vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
         verdict = gimbal.gimbal_lock_check(tri, labels, e_sim, theta[e_sim].tolist(),
                                            links=links)
     except (geo.RealizationError, gimbal.GimbalLoopError) as exc:
@@ -488,52 +491,29 @@ def run_pipeline(
         statuses[1] = "failed: no usable candidate parameters"
         return PipelineResult(False, 1, statuses)
     statuses["bootstrap"] = f"residual {resid:.3e}"
+    partition = box = None
 
-    # step I
-    h = tri.m - 3 * tri.o
-    if h < 0:
-        statuses[1] = (
-            f"failed: {tri.m} edges cannot carry {3 * tri.o} loose ones"
-        )
-        return PipelineResult(False, 1, statuses, p0=p0, residual=resid)
+    def finish(failed_step=0, message=None):
+        if failed_step:
+            statuses[failed_step] = f"failed: {message}"
+        return PipelineResult(not failed_step, failed_step, statuses, box=box,
+                              partition=partition, p0=p0, residual=resid)
+
+    if tri.m < 3 * tri.o:
+        return finish(1, f"{tri.m} edges cannot carry {3 * tri.o} loose ones")
+    links = [vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
     try:
-        M = geo.jacobian(tri, params0, data=data0)
-        rows, cols = select_submatrix(M, h)
-        partition = make_partition(tri, rows, cols)
+        partition, jsub = select_subsystem(tri, params0, data0, links)
     except (geo.RealizationError, RankDeficiency) as exc:
-        statuses[1] = f"failed: {exc}"
-        return PipelineResult(False, 1, statuses, p0=p0, residual=resid)
-    statuses[1] = f"kept {h} equations of {tri.m}"
-
-    # stage I's float data at p0 serves step II
-    jsub = M[np.ix_(partition.e_eq, partition.e_var)]
-
-    # step II
+        return finish(1, exc)
+    statuses[1] = f"kept {len(partition.e_eq)} equations of {tri.m}"
     try:
         box = krawczyk_certify(tri, p0, partition, jsub, r0, kernel=kernel)
-    except StepFailure as exc:
-        statuses[2] = f"failed: {exc.message}"
-        return PipelineResult(False, 2, statuses, partition=partition, p0=p0,
-                              residual=resid)
-    statuses[2] = "solution of kept equations enclosed"
-
-    # steps III and IV
-    try:
+        statuses[2] = "solution of kept equations enclosed"
         box = check_realization_and_angles(tri, box)
+        statuses[3], statuses[4] = box.statuses[3], box.statuses[4]
+        box = check_gimbal_lock(tri, box, links)
     except StepFailure as exc:
-        statuses[exc.step] = f"failed: {exc.message}"
-        return PipelineResult(False, exc.step, statuses, partition=partition,
-                              box=box, p0=p0, residual=resid)
-    statuses[3] = box.statuses[3]
-    statuses[4] = box.statuses[4]
-
-    # step V
-    try:
-        box = check_gimbal_lock(tri, box)
-    except StepFailure as exc:
-        statuses[5] = f"failed: {exc.message}"
-        return PipelineResult(False, 5, statuses, partition=partition, box=box,
-                              p0=p0, residual=resid)
+        return finish(exc.step, exc.message)
     statuses[5] = box.statuses[5]
-    return PipelineResult(True, 0, statuses, box=box, partition=partition,
-                          p0=p0, residual=resid)
+    return finish()

@@ -1,9 +1,10 @@
+import math
 import pathlib
 
 import pytest
 
 from hypcert import verify
-from hypcert.triangulation import parse, parse_file
+from hypcert.triangulation import parse, parse_file, vertex_link_hexagon_complex
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "hypcert" / "data"
 
@@ -80,3 +81,17 @@ def verified_all(hyperbolic_triangulations):
         assert result.verified, (name, result.statuses)
         out[name] = result
     return out
+
+
+def links_of(tri):
+    """The vertex links of `tri`, in vertex-class order."""
+    return [vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
+
+
+def stage_one(tri, lengths=None):
+    """Stage I as `run_pipeline` runs it on `tri` at `lengths` (its own by
+    default): (p0, the float residual at p0, the partition, the float kept
+    Jacobian block)."""
+    p0 = [-math.cosh(float(l)) for l in (lengths or tri.lengths)]
+    params, data, residual = verify._evaluate(tri, p0)
+    return (p0, residual, *verify.select_subsystem(tri, params, data, links_of(tri)))

@@ -10,7 +10,11 @@ arithmetic, and `assert_encloses_exact` the property that `FloatKernel.mat_mul`
 must have: every entry contains that exact entry, and an entry none of whose
 terms has two factors other than [0, 0] is exactly [0, 0].  The midpoint-radius
 product on BLAS rounds differently from the scalar loop, so the two agree only
-up to enclosure.  Tests only.
+up to enclosure.
+
+`select_submatrix_full_update` is stage I's full pivoting with the update of
+the whole matrix that the trailing-only update in `hypcert.verify` replaced.
+Tests only.
 """
 
 import math
@@ -114,3 +118,36 @@ def assert_encloses_exact(got, a, b):
             if all(_is_zero(x) or _is_zero(y) for x, y in zip(a[i], bt[j])):
                 assert (g.lo.hex(), g.hi.hex()) == ("0x0.0p+0",) * 2, (i, j, g)
     return exact
+
+
+def select_submatrix_full_update(M, h):
+    """`hypcert.verify.select_submatrix` as a loop that updates the whole
+    matrix every round: the used rows and columns are masked out of the
+    pivot search, and each round's row and column are zeroed outside the
+    pivot once it is done.  Returns the chosen (rows, cols), sorted."""
+    A = np.array(M, dtype=float, copy=True)
+    n_rows, n_cols = A.shape
+    if h > min(n_rows, n_cols):
+        raise ValueError(f"cannot select {h} pivots from {A.shape}")
+    rows, cols = [], []
+    row_mask = np.ones(n_rows, dtype=bool)
+    col_mask = np.ones(n_cols, dtype=bool)
+    for _ in range(h):
+        B = np.abs(A)
+        B[~row_mask, :] = -1.0
+        B[:, ~col_mask] = -1.0
+        r, c = np.unravel_index(np.argmax(B), B.shape)
+        if A[r, c] == 0.0:
+            raise ValueError("zero pivot before filling the expected rank")
+        piv = A[r, c]
+        factors = A[:, c] / piv
+        factors[r] = 0.0
+        A -= np.outer(factors, A[r, :])
+        A[:, c] = 0.0
+        A[r, :] = 0.0
+        A[r, c] = piv
+        rows.append(int(r))
+        cols.append(int(c))
+        row_mask[r] = False
+        col_mask[c] = False
+    return sorted(rows), sorted(cols)

@@ -35,6 +35,7 @@ from tests.ball_oracle import (
     scalar_rotation_balls,
     sequential_jacobian,
 )
+from tests.conftest import links_of
 from tests.test_gimbal import _bounds, _scaling_member
 
 inf = math.inf
@@ -398,7 +399,7 @@ def test_infinite_label_endpoint_is_not_avoided(dodec27a, verified27a,
 
     monkeypatch.setattr(gb, "_balls_of_bounds", recording)
     verdict = gb.gimbal_lock_check(
-        dodec27a, labels, e_sim, [box.theta[e] for e in e_sim]
+        dodec27a, labels, e_sim, [box.theta[e] for e in e_sim], links_of(dodec27a)
     )
     assert not verdict.avoided
     assert "no finite inverse" in verdict.reason
@@ -483,7 +484,7 @@ def test_jacobian_contains_exact_derivative_of_operand_midpoints(
     tri, result = hyperbolic_triangulations[name], verified_all[name]
     labels, box = _stage5_inputs(tri, result)
     e_sim = result.partition.e_sim
-    loops = gb.build_loops_for_partition(tri, e_sim)
+    loops = gb.build_loops_for_partition(tri, e_sim, links_of(tri))
     theta_boxes = [box.theta[e] for e in e_sim]
     lo, hi = FLOAT_KERNEL.bounds(gb.assemble_gimbal_jacobian(loops, labels, theta_boxes))
     label_mid = gb._balls_of_bounds(*labels.label_bounds())[0].tolist()
@@ -538,7 +539,7 @@ def test_float_balls_as_tight_as_interval_oracle(name, dodec27a, verified27a,
                    else scaling12_result)
     labels, box = _stage5_inputs(tri, result)
     e_sim = result.partition.e_sim
-    loops = gb.build_loops_for_partition(tri, e_sim)
+    loops = gb.build_loops_for_partition(tri, e_sim, links_of(tri))
     theta_boxes = [box.theta[e] for e in e_sim]
     dg = gb.assemble_gimbal_jacobian(loops, labels, theta_boxes)
     ref = sequential_jacobian(loops, labels, theta_boxes)
@@ -564,7 +565,7 @@ def test_lock_failure_quotes_its_margin(dodec27a, verified27a, monkeypatch):
 
     monkeypatch.setattr(gb, "interval_matrix_invertible", counting)
     verdict = gb.gimbal_lock_check(
-        dodec27a, labels, part, [box.theta[e] for e in part]
+        dodec27a, labels, part, [box.theta[e] for e in part], links_of(dodec27a)
     )
     assert not verdict.avoided
     assert len(calls) == 1
@@ -578,7 +579,7 @@ def test_lock_failure_quotes_its_margin(dodec27a, verified27a, monkeypatch):
     calls.clear()
     e_sim = verified27a.partition.e_sim
     verdict = gb.gimbal_lock_check(
-        dodec27a, labels, e_sim, [box.theta[e] for e in e_sim]
+        dodec27a, labels, e_sim, [box.theta[e] for e in e_sim], links_of(dodec27a)
     )
     assert verdict.avoided
     assert len(calls) == 1

@@ -113,7 +113,7 @@ def _set_nu(i, pair):
         lambda d: d.update(partition=[1, 2]),
         lambda d: d["partition"].update(loose=d["partition"]["loose"][1:]),
         lambda d: d["partition"].update(loose=["0"] + d["partition"]["loose"][1:]),
-        lambda d: d["partition"].update(fixed=d["partition"]["variable"][:3]),
+        lambda d: d["partition"].update(kept=d["partition"]["kept"][1:]),
         lambda d: d.update(nu=d["nu"][1:]),
         _set_nu(0, ["abc", "-1.5"]),
         _set_nu(0, ["-1.5", "nan"]),
@@ -155,18 +155,17 @@ def test_parse_certificate_rejects_non_object():
 # two 80-bit inputs of the benchmark, and the benchmark's 12-move scaling
 # member at seed 7 (63 tetrahedra).  The certificates are byte-reproducible,
 # so any change to these digests is a change of what the pipeline proves or
-# of how it rounds, never a refactoring that keeps both.  The last three
-# were recorded with the per-simplex geometry still evaluated one simplex
-# and one scalar at a time; the two 80-bit digests were re-pinned when stage
-# II stopped contracting boxes that no longer contain the operator's centre.
+# of how it rounds, never a refactoring that keeps both.  The six verified
+# ones were re-pinned when stage I began to take its loose edges from the
+# gimbal table, which changed every partition and so every box.
 GOLDEN_SHA256 = {
-    "dodec27a": "23ad68ef8e580d6cc0bfaf8904d703a9f3d93474753009693bb054cd04188ecd",
-    "dodec27b": "be523cbe8f7d45a27fd379e85a4c3149a5c92b305f44caaae8e76a966de69a0a",
-    "dodec30x2": "8022794b5e1448f5f8e837000f7f29d1dea8a4d814039453e4166bb25b7e401e",
+    "dodec27a": "65892f83ba1ac4f38f7e6335c6a74880ede47a05ae73a0e55e38795a7e25f9dd",
+    "dodec27b": "1a9ffc04b9a8870f0921808c012d9052d4426f2c85e181ecc9866410e91f8ec5",
+    "dodec30x2": "1feee1996843417c6b3aeb89045c2252c57afb51eb015302ca72f4836608a9d7",
     "s3_twotet": "04d8dc640e0214173075e391d705e402d69f92f871591e84b44181bc589d5e28",
-    "dodec27a@80": "6586b8e2a9878e7a548d8a61be5ae95c71cc580743adac739505342c193564bf",
-    "dodec30x2@80": "a79395426a3987520d7c5b2ad8e74471532e806eef8e73ba6560f5029b270601",
-    "scaling12-seed7": "f60f35c9aba10e5e595627bdc35a8918fa02c7b33c6ba1191b40ddfc005fd03e",
+    "dodec27a@80": "db0c7ee8fcaa0f253036fac9fa6e02490d6aec03a34370b4a908f6358973e223",
+    "dodec30x2@80": "be446ac14f9dea52badd6a6684e42a0eda8a8854566dad78e3f18c40c2202c00",
+    "scaling12-seed7": "ede7f099f8ee72feaf07cef51ac5ffcd0c6021ee4b48a20fc7000cba2f26e6bb",
 }
 
 
@@ -189,9 +188,10 @@ def test_golden_certificates(name, hyperbolic_triangulations, verified_all):
 
 _CERTIFY_DIGEST = (
     "import hashlib, hypcert\n"
-    "tri = hypcert.parse(hypcert.bundled_fixture('dodec30x2.tri').read_text())\n"
-    "text = hypcert.certificate_json(tri, hypcert.run_pipeline(tri), 'krawczyk')\n"
-    "print(hashlib.sha256(text.encode()).hexdigest())\n"
+    "for name in ('dodec27a', 'dodec27b', 'dodec30x2'):\n"
+    "    tri = hypcert.parse(hypcert.bundled_fixture(name + '.tri').read_text())\n"
+    "    text = hypcert.certificate_json(tri, hypcert.run_pipeline(tri), 'krawczyk')\n"
+    "    print(hashlib.sha256(text.encode()).hexdigest())\n"
 )
 
 
@@ -200,7 +200,9 @@ _CERTIFY_DIGEST = (
 def test_certificate_independent_of_blas_kernel_and_threads(coretype, threads):
     # stage II's C J(X) and stage V's m N run on BLAS, whose kernel (SSE3,
     # AVX, AVX2 with FMA) and thread split change the bits of each product's
-    # midpoint and error bound; the certificate must not change.  The
+    # midpoint and error bound; the certificate must not change.  Stage I
+    # pivots on the gimbal table, whose symmetric fixtures have tied entries
+    # that rounding decides, so the table must not be formed on BLAS.  The
     # variables are set in the child only: OpenBLAS reads them when it loads.
     root = pathlib.Path(__file__).resolve().parent.parent
     env = dict(os.environ, OPENBLAS_CORETYPE=coretype, OPENBLAS_NUM_THREADS=threads)
@@ -210,4 +212,5 @@ def test_certificate_independent_of_blas_kernel_and_threads(coretype, threads):
     proc = subprocess.run([sys.executable, "-c", _CERTIFY_DIGEST], env=env, cwd=root,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == GOLDEN_SHA256["dodec30x2"]
+    assert proc.stdout.split() == [GOLDEN_SHA256[name]
+                                   for name in ("dodec27a", "dodec27b", "dodec30x2")]

@@ -39,7 +39,7 @@ from tests.gimbal_oracle import (
     prism_holonomy,
     rotation_matrix,
 )
-from tests.conftest import S3_TEXT
+from tests.conftest import S3_TEXT, links_of, stage_one
 from tests.matrix_oracle import mat3_mul
 
 
@@ -623,14 +623,11 @@ def _gimbal_inputs(tri):
     """Labels over point intervals at the given lengths, the stage-I loose
     edges, their loops and their angle-sum enclosures."""
     k = FloatKernel()
-    p0 = [-math.cosh(float(l)) for l in tri.lengths]
-    M = geo.jacobian(tri, geo.EdgeParams(p0))
-    rows, cols = verify.select_submatrix(M, tri.m - 3 * tri.o)
-    part = verify.make_partition(tri, rows, cols)
+    p0, _, part, _ = stage_one(tri)
     params = geo.EdgeParams([k.point(v) for v in p0], k)
     labels = gb.CocycleLabels(tri, params)
     sums = geo.angle_sums(tri, params, data=labels.data)
-    loops = gb.build_loops_for_partition(tri, part.e_sim)
+    loops = gb.build_loops_for_partition(tri, part.e_sim, links_of(tri))
     return loops, labels, sums[part.e_sim].tolist()
 
 
@@ -704,13 +701,12 @@ def test_stage_v_multiplies_at_most_two_rows_per_stack_row(name, dodec27a, monke
 
 
 # sha256 of stage V's Jacobian (rows of (lo, hi) endpoints as little-endian
-# doubles) at each certified box, recorded when each block of letters
-# between polygon letters became one tree reduction, with only the block
-# products scanned, which brackets the products differently
+# doubles) at each certified box, recorded when stage I began to take its
+# loose edges from the gimbal table, which changed every box and every loop
 DG_SHA256 = {
-    "dodec27a": "7a5e0b2486ef4ef81f4614b04ea627a312e78291f2b0ab0348fe47d2f5e2c2b7",
-    "dodec30x2": "49ce2b48d413b6dae5d97ab158efb879f23c2c0f7f81c1d664619b3261e2c70d",
-    "scaling12": "64fa5e19cb5dac545f240746c3023f7957cfaf59a0abe89a4d977b818ca26384",
+    "dodec27a": "21439fa8ea34ce2c940ed961ac2ff2449477c10d105c738c8e33370270b8a3ec",
+    "dodec30x2": "e7f0c299915c10d646ff21c0bde5af987726294a0491dbb1dd3c97d64d57280b",
+    "scaling12": "d94e349b943bccb4ab1953aa4ee440002518a50ad419e181b416d38e5a1822e0",
 }
 
 
@@ -725,7 +721,7 @@ def test_gimbal_jacobian_bytes_pinned(name, hyperbolic_triangulations, verified_
         tri, result = hyperbolic_triangulations[name], verified_all[name]
     box, e_sim = result.box, result.partition.e_sim
     labels = gb.CocycleLabels(tri, geo.EdgeParams(box.nu, FLOAT_KERNEL), data=box.gram_data)
-    loops = gb.build_loops_for_partition(tri, e_sim)
+    loops = gb.build_loops_for_partition(tri, e_sim, links_of(tri))
     theta_boxes = [box.theta[e] for e in e_sim]
 
     # one cos and one sin per distinct variable box, shared by its letters

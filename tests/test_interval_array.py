@@ -293,6 +293,26 @@ def test_iteration_matches_the_other_kernels(values):
         iter(f53[(0,) * real.ndim])
 
 
+@pytest.mark.parametrize("idx", [
+    (1, 2), 1, slice(1, 3), (slice(None), 2), ([0, 2],), np.array([True, False, True]),
+    (np.array([0, 1]), np.array([1, 2])), (slice(None), [3, 0, 3]), Ellipsis, (None, 1),
+])
+def test_indexing_never_aliases_its_parent(idx):
+    # basic views are copied, fancy gathers are new arrays already: writing
+    # into a result leaves the parent as it was
+    lo = np.arange(12.0).reshape(3, 4) - 6.0
+    arr = IntervalArray(lo, lo + 0.5)
+    before = arr.lo.copy(), arr.hi.copy()
+    got = arr[idx]
+    assert np.array_equal(got.lo, lo[idx]) and np.array_equal(got.hi, (lo + 0.5)[idx])
+    for ends in (got.lo, got.hi):
+        assert not np.may_share_memory(ends, arr.lo)
+        assert not np.may_share_memory(ends, arr.hi)
+    if np.ndim(got.lo):
+        got[...] = IntervalArray(np.full(got.shape, 99.0), np.full(got.shape, 99.0))
+    assert np.array_equal(arr.lo, before[0]) and np.array_equal(arr.hi, before[1])
+
+
 @pytest.mark.parametrize("values", [([0.5, -1.25], [3.0]),
                                     ([[0.5, -1.25], [2.0, 0.0]], [[3.0], [-7.5]])])
 def test_concat_matches_the_other_kernels(values):

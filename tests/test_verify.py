@@ -1,13 +1,14 @@
 import math
 import random
-from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
 
+from hypcert import certificate, cli
 from hypcert import geometry as geo
 from hypcert import gimbal
+from hypcert import triangulation as tr
 from hypcert import verify
 from hypcert.interval import (
     FLOAT_KERNEL,
@@ -19,9 +20,9 @@ from hypcert.interval import (
 )
 from hypcert.triangulation import parse_file
 from tests import krawczyk_oracle
-from tests.conftest import data_path
+from tests.conftest import data_path, links_of, stage_one
 from tests.geometry_oracle import point_like
-from tests.matrix_oracle import assert_encloses_exact
+from tests.matrix_oracle import assert_encloses_exact, select_submatrix_full_update
 from tests.test_gimbal import _scaling_member
 
 
@@ -68,26 +69,135 @@ def test_select_submatrix_transpose_swaps():
         assert rows == cols_t and cols == rows_t
 
 
-def test_make_partition_sizes(dodec27a):
-    m, o = dodec27a.m, dodec27a.o
-    h = m - 3 * o
-    rng = np.random.default_rng(1)
-    rows = sorted(rng.choice(m, size=h, replace=False).tolist())
-    cols = sorted(rng.choice(m, size=h, replace=False).tolist())
-    part = verify.make_partition(dodec27a, rows, cols)
+def test_select_submatrix_matches_full_update_with_ties():
+    # the trailing-only update picks the full update's pivots, ties
+    # included: small integer entries tie often
+    rng = np.random.default_rng(44)
+    for _ in range(300):
+        n_rows, n_cols = (int(x) for x in rng.integers(1, 9, size=2))
+        M = rng.integers(-2, 3, size=(n_rows, n_cols)).astype(float)
+        h = int(rng.integers(0, min(n_rows, n_cols) + 1))
+        try:
+            want = select_submatrix_full_update(M, h)
+        except ValueError:
+            with pytest.raises(verify.RankDeficiency):
+                verify.select_submatrix(M, h)
+        else:
+            assert verify.select_submatrix(M, h) == want
+
+
+def _jacobian_and_table(tri):
+    """The float Jacobian M = dTheta/dnu and the gimbal table T at the
+    input's lengths."""
+    params, data, _ = verify._evaluate(tri, [-math.cosh(float(l)) for l in tri.lengths])
+    labels = gimbal.CocycleLabels(tri, params, data=data)
+    table = gimbal.edge_direction_table(tri, labels, links_of(tri))
+    return geo.jacobian(tri, params, data=data), table
+
+
+@pytest.mark.parametrize("name", ["dodec27a", "dodec27b", "dodec30x2"])
+def test_select_submatrix_matches_full_update_on_fixtures(name, hyperbolic_triangulations):
+    tri = hyperbolic_triangulations[name]
+    M, T = _jacobian_and_table(tri)
+    for A, h in ((M, tri.m - 3 * tri.o), (T, 3 * tri.o)):
+        assert verify.select_submatrix(A, h) == select_submatrix_full_update(A, h)
+
+
+# -- step I: the redundancy theorem at the float point ------------------------
+
+
+@pytest.mark.parametrize("name", ["dodec27a", "dodec27b", "dodec30x2"])
+def test_table_annihilates_the_symmetric_length_jacobian(name, hyperbolic_triangulations):
+    # T M = 0, and J_l = M diag(dnu/dl), dnu/dl = -sinh l, is symmetric
+    tri = hyperbolic_triangulations[name]
+    M, T = _jacobian_and_table(tri)
+    norm = np.linalg.norm
+    assert norm(T @ M) <= 1e-14 * norm(T) * norm(M)
+    J = M * -np.sinh(np.array([float(l) for l in tri.lengths]))
+    assert norm(J - J.T) <= 1e-13 * norm(J)
+
+
+@pytest.mark.parametrize("name, budget", [("dodec27a", None), ("dodec27b", None),
+                                          ("dodec30x2", 4000)])
+def test_locked_exactly_when_the_kept_block_is_singular(name, budget,
+                                                         hyperbolic_triangulations):
+    # every loose set R the probe reads as locked (T[:, R] singular) leaves a
+    # singular kept block M[K, K], and every other one an invertible block;
+    # sigma_min / sigma_max of the locked ones' blocks is at most 6e-16, of
+    # the others at least 5e-5
+    tri = hyperbolic_triangulations[name]
+    M, _ = _jacobian_and_table(tri)
+    params = geo.EdgeParams([-math.cosh(float(l)) for l in tri.lengths])
+    budget = budget or math.comb(tri.m, 3 * tri.o)
+    rows = gimbal.probe_partitions(tri, params, budget=budget)
+    assert len(rows) == budget
+    for loose, _, locked in rows:
+        kept = sorted(set(range(tri.m)) - set(loose))
+        sv = np.linalg.svd(M[np.ix_(kept, kept)], compute_uv=False)
+        assert locked == (sv[-1] / sv[0] < 1e-10), (loose, sv[-1] / sv[0])
+    assert 0 < sum(locked for _, _, locked in rows) < len(rows)
+
+
+def test_locked_table_fails_step_one(dodec27a, monkeypatch, capsys):
+    # a table of rank below 3o leaves no lock-free loose set: step 1 fails,
+    # the certificate says so, and `certify` exits 2
+    monkeypatch.setattr(gimbal, "edge_direction_table",
+                        lambda tri, labels, links: np.zeros((3 * tri.o, tri.m)))
+    res = verify.run_pipeline(dodec27a)
+    assert not res.verified and res.failed_step == 1
+    assert res.statuses[1].startswith("failed: gimbal lock at the candidate")
+    doc = certificate.certificate_dict(dodec27a, res, "krawczyk")
+    assert doc["status"] == "FAILED" and doc["failed_step"] == 1
+    assert cli.main(["certify", str(data_path("dodec27a.tri"))]) == cli.EXIT_UNVERIFIED
+    assert "(step 1: failed: gimbal lock at the candidate" in capsys.readouterr().err
+
+
+def test_one_run_builds_each_link_once_and_one_kept_block(monkeypatch):
+    # the links stage I builds serve stage V; stage I's float Jacobian is the
+    # kept block only, whose plan stage II's interval Jacobians reuse
+    tri = parse_file(data_path("dodec30x2.tri"))  # a fresh parse: no plans yet
+    built, blocks = [], []
+    link, jacobian = tr.vertex_link_hexagon_complex, geo.jacobian
+
+    def spy_link(tri, k):
+        built.append(k)
+        return link(tri, k)
+
+    def spy_jacobian(tri, params, data=None, rows=None, cols=None):
+        blocks.append((params.kernel, rows, cols))
+        return jacobian(tri, params, data=data, rows=rows, cols=cols)
+
+    for module in (verify, gimbal, certificate):
+        monkeypatch.setattr(module, "vertex_link_hexagon_complex", spy_link)
+    monkeypatch.setattr(geo, "jacobian", spy_jacobian)
+    res = verify.run_pipeline(tri)
+    assert res.verified
+    assert built == list(range(tri.o)) == [0, 1]
+    kept = res.partition.e_eq
+    assert [(r, c) for k, r, c in blocks if k is REAL_KERNEL] == [(kept, kept)]
+    assert all(r == c == kept for _, r, c in blocks)
+    assert list(tri.geometry_plan.blocks) == [(tuple(kept), tuple(kept))]
+
+
+@pytest.mark.parametrize("name", ["dodec27a", "dodec30x2"])
+def test_stage_one_partition_sizes(name, hyperbolic_triangulations):
+    # 3o loose edges, the rest kept, both sorted; the variable parameters
+    # are the kept edges, and the kept block is square
+    tri = hyperbolic_triangulations[name]
+    m, o = tri.m, tri.o
+    _, _, part, jsub = stage_one(tri)
+    part.check(m, o)
     assert len(part.e_sim) == 3 * o
-    assert len(part.e_fixed) == 3 * o
-    assert sorted(part.e_sim + part.e_eq) == list(range(m))
-    assert sorted(part.e_fixed + part.e_var) == list(range(m))
+    assert part.e_sim == sorted(part.e_sim) and part.e_eq == sorted(part.e_eq)
+    assert part.e_eq == sorted(set(range(m)) - set(part.e_sim))
+    assert part.e_var is part.e_eq
+    assert jsub.shape == (m - 3 * o, m - 3 * o)
 
 
 def test_pivot_partition_gives_invertible_subsystem(dodec27a):
-    p0 = [-math.cosh(float(l)) for l in dodec27a.lengths]
-    M = np.array(geo.jacobian(dodec27a, geo.EdgeParams(p0)))
-    h = dodec27a.m - 3 * dodec27a.o
-    rows, cols = verify.select_submatrix(M, h)
-    sub = M[np.ix_(rows, cols)]
-    assert np.linalg.cond(sub) < 1e8
+    # the table's loose edges leave a well-conditioned kept block
+    _, _, part, jsub = stage_one(dodec27a)
+    assert np.linalg.cond(jsub) < 1e8
 
 
 # -- step II: the Krawczyk operator ------------------------------------------
@@ -202,26 +312,12 @@ def test_bootstrap_evaluates_each_point_once(monkeypatch):
     assert len(set(points)) == len(points)
 
 
-def test_make_partition_complements_are_exact_and_sorted():
-    # the size of a 125-fold cover: m = 3,500 edges, o = 125 vertices
-    rng = random.Random(3)
-    tri = SimpleNamespace(m=3500, o=125)
-    rows = rng.sample(range(tri.m), tri.m - 3 * tri.o)
-    cols = rng.sample(range(tri.m), tri.m - 3 * tri.o)
-    part = verify.make_partition(tri, rows, cols)
-    assert part.e_eq == sorted(rows) and part.e_var == sorted(cols)
-    assert part.e_sim == sorted(set(range(tri.m)) - set(rows))
-    assert part.e_fixed == sorted(set(range(tri.m)) - set(cols))
-
-
 # -- steps III/IV and the pipeline -------------------------------------------
 
 
 def test_s3_step_four_fails(s3):
     k = FloatKernel()
-    part = verify.Partition(
-        e_sim=list(range(6)), e_eq=[], e_fixed=list(range(6)), e_var=[]
-    )
+    part = verify.Partition(e_sim=list(range(6)), e_eq=[])
     box = verify.CertifiedBox(
         nu=[k.point(-2.0) for _ in range(6)],
         theta=None,
@@ -265,8 +361,9 @@ def test_pipeline_verifies_fixture(verified27a):
 
 
 def test_pipeline_point_intervals_on_fixed(verified27a):
+    # the fixed parameters are the loose edges
     box = verified27a.box
-    for e in box.partition.e_fixed:
+    for e in box.partition.e_sim:
         assert box.nu[e].width() == 0.0
 
 
@@ -307,12 +404,12 @@ def test_no_certificate_after_failure(dodec27a):
 
 
 def test_partition_check_raises_on_bad_input():
-    good = verify.Partition(e_sim=[0, 1, 2], e_eq=[3], e_fixed=[1, 2, 3], e_var=[0])
+    good = verify.Partition(e_sim=[0, 1, 2], e_eq=[3])
     good.check(4, 1)
     for bad in (
-        verify.Partition(e_sim=[0, 1, 2], e_eq=[2], e_fixed=[1, 2, 3], e_var=[0]),
-        verify.Partition(e_sim=[0, 1, 2], e_eq=[3], e_fixed=[1, 2], e_var=[0, 3]),
-        verify.Partition(e_sim=[0, 1], e_eq=[2, 3], e_fixed=[1, 2, 3], e_var=[0]),
+        verify.Partition(e_sim=[0, 1, 2], e_eq=[2]),
+        verify.Partition(e_sim=[0, 1, 2], e_eq=[3, 4]),
+        verify.Partition(e_sim=[0, 1], e_eq=[2, 3]),
     ):
         with pytest.raises(ValueError):
             bad.check(4, 1)
@@ -447,7 +544,8 @@ def test_jacobian_and_gimbal_labels_are_53_bit_at_every_precision(dodec27a, monk
                                                                   bits):
     # above 53 bits only the residual, the centre's partial sums and steps
     # III-IV run at working precision: no Jacobian, label or theta box of
-    # stage II or V is an MPInterval, and the MP kernel has no matrix product
+    # stage I, II or V is an MPInterval, and the MP kernel has no matrix
+    # product; stage I's labels are float ones at p0, stage V's 53-bit
     seen = []
     jacobian, lock_check = geo.jacobian, gimbal.gimbal_lock_check
     labels_init = gimbal.CocycleLabels.__init__
@@ -483,7 +581,8 @@ def test_jacobian_and_gimbal_labels_are_53_bit_at_every_precision(dodec27a, monk
     assert {name for name, _ in seen} == {"jacobian", "labels", "label", "bounds", "theta"}
     for name, values in seen:
         assert not any(isinstance(v, MPInterval) for v in values), name
-    assert {values[0] for name, values in seen if name == "bounds"} == {FLOAT_KERNEL}
+    assert [values[0] for name, values in seen if name == "bounds"] == [REAL_KERNEL,
+                                                                         FLOAT_KERNEL]
     assert not hasattr(MPKernel, "mat_mul")
 
 
@@ -531,11 +630,7 @@ def _synthetic_system(kernel):
 def _kept_system(tri, kernel, lengths=None):
     """(f_iv, jac_iv, x0, C, kernel, residual scale) as `krawczyk_certify`
     hands them to `_certify_root` after run_pipeline's stage I."""
-    p0 = [-math.cosh(float(l)) for l in (lengths or tri.lengths)]
-    M = geo.jacobian(tri, geo.EdgeParams(p0))
-    partition = verify.make_partition(tri, *verify.select_submatrix(M, tri.m - 3 * tri.o))
-    jsub = np.array(M)[partition.e_eq][:, partition.e_var]
-    residual = verify._evaluate(tri, p0)[2]
+    p0, residual, partition, jsub = stage_one(tri, lengths)
     captured = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "_certify_root", lambda *args: captured.append(args))

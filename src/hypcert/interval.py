@@ -42,7 +42,17 @@ outward 53-bit hull as an ``IntervalArray`` and ``kernel.lift`` an
 ``IntervalArray`` as the kernel's array, exactly.  The float kernel's
 array, ``IntervalArray``, holds numpy endpoint arrays whose elementwise
 arithmetic is bit for bit the ``Interval`` dunders and methods; its hull
-and lift are the identity.  It is the one interval matrix type, and
+and lift are the identity.  Its products and quotients round once per
+result entry: the scalar dunder's lower end is min_k down(q_k) over the
+rounded candidates q_k, where down(q_k) is q_k or prev(q_k), the next
+float below.  A candidate q_k > q_min has down(q_k) >= prev(q_k) >= q_min,
+so the minimum is prev(q_min) exactly when some candidate equal to q_min
+steps down (its error term is unknown, or says q_k lies above the exact
+value), and q_min otherwise; the upper end likewise.  So the array
+reduces the candidates first and steps the result, never the stack.
+``kernel.add_columns`` sums the columns of a 2-D array into a vector left
+to right, as the Krawczyk operator does.  ``IntervalArray`` is the one
+interval matrix type, and
 ``FloatKernel.mat_mul`` its one product: midpoint-radius on BLAS, with an
 error bound that holds for any summation order, blocking, thread count
 and use of FMA.  Its endpoints enclose the exact product, but they are
@@ -581,15 +591,26 @@ class MPInterval:
         return NotImplemented
 
     def lo_float(self):
-        # to_float may round a (sub)normal underflow the wrong way: check
-        f = libmp.to_float(self.lo, rnd=_RF)
-        if libmp.mpf_gt(libmp.from_float(f), self.lo):
+        # to_float rounds to 53 bits in the given direction, then calls
+        # math.ldexp, exact for a normal float: a nonzero mpf (sign, man, exp,
+        # bc) lies in [2^(e-1), 2^e), e = exp + bc, and rounds into
+        # [2^(e-1), 2^e], normal for -1021 <= e <= 1023 (a special value, man
+        # 0, converts exactly).  Near underflow ldexp may round a (sub)normal
+        # the wrong way, and beyond the float range to_float gives inf: check
+        x = self.lo
+        f = libmp.to_float(x, rnd=_RF)
+        if -1021 <= x[2] + x[3] <= 1023:
+            return f
+        if libmp.mpf_gt(libmp.from_float(f), x):
             f = nextafter(f, -inf)
         return f
 
     def hi_float(self):
-        f = libmp.to_float(self.hi, rnd=_RC)
-        if libmp.mpf_lt(libmp.from_float(f), self.hi):
+        x = self.hi
+        f = libmp.to_float(x, rnd=_RC)
+        if -1021 <= x[2] + x[3] <= 1023:
+            return f
+        if libmp.mpf_lt(libmp.from_float(f), x):
             f = nextafter(f, inf)
         return f
 
@@ -824,26 +845,47 @@ class MPInterval:
 
 
 def _down_array(s, err):
-    # _down entrywise; nextafter(-inf, -inf) is -inf, as _down returns
-    return np.where(np.isnan(err) | (err < 0.0), np.nextafter(s, -inf), s)
+    # _down entrywise: s is kept only where err >= 0, which is false for a
+    # NaN (unknown) err; nextafter(-inf, -inf) is -inf, as _down returns
+    return np.where(err >= 0.0, s, np.nextafter(s, -inf))
 
 
 def _up_array(s, err):
-    return np.where(np.isnan(err) | (err > 0.0), np.nextafter(s, inf), s)
+    return np.where(err <= 0.0, s, np.nextafter(s, inf))
 
 
 def _two_prod_array(a, b):
-    # _two_prod entrywise: the same operations in the same order
+    """_two_prod entrywise, the same operations in the same order: the
+    product p, its error term and where that term is known.  Where it is
+    not (p not finite or below _TWO_PROD_TINY) the term is meaningless."""
     p = a * b
-    ta = _SPLITTER * a
-    ah = ta - (ta - a)
+    # the split of a: ah = t - (t - a), t = _SPLITTER * a, with t dropped
+    # as soon as it is used, for memory
+    ah = _SPLITTER * a
+    ah = ah - (ah - a)
     al = a - ah
-    tb = _SPLITTER * b
-    bh = tb - (tb - b)
+    bh = _SPLITTER * b
+    bh = bh - (bh - b)
     bl = b - bh
     err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    unknown = ~np.isfinite(p) | (np.abs(p) < _TWO_PROD_TINY)
-    return p, np.where(unknown, np.nan, err)
+    ap = np.abs(p)
+    return p, err, (ap >= _TWO_PROD_TINY) & (ap < inf)
+
+
+def _outward_extremes(p, keep_lo, keep_hi):
+    """min_k down(p_k) and max_k up(p_k) over the first two axes of the
+    rounded candidates p, where down (up) steps p_k one ulp toward -inf
+    (+inf) unless keep_lo (keep_hi) holds: each result entry is stepped at
+    most once.  A candidate p_k > p_min has down(p_k) >= prev(p_k) >= p_min,
+    so the minimum is prev(p_min) where some candidate equal to p_min steps
+    and p_min elsewhere; the maximum likewise.  NaN candidates are skipped;
+    an entry of NaNs only is NaN."""
+    lo = np.fmin.reduce(p, axis=(0, 1))
+    hi = np.fmax.reduce(p, axis=(0, 1))
+    step_lo = ((p == lo) & ~keep_lo).any(axis=(0, 1))
+    step_hi = ((p == hi) & ~keep_hi).any(axis=(0, 1))
+    return (np.where(step_lo, np.nextafter(lo, -inf), lo),
+            np.where(step_hi, np.nextafter(hi, inf), hi))
 
 
 def _checked(lo, hi):
@@ -866,7 +908,11 @@ class IntervalArray:
     dunder would give: exact zero products, Dekker products and two-sums
     nudged one ulp outward when inexact or unknown, the quotient's rounding
     direction read off ``q * y`` against ``x``, the sign clamp, and -0.0
-    made 0.0.  ``sqrt``, ``sqrt_nonneg`` and ``arccos`` repeat the
+    made 0.0.  ``*`` and ``/`` take the least and the greatest of their
+    candidate products (quotients) first and step each result endpoint at
+    most once, where some candidate equal to it needs the step; the module
+    docstring proves that this is the scalar minimum (maximum) over every
+    candidate rounded.  ``sqrt``, ``sqrt_nonneg`` and ``arccos`` repeat the
     ``Interval`` methods the same way, with ``math.acos`` per element.  A
     NaN endpoint raises IntervalError; a domain violation raises the
     DomainError of the first offending entry in C order.
@@ -937,30 +983,29 @@ class IntervalArray:
 
     def __add__(self, other):
         other = _as_array(other)
-        with np.errstate(all="ignore"):
-            lo = _down_array(*_two_sum(self.lo, other.lo))
-            hi = _up_array(*_two_sum(self.hi, other.hi))
-        return _checked(lo, hi)
+        return _outward_sum(self.lo, self.hi, other.lo, other.hi)
 
     def __sub__(self, other):
-        return self + (-_as_array(other))
+        # self + (-other), without forming -other
+        other = _as_array(other)
+        return _outward_sum(self.lo, self.hi, -other.hi, -other.lo)
 
     def __mul__(self, other):
         other = _as_array(other)
         alo, ahi, blo, bhi = np.broadcast_arrays(self.lo, self.hi, other.lo, other.hi)
-        # the endpoint products along a new first axis; of an array of
-        # points (lo == hi throughout) one endpoint gives them all
+        # the endpoint products over two new first axes, the endpoints of
+        # self and of other, so that each endpoint is split once; of an array
+        # of points (lo == hi throughout) one endpoint gives them all
         xs = (alo,) if np.array_equal(self.lo, self.hi) else (alo, ahi)
         ys = (blo,) if np.array_equal(other.lo, other.hi) else (blo, bhi)
-        x = np.stack([u for u in xs for _ in ys])
-        y = np.stack([v for _ in xs for v in ys])
-        zero = (x == 0.0) | (y == 0.0)
+        x, y = np.stack(xs)[:, None], np.stack(ys)[None]
         with np.errstate(all="ignore"):
-            p, err = _two_prod_array(x, y)
-            p = np.where(zero, 0.0, p)
-            err = np.where(zero, 0.0, err)
-            lo = _down_array(p, err).min(axis=0)
-            hi = _up_array(p, err).max(axis=0)
+            p, err, known = _two_prod_array(x, y)
+            # the zero rule: a zero factor gives the exact product 0
+            zero = (x == 0.0) | (y == 0.0)
+            np.copyto(p, 0.0, where=zero)
+            lo, hi = _outward_extremes(p, zero | (known & (err >= 0.0)),
+                                       zero | (known & (err <= 0.0)))
         return _checked(*_sign_clamped_array(lo, hi, alo, ahi, blo, bhi))
 
     def __truediv__(self, other):
@@ -969,21 +1014,20 @@ class IntervalArray:
         if straddles.any():
             raise DomainError("division by interval containing zero")
         alo, ahi, blo, bhi = np.broadcast_arrays(self.lo, self.hi, other.lo, other.hi)
-        x = np.stack([alo, alo, ahi, ahi])
-        y = np.stack([blo, bhi, blo, bhi])
+        x, y = np.stack([alo, ahi])[:, None], np.stack([blo, bhi])[None]
         with np.errstate(all="ignore"):
             q = x / y
-            p, err = _two_prod_array(q, y)
+            p, err, known = _two_prod_array(q, y)
             # q * y against x tells on which side of x / y the rounded q
             # lies; an unknown error term (or a non-finite q) steps both ways
-            unknown = np.isnan(err) | ~np.isfinite(p)
+            unknown = ~known | np.isnan(err)
             inexact = ~((p == x) & (err == 0.0))
             above = ((p > x) | ((p == x) & (err > 0.0))) == (y > 0.0)
-            d = np.where(unknown | (inexact & above), np.nextafter(q, -inf), q)
-            u = np.where(unknown | (inexact & ~above), np.nextafter(q, inf), q)
+            lo, hi = _outward_extremes(q, ~(unknown | (inexact & above)),
+                                       ~(unknown | (inexact & ~above)))
         # a NaN candidate (inf / inf) is skipped, as the scalar min/max does
-        lo = np.where(np.isnan(d), inf, d).min(axis=0)
-        hi = np.where(np.isnan(u), -inf, u).max(axis=0)
+        lo = np.where(np.isnan(lo), inf, lo)
+        hi = np.where(np.isnan(hi), -inf, hi)
         lo, hi = _sign_clamped_array(lo, hi, alo, ahi, blo, bhi)
         reversed_ = lo > hi
         if reversed_.any():
@@ -1004,8 +1048,8 @@ class IntervalArray:
             )
 
         def exact(s, x):
-            p, err = _two_prod_array(s, s)
-            return (p == x) & (err == 0.0)
+            p, err, known = _two_prod_array(s, s)
+            return (p == x) & (err == 0.0) & known
 
         with np.errstate(all="ignore"):
             s_lo, s_hi = np.sqrt(self.lo), np.sqrt(self.hi)
@@ -1046,6 +1090,14 @@ def _as_array(x):
         return x
     x = np.array(float(x))
     return IntervalArray(x, x)
+
+
+def _outward_sum(alo, ahi, blo, bhi):
+    """[alo, ahi] + [blo, bhi] entrywise, as ``Interval.__add__``."""
+    with np.errstate(all="ignore"):
+        lo = _down_array(*_two_sum(alo, blo))
+        hi = _up_array(*_two_sum(ahi, bhi))
+    return _checked(lo, hi)
 
 
 def _sign_clamped_array(lo, hi, alo, ahi, blo, bhi):
@@ -1148,6 +1200,19 @@ class FloatKernel:
         return IntervalArray(np.where(unbounded, -inf, lo), np.where(unbounded, inf, hi))
 
     @staticmethod
+    def add_columns(acc, terms):
+        """acc + terms[:, 0] + ... + terms[:, n - 1], summed left to right:
+        bit for bit that chain of IntervalArray sums.  A NaN endpoint stays
+        NaN through later sums, so one check at the end raises as the
+        chain would."""
+        lo, hi = acc.lo, acc.hi
+        with np.errstate(all="ignore"):
+            for tlo, thi in zip(terms.lo.T, terms.hi.T):
+                lo = _down_array(*_two_sum(lo, tlo))
+                hi = _up_array(*_two_sum(hi, thi))
+        return _checked(lo, hi)
+
+    @staticmethod
     def bounds(arr):
         return arr.lo, arr.hi
 
@@ -1211,6 +1276,13 @@ class MPKernel:
     @staticmethod
     def concat(arrays):
         return np.concatenate(arrays, axis=-1)
+
+    @staticmethod
+    def add_columns(acc, terms):
+        """acc + terms[:, 0] + ... + terms[:, n - 1], summed left to right."""
+        for j in range(terms.shape[1]):
+            acc = acc + terms[:, j]
+        return acc
 
     @staticmethod
     def bounds(arr):

@@ -17,7 +17,7 @@ File format (UTF-8, line oriented, '#' comments allowed)::
 Face f of tet i is glued to tet jf via the vertex map 0->a, 1->b, 2->c,
 3->d.  An unglued face is written '-' (rejected later as not closed).
 The optional lengths section lists one decimal per edge class in
-canonical order.
+canonical order, each positive and with a finite cosh.
 """
 
 from __future__ import annotations
@@ -188,6 +188,9 @@ def parse(text):
         vals = " ".join(lines[pos + 1 :]).split()
         lengths = [float(v) for v in vals]
         for i, l in enumerate(lengths):
+            # cosh is even: a negated length would pass for its absolute value
+            if not l > 0.0:
+                raise TriangulationError(f"length {i} is {l!r}: not positive")
             try:
                 ok = math.isfinite(math.cosh(l))
             except OverflowError:

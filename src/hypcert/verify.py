@@ -260,7 +260,8 @@ def select_subsystem(tri, params, data, links):
 class KrawczykCentre:
     """What the Krawczyk operator needs of a centre x0, evaluated once per
     centre: the kernel, x0 as the kernel's array, the partial sums
-    x0 - C f(x0), each row summed left to right over j, and the point
+    x0 - C f(x0), each row summed left to right over j by
+    `kernel.add_columns` (on the negated terms), and the point
     matrix C and the identity as 53-bit arrays.  `f_iv` maps a kernel
     array to a kernel array."""
 
@@ -271,11 +272,7 @@ class KrawczykCentre:
         fx0 = f_iv(self.x0)
         self.C = FLOAT_KERNEL.array(np.asarray(C, dtype=float))
         self.identity = FLOAT_KERNEL.array(np.eye(n))
-        terms = kernel.lift(self.C) * fx0
-        partial = self.x0
-        for j in range(n):
-            partial = partial - terms[:, j]
-        self.partial = partial
+        self.partial = kernel.add_columns(self.x0, -(kernel.lift(self.C) * fx0))
 
 
 def krawczyk_step(centre, jac_iv, X):
@@ -292,10 +289,7 @@ def krawczyk_step(centre, jac_iv, X):
     J = jac_iv(kernel.float_hull(Xw))
     delta = centre.identity - FLOAT_KERNEL.mat_mul(centre.C, J)
     terms = kernel.lift(delta * kernel.float_hull(Xw - centre.x0))
-    K = centre.partial
-    for j in range(len(X)):
-        K = K + terms[:, j]
-    return K.tolist()
+    return kernel.add_columns(centre.partial, terms).tolist()
 
 
 _STEP_ERRORS = (geo.RealizationError, ArithmeticError, ValueError)

@@ -301,7 +301,7 @@ def _with_lengths(tmp_path, tri, value):
 
 
 @pytest.mark.parametrize("command", ["certify", "solve", "probe-gimbal"])
-@pytest.mark.parametrize("value", ["1000", "nan"])
+@pytest.mark.parametrize("value", ["1000", "nan", "0", "-0.5"])
 def test_lengths_without_finite_cosh_exit_one(tmp_path, capsys, dodec27a,
                                               command, value):
     f = _with_lengths(tmp_path, dodec27a, value)
@@ -311,8 +311,23 @@ def test_lengths_without_finite_cosh_exit_one(tmp_path, capsys, dodec27a,
     assert "Traceback" not in err + out
 
 
+def test_negated_lengths_exit_one(tmp_path, capsys, dodec27a):
+    # cosh is even: with every length negated the edge parameters are those
+    # of the hyperbolic structure, and certify would prove it
+    from hypcert.triangulation import serialize
+
+    f = tmp_path / "negated.tri"
+    f.write_text(serialize(dodec27a, lengths=[-l for l in dodec27a.lengths]))
+    code, out, err = run_cli(capsys, "certify", str(f))
+    assert code == 1
+    assert err.startswith("error: length 0 is -")
+    assert "VERIFIED" not in out
+    assert "Traceback" not in err + out
+
+
 def test_probe_gimbal_unrealizable_lengths_exit_one(tmp_path, capsys, dodec27a):
-    f = _with_lengths(tmp_path, dodec27a, "0")
+    # cosh(1e-20) rounds to 1.0, so every edge parameter is -1
+    f = _with_lengths(tmp_path, dodec27a, "1e-20")
     code, out, err = run_cli(capsys, "probe-gimbal", str(f))
     assert code == 1
     assert err.startswith("error: edge parameter 0 not proven < -1")

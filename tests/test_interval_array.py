@@ -7,6 +7,8 @@ computed in rationals, and be as tight as its error bound says.
 """
 
 import math
+import operator
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -368,6 +370,34 @@ def test_inf_minus_inf_raises_on_both_paths(op):
     assert str(scalar_err.value) == str(array_err.value)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_add_columns_is_bitwise_the_chain_of_sums(seed):
+    rng = np.random.default_rng(seed)
+    acc = IntervalArray.of(random_entries(rng, (1, 5))[0])
+    terms = IntervalArray.of(random_entries(rng, (5, 7)))
+    if seed % 2:  # the sums of row 3 meet inf - inf: both raise
+        acc[3] = IntervalArray.of([Interval(-inf, -inf)])[0]
+        terms[3, 4] = IntervalArray.of([Interval(inf, inf)])[0]
+
+    def chain():
+        k = acc
+        for j in range(terms.shape[1]):
+            k = k + terms[:, j]
+        return bits([k.tolist()])
+
+    want = scalar_or_error(chain)
+    got = scalar_or_error(lambda: bits([FLOAT_KERNEL.add_columns(acc, terms).tolist()]))
+    assert got == want
+    # the object-array loop on scalar `Interval`s, as the MP kernel runs it;
+    # numpy reads the FPU flags after an object loop, and a two-sum that
+    # meets inf or overflows sets them on its way to a sound sum
+    objects = MPKernel.array
+    with np.errstate(all="ignore"):
+        got = scalar_or_error(lambda: bits([MPKernel.add_columns(
+            objects(acc.tolist()), objects(terms.tolist())).tolist()]))
+    assert got == want
+
+
 # -- division, sqrt and arccos ---------------------------------------------------
 
 # endpoints inside arccos's domain [-1, 1], its ends and values next to them
@@ -419,6 +449,60 @@ def test_division_by_zero_straddling_raises_on_both_paths(y):
     with pytest.raises(DomainError) as array_err:
         IntervalArray.of([x, x]) / IntervalArray.of([Interval(1.0, 1.0), y])
     assert str(array_err.value) == str(scalar_err.value)
+
+
+def near_tie_bounds(rng, shape):
+    """Endpoint arrays of adjacent-float intervals [x, next(x)], points and
+    hulls of two floats, a third each, x mostly in [-10, 10].  The endpoint
+    products or quotients of two adjacent-float intervals often round to one
+    float whose error terms differ in sign, so that the rounded result of
+    each entry depends on every candidate equal to the extreme one."""
+    x = np.where(rng.random(shape) < 0.75, rng.uniform(-10.0, 10.0, shape),
+                 random_endpoints(rng, shape))
+    y = random_endpoints(rng, shape)
+    kind = rng.integers(3, size=shape)
+    lo = np.where(kind == 2, np.minimum(x, y), x)
+    hi = np.choose(kind, [np.nextafter(x, inf), x, np.maximum(x, y)])
+    return lo, hi
+
+
+def assert_bitwise_the_dunder(op, a, b):
+    got = op(a, b)
+    alo, ahi, blo, bhi = np.broadcast_arrays(a.lo, a.hi, b.lo, b.hi)
+    assert got.shape == alo.shape
+    for i in np.ndindex(alo.shape):
+        want = op(Interval(float(alo[i]), float(ahi[i])), Interval(float(blo[i]), float(bhi[i])))
+        assert (float(got.lo[i]).hex(), float(got.hi[i]).hex()) == (
+            want.lo.hex(), want.hi.hex()), (i, op, alo[i], ahi[i], blo[i], bhi[i])
+
+
+def broadcast_partners(y):
+    """y, a row, a column and an entry of the 2-D array y, and the points
+    at its lower ends (an array of points takes one endpoint only)."""
+    return y, y[0], y[:, :1], y[2, 3], IntervalArray(y.lo, y.lo)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_products_and_quotients_of_near_ties_are_bitwise_the_dunders(seed):
+    # each result entry is stepped once, from all candidates equal to its
+    # extreme: rounding only the first such candidate breaks this test
+    rng = np.random.default_rng(seed)
+    a = IntervalArray(*near_tie_bounds(rng, (5, 6)))
+    b = IntervalArray(*near_tie_bounds(rng, (5, 6)))
+    for y in broadcast_partners(b):
+        assert_bitwise_the_dunder(operator.mul, a, y)
+        assert_bitwise_the_dunder(operator.mul, y, a)
+    # finite numerators and divisors on one side of zero: no entry raises
+    big = 1.7e308
+    numerators = IntervalArray(np.clip(a.lo, -big, big), np.clip(a.hi, -big, big))
+    lo, hi = np.clip(b.lo, -big, big), np.clip(b.hi, -big, big)
+    straddles = (lo <= 0.0) & (hi >= 0.0)
+    divisors = IntervalArray(np.where(straddles, 2.5, lo),
+                             np.where(straddles, np.nextafter(2.5, inf), hi))
+    for y in broadcast_partners(divisors):
+        assert_bitwise_the_dunder(operator.truediv, numerators, y)
+    for x in broadcast_partners(numerators)[1:]:
+        assert_bitwise_the_dunder(operator.truediv, x, divisors)
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
@@ -591,6 +675,25 @@ def test_float_hull_encloses_each_mp_interval(name):
     assert not _at_least(math.nextafter(hi, -inf), q_hi)
 
 
+# e = exp + bc of an mpf in [2^(e-1), 2^e): the bounds convert without a
+# check for -1021 <= e <= 1023 and with one on either side of that range
+@pytest.mark.parametrize("prec", [80, 160])
+@pytest.mark.parametrize("e", [-1075, -1023, -1022, -1021, -1020, -1, 0, 1, 2, 1022, 1023, 1024])
+def test_float_bounds_are_the_tightest_floats(prec, e):
+    rng = random.Random(1000 * prec + e)
+    for _ in range(40):
+        # prec significant bits, or 53 of them: then the float is exact
+        bits = prec if rng.random() < 0.75 else 53
+        man = (rng.getrandbits(bits - 1) | 1 << (bits - 1)) * rng.choice([-1, 1])
+        v = libmp.from_man_exp(man, e - bits)
+        x = MPInterval(v, v, prec)
+        q = Fraction(*libmp.to_rational(v))
+        lo, hi = x.lo_float(), x.hi_float()
+        assert _at_most(lo, q) and _at_least(hi, q)
+        assert not _at_most(math.nextafter(lo, inf), q)
+        assert not _at_least(math.nextafter(hi, -inf), q)
+
+
 @pytest.mark.parametrize("prec", [80, 160])
 @pytest.mark.parametrize("value", [0.1, -1.5, 5e-324, -2.0 ** -1022, 1.7e308, 0.0])
 def test_float_hull_of_float_points_is_the_point(prec, value):
@@ -636,7 +739,8 @@ def test_certificate_identical_with_scalar_matrix_layer(
     """With the float kernel's whole array layer replaced by numpy object
     arrays of `Interval` (every entry through the scalar dunders and
     methods, products by `scalar_mat_mul`, arrays from endpoints by one
-    `Interval` each), dodec27a certifies to the same bytes."""
+    `Interval` each, the Krawczyk column sums by one `Interval` sum per
+    entry and column), dodec27a certifies to the same bytes."""
     objects = MPKernel.array
     monkeypatch.setattr(FloatKernel, "array", staticmethod(objects))
     monkeypatch.setattr(
@@ -645,7 +749,7 @@ def test_certificate_identical_with_scalar_matrix_layer(
     monkeypatch.setattr(
         FloatKernel, "from_bounds", staticmethod(np.frompyfunc(Interval, 2, 1))
     )
-    for name in ("bounds", "concat", "sqrt", "sqrt_nonneg", "arccos"):
+    for name in ("bounds", "concat", "add_columns", "sqrt", "sqrt_nonneg", "arccos"):
         monkeypatch.setattr(FloatKernel, name, staticmethod(getattr(MPKernel, name)))
     scalar = verify.run_pipeline(dodec27a)
     assert scalar.verified

@@ -310,7 +310,8 @@ def test_random_gluings_links_match_reference():
     assert degree_one > 0
 
 
-@pytest.mark.parametrize("bad", ["1000", "711", "-1000", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("bad", ["1000", "711", "-1000", "nan", "inf", "-inf",
+                                 "0", "-0.0", "-5e-324", "-1.0"])
 def test_lengths_must_have_a_finite_cosh(dodec27a, bad):
     text = tr.serialize(dodec27a, lengths=())
     head = text.rsplit("lengths:", 1)[0]
@@ -320,3 +321,15 @@ def test_lengths_must_have_a_finite_cosh(dodec27a, bad):
         tr.parse(head + "lengths:\n" + " ".join(values) + "\n")
     values[3] = "710"  # cosh(710) is still a finite float
     assert tr.parse(head + "lengths:\n" + " ".join(values) + "\n").lengths[3] == 710
+
+
+def test_negated_lengths_are_rejected(dodec27a):
+    # cosh is even, so the negated lengths of a hyperbolic structure have
+    # its edge parameters: parsing, not the certificate, must refuse them
+    text = tr.serialize(dodec27a, lengths=[-l for l in dodec27a.lengths])
+    with pytest.raises(tr.TriangulationError,
+                       match=f"length 0 is {-dodec27a.lengths[0]!r}: not positive"):
+        tr.parse(text)
+    values = list(dodec27a.lengths)
+    values[-1] = 5e-324  # the least positive float is a length
+    assert tr.parse(tr.serialize(dodec27a, lengths=values)).lengths == values

@@ -2,6 +2,8 @@
 
 Every arithmetic operation returns an enclosure of the exact result set;
 exact cases stay exact, inexact ones widen by at most a couple of ulps.
+The scalar `Interval` shows one enclosure at a time; the kernels, which
+the pipeline uses, build and compare whole arrays of them.
 """
 
 import math
@@ -35,22 +37,23 @@ print("cos([3.0, 3.3])     =", c, " (the minimum at pi is included)")
 
 print("\n== configurable precision ==")
 k = MPKernel(150)
-q = k.point(1.0) / k.point(3.0)
-print(f"1/3 at 150 bits: width {q.width():.2e}")
+q = k.points([1.0]) / k.points([3.0])
+print(f"1/3 at 150 bits: width {k.width(q)[0]:.2e}")
 
 print("\n== rigorous matrix invertibility ==")
 kf = FloatKernel()
-eye = kf.array(np.eye(3))
-wide = kf.array([[kf.interval(-1, 1)] * 3 for _ in range(3)])
+eye = kf.points(np.eye(3))
+wide = kf.from_bounds(-np.ones((3, 3)), np.ones((3, 3)))
 print("identity invertible:", interval_matrix_invertible(eye))
 print("[-1,1]^{3x3} invertible:", interval_matrix_invertible(wide),
       "(contains singular members, so the test must refuse)")
 
 print("\n== rotations compose ==")
-z, one = kf.point(0.0), kf.point(1.0)
-c, s = PI.cos(), PI.sin()
-R = kf.array([[c, -s, z], [s, c, z], [z, z, one]])
-RR = kf.mat_mul(R, R).tolist()
-print("R(pi)^2 encloses identity:",
-      all(RR[i][j].contains(1.0 if i == j else 0.0) for i in range(3) for j in range(3)))
-print("entry (0,0):", RR[0][0])
+pi = kf.from_bounds([PI.lo], [PI.hi])
+c, s = kf.cos(pi), kf.sin(pi)
+R = kf.points(np.eye(3))  # rows and columns 0 and 1 become the rotation
+for (i, j), x in {(0, 0): c, (0, 1): -s, (1, 0): s, (1, 1): c}.items():
+    R[i, j] = x[0]
+RR = kf.mat_mul(R, R)
+print("R(pi)^2 encloses identity:", bool(kf.contains(RR, np.eye(3)).all()))
+print(f"entry (0,0): [{float(RR.lo[0, 0])!r}, {float(RR.hi[0, 0])!r}]")

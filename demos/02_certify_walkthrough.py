@@ -12,7 +12,7 @@ import numpy as np
 
 import hypcert
 from hypcert import certificate, geometry, gimbal, verify
-from hypcert.interval import FLOAT_KERNEL, contains_two_pi
+from hypcert.interval import FLOAT_KERNEL
 from hypcert.triangulation import vertex_link_hexagon_complex
 
 tri = hypcert.parse(hypcert.bundled_fixture("dodec27a.tri").read_text())
@@ -36,15 +36,15 @@ print(f"  kept {len(part.e_eq)} of {tri.m} equations over the kept edges' "
 
 print("stage II: Krawczyk enclosure of the kept equations")
 box = verify.krawczyk_certify(tri, p0, part, jsub, r0)
-print(f"  enclosure width: {max(x.width() for x in box.nu):.2e}")
+print(f"  enclosure width: {FLOAT_KERNEL.width(box.nu).max():.2e}")
 
 print("stage III+IV: interval realization and loose angle sums")
 box = verify.check_realization_and_angles(tri, box)
-loose = [box.theta[e] for e in part.e_sim]
+loose = box.theta[part.e_sim]  # box.nu and box.theta are kernel arrays
 print("  every simplex realized over the box")
-for e, th in zip(part.e_sim, loose):
-    print(f"  angle sum of loose edge {e}: width {th.width():.2e}, "
-          f"contains full turn: {contains_two_pi(th)}")
+for e, width, full in zip(part.e_sim, FLOAT_KERNEL.width(loose),
+                          FLOAT_KERNEL.contains_two_pi(loose)):
+    print(f"  angle sum of loose edge {e}: width {width:.2e}, contains full turn: {full}")
 
 print("stage V: excluding gimbal lock")
 # the box's 53-bit intervals, as edge parameters of the float interval kernel

@@ -46,7 +46,7 @@ print("avoiding lock.")
 
 print("\na construction that is always locked: two polygons at antipodal")
 print("points of the link rotate about a single common axis")
-from hypcert.interval import TWO_PI
+from hypcert.interval import FLOAT_KERNEL
 
 
 class AntipodalLabels:
@@ -69,9 +69,10 @@ word = [
 loop = gimbal.GimbalLoop(0, None, (0, 1), word)
 loop.variable_of_pid = {0: 0, 1: 1}
 (derivs,) = gimbal.gimbal_matrix_derivatives(
-    [loop], AntipodalLabels(), gimbal.rotation_balls([TWO_PI, TWO_PI])
+    [loop], AntipodalLabels(), gimbal.rotation_balls(FLOAT_KERNEL.two_pi()[[0, 0]])
 )
-D = np.array([[derivs[v].tolist()[r][c].mid() for v in (0, 1)]
+# the midpoint of each 3x3 derivative's entries (0,1), (0,2) and (1,2)
+D = np.array([[0.5 * (derivs[v].lo[r, c] + derivs[v].hi[r, c]) for v in (0, 1)]
               for (r, c) in ((0, 1), (0, 2), (1, 2))])
 print("  derivative columns:")
 print(D.T)

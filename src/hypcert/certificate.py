@@ -18,10 +18,11 @@ import sys
 from fractions import Fraction
 from math import inf, isfinite, nextafter
 
+import numpy as np
 from mpmath import libmp
 
 from . import verify as vf
-from .interval import MPInterval, kernel_for_precision
+from .interval import kernel_for_precision
 from .triangulation import serialize, vertex_link_hexagon_complex
 
 __all__ = [
@@ -59,16 +60,18 @@ def _decimal(x, digits, rounding):
         return str(decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator))
 
 
-def _endpoints(iv, precision):
+def _endpoints(arr, precision):
+    """The [lo, hi] decimal string pairs of a kernel array's entries."""
+    lo, hi = kernel_for_precision(precision).exact_bounds(arr)
     if precision != 53:
         digits = int(precision * 0.302) + 8
-        lo = _decimal(Fraction(*libmp.to_rational(iv.lo)), digits, decimal.ROUND_FLOOR)
-        hi = _decimal(Fraction(*libmp.to_rational(iv.hi)), digits, decimal.ROUND_CEILING)
-        return [lo, hi]
+        return [[_decimal(Fraction(*libmp.to_rational(x)), digits, rounding)
+                 for x, rounding in ((l, decimal.ROUND_FLOOR), (h, decimal.ROUND_CEILING))]
+                for l, h in zip(lo, hi)]
     # binary doubles have finite exact decimal expansions: print those, so
     # the decimal document encloses the binary interval with no slack and
     # re-parses to exactly the same endpoints
-    return [str(decimal.Decimal(iv.lo)), str(decimal.Decimal(iv.hi))]
+    return [[str(decimal.Decimal(l)), str(decimal.Decimal(h))] for l, h in zip(lo, hi)]
 
 
 def _float_down(s):
@@ -85,23 +88,26 @@ def _float_up(s):
     return f
 
 
-def _parse_interval(pair, kernel):
-    """Outward enclosure of a [lo, hi] pair of finite decimal strings."""
-    if not (isinstance(pair, list) and len(pair) == 2
-            and all(isinstance(x, str) for x in pair)):
-        raise ValueError(f"endpoint pair expected, got {pair!r}")
-    for s in pair:
-        if not decimal.Decimal(s).is_finite():
-            raise ValueError(f"endpoint {s!r} is not finite")
-        if kernel.precision == 53 and not isfinite(float(s)):
-            raise ValueError(f"endpoint {s!r} is beyond the 53-bit float range "
-                             f"(magnitude at most {sys.float_info.max!r})")
-    lo_s, hi_s = pair
+def _parse_intervals(pairs, kernel):
+    """The kernel array enclosing a list of [lo, hi] pairs of finite decimal
+    strings, each endpoint rounded outward."""
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(x, str) for x in pair)):
+            raise ValueError(f"endpoint pair expected, got {pair!r}")
+        for s in pair:
+            if not decimal.Decimal(s).is_finite():
+                raise ValueError(f"endpoint {s!r} is not finite")
+            if kernel.precision == 53 and not isfinite(float(s)):
+                raise ValueError(f"endpoint {s!r} is beyond the 53-bit float range "
+                                 f"(magnitude at most {sys.float_info.max!r})")
+    lo_s, hi_s = [p[0] for p in pairs], [p[1] for p in pairs]
     if kernel.precision == 53:
-        return kernel.interval(_float_down(lo_s), _float_up(hi_s))
-    lo = libmp.from_str(lo_s, kernel.precision, libmp.round_floor)
-    hi = libmp.from_str(hi_s, kernel.precision, libmp.round_ceiling)
-    return MPInterval(lo, hi, kernel.precision)
+        return kernel.from_bounds([_float_down(s) for s in lo_s], [_float_up(s) for s in hi_s])
+    return kernel.from_bounds(*(
+        np.fromiter((libmp.from_str(s, kernel.precision, rnd) for s in strings),
+                    dtype=object, count=len(strings))
+        for strings, rnd in ((lo_s, libmp.round_floor), (hi_s, libmp.round_ceiling))))
 
 
 # -- building and parsing -----------------------------------------------------
@@ -134,9 +140,9 @@ def certificate_dict(tri, result, method, timings=None):
         }
     if box is not None and box.nu is not None:
         p = box.precision
-        out["nu"] = [_endpoints(x, p) for x in box.nu]
+        out["nu"] = _endpoints(box.nu, p)
         if box.theta is not None:
-            out["theta"] = [_endpoints(x, p) for x in box.theta]
+            out["theta"] = _endpoints(box.theta, p)
     if result.verified and box.loops:
         out["gimbal_loops"] = [loop.serialize() for loop in box.loops]
     if timings is not None:
@@ -167,7 +173,7 @@ def _parse_box(tri, doc, kernel):
         part.check(tri.m, tri.o)
         if len(doc["nu"]) != tri.m:
             raise ValueError(f"nu must list {tri.m} intervals")
-        return part, [_parse_interval(pair, kernel) for pair in doc["nu"]]
+        return part, _parse_intervals(doc["nu"], kernel)
     except KeyError as exc:
         raise CertificateError(f"certificate has no {exc}") from exc
     except (TypeError, ValueError, ArithmeticError) as exc:

@@ -11,7 +11,7 @@ The kind of number is the kernel of the `EdgeParams`, and every quantity
 is one array of that kernel (`hypcert.interval`): a numpy float64 array
 for plain floats (`REAL_KERNEL`: the unverified solver and the pivot
 search), an `IntervalArray` for 53-bit intervals and an object array of
-`MPInterval` above 53 bits, so one code path serves all three kinds.  The
+intervals above 53 bits, so one code path serves all three kinds.  The
 Gram matrices and cofactors are (n_tets, 16) arrays, the dihedral
 quantities (n_tets, 6) arrays, the angle sums one (m,) array and a
 Jacobian block one 2-D array.  The cofactor matrix is symmetric by
@@ -87,18 +87,20 @@ class RealizationError(ValueError):
 
 class EdgeParams:
     """Edge parameters nu_e = -cosh(l_e) in canonical edge-class order, as
-    one 1-D array of `kernel` (plain floats unless a kernel is given)."""
+    one 1-D array of `kernel`; plain floats (the default kernel) may come
+    as any float sequence."""
 
     __slots__ = ("values", "kernel")
 
     def __init__(self, values, kernel=REAL_KERNEL, check=True):
         self.kernel = kernel
-        self.values = kernel.array(values)
+        self.values = REAL_KERNEL.points(values) if kernel is REAL_KERNEL else values
         if check:
-            bad = ~(kernel.bounds(self.values)[1] < -1.0)
+            lo, hi = kernel.bounds(self.values)
+            bad = ~(hi < -1.0)
             if bad.any():
                 i = int(np.argmax(bad))
-                v = self.values[i:i + 1].tolist()[0]
+                v = float(hi[i]) if kernel is REAL_KERNEL else [float(lo[i]), float(hi[i])]
                 raise RealizationError(f"edge parameter {i} not proven < -1: {v!r}")
 
     @classmethod
@@ -344,11 +346,6 @@ def _plan(tri):
     return tri.geometry_plan
 
 
-def _constant(kernel, x, shape):
-    """The kernel array of `shape` with the point x everywhere."""
-    return kernel.array([kernel.point(x)])[np.zeros(shape, dtype=np.intp)]
-
-
 # ---------------------------------------------------------------------------
 # Gram matrices, cofactors and the realization conditions
 # ---------------------------------------------------------------------------
@@ -450,7 +447,7 @@ def simplex_data(tri, params):
     """
     kernel = params.kernel
     G = params.values[_plan(tri).gram]
-    G[:, _DIAG] = kernel.point(-1.0)
+    G[:, _DIAG] = kernel.points([-1.0])
     C = _cofactors(G)
     failed, cc, gap = _realization(kernel, G, C)
     first_failed = int(np.argmax(failed.any(axis=1))) if failed.any() else tri.n_tets
@@ -548,7 +545,7 @@ def jacobian(tri, params, data=None, rows=None, cols=None):
         i, j = _FACES[e]
         raise RealizationError(f"tet {t}: degenerate angle gap at faces ({i},{j})")
     block = _plan(tri).block(rows, cols)
-    M = _constant(kernel, 0.0, block.shape)
+    M = kernel.points(np.zeros(block.shape))
     if block.rounds:
         terms = _derivatives(kernel, data)[block.at]
         for r, k, sel in block.rounds:
@@ -566,7 +563,7 @@ def _derivatives(kernel, data):
     # the 21 minors' products, and 2 c_ii, 2 c_jj per local edge, in one
     # product
     p = (kernel.concat([G[:, _J_LEFT], C[:, _J_DEN]])
-         * kernel.concat([G[:, _J_RIGHT], _constant(kernel, 2.0, (n, 12))]))
+         * kernel.concat([G[:, _J_RIGHT], kernel.points(np.full((n, 12), 2.0))]))
     minors = p[:, :21] - p[:, 21:42]
     det = minors[:, _DC_MINOR]
     det[:, _DC_NEGATED] = -det[:, _DC_NEGATED]
@@ -575,7 +572,7 @@ def _derivatives(kernel, data):
     dc[:, _DC_SUM_NEGATED] = -dc[:, _DC_SUM_NEGATED]
     # 1/sqrt(gap), c_ij/(2 c_ii) and c_ij/(2 c_jj) per local edge, in one
     # quotient
-    q = (kernel.concat([_constant(kernel, 1.0, (n, 6)), C[:, _J_NUM]])
+    q = (kernel.concat([kernel.points(np.ones((n, 6))), C[:, _J_NUM]])
          / kernel.concat([kernel.sqrt(data.gap), p[:, 42:]]))
     term = q[:, _T_RATIO] * dc[:, _T_DC]
     acc = dc[:, _N_DIAG:]

@@ -604,17 +604,15 @@ def validate_gimbal_loop(loop):
 
 
 def rotation_balls(boxes):
-    """The z-rotation by each 53-bit interval angle of `boxes` and its
+    """The z-rotation by each angle of the 1-D 53-bit array `boxes` and its
     derivative, ((c, -s, 0), (s, c, 0), (0, 0, 1)) and
     ((-s, -c, 0), (c, -s, 0), (0, 0, 0)), as two ball stacks with one row
-    per box, in order.  One cos and one sin is taken per distinct box, and
-    all the balls come from one endpoint table (`_balls_of_bounds`),
-    filled from `IntervalArray`s, whose negation makes -0.0 0.0 as
-    `Interval`'s does."""
-    distinct = list(dict.fromkeys(boxes))
-    k = len(distinct)
-    c = FLOAT_KERNEL.array([w.cos() for w in distinct])
-    s = FLOAT_KERNEL.array([w.sin() for w in distinct])
+    per box, in order.  The kernel takes one cos and one sin per distinct
+    box, and all the balls come from one endpoint table
+    (`_balls_of_bounds`), filled from `IntervalArray`s, whose negation
+    makes -0.0 0.0 as `Interval`'s does."""
+    k = len(boxes)
+    c, s = FLOAT_KERNEL.cos(boxes), FLOAT_KERNEL.sin(boxes)
     lo, hi = np.zeros((2, 2, k, 3, 3))  # rotations, then derivatives
     entries = ((0, 0, 0, c), (0, 0, 1, -s), (0, 1, 0, s), (0, 1, 1, c),
                (1, 0, 0, -s), (1, 0, 1, -c), (1, 1, 0, c), (1, 1, 1, -s))
@@ -622,9 +620,7 @@ def rotation_balls(boxes):
         lo[which, :, i, j], hi[which, :, i, j] = FLOAT_KERNEL.bounds(x)
     lo[0, :, 2, 2] = hi[0, :, 2, 2] = 1.0
     balls = _balls_of_bounds(lo.reshape(-1, 3, 3), hi.reshape(-1, 3, 3))
-    of_box = {w: i for i, w in enumerate(distinct)}
-    rows = np.array([of_box[w] for w in boxes], dtype=int)
-    return _take(balls, rows), _take(balls, rows + k)
+    return _take(balls, slice(k)), _take(balls, slice(k, None))
 
 
 def gimbal_matrix_derivatives(loops, labels, rotations):
@@ -755,16 +751,15 @@ def gimbal_lock_check(tri, labels, e_sim, theta_boxes, links):
     """Step that upgrades approximate edge equations to exact ones.
 
     e_sim: edge-class indices whose angle sums are only enclosed; the box
-    K is their list of angle-sum enclosures `theta_boxes` (same order).
+    K is their angle-sum enclosures `theta_boxes`, a 1-D 53-bit array in
+    the same order.
     Returns verdict `avoided` only if the interval Jacobian of the gimbal
     function over K is provably invertible.
     """
     expected = 3 * tri.o
     if len(e_sim) != expected or len(theta_boxes) != expected:
         return GimbalVerdict(False, f"need exactly {expected} loose edges", [])
-    from .interval import contains_two_pi
-
-    if not all(contains_two_pi(b) for b in theta_boxes):
+    if not FLOAT_KERNEL.contains_two_pi(theta_boxes).all():
         return GimbalVerdict(
             False, "box does not contain the full-turn point", []
         )

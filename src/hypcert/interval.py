@@ -21,28 +21,30 @@ result set of its inputs.  Two endpoint backends share one protocol:
   infinite endpoint still form.  The elementary functions are evaluated
   10 bits wider and stepped at least one ulp outward.
 
-Beyond the arithmetic dunders and the elementary functions, both classes
-expose the same protocol, which is all that generic code may rely on:
-
-* ``lo_float()`` / ``hi_float()`` -- float bounds rounded outward;
-* ``sqrt_nonneg()`` -- sqrt of a quantity that is mathematically >= 0,
-  clamping a rounding dip below zero (DomainError if entirely negative).
+Both classes also give ``lo_float()`` / ``hi_float()``, float bounds
+rounded outward, and ``sqrt_nonneg()``, the sqrt of a quantity that is
+mathematically >= 0 (a rounding dip below zero clamped).
 
 The kind of number is carried by a kernel, never read off a value:
 ``REAL_KERNEL`` for plain floats, ``FLOAT_KERNEL`` for 53-bit intervals and
 an ``MPKernel`` above 53 bits (``kernel_for_precision`` gives the interval
-kernel of a precision).  A kernel builds scalars of its kind (``point``,
-``interval``, ``two_pi``) and owns the array layer.  ``kernel.array`` turns
-(nested) lists of its scalars, or a float ndarray as points, into an array
-with elementwise, broadcasting ``+``, ``-``, ``*`` and ``/``, numpy indexing
-and item assignment; ``kernel.sqrt``, ``kernel.sqrt_nonneg`` and
-``kernel.arccos`` apply the scalar methods entrywise; ``kernel.bounds``
-gives an array's outward float endpoints, ``kernel.float_hull`` its
-outward 53-bit hull as an ``IntervalArray`` and ``kernel.lift`` an
+kernel of a precision).  Kernels speak arrays only: no code outside this
+module builds, reads or converts one interval.  ``kernel.points`` builds
+the array of the points of floats; an interval kernel's ``from_bounds``
+builds that of the intervals between endpoint arrays (floats, or mpf
+values above 53 bits) and ``two_pi()`` the one-entry array around 2 pi.
+Arrays have elementwise, broadcasting ``+``, ``-``, ``*`` and ``/``, numpy
+indexing and item assignment.  ``kernel.inside`` (strictly), ``intersect``,
+``meets``, ``contains`` (a float), ``width``, ``sqrt``, ``sqrt_nonneg``
+and ``arccos`` are the scalar methods entrywise, ``contains_two_pi`` the
+test against 2 pi; ``kernel.bounds`` gives outward float endpoints,
+``kernel.exact_bounds`` the endpoints themselves, ``kernel.float_hull``
+the outward 53-bit hull as an ``IntervalArray`` and ``kernel.lift`` an
 ``IntervalArray`` as the kernel's array, exactly.  The float kernel's
 array, ``IntervalArray``, holds numpy endpoint arrays whose elementwise
 arithmetic is bit for bit the ``Interval`` dunders and methods; its hull
-and lift are the identity.  Its products and quotients round once per
+and lift are the identity, and its ``cos`` and ``sin`` take the scalar
+method once per distinct entry.  Its products and quotients round once per
 result entry: the scalar dunder's lower end is min_k down(q_k) over the
 rounded candidates q_k, where down(q_k) is q_k or prev(q_k), the next
 float below.  A candidate q_k > q_min has down(q_k) >= prev(q_k) >= q_min,
@@ -477,15 +479,6 @@ def _critical_point(k, fn):
     return PI * k + (0.0 if fn is math.cos else _PI_HALF_IV)
 
 
-def contains_two_pi(x):
-    """True only if x provably contains the real number 2*pi."""
-    if isinstance(x, MPInterval):
-        lo = libmp.mpf_shift(libmp.mpf_pi(x.prec + 8, _RF), 1)
-        hi = libmp.mpf_shift(libmp.mpf_pi(x.prec + 8, _RC), 1)
-        return not libmp.mpf_gt(x.lo, lo) and not libmp.mpf_gt(hi, x.hi)
-    return x.lo <= TWO_PI.lo and TWO_PI.hi <= x.hi
-
-
 # ---------------------------------------------------------------------------
 # arbitrary-precision backend
 # ---------------------------------------------------------------------------
@@ -579,8 +572,6 @@ class MPInterval:
 
     @classmethod
     def point(cls, x, prec):
-        if isinstance(x, tuple):
-            return cls(x, x, prec)
         return cls.from_floats(float(x), float(x), prec)
 
     def _coerce(self, x):
@@ -620,12 +611,6 @@ class MPInterval:
 
     def width(self):
         return libmp.to_float(libmp.mpf_sub(self.hi, self.lo, 53, _RC), rnd=_RC)
-
-    def mag(self):
-        return max(abs(self.lo_float()), abs(self.hi_float()))
-
-    def is_finite(self):
-        return isfinite(self.lo_float()) and isfinite(self.hi_float())
 
     def contains(self, x):
         x = libmp.from_float(float(x))
@@ -845,13 +830,16 @@ class MPInterval:
 
 
 def _down_array(s, err):
-    # _down entrywise: s is kept only where err >= 0, which is false for a
-    # NaN (unknown) err; nextafter(-inf, -inf) is -inf, as _down returns
-    return np.where(err >= 0.0, s, np.nextafter(s, -inf))
+    # _down entrywise on a fresh sum s, stepped in place where err >= 0 is
+    # false, as it is for a NaN (unknown) err; nextafter(-inf, -inf) is -inf,
+    # as _down returns.  A sum of 0-d operands is a numpy scalar: made an array
+    s = np.asarray(s)
+    return np.nextafter(s, -inf, out=s, where=~(err >= 0.0))
 
 
 def _up_array(s, err):
-    return np.where(err <= 0.0, s, np.nextafter(s, inf))
+    s = np.asarray(s)
+    return np.nextafter(s, inf, out=s, where=~(err <= 0.0))
 
 
 def _two_prod_array(a, b):
@@ -894,9 +882,20 @@ def _checked(lo, hi):
     return IntervalArray(lo, hi)
 
 
-_LO = np.frompyfunc(attrgetter("lo"), 1, 1)
-_HI = np.frompyfunc(attrgetter("hi"), 1, 1)
-_INTERVALS = np.frompyfunc(Interval, 2, 1)
+def _first(mask, lo, hi):
+    """The first entry in C order where mask holds, printed as ``Interval``
+    prints it."""
+    i = np.unravel_index(np.argmax(mask), mask.shape)
+    return f"[{float(lo[i])!r}, {float(hi[i])!r}]"
+
+
+def _ordered_bounds(lo, hi):
+    """IntervalArray(lo, hi), raising as ``Interval(lo, hi)`` does on a NaN
+    or reversed entry."""
+    reversed_ = lo > hi
+    if reversed_.any():
+        raise IntervalError(f"reversed endpoints {_first(reversed_, lo, hi)}")
+    return _checked(lo, hi)
 
 
 class IntervalArray:
@@ -924,21 +923,6 @@ class IntervalArray:
         self.lo = lo + 0.0
         self.hi = hi + 0.0
 
-    @classmethod
-    def of(cls, intervals):
-        """The array of nested ``Interval``s, or the points of a float
-        ndarray; an ``IntervalArray`` is returned as it is."""
-        if isinstance(intervals, IntervalArray):
-            return intervals
-        if isinstance(intervals, np.ndarray) and intervals.dtype == float:
-            return cls(intervals, intervals)
-        obj = np.array(intervals, dtype=object)
-        return cls(_LO(obj).astype(float), _HI(obj).astype(float))
-
-    def tolist(self):
-        """Nested lists of ``Interval``s, like ``ndarray.tolist``."""
-        return _INTERVALS(self.lo, self.hi).tolist()
-
     def copy(self):
         return IntervalArray(self.lo.copy(), self.hi.copy())
 
@@ -954,16 +938,14 @@ class IntervalArray:
         return len(self.lo)
 
     def __iter__(self):
-        """Like a numpy array's: the entries of a 1-D array as
-        ``Interval``s, the rows of a higher one as ``IntervalArray``s."""
-        if self.lo.ndim == 1:
-            return iter(self.tolist())
+        """Like a numpy array's: the entries (0-d arrays) or the rows in
+        order; a 0-d array is not iterable."""
         return map(IntervalArray, self.lo, self.hi)
 
-    def _entry(self, mask):
-        """The first entry where mask holds, as an ``Interval``."""
-        i = np.unravel_index(np.argmax(mask), mask.shape)
-        return Interval(float(self.lo[i]), float(self.hi[i]))
+    def width(self):
+        """``Interval.width`` entrywise: hi - lo rounded up."""
+        with np.errstate(all="ignore"):
+            return _up_array(*_two_sum(self.hi, -self.lo))
 
     def __getitem__(self, idx):
         # the endpoints are normalised already, so a gather is kept as it is;
@@ -1028,14 +1010,7 @@ class IntervalArray:
         # a NaN candidate (inf / inf) is skipped, as the scalar min/max does
         lo = np.where(np.isnan(lo), inf, lo)
         hi = np.where(np.isnan(hi), -inf, hi)
-        lo, hi = _sign_clamped_array(lo, hi, alo, ahi, blo, bhi)
-        reversed_ = lo > hi
-        if reversed_.any():
-            i = np.unravel_index(np.argmax(reversed_), reversed_.shape)
-            raise IntervalError(
-                f"reversed endpoints [{float(lo[i])!r}, {float(hi[i])!r}]"
-            )
-        return _checked(lo, hi)
+        return _ordered_bounds(*_sign_clamped_array(lo, hi, alo, ahi, blo, bhi))
 
     def __rtruediv__(self, other):
         return _as_array(other) / self
@@ -1043,9 +1018,8 @@ class IntervalArray:
     def sqrt(self):
         negative = self.lo < 0.0
         if negative.any():
-            raise DomainError(
-                f"sqrt of interval with negative part {self._entry(negative)!r}"
-            )
+            raise DomainError("sqrt of interval with negative part "
+                              + _first(negative, self.lo, self.hi))
 
         def exact(s, x):
             p, err, known = _two_prod_array(s, s)
@@ -1066,9 +1040,8 @@ class IntervalArray:
     def arccos(self):
         outside = (self.lo < -1.0) | (self.hi > 1.0)
         if outside.any():
-            raise DomainError(
-                f"arccos needs argument inside [-1,1], got {self._entry(outside)!r}"
-            )
+            raise DomainError("arccos needs argument inside [-1,1], got "
+                              + _first(outside, self.lo, self.hi))
 
         def at(x, up):
             # libm's acos per element, two ulps out; np.arccos may differ
@@ -1120,34 +1093,61 @@ def _mid_rad(lo, hi):
 
 
 # ---------------------------------------------------------------------------
-# kernels: uniform constructors for the three kinds of number
+# kernels: the array protocol of the three kinds of number
 # ---------------------------------------------------------------------------
 
 
+def _per_distinct(name):
+    """A kernel method: the ``Interval`` method `name` entrywise, taken once
+    per distinct entry."""
+    def apply(arr):
+        pairs, at = np.unique(np.stack([arr.lo.ravel(), arr.hi.ravel()], axis=1),
+                              axis=0, return_inverse=True)
+        out = [getattr(Interval(lo, hi), name)() for lo, hi in pairs.tolist()]
+        at = at.reshape(arr.shape)
+        return IntervalArray(np.array([x.lo for x in out])[at], np.array([x.hi for x in out])[at])
+
+    return staticmethod(apply)
+
+
 class FloatKernel:
-    """Factory for 53-bit intervals."""
+    """Arrays of 53-bit intervals: ``IntervalArray``."""
 
     precision = 53
 
     @staticmethod
-    def point(x):
-        return Interval.point(x)
-
-    @staticmethod
-    def interval(lo, hi):
-        return Interval(lo, hi)
-
-    @staticmethod
-    def two_pi():
-        return TWO_PI
-
-    @staticmethod
-    def array(intervals):
-        return IntervalArray.of(intervals)
+    def points(x):
+        """The points of a float array."""
+        x = np.asarray(x, dtype=float)
+        return _checked(x, x)
 
     @staticmethod
     def from_bounds(lo, hi):
         """The array of the intervals [lo, hi], from float endpoint arrays."""
+        return _ordered_bounds(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+
+    @staticmethod
+    def two_pi():
+        return IntervalArray(np.array([TWO_PI.lo]), np.array([TWO_PI.hi]))
+
+    # where a lies in the interior of b, where a and b intersect, where a
+    # contains the float x and where a provably contains 2 pi
+    inside = staticmethod(lambda a, b: (b.lo < a.lo) & (a.hi < b.hi))
+    meets = staticmethod(lambda a, b: (a.lo <= b.hi) & (b.lo <= a.hi))
+    contains = staticmethod(lambda a, x: (a.lo <= x) & (x <= a.hi))
+    contains_two_pi = staticmethod(lambda a: (a.lo <= TWO_PI.lo) & (TWO_PI.hi <= a.hi))
+    width = staticmethod(methodcaller("width"))
+    sqrt = staticmethod(methodcaller("sqrt"))
+    sqrt_nonneg = staticmethod(methodcaller("sqrt_nonneg"))
+    arccos = staticmethod(methodcaller("arccos"))
+    cos = _per_distinct("cos")
+    sin = _per_distinct("sin")
+
+    @staticmethod
+    def intersect(a, b):
+        lo, hi = np.maximum(a.lo, b.lo), np.minimum(a.hi, b.hi)
+        if (lo > hi).any():
+            raise IntervalError("empty intersection")
         return IntervalArray(lo, hi)
 
     @staticmethod
@@ -1216,62 +1216,76 @@ class FloatKernel:
     def bounds(arr):
         return arr.lo, arr.hi
 
+    exact_bounds = bounds
+
     @staticmethod
     def float_hull(arr):
         return arr
 
     lift = float_hull
 
-    @staticmethod
-    def sqrt(arr):
-        return arr.sqrt()
 
-    @staticmethod
-    def sqrt_nonneg(arr):
-        return arr.sqrt_nonneg()
+def _each(name, nin, dtype=None):
+    """A kernel method that calls the method `name` of the entries of its
+    first object array, with the entries of the others as arguments, its
+    result cast to dtype (None: kept as objects).  The results are the
+    scalar methods' own: the floating-point flags they leave are not read."""
+    fn = np.frompyfunc(lambda x, *args: getattr(x, name)(*args), nin, 1)
 
-    @staticmethod
-    def arccos(arr):
-        return arr.arccos()
+    def apply(*arrays):
+        with np.errstate(all="ignore"):
+            out = fn(*arrays)
+        return out if dtype is None else out.astype(dtype)
+
+    return staticmethod(apply)
 
 
-_LO_FLOAT = np.frompyfunc(methodcaller("lo_float"), 1, 1)
-_HI_FLOAT = np.frompyfunc(methodcaller("hi_float"), 1, 1)
-_SQRT = np.frompyfunc(methodcaller("sqrt"), 1, 1)
-_SQRT_NONNEG = np.frompyfunc(methodcaller("sqrt_nonneg"), 1, 1)
-_ARCCOS = np.frompyfunc(methodcaller("arccos"), 1, 1)
+# [lo, hi] from mpf endpoints as they are, or from float ones exactly
+_MP_BOUNDS = np.frompyfunc(lambda lo, hi, prec: MPInterval(lo, hi, prec) if isinstance(lo, tuple)
+                           else MPInterval.from_floats(lo, hi, prec), 3, 1)
 
 
 class MPKernel:
-    """Factory for intervals with prec-bit endpoints."""
+    """Arrays of intervals with prec-bit endpoints: numpy object arrays of
+    ``MPInterval``, whose operations are its methods entrywise."""
 
     def __init__(self, precision):
         if precision < 53:
             raise ValueError("precision must be >= 53 bits")
         self.precision = precision
 
-    def point(self, x):
-        return MPInterval.point(x, self.precision)
+    def points(self, x):
+        """The points of a float array."""
+        x = np.asarray(x, dtype=float)
+        return self.from_bounds(x, x)
 
-    def interval(self, lo, hi):
-        return MPInterval.from_floats(float(lo), float(hi), self.precision)
-
-    def pi(self):
-        return MPInterval(
-            libmp.mpf_pi(self.precision, _RF),
-            libmp.mpf_pi(self.precision, _RC),
-            self.precision,
-        )
+    def from_bounds(self, lo, hi):
+        """The array of the intervals [lo, hi], from equal-shaped arrays of
+        float or mpf endpoints, exactly."""
+        return _MP_BOUNDS(lo, hi, self.precision)
 
     def two_pi(self):
-        p = self.pi()
-        return MPInterval(
-            libmp.mpf_shift(p.lo, 1), libmp.mpf_shift(p.hi, 1), self.precision
-        )
+        p = self.precision
+        return np.array([MPInterval(*(libmp.mpf_shift(libmp.mpf_pi(p, rnd), 1)
+                                      for rnd in (_RF, _RC)), p)], dtype=object)
 
-    @staticmethod
-    def array(intervals):
-        return np.array(intervals, dtype=object)
+    inside = _each("strictly_inside", 2, bool)
+    intersect = _each("intersect", 2)
+    meets = _each("intersects", 2, bool)
+    contains = _each("contains", 2, bool)
+    width = _each("width", 1, float)
+    sqrt = _each("sqrt", 1)
+    sqrt_nonneg = _each("sqrt_nonneg", 1)
+    arccos = _each("arccos", 1)
+    _encloses = _each("encloses", 2, bool)
+    _lo_float, _hi_float = _each("lo_float", 1, float), _each("hi_float", 1, float)
+    # the endpoints exactly, as mpf values
+    exact_bounds = staticmethod(np.frompyfunc(attrgetter("lo", "hi"), 1, 2))
+
+    def contains_two_pi(self, a):
+        """Where a provably contains the real number 2 pi, held to 2 pi at
+        8 more bits than the kernel's."""
+        return self._encloses(a, MPKernel(self.precision + 8).two_pi()[0])
 
     @staticmethod
     def concat(arrays):
@@ -1286,26 +1300,14 @@ class MPKernel:
 
     @staticmethod
     def bounds(arr):
-        with np.errstate(over="ignore"):  # beyond the float range: +-inf, sound
-            return _LO_FLOAT(arr).astype(float), _HI_FLOAT(arr).astype(float)
+        # beyond the float range: +-inf, sound, and the overflow flag unread
+        return MPKernel._lo_float(arr), MPKernel._hi_float(arr)
 
     def float_hull(self, arr):
         return IntervalArray(*self.bounds(arr))
 
     def lift(self, arr):
-        return np.frompyfunc(self.interval, 2, 1)(arr.lo, arr.hi)
-
-    @staticmethod
-    def sqrt(arr):
-        return _SQRT(arr)
-
-    @staticmethod
-    def sqrt_nonneg(arr):
-        return _SQRT_NONNEG(arr)
-
-    @staticmethod
-    def arccos(arr):
-        return _ARCCOS(arr)
+        return self.from_bounds(arr.lo, arr.hi)
 
 
 class RealKernel:
@@ -1314,12 +1316,8 @@ class RealKernel:
     ``math.acos`` per element, as for a float, never ``np.arccos``."""
 
     @staticmethod
-    def point(x):
-        return float(x)
-
-    @staticmethod
-    def array(values):
-        return np.array(values, dtype=float)
+    def points(x):
+        return np.array(x, dtype=float)
 
     @staticmethod
     def concat(arrays):
@@ -1329,9 +1327,7 @@ class RealKernel:
     def bounds(arr):
         return arr, arr
 
-    @staticmethod
-    def sqrt(arr):
-        return np.sqrt(arr)
+    sqrt = staticmethod(np.sqrt)
 
     @staticmethod
     def sqrt_nonneg(arr):
@@ -1372,7 +1368,7 @@ def inverse_residual(m):
         return None
     if not np.all(np.isfinite(n)):
         return None
-    return f.mat_mul(m, f.array(n)) - f.array(np.eye(len(n)))
+    return f.mat_mul(m, f.points(n)) - f.points(np.eye(len(n)))
 
 
 def interval_matrix_invertible(m):

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import gimbal
-from .interval import FLOAT_KERNEL, contains_two_pi, kernel_for_precision
+from .interval import FLOAT_KERNEL, kernel_for_precision
 from .triangulation import vertex_link_hexagon_complex
 
 __all__ = [
@@ -79,8 +79,8 @@ class Partition:
 
 @dataclass
 class CertifiedBox:
-    nu: list  # interval per edge, canonical order (points on e_sim)
-    theta: list  # interval angle sum per edge
+    nu: object  # kernel array, an interval per edge in canonical order (points on e_sim)
+    theta: object  # kernel array, the interval angle sum per edge
     partition: Partition
     statuses: dict = field(default_factory=dict)
     loops: list = None
@@ -266,12 +266,11 @@ class KrawczykCentre:
     array to a kernel array."""
 
     def __init__(self, f_iv, x0, C, kernel):
-        n = len(x0)
         self.kernel = kernel
-        self.x0 = kernel.array([kernel.point(v) for v in x0])
+        self.x0 = kernel.points(x0)
         fx0 = f_iv(self.x0)
-        self.C = FLOAT_KERNEL.array(np.asarray(C, dtype=float))
-        self.identity = FLOAT_KERNEL.array(np.eye(n))
+        self.C = FLOAT_KERNEL.points(C)
+        self.identity = FLOAT_KERNEL.points(np.eye(len(x0)))
         self.partial = kernel.add_columns(self.x0, -(kernel.lift(self.C) * fx0))
 
 
@@ -280,16 +279,16 @@ def krawczyk_step(centre, jac_iv, X):
 
     K(x0, X) = x0 - C f(x0) + (I - C J(X)) (X - x0), everything except
     the float vectors x0 and C evaluated in interval arithmetic.  Every
-    root of f in X lies in K when x0 lies in X.  The Jacobian term is 53-bit:
-    J on the outward hull of X, X - x0 hulled, column terms lifted exactly;
-    `jac_iv` maps that 53-bit hull to a 2-D 53-bit array.
+    root of f in X lies in K when x0 lies in X.  X and K are kernel
+    arrays.  The Jacobian term is 53-bit: J on the outward hull of X, X - x0
+    hulled, column terms lifted exactly; `jac_iv` maps that 53-bit hull to
+    a 2-D 53-bit array.
     """
     kernel = centre.kernel
-    Xw = kernel.array(X)
-    J = jac_iv(kernel.float_hull(Xw))
+    J = jac_iv(kernel.float_hull(X))
     delta = centre.identity - FLOAT_KERNEL.mat_mul(centre.C, J)
-    terms = kernel.lift(delta * kernel.float_hull(Xw - centre.x0))
-    return kernel.add_columns(centre.partial, terms).tolist()
+    terms = kernel.lift(delta * kernel.float_hull(X - centre.x0))
+    return kernel.add_columns(centre.partial, terms)
 
 
 _STEP_ERRORS = (geo.RealizationError, ArithmeticError, ValueError)
@@ -299,7 +298,7 @@ _MAX_ROUNDS, _REFINE_ROUNDS = 20, 5  # inflation rounds, refinement steps
 def _certify_root(f_iv, jac_iv, x0, C, kernel, residual_scale):
     """Epsilon inflation around x0 until the operator maps the box into
     its own interior; then contract, but only while the box still contains
-    x0.  Returns the final enclosure list.
+    x0.  Returns the final enclosure, a kernel array.
 
     An inflation round whose centre term x0 - C f(x0) is not strictly inside
     X cannot contain, so the operator is not applied.  X = [x0 - half, x0 +
@@ -314,31 +313,31 @@ def _certify_root(f_iv, jac_iv, x0, C, kernel, residual_scale):
         centre = KrawczykCentre(f_iv, x0, C, kernel)
     except _STEP_ERRORS:
         return None  # every step would fail the same way
-    partial = centre.partial.tolist()
+    x0 = np.asarray(x0, dtype=float)
     half = max(1e-14, 10.0 * residual_scale)
     for _ in range(_MAX_ROUNDS):
-        X = [kernel.interval(v - half, v + half) for v in x0]
+        X = kernel.from_bounds(x0 - half, x0 + half)
         half *= 4.0
-        if not all(p.strictly_inside(x) for p, x in zip(partial, X)):
+        if not kernel.inside(centre.partial, X).all():
             continue
         try:
             K = krawczyk_step(centre, jac_iv, X)
-            contained = all(k.strictly_inside(x) for k, x in zip(K, X))
+            contained = kernel.inside(K, X).all()
         except _STEP_ERRORS:
             contained = False
         if contained:
-            enclosure = [k.intersect(x) for k, x in zip(K, X)]
+            enclosure = kernel.intersect(K, X)
             for _r in range(_REFINE_ROUNDS):
-                if not all(y.contains(v) for y, v in zip(enclosure, x0)):
+                if not kernel.contains(enclosure, x0).all():
                     break  # the mean-value form needs x0 in the box
                 try:
                     K2 = krawczyk_step(centre, jac_iv, enclosure)
                 except _STEP_ERRORS:
                     break
-                if not all(k2.intersects(y) for k2, y in zip(K2, enclosure)):
+                if not kernel.meets(K2, enclosure).all():
                     break
-                new = [k2.intersect(y) for k2, y in zip(K2, enclosure)]
-                shrunk = any(n.width() < y.width() for n, y in zip(new, enclosure))
+                new = kernel.intersect(K2, enclosure)
+                shrunk = (kernel.width(new) < kernel.width(enclosure)).any()
                 enclosure = new
                 if not shrunk:
                     break
@@ -353,8 +352,8 @@ def _subsystem_functions(tri, partition, fixed_values, kernel):
     operator evaluates on 53-bit boxes)."""
     kept = partition.e_eq
     # all edges at the float points; each call fills in the kept ones
-    points = {k: k.array([k.point(v) for v in fixed_values]) for k in (kernel, FLOAT_KERNEL)}
-    two_pi = kernel.array([kernel.two_pi()])
+    points = {k: k.points(fixed_values) for k in (kernel, FLOAT_KERNEL)}
+    two_pi = kernel.two_pi()
 
     def full_params(xs, k):
         nu = points[k].copy()
@@ -382,7 +381,7 @@ def krawczyk_certify(tri, p0, partition, jsub, residual, kernel=None):
     if kernel is None:
         kernel = FLOAT_KERNEL
     kept = partition.e_eq
-    nu = [kernel.point(v) for v in p0]
+    nu = kernel.points(p0)
     if kept:
         f_iv, jac_iv = _subsystem_functions(tri, partition, p0, kernel)
         try:
@@ -394,8 +393,7 @@ def krawczyk_certify(tri, p0, partition, jsub, residual, kernel=None):
         if enclosure is None:
             raise StepFailure(2, "no interval containment: the candidate is not close "
                                  "enough to a solution of the kept equations")
-        for e, x in zip(kept, enclosure):
-            nu[e] = x
+        nu[kept] = enclosure
     return CertifiedBox(nu=nu, theta=None, partition=partition, statuses={2: "contained"},
                         precision=kernel.precision)
 
@@ -412,18 +410,18 @@ def check_realization_and_angles(tri, box):
     simplex cannot be proven realized or a loose angle-sum enclosure does
     not contain a full turn.
     """
+    kernel = kernel_for_precision(box.precision)
     try:
-        params = geo.EdgeParams(box.nu, kernel_for_precision(box.precision))
+        params = geo.EdgeParams(box.nu, kernel)
         data = geo.simplex_data(tri, params)
     except geo.RealizationError as exc:
         raise StepFailure(3, str(exc))
     box.statuses[3] = "all simplices realized"
-    sums = box.theta = geo.angle_sums(tri, params, data=data).tolist()
-    for e in box.partition.e_sim:
-        if not contains_two_pi(sums[e]):
-            raise StepFailure(
-                4, f"angle sum of loose edge {e} does not contain a full turn"
-            )
+    box.theta = geo.angle_sums(tri, params, data=data)
+    full = kernel.contains_two_pi(box.theta[box.partition.e_sim])
+    if not full.all():
+        e = box.partition.e_sim[int(np.argmin(full))]
+        raise StepFailure(4, f"angle sum of loose edge {e} does not contain a full turn")
     box.statuses[4] = "loose angle sums contain full turns"
     box.gram_data = data
     return box
@@ -435,13 +433,12 @@ def check_gimbal_lock(tri, box, links):
     Labels and loose angle sums are 53-bit: the box's own at 53 bits, its
     outward float hull above."""
     kernel = kernel_for_precision(box.precision)
-    nu, theta = (kernel.float_hull(kernel.array(xs)) for xs in (box.nu, box.theta))
+    nu, theta = (kernel.float_hull(xs) for xs in (box.nu, box.theta))
     data = box.gram_data if box.precision == 53 else None
     e_sim = box.partition.e_sim
     try:
         labels = gimbal.CocycleLabels(tri, geo.EdgeParams(nu, FLOAT_KERNEL), data=data)
-        verdict = gimbal.gimbal_lock_check(tri, labels, e_sim, theta[e_sim].tolist(),
-                                           links=links)
+        verdict = gimbal.gimbal_lock_check(tri, labels, e_sim, theta[e_sim], links=links)
     except (geo.RealizationError, gimbal.GimbalLoopError) as exc:
         raise StepFailure(5, str(exc))
     if not verdict.avoided:

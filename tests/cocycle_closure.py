@@ -22,6 +22,7 @@ from tests.geometry_oracle import cos_vertex_angle, is_interval, simplices, sqrt
 from tests.gimbal_oracle import beta_label, dihedral_cs, gamma_label
 from tests.link_oracle import compose
 from tests.matrix_oracle import mat3_identity, mat3_mul
+from tests import kernel_scalars as ks
 
 # ---------------------------------------------------------------------------
 # 2x2 forms of the labels, cross-validating the rotation forms
@@ -31,7 +32,7 @@ from tests.matrix_oracle import mat3_identity, mat3_mul
 def pgl2_alpha(labels, tet, sigma):
     v = simplices(labels.data)[tet].gram[sigma[0]][sigma[1]]
     x = sqrt_nonneg(v * v - 1.0) - v
-    zero, one = (labels.kernel.point(v) for v in (0.0, 1.0))
+    zero, one = (ks.point(labels.kernel, v) for v in (0.0, 1.0))
     return ((zero, x), (one, zero))
 
 
@@ -49,7 +50,7 @@ def pgl2_gamma(labels, tet, sigma):
     if perm_parity(sigma) == 1:
         s = -s
     # complex entries as (re, im) pairs
-    zero, one = (labels.kernel.point(v) for v in (0.0, 1.0))
+    zero, one = (ks.point(labels.kernel, v) for v in (0.0, 1.0))
     return (((c, s), (zero, zero)), ((zero, zero), (one, zero)))
 
 
@@ -126,8 +127,8 @@ def check_cocycle_closure(tri, labels):
     labels.  Returns a list of failure descriptions (empty = closed).
     """
     failures = []
-    zero = labels.kernel.point(0.0)
-    ident = mat3_identity(labels.kernel.point(1.0), zero)
+    zero = ks.point(labels.kernel, 0.0)
+    ident = mat3_identity(ks.point(labels.kernel, 1.0), zero)
     for tet in range(tri.n_tets):
         # small hexagons in SO(3)
         for a in range(4):

@@ -21,6 +21,7 @@ from hypcert.interval import (
     MPKernel,
 )
 from hypcert.triangulation import LOCAL_EDGES
+from tests import kernel_scalars as ks
 
 # the scalar helpers of the formulas below, for floats and intervals alike:
 # the pipeline carries the kind of number in a kernel, these read it off
@@ -40,7 +41,7 @@ def kernel_of(sample):
 
 def point_like(sample, x):
     """The constant x as a scalar of the same kind and precision as sample."""
-    return kernel_of(sample).point(x)
+    return ks.point(kernel_of(sample), x)
 
 
 def cosh(x):
@@ -78,7 +79,8 @@ def surely_gt(x, c):
 
 def edge_params_from_lengths(lengths, kernel):
     """Edge parameters -cosh(l_e) of `kernel`, each cosh on the point l_e."""
-    return EdgeParams([-cosh(kernel.point(float(l))) for l in lengths], kernel)
+    return EdgeParams(ks.array(kernel, [-cosh(ks.point(kernel, float(l))) for l in lengths]),
+                      kernel)
 
 
 @dataclass
@@ -100,7 +102,7 @@ def simplices(data):
                  [c[4 * i:4 * i + 4] for i in range(4)],
                  dict(zip(LOCAL_EDGES, th)))
         for t, (g, c, th) in enumerate(zip(
-            data.gram.tolist(), data.cof.tolist(), data.theta.tolist()
+            ks.entries(data.gram), ks.entries(data.cof), ks.entries(data.theta)
         ))
     ]
 
@@ -129,8 +131,8 @@ def sin_vertex_angle(g, i, j, k):
 
 
 def gram_matrix(tri, params, tet):
-    neg_one = params.kernel.point(-1.0)
-    values = params.values.tolist()
+    neg_one = ks.point(params.kernel, -1.0)
+    values = ks.entries(params.values)
     g = [[neg_one if i == j else None for j in range(4)] for i in range(4)]
     for (a, b) in LOCAL_EDGES:
         v = values[tri.edge_class_index(tet, a, b)]
@@ -278,7 +280,7 @@ def jacobian(tri, params, data=None, rows=None, cols=None):
     simplex order."""
     if data is None:
         data = [simplex_data(tri, params, t) for t in range(tri.n_tets)]
-    zero = params.kernel.point(0.0)
+    zero = ks.point(params.kernel, 0.0)
     rows = range(tri.m) if rows is None else rows
     cols = range(tri.m) if cols is None else cols
     row_at = {e: r for r, e in enumerate(rows)}

@@ -27,6 +27,7 @@ from tests.geometry_oracle import (
     sin_vertex_angle,
 )
 from tests.matrix_oracle import mat3_identity, mat3_mul
+from tests import kernel_scalars as ks
 
 
 def rotation_matrix(cos_w, sin_w, one, zero):
@@ -52,7 +53,7 @@ def middle_edge_matrix(cos_e, sin_e, one, zero):
 
 
 def _one_zero(labels):
-    return labels.kernel.point(1.0), labels.kernel.point(0.0)
+    return ks.point(labels.kernel, 1.0), ks.point(labels.kernel, 0.0)
 
 
 def label_of(labels, letter):
@@ -62,10 +63,10 @@ def label_of(labels, letter):
     tet, local = divmod(labels.slot(letter), 24)
     if local < 12:
         e, negative = divmod(local, 2)
-        c, s = labels.dihedral_cos[tet].tolist()[e], labels.dihedral_sin[tet].tolist()[e]
+        c, s = ks.entries(labels.dihedral_cos[tet])[e], ks.entries(labels.dihedral_sin[tet])[e]
         return rotation_matrix(c, -s if negative else s, one, zero)
     v = local - 12
-    c, s = labels.vertex_cos[tet].tolist()[v], labels.vertex_sin[tet].tolist()[v]
+    c, s = ks.entries(labels.vertex_cos[tet])[v], ks.entries(labels.vertex_sin[tet])[v]
     return middle_edge_matrix(c, s, one, zero)
 
 
@@ -84,7 +85,7 @@ def dihedral_cs(labels, tet, a, b):
     """(cos, sin) of the dihedral angle of simplex `tet` along its local
     edge {a, b}, read from the label arrays."""
     e = LOCAL_EDGE_INDEX[(min(a, b), max(a, b))]
-    return labels.dihedral_cos[tet].tolist()[e], labels.dihedral_sin[tet].tolist()[e]
+    return ks.entries(labels.dihedral_cos[tet])[e], ks.entries(labels.dihedral_sin[tet])[e]
 
 
 def label_matrix(labels, letter):
@@ -152,7 +153,7 @@ def edge_end_directions(tri, params, vertex_class=0, links=None):
     the vertex (the z-axis of any corner frame on that polygon).  Returns
     {pid: direction}, in the frame of the first corner.
     """
-    floats = [float(midpoint(v)) for v in params.values.tolist()]
+    floats = [float(midpoint(v)) for v in ks.entries(params.values)]
     labels = gb.CocycleLabels(tri, EdgeParams(floats))
     if links is None:
         link = vertex_link_hexagon_complex(tri, vertex_class)

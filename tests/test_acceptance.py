@@ -21,11 +21,11 @@ from hypcert.interval import (
     FLOAT_KERNEL,
     TWO_PI,
     FloatKernel,
-    contains_two_pi,
     interval_matrix_invertible,
 )
 from tests.cocycle_closure import check_cocycle_closure
 from tests.conftest import HYPERBOLIC_FIXTURES, S3_TEXT, data_path
+from tests.kernel_scalars import array, entries
 from tests.geometry_oracle import (
     cofactors,
     dihedral_angle,
@@ -53,9 +53,9 @@ def test_criterion_01_end_to_end_certification():
         assert result.verified, (name, result.statuses)
         assert elapsed < 60.0, (name, elapsed)
         box = result.box
-        widths = [x.width() for x in box.nu]
+        widths = FLOAT_KERNEL.width(box.nu)
         assert max(widths) < 1e-8, (name, max(widths))
-        assert all(contains_two_pi(th) for th in box.theta), name
+        assert FLOAT_KERNEL.contains_two_pi(box.theta).all(), name
         details.append(f"{name} in {elapsed:.1f}s width {max(widths):.1e}")
     report(1, "; ".join(details))
 
@@ -236,11 +236,9 @@ def test_criterion_07_pivoting_stability():
 def test_criterion_08_interval_invertibility_soundness():
     """The invertibility test never certifies a planted singular member."""
     k = FloatKernel()
-    assert interval_matrix_invertible(FLOAT_KERNEL.array(np.eye(3)))
-    assert not interval_matrix_invertible(FLOAT_KERNEL.array(np.zeros((3, 3))))
-    assert not interval_matrix_invertible(
-        FLOAT_KERNEL.array([[k.interval(-1, 1)] * 3 for _ in range(3)])
-    )
+    assert interval_matrix_invertible(k.points(np.eye(3)))
+    assert not interval_matrix_invertible(k.points(np.zeros((3, 3))))
+    assert not interval_matrix_invertible(k.from_bounds(-np.ones((3, 3)), np.ones((3, 3))))
     rng = np.random.default_rng(99)
     certified_good = 0
     for trial in range(400):
@@ -249,21 +247,11 @@ def test_criterion_08_interval_invertibility_soundness():
         v = rng.normal(size=(n - 1, n))
         m = u @ v
         pad = 10.0 ** rng.uniform(-15, -1)
-        M = FLOAT_KERNEL.array(
-            [
-                [k.interval(m[i][j] - pad, m[i][j] + pad) for j in range(n)]
-                for i in range(n)
-            ]
-        )
+        M = k.from_bounds(m - pad, m + pad)
         assert not interval_matrix_invertible(M), trial
         # sanity on the same draw made honestly invertible
         m2 = m + 3.0 * np.eye(n) * np.sign(np.linalg.det(m + 3 * np.eye(n)) or 1)
-        M2 = FLOAT_KERNEL.array(
-            [
-                [k.interval(m2[i][j] - 1e-12, m2[i][j] + 1e-12) for j in range(n)]
-                for i in range(n)
-            ]
-        )
+        M2 = k.from_bounds(m2 - 1e-12, m2 + 1e-12)
         if interval_matrix_invertible(M2):
             certified_good += 1
     assert certified_good > 350
@@ -302,9 +290,9 @@ def test_criterion_09_gimbal_probe(dodec27a):
     loop = gb.GimbalLoop(0, None, (0, 1), word)
     loop.variable_of_pid = {0: 0, 1: 1}
     (derivs,) = gb.gimbal_matrix_derivatives(
-        [loop], SyntheticLabels(), gb.rotation_balls([TWO_PI, TWO_PI])
+        [loop], SyntheticLabels(), gb.rotation_balls(FLOAT_KERNEL.two_pi()[[0, 0]])
     )
-    derivs = {v: m.tolist() for v, m in derivs.items()}
+    derivs = {v: entries(m) for v, m in derivs.items()}
     D = np.array(
         [
             [derivs[v][r][c].mid() for v in (0, 1)]
@@ -313,9 +301,8 @@ def test_criterion_09_gimbal_probe(dodec27a):
     )
     smin = np.linalg.svd(D, compute_uv=False)[-1]
     assert smin < 1e-12
-    dg2 = FLOAT_KERNEL.array(
-        [[derivs[v][0][1] for v in (0, 1)], [derivs[v][0][2] for v in (0, 1)]]
-    )
+    dg2 = array(FLOAT_KERNEL, [[derivs[v][0][1] for v in (0, 1)],
+                               [derivs[v][0][2] for v in (0, 1)]])
     assert not interval_matrix_invertible(dg2)
     report(9, f"exhaustive scan over {n_partitions} partitions: "
               f"{len(avoiding)} avoid lock, {len(locked)} locked; antipodal "
@@ -332,10 +319,10 @@ def test_criterion_10_krawczyk_unit_check():
     def jac(xs):
         return (xs * 2.0)[None]
 
-    X = [k.interval(1.41, 1.42)]
+    X = k.from_bounds([1.41], [1.42])
     centre = verify.KrawczykCentre(f, [1.4142], [[0.35356]], k)
     K = verify.krawczyk_step(centre, jac, X)
-    assert K[0].strictly_inside(X[0])
-    assert 1.41418 <= K[0].lo and K[0].hi <= 1.41425
-    report(10, f"K = [{K[0].lo:.6f}, {K[0].hi:.6f}] inside [1.41418, 1.41425] "
+    assert k.inside(K, X).all()
+    assert 1.41418 <= K.lo[0] and K.hi[0] <= 1.41425
+    report(10, f"K = [{K.lo[0]:.6f}, {K.hi[0]:.6f}] inside [1.41418, 1.41425] "
                f"inside the interior of [1.41, 1.42]")

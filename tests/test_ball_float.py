@@ -37,6 +37,7 @@ from tests.ball_oracle import (
 )
 from tests.conftest import links_of
 from tests.test_gimbal import _bounds, _scaling_member
+from tests import kernel_scalars as ks
 
 inf = math.inf
 U = Q(1, 2 ** 53)
@@ -335,7 +336,7 @@ def test_rotation_balls_are_bitwise_the_scalar_balls(monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(Interval, "_cos_like", counting)
-        got = gb.rotation_balls(boxes)
+        got = gb.rotation_balls(ks.array(FLOAT_KERNEL, boxes))
     assert len(calls) == 2 * len(set(boxes))  # one cos and one sin per box
     want = scalar_rotation_balls(boxes)
     assert len(want) == len(boxes)
@@ -367,7 +368,7 @@ def test_non_finite_label_gives_infinite_radius():
     nan_ball = gb.ball_mul(a, b)
     assert np.isnan(nan_ball[0]).all() and nan_ball[1].tolist() == [inf]
     entries = gb._entries(tuple(np.concatenate(x) for x in zip(balls, nan_ball)))
-    for k, enc in enumerate(entries.tolist()):
+    for k, enc in enumerate(ks.entries(entries)):
         for i, row in enumerate(enc):
             for j, x in enumerate(row):
                 if k == 1:
@@ -399,7 +400,7 @@ def test_infinite_label_endpoint_is_not_avoided(dodec27a, verified27a,
 
     monkeypatch.setattr(gb, "_balls_of_bounds", recording)
     verdict = gb.gimbal_lock_check(
-        dodec27a, labels, e_sim, [box.theta[e] for e in e_sim], links_of(dodec27a)
+        dodec27a, labels, e_sim, box.theta[e_sim], links_of(dodec27a)
     )
     assert not verdict.avoided
     assert "no finite inverse" in verdict.reason
@@ -485,7 +486,7 @@ def test_jacobian_contains_exact_derivative_of_operand_midpoints(
     labels, box = _stage5_inputs(tri, result)
     e_sim = result.partition.e_sim
     loops = gb.build_loops_for_partition(tri, e_sim, links_of(tri))
-    theta_boxes = [box.theta[e] for e in e_sim]
+    theta_boxes = box.theta[e_sim]
     lo, hi = FLOAT_KERNEL.bounds(gb.assemble_gimbal_jacobian(loops, labels, theta_boxes))
     label_mid = gb._balls_of_bounds(*labels.label_bounds())[0].tolist()
     rotation_mid, derivative_mid = (stack[0].tolist() for stack in gb.rotation_balls(theta_boxes))
@@ -540,14 +541,14 @@ def test_float_balls_as_tight_as_interval_oracle(name, dodec27a, verified27a,
     labels, box = _stage5_inputs(tri, result)
     e_sim = result.partition.e_sim
     loops = gb.build_loops_for_partition(tri, e_sim, links_of(tri))
-    theta_boxes = [box.theta[e] for e in e_sim]
+    theta_boxes = box.theta[e_sim]
     dg = gb.assemble_gimbal_jacobian(loops, labels, theta_boxes)
-    ref = sequential_jacobian(loops, labels, theta_boxes)
-    for row, ref_row in zip(dg.tolist(), ref):
+    ref = sequential_jacobian(loops, labels, ks.entries(theta_boxes))
+    for row, ref_row in zip(ks.entries(dg), ref):
         for x, y in zip(row, ref_row):
             assert x.lo <= y.hi and y.lo <= x.hi
             assert x.hi - x.lo <= 1.001 * (y.hi - y.lo)
-    assert _margin(dg) == pytest.approx(_margin(FLOAT_KERNEL.array(ref)), rel=1e-3)
+    assert _margin(dg) == pytest.approx(_margin(ks.array(FLOAT_KERNEL, ref)), rel=1e-3)
 
 
 def test_lock_failure_quotes_its_margin(dodec27a, verified27a, monkeypatch):
@@ -565,7 +566,7 @@ def test_lock_failure_quotes_its_margin(dodec27a, verified27a, monkeypatch):
 
     monkeypatch.setattr(gb, "interval_matrix_invertible", counting)
     verdict = gb.gimbal_lock_check(
-        dodec27a, labels, part, [box.theta[e] for e in part], links_of(dodec27a)
+        dodec27a, labels, part, box.theta[part], links_of(dodec27a)
     )
     assert not verdict.avoided
     assert len(calls) == 1
@@ -579,7 +580,7 @@ def test_lock_failure_quotes_its_margin(dodec27a, verified27a, monkeypatch):
     calls.clear()
     e_sim = verified27a.partition.e_sim
     verdict = gb.gimbal_lock_check(
-        dodec27a, labels, e_sim, [box.theta[e] for e in e_sim], links_of(dodec27a)
+        dodec27a, labels, e_sim, box.theta[e_sim], links_of(dodec27a)
     )
     assert verdict.avoided
     assert len(calls) == 1

@@ -14,6 +14,7 @@ from hypcert.interval import kernel_for_precision
 from hypcert.triangulation import parse_file
 from tests.conftest import data_path
 from tests.test_gimbal import _scaling_member
+from tests import kernel_scalars as ks
 
 
 def test_certificate_round_trip(dodec27a, verified27a):
@@ -31,7 +32,7 @@ def test_certificate_round_trip(dodec27a, verified27a):
 
 def test_certificate_serialization_outward(dodec27a, verified27a):
     doc = cert.certificate_dict(dodec27a, verified27a, "krawczyk")
-    for pair, iv in zip(doc["nu"], verified27a.box.nu):
+    for pair, iv in zip(doc["nu"], ks.entries(verified27a.box.nu)):
         assert Fraction(pair[0]) <= Fraction(iv.lo)
         assert Fraction(iv.hi) <= Fraction(pair[1])
 
@@ -39,9 +40,8 @@ def test_certificate_serialization_outward(dodec27a, verified27a):
 def test_certificate_reparse_exact_for_floats(dodec27a, verified27a):
     doc = cert.certificate_dict(dodec27a, verified27a, "krawczyk")
     kernel = kernel_for_precision(53)
-    for pair, iv in zip(doc["nu"], verified27a.box.nu):
-        back = cert._parse_interval(pair, kernel)
-        assert back.lo == iv.lo and back.hi == iv.hi
+    back, nu = cert._parse_intervals(doc["nu"], kernel), verified27a.box.nu
+    assert back.lo.tolist() == nu.lo.tolist() and back.hi.tolist() == nu.hi.tolist()
 
 
 def test_certificate_deterministic(dodec27a):

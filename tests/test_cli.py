@@ -267,7 +267,7 @@ def test_recheck_endpoint_beyond_float_range_exit_one(tmp_path, capsys, pair, bi
                           "the 53-bit float range (magnitude at most 1.7976931348623157e+308)")
     assert out == ""
 
-    x = cert._parse_interval(pair, MPKernel(80))
+    (x,) = cert._parse_intervals([pair], MPKernel(80))
     assert x.lo == libmp.from_str(pair[0], 80, libmp.round_floor)
     assert x.hi == libmp.from_str(pair[1], 80, libmp.round_ceiling)
     assert mpmath.isfinite(mpmath.mpf(x.lo)) and mpmath.isfinite(mpmath.mpf(x.hi))

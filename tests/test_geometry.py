@@ -16,6 +16,7 @@ from tests.geometry_oracle import (
     realization_check,
     vertex_angle,
 )
+from tests import kernel_scalars as ks
 
 
 @pytest.fixture(scope="module")
@@ -164,9 +165,9 @@ def test_realization_rejects_forced_shallow_matrix(s3m):
 def test_realization_interval_conservative(s3m):
     k = FloatKernel()
     # an enclosure straddling the determinant sign change must fail
-    v_good = k.interval(-2.0, -2.0)
-    wide = k.interval(-4.0, -1.001)
-    params = geo.EdgeParams([wide] + [v_good] * 5, k)
+    v_good = ks.interval(k, -2.0, -2.0)
+    wide = ks.interval(k, -4.0, -1.001)
+    params = geo.EdgeParams(ks.array(k, [wide] + [v_good] * 5), k)
     g = gram_matrix(s3m, params, 0)
     ok, reason = realization_check(g)
     assert not ok
@@ -271,13 +272,13 @@ def test_interval_contains_float_evaluation(s3m):
     rng = random.Random(21)
     vals = random_realized(s3m, rng)
     p_f = geo.EdgeParams(vals)
-    p_iv = geo.EdgeParams([k.point(v) for v in vals], k)
+    p_iv = geo.EdgeParams(k.points(vals), k)
     sums_f = geo.angle_sums(s3m, p_f)
-    sums_iv = geo.angle_sums(s3m, p_iv).tolist()
+    sums_iv = ks.entries(geo.angle_sums(s3m, p_iv))
     for sf, si in zip(sums_f, sums_iv):
         assert si.contains(sf)
     Mf = geo.jacobian(s3m, p_f)
-    Miv = geo.jacobian(s3m, p_iv).tolist()
+    Miv = ks.entries(geo.jacobian(s3m, p_iv))
     for i in range(6):
         for j in range(6):
             assert Miv[i][j].contains(Mf[i][j])
@@ -312,8 +313,8 @@ def _bits(x):
 
 
 def _assert_block(tri, params, rows, cols):
-    full = geo.jacobian(tri, params).tolist()
-    block = geo.jacobian(tri, params, rows=rows, cols=cols).tolist()
+    full = ks.entries(geo.jacobian(tri, params))
+    block = ks.entries(geo.jacobian(tri, params, rows=rows, cols=cols))
     assert len(block) == len(rows)
     for r, row in zip(rows, block):
         assert len(row) == len(cols)
@@ -329,7 +330,7 @@ def _fixture_param_sets(result):
         "float": geo.EdgeParams(list(result.p0)),
         "interval53": geo.EdgeParams(result.box.nu, FLOAT_KERNEL),
         "mp80": geo.EdgeParams(
-            [k80.interval(v - 1e-13, v + 1e-13) for v in result.p0], k80
+            k80.from_bounds(np.subtract(result.p0, 1e-13), np.add(result.p0, 1e-13)), k80
         ),
     }
 
@@ -355,7 +356,7 @@ def test_jacobian_block_on_s3(s3m):
     vals = random_realized(s3m, rng)
     k = FloatKernel()
     for params in (geo.EdgeParams(vals),
-                   geo.EdgeParams([k.point(v) for v in vals], k)):
+                   geo.EdgeParams(k.points(vals), k)):
         _assert_block(s3m, params, list(range(6)), list(range(6)))
         for _ in range(10):
             rows = rng.sample(range(6), rng.randint(1, 6))
@@ -382,11 +383,11 @@ def test_jacobian_block_checks_every_simplex_realized(dodec27a):
     # that avoids all of its edges must still fail, with the same message
     k = FloatKernel()
     p0 = [-math.cosh(float(l)) for l in dodec27a.lengths]
-    nu = [k.point(v) for v in p0]
+    nu = [ks.point(k, v) for v in p0]
     for (a, b) in tr.LOCAL_EDGES:
         e = dodec27a.edge_class_index(5, a, b)
-        nu[e] = k.interval(p0[e] - 0.3, p0[e] + 0.3)
-    params = geo.EdgeParams(nu, k)
+        nu[e] = ks.interval(k, p0[e] - 0.3, p0[e] + 0.3)
+    params = geo.EdgeParams(ks.array(k, nu), k)
     away = _away_from(dodec27a, 5)
     assert away
     full = _raised(lambda: geo.jacobian(dodec27a, params))
@@ -401,7 +402,7 @@ def test_jacobian_block_checks_every_angle_gap(kind, dodec27a):
     k = FloatKernel()
     p0 = [-math.cosh(float(l)) for l in dodec27a.lengths]
     params = (geo.EdgeParams(p0) if kind == "float"
-              else geo.EdgeParams([k.point(v) for v in p0], k))
+              else geo.EdgeParams(k.points(p0), k))
     data = geo.simplex_data(dodec27a, params)
     c22_plus_c33 = data.cof[7:8, 10] + data.cof[7:8, 15]
     data.cof[7:8, 11] = data.cof[7:8, 14] = c22_plus_c33

@@ -28,6 +28,7 @@ from hypcert.interval import (
 from tests import geometry_oracle as oracle
 from tests.test_geometry import _bits, _fixture_param_sets
 from tests.test_gimbal import _scaling_member
+from tests import kernel_scalars as ks
 
 KINDS = ("float", "interval53", "mp80")
 INPUTS = ("dodec27a", "dodec27b", "dodec30x2", "scaling12")
@@ -48,7 +49,7 @@ def bits(x):
     """Every endpoint of a scalar, or of kernel arrays, nested lists and
     dicts of them."""
     if isinstance(x, (np.ndarray, IntervalArray)):
-        return bits(x.tolist())
+        return bits(ks.entries(x))
     if isinstance(x, dict):
         return {k: bits(v) for k, v in x.items()}
     if isinstance(x, list):
@@ -123,7 +124,7 @@ def _random_gram_and_cofactors(rng):
 
 def _widened(x, rng, kernel):
     w = rng.choice([0.0, 0.0, 1e-9, 1e-3]) * (abs(x) + 1.0)
-    return kernel.interval(x - w, x + w)
+    return ks.interval(kernel, x - w, x + w)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -135,8 +136,8 @@ def test_realization_verdicts_and_reasons_match_oracle(kind):
         pairs = [([[_widened(x, rng, k) for x in row] for row in g],
                   [[_widened(x, rng, k) for x in row] for row in cof])
                  for g, cof in pairs]
-    G = k.array([[x for row in g for x in row] for g, _ in pairs])
-    C = k.array([[x for row in cof for x in row] for _, cof in pairs])
+    G = ks.array(k, [[x for row in g for x in row] for g, _ in pairs])
+    C = ks.array(k, [[x for row in cof for x in row] for _, cof in pairs])
     failed = geo._unrealized(k, G, C)
     reasons = set()
     for (g, cof), row in zip(pairs, failed):
@@ -160,7 +161,7 @@ def test_first_failure_message_matches_oracle(kind, s3):
         vals = [rng.uniform(lo, hi) for _ in range(s3.m)]
         if kind != "float":
             vals = [_widened(v, rng, k) for v in vals]
-        params = geo.EdgeParams(vals, k, check=False)
+        params = geo.EdgeParams(ks.array(k, vals), k, check=False)
         want = _oracle_failure(s3, params)
         if want is None:
             geo.simplex_data(s3, params)
@@ -176,14 +177,14 @@ def test_cofactors_match_oracle_on_random_gram_matrices(kind):
     k = kernel_of_kind(kind)
     gs = [_random_gram_and_cofactors(rng)[0] for _ in range(60)]
     if kind != "float":
-        gs = [[[_widened(x, rng, k) if x != -1.0 else k.point(-1.0) for x in row]
+        gs = [[[_widened(x, rng, k) if x != -1.0 else ks.point(k, -1.0) for x in row]
                for row in g] for g in gs]
         for g in gs:  # a Gram matrix is symmetric
             for i in range(4):
                 for j in range(i):
                     g[i][j] = g[j][i]
-    C = geo._cofactors(k.array([[x for row in g for x in row] for g in gs]))
-    for g, row in zip(gs, C.tolist()):
+    C = geo._cofactors(ks.array(k, [[x for row in g for x in row] for g in gs]))
+    for g, row in zip(gs, ks.entries(C)):
         assert bits(row) == bits([x for r in oracle.cofactors(g) for x in r])
         # symmetric bit for bit: c_ji is a copy of c_ij
         assert all(bits(row[4 * i + j]) == bits(row[4 * j + i])
@@ -197,7 +198,7 @@ def test_cofactors_make_58_products_per_simplex(n, monkeypatch):
     k = MPKernel(80)
     rng = random.Random(n)
     gs = [_random_gram_and_cofactors(rng)[0] for _ in range(n)]
-    G = k.array([[k.point(x) for row in g for x in row] for g in gs])
+    G = ks.array(k, [[ks.point(k, x) for row in g for x in row] for g in gs])
     calls = []
     mul = MPInterval.__mul__
 
@@ -226,12 +227,12 @@ def test_two_bad_simplices_raise_the_first(kind, dodec27a):
     # widen the edges of tets 9 and 20 until neither can be proven realized
     k = kernel_of_kind(kind)
     p0 = [-math.cosh(float(l)) for l in dodec27a.lengths]
-    nu = [k.point(v) for v in p0]
+    nu = [ks.point(k, v) for v in p0]
     for tet in (9, 20):
         for (a, b) in tr.LOCAL_EDGES:
             e = dodec27a.edge_class_index(tet, a, b)
-            nu[e] = k.interval(p0[e] - 0.3, p0[e] + 0.3)
-    params = geo.EdgeParams(nu, k)
+            nu[e] = ks.interval(k, p0[e] - 0.3, p0[e] + 0.3)
+    params = geo.EdgeParams(ks.array(k, nu), k)
     bad = [t for t in range(dodec27a.n_tets)
            if not oracle.realization_check(oracle.gram_matrix(dodec27a, params, t))[0]]
     assert len(bad) >= 2
@@ -294,7 +295,7 @@ def test_angle_gap_is_checked_on_every_simplex(dodec27a):
     # formed again from the changed cofactors
     k = FLOAT_KERNEL
     p0 = [-math.cosh(float(l)) for l in dodec27a.lengths]
-    params = geo.EdgeParams([k.point(v) for v in p0], k)
+    params = geo.EdgeParams(k.points(p0), k)
     data = geo.simplex_data(dodec27a, params)
     want = [oracle.simplex_data(dodec27a, params, t) for t in range(dodec27a.n_tets)]
     for t, (i, j) in ((4, (0, 1)), (11, (1, 3))):
@@ -319,15 +320,15 @@ def test_earlier_arccos_failure_wins_over_later_realization_failure(
     # realization: tet 0's failure comes first
     k = kernel_of_kind(kind)
     p0 = [-math.cosh(float(l)) for l in dodec27a.lengths]
-    nu = [k.point(v) for v in p0]
+    nu = [ks.point(k, v) for v in p0]
 
     def edges(t):
         return {dodec27a.edge_class_index(t, a, b) for (a, b) in tr.LOCAL_EDGES}
 
     far = max(t for t in range(dodec27a.n_tets) if not edges(t) & edges(0))
     for e in edges(far):
-        nu[e] = k.interval(p0[e] - 0.3, p0[e] + 0.3)
-    params = geo.EdgeParams(nu, k)
+        nu[e] = ks.interval(k, p0[e] - 0.3, p0[e] + 0.3)
+    params = geo.EdgeParams(ks.array(k, nu), k)
     assert not oracle.realization_check(oracle.gram_matrix(dodec27a, params, far))[0]
     _shrunk_sqrt(monkeypatch, kind)
     want = _oracle_failure(dodec27a, params)

@@ -41,6 +41,7 @@ from tests.gimbal_oracle import (
 )
 from tests.conftest import S3_TEXT, links_of, stage_one
 from tests.matrix_oracle import mat3_mul
+from tests import kernel_scalars as ks
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +55,7 @@ def random_realized_labels(t, rng, kernel=None):
         try:
             if kernel is None:
                 return gb.CocycleLabels(t, geo.EdgeParams(vals)), vals
-            params = geo.EdgeParams([kernel.point(v) for v in vals], kernel)
+            params = geo.EdgeParams(kernel.points(vals), kernel)
             return gb.CocycleLabels(t, params), vals
         except geo.RealizationError:
             continue
@@ -164,7 +165,7 @@ def test_cocycle_closure_detects_wrong_index_rule(s3m):
 def test_prism_holonomy_s3(s3m):
     k = FloatKernel()
     v = -2.0
-    labels = gb.CocycleLabels(s3m, geo.EdgeParams([k.point(v)] * 6, k))
+    labels = gb.CocycleLabels(s3m, geo.EdgeParams(k.points([v] * 6), k))
     link = tr.vertex_link_hexagon_complex(s3m, 0)
     theta = math.acos(-v / (1 - 2 * v))
     c2, s2 = math.cos(2 * theta), math.sin(2 * theta)
@@ -180,7 +181,7 @@ def test_prism_holonomy_s3(s3m):
 
 def test_prism_holonomy_single_incidence_synthetic(s3m):
     k = FloatKernel()
-    labels = gb.CocycleLabels(s3m, geo.EdgeParams([k.point(-2.0)] * 6, k))
+    labels = gb.CocycleLabels(s3m, geo.EdgeParams(k.points([-2.0] * 6), k))
     link = tr.vertex_link_hexagon_complex(s3m, 0)
     end = link.prism_ends[0]
     solo = tr.PrismEnd(0, end.edge_class, end.gammas[:1], end.boundary_lvs)
@@ -191,7 +192,7 @@ def test_prism_holonomy_single_incidence_synthetic(s3m):
     H = prism_holonomy(labels, L, 0)
     tet, a, b = end.gammas[0]
     c, s = dihedral_cs(labels, tet, a, b)
-    R = rotation_matrix(c, s, k.point(1.0), k.point(0.0))
+    R = rotation_matrix(c, s, ks.point(k, 1.0), ks.point(k, 0.0))
     for i in range(3):
         for j in range(3):
             assert H[i][j].lo == R[i][j].lo and H[i][j].hi == R[i][j].hi
@@ -258,8 +259,7 @@ def test_loop_missing_polygon_error(dodec27a):
 def _point_labels(tri, values):
     """Labels over point intervals: interval labels whose ball midpoints
     are (nearly) the float labels at `values`."""
-    return gb.CocycleLabels(tri, geo.EdgeParams([FLOAT_KERNEL.point(v) for v in values],
-                                                FLOAT_KERNEL))
+    return gb.CocycleLabels(tri, geo.EdgeParams(FLOAT_KERNEL.points(values), FLOAT_KERNEL))
 
 
 def test_gimbal_derivative_finite_differences(dodec27a):
@@ -271,7 +271,7 @@ def test_gimbal_derivative_finite_differences(dodec27a):
     t0 = {0: 6.2, 3: 6.4, 5: 6.0}
 
     def at(angles):
-        return [FLOAT_KERNEL.point(angles[pid]) for pid in (0, 3, 5)]
+        return [ks.point(FLOAT_KERNEL, angles[pid]) for pid in (0, 3, 5)]
 
     der = _derivatives(loop, labels, at(t0))
     h = 1e-7
@@ -296,7 +296,7 @@ def test_absent_variable_gives_zero_block(dodec30x2, verified_all):
     labels = gb.CocycleLabels(dodec30x2, geo.EdgeParams(box.nu, FLOAT_KERNEL))
     links = [tr.vertex_link_hexagon_complex(dodec30x2, k) for k in range(2)]
     loops = gb.build_loops_for_partition(dodec30x2, part.e_sim, links=links)
-    theta_boxes = [box.theta[e] for e in part.e_sim]
+    theta_boxes = box.theta[part.e_sim]
     dg = gb.assemble_gimbal_jacobian(loops, labels, theta_boxes)
     # some loose edge misses some vertex: its column block there is zero
     zero_blocks = 0
@@ -357,7 +357,7 @@ def test_edge_direction_table(name, hyperbolic_triangulations, verified_all):
         partitions += [sorted(rng.sample(range(tri.m), 3)) for _ in range(20)]
     for e_sim in partitions:
         loops = gb.build_loops_for_partition(tri, e_sim, links=links)
-        dg = gb.assemble_gimbal_jacobian(loops, labels, [TWO_PI] * len(e_sim))
+        dg = gb.assemble_gimbal_jacobian(loops, labels, FLOAT_KERNEL.two_pi()[[0] * len(e_sim)])
         lo, hi = FLOAT_KERNEL.bounds(dg)
         assert np.allclose(table[:, e_sim], 0.5 * (lo + hi), rtol=0.0, atol=1e-12), e_sim
 
@@ -404,8 +404,9 @@ def _bounds(ms):
 
 def _derivatives(loop, labels, boxes):
     """Stage V's derivatives of one loop, variable -> 3x3 nested `Interval`s."""
-    (derivs,) = gb.gimbal_matrix_derivatives([loop], labels, gb.rotation_balls(boxes))
-    return {v: m.tolist() for v, m in derivs.items()}
+    (derivs,) = gb.gimbal_matrix_derivatives(
+        [loop], labels, gb.rotation_balls(ks.array(FLOAT_KERNEL, boxes)))
+    return {v: ks.entries(m) for v, m in derivs.items()}
 
 
 def _synthetic_loop(removed_pids, word):
@@ -415,7 +416,7 @@ def _synthetic_loop(removed_pids, word):
 
 
 def _const_mat3(kernel, rows):
-    return tuple(tuple(kernel.point(x) for x in row) for row in rows)
+    return tuple(tuple(ks.point(kernel, x) for x in row) for row in rows)
 
 
 def test_example_gimbal_lock_antipodal_axes():
@@ -444,10 +445,10 @@ def test_example_gimbal_lock_antipodal_axes():
     assert svals[-1] < 1e-12  # columns are opposite: kernel direction (1,1)
 
     rows = [
-        [derivs[v][r][c] if v in derivs else k.point(0.0) for v in range(2)]
+        [derivs[v][r][c] if v in derivs else ks.point(k, 0.0) for v in range(2)]
         for (r, c) in ((0, 1), (0, 2), (1, 2))
     ]
-    dg = FLOAT_KERNEL.array([row[:2] for row in rows[:2]])
+    dg = ks.array(FLOAT_KERNEL, [row[:2] for row in rows[:2]])
     assert not interval_matrix_invertible(dg)
 
 
@@ -485,7 +486,7 @@ def _random_interval_mat3(rng, kernel, scale=1.0, width=1e-9):
         for _ in range(3):
             c = rng.uniform(-scale, scale)
             w = width * rng.uniform(0.0, 1.0)
-            row.append(kernel.interval(c - w, c + w))
+            row.append(ks.interval(kernel, c - w, c + w))
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -524,7 +525,7 @@ def test_ball_product_encloses_member_products():
             exact = np.array(_member(rng, m)) @ exact
         words.append(mats)
         exacts.append(exact)
-    for enc, exact in zip(gb._entries(_word_products(words)).tolist(), exacts):
+    for enc, exact in zip(ks.entries(gb._entries(_word_products(words))), exacts):
         for i in range(3):
             for j in range(3):
                 assert enc[i][j].contains(exact[i][j]), (i, j)
@@ -543,7 +544,7 @@ def test_ball_radius_additive_for_rotations():
             ang = rng.uniform(0, 2 * math.pi)
             c, s = math.cos(ang), math.sin(ang)
             word.append(tuple(
-                tuple(k.interval(x - w, x + w) for x in row)
+                tuple(ks.interval(k, x - w, x + w) for x in row)
                 for row in ((c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0))
             ))
         words.append(word)
@@ -556,7 +557,7 @@ def test_ball_add_soundness():
     rng = random.Random(13)
     pairs = [[_random_interval_mat3(rng, k, width=1e-6) for _ in range(2)] for _ in range(2)]
     a, b = (gb._balls_of_bounds(*_bounds(ms)) for ms in zip(*pairs))
-    enc = gb._entries(each_row_alone(gb.ball_add, a, b)).tolist()
+    enc = ks.entries(gb._entries(each_row_alone(gb.ball_add, a, b)))
     for (ma, mb), e in zip(pairs, enc):
         sa = np.array(_member(rng, ma)) + np.array(_member(rng, mb))
         for i in range(3):
@@ -624,15 +625,15 @@ def _gimbal_inputs(tri):
     edges, their loops and their angle-sum enclosures."""
     k = FloatKernel()
     p0, _, part, _ = stage_one(tri)
-    params = geo.EdgeParams([k.point(v) for v in p0], k)
+    params = geo.EdgeParams(k.points(p0), k)
     labels = gb.CocycleLabels(tri, params)
     sums = geo.angle_sums(tri, params, data=labels.data)
     loops = gb.build_loops_for_partition(tri, part.e_sim, links_of(tri))
-    return loops, labels, sums[part.e_sim].tolist()
+    return loops, labels, sums[part.e_sim]
 
 
 def _entries(dg):
-    return [(x.lo.hex(), x.hi.hex()) for row in dg.tolist() for x in row]
+    return [(x.lo.hex(), x.hi.hex()) for row in ks.entries(dg) for x in row]
 
 
 @pytest.mark.parametrize("name", ["dodec27a", "scaling12"])
@@ -663,7 +664,7 @@ def test_gimbal_jacobian_memo_changes_no_bit(name, dodec27a, monkeypatch):
             return row_of[id(letter)]
 
     def scalar_rotation_stacks(boxes):
-        return tuple(stack(balls) for balls in zip(*scalar_rotation_balls(boxes)))
+        return tuple(stack(balls) for balls in zip(*scalar_rotation_balls(ks.entries(boxes))))
 
     with monkeypatch.context() as mp:
         mp.setattr(gb, "_balls_of_bounds", scalar_balls_of_bounds)
@@ -722,7 +723,7 @@ def test_gimbal_jacobian_bytes_pinned(name, hyperbolic_triangulations, verified_
     box, e_sim = result.box, result.partition.e_sim
     labels = gb.CocycleLabels(tri, geo.EdgeParams(box.nu, FLOAT_KERNEL), data=box.gram_data)
     loops = gb.build_loops_for_partition(tri, e_sim, links_of(tri))
-    theta_boxes = [box.theta[e] for e in e_sim]
+    theta_boxes = box.theta[e_sim]
 
     # one cos and one sin per distinct variable box, shared by its letters
     calls = []
@@ -735,10 +736,10 @@ def test_gimbal_jacobian_bytes_pinned(name, hyperbolic_triangulations, verified_
     with monkeypatch.context() as mp:
         mp.setattr(Interval, "_cos_like", counting)
         dg = gb.assemble_gimbal_jacobian(loops, labels, theta_boxes)
-    assert len(calls) == 2 * len(set(theta_boxes))
+    assert len(calls) == 2 * len(set(ks.entries(theta_boxes)))
 
     digest = hashlib.sha256()
-    for row in dg.tolist():
+    for row in ks.entries(dg):
         for x in row:
             digest.update(struct.pack("<dd", x.lo, x.hi))
     assert digest.hexdigest() == DG_SHA256[name]

@@ -37,6 +37,7 @@ from tests.conftest import S3_TEXT
 from tests.geometry_oracle import edge_params_from_lengths
 from tests.gimbal_oracle import label_matrix, label_of
 from tests.test_gimbal import _scaling_member
+from tests import kernel_scalars as ks
 
 KERNELS = {"float": REAL_KERNEL, "53": FLOAT_KERNEL, "80": MPKernel(80)}
 
@@ -121,7 +122,7 @@ def test_batched_labels_on_random_simplices(kind):
     while done < 8:
         vals = [-1.0 - rng.uniform(0.05, 2.0) for _ in range(tri.m)]
         try:
-            _check_labels(tri, geo.EdgeParams([kernel.point(v) for v in vals], kernel))
+            _check_labels(tri, geo.EdgeParams(kernel.points(vals), kernel))
         except geo.RealizationError:
             continue
         done += 1
@@ -132,12 +133,12 @@ def test_sqrt_nonneg_on_every_kernel():
     got = REAL_KERNEL.sqrt_nonneg(np.array(xs))
     assert [x.hex() for x in got.tolist()] == [math.sqrt(max(x, 0.0)).hex() for x in xs]
     ivs = [Interval(-1e-30, 4.0), Interval(2.0, 3.0), Interval(-math.inf, 0.0)]
-    got = FLOAT_KERNEL.sqrt_nonneg(FLOAT_KERNEL.array(ivs))
-    assert [_bits(x) for x in got.tolist()] == [_bits(x.sqrt_nonneg()) for x in ivs]
+    got = FLOAT_KERNEL.sqrt_nonneg(ks.array(FLOAT_KERNEL, ivs))
+    assert [_bits(x) for x in ks.entries(got)] == [_bits(x.sqrt_nonneg()) for x in ivs]
     mp = MPKernel(80)
-    ivs = [mp.interval(-1e-30, 4.0), mp.interval(2.0, 3.0)]
-    got = mp.sqrt_nonneg(mp.array(ivs))
-    assert [_bits(x) for x in got.tolist()] == [_bits(x.sqrt_nonneg()) for x in ivs]
-    for kernel, bad in ((FLOAT_KERNEL, Interval(-2.0, -1.0)), (mp, mp.interval(-2.0, -1.0))):
+    ivs = [ks.interval(mp, -1e-30, 4.0), ks.interval(mp, 2.0, 3.0)]
+    got = mp.sqrt_nonneg(ks.array(mp, ivs))
+    assert [_bits(x) for x in ks.entries(got)] == [_bits(x.sqrt_nonneg()) for x in ivs]
+    for kernel, bad in ((FLOAT_KERNEL, Interval(-2.0, -1.0)), (mp, ks.interval(mp, -2.0, -1.0))):
         with pytest.raises(DomainError, match="entirely negative"):
-            kernel.sqrt_nonneg(kernel.array([kernel.point(1.0), bad]))
+            kernel.sqrt_nonneg(ks.array(kernel, [ks.point(kernel, 1.0), bad]))

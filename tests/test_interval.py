@@ -17,10 +17,10 @@ from hypcert.interval import (
     IntervalError,
     MPInterval,
     MPKernel,
-    contains_two_pi,
     interval_matrix_invertible,
     kernel_for_precision,
 )
+from tests import kernel_scalars as ks
 
 mpmath.mp.prec = 250
 
@@ -100,8 +100,9 @@ def test_trig_critical_points_memoized_bit_for_bit():
 def test_pi_constants_enclose():
     assert mpmath.mpf(PI.lo) <= mpmath.pi <= mpmath.mpf(PI.hi)
     assert mpmath.mpf(TWO_PI.lo) <= 2 * mpmath.pi <= mpmath.mpf(TWO_PI.hi)
-    assert contains_two_pi(Interval(6.28, 6.29))
-    assert not contains_two_pi(Interval(6.29, 6.30))
+    for k in (FLOAT_KERNEL, MPKernel(80)):
+        got = k.contains_two_pi(k.from_bounds(np.array([6.28, 6.29]), np.array([6.29, 6.30])))
+        assert got.tolist() == [True, False]
 
 
 def test_soundness_fuzz_float_kernel():
@@ -162,7 +163,7 @@ def test_soundness_fuzz_mp_kernel():
     for _ in range(120):
         x = rng.uniform(-5, 5)
         y = rng.uniform(0.1, 5)
-        X, Y = k.point(x), k.point(y)
+        X, Y = ks.point(k, x), ks.point(k, y)
         mx, my = mpmath.mpf(x), mpmath.mpf(y)
         assert contains_true(X + Y, mx + my)
         assert contains_true(X * Y, mx * my)
@@ -171,7 +172,7 @@ def test_soundness_fuzz_mp_kernel():
         assert contains_true(X.sin(), mpmath.sin(mx))
         assert contains_true(Y.sqrt(), mpmath.sqrt(my))
         assert contains_true(Y.cosh(), mpmath.cosh(my))
-    q = k.point(1.0) / k.point(3.0)
+    q = ks.point(k, 1.0) / ks.point(k, 3.0)
     assert q.width() < 1e-28
 
 
@@ -256,23 +257,21 @@ def test_inclusion_monotonic_elementary(ab):
 def _rot(kernel, angle_iv):
     c = angle_iv.cos()
     s = angle_iv.sin()
-    z, one = kernel.point(0.0), kernel.point(1.0)
-    return FLOAT_KERNEL.array(
-        [[c, -s, z], [s, c, z], [z, z, one]]
-    )
+    z, one = ks.point(kernel, 0.0), ks.point(kernel, 1.0)
+    return ks.array(FLOAT_KERNEL, [[c, -s, z], [s, c, z], [z, z, one]])
 
 
 def test_mat_mul_identity_and_zero():
     k = FloatKernel()
-    I = FLOAT_KERNEL.array(np.eye(3))
-    Z = FLOAT_KERNEL.array(np.zeros((3, 3)))
-    P = FLOAT_KERNEL.mat_mul(I, I).tolist()
+    I = FLOAT_KERNEL.points(np.eye(3))
+    Z = FLOAT_KERNEL.points(np.zeros((3, 3)))
+    P = ks.entries(FLOAT_KERNEL.mat_mul(I, I))
     for i in range(3):
         for j in range(3):
             want = 1.0 if i == j else 0.0
             assert P[i][j].contains(want)
-    anym = _rot(k, k.point(0.7))
-    ZP = FLOAT_KERNEL.mat_mul(anym, Z).tolist()
+    anym = _rot(k, ks.point(k, 0.7))
+    ZP = ks.entries(FLOAT_KERNEL.mat_mul(anym, Z))
     for i in range(3):
         for j in range(3):
             assert ZP[i][j].lo == ZP[i][j].hi == 0.0
@@ -283,23 +282,23 @@ def test_mat_mul_rotation_composition_oracle():
     # an enclosure of pi for the product to provably close up
     k = FloatKernel()
     R = _rot(k, PI)
-    P = FLOAT_KERNEL.mat_mul(R, R).tolist()
+    P = ks.entries(FLOAT_KERNEL.mat_mul(R, R))
     for i in range(3):
         for j in range(3):
             assert P[i][j].contains(1.0 if i == j else 0.0)
 
 
 def test_mat_mul_shape_mismatch():
-    z = FLOAT_KERNEL.array(np.zeros((2, 3)))
+    z = FLOAT_KERNEL.points(np.zeros((2, 3)))
     with pytest.raises(IntervalError):
         FLOAT_KERNEL.mat_mul(z, z)
 
 
 def test_invertibility_examples():
     k = FloatKernel()
-    assert interval_matrix_invertible(FLOAT_KERNEL.array(np.eye(3)))
-    assert not interval_matrix_invertible(FLOAT_KERNEL.array(np.zeros((3, 3))))
-    wide = FLOAT_KERNEL.array([[k.interval(-1, 1)] * 3 for _ in range(3)])
+    assert interval_matrix_invertible(FLOAT_KERNEL.points(np.eye(3)))
+    assert not interval_matrix_invertible(FLOAT_KERNEL.points(np.zeros((3, 3))))
+    wide = ks.array(FLOAT_KERNEL, [[ks.interval(k, -1, 1)] * 3 for _ in range(3)])
     assert not interval_matrix_invertible(wide)
 
 
@@ -312,12 +311,7 @@ def test_invertibility_never_certifies_planted_singular():
         v = rng.normal(size=(n - 1, n))
         m = u @ v  # rank n-1 midpoint
         pad = 10.0 ** rng.uniform(-14, -2)
-        M = FLOAT_KERNEL.array(
-            [
-                [k.interval(m[i][j] - pad, m[i][j] + pad) for j in range(n)]
-                for i in range(n)
-            ]
-        )
+        M = k.from_bounds(m - pad, m + pad)
         assert not interval_matrix_invertible(M)
 
 

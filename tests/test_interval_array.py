@@ -29,11 +29,13 @@ from hypcert.interval import (
     IntervalError,
     MPInterval,
     MPKernel,
+    TWO_PI,
     _mid_rad,
     inverse_residual,
     interval_matrix_invertible,
 )
 from tests.matrix_oracle import assert_encloses_exact, exact_mat_mul, scalar_mat_mul
+from tests import kernel_scalars as ks
 
 inf = math.inf
 TINY = 2.0 ** -960  # below this a Dekker error term is unknown
@@ -103,7 +105,7 @@ def test_array_mat_mul_encloses_exact_product(r, n, c, seed):
     rng = np.random.default_rng(seed)
     a, b = random_entries(rng, (r, n)), random_entries(rng, (n, c))
     k = FLOAT_KERNEL
-    assert_encloses_exact(k.mat_mul(k.array(a), k.array(b)).tolist(), a, b)
+    assert_encloses_exact(ks.entries(k.mat_mul(ks.array(k, a), ks.array(k, b))), a, b)
 
 
 U = 2.0 ** -53
@@ -132,10 +134,10 @@ def test_array_mat_mul_shapes(shape):
     a = [[Interval(v, v + abs(w)) for v, w in zip(rng.normal(size=n), rng.normal(size=n))]
          for _ in range(r)]
     b = [[Interval(v, v) for v in rng.normal(size=c)] for _ in range(n)]
-    got = FLOAT_KERNEL.mat_mul(FLOAT_KERNEL.array(a), FLOAT_KERNEL.array(b))
+    got = FLOAT_KERNEL.mat_mul(ks.array(FLOAT_KERNEL, a), ks.array(FLOAT_KERNEL, b))
     assert got.shape == (r, c)
-    exact = assert_encloses_exact(got.tolist(), a, b)
-    _assert_tight(got.tolist(), a, b, exact)
+    exact = assert_encloses_exact(ks.entries(got), a, b)
+    _assert_tight(ks.entries(got), a, b, exact)
 
 
 def test_mat_mul_encloses_underflowing_terms():
@@ -144,8 +146,8 @@ def test_mat_mul_encloses_underflowing_terms():
     # the error bound must cover it
     a = [[Interval.point(5e-324)] * 8, [Interval(5e-324, 1e-323)] * 8]
     b = [[Interval.point(0.4)] for _ in range(8)]
-    got = FLOAT_KERNEL.mat_mul(FLOAT_KERNEL.array(a), FLOAT_KERNEL.array(b))
-    assert_encloses_exact(got.tolist(), a, b)
+    got = FLOAT_KERNEL.mat_mul(ks.array(FLOAT_KERNEL, a), ks.array(FLOAT_KERNEL, b))
+    assert_encloses_exact(ks.entries(got), a, b)
 
 
 def test_mat_mul_encloses_long_radius_sums():
@@ -155,8 +157,8 @@ def test_mat_mul_encloses_long_radius_sums():
     rng = np.random.default_rng(3)
     a = [[Interval.point(v) for v in rng.normal(size=1000)]]
     b = [[Interval(-r, r) for r in row] for row in np.abs(rng.normal(size=(1000, 4))).tolist()]
-    got = FLOAT_KERNEL.mat_mul(FLOAT_KERNEL.array(a), FLOAT_KERNEL.array(b))
-    assert_encloses_exact(got.tolist(), a, b)
+    got = FLOAT_KERNEL.mat_mul(ks.array(FLOAT_KERNEL, a), ks.array(FLOAT_KERNEL, b))
+    assert_encloses_exact(ks.entries(got), a, b)
 
 
 # -- zero-heavy products: most terms of stage II's C J(X) and stage V's m N
@@ -214,10 +216,10 @@ def test_zero_heavy_mat_mul_encloses_exact_product(r, n, c, seed, negative_zeros
     rng = np.random.default_rng(seed)
     a, b = random_sparse(rng, r, n), random_sparse(rng, n, c)
     k = FLOAT_KERNEL
-    aa, ba = k.array(a), k.array(b)
+    aa, ba = ks.array(k, a), ks.array(k, b)
     if negative_zeros:
         aa, ba = with_negative_zeros(aa), with_negative_zeros(ba)
-    assert_encloses_exact(k.mat_mul(aa, ba).tolist(), a, b)
+    assert_encloses_exact(ks.entries(k.mat_mul(aa, ba)), a, b)
 
 
 @pytest.mark.parametrize("r, c", [(1, 1), (3, 5), (8, 2)])
@@ -225,8 +227,8 @@ def test_all_zero_factor_gives_all_zero_product(r, c):
     rng = np.random.default_rng(r * c)
     dense = [[Interval(v, v + 1.0) for v in rng.normal(size=4)] for _ in range(r)]
     zero = [[Interval(-0.0, -0.0)] * c for _ in range(4)]
-    got = FLOAT_KERNEL.mat_mul(FLOAT_KERNEL.array(dense), FLOAT_KERNEL.array(zero))
-    assert bits(got.tolist()) == bits(scalar_mat_mul(dense, zero)) == [[("0x0.0p+0",) * 2] * c] * r
+    got = FLOAT_KERNEL.mat_mul(ks.array(FLOAT_KERNEL, dense), ks.array(FLOAT_KERNEL, zero))
+    assert bits(ks.entries(got)) == bits(scalar_mat_mul(dense, zero)) == [[("0x0.0p+0",) * 2] * c] * r
 
 
 def _sparse(rng, n, zero_share, points):
@@ -249,7 +251,7 @@ def test_mat_mul_at_pipeline_sparsity(n, zero_share, point_left):
     dense = _sparse(rng, n, 0.0, points=True)
     sparse = _sparse(rng, n, zero_share, points=False)
     a, b = (dense, sparse) if point_left else (sparse, dense)
-    got = FLOAT_KERNEL.mat_mul(FLOAT_KERNEL.array(a), FLOAT_KERNEL.array(b)).tolist()
+    got = ks.entries(FLOAT_KERNEL.mat_mul(ks.array(FLOAT_KERNEL, a), ks.array(FLOAT_KERNEL, b)))
     exact = assert_encloses_exact(got, a, b)
     _assert_tight(got, a, b, exact)
 
@@ -258,7 +260,7 @@ def _endpoints(x):
     """A float's or a scalar interval's endpoints, or those of every entry
     of a kernel array, as nested lists."""
     if isinstance(x, (np.ndarray, IntervalArray)):
-        return _endpoints(x.tolist())
+        return _endpoints(ks.entries(x))
     if isinstance(x, list):
         return [_endpoints(v) for v in x]
     if isinstance(x, float):
@@ -269,18 +271,19 @@ def _endpoints(x):
 @pytest.mark.parametrize("values", [[0.5, -1.25, 3.0], [[0.5, -1.25, 3.0], [2.0, 0.0, -7.5]]])
 def test_iteration_matches_the_other_kernels(values):
     # the same entries as plain floats, 53-bit and 80-bit intervals: len,
-    # list and zip see the same entries (1-D) or rows (2-D) in all three
+    # list and zip see the same entries (1-D) or rows (2-D) in all three;
+    # like numpy's, a 53-bit array yields its entries as 0-d arrays
     def points(k, v):
-        return [points(k, x) for x in v] if isinstance(v, list) else k.point(v)
+        return [points(k, x) for x in v] if isinstance(v, list) else ks.point(k, v)
 
     mp = MPKernel(80)
-    real = REAL_KERNEL.array(values)
-    f53 = FLOAT_KERNEL.array(points(FLOAT_KERNEL, values))
-    m80 = mp.array(points(mp, values))
+    real = ks.array(REAL_KERNEL, values)
+    f53 = ks.array(FLOAT_KERNEL, points(FLOAT_KERNEL, values))
+    m80 = ks.array(mp, points(mp, values))
     assert len(f53) == len(m80) == len(real) == len(values)
     one_d = real.ndim == 1
     for arr, kind in ((real, float if one_d else np.ndarray),
-                      (f53, Interval if one_d else IntervalArray),
+                      (f53, IntervalArray),
                       (m80, MPInterval if one_d else np.ndarray)):
         items = list(arr)
         assert all(isinstance(x, kind) for x in items)
@@ -320,22 +323,22 @@ def test_indexing_never_aliases_its_parent(idx):
 def test_concat_matches_the_other_kernels(values):
     # each kernel joins arrays along the last axis, entry for entry
     def points(k, v):
-        return [points(k, x) for x in v] if isinstance(v, list) else k.point(v)
+        return [points(k, x) for x in v] if isinstance(v, list) else ks.point(k, v)
 
     mp = MPKernel(80)
     want = _endpoints(np.concatenate([np.array(v) for v in values], axis=-1))
     for k in (REAL_KERNEL, FLOAT_KERNEL, mp):
-        parts = [k.array(v if k is REAL_KERNEL else points(k, v)) for v in values]
+        parts = [ks.array(k, v if k is REAL_KERNEL else points(k, v)) for v in values]
         assert _endpoints(k.concat(parts)) == want
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(entries, entries)
 def test_array_arithmetic_is_bitwise_the_dunders(x, y):
-    xa, ya = IntervalArray.of([x]), IntervalArray.of([y])
+    xa, ya = ks.array(FLOAT_KERNEL, [x]), ks.array(FLOAT_KERNEL, [y])
     for op in (lambda p, q: p + q, lambda p, q: p - q, lambda p, q: p * q):
         want = scalar_or_error(lambda: bits([[op(x, y)]]))
-        got = scalar_or_error(lambda: bits([op(xa, ya).tolist()]))
+        got = scalar_or_error(lambda: bits([ks.entries(op(xa, ya))]))
         assert got == want
 
 
@@ -344,8 +347,8 @@ def test_array_arithmetic_is_bitwise_the_dunders(x, y):
 def test_products_commute_bit_for_bit(x, y):
     # the geometry reads a 2x2 minor of a symmetric Gram matrix for its
     # transpose, whose second product has its factors swapped
-    xa, ya = IntervalArray.of([x]), IntervalArray.of([y])
-    assert bits([(xa * ya).tolist()]) == bits([(ya * xa).tolist()])
+    xa, ya = ks.array(FLOAT_KERNEL, [x]), ks.array(FLOAT_KERNEL, [y])
+    assert bits([ks.entries(xa * ya)]) == bits([ks.entries(ya * xa)])
     assert bits([[x * y]]) == bits([[y * x]])
     xm, ym = (MPInterval.from_floats(v.lo, v.hi, 80) for v in (x, y))
     assert ((xm * ym).lo, (xm * ym).hi) == ((ym * xm).lo, (ym * xm).hi)
@@ -358,7 +361,7 @@ def test_inf_minus_inf_raises_on_both_paths(op):
     # matrix product never meet inf - inf; a sum of infinite points does
     x = Interval(inf, inf)
     y = Interval(-inf, -inf) if op == "add" else Interval(inf, inf)
-    xa, ya = IntervalArray.of([[x]]), IntervalArray.of([[y]])
+    xa, ya = ks.array(FLOAT_KERNEL, [[x]]), ks.array(FLOAT_KERNEL, [[y]])
 
     def apply(p, q):
         return p + q if op == "add" else p - q
@@ -373,28 +376,30 @@ def test_inf_minus_inf_raises_on_both_paths(op):
 @pytest.mark.parametrize("seed", range(8))
 def test_add_columns_is_bitwise_the_chain_of_sums(seed):
     rng = np.random.default_rng(seed)
-    acc = IntervalArray.of(random_entries(rng, (1, 5))[0])
-    terms = IntervalArray.of(random_entries(rng, (5, 7)))
+    acc = ks.array(FLOAT_KERNEL, random_entries(rng, (1, 5))[0])
+    terms = ks.array(FLOAT_KERNEL, random_entries(rng, (5, 7)))
     if seed % 2:  # the sums of row 3 meet inf - inf: both raise
-        acc[3] = IntervalArray.of([Interval(-inf, -inf)])[0]
-        terms[3, 4] = IntervalArray.of([Interval(inf, inf)])[0]
+        acc[3] = ks.array(FLOAT_KERNEL, [Interval(-inf, -inf)])[0]
+        terms[3, 4] = ks.array(FLOAT_KERNEL, [Interval(inf, inf)])[0]
 
     def chain():
         k = acc
         for j in range(terms.shape[1]):
             k = k + terms[:, j]
-        return bits([k.tolist()])
+        return bits([ks.entries(k)])
 
     want = scalar_or_error(chain)
-    got = scalar_or_error(lambda: bits([FLOAT_KERNEL.add_columns(acc, terms).tolist()]))
+    got = scalar_or_error(lambda: bits([ks.entries(FLOAT_KERNEL.add_columns(acc, terms))]))
     assert got == want
     # the object-array loop on scalar `Interval`s, as the MP kernel runs it;
     # numpy reads the FPU flags after an object loop, and a two-sum that
     # meets inf or overflows sets them on its way to a sound sum
-    objects = MPKernel.array
+    def objects(nested):
+        return np.array(nested, dtype=object)
+
     with np.errstate(all="ignore"):
-        got = scalar_or_error(lambda: bits([MPKernel.add_columns(
-            objects(acc.tolist()), objects(terms.tolist())).tolist()]))
+        got = scalar_or_error(lambda: bits([ks.entries(MPKernel.add_columns(
+            objects(ks.entries(acc)), objects(ks.entries(terms))))]))
     assert got == want
 
 
@@ -414,13 +419,13 @@ unit_entries = st.tuples(unit_endpoints, unit_endpoints).map(
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(entries, entries)
 def test_array_division_is_bitwise_the_dunder(x, y):
-    xa, ya = IntervalArray.of([x]), IntervalArray.of([y])
+    xa, ya = ks.array(FLOAT_KERNEL, [x]), ks.array(FLOAT_KERNEL, [y])
     want = scalar_or_error(lambda: bits([[x / y]]))
-    assert scalar_or_error(lambda: bits([(xa / ya).tolist()])) == want
+    assert scalar_or_error(lambda: bits([ks.entries(xa / ya)])) == want
     # a plain number on either side is a point
     for v in (y.lo, y.hi):
         want = scalar_or_error(lambda: bits([[x / v, v / x]]))
-        got = scalar_or_error(lambda: bits([(xa / v).tolist() + (v / xa).tolist()]))
+        got = scalar_or_error(lambda: bits([ks.entries(xa / v) + ks.entries(v / xa)]))
         assert got == want
 
 
@@ -430,7 +435,7 @@ def test_array_division_of_vectors(xs, ys):
     n = min(len(xs), len(ys))
     xs, ys = xs[:n], ys[:n]
     want = scalar_or_error(lambda: bits([[x / y for x, y in zip(xs, ys)]]))
-    got = scalar_or_error(lambda: bits([(IntervalArray.of(xs) / IntervalArray.of(ys)).tolist()]))
+    got = scalar_or_error(lambda: bits([ks.entries(ks.array(FLOAT_KERNEL, xs) / ks.array(FLOAT_KERNEL, ys))]))
     if isinstance(want, tuple):
         # the array tests every divisor for zero before it divides
         assert isinstance(got, tuple) and issubclass(got[0], IntervalError)
@@ -447,7 +452,7 @@ def test_division_by_zero_straddling_raises_on_both_paths(y):
     with pytest.raises(DomainError) as scalar_err:
         x / y
     with pytest.raises(DomainError) as array_err:
-        IntervalArray.of([x, x]) / IntervalArray.of([Interval(1.0, 1.0), y])
+        ks.array(FLOAT_KERNEL, [x, x]) / ks.array(FLOAT_KERNEL, [Interval(1.0, 1.0), y])
     assert str(array_err.value) == str(scalar_err.value)
 
 
@@ -509,7 +514,7 @@ def test_products_and_quotients_of_near_ties_are_bitwise_the_dunders(seed):
 @given(st.lists(entries, min_size=1, max_size=6))
 def test_array_sqrt_is_bitwise_the_method(xs):
     want = scalar_or_error(lambda: bits([[x.sqrt() for x in xs]]))
-    got = scalar_or_error(lambda: bits([IntervalArray.of(xs).sqrt().tolist()]))
+    got = scalar_or_error(lambda: bits([ks.entries(ks.array(FLOAT_KERNEL, xs).sqrt())]))
     assert got == want
 
 
@@ -517,7 +522,7 @@ def test_array_sqrt_is_bitwise_the_method(xs):
 @given(st.lists(entries, min_size=1, max_size=6))
 def test_array_sqrt_nonneg_is_bitwise_the_method(xs):
     want = scalar_or_error(lambda: bits([[x.sqrt_nonneg() for x in xs]]))
-    got = scalar_or_error(lambda: bits([IntervalArray.of(xs).sqrt_nonneg().tolist()]))
+    got = scalar_or_error(lambda: bits([ks.entries(ks.array(FLOAT_KERNEL, xs).sqrt_nonneg())]))
     assert got == want
 
 
@@ -528,7 +533,7 @@ def test_sqrt_of_a_negative_part_raises_on_both_paths(x):
     with pytest.raises(DomainError) as scalar_err:
         x.sqrt()
     with pytest.raises(DomainError) as array_err:
-        IntervalArray.of([Interval(4.0, 9.0), x, Interval(-3.0, 1.0)]).sqrt()
+        ks.array(FLOAT_KERNEL, [Interval(4.0, 9.0), x, Interval(-3.0, 1.0)]).sqrt()
     assert str(array_err.value) == str(scalar_err.value)
 
 
@@ -536,7 +541,7 @@ def test_sqrt_of_a_negative_part_raises_on_both_paths(x):
 @given(st.lists(st.one_of(unit_entries, entries), min_size=1, max_size=6))
 def test_array_arccos_is_bitwise_the_method(xs):
     want = scalar_or_error(lambda: bits([[x.arccos() for x in xs]]))
-    got = scalar_or_error(lambda: bits([IntervalArray.of(xs).arccos().tolist()]))
+    got = scalar_or_error(lambda: bits([ks.entries(ks.array(FLOAT_KERNEL, xs).arccos())]))
     assert got == want
 
 
@@ -550,9 +555,9 @@ def _oracle_residual_and_verdict(m, scalar_verdict=True):
     `scalar_verdict`, the same rule on the exact residual: it is decided the
     same way wherever the residual is far from the bound."""
     r = m.nrows
-    rows = m.tolist()
+    rows = ks.entries(m)
     n = np.linalg.inv(np.array([[x.mid() for x in row] for row in rows], dtype=float))
-    n_iv = FLOAT_KERNEL.array(n).tolist()
+    n_iv = ks.entries(FLOAT_KERNEL.points(n))
     bound = (Interval.point(1.0) / Interval.point(r * r)).lo
     exact = [[(lo - (i == j), hi - (i == j)) for j, (lo, hi) in enumerate(row)]
              for i, row in enumerate(exact_mat_mul(rows, n_iv))]
@@ -568,7 +573,7 @@ def _oracle_residual_and_verdict(m, scalar_verdict=True):
 
 
 def _assert_encloses(got, exact):
-    for got_row, exact_row in zip(got.tolist(), exact):
+    for got_row, exact_row in zip(ks.entries(got), exact):
         for g, (lo, hi) in zip(got_row, exact_row):
             assert g.lo <= lo and hi <= g.hi
 
@@ -577,9 +582,7 @@ def _assert_encloses(got, exact):
 def test_invertibility_matches_scalar_oracle(r, radius, verdict):
     rng = np.random.default_rng(r)
     mid = np.eye(r) * 4.0 + rng.normal(size=(r, r))
-    m = FLOAT_KERNEL.array(
-        [[Interval(v - radius, v + radius) for v in row] for row in mid.tolist()]
-    )
+    m = FLOAT_KERNEL.from_bounds(mid - radius, mid + radius)
     # 75^3 scalar interval products would take most of tier-1's time for
     # this test: the 75-row verdict comes from the exact residual
     exact_resid, want_verdict = _oracle_residual_and_verdict(m, scalar_verdict=r < 75)
@@ -592,9 +595,9 @@ def test_invertibility_midpoints_overflow_as_interval_mid():
     # lo + hi overflows in the diagonal entries: their midpoints fall back
     # to lo / 2 + hi / 2, as `Interval.mid` does
     big = Interval(1.0e308, 1.6e308)
-    m = FLOAT_KERNEL.array([[big, Interval.point(0.5)], [Interval(-1.0, 1.0), big]])
+    m = ks.array(FLOAT_KERNEL, [[big, Interval.point(0.5)], [Interval(-1.0, 1.0), big]])
     mid, rad = _mid_rad(m.lo, m.hi)
-    assert mid.tolist() == [[x.mid() for x in row] for row in m.tolist()]
+    assert mid.tolist() == [[x.mid() for x in row] for row in ks.entries(m)]
     assert (mid - rad <= m.lo).all() and (m.hi <= mid + rad).all() and rad[0, 1] == 0.0
     exact_resid, want_verdict = _oracle_residual_and_verdict(m)
     assert interval_matrix_invertible(m) is want_verdict
@@ -606,11 +609,11 @@ def test_invertibility_never_raises_on_overflow():
     # the BLAS sum of 1e308 * 2 and 1e308 * -2 meets inf - inf: the entry
     # is [-inf, inf], and no IntervalError is raised
     k = FLOAT_KERNEL
-    product = k.mat_mul(k.array(np.array([[1e308, 1e308]])), k.array(np.array([[2.0], [-2.0]])))
+    product = k.mat_mul(k.points(np.array([[1e308, 1e308]])), k.points(np.array([[2.0], [-2.0]])))
     assert (product.lo[0, 0], product.hi[0, 0]) == (-inf, inf)
     # n = [[1, -1e308], [0, 1]]: (m n)[0, 1] is exactly 1e308 - 1e308 = 0,
     # but its error bound overflows, so the residual there is [-inf, inf]
-    m = k.array(np.array([[1.0, 1e308], [0.0, 1.0]]))
+    m = k.points(np.array([[1.0, 1e308], [0.0, 1.0]]))
     resid = inverse_residual(m)
     assert (resid.lo[0, 1], resid.hi[0, 1]) == (-inf, inf)
     assert interval_matrix_invertible(m) is False
@@ -664,7 +667,7 @@ def _at_least(f, q):
 def test_float_hull_encloses_each_mp_interval(name):
     x = HULL_CASES[name]
     k = MPKernel(x.prec)
-    hull = k.float_hull(k.array([x, x]))
+    hull = k.float_hull(ks.array(k, [x, x]))
     assert isinstance(hull, IntervalArray) and hull.shape == (2,)
     lo, hi = float(hull.lo[0]), float(hull.hi[0])
     q_lo = Fraction(*libmp.to_rational(x.lo))
@@ -698,7 +701,7 @@ def test_float_bounds_are_the_tightest_floats(prec, e):
 @pytest.mark.parametrize("value", [0.1, -1.5, 5e-324, -2.0 ** -1022, 1.7e308, 0.0])
 def test_float_hull_of_float_points_is_the_point(prec, value):
     k = MPKernel(prec)
-    hull = k.float_hull(k.array([k.point(value)]))
+    hull = k.float_hull(ks.array(k, [ks.point(k, value)]))
     assert (float(hull.lo[0]), float(hull.hi[0])) == (value, value)
 
 
@@ -707,7 +710,7 @@ def test_lift_is_exact_and_hull_undoes_it(prec):
     k = FLOAT_KERNEL if prec == 53 else MPKernel(prec)
     a = IntervalArray(np.array([0.1, -1e300, 5e-324, -inf]), np.array([0.3, 2.0, 1e-310, inf]))
     lifted = k.lift(a)
-    for x, lo, hi in zip(lifted.tolist(), a.lo.tolist(), a.hi.tolist()):
+    for x, lo, hi in zip(ks.entries(lifted), a.lo.tolist(), a.hi.tolist()):
         assert getattr(x, "prec", 53) == prec
         assert (x.lo_float(), x.hi_float()) == (lo, hi)
     back = k.float_hull(lifted)
@@ -719,15 +722,15 @@ def test_mp_matrices_multiply_and_invert_on_the_float_hull(prec):
     # the MP kernel has no product: products and the invertibility test of
     # MP entries run on their 53-bit hull
     k, third = MPKernel(prec), _mp_third(prec)
-    rows = [[k.point(2.0), third], [third, k.point(1.0)]]
-    m = k.float_hull(k.array(rows))
-    product = FLOAT_KERNEL.mat_mul(m, FLOAT_KERNEL.array(np.eye(2)))
-    for got_row, m_row in zip(product.tolist(), rows):
+    rows = [[ks.point(k, 2.0), third], [third, ks.point(k, 1.0)]]
+    m = k.float_hull(ks.array(k, rows))
+    product = FLOAT_KERNEL.mat_mul(m, FLOAT_KERNEL.points(np.eye(2)))
+    for got_row, m_row in zip(ks.entries(product), rows):
         for got, x in zip(got_row, m_row):
             assert isinstance(got, Interval)
             assert got.lo <= x.lo_float() and x.hi_float() <= got.hi
     assert interval_matrix_invertible(m)
-    assert not interval_matrix_invertible(k.float_hull(k.array([[third, third], [third, third]])))
+    assert not interval_matrix_invertible(k.float_hull(ks.array(k, [[third, third], [third, third]])))
 
 
 # -- end to end ------------------------------------------------------------------
@@ -738,18 +741,28 @@ def test_certificate_identical_with_scalar_matrix_layer(
 ):
     """With the float kernel's whole array layer replaced by numpy object
     arrays of `Interval` (every entry through the scalar dunders and
-    methods, products by `scalar_mat_mul`, arrays from endpoints by one
-    `Interval` each, the Krawczyk column sums by one `Interval` sum per
-    entry and column), dodec27a certifies to the same bytes."""
-    objects = MPKernel.array
-    monkeypatch.setattr(FloatKernel, "array", staticmethod(objects))
-    monkeypatch.setattr(
-        FloatKernel, "mat_mul", staticmethod(lambda a, b: objects(scalar_mat_mul(a, b)))
-    )
-    monkeypatch.setattr(
-        FloatKernel, "from_bounds", staticmethod(np.frompyfunc(Interval, 2, 1))
-    )
-    for name in ("bounds", "concat", "add_columns", "sqrt", "sqrt_nonneg", "arccos"):
+    methods, products by `scalar_mat_mul`, arrays from points and endpoints
+    by one `Interval` each, comparisons and widths by the scalar methods,
+    the Krawczyk column sums by one `Interval` sum per entry and column),
+    dodec27a certifies to the same bytes."""
+    def objects(nested):
+        return np.array(nested, dtype=object)
+
+    scalar_layer = {
+        "points": lambda x: np.frompyfunc(Interval.point, 1, 1)(np.asarray(x, dtype=float)),
+        "from_bounds": np.frompyfunc(Interval, 2, 1),
+        "two_pi": lambda: objects([TWO_PI]),
+        "contains_two_pi": lambda a: np.frompyfunc(
+            lambda x: x.encloses(TWO_PI), 1, 1)(a).astype(bool),
+        "cos": np.frompyfunc(Interval.cos, 1, 1),
+        "sin": np.frompyfunc(Interval.sin, 1, 1),
+        "mat_mul": lambda a, b: objects(scalar_mat_mul(a, b)),
+    }
+    for name, fn in scalar_layer.items():
+        monkeypatch.setattr(FloatKernel, name, staticmethod(fn))
+    # the MP kernel's entrywise methods call the entries' own methods
+    for name in ("inside", "intersect", "meets", "contains", "width", "bounds",
+                 "exact_bounds", "concat", "add_columns", "sqrt", "sqrt_nonneg", "arccos"):
         monkeypatch.setattr(FloatKernel, name, staticmethod(getattr(MPKernel, name)))
     scalar = verify.run_pipeline(dodec27a)
     assert scalar.verified

@@ -1,7 +1,8 @@
 """The benchmark's tracer (`perfbench/tracing.py`) wraps `hypcert`
 attributes by name from outside the package, so a renamed function would
 only show when the benchmark runs.  Here every name it wraps must resolve,
-and a traced pipeline run must yield stage V's figures.
+a traced pipeline run must yield stage V's figures, and the traced metric
+that `perfbench/run.py` reads off a certified box must read it right.
 """
 
 import pathlib
@@ -10,6 +11,7 @@ import sys
 import pytest
 
 import hypcert
+from hypcert.interval import kernel_for_precision
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -22,6 +24,16 @@ def tracing():
     finally:
         sys.path.remove(str(PERFBENCH))
     return tracing
+
+
+@pytest.fixture(scope="module")
+def run(tracing):
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import run
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return run
 
 
 def test_spanned_and_counted_functions_resolve(tracing):
@@ -67,3 +79,15 @@ def test_traced_run_reports_stage_v(tracing, dodec27a):
             longest_segment = max(longest_segment, len(lengths))
     want = (longest_block - 1).bit_length() + (longest_segment - 1).bit_length() + 2
     assert metrics["gimbal.ball_mul_count"] == want == 12
+
+
+@pytest.mark.parametrize("bits", [53, 80])
+def test_enclosure_width_max_is_the_widest_kept_edge(run, dodec27a, bits):
+    # `verify.enclosure_width_max` reads `result.box.nu[e].width()` for the
+    # kept edges e, which a change of the box's type would break only under
+    # --trace 1
+    result = hypcert.run_pipeline(dodec27a, precision=bits)
+    assert result.verified
+    kernel = kernel_for_precision(bits)
+    want = float(kernel.width(result.box.nu[result.partition.e_var]).max())
+    assert run.enclosure_width_max([(result, None)]) == want > 0.0

@@ -10,6 +10,7 @@ import pytest
 
 from hypcert.interval import DomainError, Interval, MPInterval
 from tests import geometry_oracle as go
+from tests import kernel_scalars as ks
 
 KINDS = {
     "float53": lambda lo, hi: Interval(lo, hi),
@@ -26,12 +27,12 @@ def test_kernel_builds_same_kind_and_precision(make):
     x = make(1.0, 2.0)
     kernel = go.kernel_of(x)
     for c in (0.0, -1.0, 0.1, 3):
-        p = kernel.point(c)
+        p = ks.point(kernel, c)
         assert type(p) is type(x)
         assert go.kernel_of(p).precision == kernel.precision
         assert p.lo_float() == p.hi_float() == float(c)
-    assert go.kernel_of(kernel.interval(0.5, 1.5)).precision == kernel.precision
-    assert getattr(kernel.point(0.3), "prec", 53) == kernel.precision
+    assert go.kernel_of(ks.interval(kernel, 0.5, 1.5)).precision == kernel.precision
+    assert getattr(ks.point(kernel, 0.3), "prec", 53) == kernel.precision
 
 
 def test_float_bounds_bracket(make):

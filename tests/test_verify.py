@@ -16,7 +16,7 @@ from hypcert.interval import (
     FloatKernel,
     MPInterval,
     MPKernel,
-    contains_two_pi,
+    kernel_for_precision,
 )
 from hypcert.triangulation import parse_file
 from tests import krawczyk_oracle
@@ -24,6 +24,7 @@ from tests.conftest import data_path, links_of, stage_one
 from tests.geometry_oracle import point_like
 from tests.matrix_oracle import assert_encloses_exact, select_submatrix_full_update
 from tests.test_gimbal import _scaling_member
+from tests import kernel_scalars as ks
 
 
 # -- step I: pivot selection --------------------------------------------------
@@ -207,8 +208,8 @@ def _on_arrays(kernel, f, jac):
     """f and its Jacobian, written on lists of scalars, in the protocol of
     `KrawczykCentre` and `krawczyk_step`: kernel arrays in and out, the
     Jacobian on 53-bit arrays."""
-    return (lambda v: kernel.array(f(v.tolist())),
-            lambda v: FLOAT_KERNEL.array(jac(v.tolist())))
+    return (lambda v: ks.array(kernel, f(ks.entries(v))),
+            lambda v: ks.array(FLOAT_KERNEL, jac(ks.entries(v))))
 
 
 def test_krawczyk_scalar_instance():
@@ -220,12 +221,12 @@ def test_krawczyk_scalar_instance():
     def jac(xs):
         return (xs * 2.0)[None]
 
-    X = [k.interval(1.41, 1.42)]
+    X = k.from_bounds([1.41], [1.42])
     centre = verify.KrawczykCentre(f, [1.4142], [[0.35356]], k)
     K = verify.krawczyk_step(centre, jac, X)
-    assert K[0].strictly_inside(X[0])
-    assert 1.41418 <= K[0].lo and K[0].hi <= 1.41425
-    assert K[0].contains(math.sqrt(2.0))
+    assert k.inside(K, X).all()
+    assert 1.41418 <= K.lo[0] and K.hi[0] <= 1.41425
+    assert k.contains(K, math.sqrt(2.0)).all()
 
 
 def test_krawczyk_synthetic_system_contains_true_root():
@@ -253,8 +254,8 @@ def test_krawczyk_synthetic_system_contains_true_root():
     C = np.linalg.inv(np.array([[2 * x0[0], 2 * x0[1]], [x0[1], x0[0]]]))
     enc = verify._certify_root(f, jac, x0, C.tolist(), k, 1e-15)
     assert enc is not None
-    assert mpmath.mpf(enc[0].lo) <= gx <= mpmath.mpf(enc[0].hi)
-    assert mpmath.mpf(enc[1].lo) <= gy <= mpmath.mpf(enc[1].hi)
+    assert mpmath.mpf(enc.lo[0]) <= gx <= mpmath.mpf(enc.hi[0])
+    assert mpmath.mpf(enc.lo[1]) <= gy <= mpmath.mpf(enc.hi[1])
 
 
 def test_krawczyk_scalar_mp_kernel():
@@ -319,7 +320,7 @@ def test_s3_step_four_fails(s3):
     k = FloatKernel()
     part = verify.Partition(e_sim=list(range(6)), e_eq=[])
     box = verify.CertifiedBox(
-        nu=[k.point(-2.0) for _ in range(6)],
+        nu=k.points([-2.0] * 6),
         theta=None,
         partition=part,
         precision=53,
@@ -335,12 +336,12 @@ def test_widened_box_conservative(dodec27a, verified27a):
     k = FloatKernel()
     box0 = verified27a.box
     wide = []
-    for x in box0.nu:
+    for x in ks.entries(box0.nu):
         c = x.mid()
         w = max(x.width(), 1e-14) * 1e6
-        wide.append(k.interval(c - w, c + w))
+        wide.append(ks.interval(k, c - w, c + w))
     box = verify.CertifiedBox(
-        nu=wide, theta=None, partition=box0.partition, precision=53
+        nu=ks.array(k, wide), theta=None, partition=box0.partition, precision=53
     )
     try:
         verify.check_realization_and_angles(dodec27a, box)
@@ -352,19 +353,17 @@ def test_pipeline_verifies_fixture(verified27a):
     res = verified27a
     assert res.verified and res.failed_step == 0
     assert all(k in res.statuses for k in (1, 2, 3, 4, 5))
-    box = res.box
-    assert all(x.is_finite() for x in box.nu)
-    assert max(x.width() for x in box.nu) < 1e-8
-    assert all(contains_two_pi(th) for th in box.theta)
-    loose_widths = [box.theta[e].width() for e in box.partition.e_sim]
-    assert max(loose_widths) < 1e-6
+    box, k = res.box, FLOAT_KERNEL
+    assert np.isfinite(k.bounds(box.nu)).all()
+    assert k.width(box.nu).max() < 1e-8
+    assert k.contains_two_pi(box.theta).all()
+    assert k.width(box.theta[box.partition.e_sim]).max() < 1e-6
 
 
 def test_pipeline_point_intervals_on_fixed(verified27a):
     # the fixed parameters are the loose edges
     box = verified27a.box
-    for e in box.partition.e_sim:
-        assert box.nu[e].width() == 0.0
+    assert (FLOAT_KERNEL.width(box.nu[box.partition.e_sim]) == 0.0).all()
 
 
 def test_pipeline_perturbed_fails_step_two(dodec27a):
@@ -392,7 +391,7 @@ def test_pipeline_s3_fails(s3):
 def test_pipeline_mp_precision(dodec27a):
     res = verify.run_pipeline(dodec27a, precision=80)
     assert res.verified
-    assert max(x.width() for x in res.box.nu) < 1e-16
+    assert MPKernel(80).width(res.box.nu).max() < 1e-16
 
 
 def test_no_certificate_after_failure(dodec27a):
@@ -417,13 +416,13 @@ def test_partition_check_raises_on_bad_input():
 
 def _partial_by_loops(f_iv, x0, C, kernel):
     # the centre term x0 - sum_j C[:, j] f(x0)[j], one scalar at a time
-    x0_iv = [kernel.point(v) for v in x0]
-    fx0 = f_iv(kernel.array(x0_iv)).tolist()
+    x0_iv = [ks.point(kernel, v) for v in x0]
+    fx0 = ks.entries(f_iv(ks.array(kernel, x0_iv)))
     partial = []
     for i in range(len(x0)):
         acc = x0_iv[i]
         for j in range(len(x0)):
-            acc = acc - kernel.point(C[i][j]) * fx0[j]
+            acc = acc - ks.point(kernel, C[i][j]) * fx0[j]
         partial.append(acc)
     return partial
 
@@ -438,19 +437,20 @@ def _krawczyk_by_loops(f_iv, jac_iv, x0, X, C, kernel):
     f64 = FloatKernel()
 
     def hull(x):
-        return f64.interval(x.lo_float(), x.hi_float())
+        return ks.interval(f64, x.lo_float(), x.hi_float())
 
-    x0_iv = [kernel.point(v) for v in x0]
-    JX = jac_iv(f64.array([hull(x) for x in X])).tolist()
+    x0_iv = [ks.point(kernel, v) for v in x0]
+    X = ks.entries(X)
+    JX = ks.entries(jac_iv(ks.array(f64, [hull(x) for x in X])))
     dX = [hull(x - p) for x, p in zip(X, x0_iv)]
-    C_iv = f64.array(np.asarray(C, dtype=float))
-    CJ = f64.mat_mul(C_iv, f64.array(JX)).tolist()
-    assert_encloses_exact(CJ, C_iv.tolist(), JX)
+    C_iv = f64.points(np.asarray(C, dtype=float))
+    CJ = ks.entries(f64.mat_mul(C_iv, ks.array(f64, JX)))
+    assert_encloses_exact(CJ, ks.entries(C_iv), JX)
     K = []
     for i, acc in enumerate(_partial_by_loops(f_iv, x0, C, kernel)):
         for j in range(n):
-            term = (f64.point(1.0 if i == j else 0.0) - CJ[i][j]) * dX[j]
-            acc = acc + kernel.interval(term.lo, term.hi)
+            term = (ks.point(f64, 1.0 if i == j else 0.0) - CJ[i][j]) * dX[j]
+            acc = acc + ks.interval(kernel, term.lo, term.hi)
         K.append(acc)
     return K
 
@@ -470,9 +470,9 @@ def test_krawczyk_step_matches_entrywise_operator(kernel):
     f_iv, jac_iv = _on_arrays(kernel, f_iv, jac_iv)
     x0 = [1.01, 1.98, 0.003]
     C = np.linalg.inv(np.array([[2.02, 1, 0], [1.98, 1.01, 0], [1, 0.003, 1.98]])).tolist()
-    X = [kernel.interval(v - 0.05, v + 0.05) for v in x0]
+    X = kernel.from_bounds(np.subtract(x0, 0.05), np.add(x0, 0.05))
     centre = verify.KrawczykCentre(f_iv, x0, C, kernel)
-    got = verify.krawczyk_step(centre, jac_iv, X)
+    got = ks.entries(verify.krawczyk_step(centre, jac_iv, X))
     want = _krawczyk_by_loops(f_iv, jac_iv, x0, X, C, kernel)
     for g, w in zip(got, want):
         assert (g.lo, g.hi) == (w.lo, w.hi)
@@ -527,7 +527,7 @@ def test_operator_boxes_contain_their_centre(hyperbolic_triangulations, monkeypa
     step = verify.krawczyk_step
 
     def recording_step(centre, jac_iv, X):
-        applied.append((centre.x0.tolist(), list(X)))
+        applied.append((ks.entries(centre.x0), ks.entries(X)))
         return step(centre, jac_iv, X)
 
     monkeypatch.setattr(verify, "krawczyk_step", recording_step)
@@ -536,7 +536,8 @@ def test_operator_boxes_contain_their_centre(hyperbolic_triangulations, monkeypa
     assert applied
     for x0, X in applied:
         assert all(x.encloses(c) for x, c in zip(X, x0))
-    assert all(contains_two_pi(res.box.theta[e]) for e in res.partition.e_eq)
+    kernel = kernel_for_precision(bits)
+    assert kernel.contains_two_pi(res.box.theta[res.partition.e_eq]).all()
 
 
 @pytest.mark.parametrize("bits", [80, 120])
@@ -552,23 +553,23 @@ def test_jacobian_and_gimbal_labels_are_53_bit_at_every_precision(dodec27a, monk
     label_bounds = gimbal.CocycleLabels.label_bounds
 
     def spy_jacobian(tri, params, *args, **kwargs):
-        seen.append(("jacobian", params.values.tolist()))
+        seen.append(("jacobian", ks.entries(params.values)))
         return jacobian(tri, params, *args, **kwargs)
 
     def spy_labels_init(self, tri, params, data=None):
-        seen.append(("labels", params.values.tolist()))
+        seen.append(("labels", ks.entries(params.values)))
         labels_init(self, tri, params, data=data)
         # the arrays every label and label ball is built from
         seen.append(("label", [x for arr in (self.dihedral_cos, self.dihedral_sin,
                                              self.vertex_cos, self.vertex_sin)
-                               for row in arr.tolist() for x in row]))
+                               for row in ks.entries(arr) for x in row]))
 
     def spy_label_bounds(self):
         seen.append(("bounds", [self.kernel]))
         return label_bounds(self)
 
     def spy_lock_check(tri, labels, e_sim, theta_boxes, links=None):
-        seen.append(("theta", theta_boxes))
+        seen.append(("theta", ks.entries(theta_boxes)))
         return lock_check(tri, labels, e_sim, theta_boxes, links=links)
 
     monkeypatch.setattr(geo, "jacobian", spy_jacobian)
@@ -577,7 +578,7 @@ def test_jacobian_and_gimbal_labels_are_53_bit_at_every_precision(dodec27a, monk
     monkeypatch.setattr(gimbal.CocycleLabels, "label_bounds", spy_label_bounds)
     res = verify.run_pipeline(dodec27a, precision=bits)
     assert res.verified, res.statuses
-    assert all(isinstance(x, MPInterval) for x in res.box.nu + res.box.theta)
+    assert all(isinstance(x, MPInterval) for x in [*res.box.nu, *res.box.theta])
     assert {name for name, _ in seen} == {"jacobian", "labels", "label", "bounds", "theta"}
     for name, values in seen:
         assert not any(isinstance(v, MPInterval) for v in values), name
@@ -603,8 +604,8 @@ def test_stage_two_reuses_stage_one_float_data(dodec27a, verified27a, monkeypatc
     result = verify.run_pipeline(dodec27a)
     assert result.verified
     assert calls == ["angle_sums", "jacobian"]
-    assert [(x.lo, x.hi) for x in result.box.nu] == [
-        (x.lo, x.hi) for x in verified27a.box.nu
+    assert [(x.lo, x.hi) for x in ks.entries(result.box.nu)] == [
+        (x.lo, x.hi) for x in ks.entries(verified27a.box.nu)
     ]
 
 
@@ -654,12 +655,12 @@ def test_centre_term_and_operator_match_scalar_loops(dodec27a, name, bits):
     kernel = FloatKernel() if bits == 53 else MPKernel(bits)
     f_iv, jac_iv, x0, C = _system(name, dodec27a, kernel)
     centre = verify.KrawczykCentre(f_iv, x0, C, kernel)
-    got = centre.partial.tolist()
+    got = ks.entries(centre.partial)
     want = _partial_by_loops(f_iv, x0, C, kernel)
     assert [(g.lo, g.hi) for g in got] == [(w.lo, w.hi) for w in want]
     # wide enough that summing the columns in another order changes bits
-    X = [kernel.interval(v - 0.01, v + 0.01) for v in x0]
-    got = verify.krawczyk_step(centre, jac_iv, X)
+    X = kernel.from_bounds(np.subtract(x0, 0.01), np.add(x0, 0.01))
+    got = ks.entries(verify.krawczyk_step(centre, jac_iv, X))
     want = _krawczyk_by_loops(f_iv, jac_iv, x0, X, C, kernel)
     assert [(g.lo, g.hi) for g in got] == [(w.lo, w.hi) for w in want]
 
@@ -672,13 +673,13 @@ def test_operator_image_encloses_centre_term(dodec27a, name, bits):
     kernel = FloatKernel() if bits == 53 else MPKernel(bits)
     f_iv, jac_iv, x0, C = _system(name, dodec27a, kernel)
     centre = verify.KrawczykCentre(f_iv, x0, C, kernel)
-    partial = centre.partial.tolist()
+    partial = ks.entries(centre.partial)
     rng = random.Random(bits)
     for _ in range(12):
         below, above = ([10.0 ** rng.uniform(-14, -6) for _ in x0] for _ in range(2))
-        X = [kernel.interval(v - a, v + b) for v, a, b in zip(x0, below, above)]
+        X = [ks.interval(kernel, v - a, v + b) for v, a, b in zip(x0, below, above)]
         assert all(x.contains(v) for x, v in zip(X, x0))
-        K = verify.krawczyk_step(centre, jac_iv, X)
+        K = ks.entries(verify.krawczyk_step(centre, jac_iv, ks.array(kernel, X)))
         assert all(k.encloses(p) for k, p in zip(K, partial))
 
 
@@ -727,7 +728,7 @@ def test_certify_root_matches_loop_without_skip(hyperbolic_triangulations, monke
     if want is None:
         assert got is None
     else:
-        assert [(g.lo, g.hi) for g in got] == [(w.lo, w.hi) for w in want]
+        assert [(g.lo, g.hi) for g in ks.entries(got)] == [(w.lo, w.hi) for w in want]
     assert len(applied) <= len(applied_without_skip)
     if steps is not None:
         assert len(applied) == steps

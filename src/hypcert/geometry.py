@@ -419,10 +419,17 @@ class SimplexData:
     all simplices.  Both (n_tets, 16) arrays are symmetric: the cofactors
     are `_cofactors`, whose lower entries are copies of the upper ones.
     The gaps are those of the realization conditions, which the Jacobian
-    reads too.  The dihedral angles `theta` are computed on first use."""
+    reads too.  The dihedral angles `theta` are computed on first use.
 
-    def __init__(self, kernel, gram, cof, cos, gap):
+    The arrays may come for the distinct Gram rows only, with `rows` the
+    distinct row of each simplex: they are gathered to every simplex, and
+    the arccos is still taken once per distinct row."""
+
+    def __init__(self, kernel, gram, cof, cos, gap, rows=None):
         self.kernel = kernel
+        self._distinct_cos, self._rows = cos, rows
+        if rows is not None:
+            gram, cof, cos, gap = gram[rows], cof[rows], cos[rows], gap[rows]
         self.gram = gram
         self.cof = cof
         self.cos = cos
@@ -433,8 +440,23 @@ class SimplexData:
     def theta(self):
         """(n_tets, 6) dihedral angles, in LOCAL_EDGES order."""
         if self._theta is None:
-            self._theta = self.kernel.arccos(self.cos)
+            theta = self.kernel.arccos(self._distinct_cos)
+            self._theta = theta if self._rows is None else theta[self._rows]
         return self._theta
+
+
+def _distinct_rows(edges, ids):
+    """The distinct Gram rows of the simplices whose local edges carry the
+    edge classes `edges` (n_tets, 6), where ids[e] is the first edge class
+    whose value equals that of e (`kernel.equal_ids`): (first, rows), the
+    first simplex of every distinct row in simplex order and the distinct
+    row of every simplex; (None, None) when no two rows are equal."""
+    seen = {}
+    rep = [seen.setdefault(key, t) for t, key in enumerate(map(tuple, ids[edges].tolist()))]
+    if len(seen) == len(rep):
+        return None, None
+    distinct = np.array(rep) == np.arange(len(rep))
+    return np.flatnonzero(distinct), (np.cumsum(distinct) - 1)[rep]
 
 
 def simplex_data(tri, params):
@@ -444,13 +466,22 @@ def simplex_data(tri, params):
     fails: at the first realization condition not proven, or else at the
     first dihedral cosine whose enclosure leaves [-1, 1], arccos's domain
     (for plain floats that is math.acos's ValueError).
+
+    Each distinct Gram row is evaluated once, at its first simplex: two
+    rows are equal when their edge values are exactly equal
+    (`kernel.equal_ids`), and then every quantity of the two is the same
+    bits.  The distinct rows keep simplex order, so the first failing one
+    is that of the first failing simplex, and its cosines are formed up to
+    that row, those of the simplices before it.
     """
     kernel = params.kernel
-    G = params.values[_plan(tri).gram]
+    plan = _plan(tri)
+    first, rows = _distinct_rows(plan.edges, kernel.equal_ids(params.values))
+    G = params.values[plan.gram if first is None else plan.gram[first]]
     G[:, _DIAG] = kernel.points([-1.0])
     C = _cofactors(G)
     failed, cc, gap = _realization(kernel, G, C)
-    first_failed = int(np.argmax(failed.any(axis=1))) if failed.any() else tri.n_tets
+    first_failed = int(np.argmax(failed.any(axis=1))) if failed.any() else len(G)
     cos = C[:first_failed, _F_IJ] / kernel.sqrt(cc[:first_failed])
     lo, hi = kernel.bounds(cos)
     outside = (lo < -1.0) | (hi > 1.0)
@@ -461,10 +492,11 @@ def simplex_data(tri, params):
             kernel.arccos(cos[t:t + 1, e])  # raises the kind's own error
         except DomainError as exc:
             raise RealizationError(f"dihedral angle ({i},{j}): {exc}") from exc
-    if first_failed < tri.n_tets:
+    if first_failed < len(G):
         reason = _REASONS[int(np.argmax(failed[first_failed]))]
-        raise RealizationError(f"tet {first_failed}: {reason}")
-    return SimplexData(kernel, G, C, cos, gap)
+        tet = first_failed if first is None else int(first[first_failed])
+        raise RealizationError(f"tet {tet}: {reason}")
+    return SimplexData(kernel, G, C, cos, gap, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,7 @@ from .interval import (
 from .triangulation import (
     LOCAL_EDGE_INDEX,
     TriangulationError,
+    hexagon_cycle,
     perm_parity,
     vertex_link_hexagon_complex,
 )
@@ -303,6 +304,12 @@ for _s in itertools.permutations(range(4)):
     if _s[1] < _s[2]:
         _BETA_SLOT[_s] = 12 + _VERTEX_ANGLES.index((_s[0], _s[2], _s[1]))
 del _s
+# the slots of the six letters of the hexagon at local vertex a, less 24 tet,
+# each middle edge's from its own side; the other side's label, from the
+# canonical token, is the same bits, since the vertex-angle formula is
+# symmetric in the triangle's two other vertices and float products commute
+_HEXAGON_SLOTS = np.array([[_GAMMA_SLOT[s0] if kind == "g" else _BETA_SLOT[min(s0, s1)]
+                            for kind, s0, s1 in hexagon_cycle(a)] for a in range(4)])
 
 
 class CocycleLabels:
@@ -831,7 +838,8 @@ def edge_direction_table(tri, labels, links):
     slots, parent, entry, step, ends = [], [], [], [], []
     for k, link in enumerate(links):
         base = len(parent)
-        slots += [[labels.slot(letter) for letter in link.hexagons[c]] for c in link.corners]
+        corners = np.array(link.corners)
+        slots.append(24 * corners[:, :1] + _HEXAGON_SLOTS[corners[:, 1]])
         parent += [base] * link.n_hexagons
         entry += [0] + [-1] * (link.n_hexagons - 1)
         step += [0] * link.n_hexagons
@@ -849,7 +857,7 @@ def edge_direction_table(tri, labels, links):
     parent, entry, step = np.array(parent), np.array(entry), np.array(step)
     # prod[h, i]: the letters of hexagon h from its entry vertex on, i of them
     turn = (entry[:, None] + np.arange(6)) % 6
-    letters = label[np.take_along_axis(np.array(slots), turn, 1)]
+    letters = label[np.take_along_axis(np.concatenate(slots), turn, 1)]
     prod = np.tile(np.eye(3), (len(parent), 6, 1, 1))
     for i in range(5):
         prod[:, i + 1] = mul(letters[:, i], prod[:, i])

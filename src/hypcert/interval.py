@@ -39,12 +39,12 @@ indexing and item assignment.  ``kernel.inside`` (strictly), ``intersect``,
 and ``arccos`` are the scalar methods entrywise, ``contains_two_pi`` the
 test against 2 pi; ``kernel.bounds`` gives outward float endpoints,
 ``kernel.exact_bounds`` the endpoints themselves, ``kernel.float_hull``
-the outward 53-bit hull as an ``IntervalArray`` and ``kernel.lift`` an
-``IntervalArray`` as the kernel's array, exactly.  The float kernel's
-array, ``IntervalArray``, holds numpy endpoint arrays whose elementwise
+the outward 53-bit hull as an ``IntervalArray`` and ``kernel.equal_ids``
+the first entry exactly equal to each.  The float kernel's array,
+``IntervalArray``, holds numpy endpoint arrays whose elementwise
 arithmetic is bit for bit the ``Interval`` dunders and methods; its hull
-and lift are the identity, and its ``cos`` and ``sin`` take the scalar
-method once per distinct entry.  Its products and quotients round once per
+is the identity, and its ``cos`` and ``sin`` take the scalar method once
+per distinct entry.  Its products and quotients round once per
 result entry: the scalar dunder's lower end is min_k down(q_k) over the
 rounded candidates q_k, where down(q_k) is q_k or prev(q_k), the next
 float below.  A candidate q_k > q_min has down(q_k) >= prev(q_k) >= q_min,
@@ -52,12 +52,15 @@ so the minimum is prev(q_min) exactly when some candidate equal to q_min
 steps down (its error term is unknown, or says q_k lies above the exact
 value), and q_min otherwise; the upper end likewise.  So the array
 reduces the candidates first and steps the result, never the stack.
-``kernel.add_columns`` sums the columns of a 2-D array into a vector left
-to right, as the Krawczyk operator does.  ``IntervalArray`` is the one
-interval matrix type, and
-``FloatKernel.mat_mul`` its one product: midpoint-radius on BLAS, with an
-error bound that holds for any summation order, blocking, thread count
-and use of FMA.  Its endpoints enclose the exact product, but they are
+``kernel.add_columns`` sums the columns of a 2-D 53-bit array into a
+vector left to right, as the Krawczyk operator does, and
+``kernel.sub_products`` subtracts the products of a float matrix with a
+vector the same way; the MP kernel forms both on integer arrays, exactly,
+and rounds each result endpoint once, which is bit for bit the chain of
+``MPInterval`` sums of the terms lifted exactly.  ``IntervalArray`` is the
+one interval matrix type, and ``FloatKernel.mat_mul`` its one product:
+midpoint-radius on BLAS, with an error bound that holds for any summation
+order, blocking, thread count and use of FMA.  Its endpoints enclose the exact product, but they are
 not the scalar loop's.  Stage II's and stage V's Jacobians are such
 arrays, and ``inverse_residual`` and ``interval_matrix_invertible`` take
 one.  The MP kernel's array is a numpy object array of ``MPInterval``; it
@@ -1110,6 +1113,17 @@ def _per_distinct(name):
     return staticmethod(apply)
 
 
+def _first_equal(keys):
+    """For each of the hashable keys, the index of the first equal one."""
+    seen = {}
+    return np.array([seen.setdefault(k, i) for i, k in enumerate(keys)], dtype=np.intp)
+
+
+def _bits(x):
+    """The bit patterns of a float array, as a list of ints."""
+    return np.ascontiguousarray(x, dtype=float).view(np.int64).tolist()
+
+
 class FloatKernel:
     """Arrays of 53-bit intervals: ``IntervalArray``."""
 
@@ -1212,6 +1226,18 @@ class FloatKernel:
                 hi = _up_array(*_two_sum(hi, thi))
         return _checked(lo, hi)
 
+    def sub_products(self, acc, c, x):
+        """acc - c[:, 0] x[0] - ... - c[:, n - 1] x[n - 1] for a float
+        matrix c and a 1-D array x, each row summed left to right: the
+        column sums of -(c x)."""
+        return self.add_columns(acc, -(self.points(c) * x))
+
+    @staticmethod
+    def equal_ids(arr):
+        """For each entry of a 1-D array, the index of the first entry whose
+        endpoints are the same bits."""
+        return _first_equal(zip(_bits(arr.lo), _bits(arr.hi)))
+
     @staticmethod
     def bounds(arr):
         return arr.lo, arr.hi
@@ -1221,8 +1247,6 @@ class FloatKernel:
     @staticmethod
     def float_hull(arr):
         return arr
-
-    lift = float_hull
 
 
 def _each(name, nin, dtype=None):
@@ -1245,9 +1269,74 @@ _MP_BOUNDS = np.frompyfunc(lambda lo, hi, prec: MPInterval(lo, hi, prec) if isin
                            else MPInterval.from_floats(lo, hi, prec), 3, 1)
 
 
+# Exact integer arithmetic for the MP kernel's column sums.  A finite value
+# is man * 2**exp, man an int in a numpy object array and exp an int64; a
+# product or an aligned sum is exact, and `_rounded` rounds it once, floor or
+# ceiling, to prec bits.  mpmath's directed rounding is correct rounding, so
+# each result is the endpoint that the mpf operation gives.
+
+_BIT_LENGTH = np.frompyfunc(int.bit_length, 1, 1)
+_MAX_EXP = 1 << 14  # inputs beyond take the chain: alignment shifts stay small
+
+
+def _float_parts(x):
+    """Mantissas and exponents of a finite float array: x = man * 2**exp
+    exactly, subnormals included (``np.frexp``'s fraction times 2**53 is an
+    integer)."""
+    frac, exp = np.frexp(x)
+    return (frac * 2.0 ** 53).astype(np.int64).astype(object), exp.astype(np.int64) - 53
+
+
+def _mp_parts(arr, prec):
+    """Mantissas and exponents of the lower and of the upper endpoints of
+    a 1-D array of ``MPInterval``; None unless every entry has precision
+    prec and finite endpoints of at most prec bits and exponent below
+    _MAX_EXP in magnitude, the inputs whose mpf sums are correctly rounded
+    and whose exact sums stay small."""
+    ends = ([], [], [], [])
+    for x in arr.tolist():
+        if x.prec != prec:
+            return None
+        for (sign, man, exp, bc), m, e in ((x.lo, *ends[:2]), (x.hi, *ends[2:])):
+            if not 0 <= bc <= prec or not -_MAX_EXP < exp < _MAX_EXP:
+                return None
+            m.append(-man if sign else man)
+            e.append(exp)
+    return (np.array(ends[0], dtype=object), np.array(ends[1], dtype=np.int64),
+            np.array(ends[2], dtype=object), np.array(ends[3], dtype=np.int64))
+
+
+def _rounded(man, exp, prec, up):
+    """man * 2**exp rounded to prec bits toward +inf (up) or -inf: one
+    shift, which floors; the ceiling is the floor of the negation negated."""
+    shift = np.maximum(_BIT_LENGTH(man).astype(np.int64) - prec, 0)
+    return (-(-man >> shift) if up else man >> shift), exp + shift
+
+
+def _exact_sum(am, ae, bm, be):
+    e = np.minimum(ae, be)
+    return (am << (ae - e)) + (bm << (be - e)), e
+
+
+def _summed_rows(acc, terms, prec):
+    """acc + terms[0] + ... + terms[n - 1], left to right, each sum rounded
+    outward to prec bits, as an object array of ``MPInterval``: acc is the
+    (lo, lo_exp, hi, hi_exp) of `_mp_parts`, terms the same of n rows."""
+    lo, lo_exp, hi, hi_exp = acc
+    for t_lo, t_lo_exp, t_hi, t_hi_exp in zip(*terms):
+        lo, lo_exp = _rounded(*_exact_sum(lo, lo_exp, t_lo, t_lo_exp), prec, False)
+        hi, hi_exp = _rounded(*_exact_sum(hi, hi_exp, t_hi, t_hi_exp), prec, True)
+    out = np.empty(len(lo), dtype=object)
+    out[:] = [_ordered(libmp.from_man_exp(a, b), libmp.from_man_exp(c, d), prec)
+              for a, b, c, d in zip(lo.tolist(), lo_exp.tolist(), hi.tolist(), hi_exp.tolist())]
+    return out
+
+
 class MPKernel:
     """Arrays of intervals with prec-bit endpoints: numpy object arrays of
-    ``MPInterval``, whose operations are its methods entrywise."""
+    ``MPInterval``, whose operations are its methods entrywise, except the
+    Krawczyk operator's column sums (`sub_products`, `add_columns`), which
+    run on integer arrays."""
 
     def __init__(self, precision):
         if precision < 53:
@@ -1292,11 +1381,54 @@ class MPKernel:
         return np.concatenate(arrays, axis=-1)
 
     @staticmethod
-    def add_columns(acc, terms):
-        """acc + terms[:, 0] + ... + terms[:, n - 1], summed left to right."""
+    def equal_ids(arr):
+        """For each entry of a 1-D array, the index of the first entry with
+        equal mpf endpoints: normalized mpf tuples are equal exactly when
+        their values are, and no float hull is compared."""
+        return _first_equal((x.lo, x.hi) for x in arr.tolist())
+
+    @staticmethod
+    def _chain(acc, terms):
+        """acc + terms[:, 0] + ... + terms[:, n - 1], one ``MPInterval`` sum
+        per entry and column: the reference of the integer sums, and the
+        path of inputs they do not take."""
         for j in range(terms.shape[1]):
             acc = acc + terms[:, j]
         return acc
+
+    def add_columns(self, acc, terms):
+        """acc + terms[:, 0] + ... + terms[:, n - 1] for a 1-D array acc and
+        a 2-D 53-bit array of terms, each row summed left to right: bit for
+        bit `_chain` on the terms lifted exactly.  Every sum is formed
+        exactly on integers and rounded once per endpoint, for all rows at
+        a time; a non-finite endpoint takes the chain."""
+        prec = self.precision
+        ends = _mp_parts(acc, prec)
+        if ends is None or not (np.isfinite(terms.lo).all() and np.isfinite(terms.hi).all()):
+            return self._chain(acc, self.from_bounds(terms.lo, terms.hi))
+        # column j of the terms is row j of the transposes
+        return _summed_rows(ends, (*_float_parts(terms.lo.T), *_float_parts(terms.hi.T)), prec)
+
+    def sub_products(self, acc, c, x):
+        """acc - c[:, 0] x[0] - ... - c[:, n - 1] x[n - 1] for a float matrix
+        c and 1-D arrays acc and x, each row summed left to right: bit for
+        bit `_chain` on -(points(c) * x).  The products are exact on
+        integers and rounded once per endpoint: -(c x) is [RD(-c x_hi),
+        RU(-c x_lo)] for c >= 0 and [RD(-c x_lo), RU(-c x_hi)] for c < 0, the
+        negated ``MPInterval`` product of a point (RU(z) = -RD(-z)).  A
+        non-finite entry takes the chain."""
+        prec, c = self.precision, np.asarray(c, dtype=float)
+        acc_ends, x_ends = _mp_parts(acc, prec), _mp_parts(x, prec)
+        if acc_ends is None or x_ends is None or not np.isfinite(c).all():
+            return self._chain(acc, -(self.points(c) * x))
+        x_lo, x_lo_exp, x_hi, x_hi_exp = (v[:, None] for v in x_ends)
+        d, d_exp = _float_parts(-c.T)  # column j of c is row j here
+        nonneg = (c >= 0.0).T
+        p_lo = _rounded(d * np.where(nonneg, x_hi, x_lo),
+                        d_exp + np.where(nonneg, x_hi_exp, x_lo_exp), prec, False)
+        p_hi = _rounded(d * np.where(nonneg, x_lo, x_hi),
+                        d_exp + np.where(nonneg, x_lo_exp, x_hi_exp), prec, True)
+        return _summed_rows(acc_ends, (*p_lo, *p_hi), prec)
 
     @staticmethod
     def bounds(arr):
@@ -1305,9 +1437,6 @@ class MPKernel:
 
     def float_hull(self, arr):
         return IntervalArray(*self.bounds(arr))
-
-    def lift(self, arr):
-        return self.from_bounds(arr.lo, arr.hi)
 
 
 class RealKernel:
@@ -1326,6 +1455,12 @@ class RealKernel:
     @staticmethod
     def bounds(arr):
         return arr, arr
+
+    @staticmethod
+    def equal_ids(arr):
+        """For each entry of a 1-D array, the index of the first entry with
+        the same bits."""
+        return _first_equal(_bits(arr))
 
     sqrt = staticmethod(np.sqrt)
 

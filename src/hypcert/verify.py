@@ -261,9 +261,8 @@ class KrawczykCentre:
     """What the Krawczyk operator needs of a centre x0, evaluated once per
     centre: the kernel, x0 as the kernel's array, the partial sums
     x0 - C f(x0), each row summed left to right over j by
-    `kernel.add_columns` (on the negated terms), and the point
-    matrix C and the identity as 53-bit arrays.  `f_iv` maps a kernel
-    array to a kernel array."""
+    `kernel.sub_products`, and the point matrix C and the identity as
+    53-bit arrays.  `f_iv` maps a kernel array to a kernel array."""
 
     def __init__(self, f_iv, x0, C, kernel):
         self.kernel = kernel
@@ -271,7 +270,7 @@ class KrawczykCentre:
         fx0 = f_iv(self.x0)
         self.C = FLOAT_KERNEL.points(C)
         self.identity = FLOAT_KERNEL.points(np.eye(len(x0)))
-        self.partial = kernel.add_columns(self.x0, -(kernel.lift(self.C) * fx0))
+        self.partial = kernel.sub_products(self.x0, C, fx0)
 
 
 def krawczyk_step(centre, jac_iv, X):
@@ -281,14 +280,14 @@ def krawczyk_step(centre, jac_iv, X):
     the float vectors x0 and C evaluated in interval arithmetic.  Every
     root of f in X lies in K when x0 lies in X.  X and K are kernel
     arrays.  The Jacobian term is 53-bit: J on the outward hull of X, X - x0
-    hulled, column terms lifted exactly; `jac_iv` maps that 53-bit hull to
-    a 2-D 53-bit array.
+    hulled, and its 53-bit column terms summed into the kernel's partial
+    sums exactly as if lifted; `jac_iv` maps that 53-bit hull to a 2-D
+    53-bit array.
     """
     kernel = centre.kernel
     J = jac_iv(kernel.float_hull(X))
     delta = centre.identity - FLOAT_KERNEL.mat_mul(centre.C, J)
-    terms = kernel.lift(delta * kernel.float_hull(X - centre.x0))
-    return kernel.add_columns(centre.partial, terms)
+    return kernel.add_columns(centre.partial, delta * kernel.float_hull(X - centre.x0))
 
 
 _STEP_ERRORS = (geo.RealizationError, ArithmeticError, ValueError)
@@ -306,8 +305,9 @@ def _certify_root(f_iv, jac_iv, x0, C, kernel, residual_scale):
     hull dX contain 0; so does a product with a factor that contains 0 (the
     zero rule gives 0 * inf = 0, the sign clamp only moves an endpoint to 0);
     and outward acc + t with t containing 0 has lo = RD(acc.lo + t.lo) <=
-    acc.lo and hi >= acc.hi, in MP too after the exact lift.  So K contains
-    x0 - C f(x0) entrywise.  Refinement steps are never skipped.
+    acc.lo and hi >= acc.hi, in MP too, where t's float endpoints enter
+    exactly.  So K contains x0 - C f(x0) entrywise.  Refinement steps are
+    never skipped.
     """
     try:
         centre = KrawczykCentre(f_iv, x0, C, kernel)

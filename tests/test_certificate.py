@@ -152,12 +152,14 @@ def test_parse_certificate_rejects_non_object():
 
 
 # sha256 of `certificate_json` (no timings): the fixtures at 53 bits, the
-# two 80-bit inputs of the benchmark, and the benchmark's 12-move scaling
-# member at seed 7 (63 tetrahedra).  The certificates are byte-reproducible,
-# so any change to these digests is a change of what the pipeline proves or
-# of how it rounds, never a refactoring that keeps both.  The six verified
-# ones were re-pinned when stage I began to take its loose edges from the
-# gimbal table, which changed every partition and so every box.
+# two 80-bit inputs of the benchmark, dodec27a at 120 bits, and the
+# benchmark's 12-move scaling member at seed 7 (63 tetrahedra).  The
+# certificates are byte-reproducible, so any change to these digests is a
+# change of what the pipeline proves or of how it rounds, never a
+# refactoring that keeps both.  The six verified ones of 53 and 80 bits
+# were re-pinned when stage I began to take its loose edges from the gimbal
+# table, which changed every partition and so every box; the 120-bit one
+# was pinned before stage II's MP column sums moved to integer arrays.
 GOLDEN_SHA256 = {
     "dodec27a": "65892f83ba1ac4f38f7e6335c6a74880ede47a05ae73a0e55e38795a7e25f9dd",
     "dodec27b": "1a9ffc04b9a8870f0921808c012d9052d4426f2c85e181ecc9866410e91f8ec5",
@@ -165,6 +167,7 @@ GOLDEN_SHA256 = {
     "s3_twotet": "04d8dc640e0214173075e391d705e402d69f92f871591e84b44181bc589d5e28",
     "dodec27a@80": "db0c7ee8fcaa0f253036fac9fa6e02490d6aec03a34370b4a908f6358973e223",
     "dodec30x2@80": "be446ac14f9dea52badd6a6684e42a0eda8a8854566dad78e3f18c40c2202c00",
+    "dodec27a@120": "b96bc32e11a6c5c37530249882004061efb6d692031bad3d00d3a254ddd9d932",
     "scaling12-seed7": "ede7f099f8ee72feaf07cef51ac5ffcd0c6021ee4b48a20fc7000cba2f26e6bb",
 }
 

@@ -12,6 +12,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypcert import geometry as geo
 from hypcert import triangulation as tr
@@ -335,3 +337,63 @@ def test_earlier_arccos_failure_wins_over_later_realization_failure(
     assert want.startswith("dihedral angle (")
     assert raised(lambda: geo.simplex_data(dodec27a, params)) == want
     assert raised(lambda: geo.jacobian(dodec27a, params)) == want
+
+
+# -- each distinct Gram row once ---------------------------------------------
+
+
+def _evaluated(tri, params):
+    """The arrays and dihedral angles of `simplex_data` and the angle sums,
+    bit for bit, or the type and message of what they raise."""
+    try:
+        data = geo.simplex_data(tri, params)
+        return bits([data.gram, data.cof, data.cos, data.gap, data.theta,
+                     geo.angle_sums(tri, params, data=data)])
+    except ValueError as exc:  # RealizationError, or math.acos's own
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(KINDS),
+       changed=st.lists(st.integers(0, 27), max_size=3, unique=True),
+       value=st.floats(-3.0, 0.3), half=st.sampled_from([0.0, 1e-9, 1e-3]),
+       shrunk=st.booleans())
+# every simplex unrealized, all with one row
+@example(kind="mp80", changed=list(range(28)), value=-0.5, half=0.0, shrunk=False)
+# every simplex realized, all with one row, and their cosines leave [-1, 1]
+@example(kind="mp80", changed=list(range(28)), value=-1.5, half=1e-9, shrunk=True)
+@example(kind="float", changed=list(range(28)), value=-1.5, half=0.0, shrunk=True)
+def test_repeated_rows_evaluate_as_without_dedup(dodec27a, kind, changed, value, half, shrunk):
+    # dodec27a's candidate has 15 distinct Gram rows in 27; a few edges
+    # changed to one value keep most repeats and may make a later simplex
+    # fail.  The distinct rows' evaluation gathered back, or the failure it
+    # raises, is that of every row evaluated on its own
+    k = kernel_of_kind(kind)
+    vals = np.array([-math.cosh(float(l)) for l in dodec27a.lengths])
+    vals[changed] = value
+    if kind != "float":
+        w = half * (np.abs(vals) + 1.0)
+        vals = k.from_bounds(vals - w, vals + w)
+    params = geo.EdgeParams(vals, k, check=False)
+    with pytest.MonkeyPatch.context() as mp:
+        if shrunk:
+            _shrunk_sqrt(mp, kind)
+        got = _evaluated(dodec27a, params)
+        mp.setattr(geo, "_distinct_rows", lambda edges, ids: (None, None))
+        assert got == _evaluated(dodec27a, params)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_centre_evaluates_each_distinct_row_once(kind, dodec27a):
+    # dodec27a's candidate has 15 distinct Gram rows in 27; a 53-bit box
+    # around it, with its edges of equal value widened alike, has the same
+    k = kernel_of_kind(kind)
+    p0 = np.array([-math.cosh(float(l)) for l in dodec27a.lengths])
+    values = p0 if kind == "float" else k.from_bounds(p0 - 1e-12, p0 + 1e-12)
+    first, rows = geo._distinct_rows(geo._plan(dodec27a).edges, k.equal_ids(values))
+    assert len(first) == 15 and list(first) == sorted(first) and first[0] == 0
+    assert list(rows[first]) == list(range(15))
+    for t, r in enumerate(rows):
+        assert first[r] <= t
+        assert k.equal_ids(values)[dodec27a.edge_table[t]].tolist() == \
+            k.equal_ids(values)[dodec27a.edge_table[first[r]]].tolist()

@@ -333,6 +333,27 @@ def test_direction_sum_oracle(dodec27a, verified27a):
         assert np.allclose(col, want, atol=1e-8)
 
 
+@pytest.mark.parametrize("name", ["dodec27a", "dodec27b", "dodec30x2", "scaling24-seed7"])
+def test_edge_direction_table_reads_each_letters_own_label(name, hyperbolic_triangulations):
+    # the table takes a hexagon's slots from its tetrahedron and local
+    # vertex; a middle letter's label, made from its canonical token's side,
+    # is the same bits at its own side, so T is what per-letter slots give
+    if name == "scaling24-seed7":
+        tri = _scaling_member(24, seed=7)
+    else:
+        tri = hyperbolic_triangulations[name]
+    params = geo.EdgeParams.from_lengths([float(l) for l in tri.lengths])
+    labels = gb.CocycleLabels(tri, params)
+    label, _ = labels.label_bounds()
+    own, token = [], []
+    for link in links_of(tri):
+        for tet, a in link.corners:
+            own += list(24 * tet + gb._HEXAGON_SLOTS[a])
+            token += [labels.slot(letter) for letter in link.hexagons[(tet, a)]]
+    assert own != token  # some middle letters are named from the other side
+    assert label[own].tobytes() == label[token].tobytes()
+
+
 @pytest.mark.parametrize("name", ["dodec27a", "dodec27b", "dodec30x2"])
 def test_edge_direction_table(name, hyperbolic_triangulations, verified_all):
     # the table is the oracle's direction sums, column by column, and its

@@ -391,15 +391,12 @@ def test_add_columns_is_bitwise_the_chain_of_sums(seed):
     want = scalar_or_error(chain)
     got = scalar_or_error(lambda: bits([ks.entries(FLOAT_KERNEL.add_columns(acc, terms))]))
     assert got == want
-    # the object-array loop on scalar `Interval`s, as the MP kernel runs it;
-    # numpy reads the FPU flags after an object loop, and a two-sum that
-    # meets inf or overflows sets them on its way to a sound sum
+    # the tests' entrywise layer: the object-array loop on scalar `Interval`s
     def objects(nested):
         return np.array(nested, dtype=object)
 
-    with np.errstate(all="ignore"):
-        got = scalar_or_error(lambda: bits([ks.entries(MPKernel.add_columns(
-            objects(ks.entries(acc)), objects(ks.entries(terms))))]))
+    got = scalar_or_error(lambda: bits([ks.entries(ks.add_columns(
+        objects(ks.entries(acc)), objects(ks.entries(terms))))]))
     assert got == want
 
 
@@ -707,9 +704,10 @@ def test_float_hull_of_float_points_is_the_point(prec, value):
 
 @pytest.mark.parametrize("prec", [53, 80, 160])
 def test_lift_is_exact_and_hull_undoes_it(prec):
+    # float endpoints enter a kernel's array exactly
     k = FLOAT_KERNEL if prec == 53 else MPKernel(prec)
     a = IntervalArray(np.array([0.1, -1e300, 5e-324, -inf]), np.array([0.3, 2.0, 1e-310, inf]))
-    lifted = k.lift(a)
+    lifted = k.from_bounds(a.lo, a.hi)
     for x, lo, hi in zip(ks.entries(lifted), a.lo.tolist(), a.hi.tolist()):
         assert getattr(x, "prec", 53) == prec
         assert (x.lo_float(), x.hi_float()) == (lo, hi)
@@ -742,8 +740,9 @@ def test_certificate_identical_with_scalar_matrix_layer(
     """With the float kernel's whole array layer replaced by numpy object
     arrays of `Interval` (every entry through the scalar dunders and
     methods, products by `scalar_mat_mul`, arrays from points and endpoints
-    by one `Interval` each, comparisons and widths by the scalar methods,
-    the Krawczyk column sums by one `Interval` sum per entry and column),
+    by one `Interval` each, comparisons, widths and the ids of equal entries
+    by the scalar methods and endpoints, the Krawczyk column sums by one
+    `Interval` sum per entry and column: `kernel_scalars.ENTRYWISE`),
     dodec27a certifies to the same bytes."""
     def objects(nested):
         return np.array(nested, dtype=object)
@@ -758,13 +757,11 @@ def test_certificate_identical_with_scalar_matrix_layer(
         "sin": np.frompyfunc(Interval.sin, 1, 1),
         "mat_mul": lambda a, b: objects(scalar_mat_mul(a, b)),
     }
-    for name, fn in scalar_layer.items():
+    for name, fn in {**scalar_layer, **ks.ENTRYWISE}.items():
         monkeypatch.setattr(FloatKernel, name, staticmethod(fn))
-    # the MP kernel's entrywise methods call the entries' own methods
-    for name in ("inside", "intersect", "meets", "contains", "width", "bounds",
-                 "exact_bounds", "concat", "add_columns", "sqrt", "sqrt_nonneg", "arccos"):
-        monkeypatch.setattr(FloatKernel, name, staticmethod(getattr(MPKernel, name)))
-    scalar = verify.run_pipeline(dodec27a)
+    # numpy reads the floating-point flags after each object-array loop
+    with np.errstate(all="ignore"):
+        scalar = verify.run_pipeline(dodec27a)
     assert scalar.verified
     assert cert.certificate_json(dodec27a, scalar, "krawczyk") == cert.certificate_json(
         dodec27a, verified27a, "krawczyk"

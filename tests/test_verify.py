@@ -665,6 +665,42 @@ def test_centre_term_and_operator_match_scalar_loops(dodec27a, name, bits):
     assert [(g.lo, g.hi) for g in got] == [(w.lo, w.hi) for w in want]
 
 
+def test_operator_makes_no_mp_call_per_entry_of_a_square_array(dodec27a, monkeypatch):
+    # at 80 bits the centre's q x q products and sums and the step's q x q
+    # sums run on integer arrays: outside f(x0), O(q) MPInterval lifts,
+    # products and sums, where the lifted chain made q^2 of each
+    kernel = MPKernel(80)
+    f_iv, jac_iv, x0, C = _kept_system(dodec27a, kernel)[:4]
+    q = len(x0)
+    X = kernel.from_bounds(np.subtract(x0, 1e-12), np.add(x0, 1e-12))
+    calls = {"from_floats": 0, "mul": 0, "add": 0}
+    in_f = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            if not in_f:
+                calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def f_uncounted(v):
+        in_f.append(1)
+        try:
+            return f_iv(v)
+        finally:
+            in_f.pop()
+
+    from_floats = MPInterval.from_floats.__func__
+    monkeypatch.setattr(MPInterval, "from_floats", classmethod(counted("from_floats", from_floats)))
+    for name, kind in (("__mul__", "mul"), ("__rmul__", "mul"), ("__add__", "add"),
+                       ("__radd__", "add")):
+        monkeypatch.setattr(MPInterval, name, counted(kind, getattr(MPInterval, name)))
+    centre = verify.KrawczykCentre(f_uncounted, x0, C, kernel)
+    verify.krawczyk_step(centre, jac_iv, X)
+    assert q == 25
+    assert calls["from_floats"] <= 2 * q and calls["mul"] == 0 and calls["add"] <= 2 * q
+
+
 @pytest.mark.parametrize("bits", [53, 80])
 @pytest.mark.parametrize("name", ["synthetic", "dodec27a"])
 def test_operator_image_encloses_centre_term(dodec27a, name, bits):

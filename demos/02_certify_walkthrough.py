@@ -52,8 +52,10 @@ labels = gimbal.CocycleLabels(tri, geometry.EdgeParams(box.nu, FLOAT_KERNEL))
 verdict = gimbal.gimbal_lock_check(tri, labels, part.e_sim, loose, links=links)
 print(f"  {verdict.reason}")
 loop = verdict.loops[0]
+# a letter is a slot 6 c + i of the link's hexagon c, or -1 - pid for a polygon
+slots = loop.word[loop.word >= 0]
 print(f"  gimbal loop: {len(loop.word)} letters over "
-      f"{len({l['owner'] for l in loop.word if l['kind'] != 'P'})} hexagons")
+      f"{len(np.unique(slots // 6))} hexagons")
 
 print("\nfull pipeline + certificate:")
 result = verify.run_pipeline(tri)

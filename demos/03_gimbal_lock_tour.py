@@ -46,27 +46,24 @@ print("avoiding lock.")
 
 print("\na construction that is always locked: two polygons at antipodal")
 print("points of the link rotate about a single common axis")
+import types
+
 from hypcert.interval import FLOAT_KERNEL
 
 
 class AntipodalLabels:
-    """Every edge letter is the half turn about x: one label slot."""
+    """A label table of one row: the half turn about x."""
 
     def label_bounds(self):
         half_turn = np.diag([1.0, -1.0, -1.0])[None]
         return half_turn, half_turn
 
-    def slot(self, letter):
-        return 0
 
-
-word = [
-    {"kind": "edge", "token": "back"},
-    {"kind": "P", "pid": 1},
-    {"kind": "edge", "token": "out"},
-    {"kind": "P", "pid": 0},
-]
-loop = gimbal.GimbalLoop(0, None, (0, 1), word)
+# the word "back, P1, out, P0": edge letters are slots of the loop's link,
+# which passes their label rows directly (both row 0); a polygon letter is
+# -1 - pid
+link = types.SimpleNamespace(label=np.array([0, 0]))
+loop = gimbal.GimbalLoop(0, link, (0, 1), np.array([1, -2, 0, -1]))
 loop.variable_of_pid = {0: 0, 1: 1}
 (derivs,) = gimbal.gimbal_matrix_derivatives(
     [loop], AntipodalLabels(), gimbal.rotation_balls(FLOAT_KERNEL.two_pi()[[0, 0]])

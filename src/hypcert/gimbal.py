@@ -19,12 +19,15 @@ fixtures.
 On each vertex link, removing the prism-end polygons of the edges whose
 angle sums are only approximately full turns leaves a surface with
 boundary.  A gimbal loop is a cyclic word in link edges plus one letter
-per removed polygon; substituting z-rotations for the polygon letters
-gives the gimbal matrix, and the upper-triangular entries of the per-link
-matrices assemble the gimbal function g.  Invertibility of the interval
-Jacobian [Dg(K)] over the box K of angle-sum enclosures upgrades the
-approximate edge equations to exact ones.  Stage V evaluates that Jacobian
-in ball arithmetic along each loop.
+per removed polygon, held as an integer array: a link slot 6 c + i
+(letter i of the link's hexagon c) or -1 - pid for polygon pid.  Its
+construction, its validator, its text and its label rows read the link's
+slot tables (`triangulation.LinkComplex`).  Substituting z-rotations
+for the polygon letters gives the gimbal matrix, and the upper-triangular
+entries of the per-link matrices assemble the gimbal function g.
+Invertibility of the interval Jacobian [Dg(K)] over the box K of
+angle-sum enclosures upgrades the approximate edge equations to exact
+ones.  Stage V evaluates that Jacobian in ball arithmetic along each loop.
 
 At full turns the polygon letters are identities and the rest of a loop
 closes, so the Jacobian's column of a loose edge is, per link, the sum of
@@ -53,10 +56,9 @@ from .interval import (
     inverse_residual,
 )
 from .triangulation import (
-    LOCAL_EDGE_INDEX,
+    PERM_STRINGS,
+    VERTEX_ANGLES,
     TriangulationError,
-    hexagon_cycle,
-    perm_parity,
     vertex_link_hexagon_complex,
 )
 
@@ -279,37 +281,13 @@ _UPPER = ([0, 0, 1], [1, 2, 2])  # the (0,1), (0,2), (1,2) entries of a matrix
 # ---------------------------------------------------------------------------
 
 
-# A simplex has 24 label slots.  Slot 2 e + k is the short edge about local
-# edge e (LOCAL_EDGES order), a rotation by the dihedral angle taken
-# positively (k = 0, from an odd permutation) or negatively (k = 1).  Slot
-# 12 + v is the middle edge with vertex angle v = (i, j, k) of
-# `_VERTEX_ANGLES`, the angle at vertex i of the triangle i j k, j > k, in
-# the operand order of the scalar formula cos_vertex_angle(g, i, j, k): the
-# middle edge from s with (s(0), s(2), s(1)) = (i, j, k), s(1) < s(2), the
-# side a canonical token names.
-
-
-_VERTEX_ANGLES = tuple(
-    (i, hi, lo)
-    for i in range(4)
-    for lo, hi in itertools.combinations([x for x in range(4) if x != i], 2)
-)
-_VA_IJ = np.array([4 * i + j for i, j, k in _VERTEX_ANGLES])  # Gram columns
-_VA_IK = np.array([4 * i + k for i, j, k in _VERTEX_ANGLES])
-_VA_JK = np.array([4 * j + k for i, j, k in _VERTEX_ANGLES])
-_GAMMA_SLOT = {}  # corner permutation -> slot of the short edge starting there
-_BETA_SLOT = {}  # corner permutation s, s(1) < s(2) -> slot of its middle edge
-for _s in itertools.permutations(range(4)):
-    _GAMMA_SLOT[_s] = 2 * LOCAL_EDGE_INDEX[tuple(sorted(_s[:2]))] + (perm_parity(_s) == 1)
-    if _s[1] < _s[2]:
-        _BETA_SLOT[_s] = 12 + _VERTEX_ANGLES.index((_s[0], _s[2], _s[1]))
-del _s
-# the slots of the six letters of the hexagon at local vertex a, less 24 tet,
-# each middle edge's from its own side; the other side's label, from the
-# canonical token, is the same bits, since the vertex-angle formula is
-# symmetric in the triangle's two other vertices and float products commute
-_HEXAGON_SLOTS = np.array([[_GAMMA_SLOT[s0] if kind == "g" else _BETA_SLOT[min(s0, s1)]
-                            for kind, s0, s1 in hexagon_cycle(a)] for a in range(4)])
+# The 24 label slots of a simplex are laid out by `triangulation`: the
+# short edges' dihedral rotations first, then the middle edges' vertex
+# angles, in the operand order of the scalar formula
+# cos_vertex_angle(g, i, j, k) for (i, j, k) in `VERTEX_ANGLES`.
+_VA_IJ = np.array([4 * i + j for i, j, k in VERTEX_ANGLES])  # Gram columns
+_VA_IK = np.array([4 * i + k for i, j, k in VERTEX_ANGLES])
+_VA_JK = np.array([4 * j + k for i, j, k in VERTEX_ANGLES])
 
 
 class CocycleLabels:
@@ -324,11 +302,11 @@ class CocycleLabels:
     formulas (kept in `tests/geometry_oracle.py`), so bit for bit the
     scalar values.  Every label is read from one table: the float
     endpoints of the entries of every label slot (`label_bounds`), made
-    from the arrays on first use, at the letter's `slot`.  Interval labels
-    enter stage V as the balls of that table; float labels, whose two
-    endpoints are the label itself, feed `edge_direction_table`.  A middle
-    edge is labelled from its canonical token, so identified edges of
-    glued simplices share their label bit for bit.
+    from the arrays on first use, at the row a link's `label` gives each
+    of its slots.  Interval labels enter stage V as the balls of that
+    table; float labels, whose two endpoints are the label itself, feed
+    `edge_direction_table`.  The two sides of a middle edge read different
+    rows with the same bits.
     """
 
     def __init__(self, tri, params, data=None):
@@ -345,16 +323,6 @@ class CocycleLabels:
             kernel.sqrt_nonneg(-(c * c) + 1.0) for c in (self.dihedral_cos, self.vertex_cos)
         )
         self._bounds = None  # lo, hi of every slot's label
-
-    def slot(self, letter):
-        """The flat slot, 24 tet + local slot, of an edge letter's label."""
-        kind = letter["kind"]
-        if kind == "b":
-            tet, s0, _s1 = letter["token"]
-            return 24 * tet + _BETA_SLOT[s0]
-        if kind == "g":
-            return 24 * letter["tet"] + _GAMMA_SLOT[letter["s_start"]]
-        raise GimbalLoopError(f"letter of kind {kind!r} has no label")
 
     def label_bounds(self):
         """The float endpoints lo, hi, each (24 n, 3, 3), of every slot's
@@ -397,22 +365,28 @@ class GimbalLoop:
     vertex_class: int
     link: object
     removed: tuple  # pids of removed polygons, sorted
-    word: list  # letters in traversal order; P letters have kind 'P'
+    # letters in traversal order, an integer array: a link slot, or -1 - pid
+    # for the letter of removed polygon pid
+    word: np.ndarray
     variable_of_pid: dict = field(default_factory=dict)
 
     def serialize(self):
-        out = []
-        for letter in self.word:
-            if letter["kind"] == "P":
-                out.append(f"P{letter['pid']}")
-            elif letter["kind"] == "b":
-                t, s0, s1 = letter["token"]
-                out.append(f"b:{t}:" + "".join(map(str, s0)))
+        """The word as text: a polygon as P<pid>, a short edge as
+        g:<tet>:<ab>:<s> from its start s, and a middle edge as b:<tet>:<s>
+        from its token."""
+        token, out = self.link.token.tolist(), []
+        for w in self.word.tolist():
+            if w < 0:
+                out.append(f"P{-1 - w}")
             else:
-                t, a, b = letter["token"]
-                s = letter["s_start"]
-                out.append(f"g:{t}:{a}{b}:" + "".join(map(str, s)))
+                tet, s = divmod(token[w], 24)
+                out.append(f"{_KIND[w & 1]}{tet}{_TOKEN_TEXT[w & 1][s]}")
         return " ".join(out)
+
+
+# a slot's text after its tet: a short edge's at even slots, a middle edge's at odd
+_KIND = ("g:", "b:")
+_TOKEN_TEXT = ([f":{s[:2]}:{s}" for s in PERM_STRINGS], [f":{s}" for s in PERM_STRINGS])
 
 
 def build_gimbal_loop(link, removed_pids):
@@ -423,55 +397,44 @@ def build_gimbal_loop(link, removed_pids):
     hexagon in breadth-first order; afterwards each removed-polygon letter
     is spliced in after the first word position ending on its boundary.
     Linear in the loop's letters: the word is a linked list of the link's
-    own letters, node i holding `letters[i]` and followed by `after[i]`,
-    and a map from its middle-edge tokens to their nodes makes a splice
-    O(1).
+    slots, node i holding `letters[i]` and followed by `after[i]`, and a
+    map from its middle-edge slots to their nodes makes a splice O(1).
     """
     removed = sorted(removed_pids)
     for pid in removed:
         if pid >= len(link.prism_ends):
             raise GimbalLoopError(f"no prism end {pid} in this link")
 
-    lv_to_pid = link.lv_to_pid
-    start = link.corners[0]
-    letters = list(link.hexagons[start])
+    other_side, end_pid = link.other_side.tolist(), link.end_pid.tolist()
+    letters = [0, 1, 2, 3, 4, 5]  # the hexagon at the link's first corner
     after = [1, 2, 3, 4, 5, -1]
-    node_of = {let["token"]: i for i, let in enumerate(letters) if let["kind"] == "b"}
-    used = {start}
-    queue = [start]
-    untouched = set(removed)
-    for letter in letters:
-        untouched.discard(lv_to_pid[letter["end"]])
-
+    node_of = {1: 1, 3: 3, 5: 5}
+    used = {0}
+    queue = [0]
+    untouched = set(removed).difference(end_pid[:6])
     head = 0
     while untouched:
         if head == len(queue):
             raise GimbalLoopError("link exhausted before touching every removed polygon")
         h = queue[head]
         head += 1
-        for token in link.beta_of_corner[h]:
-            c1, c2 = link.beta_pairs[token]
-            other = c2 if c1 == h else c1
-            if other in used or token not in node_of:
+        for s in (6 * h + 1, 6 * h + 3, 6 * h + 5):
+            t = other_side[s]
+            other = t // 6
+            if other in used or s not in node_of:
                 continue
-            x = node_of.pop(token)
-            cycle = link.hexagons[other]
-            j0 = 2 * link.beta_of_corner[other].index(token) + 1
-            replacement = cycle[j0 + 1 :] + cycle[:j0]
-            if (replacement[0]["start"] != letters[x]["start"]
-                    or replacement[-1]["end"] != letters[x]["end"]):
-                raise GimbalLoopError(f"the sides of middle edge {token} do not match")
-            n = len(letters)
+            # the other side's hexagon from just after that side
+            x, n = node_of.pop(s), len(letters)
+            replacement = [6 * other + (t + k) % 6 for k in range(1, 6)]
             letters[x] = replacement[0]
             letters += replacement[1:]
             after += [n + 1, n + 2, n + 3, after[x]]
             after[x] = n
             # the letters run short, middle, short, middle, short
-            node_of[replacement[1]["token"]], node_of[replacement[3]["token"]] = n, n + 2
+            node_of[replacement[1]], node_of[replacement[3]] = n, n + 2
             used.add(other)
             queue.append(other)
-            for letter in replacement:
-                untouched.discard(lv_to_pid[letter["end"]])
+            untouched.difference_update([end_pid[r] for r in replacement])
             if not untouched:
                 break
 
@@ -481,20 +444,13 @@ def build_gimbal_loop(link, removed_pids):
     pending = set(removed)
     x = 0
     while x >= 0:
-        letter = letters[x]
-        word.append(letter)
-        if pending and lv_to_pid[letter["end"]] in pending:
-            pid = lv_to_pid[letter["end"]]
-            pending.discard(pid)
-            word.append({"kind": "P", "pid": pid, "edge_class": link.prism_ends[pid].edge_class,
-                         "start": letter["end"], "end": letter["end"]})
+        s = letters[x]
+        word.append(s)
+        if end_pid[s] in pending:
+            pending.discard(end_pid[s])
+            word.append(-1 - end_pid[s])
         x = after[x]
-    loop = GimbalLoop(
-        vertex_class=link.vertex_class,
-        link=link,
-        removed=tuple(removed),
-        word=word,
-    )
+    loop = GimbalLoop(link.vertex_class, link, tuple(removed), np.array(word))
     validate_gimbal_loop(loop)
     return loop
 
@@ -502,102 +458,79 @@ def build_gimbal_loop(link, removed_pids):
 def validate_gimbal_loop(loop):
     """Independent check of every gimbal-loop clause.
 
-    Raises GimbalLoopError unless: each removed polygon letter occurs
-    exactly once and follows an edge ending on its boundary; dropping the
-    polygon letters leaves a closed edge path; that path is the boundary
-    of a disk of hexagons glued along the crossed middle edges, traversed
-    with the link's orientation.
+    Raises GimbalLoopError unless: each letter is a slot of the link or
+    a removed polygon; each removed polygon letter occurs exactly once
+    and follows an edge ending on its boundary; dropping the polygon
+    letters leaves a closed edge path; that path is the boundary of a disk
+    of hexagons glued along the crossed middle edges, traversed with the
+    link's orientation.
 
-    Linear in the loop's letters: each letter's owner and token are looked
-    up once in the link's integer ids, and the slot claims and both
-    union-finds run on slot 6 u + i, letter i of the u-th used hexagon.
+    Linear in the loop's letters: the slot claims run on slot 6 u + i,
+    letter i of the u-th used hexagon, and the union-find on u.
     """
-    link = loop.link
-    word = loop.word
-    if not word:
+    link, word = loop.link, np.asarray(loop.word)
+    if not len(word):
         raise GimbalLoopError("empty loop")
+    edges = word[word >= 0]
+    if (edges >= len(link.start)).any():
+        raise GimbalLoopError("letter does not match a unique owner slot")
 
     # polygon letters: multiplicity and anchoring
-    poly = [i for i, let in enumerate(word) if let["kind"] == "P"]
-    if sorted(word[i]["pid"] for i in poly) != sorted(loop.removed):
+    poly = np.flatnonzero(word < 0)
+    pids = (-1 - word[poly]).tolist()
+    if sorted(pids) != sorted(loop.removed):
         raise GimbalLoopError("removed polygons not each visited exactly once")
-    for i in poly:
-        prev = word[i - 1]
-        if prev["kind"] == "P":
+    for prev, pid in zip(word[poly - 1].tolist(), pids):
+        if prev < 0:
             raise GimbalLoopError("polygon letter preceded by another polygon")
-        if prev["end"] not in link.prism_ends[word[i]["pid"]].boundary_lvs:
+        if link.end_pid[prev] != pid:
             raise GimbalLoopError("polygon letter not anchored on its boundary")
 
     # dropping polygons leaves a closed edge path
-    edges = [let for let in word if let["kind"] != "P"]
-    for cur, nxt in zip(edges, edges[1:] + edges[:1]):
-        if cur["end"] != nxt["start"]:
-            raise GimbalLoopError("edge word is not a closed path")
+    succ = edges + np.where(edges % 6 == 5, -5, 1)  # the next slot of the same hexagon
+    if (link.start[succ] != link.start[np.concatenate((edges[1:], edges[:1]))]).any():
+        raise GimbalLoopError("edge word is not a closed path")
 
-    # reconstruct the disk: used hexagons glued along crossed middle edges
-    owners = [link.corner_id.get(let["owner"], -1) for let in edges]  # -1 claims no slot
-    used = sorted(set(owners))
-    base = dict(zip(used, range(0, 6 * len(used), 6)))  # corner id -> 6 u
-
-    # every slot of every used hexagon is either crossed or claimed exactly
-    # once by a word letter running in the hexagon's own direction; a middle
-    # edge is crossed when the word has neither of its two used sides
-    claims = [0] * (6 * len(used))
-    for let, c in zip(edges, owners):
-        claim = None
-        for s in link.slots_of_token.get(let["token"], ()):
-            if s // 6 != c:
-                continue
-            slot = link.hexagons[let["owner"]][s % 6]
-            if slot["start"] == let["start"] and slot["end"] == let["end"]:
-                if claim is not None:
-                    raise GimbalLoopError("letter does not match a unique owner slot")
-                claim = base[c] + s % 6
-        if claim is None:
-            raise GimbalLoopError("letter does not match a unique owner slot")
-        claims[claim] += 1
-    crossed, want = [], [1] * len(claims)  # the used slots of crossed edges
-    for c, u6 in base.items():
-        for i in (1, 3, 5):
-            s, t = 6 * c + i, link.other_side[6 * c + i]
-            if s <= t and t // 6 in base and not claims[u6 + i]:
-                if s == t:
-                    raise GimbalLoopError("crossed edge without two used sides")
-                t = base[t // 6] + t % 6
-                if not claims[t]:
-                    crossed.append((u6 + i, t))
-                    want[u6 + i] = want[t] = 0
-    if claims != want:
+    # reconstruct the disk: used hexagons glued along crossed middle edges.
+    # Every slot of every used hexagon is either crossed or claimed exactly
+    # once by a word letter; a middle edge is crossed when the word has
+    # neither of its two used sides
+    is_used = np.zeros(len(link.start) // 6, dtype=bool)
+    is_used[edges // 6] = True
+    used, u_of = np.flatnonzero(is_used), np.cumsum(is_used) - 1
+    claims = np.bincount(6 * u_of[edges // 6] + edges % 6, minlength=6 * len(used))
+    mid = (6 * np.arange(len(used))[:, None] + [1, 3, 5]).ravel()  # slots 6 u + i
+    side = (6 * used[:, None] + [1, 3, 5]).ravel()
+    other = link.other_side[side]
+    other_mid = 6 * u_of[other // 6] + other % 6
+    crossed = (is_used[other // 6] & (side < other)
+               & (claims[mid] == 0) & (claims[other_mid] == 0))
+    want = np.ones_like(claims)
+    want[mid[crossed]] = want[other_mid[crossed]] = 0
+    if not np.array_equal(claims, want):
         raise GimbalLoopError("hexagon slots and word letters disagree")
 
-    # Euler characteristic of the glued hexagon complex must be a disk's;
-    # a union that merges two classes removes one vertex or one component
-    parent, hex_parent = list(range(len(claims))), list(range(len(used)))
+    # Euler characteristic of the glued hexagon complex must be a disk's.
+    # Each vertex of a hexagon ends exactly one of its middle edges, so a
+    # crossed edge glues two pairs of vertices that no other crossing
+    # touches: with U hexagons and c crossings, v - e + f is
+    # (6 U - 2 c) - (6 U - c) + U = U - c
+    parent = list(range(len(used)))
 
-    def find(parent, x):
+    def find(x):
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    def union(parent, x, y):
-        rx, ry = find(parent, x), find(parent, y)
-        parent[rx] = ry
-        return rx != ry
-
-    def turn(s):  # the next slot of the same hexagon
-        return s + 1 if s % 6 < 5 else s - 5
-
-    merged = hexagons_merged = 0
-    for s1, s2 in crossed:
-        merged += union(parent, s1, turn(s2)) + union(parent, turn(s1), s2)
-        hexagons_merged += union(hex_parent, s1 // 6, s2 // 6)
-    if hexagons_merged != len(used) - 1:
+    merged = 0
+    for h1, h2 in zip((mid[crossed] // 6).tolist(), (other_mid[crossed] // 6).tolist()):
+        r1, r2 = find(h1), find(h2)
+        parent[r1] = r2
+        merged += r1 != r2
+    if merged != len(used) - 1:
         raise GimbalLoopError("hexagon disk is not connected")
-    v = len(parent) - merged
-    e = 6 * len(used) - len(crossed)
-    f = len(used)
-    if v - e + f != 1:
+    if len(used) - crossed.sum() != 1:
         raise GimbalLoopError("hexagon union is not a disk")
 
     if len(word) > 6 * len(used) + len(loop.removed):
@@ -637,7 +570,7 @@ def gimbal_matrix_derivatives(loops, labels, rotations):
 
     `rotations` holds the ball stacks of the rotation by each variable's
     angle and of its derivative (`rotation_balls`); an edge letter's ball
-    is the ball of row `labels.slot(letter)` of the label table
+    is the ball of row `loop.link.label[slot]` of the label table
     `labels.label_bounds()`; only the rows the loops read are balled.  The
     derivative replaces one rotation letter i at a time by the rotation
     derivative R' and sums over occurrences:
@@ -660,19 +593,19 @@ def gimbal_matrix_derivatives(loops, labels, rotations):
     index, flip, start = [], [], []  # the stack's rows: table row, transposed, segment
     keys, s_rows, p_rows = [], [], []  # per polygon letter; -1 is the identity
     for li, loop in enumerate(loops):
-        word, var_of = loop.word, loop.variable_of_pid
-        poly = [i for i, letter in enumerate(word) if letter["kind"] == "P"]
+        word, var_of = loop.word.tolist(), loop.variable_of_pid
+        poly = [i for i, w in enumerate(word) if w < 0]
         if not poly:
             continue
-        ops = [-1 - var_of[letter["pid"]] if letter["kind"] == "P"
-               else labels.slot(letter) for letter in word]
+        label = loop.link.label.tolist()
+        ops = [label[w] if w >= 0 else -1 - var_of[-1 - w] for w in word]
         n, first, last = len(word), poly[0], poly[-1]
         fwd, back = len(index), len(index) + last
         index += ops[:last] + ops[:first:-1]
         flip += [False] * last + [True] * (n - 1 - first)
         start += [fwd] * last + [back] * (n - 1 - first)
         for i in poly:
-            keys.append((li, var_of[word[i]["pid"]]))
+            keys.append((li, var_of[-1 - word[i]]))
             s_rows.append(fwd + i - 1 if i > 0 else -1)
             p_rows.append(back + n - 2 - i if i < n - 1 else -1)
     out = [{} for _ in loops]
@@ -733,15 +666,10 @@ def build_loops_for_partition(tri, e_sim, links):
     var_of_class = {cls: i for i, cls in enumerate(e_sim)}
     loops = []
     for link in links:
-        removed = [
-            pid
-            for pid, end in enumerate(link.prism_ends)
-            if end.edge_class in var_of_class
-        ]
-        loop = build_gimbal_loop(link, removed)
-        loop.variable_of_pid = {
-            pid: var_of_class[link.prism_ends[pid].edge_class] for pid in removed
-        }
+        var_of_pid = {pid: var_of_class[cls] for pid, cls in enumerate(link.end_class.tolist())
+                      if cls in var_of_class}
+        loop = build_gimbal_loop(link, var_of_pid)
+        loop.variable_of_pid = var_of_pid
         loops.append(loop)
     return loops
 
@@ -838,22 +766,22 @@ def edge_direction_table(tri, labels, links):
     slots, parent, entry, step, ends = [], [], [], [], []
     for k, link in enumerate(links):
         base = len(parent)
-        corners = np.array(link.corners)
-        slots.append(24 * corners[:, :1] + _HEXAGON_SLOTS[corners[:, 1]])
+        slots.append(link.label.reshape(-1, 6))
+        other_side = link.other_side.tolist()
         parent += [base] * link.n_hexagons
         entry += [0] + [-1] * (link.n_hexagons - 1)
         step += [0] * link.n_hexagons
         queue = [0]
         for h in queue:  # letter 6 h + j runs from vertex j to vertex j + 1
             for j in (1, 3, 5):
-                c, i = divmod(link.other_side[6 * h + j], 6)
+                c, i = divmod(other_side[6 * h + j], 6)
                 if entry[base + c] < 0:
                     queue.append(c)
                     parent[base + c], entry[base + c] = base + h, i
                     step[base + c] = (j + 1 - entry[base + h]) % 6
-        for end in link.prism_ends:
-            c, i = divmod(link.slots_of_token[end.gammas[0]][0], 6)
-            ends.append((3 * k, end.edge_class, base + c, i))
+        for cycle, cls in zip(link.prism_ends, link.end_class.tolist()):
+            c, i = divmod(cycle[0], 6)
+            ends.append((3 * k, cls, base + c, i))
     parent, entry, step = np.array(parent), np.array(entry), np.array(step)
     # prod[h, i]: the letters of hexagon h from its entry vertex on, i of them
     turn = (entry[:, None] + np.arange(6)) % 6

@@ -657,13 +657,22 @@ class MPInterval:
     __radd__ = __add__
 
     def __sub__(self, other):
+        # [lo - other.hi, hi - other.lo]: a + (-b) bit for bit, as negation is exact
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.__add__(-other)
+        prec = self.prec
+        return _ordered(
+            libmp.mpf_sub(self.lo, other.hi, prec, _RF),
+            libmp.mpf_sub(self.hi, other.lo, prec, _RC),
+            prec,
+        )
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other.__sub__(self)
 
     def __mul__(self, other):
         other = self._coerce(other)

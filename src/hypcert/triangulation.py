@@ -15,17 +15,22 @@ File format (UTF-8, line oriented, '#' comments allowed)::
     l_1 l_2 ... l_m
 
 Face f of tet i is glued to tet jf via the vertex map 0->a, 1->b, 2->c,
-3->d.  An unglued face is written '-' (rejected later as not closed).
+3->d.  A gluing is ASCII digits, a colon and one of the 24 permutation
+strings; an unglued face is written '-' (rejected later as not closed).
 The optional lengths section lists one decimal per edge class in
 canonical order, each positive and with a finite cosh.
+
+The parser holds the gluing as (n, 4) tables of neighbours and
+permutation indices, a permutation's index in S4 (`PERMS`, in
+lexicographic order, so indices order as the tuples do).  Parity and
+involution are table lookups, vertex classes a flood over the integer
+corner ids 4 tet + v, and edge classes a walk over the integer tables.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +70,29 @@ def perm_inverse(p):
     return tuple(q)
 
 
+PERMS = tuple(itertools.permutations(range(4)))
+PERM_STRINGS = tuple("".join(map(str, p)) for p in PERMS)
+_PERM_INDEX = {s: i for i, s in enumerate(PERM_STRINGS)}  # of a permutation string
+_PERM_INDEX_OF = {p: i for i, p in enumerate(PERMS)}  # of a permutation tuple
+_INVERSE = [_PERM_INDEX_OF[perm_inverse(p)] for p in PERMS]
+_ODD = [perm_parity(p) == -1 for p in PERMS]
+_COMPOSE = np.array([[_PERM_INDEX_OF[tuple(p[x] for x in q)] for q in PERMS] for p in PERMS])
+_APPLY = np.array(PERMS)  # [p, v]: the image of v under p
+# per permutation s, for the edge walk: the face s(2) it leaves through,
+# the state s (2 3), the directed edge 4 s(0) + s(1), its local edge, the
+# representative ((a, b) with a < b, orientation) and the reversed state
+_EXIT = _APPLY[:, 2]
+_SWAP23 = np.array([_PERM_INDEX_OF[(s[0], s[1], s[3], s[2])] for s in PERMS])
+_DIRECTED = 4 * _APPLY[:, 0] + _APPLY[:, 1]
+_EDGE_OF = np.array([LOCAL_EDGE_INDEX[tuple(sorted(s[:2]))] for s in PERMS])
+_REP = [(tuple(sorted(s[:2])), 1 if s[0] < s[1] else -1) for s in PERMS]
+_REVERSED = [_PERM_INDEX_OF[(s[1], s[0], s[2], s[3])] for s in PERMS]
+# the first state of each local edge (a, b): a -> b, leaving through the
+# smaller of its two faces
+_FIRST_STATE = np.array([_PERM_INDEX_OF[(a, b, *(f for f in range(4) if f not in (a, b)))]
+                         for a, b in LOCAL_EDGES])
+
+
 class TriangulationError(ValueError):
     pass
 
@@ -101,9 +129,10 @@ class Triangulation:
     edge_table: np.ndarray = field(default=None, compare=False, repr=False)
     vertex_class_of: dict = field(default_factory=dict)  # (tet, v) -> idx
     lengths: list = None
-    # the index plans of `geometry`, which depend only on the gluing: built
-    # on first use and kept here, like edge_table
+    # the index plans of `geometry` and the vertex links, which depend only
+    # on the gluing: built on first use and kept here, like edge_table
     geometry_plan: object = field(default=None, compare=False, repr=False)
+    links: list = field(default=None, compare=False, repr=False)
 
     @property
     def n_tets(self):
@@ -125,24 +154,43 @@ class Triangulation:
         return self.edge_class_of[(tet, (min(a, b), max(a, b)))]
 
 
-def _parse_gluing(tok, n_tets, where):
+def _parse_gluing(tok, n_tets, i, f):
+    """(target tet, permutation index) of one gluing token, or (None, None)."""
     if tok == "-":
         return None, None
-    if ":" not in tok:
-        raise TriangulationError(f"{where}: bad gluing token {tok!r}")
-    tgt, perm = tok.split(":", 1)
-    try:
-        tgt = int(tgt)
-    except ValueError:
-        raise TriangulationError(f"{where}: bad target tet in {tok!r}") from None
-    if not (0 <= tgt < n_tets):
-        raise TriangulationError(f"{where}: target tet {tgt} out of range")
-    if len(perm) != 4 or not all(c in "0123" for c in perm):
-        raise TriangulationError(f"{where}: bad permutation {perm!r}")
-    p = tuple(int(c) for c in perm)
-    if sorted(p) != [0, 1, 2, 3]:
-        raise TriangulationError(f"{where}: {perm!r} is not a permutation")
-    return tgt, p
+    tgt, colon, perm = tok.partition(":")
+    if not colon:
+        raise TriangulationError(f"tet {i} face {f}: bad gluing token {tok!r}")
+    if not (tgt.isascii() and tgt.isdigit()):
+        raise TriangulationError(f"tet {i} face {f}: bad target tet in {tok!r}")
+    if int(tgt) >= n_tets:
+        raise TriangulationError(f"tet {i} face {f}: target tet {int(tgt)} out of range")
+    p = _PERM_INDEX.get(perm)
+    if p is None:
+        if len(perm) != 4 or not all(c in "0123" for c in perm):
+            raise TriangulationError(f"tet {i} face {f}: bad permutation {perm!r}")
+        raise TriangulationError(f"tet {i} face {f}: {perm!r} is not a permutation")
+    return int(tgt), p
+
+
+def _parse_lengths(vals):
+    lengths = []
+    for i, v in enumerate(vals):
+        try:
+            lengths.append(float(v))
+        except ValueError:
+            raise TriangulationError(f"length {i} is {v!r}: not a number") from None
+    for i, l in enumerate(lengths):
+        # cosh is even: a negated length would pass for its absolute value
+        if not l > 0.0:
+            raise TriangulationError(f"length {i} is {l!r}: not positive")
+        try:
+            ok = math.isfinite(math.cosh(l))
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise TriangulationError(f"length {i} is {l!r}: its cosh is not a finite float")
+    return lengths
 
 
 def parse(text):
@@ -161,52 +209,42 @@ def parse(text):
     if n <= 0:
         raise TriangulationError("need at least one tetrahedron")
 
-    tets = []
-    pos = 1
+    nb, pi = [], []  # (n, 4) tables: neighbour tet and permutation index
     for i in range(n):
-        if pos >= len(lines):
+        if i + 1 >= len(lines):
             raise TriangulationError(f"missing line for tet {i}")
-        line = lines[pos]
-        pos += 1
-        head, _, rest = line.partition(":")
+        head, _, rest = lines[i + 1].partition(":")
         if head.split() != ["tet", str(i)]:
-            raise TriangulationError(f"expected 'tet {i}:', got {line!r}")
+            raise TriangulationError(f"expected 'tet {i}:', got {lines[i + 1]!r}")
         toks = rest.split()
         if len(toks) != 4:
             raise TriangulationError(f"tet {i}: expected 4 face gluings")
-        neighbors, perms = [], []
-        for f, tok in enumerate(toks):
-            tgt, p = _parse_gluing(tok, n, f"tet {i} face {f}")
-            neighbors.append(tgt)
-            perms.append(p)
-        tets.append(Tetrahedron(i, neighbors, perms))
+        row = [_parse_gluing(tok, n, i, f) for f, tok in enumerate(toks)]
+        nb.append([j for j, _ in row])
+        pi.append([p for _, p in row])
 
     lengths = None
-    if pos < len(lines):
-        if lines[pos] != "lengths:":
-            raise TriangulationError(f"unexpected line {lines[pos]!r}")
-        vals = " ".join(lines[pos + 1 :]).split()
-        lengths = [float(v) for v in vals]
-        for i, l in enumerate(lengths):
-            # cosh is even: a negated length would pass for its absolute value
-            if not l > 0.0:
-                raise TriangulationError(f"length {i} is {l!r}: not positive")
-            try:
-                ok = math.isfinite(math.cosh(l))
-            except OverflowError:
-                ok = False
-            if not ok:
-                raise TriangulationError(
-                    f"length {i} is {l!r}: its cosh is not a finite float"
-                )
+    if n + 1 < len(lines):
+        if lines[n + 1] != "lengths:":
+            raise TriangulationError(f"unexpected line {lines[n + 1]!r}")
+        lengths = _parse_lengths(" ".join(lines[n + 2:]).split())
 
-    tri = Triangulation(tets)
-    _validate_gluings(tri)
-    _validate_connected(tri)
-    _build_edge_classes(tri)
-    _build_vertex_classes(tri)
+    tri = Triangulation([Tetrahedron(i, nb[i], [p if p is None else PERMS[p] for p in pi[i]])
+                         for i in range(n)])
+    _validate_gluings(nb, pi)
+    _validate_connected(nb)
+    nb, pi = np.array(nb), np.array(pi)
+    _build_edge_classes(tri, nb, pi)
+    _build_vertex_classes(tri, nb, pi)
     _validate_links(tri)
-    _validate_degrees(tri)
+    for ec in tri.edge_classes:
+        # a degree-1 edge's angle sum is one dihedral angle, less than pi,
+        # and no vertex link through it has a hexagon decomposition
+        if len(ec.representatives) == 1:
+            raise TriangulationError(
+                f"edge class {ec.index} has degree 1: a single dihedral angle, "
+                "less than pi, cannot make a full turn"
+            )
     tri.lengths = lengths
     if lengths is not None and len(lengths) != tri.m:
         raise TriangulationError(
@@ -223,14 +261,8 @@ def parse_file(path):
 def serialize(tri, lengths=None):
     out = [f"tets {tri.n_tets}"]
     for t in tri.tets:
-        toks = []
-        for f in range(4):
-            if t.neighbors[f] is None:
-                toks.append("-")
-            else:
-                toks.append(
-                    f"{t.neighbors[f]}:" + "".join(str(v) for v in t.perms[f])
-                )
+        toks = ["-" if j is None else f"{j}:{PERM_STRINGS[_PERM_INDEX_OF[p]]}"
+                for j, p in zip(t.neighbors, t.perms)]
         out.append(f"tet {t.index}: " + " ".join(toks))
     if lengths is None:
         lengths = tri.lengths
@@ -240,153 +272,108 @@ def serialize(tri, lengths=None):
     return "\n".join(out) + "\n"
 
 
-def _validate_gluings(tri):
-    for t in tri.tets:
+def _validate_gluings(nb, pi):
+    for t, (row, prow) in enumerate(zip(nb, pi)):
         for f in range(4):
-            if t.neighbors[f] is None:
+            j, p = row[f], prow[f]
+            if j is None:
+                raise TriangulationError(f"tet {t} face {f} unglued: triangulation is not closed")
+            pf = PERMS[p][f]
+            if j == t and pf == f:
+                raise TriangulationError(f"tet {t} face {f} glued to itself")
+            if not _ODD[p]:
                 raise TriangulationError(
-                    f"tet {t.index} face {f} unglued: triangulation is not closed"
+                    f"tet {t} face {f}: gluing permutation "
+                    f"{PERM_STRINGS[p]} is even; triangulation not oriented"
                 )
-            j, p = t.neighbors[f], t.perms[f]
-            if j == t.index and p[f] == f:
-                raise TriangulationError(
-                    f"tet {t.index} face {f} glued to itself"
-                )
-            if perm_parity(p) != -1:
-                raise TriangulationError(
-                    f"tet {t.index} face {f}: gluing permutation "
-                    f"{''.join(map(str, p))} is even; triangulation not oriented"
-                )
-            partner = tri.tets[j]
-            pf = p[f]
-            if partner.neighbors[pf] != t.index or partner.perms[pf] != perm_inverse(p):
-                raise TriangulationError(
-                    f"gluing of tet {t.index} face {f} is not involutive"
-                )
+            if nb[j][pf] != t or pi[j][pf] != _INVERSE[p]:
+                raise TriangulationError(f"gluing of tet {t} face {f} is not involutive")
 
 
-def _validate_connected(tri):
-    seen, components = set(), 0
-    for start in range(tri.n_tets):
-        components += start not in seen
+def _validate_connected(nb):
+    seen, components = bytearray(len(nb)), 0
+    for start in range(len(nb)):
+        if seen[start]:
+            continue
+        components += 1
+        seen[start] = 1
         stack = [start]
         while stack:
-            t = stack.pop()
-            if t not in seen:
-                seen.add(t)
-                stack.extend(tri.tets[t].neighbors)
+            for j in nb[stack.pop()]:
+                if not seen[j]:
+                    seen[j] = 1
+                    stack.append(j)
     if components > 1:
         raise TriangulationError(f"triangulation is disconnected: {components} components")
 
 
-def _cross(tri, tet, a, b, face):
-    """Push the directed edge (a, b) of `tet` through `face`."""
-    j, p = tri.neighbor(tet, face)
-    return j, p[a], p[b]
+def _build_edge_classes(tri, nb, pi):
+    """Edge classes by walking once around each edge, in the order of their
+    first local edge (tet, LOCAL_EDGES index), which is also the first
+    representative of its class, direction a -> b.
 
-
-def _trace_edge(tri, tet0, a0, b0):
-    """Walk once around the edge (a0, b0) of tet0.
-
-    Returns the cycle of (tet, a, b) directed incidences in rotation
-    order.  Each undirected (tet, {a,b}) appears exactly once.
+    The walk runs on states 24 tet + s: the directed edge s(0) -> s(1),
+    about to leave through face s(2).  Crossing it with the gluing p enters
+    through p(s(2)) and leaves through p(s(3)), the state p s (2 3).
     """
-    # leave through the smaller of the two faces adjacent to the edge
-    faces0 = [f for f in range(4) if f not in (a0, b0)]
-    out_face = faces0[0]
-    cycle = [(tet0, a0, b0)]
-    tet, a, b = tet0, a0, b0
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 6 * tri.n_tets + 1:
+    n = len(nb)
+    state = np.arange(24 * n)
+    tet, s = state // 24, state % 24
+    face = _EXIT[s]
+    nxt = (24 * nb[tet, face] + _COMPOSE[pi[tet, face], _SWAP23[s]]).tolist()
+    directed = (16 * tet + _DIRECTED[s]).tolist()  # 16 tet + 4 s(0) + s(1)
+    incidence = (6 * tet + _EDGE_OF[s]).tolist()
+    seen, classes, edge_of = [-1] * (6 * n), [], {}
+    for x0 in (24 * np.arange(n)[:, None] + _FIRST_STATE).ravel().tolist():
+        if seen[incidence[x0]] >= 0:
+            continue
+        home, flip = directed[x0], directed[x0 - x0 % 24 + _REVERSED[x0 % 24]]
+        cycle, x = [x0], nxt[x0]
+        for _ in range(6 * n + 1):
+            if directed[x] == home:
+                break
+            if directed[x] == flip:
+                raise TriangulationError(
+                    "edge cycle closes with a flip; gluing data not orientable")
+            cycle.append(x)
+            x = nxt[x]
+        else:
             raise TriangulationError("bad gluing data: edge cycle does not close")
-        entered = tri.tets[tet].perms[out_face][out_face]
-        tet, a, b = _cross(tri, tet, a, b, out_face)
-        if (tet, a, b) == (tet0, a0, b0):
-            return cycle
-        if (tet, a, b) == (tet0, b0, a0):
-            raise TriangulationError(
-                "edge cycle closes with a flip; gluing data not orientable"
-            )
-        cycle.append((tet, a, b))
-        faces = [f for f in range(4) if f not in (a, b)]
-        out_face = faces[0] if faces[1] == entered else faces[1]
-
-
-def _build_edge_classes(tri):
-    seen = set()
-    classes = []
-    for tet in range(tri.n_tets):
-        for (a, b) in LOCAL_EDGES:
-            if (tet, (a, b)) in seen:
-                continue
-            cycle = _trace_edge(tri, tet, a, b)
-            reps = []
-            for (t, x, y) in cycle:
-                key = (t, (min(x, y), max(x, y)))
-                if key in seen:
-                    raise TriangulationError("edge orbit revisits an incidence")
-                seen.add(key)
-                reps.append((t, key[1], 1 if x < y else -1))
-            classes.append(reps)
-    # canonical order: by minimal (tet, local edge index) representative
-    def class_key(reps):
-        return min((t, LOCAL_EDGE_INDEX[e]) for (t, e, _) in reps)
-
-    classes.sort(key=class_key)
-    tri.edge_classes = []
-    tri.edge_class_of = {}
-    for idx, reps in enumerate(classes):
-        # re-anchor orientation to the minimal representative's ascending order
-        min_rep = min(reps, key=lambda r: (r[0], LOCAL_EDGE_INDEX[r[1]]))
-        flip = min_rep[2]
-        reps = [(t, e, o * flip) for (t, e, o) in reps]
-        tri.edge_classes.append(EdgeClass(idx, reps))
-        for (t, e, _) in reps:
-            tri.edge_class_of[(t, e)] = idx
-    tri.edge_table = np.array(
-        [[tri.edge_class_of[(t, e)] for e in LOCAL_EDGES] for t in range(tri.n_tets)],
-        dtype=np.intp,
-    ).reshape(tri.n_tets, 6)
+        k, reps = len(classes), []
+        for x in cycle:
+            if seen[incidence[x]] >= 0:
+                raise TriangulationError("edge orbit revisits an incidence")
+            seen[incidence[x]] = k
+            t, (e, orient) = x // 24, _REP[x % 24]
+            edge_of[(t, e)] = k
+            reps.append((t, e, orient))
+        classes.append(EdgeClass(k, reps))
+    tri.edge_classes, tri.edge_class_of = classes, edge_of
+    tri.edge_table = np.array(seen, dtype=np.intp).reshape(n, 6)
     tri.edge_table.flags.writeable = False
 
 
-def _build_vertex_classes(tri):
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for tet in range(tri.n_tets):
-        for v in range(4):
-            parent[(tet, v)] = (tet, v)
-    for tet in range(tri.n_tets):
-        t = tri.tets[tet]
-        for f in range(4):
-            for v in range(4):
-                if v == f:
-                    continue
-                union((tet, v), (t.neighbors[f], t.perms[f][v]))
-
-    groups = {}
-    for key in parent:
-        groups.setdefault(find(key), []).append(key)
-    ordered = sorted(groups.values(), key=min)
-    tri.vertex_classes = []
-    tri.vertex_class_of = {}
-    for idx, reps in enumerate(ordered):
-        tri.vertex_classes.append(VertexClass(idx, sorted(reps)))
-        for r in reps:
-            tri.vertex_class_of[r] = idx
+def _build_vertex_classes(tri, nb, pi):
+    """Vertex classes of the corner ids 4 tet + v, in the order of their
+    least corner: each corner takes the least label of its neighbours
+    across the faces, then its label's label, until nothing changes."""
+    corner = np.arange(4 * len(nb))
+    tet, v = corner // 4, corner % 4
+    across = [np.where(v == f, corner, 4 * nb[tet, f] + _APPLY[pi[tet, f], v]) for f in range(4)]
+    label = corner
+    while True:
+        new = np.minimum.reduce([label[c] for c in across])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    _, k = np.unique(label, return_inverse=True)
+    reps = list(zip(tet.tolist(), v.tolist()))
+    tri.vertex_class_of = dict(zip(reps, k.tolist()))
+    counts = np.cumsum(np.bincount(k)).tolist()
+    order = np.argsort(k, kind="stable").tolist()
+    tri.vertex_classes = [VertexClass(i, [reps[c] for c in order[lo:hi]])
+                          for i, (lo, hi) in enumerate(zip([0] + counts, counts))]
 
 
 def _validate_links(tri):
@@ -394,9 +381,7 @@ def _validate_links(tri):
     # characteristic of the (connected) link surface: chi = P - C/2
     ends_at = [0] * tri.o
     for ec in tri.edge_classes:
-        t, (a, b), _ = min(
-            ec.representatives, key=lambda r: (r[0], LOCAL_EDGE_INDEX[r[1]])
-        )
+        t, (a, b), _ = ec.representatives[0]  # its least local edge
         ends_at[tri.vertex_class_of[(t, a)]] += 1
         ends_at[tri.vertex_class_of[(t, b)]] += 1
     for vc in tri.vertex_classes:
@@ -408,17 +393,6 @@ def _validate_links(tri):
             raise TriangulationError(
                 f"vertex link of class {vc.index} has Euler characteristic "
                 f"{chi}, not a 2-sphere"
-            )
-
-
-def _validate_degrees(tri):
-    # a degree-1 edge's angle sum is one dihedral angle, less than pi, and no
-    # vertex link through it has a hexagon decomposition
-    for ec in tri.edge_classes:
-        if len(ec.representatives) == 1:
-            raise TriangulationError(
-                f"edge class {ec.index} has degree 1: a single dihedral angle, "
-                "less than pi, cannot make a full turn"
             )
 
 
@@ -454,15 +428,14 @@ def _swap23(s):
     return (s[0], s[1], s[3], s[2])
 
 
-@functools.cache
 def hexagon_cycle(a):
     """Canonical boundary of the small hexagon at local vertex a.
 
     Returns a tuple of 6 (kind, sigma_start, sigma_end) letters, kind 'g'
     (short) or 'b' (middle), starting from the minimal even permutation
-    with s(0) = a.  Computed once per vertex.
+    with s(0) = a.
     """
-    start = min(s for s in itertools.permutations(range(4)) if s[0] == a and perm_parity(s) == 1)
+    start = min(s for s in PERMS if s[0] == a and perm_parity(s) == 1)
     letters, s = [], start
     for _ in range(3):
         t = _swap23(s)
@@ -475,35 +448,57 @@ def hexagon_cycle(a):
     return tuple(letters)
 
 
-# picks a hexagon's short edges out of its letters, in token order
-_SHORT_EDGES = [operator.itemgetter(*sorted((0, 2, 4), key=lambda i: hexagon_cycle(a)[i][1][1]))
-                for a in range(4)]
+# A simplex has 24 label slots, one per edge of its doubly truncated form
+# up to direction.  Slot 2 e + k is the short edge about local edge e
+# (LOCAL_EDGES order), its rotation by the dihedral angle taken positively
+# (k = 0, from an odd permutation) or negatively (k = 1).  Slot 12 + v is
+# the middle edge with vertex angle v = (i, j, k) of `VERTEX_ANGLES`, the
+# angle at vertex i of the triangle i j k, j > k: the middle edge between
+# s and swap12(s) with (s(0), s(2), s(1)) = (i, j, k), s(1) < s(2).
+VERTEX_ANGLES = tuple(
+    (i, hi, lo)
+    for i in range(4)
+    for lo, hi in itertools.combinations([x for x in range(4) if x != i], 2)
+)
 
 
-@dataclass
-class PrismEnd:
-    """End polygon of the prism around one edge class, at one vertex."""
+def _label_slot(kind, s0, s1):
+    if kind == "g":
+        return 2 * LOCAL_EDGE_INDEX[tuple(sorted(s0[:2]))] + (perm_parity(s0) == 1)
+    s = min(s0, s1)
+    return 12 + VERTEX_ANGLES.index((s[0], s[2], s[1]))
 
-    pid: int
-    edge_class: int
-    gammas: list  # gamma tokens (tet, a, b) in cyclic order
-    boundary_lvs: frozenset  # link-vertex ids on the boundary
+
+# Letter i of the hexagon at local vertex a is letter 6 a + i of its
+# simplex: its start permutation's index, and its label slot; each middle
+# edge's slot is named from its own side, the same label bits as from its
+# other side's, since the vertex-angle formula is symmetric in the
+# triangle's two other vertices and float products commute
+_START = np.array([_PERM_INDEX_OF[s0] for a in range(4) for _, s0, _ in hexagon_cycle(a)])
+HEXAGON_SLOTS = np.array([_label_slot(*letter) for a in range(4) for letter in hexagon_cycle(a)])
+_LETTER_AT = np.argsort(_START)  # permutation index -> the letter starting there
+_LAST = np.array([s[3] for s in PERMS])
+_SUCC = np.array([1, 2, 3, 4, 5, 0] * 4) + np.repeat(np.arange(0, 24, 6), 6)
 
 
 @dataclass
 class LinkComplex:
+    """One vertex link as integer arrays over its slots: slot 6 c + i is
+    letter i of the hexagon at corners[c] (`hexagon_cycle`), a short edge
+    at even i and a middle edge at odd i.  A link vertex is the smaller id
+    24 tet + perm index of the two hexagon vertices (tet, s) that a gluing
+    identifies; a letter's token is its short edge's own start, or its
+    middle edge's smaller side's smaller end, as 24 tet + perm index."""
+
     vertex_class: int
-    corners: list  # (tet, a), sorted
-    hexagons: dict  # corner -> list of 6 letter dicts
-    beta_pairs: dict  # beta token -> (corner, corner)
-    beta_of_corner: dict  # corner -> list of beta tokens in boundary order
-    prism_ends: list  # PrismEnd, sorted by pid
-    gamma_to_end: dict  # gamma token (tet,a,b) -> pid
-    lv_to_pid: dict  # link vertex -> its polygon
-    # for the loop validator, slot 6 c + i being letter i of corners[c]:
-    corner_id: dict  # corner -> c
-    slots_of_token: dict  # token -> its slots
-    other_side: list  # slot -> its middle edge's other side (own if unpaired), or -1
+    corners: np.ndarray  # (C, 2) rows tet, a; sorted
+    start: np.ndarray  # slot -> the link vertex it starts at
+    token: np.ndarray  # slot -> its token
+    label: np.ndarray  # slot -> its label slot, 24 tet + `HEXAGON_SLOTS`
+    other_side: np.ndarray  # slot -> its middle edge's other side, or -1
+    end_pid: np.ndarray  # slot -> the prism end its last vertex lies on
+    prism_ends: list  # pid -> its short-edge slots, in order around the polygon
+    end_class: np.ndarray  # pid -> the edge class of its prism
 
     @property
     def n_hexagons(self):
@@ -511,84 +506,79 @@ class LinkComplex:
 
 
 def vertex_link_hexagon_complex(tri, vertex_class):
-    """Build the hexagon-and-polygon decomposition of one vertex link.
+    """The hexagon-and-polygon decomposition of one vertex link.
 
-    Linear in the link's letters.  One pass over the corners makes each
-    letter, owner included, in final form: a corner's six link-vertex ids
-    are computed once, each the smaller of (tet, s) and its partner across
-    face s(3), and a middle edge's token, its smaller side, comes from the
-    partners of its ends.  The prism-end polygons are walked from the
-    short-edge tokens in sorted order; as a gluing flips the parity of s,
-    each short edge starts where the last one ended.
+    All links come from one pass over the 24 n letters, made on first use
+    and kept on `tri`.  A letter's link vertices and token, and a middle
+    edge's other side, are the partner of (tet, s) across the face s(3):
+    tet's neighbour there and the composed permutation.  The prism-end
+    polygons are walked from the short edges in token order, each short
+    edge starting where the last one ended (a gluing flips the parity of
+    s); a link numbers its polygons in that order.
     """
     k = vertex_class.index if isinstance(vertex_class, VertexClass) else vertex_class
-    corners = sorted(tri.vertex_classes[k].representatives)
-    hexagons, beta_pairs, beta_of_corner = {}, {}, {}
-    corner_id, slots_of_token, other_side = {}, {}, []
-    gammas = []  # short-edge letters, by token
-    gamma_from = {}  # link vertex -> token and end of the short edge starting there
-    for c, corner in enumerate(corners):
-        tet, a = corner
-        neighbors, perms = tri.tets[tet].neighbors, tri.tets[tet].perms
-        corner_id[corner] = c
-        cycle = hexagon_cycle(a)
-        # pairs compare by tet first: only a partner in a tet <= tet can win
-        partners, lvs = [], []
-        for _, s, _ in cycle:
-            own, j, t = (tet, s), neighbors[s[3]], None
-            if j <= tet:
-                p = perms[s[3]]
-                t = (p[s[0]], p[s[1]], p[s[2]], p[s[3]])
-            partners.append(t)
-            lvs.append((j, t) if t is not None and (j < tet or t < s) else own)
-        letters, betas = [], []
-        for i in (0, 2, 4):  # a short edge, then a middle edge
-            (_, g0, g1), (_, b0, b1) = cycle[i], cycle[i + 1]
-            start, mid, end = lvs[i], lvs[i + 1], lvs[i - 4]
-            gamma = (tet, a, g0[1])
-            gamma_from[start] = gamma, mid
-            beta = (tet, b0, b1) if b0 < b1 else (tet, b1, b0)  # this side
-            j, t0, t1 = neighbors[b0[3]], partners[i + 1], partners[i - 4]
-            if j <= tet:  # the other side may be smaller
-                other = (j, t0, t1) if t0 < t1 else (j, t1, t0)
-                beta = other if other < beta else beta
-            betas.append(beta)
-            slots_of_token[gamma] = (6 * c + i,)
-            sides = slots_of_token[beta] = slots_of_token.get(beta, ()) + (6 * c + i + 1,)
-            other_side += (-1, sides[0])
-            other_side[sides[0]] = sides[-1]
-            beta_pairs[beta] = beta_pairs.get(beta, ()) + (corner,)
-            letters += (
-                {"kind": "g", "tet": tet, "s_start": g0, "s_end": g1,
-                 "start": start, "end": mid, "token": gamma, "owner": corner},
-                {"kind": "b", "tet": tet, "s_start": b0, "s_end": b1,
-                 "start": mid, "end": end, "token": beta, "owner": corner},
-            )
-        hexagons[corner] = letters
-        beta_of_corner[corner] = betas
-        gammas += _SHORT_EDGES[a](letters)
-    if any(len(cs) != 2 for cs in beta_pairs.values()):
-        raise TriangulationError("middle edge not shared by two hexagons")
+    if tri.links is None:
+        tri.links = _build_links(tri)
+    return tri.links[k]
 
-    prism_ends, gamma_to_end, lv_to_pid = [], {}, {}
-    for letter in gammas:
-        first, lv = letter["token"], letter["start"]
-        if first in gamma_to_end:
+
+def _build_links(tri):
+    n = tri.n_tets
+    nb = np.array([t.neighbors for t in tri.tets]).reshape(n, 4)
+    pi = np.array([_PERM_INDEX_OF[p] for t in tri.tets for p in t.perms]).reshape(n, 4)
+    tet = np.repeat(np.arange(n), 24)  # letter g = 24 tet + 6 a + i
+    own = np.tile(_START, n)
+    face = _LAST[own]
+    j, partner = nb[tet, face], _COMPOSE[pi[tet, face], own]
+    start = np.minimum(24 * tet + own, 24 * j + partner)
+    succ = tet * 24 + np.tile(_SUCC, n)
+    middle = np.tile(np.arange(24) % 2 == 1, n)
+    token = 24 * tet + own
+    token[middle] = np.minimum(24 * tet + np.minimum(own, own[succ]),
+                               24 * j + np.minimum(partner, partner[succ]))[middle]
+    # the other side of a middle edge runs from the partner of its end
+    other = np.where(middle, 24 * j + _LETTER_AT[partner[succ]], -1)
+
+    # prism ends: short edge g is followed by the one starting at its end
+    short = np.flatnonzero(~middle)
+    short_from = np.empty(24 * n, dtype=np.intp)
+    short_from[start[short]] = short
+    nxt = short_from[start[succ]]
+    vclass = [tri.vertex_class_of[divmod(c, 4)] for c in range(4 * n)]
+    pid, ends, classes = [-1] * (24 * n), [[] for _ in range(tri.o)], [[] for _ in range(tri.o)]
+    nxt_l = nxt.tolist()
+    for g in short[np.argsort(token[short], kind="stable")].tolist():
+        if pid[g] >= 0:
             continue
-        pid = len(prism_ends)
-        cls = tri.edge_class_index(*first)
-        comp, lvs = [], []
-        while True:
-            token, end = gamma_from[lv]
-            if token in gamma_to_end:
-                break
-            comp.append(token)
-            lvs.append(lv)
-            gamma_to_end[token] = lv_to_pid[lv] = pid
-            lv = end
-        if token != first:
-            raise TriangulationError("link vertex not on exactly two short edges")
-        prism_ends.append(PrismEnd(pid, cls, comp, frozenset(lvs)))
+        k = vclass[g // 6]
+        p, cycle, x = len(ends[k]), [], g
+        while pid[x] < 0:
+            pid[x] = p
+            cycle.append(x)
+            x = nxt_l[x]
+        ends[k].append(cycle)
+        s = PERMS[own[g]]
+        classes[k].append(tri.edge_class_index(g // 24, s[0], s[1]))
+    end_pid = np.array(pid)[nxt]
 
-    return LinkComplex(k, corners, hexagons, beta_pairs, beta_of_corner, prism_ends,
-                       gamma_to_end, lv_to_pid, corner_id, slots_of_token, other_side)
+    # each link's letters, in the order of its sorted corners
+    corner_order = np.argsort(vclass, kind="stable")
+    letters = (6 * corner_order[:, None] + np.arange(6)).ravel()
+    local = np.empty(24 * n, dtype=np.intp)
+    sizes = np.bincount(vclass, minlength=tri.o)
+    offsets = np.repeat(6 * np.cumsum(sizes) - 6 * sizes, 6 * sizes)
+    local[letters] = np.arange(24 * n) - offsets
+    label = (24 * tet + np.tile(HEXAGON_SLOTS, n))[letters]
+    other = np.where(other[letters] >= 0, local[other[letters]], -1)
+    corners = np.stack(np.divmod(corner_order, 4), axis=1)
+    tables = [corners, start[letters], token[letters], label, other, end_pid[letters]]
+    for a in tables:
+        a.flags.writeable = False
+    links, lo, local = [], 0, local.tolist()
+    for k, size in enumerate(sizes.tolist()):
+        parts = [a[lo:lo + 6 * size] for a in tables[1:]]
+        links.append(LinkComplex(k, corners[lo // 6:lo // 6 + size], *parts,
+                                 [[local[g] for g in cycle] for cycle in ends[k]],
+                                 np.array(classes[k], dtype=np.intp)))
+        lo += 6 * size
+    return links

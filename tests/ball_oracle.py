@@ -24,6 +24,7 @@ import numpy as np
 from hypcert import gimbal as gb
 from hypcert.interval import Interval
 from tests.gimbal_oracle import label_of, rotation_matrix, rotation_matrix_derivative
+from tests.link_slots import letters_of
 from tests.matrix_oracle import mat3_mul
 
 # -- scalar float balls ---------------------------------------------------------
@@ -220,7 +221,7 @@ def gimbal_matrix(loop, labels, box_of_variable):
     result is an entrywise float-interval enclosure.
     """
     acc = scalar_identity()
-    for letter in loop.word:
+    for letter in letters_of(loop):
         if letter["kind"] == "P":
             box = box_of_variable[loop.variable_of_pid[letter["pid"]]]
             ball = scalar_rotation_balls([box])[0][0]
@@ -340,7 +341,7 @@ def sequential_derivatives(loop, labels, rotations):
     multiplied one letter at a time; terms summed in word order.
     `rotations[var]` holds the balls of variable var's rotation and of its
     derivative."""
-    word = loop.word
+    word = letters_of(loop)
     n = len(word)
     mats = [
         rotations[loop.variable_of_pid[letter["pid"]]][0] if letter["kind"] == "P"

@@ -8,13 +8,16 @@ Jacobian and the probe's edge-direction table against these identities,
 and the batched labels against `label_matrix`, one letter at a time from
 the scalar formulas.  Stage V reads its labels only as a table of
 endpoints; `label_of` rebuilds a label as a matrix of scalars from the
-label arrays.  Tests only.
+label arrays, at the slot `label_slot_of` names a letter dict by.  The
+link arguments here are the reference's dict links (`tests/link_slots.py`
+expands a slot-table link into one).  Tests only.
 """
 
 from hypcert import gimbal as gb
 from hypcert.geometry import EdgeParams, opposite_edge
 from hypcert.triangulation import (
     LOCAL_EDGE_INDEX,
+    VERTEX_ANGLES,
     perm_parity,
     vertex_link_hexagon_complex,
 )
@@ -26,6 +29,7 @@ from tests.geometry_oracle import (
     sin_dihedral,
     sin_vertex_angle,
 )
+from tests.link_slots import expand_link
 from tests.matrix_oracle import mat3_identity, mat3_mul
 from tests import kernel_scalars as ks
 
@@ -56,11 +60,24 @@ def _one_zero(labels):
     return ks.point(labels.kernel, 1.0), ks.point(labels.kernel, 0.0)
 
 
+def label_slot_of(letter):
+    """The flat label slot, 24 tet + local slot, of a letter dict, by the
+    rule `hypcert.triangulation` states for its 24 slots: a short edge
+    from its own start s, 2 e + (s even) for its local edge e; a middle
+    edge from its token's side s, s(1) < s(2), 12 + the index of the
+    vertex angle (s(0), s(2), s(1))."""
+    if letter["kind"] == "b":
+        tet, s, _ = letter["token"]
+        return 24 * tet + 12 + VERTEX_ANGLES.index((s[0], s[2], s[1]))
+    tet, s = letter["tet"], letter["s_start"]
+    return 24 * tet + 2 * LOCAL_EDGE_INDEX[tuple(sorted(s[:2]))] + (perm_parity(s) == 1)
+
+
 def label_of(labels, letter):
     """The pipeline's label of an edge letter as a matrix of scalars, from
-    the label arrays at its slot `labels.slot(letter)`."""
+    the label arrays at its slot `label_slot_of(letter)`."""
     one, zero = _one_zero(labels)
-    tet, local = divmod(labels.slot(letter), 24)
+    tet, local = divmod(label_slot_of(letter), 24)
     if local < 12:
         e, negative = divmod(local, 2)
         c, s = ks.entries(labels.dihedral_cos[tet])[e], ks.entries(labels.dihedral_sin[tet])[e]
@@ -159,6 +176,7 @@ def edge_end_directions(tri, params, vertex_class=0, links=None):
         link = vertex_link_hexagon_complex(tri, vertex_class)
     else:
         link = links[vertex_class]
+    link = expand_link(link)
     # frame transport: walking a letter u -> w multiplies the frame by the
     # label inverse (the label moves the simplex from u- to w-position)
     base = link.corners[0]

@@ -14,7 +14,17 @@ against it.
 from dataclasses import dataclass, field
 
 from hypcert.gimbal import GimbalLoop, GimbalLoopError
-from hypcert.triangulation import PrismEnd, TriangulationError, VertexClass, hexagon_cycle
+from hypcert.triangulation import TriangulationError, VertexClass, hexagon_cycle
+
+
+@dataclass
+class PrismEnd:
+    """End polygon of the prism around one edge class, at one vertex."""
+
+    pid: int
+    edge_class: int
+    gammas: list  # gamma tokens (tet, a, b) in cyclic order
+    boundary_lvs: frozenset  # link-vertex ids on the boundary
 
 
 def compose(p, q):

@@ -8,6 +8,7 @@ import itertools
 import math
 import random
 import time
+import types
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from tests.geometry_oracle import (
 )
 from tests.ball_oracle import gimbal_function
 from tests.gimbal_oracle import polygon_angle_sum, prism_holonomy
+from tests.link_slots import expand_link
 
 
 def report(n, text):
@@ -189,7 +191,7 @@ def test_criterion_06_polygon_identities(hyperbolic_triangulations, verified_all
         res = verified_all[name]
         box = res.box
         labels = gb.CocycleLabels(tri, geo.EdgeParams(box.nu, FLOAT_KERNEL))
-        links = [tr.vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
+        links = [expand_link(tr.vertex_link_hexagon_complex(tri, k)) for k in range(tri.o)]
         for loop in res.box.loops:
             link = links[loop.vertex_class]
             turns = [TWO_PI] * len(res.partition.e_sim)
@@ -278,16 +280,9 @@ def test_criterion_09_gimbal_probe(dodec27a):
         def label_bounds(self):
             return half_turn_x, half_turn_x
 
-        def slot(self, letter):
-            return 0
-
-    word = [
-        {"kind": "edge", "token": "pi_inv"},
-        {"kind": "P", "pid": 1},
-        {"kind": "edge", "token": "pi"},
-        {"kind": "P", "pid": 0},
-    ]
-    loop = gb.GimbalLoop(0, None, (0, 1), word)
+    # every edge letter reads row 0, the half turn; P1 and P0 are -2, -1
+    link = types.SimpleNamespace(label=np.zeros(2, dtype=np.intp))
+    loop = gb.GimbalLoop(0, link, (0, 1), np.array([1, -2, 0, -1]))
     loop.variable_of_pid = {0: 0, 1: 1}
     (derivs,) = gb.gimbal_matrix_derivatives(
         [loop], SyntheticLabels(), gb.rotation_balls(FLOAT_KERNEL.two_pi()[[0, 0]])

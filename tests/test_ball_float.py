@@ -405,13 +405,14 @@ def test_infinite_label_endpoint_is_not_avoided(dodec27a, verified27a,
     assert not verdict.avoided
     assert "no finite inverse" in verdict.reason
     # only the label rows the loops read are balled, in slot order
-    letters = [let for loop in verdict.loops for let in loop.word if let["kind"] != "P"]
-    read = sorted({labels.slot(let) for let in letters})
+    slots = [(loop.link, w) for loop in verdict.loops for w in loop.word.tolist() if w >= 0]
+    read = sorted({int(link.label[w]) for link, w in slots})
     (rad,) = [balls[1] for lo, balls in tables
               if np.array_equal(lo, labels.label_bounds()[0][read])]
     row = {slot: r for r, slot in enumerate(read)}
-    assert {rad[row[labels.slot(let)]] for let in letters if let["kind"] == "b"} == {inf}
-    assert all(rad[row[labels.slot(let)]] < inf for let in letters if let["kind"] == "g")
+    # odd slots are middle edges, even ones short edges
+    assert {rad[row[link.label[w]]] for link, w in slots if w % 2} == {inf}
+    assert all(rad[row[link.label[w]]] < inf for link, w in slots if not w % 2)
 
 
 @st.composite
@@ -493,8 +494,9 @@ def test_jacobian_contains_exact_derivative_of_operand_midpoints(
     identity = ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1)
     for li, loop in enumerate(loops):
         var_of = loop.variable_of_pid
-        mats = [dyadic(rotation_mid[var_of[let["pid"]]]) if let["kind"] == "P"
-                else dyadic(label_mid[labels.slot(let)]) for let in loop.word]
+        word = loop.word.tolist()
+        mats = [dyadic(rotation_mid[var_of[-1 - w]]) if w < 0
+                else dyadic(label_mid[loop.link.label[w]]) for w in word]
         n = len(mats)
         before = [identity]  # before[i] = M(w[i-1]) ... M(w[0])
         for m in mats:
@@ -503,10 +505,10 @@ def test_jacobian_contains_exact_derivative_of_operand_midpoints(
         for m in reversed(mats):
             after.append(dyadic_mul(after[-1], m))
         want = {}
-        for i, let in enumerate(loop.word):
-            if let["kind"] != "P":
+        for i, w in enumerate(word):
+            if w >= 0:
                 continue
-            var = var_of[let["pid"]]
+            var = var_of[-1 - w]
             d_var = dyadic(derivative_mid[var])
             a, d = dyadic_mul(after[n - 1 - i], dyadic_mul(d_var, before[i]))
             term = [[Q(x, d) for x in row] for row in a]

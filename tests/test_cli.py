@@ -311,6 +311,28 @@ def test_lengths_without_finite_cosh_exit_one(tmp_path, capsys, dodec27a,
     assert "Traceback" not in err + out
 
 
+@pytest.mark.parametrize("value", ["1.0x", "one", "1,5"])
+def test_lengths_that_are_not_numbers_exit_one(tmp_path, capsys, dodec27a, value):
+    f = _with_lengths(tmp_path, dodec27a, value)
+    code, out, err = run_cli(capsys, "certify", str(f))
+    assert code == 1
+    assert err == f"error: length 0 is {value!r}: not a number\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("target", ["1_0", "+10", "\u0661\u0660"])
+def test_gluing_targets_are_ascii_digits(tmp_path, capsys, target):
+    # int() reads each of these as tet 10
+    text = data_path("dodec27a.tri").read_text()
+    i = text.index(" 10:")
+    f = tmp_path / "target.tri"
+    f.write_text(text[:i + 1] + target + text[i + 3:], encoding="utf-8")
+    code, out, err = run_cli(capsys, "certify", str(f))
+    assert code == 1
+    assert f"bad target tet in '{target}:" in err
+    assert "Traceback" not in err + out
+
+
 def test_negated_lengths_exit_one(tmp_path, capsys, dodec27a):
     # cosh is even: with every length negated the edge parameters are those
     # of the hyperbolic structure, and certify would prove it

@@ -1,9 +1,11 @@
+import functools
 import hashlib
 import math
 import pathlib
 import random
 import struct
 import sys
+import types
 
 import mpmath
 import numpy as np
@@ -40,6 +42,8 @@ from tests.gimbal_oracle import (
     rotation_matrix,
 )
 from tests.conftest import S3_TEXT, links_of, stage_one
+from tests import gimbal_oracle, link_oracle
+from tests.link_slots import expand_link, letter, letters_of
 from tests.matrix_oracle import mat3_mul
 from tests import kernel_scalars as ks
 
@@ -78,11 +82,11 @@ def test_beta_involution_interval(s3m):
     k = FloatKernel()
     rng = random.Random(9)
     labels, _ = random_realized_labels(s3m, rng, kernel=k)
-    link = tr.vertex_link_hexagon_complex(s3m, 0)
-    for letter in link.hexagons[link.corners[0]]:
-        if letter["kind"] != "b":
+    link = expand_link(tr.vertex_link_hexagon_complex(s3m, 0))
+    for let in link.hexagons[link.corners[0]]:
+        if let["kind"] != "b":
             continue
-        B = beta_label(labels, letter["token"])
+        B = beta_label(labels, let["token"])
         BB = mat3_mul(B, B)
         for i in range(3):
             for j in range(3):
@@ -92,12 +96,12 @@ def test_beta_involution_interval(s3m):
 def test_gamma_reversal_inverts(s3m):
     rng = random.Random(10)
     labels, _ = random_realized_labels(s3m, rng)
-    link = tr.vertex_link_hexagon_complex(s3m, 0)
-    for letter in link.hexagons[link.corners[0]]:
-        if letter["kind"] != "g":
+    link = expand_link(tr.vertex_link_hexagon_complex(s3m, 0))
+    for let in link.hexagons[link.corners[0]]:
+        if let["kind"] != "g":
             continue
-        fwd = gamma_label(labels, letter["tet"], letter["s_start"])
-        rev = gamma_label(labels, letter["tet"], letter["s_end"])
+        fwd = gamma_label(labels, let["tet"], let["s_start"])
+        rev = gamma_label(labels, let["tet"], let["s_end"])
         P = mat3_mul(fwd, rev)
         for i in range(3):
             for j in range(3):
@@ -107,13 +111,14 @@ def test_gamma_reversal_inverts(s3m):
 def test_identified_middle_edges_share_labels(dodec27a, verified27a):
     labels = gb.CocycleLabels(dodec27a, geo.EdgeParams(verified27a.box.nu, FLOAT_KERNEL))
     link = tr.vertex_link_hexagon_complex(dodec27a, 0)
-    # the two hexagons adjacent to a middle edge fetch one label slot, and
-    # so one row of the ball table
-    for token, (c1, c2) in list(link.beta_pairs.items())[:40]:
-        sides = [let for c in (c1, c2) for let in link.hexagons[c]
-                 if let["kind"] == "b" and let["token"] == token]
-        assert len(sides) == 2
-        assert labels.slot(sides[0]) == labels.slot(sides[1])
+    # each side of a middle edge reads its label from its own simplex: the
+    # two sides read different rows of the table, with the same bits
+    lo, hi = labels.label_bounds()
+    sides = np.flatnonzero(link.other_side >= 0)
+    own, other = link.label[sides], link.label[link.other_side[sides]]
+    assert (own != other).any()
+    assert lo[own].tobytes() == lo[other].tobytes()
+    assert hi[own].tobytes() == hi[other].tobytes()
 
 
 # -- cocycle closure ----------------------------------------------------------
@@ -143,19 +148,19 @@ def test_cocycle_closure_detects_wrong_index_rule(s3m):
     rng = random.Random(13)
     labels, _ = random_realized_labels(s3m, rng, kernel=k)
 
-    orig = gb.CocycleLabels.slot
+    orig = gimbal_oracle.label_slot_of
 
-    def wrong_face_pair(self, letter):
+    def wrong_face_pair(letter):
         if letter["kind"] == "g":
             sigma = letter["s_start"]
             letter = dict(letter, s_start=(sigma[0], sigma[2], sigma[1], sigma[3]))
-        return orig(self, letter)
+        return orig(letter)
 
     try:
-        gb.CocycleLabels.slot = wrong_face_pair
+        gimbal_oracle.label_slot_of = wrong_face_pair
         fails = check_cocycle_closure(s3m, labels)
     finally:
-        gb.CocycleLabels.slot = orig
+        gimbal_oracle.label_slot_of = orig
     assert fails
 
 
@@ -166,7 +171,7 @@ def test_prism_holonomy_s3(s3m):
     k = FloatKernel()
     v = -2.0
     labels = gb.CocycleLabels(s3m, geo.EdgeParams(k.points([v] * 6), k))
-    link = tr.vertex_link_hexagon_complex(s3m, 0)
+    link = expand_link(tr.vertex_link_hexagon_complex(s3m, 0))
     theta = math.acos(-v / (1 - 2 * v))
     c2, s2 = math.cos(2 * theta), math.sin(2 * theta)
     want = ((c2, -s2, 0.0), (s2, c2, 0.0), (0.0, 0.0, 1.0))
@@ -182,9 +187,9 @@ def test_prism_holonomy_s3(s3m):
 def test_prism_holonomy_single_incidence_synthetic(s3m):
     k = FloatKernel()
     labels = gb.CocycleLabels(s3m, geo.EdgeParams(k.points([-2.0] * 6), k))
-    link = tr.vertex_link_hexagon_complex(s3m, 0)
+    link = expand_link(tr.vertex_link_hexagon_complex(s3m, 0))
     end = link.prism_ends[0]
-    solo = tr.PrismEnd(0, end.edge_class, end.gammas[:1], end.boundary_lvs)
+    solo = link_oracle.PrismEnd(0, end.edge_class, end.gammas[:1], end.boundary_lvs)
 
     class L:
         prism_ends = [solo]
@@ -201,7 +206,7 @@ def test_prism_holonomy_single_incidence_synthetic(s3m):
 def test_prism_holonomy_certified_encloses_identity(dodec27a, verified27a):
     box = verified27a.box
     labels = gb.CocycleLabels(dodec27a, geo.EdgeParams(box.nu, FLOAT_KERNEL))
-    link = tr.vertex_link_hexagon_complex(dodec27a, 0)
+    link = expand_link(tr.vertex_link_hexagon_complex(dodec27a, 0))
     for end in link.prism_ends[:6]:
         H = prism_holonomy(labels, link, end.pid)
         for i in range(3):
@@ -221,10 +226,10 @@ def test_loop_builder_and_validator(hyperbolic_triangulations):
             for removed in picks:
                 loop = gb.build_gimbal_loop(link, removed)
                 assert gb.validate_gimbal_loop(loop)
-                p_letters = [l for l in loop.word if l["kind"] == "P"]
-                assert sorted(l["pid"] for l in p_letters) == sorted(removed)
-                used = {l["owner"] for l in loop.word if l["kind"] != "P"}
-                assert len(loop.word) <= 6 * len(used) + len(removed)
+                word = loop.word
+                assert sorted((-1 - word[word < 0]).tolist()) == sorted(removed)
+                used = set((word[word >= 0] // 6).tolist())
+                assert len(word) <= 6 * len(used) + len(removed)
 
 
 def test_loop_validator_rejects_tampering(dodec27a):
@@ -235,7 +240,7 @@ def test_loop_validator_rejects_tampering(dodec27a):
         loop.vertex_class,
         link,
         loop.removed,
-        [l for l in loop.word if not (l["kind"] == "P" and l["pid"] == 0)],
+        loop.word[loop.word != -1],
     )
     with pytest.raises(gb.GimbalLoopError):
         gb.validate_gimbal_loop(bad)
@@ -335,9 +340,9 @@ def test_direction_sum_oracle(dodec27a, verified27a):
 
 @pytest.mark.parametrize("name", ["dodec27a", "dodec27b", "dodec30x2", "scaling24-seed7"])
 def test_edge_direction_table_reads_each_letters_own_label(name, hyperbolic_triangulations):
-    # the table takes a hexagon's slots from its tetrahedron and local
-    # vertex; a middle letter's label, made from its canonical token's side,
-    # is the same bits at its own side, so T is what per-letter slots give
+    # a link's label slots name every letter from its own side; a middle
+    # letter's label, from its canonical token's side, is the same bits, so
+    # T is what the reference's per-letter slots give
     if name == "scaling24-seed7":
         tri = _scaling_member(24, seed=7)
     else:
@@ -347,9 +352,8 @@ def test_edge_direction_table_reads_each_letters_own_label(name, hyperbolic_tria
     label, _ = labels.label_bounds()
     own, token = [], []
     for link in links_of(tri):
-        for tet, a in link.corners:
-            own += list(24 * tet + gb._HEXAGON_SLOTS[a])
-            token += [labels.slot(letter) for letter in link.hexagons[(tet, a)]]
+        own += link.label.tolist()
+        token += [gimbal_oracle.label_slot_of(letter(link, s)) for s in range(len(link.label))]
     assert own != token  # some middle letters are named from the other side
     assert label[own].tobytes() == label[token].tobytes()
 
@@ -366,9 +370,9 @@ def test_edge_direction_table(name, hyperbolic_triangulations, verified_all):
     for k, link in enumerate(links):
         dirs = edge_end_directions(tri, params, k, links)
         want = np.zeros((3, tri.m))
-        for end in link.prism_ends:
-            d = dirs[end.pid]
-            want[:, end.edge_class] += (-d[2], d[1], -d[0])
+        for pid, cls in enumerate(link.end_class.tolist()):
+            d = dirs[pid]
+            want[:, cls] += (-d[2], d[1], -d[0])
         assert np.allclose(table[3 * k:3 * k + 3], want, rtol=0.0, atol=1e-12)
 
     labels = _point_labels(tri, params.values)
@@ -403,18 +407,15 @@ def test_gimbal_function_zero_at_full_turns(dodec27a, verified27a):
 
 
 class _SyntheticLabels:
-    """Labels for a hand-made loop: every edge letter looks up a fixed
-    float-interval matrix by token, one label slot per token."""
+    """Labels for a hand-made loop: a table of fixed float-interval
+    matrices, one row per name, in order."""
 
     def __init__(self, mats):
-        self.tokens = list(mats)
+        self.rows = list(mats)
         self.bounds = _bounds(mats.values())
 
     def label_bounds(self):
         return self.bounds
-
-    def slot(self, letter):
-        return self.tokens.index(letter["token"])
 
 
 def _bounds(ms):
@@ -430,8 +431,12 @@ def _derivatives(loop, labels, boxes):
     return {v: ks.entries(m) for v, m in derivs.items()}
 
 
-def _synthetic_loop(removed_pids, word):
-    loop = gb.GimbalLoop(0, None, tuple(removed_pids), word)
+def _synthetic_loop(labels, removed_pids, word):
+    """A hand-made loop: an edge letter is the name of its label row, a
+    polygon letter its pid; the loop's link passes the rows through."""
+    rows = [-1 - w if isinstance(w, int) else labels.rows.index(w) for w in word]
+    link = types.SimpleNamespace(label=np.arange(len(labels.rows)))
+    loop = gb.GimbalLoop(0, link, tuple(removed_pids), np.array(rows))
     loop.variable_of_pid = {pid: i for i, pid in enumerate(removed_pids)}
     return loop
 
@@ -450,13 +455,7 @@ def test_example_gimbal_lock_antipodal_axes():
     )
     mats = {"pi": half_turn_x, "pi_inv": half_turn_x}
     labels = _SyntheticLabels(mats)
-    word = [
-        {"kind": "edge", "token": "pi_inv"},
-        {"kind": "P", "pid": 1},
-        {"kind": "edge", "token": "pi"},
-        {"kind": "P", "pid": 0},
-    ]
-    loop = _synthetic_loop([0, 1], word)
+    loop = _synthetic_loop(labels, [0, 1], ["pi_inv", 1, "pi", 0])
     boxes = [TWO_PI, TWO_PI]
     derivs = _derivatives(loop, labels, boxes)
     D = np.zeros((2, 3))
@@ -482,13 +481,7 @@ def test_example_lock_avoided_after_perturbation():
     tilt = _const_mat3(k, ((1.0, 0.0, 0.0), (0.0, c, -s), (0.0, s, c)))
     tilt_inv = _const_mat3(k, ((1.0, 0.0, 0.0), (0.0, c, s), (0.0, -s, c)))
     labels = _SyntheticLabels({"pi": tilt, "pi_inv": tilt_inv})
-    word = [
-        {"kind": "edge", "token": "pi_inv"},
-        {"kind": "P", "pid": 1},
-        {"kind": "edge", "token": "pi"},
-        {"kind": "P", "pid": 0},
-    ]
-    loop = _synthetic_loop([0, 1], word)
+    loop = _synthetic_loop(labels, [0, 1], ["pi_inv", 1, "pi", 0])
     derivs = _derivatives(loop, labels, [TWO_PI, TWO_PI])
     D = np.zeros((2, 3))
     for var, mat in derivs.items():
@@ -620,6 +613,12 @@ def _scaling_member(moves, seed=None):
     `moves` tetrahedra, with lengths exact from hyperboloid coordinates.
     With a seed, the tetrahedra are taken in the order that seed shuffles
     them into, as the benchmark's scaling family does."""
+    return tr.parse(scaling_text(moves, seed))
+
+
+@functools.lru_cache(maxsize=None)
+def scaling_text(moves, seed=None):
+    """The `.tri` text of `_scaling_member(moves, seed)`."""
     demos = pathlib.Path(__file__).resolve().parent.parent / "demos"
     dps = mpmath.mp.dps
     sys.path.insert(0, str(demos))
@@ -638,7 +637,7 @@ def _scaling_member(moves, seed=None):
             tets_mv, gluings, hpts = bf.one_four_move(tets_mv, gluings, hpts, t)
         text = bf.triangulation_text(gluings)
         lengths = bf.lengths_for(tr.parse(text), tets_mv, hpts)
-    return tr.parse(text + "lengths:\n" + " ".join(lengths) + "\n")
+    return text + "lengths:\n" + " ".join(lengths) + "\n"
 
 
 def _gimbal_inputs(tri):
@@ -669,20 +668,21 @@ def test_gimbal_jacobian_memo_changes_no_bit(name, dodec27a, monkeypatch):
     # reference: a table row per letter occurrence, enclosing the label from
     # the scalar formulas, and every ball of the label and rotation tables
     # made one matrix at a time by the scalar reference
-    letters = [let for loop in loops if any(let["kind"] == "P" for let in loop.word)
-               for let in loop.word if let["kind"] != "P"]
-    row_of = {id(let): r for r, let in enumerate(letters)}
+    letters, per_occurrence = [], []
+    for loop in loops:
+        word = loop.word.copy()
+        edges = word >= 0
+        letters += [let for let in letters_of(loop) if let["kind"] != "P"]
+        word[edges] = np.arange(edges.sum())
+        link = types.SimpleNamespace(label=len(letters) - edges.sum() + np.arange(edges.sum()))
+        per_occurrence.append(gb.GimbalLoop(loop.vertex_class, link, loop.removed, word,
+                                            loop.variable_of_pid))
     ends = np.array([[[(x.lo_float(), x.hi_float()) for x in row]
                       for row in label_matrix(labels, let)] for let in letters])
-    looked_up = []
 
     class PerOccurrence:
         def label_bounds(self):
             return ends[..., 0], ends[..., 1]
-
-        def slot(self, letter):
-            looked_up.append(id(letter))
-            return row_of[id(letter)]
 
     def scalar_rotation_stacks(boxes):
         return tuple(stack(balls) for balls in zip(*scalar_rotation_balls(ks.entries(boxes))))
@@ -690,9 +690,7 @@ def test_gimbal_jacobian_memo_changes_no_bit(name, dodec27a, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(gb, "_balls_of_bounds", scalar_balls_of_bounds)
         mp.setattr(gb, "rotation_balls", scalar_rotation_stacks)
-        reference = gb.assemble_gimbal_jacobian(loops, PerOccurrence(), theta_boxes)
-    # the reference went through the seam: once per edge letter
-    assert sorted(looked_up) == sorted(row_of)
+        reference = gb.assemble_gimbal_jacobian(per_occurrence, PerOccurrence(), theta_boxes)
     assert _entries(memo) == _entries(reference)
 
 
@@ -715,8 +713,8 @@ def test_stage_v_multiplies_at_most_two_rows_per_stack_row(name, dodec27a, monke
     # after its first
     stack = 0
     for loop in loops:
-        poly = [i for i, let in enumerate(loop.word) if let["kind"] == "P"]
-        if poly:
+        poly = np.flatnonzero(loop.word < 0)
+        if len(poly):
             stack += poly[-1] + len(loop.word) - 1 - poly[0]
     assert stack > 0
     assert sum(rows) <= 2 * stack

@@ -35,7 +35,7 @@ from hypcert.interval import (
 from tests.ball_oracle import scalar_ball_from_interval_mat3
 from tests.conftest import S3_TEXT
 from tests.geometry_oracle import edge_params_from_lengths
-from tests.gimbal_oracle import label_matrix, label_of
+from tests.gimbal_oracle import label_matrix, label_of, label_slot_of
 from tests.test_gimbal import _scaling_member
 from tests import kernel_scalars as ks
 
@@ -76,7 +76,7 @@ def _check_labels(tri, params):
         assert _matrix_bits(label_of(labels, letter)) == _matrix_bits(want), letter
         ends = [[(x.lo_float(), x.hi_float()) if interval else (x, x) for x in row]
                 for row in want]
-        slot = labels.slot(letter)
+        slot = label_slot_of(letter)
         assert _matrix_bits(lo[slot].tolist()) == _matrix_bits(
             [[a for a, _ in row] for row in ends]), letter
         assert _matrix_bits(hi[slot].tolist()) == _matrix_bits(

@@ -2,20 +2,24 @@
 
 `tests/link_oracle.py` keeps the link builder, the loop builder and the
 loop validator as they were before they became linear in a link's
-letters.  The links must match it field for field and the loops letter
-for letter, on the bundled fixtures, on the benchmark's scaling inputs and
-on every removed set `tests/test_gimbal.py` builds loops for; and both
-validators must reject each tampered loop with the same message.
+letters and before links and loops became integer slot tables and words.
+Expanded into the reference's dicts (`tests/link_slots.py`), the links
+must match it field for field and the loops letter for letter, on the
+bundled fixtures, on the benchmark's scaling inputs and on every removed
+set `tests/test_gimbal.py` builds loops for; and both validators must
+reject each tampered loop with the same message.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from hypcert import gimbal as gb
 from hypcert import triangulation as tr
 from tests import link_oracle
 from tests.conftest import data_path, stage_one
+from tests.link_slots import expand_link, expand_loop, letters_of, serialize_letters
 from tests.test_gimbal import _scaling_member
 from tests.test_triangulation import assert_link_matches
 
@@ -50,16 +54,17 @@ def test_links_and_loops_match_reference(name):
         link = tr.vertex_link_hexagon_complex(tri, k)
         ref = link_oracle.vertex_link_hexagon_complex(tri, k)
         assert_link_matches(link, ref)
+        expanded = expand_link(link)
         n = len(link.prism_ends)
         picks = [s for s in ([0], [n - 1], [0, 1, 2], [0, 1], [0, 3, 5]) if max(s) < n]
-        picks += [[pid for pid, end in enumerate(link.prism_ends) if end.edge_class in e]
+        picks += [[pid for pid, cls in enumerate(link.end_class.tolist()) if cls in e]
                   for e in loose]
         for removed in picks:
             loop = gb.build_gimbal_loop(link, removed)
             want = link_oracle.build_gimbal_loop(ref, removed)
-            assert loop.word == want.word, (k, removed)
-            assert loop.serialize() == want.serialize()
-            assert link_oracle.validate_gimbal_loop(loop)
+            assert letters_of(loop) == want.word, (k, removed)
+            assert loop.serialize() == serialize_letters(want.word)
+            assert link_oracle.validate_gimbal_loop(expand_loop(loop, expanded))
         for build, lk in ((gb.build_gimbal_loop, link), (link_oracle.build_gimbal_loop, ref)):
             with pytest.raises(gb.GimbalLoopError, match=f"^no prism end {n} in this link$"):
                 build(lk, [n])
@@ -68,11 +73,10 @@ def test_links_and_loops_match_reference(name):
 # -- the validator, clause by clause ---------------------------------------------
 
 
-def _lap(link, corner, lv):
-    """The boundary of a hexagon, from its letter that starts at lv."""
-    letters = link.hexagons[corner]
-    i = next(i for i, let in enumerate(letters) if let["start"] == lv)
-    return letters[i:] + letters[:i]
+def _lap(link, c, lv):
+    """The slots around hexagon c, from its letter that starts at lv."""
+    i = next(i for i in range(6) if link.start[6 * c + i] == lv)
+    return [6 * c + (i + j) % 6 for j in range(6)]
 
 
 def _move(word, i, j):
@@ -84,18 +88,16 @@ def _move(word, i, j):
 
 
 def _tampered(case, link):
-    """A loop over `link` broken in one way, and the message it must raise."""
+    """A loop over `link` broken in one way, the same loop as the
+    reference's dicts, and the message both must raise."""
     loop = gb.build_gimbal_loop(link, [0, 1, len(link.prism_ends) - 1])
-    word, removed = loop.word, loop.removed
-    poly = [i for i, let in enumerate(word) if let["kind"] == "P"]
+    word, removed = loop.word.tolist(), loop.removed
+    poly = [i for i, w in enumerate(word) if w < 0]
     # an edge letter followed by an edge letter
-    i = next(i for i in range(len(word) - 1)
-             if word[i]["kind"] != "P" and word[i + 1]["kind"] != "P")
-    # a middle edge of the loop's first hexagon, and the hexagon behind it
-    token = link.beta_of_corner[link.corners[0]][0]
-    a, b = link.beta_pairs[token]
-    side_a, side_b = ([let for let in link.hexagons[c] if let["token"] == token][0]
-                      for c in (a, b))
+    i = next(i for i in range(len(word) - 1) if word[i] >= 0 and word[i + 1] >= 0)
+    # a middle edge of the loop's first hexagon, and its other side
+    side_a, side_b = 1, int(link.other_side[1])
+    reference = None
     if case == "empty loop":
         word, message = [], "empty loop"
     elif case == "doubled polygon letter":
@@ -105,17 +107,22 @@ def _tampered(case, link):
         word = _move(word, poly[1], poly[0])
         message = "polygon letter preceded by another polygon"
     elif case == "unanchored polygon letter":
-        boundary = link.prism_ends[word[poly[0]]["pid"]].boundary_lvs
+        pid = -1 - word[poly[0]]
         j = next(j for j in range(len(word) - 1)
-                 if word[j]["kind"] != "P" and word[j + 1]["kind"] != "P"
-                 and word[j]["end"] not in boundary)
+                 if word[j] >= 0 and word[j + 1] >= 0 and link.end_pid[word[j]] != pid)
         word, message = _move(word, poly[0], j), "polygon letter not anchored on its boundary"
     elif case == "open edge path":
         word, message = word[:i] + word[i + 1:], "edge word is not a closed path"
     elif case == "owner slot does not match":
-        other = next(let["owner"] for let in word
-                     if let["kind"] != "P" and let["owner"] != word[i]["owner"])
-        word = word[:i] + [dict(word[i], owner=other)] + word[i + 1:]
+        # a slot is its owner hexagon's letter, so an owner cannot disagree
+        # with its slot: the word names slot i of a hexagon past the link's
+        # last, and the reference's dicts give a letter another hexagon
+        # owns
+        reference = letters_of(loop, word)
+        other = next(let["owner"] for let in reference
+                     if let["kind"] != "P" and let["owner"] != reference[i]["owner"])
+        reference[i] = dict(reference[i], owner=other)
+        word[i] += 6 * link.n_hexagons
         message = "letter does not match a unique owner slot"
     elif case == "unclaimed slot":
         # both sides of one middle edge, there and back: the other ten slots
@@ -124,13 +131,17 @@ def _tampered(case, link):
         message = "hexagon slots and word letters disagree"
     elif case == "doubly claimed slot":
         # a second lap around a used hexagon
-        word = word[:i] + _lap(link, word[i]["owner"], word[i]["start"]) + word[i:]
+        word = word[:i] + _lap(link, word[i] // 6, link.start[word[i]]) + word[i:]
         message = "hexagon slots and word letters disagree"
     elif case == "disconnected hexagons":
         # laps around two neighbours that cross no middle edge
-        word = _lap(link, a, side_a["start"]) + _lap(link, b, side_a["start"])
+        lv = link.start[side_a]
+        word = _lap(link, side_a // 6, lv) + _lap(link, side_b // 6, lv)
         removed, message = (), "hexagon disk is not connected"
-    return gb.GimbalLoop(loop.vertex_class, link, removed, word), message
+    bad = gb.GimbalLoop(loop.vertex_class, link, removed, np.array(word, dtype=np.intp))
+    if reference is None:
+        reference = letters_of(loop, word)
+    return bad, gb.GimbalLoop(loop.vertex_class, expand_link(link), removed, reference), message
 
 
 @pytest.mark.parametrize("case", [
@@ -147,7 +158,8 @@ def _tampered(case, link):
 @pytest.mark.parametrize("name", ["dodec27a", "dodec30x2"])
 def test_validator_rejects_tampering(case, name, hyperbolic_triangulations):
     link = tr.vertex_link_hexagon_complex(hyperbolic_triangulations[name], 0)
-    bad, message = _tampered(case, link)
-    for validate in (gb.validate_gimbal_loop, link_oracle.validate_gimbal_loop):
+    bad, reference, message = _tampered(case, link)
+    for validate, loop in ((gb.validate_gimbal_loop, bad),
+                           (link_oracle.validate_gimbal_loop, reference)):
         with pytest.raises(gb.GimbalLoopError, match=f"^{message}$"):
-            validate(bad)
+            validate(loop)

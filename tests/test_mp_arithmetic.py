@@ -118,3 +118,19 @@ def test_random_intervals_match_the_hull(prec, data):
     k = data.draw(st.one_of(st.integers(-(10**30), 10**30), st.floats(allow_nan=False)))
     _check_all(x, y)
     _check_reflected(x, k)
+
+
+@pytest.mark.parametrize("prec", (80, 120, 160))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_subtraction_is_adding_the_negation(prec, data):
+    # `__sub__` and `__rsub__` round [lo - b.hi, hi - b.lo] directly, with
+    # no negated copy; negation is exact, so that is a + (-b) bit for bit,
+    # zeros, infinities and float or integer operands included
+    x = data.draw(_mp_intervals(prec))
+    y = data.draw(_mp_intervals(prec))
+    k = data.draw(st.one_of(st.sampled_from([0, 0.0, -0.0, float("inf"), -float("inf")]),
+                            st.integers(-(10**30), 10**30), st.floats(allow_nan=False)))
+    _same(x - y, x + (-y))
+    _same(x - k, x + (-MPInterval.point(k, prec)))
+    _same(k - x, (-x) + k)

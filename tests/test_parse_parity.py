@@ -1,0 +1,182 @@
+"""`parse` on integer tables against the tuple-keyed parser it replaced.
+
+`tests/triangulation_oracle.py` keeps the old parser unchanged.  On every
+input below the two must agree: equal `Triangulation` fields and edge
+tables, or the same `TriangulationError` message.  The inputs are the
+bundled fixtures, the benchmark's scaling members, seeded relabelings of
+the fixtures and a seeded corpus of one-character mutations of them, in
+their gluing and in their lengths sections.  The only inputs allowed to
+differ are those of two fixes: a gluing target that `int()` reads but that
+is not ASCII digits, and a length that `float()` cannot read.
+"""
+
+import itertools
+import random
+import re
+
+import pytest
+
+from hypcert import triangulation as tr
+from tests import triangulation_oracle as oracle
+from tests.conftest import data_path
+from tests.test_gimbal import scaling_text
+
+FIXTURES = ("dodec27a", "dodec27b", "dodec30x2", "s3_twotet")
+# one-character edits: characters of the format, and some that int() or
+# float() read in ways the format does not allow
+ALPHABET = "0123456789:-+_. \n#tesabcdlngh:e١１x"
+MUTATIONS = 2000
+
+
+def _outcome(parse, text):
+    """('ok', triangulation) or ('error', message); any exception other
+    than a TriangulationError escapes, and fails the test."""
+    try:
+        return "ok", parse(text)
+    except tr.TriangulationError as exc:
+        return "error", str(exc)
+
+
+def _fixed_input(text):
+    """Whether `text` is an input of the two fixes: a gluing token whose
+    target `int()` reads but is not ASCII digits, or a lengths section with
+    a value `float()` cannot read."""
+    lines = [line.split("#", 1)[0].strip() for line in text.splitlines()]
+    lines = [line for line in lines if line]
+    in_lengths = False
+    for line in lines[1:]:
+        if line == "lengths:":
+            in_lengths = True
+            continue
+        # a tet line's gluings follow its first colon
+        for tok in line.split() if in_lengths else line.partition(":")[2].split():
+            if in_lengths:
+                try:
+                    float(tok)
+                except ValueError:
+                    return True
+            elif ":" in tok:
+                target = tok.partition(":")[0]
+                try:
+                    int(target)
+                except ValueError:
+                    continue
+                if not (target.isascii() and target.isdigit()):
+                    return True
+    return False
+
+
+def assert_same_parse(text):
+    """Both parsers agree on `text`, up to the two fixes."""
+    try:
+        want = _outcome(oracle.parse, text)
+    except ValueError as exc:  # the reference lets float()'s error escape
+        want = ("escaped", str(exc))
+    got = _outcome(tr.parse, text)
+    if got[0] == want[0] == "ok":
+        assert got[1] == want[1]
+        assert got[1].edge_table.tobytes() == want[1].edge_table.tobytes()
+        assert [e.representatives for e in got[1].edge_classes] == [
+            e.representatives for e in want[1].edge_classes]
+        assert [v.representatives for v in got[1].vertex_classes] == [
+            v.representatives for v in want[1].vertex_classes]
+    elif got != want:
+        assert _fixed_input(text), (text, got, want)
+        assert got[0] == "error" and re.search(r"bad target tet in|: not a number$", got[1])
+    return got[0]
+
+
+def _text(name):
+    return data_path(name + ".tri").read_text()
+
+
+@pytest.mark.parametrize("name", FIXTURES + tuple(
+    f"scaling{k}-seed{seed}" for k in (12, 24) for seed in (1, 2, 3, 7, 8)))
+def test_inputs_parse_alike(name):
+    if name.startswith("scaling"):
+        moves, seed = name[len("scaling"):].split("-seed")
+        text = scaling_text(int(moves), int(seed))
+    else:
+        text = _text(name)
+    assert assert_same_parse(text) == "ok"
+
+
+_EVEN = [p for p in itertools.permutations(range(4)) if tr.perm_parity(p) == 1]
+
+
+def _relabeled(tri, rng):
+    """The gluing text of `tri` with its tets renumbered and each tet's
+    vertices relabeled by an even permutation, which keeps every gluing
+    odd; the lengths section is kept."""
+    n = tri.n_tets
+    new_of = list(range(n))
+    rng.shuffle(new_of)
+    sigma = [rng.choice(_EVEN) for _ in range(n)]
+    rows = [None] * n
+    for t in tri.tets:
+        row = [None] * 4
+        for f, (j, p) in enumerate(zip(t.neighbors, t.perms)):
+            inv = tr.perm_inverse(sigma[t.index])
+            q = tuple(sigma[j][p[inv[v]]] for v in range(4))  # sigma_j p sigma_t^-1
+            row[sigma[t.index][f]] = f"{new_of[j]}:" + "".join(map(str, q))
+        rows[new_of[t.index]] = row
+    head = f"tets {n}\n" + "".join(f"tet {i}: {' '.join(r)}\n" for i, r in enumerate(rows))
+    return head + "lengths:\n" + " ".join(map(repr, tri.lengths or [])) + "\n"
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_relabelings_parse_alike(name):
+    tri = tr.parse(_text(name))
+    rng = random.Random(f"relabel {name}")
+    for _ in range(50):
+        text = _relabeled(tri, rng)
+        if tri.lengths is None:
+            text = text.rsplit("lengths:", 1)[0]
+        assert assert_same_parse(text) == "ok"
+
+
+def _mutated(text, rng, lo, hi):
+    """`text` with one character replaced, inserted or deleted at a
+    position in [lo, hi)."""
+    i = rng.randrange(lo, hi)
+    c = rng.choice(ALPHABET)
+    edit = rng.randrange(3)
+    if edit == 0:
+        return text[:i] + c + text[i + 1:]
+    if edit == 1:
+        return text[:i] + c + text[i:]
+    return text[:i] + text[i + 1:]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_mutations_parse_alike(name):
+    text = _text(name)
+    rng = random.Random(f"mutate {name}")
+    split = text.find("lengths:")
+    sections = [(0, split), (split, len(text))] if split >= 0 else [(0, len(text))]
+    seen = {"ok": 0, "error": 0}
+    for k in range(MUTATIONS):
+        lo, hi = sections[k % len(sections)]
+        seen[assert_same_parse(_mutated(text, rng, lo, hi))] += 1
+    assert seen["error"] > MUTATIONS // 4
+
+
+def test_fixed_inputs_are_the_only_differences():
+    # each fix, on an input the reference accepts or reports otherwise
+    text = _text("dodec27a")
+    i = text.index(" 10:")
+    for target in ("1_0", "+10", "١٠", "１0"):
+        bad = text[:i + 1] + target + text[i + 3:]
+        assert oracle.parse(bad) == tr.parse(text)  # int() reads it as 10
+        with pytest.raises(tr.TriangulationError,
+                           match=re.escape(f": bad target tet in '{target}:")):
+            tr.parse(bad)
+        assert _fixed_input(bad)
+    head, lengths = text.split("lengths:\n")
+    bad = head + "lengths:\n1.0x " + lengths
+    with pytest.raises(ValueError, match="could not convert"):
+        oracle.parse(bad)
+    with pytest.raises(tr.TriangulationError, match=r"^length 0 is '1\.0x': not a number$"):
+        tr.parse(bad)
+    assert _fixed_input(bad)
+    assert not _fixed_input(text)

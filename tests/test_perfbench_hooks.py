@@ -72,7 +72,7 @@ def test_traced_run_reports_stage_v(tracing, dodec27a):
     longest_block = longest_segment = 1
     for loop in res.box.loops:
         n = len(loop.word)
-        poly = [i for i, let in enumerate(loop.word) if let["kind"] == "P"]
+        poly = [i for i, w in enumerate(loop.word.tolist()) if w < 0]
         for lengths in (block_lengths(poly[:-1], poly[-1]),
                         block_lengths([n - 1 - p for p in poly[1:]], n - 1 - poly[0])):
             longest_block = max([longest_block, *lengths])

@@ -7,6 +7,7 @@ import pytest
 
 from hypcert import triangulation as tr
 from tests import link_oracle
+from tests.link_slots import expand_link
 from tests.conftest import BAD_LINK_TEXT, DEGREE_ONE_TEXT, S3_TEXT
 
 
@@ -216,7 +217,7 @@ def test_link_hexagon_counts(hyperbolic_triangulations, s3):
 def test_link_euler_characteristic(hyperbolic_triangulations, s3):
     for t in list(hyperbolic_triangulations.values()) + [s3]:
         for k in range(t.o):
-            link = tr.vertex_link_hexagon_complex(t, k)
+            link = expand_link(tr.vertex_link_hexagon_complex(t, k))
             V = len({letter["start"] for cycle in link.hexagons.values() for letter in cycle})
             E = len(link.beta_pairs) + len(link.gamma_to_end)
             F = link.n_hexagons + len(link.prism_ends)
@@ -228,9 +229,8 @@ def test_prism_end_boundary_lengths(hyperbolic_triangulations, s3):
     for t in list(hyperbolic_triangulations.values()) + [s3]:
         for k in range(t.o):
             link = tr.vertex_link_hexagon_complex(t, k)
-            for end in link.prism_ends:
-                inc = len(t.edge_classes[end.edge_class].representatives)
-                assert len(end.gammas) == inc
+            for cycle, cls in zip(link.prism_ends, link.end_class):
+                assert len(cycle) == len(t.edge_classes[cls].representatives)
 
 
 def test_prism_ends_cover_edge_ends(dodec30x2):
@@ -242,7 +242,7 @@ def test_prism_ends_cover_edge_ends(dodec30x2):
 
 
 def test_hexagon_boundary_closes(dodec27a):
-    link = tr.vertex_link_hexagon_complex(dodec27a, 0)
+    link = expand_link(tr.vertex_link_hexagon_complex(dodec27a, 0))
     for corner, letters in link.hexagons.items():
         for cur, nxt in zip(letters, letters[1:] + letters[:1]):
             assert cur["end"] == nxt["start"]
@@ -259,10 +259,12 @@ def test_degree_one_edge_has_no_link():
 
 
 def assert_link_matches(link, ref):
-    """`link` has every field of the reference's `LinkComplex`, equal, and
-    in the same order where the reference's order is deterministic (it
-    fills `lv_to_pid` from a set).  A letter has one key more than the
+    """The slot tables of `link`, expanded (`tests/link_slots.py`), have
+    every field of the reference's `LinkComplex`, equal, and in the same
+    order where the reference's order is deterministic (it fills
+    `lv_to_pid` from a set).  A letter has one key more than the
     reference's, its owner hexagon."""
+    link = expand_link(link)
     for f in dataclasses.fields(ref):
         got, want = getattr(link, f.name), getattr(ref, f.name)
         if f.name == "hexagons":

@@ -34,6 +34,9 @@ def _load(path):
     except FileNotFoundError:
         print(f"error: no such file: {path}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
+    except OSError as exc:  # a directory, an unreadable file
+        print(f"error: cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(EXIT_INPUT)
     except (TriangulationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
@@ -140,7 +143,7 @@ def cmd_recheck(args):
         with open(args.certificate, "r", encoding="utf-8") as fh:
             doc = cert.parse_certificate(fh.read())
         ok, detail = cert.recheck(tri, doc)
-    except (OSError, cert.CertificateError) as exc:
+    except (OSError, UnicodeDecodeError, cert.CertificateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     print(detail)

@@ -297,7 +297,9 @@ class CocycleLabels:
     which `data`, when given, must be the `SimplexData` of.  The cosine
     and sine of every dihedral angle and every vertex angle are kernel
     arrays over all simplices: the dihedral cosines are `SimplexData.cos`,
-    the vertex-angle cosines come from the Gram columns, and each sine is
+    the vertex-angle cosines come from the Gram columns over the sinh of
+    the edges, sqrt(nu nu - 1), taken once per edge class and gathered by
+    the Gram index, and each sine is
     sqrt_nonneg(-(c c) + 1), all in the operation order of the scalar
     formulas (kept in `tests/geometry_oracle.py`), so bit for bit the
     scalar values.  Every label is read from one table: the float
@@ -315,10 +317,10 @@ class CocycleLabels:
         self.data = data
         kernel = self.kernel = data.kernel
         g_ij, g_ik, g_jk = (data.gram[:, cols] for cols in (_VA_IJ, _VA_IK, _VA_JK))
+        nu = params.values
+        sinh, gram = kernel.sqrt(nu * nu - 1.0), geo._plan(tri).gram
         self.dihedral_cos = data.cos
-        self.vertex_cos = (g_ij * g_ik + g_jk) / (
-            kernel.sqrt(g_ij * g_ij - 1.0) * kernel.sqrt(g_ik * g_ik - 1.0)
-        )
+        self.vertex_cos = (g_ij * g_ik + g_jk) / (sinh[gram[:, _VA_IJ]] * sinh[gram[:, _VA_IK]])
         self.dihedral_sin, self.vertex_sin = (
             kernel.sqrt_nonneg(-(c * c) + 1.0) for c in (self.dihedral_cos, self.vertex_cos)
         )

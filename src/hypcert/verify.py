@@ -11,7 +11,10 @@ II   enclose a solution of the kept equations over the variable
      parameters with the Krawczyk operator and epsilon inflation (rounds
      whose centre term leaves the box are skipped), its small Jacobian
      term on 53-bit intervals at every precision;
-III  verify the realization conditions of every simplex over the box;
+III  verify the realization conditions of every simplex over the box:
+     at 53 bits stage II hands over the SimplexData of its last operator
+     step when that step was evaluated on the certified box itself, which
+     proved them there, and otherwise they are evaluated afresh;
 IV   enclose the angle sums of the loose edges and check they contain a
      full turn;
 V    exclude gimbal lock, which upgrades the loose equations to exact
@@ -85,7 +88,9 @@ class CertifiedBox:
     statuses: dict = field(default_factory=dict)
     loops: list = None
     precision: int = 53
-    gram_data: geo.SimplexData = None  # over nu, from steps III/IV
+    # over nu: from stage II's last step when that step saw the certified
+    # box, else from steps III/IV
+    gram_data: geo.SimplexData = None
 
 
 @dataclass
@@ -349,7 +354,9 @@ def _subsystem_functions(tri, partition, fixed_values, kernel):
     """Interval residual and Jacobian of the kept equations over the
     kept edges' parameters, kernel arrays in and out, with the loose
     parameters frozen at floats (53-bit points in the Jacobian, which the
-    operator evaluates on 53-bit boxes)."""
+    operator evaluates on 53-bit boxes).  Returns (f_iv, jac_iv, seen):
+    `seen` holds the last box the Jacobian was evaluated on ("box") and
+    its SimplexData ("data"), recorded as soon as the data is formed."""
     kept = partition.e_eq
     # all edges at the float points; each call fills in the kept ones
     points = {k: k.points(fixed_values) for k in (kernel, FLOAT_KERNEL)}
@@ -363,10 +370,14 @@ def _subsystem_functions(tri, partition, fixed_values, kernel):
     def f_iv(xs):
         return geo.angle_sums(tri, full_params(xs, kernel))[kept] - two_pi
 
-    def jac_iv(xs):
-        return geo.jacobian(tri, full_params(xs, FLOAT_KERNEL), rows=kept, cols=kept)
+    seen = {}
 
-    return f_iv, jac_iv
+    def jac_iv(xs):
+        params = full_params(xs, FLOAT_KERNEL)
+        seen["box"], seen["data"] = xs, geo.simplex_data(tri, params)
+        return geo.jacobian(tri, params, data=seen["data"], rows=kept, cols=kept)
+
+    return f_iv, jac_iv, seen
 
 
 def krawczyk_certify(tri, p0, partition, jsub, residual, kernel=None):
@@ -376,14 +387,16 @@ def krawczyk_certify(tri, p0, partition, jsub, residual, kernel=None):
     and `residual` are stage I's float kept x kept Jacobian block and the
     float residual vector (Theta_e - 2 pi)_e at p0.  Returns a CertifiedBox
     with point intervals on the loose edges; raises StepFailure on no
-    containment.
+    containment.  At 53 bits, when the last operator step was evaluated on
+    the enclosure itself, the box carries that step's SimplexData.
     """
     if kernel is None:
         kernel = FLOAT_KERNEL
     kept = partition.e_eq
     nu = kernel.points(p0)
+    data = None
     if kept:
-        f_iv, jac_iv = _subsystem_functions(tri, partition, p0, kernel)
+        f_iv, jac_iv, seen = _subsystem_functions(tri, partition, p0, kernel)
         try:
             C = np.linalg.inv(np.array(jsub, dtype=float))
         except np.linalg.LinAlgError:
@@ -394,8 +407,14 @@ def krawczyk_certify(tri, p0, partition, jsub, residual, kernel=None):
             raise StepFailure(2, "no interval containment: the candidate is not close "
                                  "enough to a solution of the kept equations")
         nu[kept] = enclosure
+        # an enclosure comes from a successful step, so `seen` is filled
+        if kernel is FLOAT_KERNEL and all(
+            np.array_equal(a, b)
+            for a, b in zip(kernel.exact_bounds(enclosure), kernel.exact_bounds(seen["box"]))
+        ):
+            data = seen["data"]
     return CertifiedBox(nu=nu, theta=None, partition=partition, statuses={2: "contained"},
-                        precision=kernel.precision)
+                        precision=kernel.precision, gram_data=data)
 
 
 # ---------------------------------------------------------------------------
@@ -408,12 +427,15 @@ def check_realization_and_angles(tri, box):
 
     Fills box.theta and records step statuses; raises StepFailure when a
     simplex cannot be proven realized or a loose angle-sum enclosure does
-    not contain a full turn.
+    not contain a full turn.  The box's `gram_data`, when stage II handed
+    it over, is its SimplexData, proven realized there.
     """
     kernel = kernel_for_precision(box.precision)
+    data = box.gram_data
     try:
         params = geo.EdgeParams(box.nu, kernel)
-        data = geo.simplex_data(tri, params)
+        if data is None:
+            data = geo.simplex_data(tri, params)
     except geo.RealizationError as exc:
         raise StepFailure(3, str(exc))
     box.statuses[3] = "all simplices realized"

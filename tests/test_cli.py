@@ -450,6 +450,26 @@ def test_python_m_hypcert_without_arguments_exits_one():
     assert "the following arguments are required: command" in proc.stderr
 
 
+def test_directory_as_triangulation_exit_one(tmp_path):
+    # every command that reads a triangulation reports a path it cannot
+    # read, here a directory, as an input error
+    for args in (["check"], ["solve"], ["certify"], ["probe-gimbal"], ["recheck"]):
+        extra = [str(tmp_path / "no.json")] if args == ["recheck"] else []
+        proc = _python_m_hypcert(*args, str(tmp_path), *extra)
+        assert proc.returncode == 1, args
+        assert proc.stderr.startswith(f"error: cannot read {tmp_path}: "), args
+        assert "Traceback" not in proc.stderr + proc.stdout
+
+
+def test_recheck_certificate_not_utf8_exit_one(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli(capsys, "recheck", str(data_path("dodec27a.tri")), str(bad))
+    assert code == 1
+    assert err.startswith("error: ") and "decode" in err
+    assert out == ""
+
+
 def test_probe_gimbal_degree_one_edge_exit_one(tmp_path):
     # parsing rejects the gluing, so every command that reads it exits 1
     f = tmp_path / "degree_one.tri"

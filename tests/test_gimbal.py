@@ -616,9 +616,9 @@ def _scaling_member(moves, seed=None):
     return tr.parse(scaling_text(moves, seed))
 
 
-@functools.lru_cache(maxsize=None)
-def scaling_text(moves, seed=None):
-    """The `.tri` text of `_scaling_member(moves, seed)`."""
+def _build_fixtures():
+    """`demos/build_fixtures`, imported without changing mpmath's
+    precision."""
     demos = pathlib.Path(__file__).resolve().parent.parent / "demos"
     dps = mpmath.mp.dps
     sys.path.insert(0, str(demos))
@@ -627,17 +627,40 @@ def scaling_text(moves, seed=None):
     finally:
         sys.path.remove(str(demos))
         mpmath.mp.dps = dps
+    return bf
+
+
+def _moved_text(moves, pick):
+    """The `.tri` text, with lengths, of `dodec27a`'s cone complex after
+    `moves` 1-4 moves, the k-th in tetrahedron `pick(k, n_tets)`."""
+    bf = _build_fixtures()
     with mpmath.workdps(60):
         tets_mv, gluings, pts = bf.build_cone_complex(0)
         hpts = bf.hyperboloid_points(pts, bf.circumradius())
-        order = list(range(len(tets_mv)))
-        if seed is not None:
-            random.Random(seed).shuffle(order)
-        for t in order[:moves]:
+        for k in range(moves):
+            t = pick(k, len(tets_mv))
             tets_mv, gluings, hpts = bf.one_four_move(tets_mv, gluings, hpts, t)
         text = bf.triangulation_text(gluings)
         lengths = bf.lengths_for(tr.parse(text), tets_mv, hpts)
     return text + "lengths:\n" + " ".join(lengths) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def scaling_text(moves, seed=None):
+    """The `.tri` text of `_scaling_member(moves, seed)`."""
+    order = list(range(27))  # dodec27a's tetrahedra
+    if seed is not None:
+        random.Random(seed).shuffle(order)
+    return _moved_text(moves, lambda k, n_tets: order[k])
+
+
+@functools.lru_cache(maxsize=None)
+def resubdivided_text(moves, seed):
+    """The `.tri` text of `dodec27a`'s cone complex after `moves` 1-4 moves,
+    each in the tetrahedron `random.Random(seed).randrange(n_tets)` picks,
+    so a tetrahedron made by a move may be subdivided again."""
+    rng = random.Random(seed)
+    return _moved_text(moves, lambda k, n_tets: rng.randrange(n_tets))
 
 
 def _gimbal_inputs(tri):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -23,7 +24,7 @@ from tests import krawczyk_oracle
 from tests.conftest import data_path, links_of, stage_one
 from tests.geometry_oracle import point_like
 from tests.matrix_oracle import assert_encloses_exact, select_submatrix_full_update
-from tests.test_gimbal import _scaling_member
+from tests.test_gimbal import _scaling_member, resubdivided_text
 from tests import kernel_scalars as ks
 
 
@@ -607,6 +608,83 @@ def test_stage_two_reuses_stage_one_float_data(dodec27a, verified27a, monkeypatc
     assert [(x.lo, x.hi) for x in ks.entries(result.box.nu)] == [
         (x.lo, x.hi) for x in ks.entries(verified27a.box.nu)
     ]
+
+
+# -- the SimplexData stage II hands to stage III -------------------------------
+
+# sha256 of `certificate_json` of `resubdivided_text(8, 3)` (51 tetrahedra),
+# pinned before stage III took stage II's SimplexData
+RESUBDIVIDED_SHA256 = "f28a7fd9a002ed09ee6eb50b03946cc935673c0771ad61e40771c33abd27f1ae"
+
+
+def _handoff_run(monkeypatch, tri, precision=53):
+    """run_pipeline with its `simplex_data` calls counted, the boxes of its
+    operator steps recorded, and whether stage III found SimplexData on the
+    box; returns (result, calls, step boxes, handed)."""
+    calls, steps, handed = [], [], []
+    simplex_data, step = geo.simplex_data, verify.krawczyk_step
+    stage_three = verify.check_realization_and_angles
+
+    def counting(tri, params):
+        calls.append(1)
+        return simplex_data(tri, params)
+
+    def recording_step(centre, jac_iv, X):
+        steps.append(X)
+        return step(centre, jac_iv, X)
+
+    def spy_stage_three(tri, box):
+        handed.append(box.gram_data is not None)
+        return stage_three(tri, box)
+
+    monkeypatch.setattr(geo, "simplex_data", counting)
+    monkeypatch.setattr(verify, "krawczyk_step", recording_step)
+    monkeypatch.setattr(verify, "check_realization_and_angles", spy_stage_three)
+    res = verify.run_pipeline(tri, precision=precision)
+    assert res.verified, res.statuses
+    return res, len(calls), steps, handed == [True]
+
+
+def _same_box(a, b):
+    return [(x.lo, x.hi) for x in ks.entries(a)] == [(x.lo, x.hi) for x in ks.entries(b)]
+
+
+def _certificate_digest(tri, res):
+    text = certificate.certificate_json(tri, res, "krawczyk")
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_stage_three_takes_last_step_data_after_refinement(monkeypatch):
+    # re-subdivided, the refinement narrows the box once and then stops; its
+    # last step saw the certified box, so stage III forms no SimplexData
+    # (one evaluation at p0, one at the centre, three steps)
+    tri = tr.parse(resubdivided_text(8, 3))
+    assert tri.n_tets == 51
+    res, calls, steps, handed = _handoff_run(monkeypatch, tri)
+    assert handed and calls == 5
+    kept = res.partition.e_eq
+    assert _same_box(res.box.nu[kept], steps[-1])
+    assert not _same_box(steps[-1], steps[-2])  # the refinement narrowed the box
+    assert _certificate_digest(tri, res) == RESUBDIVIDED_SHA256
+
+
+def test_stage_three_forms_data_when_last_step_saw_another_box(monkeypatch):
+    # one refinement step narrows the box and none evaluates the result, so
+    # stage III forms the SimplexData of the certified box itself
+    monkeypatch.setattr(verify, "_REFINE_ROUNDS", 1)
+    tri = tr.parse(resubdivided_text(8, 3))
+    res, calls, steps, handed = _handoff_run(monkeypatch, tri)
+    assert not handed and calls == 5
+    assert not _same_box(res.box.nu[res.partition.e_eq], steps[-1])
+    assert _certificate_digest(tri, res) == RESUBDIVIDED_SHA256
+
+
+@pytest.mark.parametrize("bits, want_calls", [(53, 4), (80, 5), (120, 5)])
+def test_stage_three_handoff_only_at_53_bits(dodec27a, monkeypatch, bits, want_calls):
+    # above 53 bits stage III runs on MP arrays and stage V forms 53-bit
+    # data of its own
+    _, calls, _, handed = _handoff_run(monkeypatch, dodec27a, precision=bits)
+    assert (calls, handed) == (want_calls, bits == 53)
 
 
 # -- step II: the skipped inflation rounds ------------------------------------

@@ -23,6 +23,7 @@ import os
 import sys
 
 import mpmath as mp
+import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -337,10 +338,11 @@ def triangulation_text(gluings):
 def lengths_for(tri, tets_mv, hpts, digits=22):
     """Edge-class lengths in canonical order, checked for consistency."""
     out = []
-    for ec in tri.edge_classes:
+    for states in np.split(tri.edge_states, np.cumsum(tri.edge_degrees)[:-1]):
         vals = []
-        for (t, (a, b), _) in ec.representatives:
+        for t, s in zip(*np.divmod(states, 24)):
             mv = tets_mv[t]
+            a, b = tr.LOCAL_EDGES[tr.PERM_EDGE[s]]
             vals.append(hyp_distance(hpts[mv[a]], hpts[mv[b]]))
         for v in vals[1:]:
             assert abs(v - vals[0]) < TOL, "edge class mixes chord lengths"

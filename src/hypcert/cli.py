@@ -75,7 +75,7 @@ def cmd_check(args):
     print(f"tetrahedra: {tri.n_tets}")
     print(f"edge classes: {tri.m}")
     print(f"vertex classes: {tri.o}")
-    sizes = sorted(len(e.representatives) for e in tri.edge_classes)
+    sizes = sorted(tri.edge_degrees.tolist())
     print(f"edge valences: {sizes}")
     print(f"lengths section: {'yes' if tri.lengths else 'no'}")
     print(f"hash: {cert.triangulation_hash(tri)}")

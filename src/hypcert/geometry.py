@@ -40,7 +40,7 @@ dihedral angle of every simplex in every parameter of the simplex, and
 a block gathers its entries from them.  A product two formulas share,
 c_ii c_jj of the cosines and the angle gaps, is formed once per
 `simplex_data` and kept on `SimplexData`.  What depends only on the
-gluing -- the Gram gather index, the angle sums' representative order
+gluing -- the Gram gather index, the angle sums' incidence order
 and rounds, and per Jacobian block its (simplex, local row, local
 column) triples and the rounds that sum them -- is a `_Plan` built on
 first use and kept on the `Triangulation`.
@@ -53,7 +53,7 @@ import math
 import numpy as np
 
 from .interval import REAL_KERNEL, DomainError
-from .triangulation import LOCAL_EDGE_INDEX, LOCAL_EDGES
+from .triangulation import LOCAL_EDGE_INDEX, LOCAL_EDGES, PERM_EDGE
 
 __all__ = [
     "RealizationError",
@@ -309,7 +309,7 @@ def _rounds(target):
 class _Plan:
     """What `simplex_data`, `angle_sums` and `jacobian` gather and sum by,
     which depends only on the gluing: the Gram gather index, the angle
-    sums' representatives and rounds, and one `_Block` per Jacobian block
+    sums' incidences and rounds, and one `_Block` per Jacobian block
     asked for.  Built once per triangulation (`_plan`)."""
 
     def __init__(self, tri):
@@ -320,12 +320,9 @@ class _Plan:
         self.gram = np.zeros((tri.n_tets, 16), dtype=np.intp)
         for e, (a, b) in enumerate(LOCAL_EDGES):
             self.gram[:, _ix(a, b)] = self.gram[:, _ix(b, a)] = self.edges[:, e]
-        # by class index; the stable sort keeps each class's representative
-        # order
-        reps = sorted(((ec.index, t, LOCAL_EDGE_INDEX[e]) for ec in tri.edge_classes
-                       for (t, e, _) in ec.representatives), key=lambda r: r[0])
-        cls, tets, edges = (np.array(x, dtype=np.intp) for x in zip(*reps))
-        self.reps = tets, edges
+        # by class index, each class's incidences in walk order
+        cls = np.repeat(np.arange(tri.m), tri.edge_degrees)
+        self.reps = tri.edge_states // 24, PERM_EDGE[tri.edge_states % 24]
         self.sum_first, *later = _rounds(cls)
         self.sum_later = [(sel, cls[sel]) for sel in later]
         self.blocks = {}
@@ -406,11 +403,6 @@ def _realization(kernel, G, C):
         ~(kernel.bounds(gap)[0] > 0.0)[:, ::-1],
     ])
     return failed, p[:, 16:22], gap
-
-
-def _unrealized(kernel, G, C):
-    """The `failed` booleans of `_realization`."""
-    return _realization(kernel, G, C)[0]
 
 
 class SimplexData:
@@ -506,8 +498,8 @@ def simplex_data(tri, params):
 
 def angle_sums(tri, params, data=None):
     """Theta_e per edge class, in canonical order, as one (m,) kernel array:
-    the dihedral angles at the class's representatives, summed in
-    representative order."""
+    the dihedral angles at the class's incidences, summed in the order of
+    the walk around the edge (`Triangulation.edge_states`)."""
     if data is None:
         data = simplex_data(tri, params)
     plan = _plan(tri)

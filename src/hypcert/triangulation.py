@@ -2,9 +2,12 @@
 
 Parses a plain-text gluing table for a finite triangulation of a closed
 oriented 3-manifold, validates it (involutive gluings, orientability,
-connectedness, spherical vertex links, no edge of degree 1) and derives the structures every
-later stage needs: edge classes with orientation flags, vertex classes,
-and the hexagonal vertex-link complexes of the doubly truncated simplices.
+connectedness, spherical vertex links, no edge of degree 1) and keeps the
+gluing as read-only integer tables: each face's neighbour and gluing
+permutation, each local edge's edge class, each corner's vertex class,
+and the edge classes' incidences as walk states, which carry the
+orientation of each incidence.  The hexagonal vertex-link complexes of
+the doubly truncated simplices are built from the same tables.
 
 File format (UTF-8, line oriented, '#' comments allowed)::
 
@@ -15,16 +18,16 @@ File format (UTF-8, line oriented, '#' comments allowed)::
     l_1 l_2 ... l_m
 
 Face f of tet i is glued to tet jf via the vertex map 0->a, 1->b, 2->c,
-3->d.  A gluing is ASCII digits, a colon and one of the 24 permutation
-strings; an unglued face is written '-' (rejected later as not closed).
-The optional lengths section lists one decimal per edge class in
-canonical order, each positive and with a finite cosh.
+3->d.  N and a gluing's target are ASCII digits; a gluing is its target,
+a colon and one of the 24 permutation strings; an unglued face is written
+'-' (rejected later as not closed).  The optional lengths section lists
+one ASCII decimal per edge class in canonical order, each positive and
+with a finite cosh.
 
-The parser holds the gluing as (n, 4) tables of neighbours and
-permutation indices, a permutation's index in S4 (`PERMS`, in
-lexicographic order, so indices order as the tuples do).  Parity and
-involution are table lookups, vertex classes a flood over the integer
-corner ids 4 tet + v, and edge classes a walk over the integer tables.
+A permutation is held as its index in S4 (`PERMS`, in lexicographic
+order, so indices order as the tuples do).  Parity and involution are
+table lookups, vertex classes a flood over the integer corner ids
+4 tet + v, and edge classes a walk over the states 24 tet + s.
 """
 
 from __future__ import annotations
@@ -37,15 +40,11 @@ import numpy as np
 
 __all__ = [
     "TriangulationError",
-    "Tetrahedron",
-    "EdgeClass",
-    "VertexClass",
     "Triangulation",
     "LinkComplex",
     "parse",
     "parse_file",
     "serialize",
-    "edge_incidences",
     "vertex_link_hexagon_complex",
 ]
 
@@ -78,14 +77,15 @@ _INVERSE = [_PERM_INDEX_OF[perm_inverse(p)] for p in PERMS]
 _ODD = [perm_parity(p) == -1 for p in PERMS]
 _COMPOSE = np.array([[_PERM_INDEX_OF[tuple(p[x] for x in q)] for q in PERMS] for p in PERMS])
 _APPLY = np.array(PERMS)  # [p, v]: the image of v under p
+# per permutation s: the local edge s(0) s(1), in LOCAL_EDGES order; an
+# edge walk state 24 tet + s is the incidence of that edge in tet, run
+# s(0) -> s(1)
+PERM_EDGE = np.array([LOCAL_EDGE_INDEX[tuple(sorted(s[:2]))] for s in PERMS])
 # per permutation s, for the edge walk: the face s(2) it leaves through,
-# the state s (2 3), the directed edge 4 s(0) + s(1), its local edge, the
-# representative ((a, b) with a < b, orientation) and the reversed state
+# the state s (2 3), the directed edge 4 s(0) + s(1) and the reversed state
 _EXIT = _APPLY[:, 2]
 _SWAP23 = np.array([_PERM_INDEX_OF[(s[0], s[1], s[3], s[2])] for s in PERMS])
 _DIRECTED = 4 * _APPLY[:, 0] + _APPLY[:, 1]
-_EDGE_OF = np.array([LOCAL_EDGE_INDEX[tuple(sorted(s[:2]))] for s in PERMS])
-_REP = [(tuple(sorted(s[:2])), 1 if s[0] < s[1] else -1) for s in PERMS]
 _REVERSED = [_PERM_INDEX_OF[(s[1], s[0], s[2], s[3])] for s in PERMS]
 # the first state of each local edge (a, b): a -> b, leaving through the
 # smaller of its two faces
@@ -97,61 +97,40 @@ class TriangulationError(ValueError):
     pass
 
 
-@dataclass
-class Tetrahedron:
-    index: int
-    neighbors: list  # 4 entries: tet index or None
-    perms: list  # 4 entries: vertex map tuple or None
-
-
-@dataclass
-class EdgeClass:
-    index: int
-    # (tet, (a, b) with a < b, orient) -- orient +1 if the class direction
-    # runs a -> b for this representative
-    representatives: list
-
-
-@dataclass
-class VertexClass:
-    index: int
-    representatives: list  # (tet, vertex)
-
-
-@dataclass
+@dataclass(eq=False)
 class Triangulation:
-    tets: list
-    edge_classes: list = field(default_factory=list)
-    vertex_classes: list = field(default_factory=list)
-    edge_class_of: dict = field(default_factory=dict)  # (tet, (a,b) sorted) -> idx
-    # (n_tets, 6) read-only np.intp: the edge class of every local edge, in
-    # LOCAL_EDGES order
-    edge_table: np.ndarray = field(default=None, compare=False, repr=False)
-    vertex_class_of: dict = field(default_factory=dict)  # (tet, v) -> idx
+    """A validated gluing as read-only np.intp tables.
+
+    Edge class k's incidences are edge_states[d_0 + ... + d_{k-1}:][:d_k]
+    for its degrees d = edge_degrees: walk states 24 tet + s, the local
+    edge PERM_EDGE[s] of tet run s(0) -> s(1), in the order of the walk
+    around the edge.  Classes are in the order of their first local edge
+    (tet, LOCAL_EDGES index), which is also the first state of the class,
+    run from the smaller vertex to the larger."""
+
+    neighbor_table: np.ndarray  # (n_tets, 4): the tet across each face
+    perm_table: np.ndarray  # (n_tets, 4): the face's gluing, an index in PERMS
+    edge_table: np.ndarray  # (n_tets, 6): each local edge's edge class
+    vertex_table: np.ndarray  # (n_tets, 4): each corner's vertex class
+    edge_states: np.ndarray  # (6 n_tets,): incidences, grouped by class
+    edge_degrees: np.ndarray  # (m,): the incidences of each class
     lengths: list = None
     # the index plans of `geometry` and the vertex links, which depend only
-    # on the gluing: built on first use and kept here, like edge_table
-    geometry_plan: object = field(default=None, compare=False, repr=False)
-    links: list = field(default=None, compare=False, repr=False)
+    # on the gluing: built on first use and kept here
+    geometry_plan: object = field(default=None, repr=False)
+    links: list = field(default=None, repr=False)
 
     @property
     def n_tets(self):
-        return len(self.tets)
+        return len(self.neighbor_table)
 
     @property
     def m(self):
-        return len(self.edge_classes)
+        return len(self.edge_degrees)
 
     @property
     def o(self):
-        return len(self.vertex_classes)
-
-    def neighbor(self, tet, face):
-        t = self.tets[tet]
-        return t.neighbors[face], t.perms[face]
-
-    def edge_class_index(self, tet, a, b):
-        return self.edge_class_of[(tet, (min(a, b), max(a, b)))]
+        return int(self.vertex_table.max()) + 1
 
 
 def _parse_gluing(tok, n_tets, i, f):
@@ -176,7 +155,10 @@ def _parse_gluing(tok, n_tets, i, f):
 def _parse_lengths(vals):
     lengths = []
     for i, v in enumerate(vals):
+        # float() also reads digit separators and non-ASCII digits
         try:
+            if not v.isascii() or "_" in v:
+                raise ValueError
             lengths.append(float(v))
         except ValueError:
             raise TriangulationError(f"length {i} is {v!r}: not a number") from None
@@ -193,6 +175,12 @@ def _parse_lengths(vals):
     return lengths
 
 
+def _frozen(a):
+    a = np.asarray(a, dtype=np.intp)
+    a.flags.writeable = False
+    return a
+
+
 def parse(text):
     """Parse and fully validate a triangulation file."""
     lines = []
@@ -200,13 +188,16 @@ def parse(text):
         line = raw.split("#", 1)[0].strip()
         if line:
             lines.append(line)
-    if not lines or not lines[0].startswith("tets"):
+    header = lines[0].split() if lines else []
+    if header[:1] != ["tets"]:
         raise TriangulationError("missing 'tets N' header")
-    try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise TriangulationError("malformed 'tets N' header") from None
-    if n <= 0:
+    if len(header) != 2:
+        raise TriangulationError(
+            f"malformed 'tets N' header: expected 2 tokens, got {lines[0]!r}")
+    if not (header[1].isascii() and header[1].isdigit()):
+        raise TriangulationError(f"malformed 'tets N' header: bad tet count {header[1]!r}")
+    n = int(header[1])
+    if n == 0:
         raise TriangulationError("need at least one tetrahedron")
 
     nb, pi = [], []  # (n, 4) tables: neighbour tet and permutation index
@@ -229,28 +220,24 @@ def parse(text):
             raise TriangulationError(f"unexpected line {lines[n + 1]!r}")
         lengths = _parse_lengths(" ".join(lines[n + 2:]).split())
 
-    tri = Triangulation([Tetrahedron(i, nb[i], [p if p is None else PERMS[p] for p in pi[i]])
-                         for i in range(n)])
     _validate_gluings(nb, pi)
     _validate_connected(nb)
-    nb, pi = np.array(nb), np.array(pi)
-    _build_edge_classes(tri, nb, pi)
-    _build_vertex_classes(tri, nb, pi)
-    _validate_links(tri)
-    for ec in tri.edge_classes:
+    nb, pi = _frozen(nb), _frozen(pi)
+    edge_table, states, degrees = _edge_classes(nb, pi)
+    vertex_table = _vertex_classes(nb, pi)
+    _validate_links(vertex_table, states, degrees)
+    if (degrees == 1).any():
         # a degree-1 edge's angle sum is one dihedral angle, less than pi,
         # and no vertex link through it has a hexagon decomposition
-        if len(ec.representatives) == 1:
-            raise TriangulationError(
-                f"edge class {ec.index} has degree 1: a single dihedral angle, "
-                "less than pi, cannot make a full turn"
-            )
-    tri.lengths = lengths
-    if lengths is not None and len(lengths) != tri.m:
         raise TriangulationError(
-            f"lengths section has {len(lengths)} values, expected {tri.m}"
+            f"edge class {np.argmax(degrees == 1)} has degree 1: a single dihedral angle, "
+            "less than pi, cannot make a full turn"
         )
-    return tri
+    if lengths is not None and len(lengths) != len(degrees):
+        raise TriangulationError(
+            f"lengths section has {len(lengths)} values, expected {len(degrees)}"
+        )
+    return Triangulation(nb, pi, edge_table, vertex_table, states, degrees, lengths)
 
 
 def parse_file(path):
@@ -260,10 +247,8 @@ def parse_file(path):
 
 def serialize(tri, lengths=None):
     out = [f"tets {tri.n_tets}"]
-    for t in tri.tets:
-        toks = ["-" if j is None else f"{j}:{PERM_STRINGS[_PERM_INDEX_OF[p]]}"
-                for j, p in zip(t.neighbors, t.perms)]
-        out.append(f"tet {t.index}: " + " ".join(toks))
+    for i, (row, prow) in enumerate(zip(tri.neighbor_table.tolist(), tri.perm_table.tolist())):
+        out.append(f"tet {i}: " + " ".join(f"{j}:{PERM_STRINGS[p]}" for j, p in zip(row, prow)))
     if lengths is None:
         lengths = tri.lengths
     if lengths is not None:
@@ -307,10 +292,11 @@ def _validate_connected(nb):
         raise TriangulationError(f"triangulation is disconnected: {components} components")
 
 
-def _build_edge_classes(tri, nb, pi):
-    """Edge classes by walking once around each edge, in the order of their
-    first local edge (tet, LOCAL_EDGES index), which is also the first
-    representative of its class, direction a -> b.
+def _edge_classes(nb, pi):
+    """Edge table, walk states and degrees of the edge classes, found by
+    walking once around each edge, in the order of their first local edge
+    (tet, LOCAL_EDGES index), which is also the first state of its class,
+    direction a -> b.
 
     The walk runs on states 24 tet + s: the directed edge s(0) -> s(1),
     about to leave through face s(2).  Crossing it with the gluing p enters
@@ -322,8 +308,8 @@ def _build_edge_classes(tri, nb, pi):
     face = _EXIT[s]
     nxt = (24 * nb[tet, face] + _COMPOSE[pi[tet, face], _SWAP23[s]]).tolist()
     directed = (16 * tet + _DIRECTED[s]).tolist()  # 16 tet + 4 s(0) + s(1)
-    incidence = (6 * tet + _EDGE_OF[s]).tolist()
-    seen, classes, edge_of = [-1] * (6 * n), [], {}
+    incidence = (6 * tet + PERM_EDGE[s]).tolist()
+    seen, states, degrees = [-1] * (6 * n), [], []
     for x0 in (24 * np.arange(n)[:, None] + _FIRST_STATE).ravel().tolist():
         if seen[incidence[x0]] >= 0:
             continue
@@ -339,24 +325,20 @@ def _build_edge_classes(tri, nb, pi):
             x = nxt[x]
         else:
             raise TriangulationError("bad gluing data: edge cycle does not close")
-        k, reps = len(classes), []
         for x in cycle:
             if seen[incidence[x]] >= 0:
                 raise TriangulationError("edge orbit revisits an incidence")
-            seen[incidence[x]] = k
-            t, (e, orient) = x // 24, _REP[x % 24]
-            edge_of[(t, e)] = k
-            reps.append((t, e, orient))
-        classes.append(EdgeClass(k, reps))
-    tri.edge_classes, tri.edge_class_of = classes, edge_of
-    tri.edge_table = np.array(seen, dtype=np.intp).reshape(n, 6)
-    tri.edge_table.flags.writeable = False
+            seen[incidence[x]] = len(degrees)
+        states += cycle
+        degrees.append(len(cycle))
+    return _frozen(seen).reshape(n, 6), _frozen(states), _frozen(degrees)
 
 
-def _build_vertex_classes(tri, nb, pi):
-    """Vertex classes of the corner ids 4 tet + v, in the order of their
-    least corner: each corner takes the least label of its neighbours
-    across the faces, then its label's label, until nothing changes."""
+def _vertex_classes(nb, pi):
+    """The (n, 4) vertex table of the corner ids 4 tet + v, classes in the
+    order of their least corner: each corner takes the least label of its
+    neighbours across the faces, then its label's label, until nothing
+    changes."""
     corner = np.arange(4 * len(nb))
     tet, v = corner // 4, corner % 4
     across = [np.where(v == f, corner, 4 * nb[tet, f] + _APPLY[pi[tet, f], v]) for f in range(4)]
@@ -367,40 +349,25 @@ def _build_vertex_classes(tri, nb, pi):
         if np.array_equal(new, label):
             break
         label = new
-    _, k = np.unique(label, return_inverse=True)
-    reps = list(zip(tet.tolist(), v.tolist()))
-    tri.vertex_class_of = dict(zip(reps, k.tolist()))
-    counts = np.cumsum(np.bincount(k)).tolist()
-    order = np.argsort(k, kind="stable").tolist()
-    tri.vertex_classes = [VertexClass(i, [reps[c] for c in order[lo:hi]])
-                          for i, (lo, hi) in enumerate(zip([0] + counts, counts))]
+    return _frozen(np.unique(label, return_inverse=True)[1]).reshape(len(nb), 4)
 
 
-def _validate_links(tri):
+def _validate_links(vertex_table, states, degrees):
     # per vertex class: corner count C and edge-end count P give the Euler
     # characteristic of the (connected) link surface: chi = P - C/2
-    ends_at = [0] * tri.o
-    for ec in tri.edge_classes:
-        t, (a, b), _ = ec.representatives[0]  # its least local edge
-        ends_at[tri.vertex_class_of[(t, a)]] += 1
-        ends_at[tri.vertex_class_of[(t, b)]] += 1
-    for vc in tri.vertex_classes:
-        c = len(vc.representatives)
-        if c % 2:
+    first = states[np.cumsum(degrees) - degrees]  # each class's least local edge
+    ends = vertex_table[(first // 24)[:, None], _APPLY[first % 24, :2]]
+    o = vertex_table.max() + 1
+    corners = np.bincount(vertex_table.ravel(), minlength=o)
+    chi = np.bincount(ends.ravel(), minlength=o) - corners // 2
+    bad = (corners % 2 == 1) | (chi != 2)
+    if bad.any():
+        k = np.argmax(bad)
+        if corners[k] % 2:
             raise TriangulationError("odd corner count in vertex link")
-        chi = ends_at[vc.index] - c // 2
-        if chi != 2:
-            raise TriangulationError(
-                f"vertex link of class {vc.index} has Euler characteristic "
-                f"{chi}, not a 2-sphere"
-            )
-
-
-def edge_incidences(tri, edge_class):
-    """All (tet, local-edge) incidences of the class, multiplicity kept."""
-    if isinstance(edge_class, int):
-        edge_class = tri.edge_classes[edge_class]
-    return [(t, e) for (t, e, _) in edge_class.representatives]
+        raise TriangulationError(
+            f"vertex link of class {k} has Euler characteristic {chi[k]}, not a 2-sphere"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -516,16 +483,13 @@ def vertex_link_hexagon_complex(tri, vertex_class):
     edge starting where the last one ended (a gluing flips the parity of
     s); a link numbers its polygons in that order.
     """
-    k = vertex_class.index if isinstance(vertex_class, VertexClass) else vertex_class
     if tri.links is None:
         tri.links = _build_links(tri)
-    return tri.links[k]
+    return tri.links[vertex_class]
 
 
 def _build_links(tri):
-    n = tri.n_tets
-    nb = np.array([t.neighbors for t in tri.tets]).reshape(n, 4)
-    pi = np.array([_PERM_INDEX_OF[p] for t in tri.tets for p in t.perms]).reshape(n, 4)
+    n, nb, pi = tri.n_tets, tri.neighbor_table, tri.perm_table
     tet = np.repeat(np.arange(n), 24)  # letter g = 24 tet + 6 a + i
     own = np.tile(_START, n)
     face = _LAST[own]
@@ -544,28 +508,28 @@ def _build_links(tri):
     short_from = np.empty(24 * n, dtype=np.intp)
     short_from[start[short]] = short
     nxt = short_from[start[succ]]
-    vclass = [tri.vertex_class_of[divmod(c, 4)] for c in range(4 * n)]
-    pid, ends, classes = [-1] * (24 * n), [[] for _ in range(tri.o)], [[] for _ in range(tri.o)]
-    nxt_l = nxt.tolist()
+    vclass, o = tri.vertex_table.ravel(), tri.o  # of the corner 4 tet + a
+    pid, ends, classes = [-1] * (24 * n), [[] for _ in range(o)], [[] for _ in range(o)]
+    nxt_l, vclass_l = nxt.tolist(), vclass.tolist()
+    end_class = tri.edge_table[tet, PERM_EDGE[own]].tolist()
     for g in short[np.argsort(token[short], kind="stable")].tolist():
         if pid[g] >= 0:
             continue
-        k = vclass[g // 6]
+        k = vclass_l[g // 6]
         p, cycle, x = len(ends[k]), [], g
         while pid[x] < 0:
             pid[x] = p
             cycle.append(x)
             x = nxt_l[x]
         ends[k].append(cycle)
-        s = PERMS[own[g]]
-        classes[k].append(tri.edge_class_index(g // 24, s[0], s[1]))
+        classes[k].append(end_class[g])
     end_pid = np.array(pid)[nxt]
 
     # each link's letters, in the order of its sorted corners
     corner_order = np.argsort(vclass, kind="stable")
     letters = (6 * corner_order[:, None] + np.arange(6)).ravel()
     local = np.empty(24 * n, dtype=np.intp)
-    sizes = np.bincount(vclass, minlength=tri.o)
+    sizes = np.bincount(vclass, minlength=o)
     offsets = np.repeat(6 * np.cumsum(sizes) - 6 * sizes, 6 * sizes)
     local[letters] = np.arange(24 * n) - offsets
     label = (24 * tet + np.tile(HEXAGON_SLOTS, n))[letters]

@@ -22,6 +22,7 @@ from tests.geometry_oracle import cos_vertex_angle, is_interval, simplices, sqrt
 from tests.gimbal_oracle import beta_label, dihedral_cs, gamma_label
 from tests.link_oracle import compose
 from tests.matrix_oracle import mat3_identity, mat3_mul
+from tests.triangulation_oracle import neighbor
 from tests import kernel_scalars as ks
 
 # ---------------------------------------------------------------------------
@@ -174,7 +175,7 @@ def check_cocycle_closure(tri, labels):
             )
         # shared middle edges across face gluings carry equal labels
         for f in range(4):
-            j, p = tri.neighbor(tet, f)
+            j, p = neighbor(tri, tet, f)
             if (j, p[f]) < (tet, f):
                 continue
             for s0 in itertools.permutations(range(4)):
@@ -196,7 +197,7 @@ def check_cocycle_closure(tri, labels):
 def _canon_beta(tri, tet, s0, s1):
     side = (tet, min(s0, s1), max(s0, s1))
     f = s0[3]
-    j, p = tri.neighbor(tet, f)
+    j, p = neighbor(tri, tet, f)
     t0, t1 = compose(p, s0), compose(p, s1)
     other = (j, min(t0, t1), max(t0, t1))
     return min(side, other)

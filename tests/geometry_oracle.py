@@ -22,6 +22,7 @@ from hypcert.interval import (
 )
 from hypcert.triangulation import LOCAL_EDGES
 from tests import kernel_scalars as ks
+from tests.triangulation_oracle import edge_class_index, edge_classes
 
 # the scalar helpers of the formulas below, for floats and intervals alike:
 # the pipeline carries the kind of number in a kernel, these read it off
@@ -135,7 +136,7 @@ def gram_matrix(tri, params, tet):
     values = ks.entries(params.values)
     g = [[neg_one if i == j else None for j in range(4)] for i in range(4)]
     for (a, b) in LOCAL_EDGES:
-        v = values[tri.edge_class_index(tet, a, b)]
+        v = values[edge_class_index(tri, tet, a, b)]
         g[a][b] = v
         g[b][a] = v
     return g
@@ -245,7 +246,7 @@ def angle_sums(tri, params, data=None):
     if data is None:
         data = [simplex_data(tri, params, t) for t in range(tri.n_tets)]
     sums = [None] * tri.m
-    for ec in tri.edge_classes:
+    for ec in edge_classes(tri):
         acc = None
         for (t, e, _) in ec.representatives:
             th = data[t].theta_at_edge[e]
@@ -291,7 +292,7 @@ def jacobian(tri, params, data=None, rows=None, cols=None):
         cof = data[tet].cof
         local_cols = []
         for (mm, nn) in LOCAL_EDGES:
-            c = col_at.get(tri.edge_class_index(tet, mm, nn))
+            c = col_at.get(edge_class_index(tri, tet, mm, nn))
             if c is not None:
                 local_cols.append((mm, nn, c))
         diag = {}  # (k, m, n) -> dc_kk/dv_mn, shared by the 3 rows of face k
@@ -302,7 +303,7 @@ def jacobian(tri, params, data=None, rows=None, cols=None):
                 raise RealizationError(
                     f"tet {tet}: degenerate angle gap at faces ({i},{j})"
                 )
-            r = row_at.get(tri.edge_class_index(tet, a, b))
+            r = row_at.get(edge_class_index(tri, tet, a, b))
             if r is None or not local_cols:
                 continue
             inv_sqrt_gap = 1.0 / sqrt(gap)

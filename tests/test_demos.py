@@ -1,10 +1,12 @@
 """The demos run to completion against the package in this checkout."""
 
+import importlib.util
 import os
 import pathlib
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -23,3 +25,23 @@ def test_demo_exits_zero(demo):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+FIXTURES = ("dodec27a.tri", "dodec27b.tri", "dodec30x2.tri", "s3_twotet.tri")
+
+
+def test_build_fixtures_rebuilds_the_bundled_data(tmp_path, monkeypatch):
+    # the builder reads each edge class's incidences off the parsed
+    # tables; the files it writes are the bundled ones, byte for byte
+    spec = importlib.util.spec_from_file_location(
+        "build_fixtures", ROOT / "demos" / "build_fixtures.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # it prepends src/
+    with mpmath.workdps(60):  # it sets 60 digits on import
+        spec.loader.exec_module(module)
+        monkeypatch.setattr(module, "OUT_DIR", str(tmp_path))
+        module.main()
+    data = ROOT / "src" / "hypcert" / "data"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(FIXTURES)
+    for name in FIXTURES:
+        assert (tmp_path / name).read_bytes() == (data / name).read_bytes(), name

@@ -17,6 +17,7 @@ from tests.geometry_oracle import (
     vertex_angle,
 )
 from tests import kernel_scalars as ks
+from tests.triangulation_oracle import edge_classes
 
 
 @pytest.fixture(scope="module")
@@ -187,7 +188,7 @@ def test_angle_sum_additivity(s3m):
     vals = [-2.0, -1.9, -2.1, -2.3, -1.7, -2.05]
     data = geo.simplex_data(s3m, geo.EdgeParams(vals))
     sums = geo.angle_sums(s3m, geo.EdgeParams(vals), data=data)
-    for ec in s3m.edge_classes:
+    for ec in edge_classes(s3m):
         manual = sum(oracle.simplices(data)[t].theta_at_edge[e]
                      for (t, e, _) in ec.representatives)
         assert abs(sums[ec.index] - manual) < 1e-15
@@ -368,7 +369,7 @@ def test_jacobian_block_on_s3(s3m):
 
 def _away_from(tri, tet):
     """The edge classes that no local edge of `tet` belongs to."""
-    near = {tri.edge_class_index(tet, a, b) for (a, b) in tr.LOCAL_EDGES}
+    near = set(tri.edge_table[tet].tolist())
     return [e for e in range(tri.m) if e not in near]
 
 
@@ -384,8 +385,7 @@ def test_jacobian_block_checks_every_simplex_realized(dodec27a):
     k = FloatKernel()
     p0 = [-math.cosh(float(l)) for l in dodec27a.lengths]
     nu = [ks.point(k, v) for v in p0]
-    for (a, b) in tr.LOCAL_EDGES:
-        e = dodec27a.edge_class_index(5, a, b)
+    for e in dodec27a.edge_table[5].tolist():
         nu[e] = ks.interval(k, p0[e] - 0.3, p0[e] + 0.3)
     params = geo.EdgeParams(ks.array(k, nu), k)
     away = _away_from(dodec27a, 5)

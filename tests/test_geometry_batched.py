@@ -140,7 +140,7 @@ def test_realization_verdicts_and_reasons_match_oracle(kind):
                  for g, cof in pairs]
     G = ks.array(k, [[x for row in g for x in row] for g, _ in pairs])
     C = ks.array(k, [[x for row in cof for x in row] for _, cof in pairs])
-    failed = geo._unrealized(k, G, C)
+    failed = geo._realization(k, G, C)[0]
     reasons = set()
     for (g, cof), row in zip(pairs, failed):
         ok, reason = oracle.realization_check(g, cof)
@@ -231,8 +231,7 @@ def test_two_bad_simplices_raise_the_first(kind, dodec27a):
     p0 = [-math.cosh(float(l)) for l in dodec27a.lengths]
     nu = [ks.point(k, v) for v in p0]
     for tet in (9, 20):
-        for (a, b) in tr.LOCAL_EDGES:
-            e = dodec27a.edge_class_index(tet, a, b)
+        for e in dodec27a.edge_table[tet].tolist():
             nu[e] = ks.interval(k, p0[e] - 0.3, p0[e] + 0.3)
     params = geo.EdgeParams(ks.array(k, nu), k)
     bad = [t for t in range(dodec27a.n_tets)
@@ -243,9 +242,7 @@ def test_two_bad_simplices_raise_the_first(kind, dodec27a):
     assert raised(lambda: geo.simplex_data(dodec27a, params)) == want
     assert raised(lambda: geo.angle_sums(dodec27a, params)) == want
     assert raised(lambda: geo.jacobian(dodec27a, params)) == want
-    away = [e for e in range(dodec27a.m)
-            if e not in {dodec27a.edge_class_index(t, a, b)
-                         for t in bad for (a, b) in tr.LOCAL_EDGES}]
+    away = sorted(set(range(dodec27a.m)) - set(dodec27a.edge_table[bad].ravel().tolist()))
     assert raised(lambda: geo.jacobian(dodec27a, params, rows=away, cols=away)) == want
 
 
@@ -325,7 +322,7 @@ def test_earlier_arccos_failure_wins_over_later_realization_failure(
     nu = [ks.point(k, v) for v in p0]
 
     def edges(t):
-        return {dodec27a.edge_class_index(t, a, b) for (a, b) in tr.LOCAL_EDGES}
+        return set(dodec27a.edge_table[t].tolist())
 
     far = max(t for t in range(dodec27a.n_tets) if not edges(t) & edges(0))
     for e in edges(far):

@@ -6,8 +6,10 @@ tables, or the same `TriangulationError` message.  The inputs are the
 bundled fixtures, the benchmark's scaling members, seeded relabelings of
 the fixtures and a seeded corpus of one-character mutations of them, in
 their gluing and in their lengths sections.  The only inputs allowed to
-differ are those of two fixes: a gluing target that `int()` reads but that
-is not ASCII digits, and a length that `float()` cannot read.
+differ are those of three fixes: a header that is not exactly 'tets' and
+ASCII digits, a gluing target that `int()` reads but that is not ASCII
+digits, and a length that is not ASCII, has a '_' or that `float()` cannot
+read.
 """
 
 import itertools
@@ -38,11 +40,18 @@ def _outcome(parse, text):
 
 
 def _fixed_input(text):
-    """Whether `text` is an input of the two fixes: a gluing token whose
-    target `int()` reads but is not ASCII digits, or a lengths section with
-    a value `float()` cannot read."""
+    """Whether `text` is an input of the three fixes: a header that the
+    reference takes for one (it starts with 'tets') but that is not the
+    two tokens 'tets' and ASCII digits, a gluing token whose target
+    `int()` reads but is not ASCII digits, or a lengths section with a
+    value that is not ASCII, has a '_' or that `float()` cannot read."""
     lines = [line.split("#", 1)[0].strip() for line in text.splitlines()]
     lines = [line for line in lines if line]
+    if lines and lines[0].startswith("tets"):
+        toks = lines[0].split()
+        if not (len(toks) == 2 and toks[0] == "tets" and toks[1].isascii()
+                and toks[1].isdigit()):
+            return True
     in_lengths = False
     for line in lines[1:]:
         if line == "lengths:":
@@ -51,6 +60,8 @@ def _fixed_input(text):
         # a tet line's gluings follow its first colon
         for tok in line.split() if in_lengths else line.partition(":")[2].split():
             if in_lengths:
+                if not tok.isascii() or "_" in tok:
+                    return True
                 try:
                     float(tok)
                 except ValueError:
@@ -67,22 +78,22 @@ def _fixed_input(text):
 
 
 def assert_same_parse(text):
-    """Both parsers agree on `text`, up to the two fixes."""
+    """Both parsers agree on `text`, up to the three fixes."""
     try:
         want = _outcome(oracle.parse, text)
     except ValueError as exc:  # the reference lets float()'s error escape
         want = ("escaped", str(exc))
     got = _outcome(tr.parse, text)
     if got[0] == want[0] == "ok":
-        assert got[1] == want[1]
+        # every field of the reference's model, the edge classes and
+        # vertex classes with their representatives, in order
+        assert oracle.reference(got[1]) == want[1]
         assert got[1].edge_table.tobytes() == want[1].edge_table.tobytes()
-        assert [e.representatives for e in got[1].edge_classes] == [
-            e.representatives for e in want[1].edge_classes]
-        assert [v.representatives for v in got[1].vertex_classes] == [
-            v.representatives for v in want[1].vertex_classes]
     elif got != want:
         assert _fixed_input(text), (text, got, want)
-        assert got[0] == "error" and re.search(r"bad target tet in|: not a number$", got[1])
+        assert got[0] == "error" and re.search(
+            r"^missing 'tets N' header$|^malformed 'tets N' header: |bad target tet in"
+            r"|: not a number$", got[1])
     return got[0]
 
 
@@ -113,7 +124,7 @@ def _relabeled(tri, rng):
     rng.shuffle(new_of)
     sigma = [rng.choice(_EVEN) for _ in range(n)]
     rows = [None] * n
-    for t in tri.tets:
+    for t in oracle.reference(tri).tets:
         row = [None] * 4
         for f, (j, p) in enumerate(zip(t.neighbors, t.perms)):
             inv = tr.perm_inverse(sigma[t.index])
@@ -161,18 +172,40 @@ def test_mutations_parse_alike(name):
     assert seen["error"] > MUTATIONS // 4
 
 
+# headers that `int()` reads as 27, with the message that rejects each
+HEADER_FIXES = (
+    ("tetsXYZ 27", "missing 'tets N' header"),
+    ("tets 0_27", "malformed 'tets N' header: bad tet count '0_27'"),
+    ("tets ２７", "malformed 'tets N' header: bad tet count '２７'"),
+    ("tets 27 junk", "malformed 'tets N' header: expected 2 tokens, got 'tets 27 junk'"),
+)
+
+
 def test_fixed_inputs_are_the_only_differences():
     # each fix, on an input the reference accepts or reports otherwise
     text = _text("dodec27a")
     i = text.index(" 10:")
     for target in ("1_0", "+10", "١٠", "１0"):
         bad = text[:i + 1] + target + text[i + 3:]
-        assert oracle.parse(bad) == tr.parse(text)  # int() reads it as 10
+        assert oracle.parse(bad) == oracle.reference(tr.parse(text))  # int() reads it as 10
         with pytest.raises(tr.TriangulationError,
                            match=re.escape(f": bad target tet in '{target}:")):
             tr.parse(bad)
         assert _fixed_input(bad)
+    for header, message in HEADER_FIXES:
+        bad = text.replace("tets 27\n", header + "\n", 1)
+        assert oracle.parse(bad) == oracle.reference(tr.parse(text))  # int() reads 27
+        with pytest.raises(tr.TriangulationError, match=f"^{re.escape(message)}$"):
+            tr.parse(bad)
+        assert _fixed_input(bad)
     head, lengths = text.split("lengths:\n")
+    for first in ("2.789_000514440392784851", "２.789000514440392784851"):
+        bad = head + "lengths:\n" + first + lengths[len("2.789000514440392784851"):]
+        assert oracle.parse(bad) == oracle.reference(tr.parse(text))  # float() reads it
+        with pytest.raises(tr.TriangulationError,
+                           match=f"^length 0 is {re.escape(repr(first))}: not a number$"):
+            tr.parse(bad)
+        assert _fixed_input(bad)
     bad = head + "lengths:\n1.0x " + lengths
     with pytest.raises(ValueError, match="could not convert"):
         oracle.parse(bad)

@@ -1,12 +1,14 @@
 import dataclasses
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
 
 from hypcert import triangulation as tr
 from tests import link_oracle
+from tests import triangulation_oracle as oracle
 from tests.link_slots import expand_link
 from tests.conftest import BAD_LINK_TEXT, DEGREE_ONE_TEXT, S3_TEXT
 
@@ -14,8 +16,21 @@ from tests.conftest import BAD_LINK_TEXT, DEGREE_ONE_TEXT, S3_TEXT
 def test_s3_classes(s3):
     assert s3.o == 4
     assert s3.m == 6
-    for ec in s3.edge_classes:
-        assert len(ec.representatives) == 2
+    assert s3.edge_degrees.tolist() == [2] * 6
+
+
+TABLES = ("neighbor_table", "perm_table", "edge_table", "vertex_table", "edge_states",
+          "edge_degrees")
+
+
+def test_tables_are_read_only_intp(hyperbolic_triangulations, s3):
+    for t in list(hyperbolic_triangulations.values()) + [s3]:
+        n = t.n_tets
+        shapes = [(n, 4), (n, 4), (n, 6), (n, 4), (6 * n,), (t.m,)]
+        for name, shape in zip(TABLES, shapes):
+            table = getattr(t, name)
+            assert table.shape == shape and table.dtype == np.intp, name
+            assert not table.flags.writeable, name
 
 
 def test_unglued_face_rejected():
@@ -52,6 +67,27 @@ def test_syntax_errors():
         tr.parse("tets 1\ntet 0: 0:1022 0:1023 0:1023 0:1023\n")
 
 
+BAD_HEADERS = (
+    ("tetsXYZ 2", "missing 'tets N' header"),
+    ("tets 0_2", "malformed 'tets N' header: bad tet count '0_2'"),
+    ("tets \uff12", "malformed 'tets N' header: bad tet count '\uff12'"),
+    ("tets +2", "malformed 'tets N' header: bad tet count '+2'"),
+    ("tets -2", "malformed 'tets N' header: bad tet count '-2'"),
+    ("tets 2 junk", "malformed 'tets N' header: expected 2 tokens, got 'tets 2 junk'"),
+    ("tets", "malformed 'tets N' header: expected 2 tokens, got 'tets'"),
+    ("tets 0", "need at least one tetrahedron"),
+)
+
+
+@pytest.mark.parametrize("header, message", BAD_HEADERS, ids=[h for h, _ in BAD_HEADERS])
+def test_header_is_tets_and_ascii_digits(header, message):
+    # int() reads '0_2', a full-width 2 and '+2' as 2
+    body = S3_TEXT.split("\n", 1)[1]
+    with pytest.raises(tr.TriangulationError, match=f"^{re.escape(message)}$"):
+        tr.parse(f"{header}\n{body}")
+    assert tr.parse(f"tets 02\n{body}").n_tets == 2
+
+
 def test_one_vertex_edge_count(dodec27a, dodec27b):
     # chi = 0 for a closed complex forces E = V + T
     for t in (dodec27a, dodec27b):
@@ -67,29 +103,32 @@ def test_euler_characteristic_zero(hyperbolic_triangulations, s3):
 
 
 def test_orbit_partition_sizes(hyperbolic_triangulations, s3):
+    # the walk states name every incidence once, and the classes are
+    # numbered from 0 without a gap
     for t in list(hyperbolic_triangulations.values()) + [s3]:
-        assert sum(len(ec.representatives) for ec in t.edge_classes) == 6 * t.n_tets
-        assert sum(len(vc.representatives) for vc in t.vertex_classes) == 4 * t.n_tets
+        states = t.edge_states
+        assert t.edge_degrees.sum() == 6 * t.n_tets
+        incidences = 6 * (states // 24) + tr.PERM_EDGE[states % 24]
+        assert sorted(incidences.tolist()) == list(range(6 * t.n_tets))
+        assert set(t.vertex_table.ravel().tolist()) == set(range(t.o))
 
 
 def test_round_trip(dodec27a):
     t2 = tr.parse(tr.serialize(dodec27a))
-    assert [e.representatives for e in t2.edge_classes] == [
-        e.representatives for e in dodec27a.edge_classes
-    ]
-    assert [v.representatives for v in t2.vertex_classes] == [
-        v.representatives for v in dodec27a.vertex_classes
-    ]
+    for name in TABLES:
+        assert np.array_equal(getattr(t2, name), getattr(dodec27a, name)), name
+    assert t2.lengths == dodec27a.lengths
 
 
 def _disjoint_copies(tri, copies):
     n = tri.n_tets
-    tets = [
-        tr.Tetrahedron(c * n + t.index, [c * n + j for j in t.neighbors], t.perms)
-        for c in range(copies)
-        for t in tri.tets
-    ]
-    return tr.serialize(tr.Triangulation(tets), lengths=tri.lengths * copies)
+    rows = [f"tet {c * n + i}: " + " ".join(f"{c * n + j}:{tr.PERM_STRINGS[p]}"
+                                              for j, p in zip(row, prow))
+            for c in range(copies)
+            for i, (row, prow) in enumerate(zip(tri.neighbor_table.tolist(),
+                                                tri.perm_table.tolist()))]
+    lengths = " ".join(map(repr, tri.lengths * copies))
+    return f"tets {copies * n}\n" + "\n".join(rows) + f"\nlengths:\n{lengths}\n"
 
 
 @pytest.mark.parametrize("copies", [2, 3])
@@ -99,8 +138,12 @@ def test_disconnected_triangulation_rejected(dodec27a, copies):
 
 
 def test_incidences_s3(s3):
-    for ec in s3.edge_classes:
-        assert len(tr.edge_incidences(s3, ec)) == 2
+    # each class's walk states are incidences of that class
+    bounds = np.cumsum(s3.edge_degrees).tolist()
+    for k, (lo, hi) in enumerate(zip([0] + bounds, bounds)):
+        states = s3.edge_states[lo:hi]
+        assert len(states) == 2
+        assert (s3.edge_table[states // 24, tr.PERM_EDGE[states % 24]] == k).all()
 
 
 def _brute_force_edge_orbits(t):
@@ -122,7 +165,7 @@ def _brute_force_edge_orbits(t):
 
     for tet in range(t.n_tets):
         for f in range(4):
-            j, p = t.neighbor(tet, f)
+            j, p = oracle.neighbor(t, tet, f)
             for (a, b) in tr.LOCAL_EDGES:
                 if a == f or b == f:
                     continue
@@ -137,17 +180,15 @@ def _brute_force_edge_orbits(t):
 
 def test_edge_classes_match_brute_force(hyperbolic_triangulations, s3):
     for t in list(hyperbolic_triangulations.values()) + [s3]:
+        classes = oracle.edge_classes(t)
         mine = {
             frozenset((tt, e) for (tt, e, _) in ec.representatives)
-            for ec in t.edge_classes
+            for ec in classes
         }
         assert mine == _brute_force_edge_orbits(t)
         # the parsed edge table names the same class at every local edge
-        table = t.edge_table
-        assert table.shape == (t.n_tets, 6) and table.dtype == np.intp
-        assert not table.flags.writeable
-        assert all(table[tt, tr.LOCAL_EDGE_INDEX[e]] == ec.index
-                   for ec in t.edge_classes for (tt, e, _) in ec.representatives)
+        assert all(t.edge_table[tt, tr.LOCAL_EDGE_INDEX[e]] == ec.index
+                   for ec in classes for (tt, e, _) in ec.representatives)
 
 
 # edge valences 3 and 3 (a gluing with a degree-1 edge fails to parse)
@@ -157,19 +198,19 @@ ONE_TET_ONE_VERTEX = "tets 1\ntet 0: 0:3201 0:1230 0:3012 0:2310\n"
 def test_multiplicity_two_incidence_exists(dodec27b):
     # a one-tetrahedron one-vertex triangulation necessarily has edge
     # classes meeting the tet several times; so does the second bundled
-    # fixture; the multiplicity must survive in edge_incidences
+    # fixture; the multiplicity must survive in the walk states
     for t in (tr.parse(ONE_TET_ONE_VERTEX), dodec27b):
         found = False
-        for ec in t.edge_classes:
+        classes = oracle.edge_classes(t)
+        for ec in classes:
             tets = [tt for (tt, _, _) in ec.representatives]
             if len(tets) != len(set(tets)):
                 found = True
-                inc = tr.edge_incidences(t, ec)
-                assert len(inc) == len(ec.representatives)
+                assert np.count_nonzero(t.edge_table == ec.index) == len(tets)
         assert found
         assert {
             frozenset((tt, e) for (tt, e, _) in ec.representatives)
-            for ec in t.edge_classes
+            for ec in classes
         } == _brute_force_edge_orbits(t)
 
 
@@ -179,13 +220,13 @@ def test_canonical_edge_order(dodec27a):
             (tt, tr.LOCAL_EDGE_INDEX[e])
             for (tt, e, _) in ec.representatives
         )
-        for ec in dodec27a.edge_classes
+        for ec in oracle.edge_classes(dodec27a)
     ]
     assert keys == sorted(keys)
 
 
 def test_orientation_flags(dodec27a):
-    for ec in dodec27a.edge_classes:
+    for ec in oracle.edge_classes(dodec27a):
         min_rep = min(
             ec.representatives, key=lambda r: (r[0], tr.LOCAL_EDGE_INDEX[r[1]])
         )
@@ -211,7 +252,7 @@ def test_link_hexagon_counts(hyperbolic_triangulations, s3):
     for t in list(hyperbolic_triangulations.values()) + [s3]:
         for k in range(t.o):
             link = tr.vertex_link_hexagon_complex(t, k)
-            assert link.n_hexagons == len(t.vertex_classes[k].representatives)
+            assert link.n_hexagons == np.count_nonzero(t.vertex_table == k)
 
 
 def test_link_euler_characteristic(hyperbolic_triangulations, s3):
@@ -230,7 +271,7 @@ def test_prism_end_boundary_lengths(hyperbolic_triangulations, s3):
         for k in range(t.o):
             link = tr.vertex_link_hexagon_complex(t, k)
             for cycle, cls in zip(link.prism_ends, link.end_class):
-                assert len(cycle) == len(t.edge_classes[cls].representatives)
+                assert len(cycle) == t.edge_degrees[cls]
 
 
 def test_prism_ends_cover_edge_ends(dodec30x2):
@@ -305,7 +346,7 @@ def test_random_gluings_links_match_reference():
             degree_one += "has degree 1" in str(exc)
             continue
         parsed += 1
-        assert min(len(ec.representatives) for ec in tri.edge_classes) >= 2
+        assert tri.edge_degrees.min() >= 2
         for k in range(tri.o):
             assert_link_matches(tr.vertex_link_hexagon_complex(tri, k),
                                 link_oracle.vertex_link_hexagon_complex(tri, k))
@@ -323,6 +364,17 @@ def test_lengths_must_have_a_finite_cosh(dodec27a, bad):
         tr.parse(head + "lengths:\n" + " ".join(values) + "\n")
     values[3] = "710"  # cosh(710) is still a finite float
     assert tr.parse(head + "lengths:\n" + " ".join(values) + "\n").lengths[3] == 710
+
+
+@pytest.mark.parametrize("bad", ["1_0", "1.0_5", "\uff11.5", "1.5\u0661", "1.0x"])
+def test_length_is_an_ascii_decimal(dodec27a, bad):
+    # float() reads the first four, as 10.0, 1.05, 1.5 and 1.51
+    head = tr.serialize(dodec27a, lengths=()).rsplit("lengths:", 1)[0]
+    values = ["1.0"] * dodec27a.m
+    values[3] = bad
+    with pytest.raises(tr.TriangulationError,
+                       match=f"^length 3 is {re.escape(repr(bad))}: not a number$"):
+        tr.parse(head + "lengths:\n" + " ".join(values) + "\n")
 
 
 def test_negated_lengths_are_rejected(dodec27a):

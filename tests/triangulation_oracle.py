@@ -4,25 +4,128 @@ The parser as it was when it still worked on tuple keys: tokens read with
 `int()`, permutations compared as tuples, vertex classes from a union-find
 on (tet, vertex) pairs and edge classes from a walk that builds a tuple
 per step.  The code is kept unchanged, so the parser on integer tables is
-tested field for field, and message for message, against it.  Two inputs
-differ on purpose: a gluing target that `int()` reads but that is not
-ASCII digits, and a length that `float()` cannot read (this reference
-lets its `ValueError` escape).
+tested field for field, and message for message, against it.  Three
+inputs differ on purpose: a header that is not exactly 'tets' and ASCII
+digits, a gluing target that `int()` reads but that is not ASCII digits,
+and a length that is not ASCII, has a '_' or that `float()` cannot read
+(this reference lets that `ValueError` escape).
+
+It keeps the object model the parser built then: `Tetrahedron`,
+`EdgeClass`, `VertexClass` and a `Triangulation` of them.  `reference`
+turns the tables of a parsed `hypcert.triangulation.Triangulation` into
+that model, and `neighbor`, `edge_class_index`, `edge_classes` and
+`vertex_classes` read single facts off the tables, for the other test
+references.
 """
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from hypcert.triangulation import (
     LOCAL_EDGE_INDEX,
     LOCAL_EDGES,
-    EdgeClass,
-    Tetrahedron,
-    Triangulation,
+    PERM_EDGE,
+    PERMS,
     TriangulationError,
-    VertexClass,
 )
+
+
+@dataclass
+class Tetrahedron:
+    index: int
+    neighbors: list  # 4 entries: tet index or None
+    perms: list  # 4 entries: vertex map tuple or None
+
+
+@dataclass
+class EdgeClass:
+    index: int
+    # (tet, (a, b) with a < b, orient) -- orient +1 if the class direction
+    # runs a -> b for this representative
+    representatives: list
+
+
+@dataclass
+class VertexClass:
+    index: int
+    representatives: list  # (tet, vertex)
+
+
+@dataclass
+class Triangulation:
+    tets: list
+    edge_classes: list = field(default_factory=list)
+    vertex_classes: list = field(default_factory=list)
+    edge_class_of: dict = field(default_factory=dict)  # (tet, (a,b) sorted) -> idx
+    edge_table: np.ndarray = field(default=None, compare=False, repr=False)
+    vertex_class_of: dict = field(default_factory=dict)  # (tet, v) -> idx
+    lengths: list = None
+
+    @property
+    def n_tets(self):
+        return len(self.tets)
+
+    @property
+    def m(self):
+        return len(self.edge_classes)
+
+    @property
+    def o(self):
+        return len(self.vertex_classes)
+
+    def neighbor(self, tet, face):
+        t = self.tets[tet]
+        return t.neighbors[face], t.perms[face]
+
+    def edge_class_index(self, tet, a, b):
+        return self.edge_class_of[(tet, (min(a, b), max(a, b)))]
+
+
+# -- facts of a parsed `hypcert.triangulation.Triangulation` -----------------
+
+
+def neighbor(tri, tet, face):
+    """The tet across `face` of `tet` and the gluing's vertex map."""
+    return int(tri.neighbor_table[tet, face]), PERMS[tri.perm_table[tet, face]]
+
+
+def edge_class_index(tri, tet, a, b):
+    return int(tri.edge_table[tet, LOCAL_EDGE_INDEX[(min(a, b), max(a, b))]])
+
+
+def edge_classes(tri):
+    """`EdgeClass`es of the walk states: (tet, (a, b) with a < b, orient)
+    per state 24 tet + s, orient +1 if s runs a -> b."""
+    bounds = np.cumsum(tri.edge_degrees).tolist()
+    states = tri.edge_states.tolist()
+    classes = []
+    for k, (lo, hi) in enumerate(zip([0] + bounds, bounds)):
+        reps = []
+        for x in states[lo:hi]:
+            t, s = divmod(x, 24)
+            reps.append((t, LOCAL_EDGES[PERM_EDGE[s]], 1 if PERMS[s][0] < PERMS[s][1] else -1))
+        classes.append(EdgeClass(k, reps))
+    return classes
+
+
+def vertex_classes(tri):
+    """`VertexClass`es of the vertex table, each corner list sorted."""
+    return [VertexClass(k, [(int(t), int(v)) for t, v in zip(*np.nonzero(tri.vertex_table == k))])
+            for k in range(tri.o)]
+
+
+def reference(tri):
+    """The object model of a parsed triangulation's tables."""
+    ref = Triangulation(
+        [Tetrahedron(i, row, [PERMS[p] for p in prow]) for i, (row, prow)
+         in enumerate(zip(tri.neighbor_table.tolist(), tri.perm_table.tolist()))],
+        edge_classes(tri), vertex_classes(tri), edge_table=tri.edge_table, lengths=tri.lengths)
+    ref.edge_class_of = {(t, e): ec.index for ec in ref.edge_classes
+                         for (t, e, _) in ec.representatives}
+    ref.vertex_class_of = {r: vc.index for vc in ref.vertex_classes for r in vc.representatives}
+    return ref
 
 
 def perm_parity(p):

@@ -30,8 +30,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from hypcert import geometry as geo
 from hypcert import triangulation as tr
 
-mp.mp.dps = 60
-
 OUT_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "hypcert", "data")
 TOL = mp.mpf(10) ** -35
 
@@ -455,9 +453,10 @@ tet 1: 0:1023 0:1023 0:1023 0:1023
 
 
 def main():
-    tets_mv, gluings, hpts, _ = build_positive_fixture("dodec27a.tri", 0)
-    build_positive_fixture("dodec27b.tri", 2)
-    build_two_vertex_fixture("dodec30x2.tri", tets_mv, gluings, hpts)
+    with mp.workdps(60):
+        tets_mv, gluings, hpts, _ = build_positive_fixture("dodec27a.tri", 0)
+        build_positive_fixture("dodec27b.tri", 2)
+        build_two_vertex_fixture("dodec30x2.tri", tets_mv, gluings, hpts)
     emit("s3_twotet.tri", S3_TEXT)
     t = tr.parse(S3_TEXT)
     print(f"s3_twotet: {t.n_tets} tets, o={t.o}, m={t.m}")

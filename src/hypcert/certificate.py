@@ -74,18 +74,16 @@ def _endpoints(arr, precision):
     return [[str(decimal.Decimal(l)), str(decimal.Decimal(h))] for l, h in zip(lo, hi)]
 
 
+# the float nearest a decimal string, stepped outward unless it equals
+# it; Decimal compares exactly, and at once whatever the exponent
 def _float_down(s):
     f = float(s)
-    if Fraction(f) > Fraction(s):
-        f = nextafter(f, -inf)
-    return f
+    return nextafter(f, -inf) if decimal.Decimal(f) > decimal.Decimal(s) else f
 
 
 def _float_up(s):
     f = float(s)
-    if Fraction(f) < Fraction(s):
-        f = nextafter(f, inf)
-    return f
+    return nextafter(f, inf) if decimal.Decimal(f) < decimal.Decimal(s) else f
 
 
 def _parse_intervals(pairs, kernel):
@@ -158,7 +156,7 @@ def certificate_json(tri, result, method, timings=None):
 def parse_certificate(text):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise CertificateError(f"not a certificate: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise CertificateError("unknown certificate format")

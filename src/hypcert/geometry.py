@@ -184,22 +184,6 @@ _R_PLUS = np.r_[0:6, 16:22]
 _R_MINUS = np.r_[6:12, 22:28]
 
 
-def _sum_rounds(lengths):
-    """Rounds that sum runs of consecutive columns, of the given lengths,
-    each left to right and all side by side: the first column of every
-    run, then for each d > 0 the runs longer than d and their d-th
-    columns."""
-    starts = np.cumsum([0, *lengths[:-1]])
-    later = []
-    for d in range(1, max(lengths)):
-        live = np.array([i for i, n in enumerate(lengths) if n > d])
-        later.append((live, starts[live] + d))
-    return starts, later
-
-
-# a2's six terms, the four c_kk and the four terms of det g along row 0
-_SUMS = _sum_rounds((6, 4, 4))
-
 _REASONS = (
     "char-poly coefficient a2 not proven negative",
     "char-poly coefficient a1 not proven positive",
@@ -306,6 +290,24 @@ def _rounds(target):
     return [np.flatnonzero(rank == d) for d in range(rank.max() + 1)]
 
 
+# a2's six terms, the four c_kk and the four terms of det g along row 0,
+# summed by `_summed`: the target of each column, and their rounds
+_SUM_TARGET = np.repeat(np.arange(3), (6, 4, 4))
+_SUMS = _rounds(_SUM_TARGET)
+
+
+def _summed(x, target, rounds):
+    """x's entries along its last axis summed by target, each target's
+    left to right from its first term.  `rounds` is `_rounds(target)`, and
+    target is nondecreasing from 0 with no value skipped, so the first
+    round lists every target's first term in target order."""
+    first, *later = rounds
+    acc = x[..., first]
+    for sel in later:
+        acc[..., target[sel]] = acc[..., target[sel]] + x[..., sel]
+    return acc
+
+
 class _Plan:
     """What `simplex_data`, `angle_sums` and `jacobian` gather and sum by,
     which depends only on the gluing: the Gram gather index, the angle
@@ -321,10 +323,9 @@ class _Plan:
         for e, (a, b) in enumerate(LOCAL_EDGES):
             self.gram[:, _ix(a, b)] = self.gram[:, _ix(b, a)] = self.edges[:, e]
         # by class index, each class's incidences in walk order
-        cls = np.repeat(np.arange(tri.m), tri.edge_degrees)
+        self.sum_target = np.repeat(np.arange(tri.m), tri.edge_degrees)
         self.reps = tri.edge_states // 24, PERM_EDGE[tri.edge_states % 24]
-        self.sum_first, *later = _rounds(cls)
-        self.sum_later = [(sel, cls[sel]) for sel in later]
+        self.sum_rounds = _rounds(self.sum_target)
         self.blocks = {}
 
     def block(self, rows, cols):
@@ -365,15 +366,6 @@ def _cofactors(G):
     return upper[:, _C_SYM]
 
 
-def _running_sums(x, first, later):
-    """The runs of columns of x that `_sum_rounds` describes, each summed
-    left to right, as the columns of one array."""
-    acc = x[:, first]
-    for live, cols in later:
-        acc[:, live] = acc[:, live] + x[:, cols]
-    return acc
-
-
 def _realization(kernel, G, C):
     """The realization conditions of every Gram row, and the products the
     dihedral angles share with them.
@@ -390,7 +382,7 @@ def _realization(kernel, G, C):
     w = kernel.concat([G, C])
     p = w[:, _R_LEFT] * w[:, _R_RIGHT]
     d = p[:, _R_PLUS] - p[:, _R_MINUS]
-    sums = _running_sums(kernel.concat([d[:, :6], C[:, _DIAG], p[:, 12:16]]), *_SUMS)
+    sums = _summed(kernel.concat([d[:, :6], C[:, _DIAG], p[:, 12:16]]), _SUM_TARGET, _SUMS)
     a2, a1, a0 = sums[:, 0], -sums[:, 1], sums[:, 2]  # a0 = det g along row 0
     gap = d[:, 6:]
     failed = np.column_stack([
@@ -503,11 +495,7 @@ def angle_sums(tri, params, data=None):
     if data is None:
         data = simplex_data(tri, params)
     plan = _plan(tri)
-    theta = data.theta[plan.reps]
-    sums = theta[plan.sum_first]
-    for sel, cls in plan.sum_later:
-        sums[cls] = sums[cls] + theta[sel]
-    return sums
+    return _summed(data.theta[plan.reps], plan.sum_target, plan.sum_rounds)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,10 @@ boundary.  A gimbal loop is a cyclic word in link edges plus one letter
 per removed polygon, held as an integer array: a link slot 6 c + i
 (letter i of the link's hexagon c) or -1 - pid for polygon pid.  Its
 construction, its validator, its text and its label rows read the link's
-slot tables (`triangulation.LinkComplex`).  Substituting z-rotations
+slot tables (`triangulation.LinkComplex`).  A loop bounds a disk cut from
+the link's breadth-first spanning tree of hexagons (`LinkComplex.order`
+and `entry`), the tree along which `edge_direction_table` carries its
+frames, so the two walk the same hexagons.  Substituting z-rotations
 for the polygon letters gives the gimbal matrix, and the upper-triangular
 entries of the per-link matrices assemble the gimbal function g.
 Invertibility of the interval Jacobian [Dg(K)] over the box K of
@@ -392,66 +395,42 @@ _TOKEN_TEXT = ([f":{s[:2]}:{s}" for s in PERM_STRINGS], [f":{s}" for s in PERM_S
 
 
 def build_gimbal_loop(link, removed_pids):
-    """Grow a hexagon-boundary loop until it touches every removed polygon.
+    """The boundary of the least disk of hexagons that touches every
+    removed polygon, walked from letter 0, with each removed-polygon
+    letter spliced in after the first letter ending on its boundary.
 
-    Starts from one hexagon boundary and repeatedly replaces a middle edge
-    with the other five edges of the unused hexagon behind it, hexagon by
-    hexagon in breadth-first order; afterwards each removed-polygon letter
-    is spliced in after the first word position ending on its boundary.
-    Linear in the loop's letters: the word is a linked list of the link's
-    slots, node i holding `letters[i]` and followed by `after[i]`, and a
-    map from its middle-edge slots to their nodes makes a splice O(1).
+    The disk is the shortest prefix of the link's breadth-first `order`
+    whose hexagons' letters end on every removed polygon, glued along each
+    hexagon's entry letter.  Letter 0 is a short edge, so it is never
+    crossed; the walk takes one step per letter of the word.
     """
     removed = sorted(removed_pids)
     for pid in removed:
         if pid >= len(link.prism_ends):
             raise GimbalLoopError(f"no prism end {pid} in this link")
 
-    other_side, end_pid = link.other_side.tolist(), link.end_pid.tolist()
-    letters = [0, 1, 2, 3, 4, 5]  # the hexagon at the link's first corner
-    after = [1, 2, 3, 4, 5, -1]
-    node_of = {1: 1, 3: 3, 5: 5}
-    used = {0}
-    queue = [0]
-    untouched = set(removed).difference(end_pid[:6])
-    head = 0
-    while untouched:
-        if head == len(queue):
-            raise GimbalLoopError("link exhausted before touching every removed polygon")
-        h = queue[head]
-        head += 1
-        for s in (6 * h + 1, 6 * h + 3, 6 * h + 5):
-            t = other_side[s]
-            other = t // 6
-            if other in used or s not in node_of:
-                continue
-            # the other side's hexagon from just after that side
-            x, n = node_of.pop(s), len(letters)
-            replacement = [6 * other + (t + k) % 6 for k in range(1, 6)]
-            letters[x] = replacement[0]
-            letters += replacement[1:]
-            after += [n + 1, n + 2, n + 3, after[x]]
-            after[x] = n
-            # the letters run short, middle, short, middle, short
-            node_of[replacement[1]], node_of[replacement[3]] = n, n + 2
-            used.add(other)
-            queue.append(other)
-            untouched.difference_update([end_pid[r] for r in replacement])
-            if not untouched:
-                break
-
-    # walk the list; splice removed-polygon letters after the first
-    # anchoring edge
-    word = []
-    pending = set(removed)
-    x = 0
-    while x >= 0:
-        s = letters[x]
-        word.append(s)
-        if end_pid[s] in pending:
-            pending.discard(end_pid[s])
-            word.append(-1 - end_pid[s])
-        x = after[x]
+    order, n = link.order, link.n_hexagons
+    reach = np.full(len(link.prism_ends), n)  # each polygon's first hexagon in `order`
+    np.minimum.at(reach, link.end_pid.reshape(-1, 6)[order], np.arange(n)[:, None])
+    need = reach[removed].max(initial=0)
+    if need == n:
+        raise GimbalLoopError("link exhausted before touching every removed polygon")
+    disk = order[1:need + 1]  # and hexagon 0
+    into = 6 * disk + link.entry[disk]
+    crossed = np.concatenate((into, link.other_side[into]))
+    # each letter's next on the boundary: the next of its hexagon, or past
+    # a crossed middle letter, the one after its other side
+    nxt = np.arange(1, 6 * n + 1)
+    nxt[5::6] -= 6
+    nxt[crossed - 1] = nxt[link.other_side[crossed]]
+    nxt, end_pid, pending = nxt.tolist(), link.end_pid.tolist(), set(removed)
+    word, x = [], 0
+    while x or not word:  # from letter 0 until back there
+        word.append(x)
+        if end_pid[x] in pending:
+            pending.discard(end_pid[x])
+            word.append(-1 - end_pid[x])
+        x = nxt[x]
     loop = GimbalLoop(link.vertex_class, link, tuple(removed), np.array(word))
     validate_gimbal_loop(loop)
     return loop
@@ -754,40 +733,38 @@ def edge_direction_table(tri, labels, links):
     `labels` are float `CocycleLabels` and `links` the vertex links in
     vertex-class order.  On link k, frames are transported along hexagon
     letters, S(end) = label S(start), from the first vertex of its first
-    hexagon, where its loops begin, over a breadth-first tree of hexagons,
-    each entered where it shares a middle letter with its parent: stacked
-    over all links, each hexagon's letter products from its entry on, then
-    the entry frames by pointer jumping up the tree.  Each prism end adds
-    (-w_z, w_y, -w_x), w where its first short edge starts, to rows
-    3k..3k+2 of its edge class's column.
+    hexagon, where its loops begin, over the link's breadth-first tree of
+    hexagons (`LinkComplex.entry`), each entered where it shares a middle
+    letter with its parent: stacked over all links, each hexagon's letter
+    products from its entry on, then the entry frames by pointer jumping up
+    the tree.  Each prism end adds (-w_z, w_y, -w_x), w where its first
+    short edge starts, to rows 3k..3k+2 of its edge class's column.
     """
     def mul(a, b):  # off BLAS, left to right: stage I pivots on T's bits, the same anywhere
         return sum(a[..., :, k, None] * b[..., None, k, :] for k in range(3))
 
     label, _ = labels.label_bounds()
-    slots, parent, entry, step, ends = [], [], [], [], []
-    for k, link in enumerate(links):
-        base = len(parent)
-        slots.append(link.label.reshape(-1, 6))
-        other_side = link.other_side.tolist()
-        parent += [base] * link.n_hexagons
-        entry += [0] + [-1] * (link.n_hexagons - 1)
-        step += [0] * link.n_hexagons
-        queue = [0]
-        for h in queue:  # letter 6 h + j runs from vertex j to vertex j + 1
-            for j in (1, 3, 5):
-                c, i = divmod(other_side[6 * h + j], 6)
-                if entry[base + c] < 0:
-                    queue.append(c)
-                    parent[base + c], entry[base + c] = base + h, i
-                    step[base + c] = (j + 1 - entry[base + h]) % 6
-        for cycle, cls in zip(link.prism_ends, link.end_class.tolist()):
-            c, i = divmod(cycle[0], 6)
-            ends.append((3 * k, cls, base + c, i))
-    parent, entry, step = np.array(parent), np.array(entry), np.array(step)
+    sizes = [link.n_hexagons for link in links]
+    base = np.cumsum([0] + sizes[:-1])  # each link's hexagon 0 in the stack
+    entry = np.concatenate([link.entry for link in links])
+    slot = 6 * np.arange(len(entry))
+    # a hexagon is entered from its parent's letter 6 h + j, from vertex j
+    # to j + 1; each link's hexagon 0, its root, is its own parent at step 0
+    side = np.concatenate([link.other_side for link in links])[slot + entry]
+    side += 6 * np.repeat(base, sizes)
+    side[base] = 6 * base + 5
+    parent, j = np.divmod(side, 6)
+    step = (j + 1 - entry[parent]) % 6
+    # each prism end's first row, edge class, and the hexagon and vertex
+    # where its first short edge starts
+    ends = [len(link.prism_ends) for link in links]
+    row = 3 * np.repeat(np.arange(len(links)), ends)
+    cls = np.concatenate([link.end_class for link in links])
+    first = [cycle[0] for link in links for cycle in link.prism_ends]
+    h, at = np.divmod(np.array(first) + 6 * np.repeat(base, ends), 6)
     # prod[h, i]: the letters of hexagon h from its entry vertex on, i of them
-    turn = (entry[:, None] + np.arange(6)) % 6
-    letters = label[np.take_along_axis(np.concatenate(slots), turn, 1)]
+    turn = slot[:, None] + (entry[:, None] + np.arange(6)) % 6
+    letters = label[np.concatenate([link.label for link in links])[turn]]
     prod = np.tile(np.eye(3), (len(parent), 6, 1, 1))
     for i in range(5):
         prod[:, i + 1] = mul(letters[:, i], prod[:, i])
@@ -795,8 +772,7 @@ def edge_direction_table(tri, labels, links):
     frame, up = prod[parent, step], parent
     while (up[up] != up).any():
         frame, up = mul(frame, frame[up]), up[up]
-    row, cls, h, i = np.array(ends).T
-    w = mul(prod[h, (i - entry[h]) % 6], frame[h])[:, 2]
+    w = mul(prod[h, (at - entry[h]) % 6], frame[h])[:, 2]
     table = np.zeros((3 * len(links), tri.m))
     np.add.at(table, (row[:, None] + np.arange(3), cls[:, None]), w[:, ::-1] * (-1.0, 1.0, -1.0))
     return table

@@ -455,7 +455,13 @@ class LinkComplex:
     at even i and a middle edge at odd i.  A link vertex is the smaller id
     24 tet + perm index of the two hexagon vertices (tet, s) that a gluing
     identifies; a letter's token is its short edge's own start, or its
-    middle edge's smaller side's smaller end, as 24 tet + perm index."""
+    middle edge's smaller side's smaller end, as 24 tet + perm index.
+
+    `order` and `entry` are the link's breadth-first spanning tree of
+    hexagons, which stage I's frames and stage V's gimbal loops both walk:
+    from hexagon 0, each hexagon's middle letters 1, 3 and 5 in turn, and
+    every hexagon entered through the letter, 6 c + entry[c], at which it
+    is first reached; hexagon 0's entry is its letter 0."""
 
     vertex_class: int
     corners: np.ndarray  # (C, 2) rows tet, a; sorted
@@ -466,6 +472,8 @@ class LinkComplex:
     end_pid: np.ndarray  # slot -> the prism end its last vertex lies on
     prism_ends: list  # pid -> its short-edge slots, in order around the polygon
     end_class: np.ndarray  # pid -> the edge class of its prism
+    order: np.ndarray  # the hexagons in breadth-first order
+    entry: np.ndarray  # hexagon -> the letter it is entered through
 
     @property
     def n_hexagons(self):
@@ -541,8 +549,17 @@ def _build_links(tri):
     links, lo, local = [], 0, local.tolist()
     for k, size in enumerate(sizes.tolist()):
         parts = [a[lo:lo + 6 * size] for a in tables[1:]]
+        # the breadth-first spanning tree (`LinkComplex.order`, `entry`)
+        other_side, order, entry = parts[3].tolist(), [0], [0] + [-1] * (size - 1)
+        for h in order:
+            for j in (1, 3, 5):
+                c, i = divmod(other_side[6 * h + j], 6)
+                if entry[c] < 0:
+                    order.append(c)
+                    entry[c] = i
         links.append(LinkComplex(k, corners[lo // 6:lo // 6 + size], *parts,
                                  [[local[g] for g in cycle] for cycle in ends[k]],
-                                 np.array(classes[k], dtype=np.intp)))
+                                 np.array(classes[k], dtype=np.intp),
+                                 _frozen(order), _frozen(entry)))
         lo += 6 * size
     return links

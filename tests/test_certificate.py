@@ -44,6 +44,20 @@ def test_certificate_reparse_exact_for_floats(dodec27a, verified27a):
     assert back.lo.tolist() == nu.lo.tolist() and back.hi.tolist() == nu.hi.tolist()
 
 
+def test_float_endpoints_round_outward_at_any_exponent():
+    # the comparison with the decimal does not expand its exponent
+    assert cert._float_down("-1e-999999999999") == -5e-324
+    assert cert._float_up("1e-999999999999") == 5e-324
+    assert cert._float_down("1e-999999999999") == 0.0
+    assert cert._float_up("-1e-999999999999") == 0.0
+    for s in ("0.1", "-1.5430806348152437", "1e-320", "-2.5e300", "0.0"):
+        f = float(s)
+        down, up = cert._float_down(s), cert._float_up(s)
+        assert Fraction(down) <= Fraction(s) <= Fraction(up)
+        assert down == up == f if Fraction(f) == Fraction(s) else down < up
+        assert f in (down, up)
+
+
 def test_certificate_deterministic(dodec27a):
     r1 = verify.run_pipeline(dodec27a)
     r2 = verify.run_pipeline(dodec27a)

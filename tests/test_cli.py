@@ -427,7 +427,7 @@ def test_probe_gimbal_budget_below_one_exit_one(capsys, budget):
     assert "candidates" not in out
 
 
-def _python_m_hypcert(*argv):
+def _python_m_hypcert(*argv, timeout=120):
     # `python -m hypcert` from a checkout: the package is on PYTHONPATH only
     root = pathlib.Path(__file__).resolve().parent.parent
     env = dict(os.environ)
@@ -435,7 +435,7 @@ def _python_m_hypcert(*argv):
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run([sys.executable, "-m", "hypcert", *argv], cwd=root, env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def test_python_m_hypcert_check():
@@ -459,6 +459,32 @@ def test_directory_as_triangulation_exit_one(tmp_path):
         assert proc.returncode == 1, args
         assert proc.stderr.startswith(f"error: cannot read {tmp_path}: "), args
         assert "Traceback" not in proc.stderr + proc.stdout
+
+
+def test_recheck_tiny_endpoint_exits_at_once(tmp_path, dodec27a, verified27a):
+    # a lower endpoint of -1e-999999999999 rounds down to -5e-324, above
+    # its upper endpoint, and the rounding does not expand the exponent
+    from hypcert import certificate as cert
+
+    doc = cert.certificate_dict(dodec27a, verified27a, "krawczyk")
+    doc["nu"][0][0] = "-1e-999999999999"
+    bad = tmp_path / "tiny.json"
+    bad.write_text(json.dumps(doc))
+    proc = _python_m_hypcert("recheck", str(data_path("dodec27a.tri")), str(bad), timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: malformed certificate: reversed endpoints")
+    assert proc.stdout == ""
+
+
+def test_recheck_deeply_nested_certificate_exit_one(tmp_path, capsys):
+    # json's decoder meets the recursion limit on deep nesting
+    bad = tmp_path / "nested.json"
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "recheck", str(data_path("dodec27a.tri")), str(bad))
+    assert code == 1
+    assert err.startswith("error: not a certificate: ")
+    assert "Traceback" not in err + out
+    assert out == ""
 
 
 def test_recheck_certificate_not_utf8_exit_one(tmp_path, capsys):

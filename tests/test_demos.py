@@ -37,10 +37,11 @@ def test_build_fixtures_rebuilds_the_bundled_data(tmp_path, monkeypatch):
         "build_fixtures", ROOT / "demos" / "build_fixtures.py")
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setattr(sys, "path", list(sys.path))  # it prepends src/
-    with mpmath.workdps(60):  # it sets 60 digits on import
-        spec.loader.exec_module(module)
-        monkeypatch.setattr(module, "OUT_DIR", str(tmp_path))
-        module.main()
+    dps = mpmath.mp.dps
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "OUT_DIR", str(tmp_path))
+    module.main()
+    assert mpmath.mp.dps == dps  # it works at 60 digits, its importer's precision kept
     data = ROOT / "src" / "hypcert" / "data"
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(FIXTURES)
     for name in FIXTURES:

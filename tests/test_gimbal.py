@@ -617,16 +617,13 @@ def _scaling_member(moves, seed=None):
 
 
 def _build_fixtures():
-    """`demos/build_fixtures`, imported without changing mpmath's
-    precision."""
+    """`demos/build_fixtures`, imported from the demos directory."""
     demos = pathlib.Path(__file__).resolve().parent.parent / "demos"
-    dps = mpmath.mp.dps
     sys.path.insert(0, str(demos))
     try:
-        import build_fixtures as bf  # its import sets mpmath's precision
+        import build_fixtures as bf
     finally:
         sys.path.remove(str(demos))
-        mpmath.mp.dps = dps
     return bf
 
 

@@ -7,9 +7,13 @@ Expanded into the reference's dicts (`tests/link_slots.py`), the links
 must match it field for field and the loops letter for letter, on the
 bundled fixtures, on the benchmark's scaling inputs and on every removed
 set `tests/test_gimbal.py` builds loops for; and both validators must
-reject each tampered loop with the same message.
+reject each tampered loop with the same message.  Each link's spanning
+tree (`LinkComplex.order`, `entry`) must be that of a breadth-first search
+with a plain queue, and each loop must bound the shortest prefix of its
+order that touches the removed polygons.
 """
 
+import collections
 import random
 
 import numpy as np
@@ -21,7 +25,7 @@ from tests import link_oracle
 from tests.conftest import data_path, stage_one
 from tests.link_slots import expand_link, expand_loop, letters_of, serialize_letters
 from tests.test_gimbal import _scaling_member
-from tests.test_triangulation import assert_link_matches
+from tests.test_triangulation import _random_gluing, assert_link_matches
 
 FIXTURES = ("dodec27a", "dodec27b", "dodec30x2", "s3_twotet")
 SCALING = tuple(f"scaling{k}-seed{seed}" for k in (12, 24) for seed in (1, 2, 3, 7, 8))
@@ -46,6 +50,60 @@ def _loose_edge_sets(name, tri):
     return out
 
 
+def _least_prefix(link, removed):
+    """The hexagons of the shortest prefix of `link.order` whose letters
+    end on every polygon in `removed`."""
+    order, touched = link.order.tolist(), set()
+    for size, h in enumerate(order, 1):
+        touched.update(link.end_pid[6 * h:6 * h + 6].tolist())
+        if touched >= set(removed):
+            return set(order[:size])
+    raise AssertionError("the link's hexagons do not touch every removed polygon")
+
+
+def _queue_bfs(link):
+    """The order and entry letters of a breadth-first search of `link`'s
+    hexagons with a plain queue: from hexagon 0, middle letters 1, 3, 5."""
+    entry, order, queue = {0: 0}, [], collections.deque([0])
+    while queue:
+        h = queue.popleft()
+        order.append(h)
+        for j in (1, 3, 5):
+            c, i = divmod(int(link.other_side[6 * h + j]), 6)
+            if c not in entry:
+                entry[c] = i
+                queue.append(c)
+    return order, [entry[c] for c in range(link.n_hexagons)]
+
+
+def assert_tree_is_a_queue_bfs(link):
+    order, entry = _queue_bfs(link)
+    assert sorted(order) == list(range(link.n_hexagons))
+    for got, want in ((link.order, order), (link.entry, entry)):
+        assert got.dtype == np.intp and not got.flags.writeable
+        assert got.tolist() == want
+
+
+@pytest.mark.parametrize("name", FIXTURES + SCALING)
+def test_link_spanning_trees_are_a_queue_bfs(name):
+    tri = _input(name)
+    for k in range(tri.o):
+        assert_tree_is_a_queue_bfs(tr.vertex_link_hexagon_complex(tri, k))
+
+
+def test_random_gluings_link_spanning_trees_are_a_queue_bfs():
+    rng = random.Random(23)
+    parsed = 0
+    while parsed < 200:
+        try:
+            tri = tr.parse(_random_gluing(rng, rng.randint(1, 4)))
+        except tr.TriangulationError:
+            continue
+        parsed += 1
+        for k in range(tri.o):
+            assert_tree_is_a_queue_bfs(tr.vertex_link_hexagon_complex(tri, k))
+
+
 @pytest.mark.parametrize("name", FIXTURES + SCALING)
 def test_links_and_loops_match_reference(name):
     tri = _input(name)
@@ -65,6 +123,8 @@ def test_links_and_loops_match_reference(name):
             assert letters_of(loop) == want.word, (k, removed)
             assert loop.serialize() == serialize_letters(want.word)
             assert link_oracle.validate_gimbal_loop(expand_loop(loop, expanded))
+            hexagons = set((loop.word[loop.word >= 0] // 6).tolist())
+            assert hexagons == _least_prefix(link, removed), (k, removed)
         for build, lk in ((gb.build_gimbal_loop, link), (link_oracle.build_gimbal_loop, ref)):
             with pytest.raises(gb.GimbalLoopError, match=f"^no prism end {n} in this link$"):
                 build(lk, [n])

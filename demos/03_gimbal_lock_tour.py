@@ -65,11 +65,13 @@ class AntipodalLabels:
 link = types.SimpleNamespace(label=np.array([0, 0]))
 loop = gimbal.GimbalLoop(0, link, (0, 1), np.array([1, -2, 0, -1]))
 loop.variable_of_pid = {0: 0, 1: 1}
-(derivs,) = gimbal.gimbal_matrix_derivatives(
+# the loop and the variable of each derivative, and the derivatives'
+# entries (3, 3, one per derivative)
+_, var, derivs = gimbal.gimbal_matrix_derivatives(
     [loop], AntipodalLabels(), gimbal.rotation_balls(FLOAT_KERNEL.two_pi()[[0, 0]])
 )
 # the midpoint of each 3x3 derivative's entries (0,1), (0,2) and (1,2)
-D = np.array([[0.5 * (derivs[v].lo[r, c] + derivs[v].hi[r, c]) for v in (0, 1)]
+D = np.array([[0.5 * (derivs.lo[r, c, k] + derivs.hi[r, c, k]) for k in np.argsort(var)]
               for (r, c) in ((0, 1), (0, 2), (1, 2))])
 print("  derivative columns:")
 print(D.T)

@@ -22,7 +22,7 @@ import numpy as np
 from mpmath import libmp
 
 from . import verify as vf
-from .interval import kernel_for_precision
+from .interval import IntervalError, kernel_for_precision
 from .triangulation import serialize, vertex_link_hexagon_complex
 
 __all__ = [
@@ -193,9 +193,13 @@ def recheck(tri, doc, precision=None):
         return False, "triangulation hash mismatch"
     if precision is None:
         precision = doc.get("precision_bits", 53)
-    if type(precision) is not int or precision < 53:
-        raise CertificateError(f"precision must be an integer >= 53, got {precision!r}")
-    part, nu = _parse_box(tri, doc, kernel_for_precision(precision))
+    if type(precision) is not int:
+        raise CertificateError(f"precision must be an integer, got {precision!r}")
+    try:
+        kernel = kernel_for_precision(precision)
+    except IntervalError as exc:
+        raise CertificateError(f"{exc}, got {precision}") from None
+    part, nu = _parse_box(tri, doc, kernel)
     box = vf.CertifiedBox(
         nu=nu, theta=None, partition=part, precision=precision
     )

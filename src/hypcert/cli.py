@@ -21,6 +21,7 @@ from . import certificate as cert
 from . import geometry as geo
 from . import verify
 from .gimbal import probe_partitions
+from .interval import MAX_PRECISION, IntervalError, kernel_for_precision
 from .triangulation import TriangulationError, parse_file, serialize
 
 EXIT_OK = 0
@@ -110,8 +111,10 @@ def cmd_solve(args):
 
 
 def cmd_certify(args):
-    if args.precision < 53:
-        print("error: precision must be >= 53 bits", file=sys.stderr)
+    try:
+        kernel_for_precision(args.precision)
+    except IntervalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     tri = _load(args.file)
     if args.output:
@@ -204,7 +207,7 @@ def main(argv=None):
     p = sub.add_parser("certify", help="run the verification pipeline")
     p.add_argument("file")
     p.add_argument("--precision", type=int, default=53,
-                   help="working precision in bits (>= 53)")
+                   help=f"working precision in bits (53 to {MAX_PRECISION})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timings in the certificate")

@@ -283,8 +283,8 @@ def _rounds(target):
     index order: round d holds the d-th term of every target with more
     than d terms, so no round has a target twice."""
     order = np.argsort(target, kind="stable")
-    starts = np.flatnonzero(np.r_[True, np.diff(target[order]) != 0])
-    sizes = np.diff(np.r_[starts, len(target)])
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(target[order]) != 0)))
+    sizes = np.diff(np.append(starts, len(target)))
     rank = np.empty(len(target), dtype=np.intp)
     rank[order] = np.arange(len(target)) - np.repeat(starts, sizes)
     return [np.flatnonzero(rank == d) for d in range(rank.max() + 1)]

@@ -22,7 +22,9 @@ boundary.  A gimbal loop is a cyclic word in link edges plus one letter
 per removed polygon, held as an integer array: a link slot 6 c + i
 (letter i of the link's hexagon c) or -1 - pid for polygon pid.  Its
 construction, its validator, its text and its label rows read the link's
-slot tables (`triangulation.LinkComplex`).  A loop bounds a disk cut from
+slot tables (`triangulation.LinkComplex`); a partition's loops are built,
+validated and planned in one pass each, over the tables of all links or
+loops stacked end to end.  A loop bounds a disk cut from
 the link's breadth-first spanning tree of hexagons (`LinkComplex.order`
 and `entry`), the tree along which `edge_direction_table` carries its
 frames, so the two walk the same hexagons.  Substituting z-rotations
@@ -70,7 +72,9 @@ __all__ = [
     "GimbalLoop",
     "GimbalLoopError",
     "build_gimbal_loop",
+    "build_gimbal_loops",
     "validate_gimbal_loop",
+    "validate_gimbal_loops",
     "gimbal_matrix_derivatives",
     "assemble_gimbal_jacobian",
     "gimbal_lock_check",
@@ -99,10 +103,12 @@ class GimbalLoopError(ValueError):
 # rounding-error bound (`_product_with_error`).  A non-finite midpoint or
 # bound makes the radius inf, and an infinite radius encloses everything.
 #
-# Balls come in stacks: a ball stack is (mid, rad, norm), the midpoints
-# (k, 3, 3), the radii (k,) and rigorous bounds on the midpoints' spectral
-# norms (k,).  Every function below applies its rounding steps elementwise
-# over the stack, so each of its rows is bounded as one ball would be.
+# Balls come in stacks: a ball stack is (mid, rad, norm), the midpoints a
+# C-contiguous (3, 3, k) array, the radii (k,) and rigorous bounds on the
+# midpoints' spectral norms (k,), so that an entry of all k balls is one
+# contiguous row.  Every function below applies its rounding steps
+# elementwise over the stack, so each of its balls is bounded as one ball
+# alone would be; gathers copy into that layout (`_take`).
 # Every 3x3 operand of a loop gets its ball from a table of float endpoints
 # (`_balls_of_bounds`): one table for the labels of all simplices
 # (`CocycleLabels.label_bounds`) and one for the rotations of a Jacobian's
@@ -140,27 +146,29 @@ def _product_with_error(a, b):
     eta / 2, and up(fl(y + 3 eta)) >= y + 3 eta.  An overflow makes p or s
     non-finite, and then e is inf or NaN.
     """
-    x0, x1, x2 = (a[..., :, k, None] * b[..., None, k, :] for k in range(3))
+    x0, x1, x2 = (a[:, k, None] * b[None, k] for k in range(3))
     s = np.abs(x0) + np.abs(x1) + np.abs(x2)
     return x0 + x1 + x2, np.nextafter(_GAMMA3_UP * s + _UNDERFLOW3, inf)
 
 
 @np.errstate(all="ignore")
-def _max_row_sums(rows):
-    """Upper bound for the largest row sum of each matrix in a stack
-    (k, r, c) of nonnegative floats: every row summed left to right, each
-    partial sum stepped up; inf where a sum is inf or NaN."""
-    acc = rows[..., 0]
-    for j in range(1, rows.shape[-1]):
-        acc = np.nextafter(acc + rows[..., j], inf)
-    return np.where(acc < inf, acc, inf).max(axis=-1)
+def _max_row_sums(cols):
+    """Upper bound for the largest row sum of each matrix in a stack of
+    nonnegative floats, given as its columns cols[j], each (r, k): every
+    row summed left to right, each partial sum stepped up; inf where a sum
+    is inf or NaN."""
+    acc = cols[0] + cols[1]
+    np.nextafter(acc, inf, out=acc)
+    for c in cols[2:]:
+        np.nextafter(np.add(acc, c, out=acc), inf, out=acc)
+    return np.where(acc < inf, acc, inf).max(axis=0)
 
 
 @np.errstate(all="ignore")
 def _spec_bound(radii):
     """Rigorous upper bound for the spectral norm of each nonnegative 3x3
     float matrix in a stack: sqrt(max row sum * max col sum)."""
-    prod = np.nextafter(_max_row_sums(radii) * _max_row_sums(np.swapaxes(radii, -1, -2)), inf)
+    prod = np.nextafter(_max_row_sums(radii.swapaxes(0, 1)) * _max_row_sums(radii), inf)
     return np.nextafter(np.sqrt(prod), inf)
 
 
@@ -169,15 +177,16 @@ def _norm_bound(m):
     stack, via the max row sum of |m^T m|; m^T m is formed by
     `_product_with_error`, and its rows interleave |m^T m| with the error
     bounds."""
-    gram, err = _product_with_error(np.swapaxes(m, -1, -2), m)
-    rows = np.stack([np.abs(gram), err], axis=-1).reshape(*gram.shape[:-1], 6)
-    return np.nextafter(np.sqrt(_max_row_sums(rows)), inf)
+    gram, err = _product_with_error(m.swapaxes(0, 1), m)
+    gram = np.abs(gram)
+    return np.nextafter(np.sqrt(_max_row_sums(
+        [x for j in range(3) for x in (gram[:, j], err[:, j])])), inf)
 
 
 @np.errstate(all="ignore")
 def _balls_of_bounds(lo, hi):
     """Enclose a stack of 3x3 interval matrices, given by their float
-    endpoints (k, 3, 3), in a ball stack.  An entry's midpoint is
+    endpoints (3, 3, k), in a ball stack.  An entry's midpoint is
     c = 0.5 (lo + hi) and its radius max(up(c - lo), up(hi - c)); a ball's
     radius is `_spec_bound` of those, and its norm bound `_norm_bound` of
     its midpoint (``max(a, b)`` keeps a unless b > a, NaN included)."""
@@ -193,7 +202,7 @@ def _radius(rad):
 
 @np.errstate(all="ignore")
 def ball_mul(a, b):
-    """Product enclosure of two ball stacks, row by row: midpoint product
+    """Product enclosure of two ball stacks, ball by ball: midpoint product
     with its rounding bound, plus norm cross terms."""
     (a_mid, a_rad, a_norm), (b_mid, b_rad, b_norm) = a, b
     mid, err = _product_with_error(a_mid, b_mid)
@@ -205,7 +214,7 @@ def ball_mul(a, b):
 
 @np.errstate(all="ignore")
 def ball_add(a, b):
-    """Sum enclosure of two ball stacks, row by row: a rounded sum s is
+    """Sum enclosure of two ball stacks, ball by ball: a rounded sum s is
     within u |s| of the exact one."""
     (a_mid, a_rad, _), (b_mid, b_rad, _) = a, b
     mid = a_mid + b_mid
@@ -216,32 +225,27 @@ def ball_add(a, b):
 
 def _entries(ball):
     """Entrywise enclosure of a ball stack as a 53-bit `IntervalArray`
-    (k, 3, 3): mid + [-rad, rad], or the whole line where the radius is
+    (3, 3, k): mid + [-rad, rad], or the whole line where the radius is
     infinite."""
     mid, rad, _ = ball
     whole = rad == inf
-    r = np.where(whole, 0.0, rad)[:, None, None]
-    m = np.where(whole[:, None, None], 0.0, mid)
+    r = np.where(whole, 0.0, rad)
+    m = np.where(whole, 0.0, mid)
     out = IntervalArray(m, m) + IntervalArray(-r, r)
-    out.lo[whole], out.hi[whole] = -inf, inf
+    out.lo[..., whole], out.hi[..., whole] = -inf, inf
     return out
 
 
 def _take(ball, rows):
-    return tuple(x[rows] for x in ball)
-
-
-def _transpose(ball):
-    """The transposed balls: same radius, and the same norm bound, since
-    ||m^T||_2 = ||m||_2."""
+    """The balls at the integer index array `rows`, as a contiguous stack."""
     mid, rad, norm = ball
-    return np.swapaxes(mid, -1, -2), rad, norm
+    return mid.take(rows, axis=-1), rad[rows], norm[rows]
 
 
 def _scan(x, start):
     """Segmented inclusive scan of a ball stack by doubling (Hillis and
-    Steele, CACM 29, 1986): row t becomes x[t] x[t-1] ... x[start[t]].  At
-    d = 1, 2, 4, ... every row t with t - d >= start[t] becomes
+    Steele, CACM 29, 1986): ball t becomes x[t] x[t-1] ... x[start[t]].  At
+    d = 1, 2, 4, ... every ball t with t - d >= start[t] becomes
     ball_mul(x[t], x[t-d]), one stacked call per level.  Any bracketing of
     sound ball products is sound."""
     x = tuple(a.copy() for a in x)
@@ -250,32 +254,33 @@ def _scan(x, start):
     while d <= pos.max(initial=0):
         t = np.flatnonzero(pos >= d)
         for a, new in zip(x, ball_mul(_take(x, t), _take(x, t - d))):
-            a[t] = new
+            a[..., t] = new
         d *= 2
     return x
 
 
 def _reduce(x, block):
     """Segmented tree reduction of a ball stack (Blelloch, CMU-CS-90-190,
-    1990): one row per block, x[last] ... x[first] over the block's rows,
-    `block` being every row's nondecreasing block number.  At each level
-    every row at an even position in its block, with a next row in the
-    block, becomes ball_mul(next row, row), one stacked call per level, and
-    the odd rows drop out.  Any bracketing of sound ball products is sound."""
+    1990): one ball per block, x[last] ... x[first] over the block's balls,
+    `block` being every ball's nondecreasing block number.  At each level
+    every ball at an even position in its block, with a next ball in the
+    block, becomes ball_mul(next ball, ball), one stacked call per level, and
+    the odd balls drop out.  Any bracketing of sound ball products is sound."""
     x = tuple(a.copy() for a in x)
     while True:
         rows = np.arange(len(block))
-        first = np.r_[True, block[1:] != block[:-1]]
-        even = (rows - np.maximum.accumulate(np.where(first, rows, 0))) % 2 == 0
-        t = np.flatnonzero(even[:-1] & ~first[1:])
+        first = np.concatenate(([True], block[1:] != block[:-1]))
+        even = np.flatnonzero((rows - np.maximum.accumulate(np.where(first, rows, 0))) % 2 == 0)
+        t = even[(even < len(block) - 1)]
+        t = t[~first[t + 1]]
         if not len(t):
             return x
         for a, new in zip(x, ball_mul(_take(x, t + 1), _take(x, t))):
-            a[t] = new
+            a[..., t] = new
         x, block = _take(x, even), block[even]
 
 
-_IDENTITY = (np.eye(3)[None], np.zeros(1), _norm_bound(np.eye(3)[None]))
+_IDENTITY = (np.eye(3)[..., None], np.zeros(1), _norm_bound(np.eye(3)[..., None]))
 _UPPER = ([0, 0, 1], [1, 2, 2])  # the (0,1), (0,2), (1,2) entries of a matrix
 
 
@@ -394,128 +399,199 @@ _KIND = ("g:", "b:")
 _TOKEN_TEXT = ([f":{s[:2]}:{s}" for s in PERM_STRINGS], [f":{s}" for s in PERM_STRINGS])
 
 
+def _stacked(links, name):
+    """The table `name` of every link, end to end."""
+    return np.concatenate([getattr(link, name) for link in links])
+
+
 def build_gimbal_loop(link, removed_pids):
-    """The boundary of the least disk of hexagons that touches every
-    removed polygon, walked from letter 0, with each removed-polygon
-    letter spliced in after the first letter ending on its boundary.
+    """`build_gimbal_loops` of one link."""
+    return build_gimbal_loops([link], [removed_pids])[0]
+
+
+def build_gimbal_loops(links, removed):
+    """One gimbal loop per link, validated together: the boundary of the
+    least disk of hexagons that touches every removed polygon of the link
+    (`removed`, one set of pids per link), walked from letter 0, with each
+    removed-polygon letter spliced in after the first letter ending on it.
 
     The disk is the shortest prefix of the link's breadth-first `order`
     whose hexagons' letters end on every removed polygon, glued along each
-    hexagon's entry letter.  Letter 0 is a short edge, so it is never
-    crossed; the walk takes one step per letter of the word.
+    hexagon's entry letter; letter 0 is a short edge, never crossed.  The
+    links' tables are stacked, hexagons and polygons numbered after the
+    previous links', and all walks are taken by doubling: the next 2^j
+    letters are the 2^j-th power of the next-letter table at the first 2^j.
     """
-    removed = sorted(removed_pids)
-    for pid in removed:
-        if pid >= len(link.prism_ends):
-            raise GimbalLoopError(f"no prism end {pid} in this link")
-
-    order, n = link.order, link.n_hexagons
-    reach = np.full(len(link.prism_ends), n)  # each polygon's first hexagon in `order`
-    np.minimum.at(reach, link.end_pid.reshape(-1, 6)[order], np.arange(n)[:, None])
-    need = reach[removed].max(initial=0)
-    if need == n:
+    removed = [sorted(r) for r in removed]
+    sizes = np.array([link.n_hexagons for link in links])
+    n_ends = np.array([len(link.prism_ends) for link in links])
+    base, pbase = np.cumsum(sizes) - sizes, np.cumsum(n_ends) - n_ends
+    hexes = np.repeat(base, sizes)  # each hexagon's link's first
+    rank = np.arange(len(hexes)) - hexes  # its place in its link's order
+    order = _stacked(links, "order") + hexes
+    end_pid = _stacked(links, "end_pid") + np.repeat(pbase, 6 * sizes)
+    reach = np.repeat(sizes, n_ends)  # each polygon's first hexagon in `order`
+    np.minimum.at(reach, end_pid.reshape(-1, 6)[order], rank[:, None])
+    r_lid = np.repeat(np.arange(len(links)), [len(pids) for pids in removed])
+    r_pid = np.array([pid for pids in removed for pid in pids], dtype=np.intp) + pbase[r_lid]
+    wrong = r_pid >= (pbase + n_ends)[r_lid]
+    if wrong.any():
+        raise GimbalLoopError(f"no prism end {(r_pid - pbase[r_lid])[wrong][0]} in this link")
+    need = np.zeros(len(links), dtype=np.intp)
+    np.maximum.at(need, r_lid, reach[r_pid])
+    if (need == sizes).any():
         raise GimbalLoopError("link exhausted before touching every removed polygon")
-    disk = order[1:need + 1]  # and hexagon 0
-    into = 6 * disk + link.entry[disk]
-    crossed = np.concatenate((into, link.other_side[into]))
+    disk = order[(rank >= 1) & (rank <= np.repeat(need, sizes))]  # and each hexagon 0
+    other = _stacked(links, "other_side")
+    other = np.where(other >= 0, other + 6 * np.repeat(base, 6 * sizes), -1)
+    into = 6 * disk + _stacked(links, "entry")[disk]
+    crossed = np.concatenate((into, other[into]))
     # each letter's next on the boundary: the next of its hexagon, or past
     # a crossed middle letter, the one after its other side
-    nxt = np.arange(1, 6 * n + 1)
+    nxt = np.arange(1, 6 * len(order) + 1)
     nxt[5::6] -= 6
-    nxt[crossed - 1] = nxt[link.other_side[crossed]]
-    nxt, end_pid, pending = nxt.tolist(), link.end_pid.tolist(), set(removed)
-    word, x = [], 0
-    while x or not word:  # from letter 0 until back there
-        word.append(x)
-        if end_pid[x] in pending:
-            pending.discard(end_pid[x])
-            word.append(-1 - end_pid[x])
-        x = nxt[x]
-    loop = GimbalLoop(link.vertex_class, link, tuple(removed), np.array(word))
-    validate_gimbal_loop(loop)
-    return loop
+    nxt[crossed - 1] = nxt[other[crossed]]
+    # a walk's length: its disk's 6 (need + 1) slots less the 2 need crossed
+    length = 4 * need + 6
+    walk, jump = 6 * base[:, None], nxt  # walk[:, t]: letter t of each walk
+    while walk.shape[1] < length.max():
+        walk, jump = np.concatenate((walk, jump[walk]), axis=1), jump[jump]
+    keep = np.arange(walk.shape[1]) < length[:, None]
+    letters, lid = walk[keep], np.nonzero(keep)[0]
+    at = np.full(len(reach), len(letters))  # each polygon's first letter ending on it
+    np.minimum.at(at, end_pid[letters], np.arange(len(letters)))
+    spliced = np.unique(r_pid[at[r_pid] < len(letters)])
+    owner = lid[at[spliced]]
+    word = np.insert(letters - 6 * base[lid], at[spliced] + 1, -1 - (spliced - pbase[owner]))
+    size = np.bincount(np.concatenate((lid, owner)), minlength=len(links))
+    words = np.split(word, np.cumsum(size)[:-1])
+    loops = [GimbalLoop(link.vertex_class, link, tuple(pids), w)
+             for link, pids, w in zip(links, removed, words)]
+    validate_gimbal_loops(loops)
+    return loops
+
+
+_CLAUSES = (  # the messages of the validator's clauses, in order
+    "empty loop", "letter does not match a unique owner slot",
+    "removed polygons not each visited exactly once",
+    "polygon letter preceded by another polygon", "polygon letter not anchored on its boundary",
+    "edge word is not a closed path", "hexagon slots and word letters disagree",
+    "hexagon disk is not connected", "hexagon union is not a disk",
+    "loop longer than its hexagon budget",
+)
 
 
 def validate_gimbal_loop(loop):
-    """Independent check of every gimbal-loop clause.
+    """`validate_gimbal_loops` of one loop."""
+    return validate_gimbal_loops([loop])
 
-    Raises GimbalLoopError unless: each letter is a slot of the link or
-    a removed polygon; each removed polygon letter occurs exactly once
-    and follows an edge ending on its boundary; dropping the polygon
-    letters leaves a closed edge path; that path is the boundary of a disk
-    of hexagons glued along the crossed middle edges, traversed with the
-    link's orientation.
 
-    Linear in the loop's letters: the slot claims run on slot 6 u + i,
-    letter i of the u-th used hexagon, and the union-find on u.
+def validate_gimbal_loops(loops):
+    """Independent check of every gimbal-loop clause, on all loops at once.
+
+    Raises GimbalLoopError unless, in every loop: each letter is a slot of
+    its link or a removed polygon; each removed polygon letter occurs
+    exactly once and follows an edge ending on its boundary; dropping the
+    polygon letters leaves a closed edge path; that path is the boundary
+    of a disk of hexagons glued along the crossed middle edges, traversed
+    with the link's orientation.  The message is the first failing clause
+    of the first failing loop, as checking them one by one gives.
+
+    Linear in the letters: words and tables are stacked, each loop's slots
+    numbered after the previous loops', so no loop reads another's (a
+    failed letter past its link's slots is read as slot 0).  The claims run
+    on slot 6 u + i, letter i of the u-th used hexagon.
     """
-    link, word = loop.link, np.asarray(loop.word)
-    if not len(word):
-        raise GimbalLoopError("empty loop")
-    edges = word[word >= 0]
-    if (edges >= len(link.start)).any():
-        raise GimbalLoopError("letter does not match a unique owner slot")
+    if not loops:
+        return True
+    n, none = len(loops), len(_CLAUSES)
+    fails = np.full(n, none)  # each loop's first failing clause
 
-    # polygon letters: multiplicity and anchoring
+    def fail(clause, bad):
+        np.minimum.at(fails, bad, clause)
+
+    def ends(ids):  # the first and the last index of each run of equal ids
+        return np.searchsorted(ids, ids), np.searchsorted(ids, ids, side="right") - 1
+
+    size = np.array([len(loop.word) for loop in loops])
+    slots = np.array([len(loop.link.start) for loop in loops])
+    lid = np.repeat(np.arange(n), size)
+    word = np.concatenate([np.asarray(loop.word, dtype=np.intp) for loop in loops])
+    fail(0, np.flatnonzero(size == 0))
+    fail(1, lid[word >= slots[lid]])
+    word[word >= slots[lid]] = 0
+    off = np.cumsum(slots) - slots
+    start, end_pid, other = (_stacked([loop.link for loop in loops], name)
+                             for name in ("start", "end_pid", "other_side"))
+    other = np.where(other >= 0, other + np.repeat(off, slots), -1)
+
+    # polygon letters: multiplicity and anchoring.  Where a loop has as many
+    # polygon letters as removed polygons, the sorted (loop, pid) keys pair up
     poly = np.flatnonzero(word < 0)
-    pids = (-1 - word[poly]).tolist()
-    if sorted(pids) != sorted(loop.removed):
-        raise GimbalLoopError("removed polygons not each visited exactly once")
-    for prev, pid in zip(word[poly - 1].tolist(), pids):
-        if prev < 0:
-            raise GimbalLoopError("polygon letter preceded by another polygon")
-        if link.end_pid[prev] != pid:
-            raise GimbalLoopError("polygon letter not anchored on its boundary")
+    r_lid = np.repeat(np.arange(n), [len(loop.removed) for loop in loops])
+    r_pid = np.array([pid for loop in loops for pid in loop.removed], dtype=np.intp)
+    n_removed = np.bincount(r_lid, minlength=n)
+    same = np.bincount(lid[poly], minlength=n) == n_removed
+    fail(2, np.flatnonzero(~same))
+    p_lid, p_pid = lid[poly], -1 - word[poly]
+    stride = 1 + max(p_pid.max(initial=0), r_pid.max(initial=0))
+    a = np.sort((p_lid * stride + p_pid)[same[p_lid]])
+    b = np.sort((r_lid * stride + r_pid)[same[r_lid]])
+    fail(2, a[a != b] // stride)
+    first, last = ends(lid)
+    prev = word[np.where(poly == first[poly], last[poly], poly - 1)]
+    code = np.where(prev < 0, 3, np.where(
+        end_pid[np.maximum(prev, 0) + off[p_lid]] != p_pid, 4, none))
+    loop, at = np.unique(p_lid[code < none], return_index=True)  # each loop's first bad letter
+    fail(code[code < none][at], loop)
 
     # dropping polygons leaves a closed edge path
+    e_lid = lid[word >= 0]
+    edges = word[word >= 0] + off[e_lid]
     succ = edges + np.where(edges % 6 == 5, -5, 1)  # the next slot of the same hexagon
-    if (link.start[succ] != link.start[np.concatenate((edges[1:], edges[:1]))]).any():
-        raise GimbalLoopError("edge word is not a closed path")
+    first, last = ends(e_lid)
+    t = np.arange(len(edges))
+    fail(5, e_lid[start[succ] != start[edges[np.where(t == last, first, t + 1)]]])
 
-    # reconstruct the disk: used hexagons glued along crossed middle edges.
+    # reconstruct the disks: used hexagons glued along crossed middle edges.
     # Every slot of every used hexagon is either crossed or claimed exactly
     # once by a word letter; a middle edge is crossed when the word has
     # neither of its two used sides
-    is_used = np.zeros(len(link.start) // 6, dtype=bool)
+    is_used = np.zeros(len(start) // 6, dtype=bool)
     is_used[edges // 6] = True
     used, u_of = np.flatnonzero(is_used), np.cumsum(is_used) - 1
+    u_lid = np.repeat(np.arange(n), slots // 6)[used]
     claims = np.bincount(6 * u_of[edges // 6] + edges % 6, minlength=6 * len(used))
     mid = (6 * np.arange(len(used))[:, None] + [1, 3, 5]).ravel()  # slots 6 u + i
     side = (6 * used[:, None] + [1, 3, 5]).ravel()
-    other = link.other_side[side]
+    other = other[side]
     other_mid = 6 * u_of[other // 6] + other % 6
     crossed = (is_used[other // 6] & (side < other)
                & (claims[mid] == 0) & (claims[other_mid] == 0))
     want = np.ones_like(claims)
     want[mid[crossed]] = want[other_mid[crossed]] = 0
-    if not np.array_equal(claims, want):
-        raise GimbalLoopError("hexagon slots and word letters disagree")
+    fail(6, u_lid[np.flatnonzero(claims != want) // 6])
 
-    # Euler characteristic of the glued hexagon complex must be a disk's.
+    # Euler characteristic of each glued hexagon complex must be a disk's.
     # Each vertex of a hexagon ends exactly one of its middle edges, so a
     # crossed edge glues two pairs of vertices that no other crossing
     # touches: with U hexagons and c crossings, v - e + f is
-    # (6 U - 2 c) - (6 U - c) + U = U - c
-    parent = list(range(len(used)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    merged = 0
-    for h1, h2 in zip((mid[crossed] // 6).tolist(), (other_mid[crossed] // 6).tolist()):
-        r1, r2 = find(h1), find(h2)
-        parent[r1] = r2
-        merged += r1 != r2
-    if merged != len(used) - 1:
-        raise GimbalLoopError("hexagon disk is not connected")
-    if len(used) - crossed.sum() != 1:
-        raise GimbalLoopError("hexagon union is not a disk")
-
-    if len(word) > 6 * len(used) + len(loop.removed):
-        raise GimbalLoopError("loop longer than its hexagon budget")
+    # (6 U - 2 c) - (6 U - c) + U = U - c.  Components by hooking and
+    # pointer jumping: each hexagon's label is a hexagon of its component at
+    # most itself; a round that leaves two glued hexagons with two labels
+    # lowers one (a hook of a label's own label, or a jump past it), so the
+    # rounds stop, with one label per component
+    h1, h2 = mid[crossed] // 6, other_mid[crossed] // 6
+    a, b, label = np.concatenate((h1, h2)), np.concatenate((h2, h1)), np.arange(len(used))
+    while not np.array_equal(label[a], label[b]):
+        np.minimum.at(label, label[a], label[b])
+        label = label[label[label]]
+    fail(7, np.flatnonzero(np.bincount(u_lid[np.unique(label)], minlength=n) != 1))
+    n_used = np.bincount(u_lid, minlength=n)
+    fail(8, np.flatnonzero(n_used - np.bincount(u_lid[h1], minlength=n) != 1))
+    fail(9, np.flatnonzero(size > 6 * n_used + n_removed))
+    if (fails < none).any():
+        raise GimbalLoopError(_CLAUSES[fails[fails < none][0]])
     return True
 
 
@@ -527,27 +603,28 @@ def validate_gimbal_loop(loop):
 def rotation_balls(boxes):
     """The z-rotation by each angle of the 1-D 53-bit array `boxes` and its
     derivative, ((c, -s, 0), (s, c, 0), (0, 0, 1)) and
-    ((-s, -c, 0), (c, -s, 0), (0, 0, 0)), as two ball stacks with one row
-    per box, in order.  The kernel takes one cos and one sin per distinct
-    box, and all the balls come from one endpoint table
-    (`_balls_of_bounds`), filled from `IntervalArray`s, whose negation
-    makes -0.0 0.0 as `Interval`'s does."""
-    k = len(boxes)
-    c, s = FLOAT_KERNEL.cos(boxes), FLOAT_KERNEL.sin(boxes)
-    lo, hi = np.zeros((2, 2, k, 3, 3))  # rotations, then derivatives
+    ((-s, -c, 0), (c, -s, 0), (0, 0, 0)), as two ball stacks with one ball
+    per box, in order.  The kernel takes one cos and one sin of the array,
+    and the balls come from endpoint tables (`_balls_of_bounds`), filled
+    from `IntervalArray`s, whose negation makes -0.0 0.0 as `Interval`'s
+    does."""
+    k, c, s = len(boxes), FLOAT_KERNEL.cos(boxes), FLOAT_KERNEL.sin(boxes)
+    lo, hi = np.zeros((2, 3, 3, 2, k))  # rotations, then derivatives
     entries = ((0, 0, 0, c), (0, 0, 1, -s), (0, 1, 0, s), (0, 1, 1, c),
                (1, 0, 0, -s), (1, 0, 1, -c), (1, 1, 0, c), (1, 1, 1, -s))
     for which, i, j, x in entries:
-        lo[which, :, i, j], hi[which, :, i, j] = FLOAT_KERNEL.bounds(x)
-    lo[0, :, 2, 2] = hi[0, :, 2, 2] = 1.0
-    balls = _balls_of_bounds(lo.reshape(-1, 3, 3), hi.reshape(-1, 3, 3))
-    return _take(balls, slice(k)), _take(balls, slice(k, None))
+        lo[i, j, which], hi[i, j, which] = FLOAT_KERNEL.bounds(x)
+    lo[2, 2, 0] = hi[2, 2, 0] = 1.0
+    balls = _balls_of_bounds(lo.reshape(3, 3, -1), hi.reshape(3, 3, -1))
+    return tuple(tuple(np.ascontiguousarray(x[..., part]) for x in balls)
+                 for part in (slice(k), slice(k, None)))
 
 
 def gimbal_matrix_derivatives(loops, labels, rotations):
     """d(gimbal matrix)/d(T_var) for every variable occurring in each loop:
-    one dict per loop, from variable to the 53-bit entrywise enclosure of
-    its derivative, a 3x3 `IntervalArray`.
+    the loop and the variable of each derivative, two integer arrays in
+    (loop, variable) order, and the derivatives' 53-bit entrywise
+    enclosures, a (3, 3, K) `IntervalArray`.
 
     `rotations` holds the ball stacks of the rotation by each variable's
     angle and of its derivative (`rotation_balls`); an edge letter's ball
@@ -560,98 +637,110 @@ def gimbal_matrix_derivatives(loops, labels, rotations):
     letter, and its backward segment the transposes of its letters after its
     first polygon letter, last letter first.  Transposing is exact,
     fl(a b)^T = fl(b^T a^T) with the same error bound, so left-multiplying
-    products serve both.  Each segment is cut into blocks at its first row
-    and at every polygon letter, so a block ends just before a polygon
-    letter; `_reduce` multiplies out every block, and one segmented scan
-    (`_scan`) of the block products gives every S and every P^T, one block
-    row each.  That is linear work in the letters; only the scan over the
-    blocks pays the doubling's log factor.  The terms take two stacked
-    products, and the terms of one variable in one loop are summed in word
-    order.
+    products serve both.  Each segment is cut into blocks at its first ball
+    and at every polygon letter; `_reduce` multiplies out every block, and
+    one segmented scan (`_scan`) of the block products gives every S and
+    every P^T, in linear work but for the scan's log factor over blocks.
+    The plan is made from all words at once; the terms take two stacked
+    products, and each (loop, variable)'s are summed in word order.
     """
     lo, hi = labels.label_bounds()
     rotation, derivative = rotations
-    index, flip, start = [], [], []  # the stack's rows: table row, transposed, segment
-    keys, s_rows, p_rows = [], [], []  # per polygon letter; -1 is the identity
-    for li, loop in enumerate(loops):
-        word, var_of = loop.word.tolist(), loop.variable_of_pid
-        poly = [i for i, w in enumerate(word) if w < 0]
-        if not poly:
-            continue
-        label = loop.link.label.tolist()
-        ops = [label[w] if w >= 0 else -1 - var_of[-1 - w] for w in word]
-        n, first, last = len(word), poly[0], poly[-1]
-        fwd, back = len(index), len(index) + last
-        index += ops[:last] + ops[:first:-1]
-        flip += [False] * last + [True] * (n - 1 - first)
-        start += [fwd] * last + [back] * (n - 1 - first)
-        for i in poly:
-            keys.append((li, var_of[-1 - word[i]]))
-            s_rows.append(fwd + i - 1 if i > 0 else -1)
-            p_rows.append(back + n - 2 - i if i < n - 1 else -1)
-    out = [{} for _ in loops]
-    if not keys:
-        return out
-    rows, start = np.array(index + [-1 - len(rotation[1])]), np.array(start + [len(index)])
-    label = rows >= 0  # the label rows read; then a polygon's rotation, -1 - var so far
-    read, rows[label] = np.unique(rows[label], return_inverse=True)
-    rows[~label] = len(read) - 1 - rows[~label]
-    table = tuple(map(np.concatenate,
-                      zip(_balls_of_bounds(lo[read], hi[read]), rotation, _IDENTITY)))
+    n_var = len(rotation[1])
+    size = np.array([len(loop.word) for loop in loops])
+    word = np.concatenate([np.asarray(loop.word, dtype=np.intp) for loop in loops])
+    lid = np.repeat(np.arange(len(loops)), size)
+    pos = np.arange(len(word)) - np.repeat(np.cumsum(size) - size, size)  # within its word
+    poly = np.flatnonzero(word < 0)
+    if not len(poly):
+        none = np.zeros(0, dtype=np.intp)
+        return none, none, FLOAT_KERNEL.points(np.zeros((3, 3, 0)))
+    # each letter's table row: a label row, or -1 - its polygon's variable,
+    # read off one table over (loop, pid)
+    pl, pid = lid[poly], -1 - word[poly]
+    of_pid = np.array([(li, p, v) for li, loop in enumerate(loops)
+                       for p, v in loop.variable_of_pid.items()], dtype=np.intp).reshape(-1, 3)
+    stride = 1 + max(pid.max(), of_pid[:, 1].max(initial=0))
+    var_at = np.full(len(loops) * stride, -1)
+    var_at[of_pid[:, 0] * stride + of_pid[:, 1]] = of_pid[:, 2]
+    var = var_at[pl * stride + pid]
+    n_slots = np.array([len(loop.link.label) for loop in loops])
+    ops, edge = np.full_like(word, -1), word >= 0
+    ops[edge] = _stacked([loop.link for loop in loops], "label")[
+        word[edge] + (np.cumsum(n_slots) - n_slots)[lid[edge]]]
+    ops[poly] = -1 - var
+    # the stack: per loop with a polygon letter, the forward segment, its
+    # letters before the last polygon letter, then the backward one, its
+    # letters after the first, last first; then the identity
+    first, last = np.full(len(loops), len(word)), np.full(len(loops), -1)
+    np.minimum.at(first, pl, pos[poly])
+    np.maximum.at(last, pl, pos[poly])
+    fwd, back = np.flatnonzero(pos < last[lid]), np.flatnonzero(pos > first[lid])[::-1]
+    seg = np.concatenate((2 * lid[fwd], 2 * lid[back] + 1))
+    order = np.argsort(seg, kind="stable")
+    letter, seg = np.concatenate((fwd, back))[order], seg[order]
+    row_of = np.zeros((2, len(word) + 1), dtype=np.intp)  # a letter's ball per segment
+    row_of[seg % 2, letter] = np.arange(len(letter))
+    rows = np.append(ops[letter], -1 - n_var)
+    flip = np.append(seg % 2 == 1, False)
+    start = np.append(np.searchsorted(seg, seg), len(seg))  # each ball's segment's first
+    # per polygon letter, the balls of S and of P^T; -1 is the identity
+    s_rows = np.where(pos[poly] > 0, row_of[0, poly - 1], -1)
+    p_rows = np.where(pos[poly] < size[pl] - 1, row_of[1, poly + 1], -1)
+    is_label = rows >= 0  # the label rows read; then a polygon's rotation, -1 - var so far
+    read, rows[is_label] = np.unique(rows[is_label], return_inverse=True)
+    rows[~is_label] = len(read) - 1 - rows[~is_label]
+    read_lo, read_hi = (np.take(x.reshape(len(x), 9).T, read, axis=1).reshape(3, 3, -1)
+                        for x in (lo, hi))
+    table = tuple(np.concatenate(x, axis=-1)
+                  for x in zip(_balls_of_bounds(read_lo, read_hi), rotation, _IDENTITY))
     x = _take(table, rows)
-    flip = np.array(flip + [False])
-    x[0][flip] = np.swapaxes(x[0][flip], 1, 2)
-    # a block starts at its segment's first row and at every polygon letter
-    cut = (start == np.arange(len(rows))) | ~label
+    x[0][..., flip] = x[0].swapaxes(0, 1)[..., flip]
+    # a block starts at its segment's first ball and at every polygon letter
+    cut = (start == np.arange(len(rows))) | ~is_label
     block = np.cumsum(cut) - 1
     x = _scan(_reduce(x, block), block[start[cut]])
-    s_rows, p_rows = block[s_rows], block[p_rows]
-    var = [v for _, v in keys]
-    terms = ball_mul(_transpose(_take(x, p_rows)),
-                     ball_mul(_take(derivative, var), _take(x, s_rows)))
-    of_key = {}  # (loop, variable) -> its terms, in word order
-    for t, key in enumerate(keys):
-        of_key.setdefault(key, []).append(t)
-    groups = list(of_key.values())
-    sums = _take(terms, [ts[0] for ts in groups])
-    for r in range(1, max(map(len, groups))):
-        g = [k for k, ts in enumerate(groups) if len(ts) > r]
-        added = ball_add(_take(sums, g), _take(terms, [groups[k][r] for k in g]))
-        for a, new in zip(sums, added):
-            a[g] = new
-    entries = _entries(sums)
-    for k, (li, v) in enumerate(of_key):
-        out[li][v] = entries[k]
-    return out
+    mid, rad, norm = x
+    terms = ball_mul(_take((mid.swapaxes(0, 1), rad, norm), block[p_rows]),
+                     ball_mul(_take(derivative, var), _take(x, block[s_rows])))
+    # the terms of each (loop, variable), added in word order
+    keys, at, group = np.unique(pl * n_var + var, return_index=True, return_inverse=True)
+    group, sums = group.ravel(), _take(terms, at)
+    for sel in geo._rounds(group)[1:]:
+        for a, new in zip(sums, ball_add(_take(sums, group[sel]), _take(terms, sel))):
+            a[..., group[sel]] = new
+    return keys // n_var, keys % n_var, _entries(sums)
 
 
 def assemble_gimbal_jacobian(loops, labels, box_of_variable):
     """Interval Jacobian [Dg(K)] as a 53-bit `IntervalArray`: 3 rows per
     vertex, one column per variable; rows carry the (0,1), (0,2), (1,2)
-    entries.
+    entries, filled from the derivatives with one scatter.
 
     The ball evaluation hands back 53-bit interval entries whatever the
     working precision; that is sound, and ample for the inversion margin.
     """
     lo, hi = np.zeros((2, 3 * len(loops), len(box_of_variable)))
-    derivs = gimbal_matrix_derivatives(loops, labels, rotation_balls(box_of_variable))
-    for li, of_var in enumerate(derivs):
-        for v, m in of_var.items():
-            lo[3 * li:3 * li + 3, v], hi[3 * li:3 * li + 3, v] = m.lo[_UPPER], m.hi[_UPPER]
+    loop, var, m = gimbal_matrix_derivatives(loops, labels, rotation_balls(box_of_variable))
+    at = (3 * loop + np.arange(3)[:, None], var)
+    lo[at], hi[at] = m.lo[_UPPER], m.hi[_UPPER]
     return FLOAT_KERNEL.from_bounds(lo, hi)
 
 
 def build_loops_for_partition(tri, e_sim, links):
-    """One gimbal loop per vertex class, over the vertex links `links`;
-    polygon variables indexed by the position of their edge class in e_sim."""
-    var_of_class = {cls: i for i, cls in enumerate(e_sim)}
-    loops = []
+    """One gimbal loop per vertex class, over the vertex links `links`, built
+    and validated together (`build_gimbal_loops`); polygon variables indexed
+    by the position of their edge class in e_sim."""
+    var_of_class = np.full(tri.m, -1)
+    var_of_class[np.asarray(e_sim, dtype=np.intp)] = np.arange(len(e_sim))
+    var_of_pid = []
     for link in links:
-        var_of_pid = {pid: var_of_class[cls] for pid, cls in enumerate(link.end_class.tolist())
-                      if cls in var_of_class}
-        loop = build_gimbal_loop(link, var_of_pid)
-        loop.variable_of_pid = var_of_pid
-        loops.append(loop)
+        var = var_of_class[link.end_class]
+        pids = np.flatnonzero(var >= 0)
+        var_of_pid.append(dict(zip(pids.tolist(), var[pids].tolist())))
+    loops = build_gimbal_loops(links, var_of_pid)
+    for loop, of_pid in zip(loops, var_of_pid):
+        loop.variable_of_pid = of_pid
     return loops
 
 
@@ -746,11 +835,11 @@ def edge_direction_table(tri, labels, links):
     label, _ = labels.label_bounds()
     sizes = [link.n_hexagons for link in links]
     base = np.cumsum([0] + sizes[:-1])  # each link's hexagon 0 in the stack
-    entry = np.concatenate([link.entry for link in links])
+    entry = _stacked(links, "entry")
     slot = 6 * np.arange(len(entry))
     # a hexagon is entered from its parent's letter 6 h + j, from vertex j
     # to j + 1; each link's hexagon 0, its root, is its own parent at step 0
-    side = np.concatenate([link.other_side for link in links])[slot + entry]
+    side = _stacked(links, "other_side")[slot + entry]
     side += 6 * np.repeat(base, sizes)
     side[base] = 6 * base + 5
     parent, j = np.divmod(side, 6)
@@ -759,12 +848,12 @@ def edge_direction_table(tri, labels, links):
     # where its first short edge starts
     ends = [len(link.prism_ends) for link in links]
     row = 3 * np.repeat(np.arange(len(links)), ends)
-    cls = np.concatenate([link.end_class for link in links])
+    cls = _stacked(links, "end_class")
     first = [cycle[0] for link in links for cycle in link.prism_ends]
     h, at = np.divmod(np.array(first) + 6 * np.repeat(base, ends), 6)
     # prod[h, i]: the letters of hexagon h from its entry vertex on, i of them
     turn = slot[:, None] + (entry[:, None] + np.arange(6)) % 6
-    letters = label[np.concatenate([link.label for link in links])[turn]]
+    letters = label[_stacked(links, "label")[turn]]
     prod = np.tile(np.eye(3), (len(parent), 6, 1, 1))
     for i in range(5):
         prod[:, i + 1] = mul(letters[:, i], prod[:, i])

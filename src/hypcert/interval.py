@@ -43,8 +43,9 @@ the outward 53-bit hull as an ``IntervalArray`` and ``kernel.equal_ids``
 the first entry exactly equal to each.  The float kernel's array,
 ``IntervalArray``, holds numpy endpoint arrays whose elementwise
 arithmetic is bit for bit the ``Interval`` dunders and methods; its hull
-is the identity, and its ``cos`` and ``sin`` take the scalar method once
-per distinct entry.  Its products and quotients round once per
+is the identity, and its ``cos`` and ``sin`` are array code too: libm
+per entry, and every critical point k pi (or pi/2 + k pi) of the scalar
+loop tried for all entries at once.  Its products and quotients round once per
 result entry: the scalar dunder's lower end is min_k down(q_k) over the
 rounded candidates q_k, where down(q_k) is q_k or prev(q_k), the next
 float below.  A candidate q_k > q_min has down(q_k) >= prev(q_k) >= q_min,
@@ -76,7 +77,6 @@ so intervals are safe to share across threads.
 
 from __future__ import annotations
 
-import functools
 import math
 from math import inf, isfinite, isnan, nextafter
 from operator import attrgetter, methodcaller
@@ -95,6 +95,7 @@ __all__ = [
     "FLOAT_KERNEL",
     "REAL_KERNEL",
     "kernel_for_precision",
+    "MAX_PRECISION",
     "IntervalArray",
     "inverse_residual",
     "interval_matrix_invertible",
@@ -454,7 +455,7 @@ class Interval:
         k0 = math.floor(self.lo / math.pi) - 1
         k1 = math.ceil(self.hi / math.pi) + 1
         for k in range(k0, k1 + 1):
-            if _critical_point(k, fn).intersects(self):
+            if (PI * k + (0.0 if fn is math.cos else _PI_HALF_IV)).intersects(self):
                 # cos peaks at 2j pi, sin at pi/2 + 2j pi: both at even k
                 if k % 2 == 0:
                     hi = 1.0
@@ -472,14 +473,6 @@ class Interval:
 PI = Interval(math.pi, nextafter(math.pi, inf))
 TWO_PI = Interval(2.0 * math.pi, nextafter(2.0 * math.pi, inf))
 _PI_HALF_IV = Interval(0.5 * math.pi, nextafter(0.5 * math.pi, inf))
-
-
-@functools.lru_cache(maxsize=256)
-def _critical_point(k, fn):
-    """Enclosure of the k-th extremum of fn (math.cos or math.sin):
-    k*pi for cos, pi/2 + k*pi for sin.  Memoized; the same bits as the
-    interval formula."""
-    return PI * k + (0.0 if fn is math.cos else _PI_HALF_IV)
 
 
 # ---------------------------------------------------------------------------
@@ -923,8 +916,9 @@ class IntervalArray:
     candidate products (quotients) first and step each result endpoint at
     most once, where some candidate equal to it needs the step; the module
     docstring proves that this is the scalar minimum (maximum) over every
-    candidate rounded.  ``sqrt``, ``sqrt_nonneg`` and ``arccos`` repeat the
-    ``Interval`` methods the same way, with ``math.acos`` per element.  A
+    candidate rounded.  ``sqrt``, ``sqrt_nonneg``, ``arccos``, ``cos`` and
+    ``sin`` repeat the ``Interval`` methods the same way, with libm per
+    element.  A
     NaN endpoint raises IntervalError; a domain violation raises the
     DomainError of the first offending entry in C order.
     """
@@ -1056,9 +1050,7 @@ class IntervalArray:
                               + _first(outside, self.lo, self.hi))
 
         def at(x, up):
-            # libm's acos per element, two ulps out; np.arccos may differ
-            v = np.array([math.acos(t) for t in x.ravel().tolist()]).reshape(x.shape)
-            out = inf if up else -inf
+            v, out = _libm(math.acos, x), inf if up else -inf
             v = np.nextafter(np.nextafter(v, out), out)
             v = np.where(x == -1.0, PI.hi if up else PI.lo, v)
             return np.where(x == 1.0, 0.0, v)
@@ -1067,6 +1059,64 @@ class IntervalArray:
         return _checked(
             np.maximum(at(self.hi, False), 0.0), np.minimum(at(self.lo, True), PI.hi)
         )
+
+    @np.errstate(all="ignore")
+    def _cos_like(self, fn):
+        """``Interval._cos_like`` entrywise.  An entry with an infinite
+        endpoint, or 2 pi wide, is [-1, 1], and its endpoints never reach
+        libm.  The scalar loop's critical points k pi (cos) or pi/2 + k pi
+        (sin), k from floor(lo / pi) - 1 to ceil(hi / pi) + 1, are tried
+        for every entry at once, k = f + (d - 1) for d = 0, 1, ... with
+        f = floor(lo / pi), an integral float: one rounding of the exact
+        integer, as the scalar's float(k), and f's parity and d's give k's
+        exactly.  ceil(hi / pi) - f is exact (Sterbenz), and small."""
+        whole = ~(np.isfinite(self.lo) & np.isfinite(self.hi)) | (self.width() >= TWO_PI.hi)
+        x = np.where(whole, 0.0, np.stack((self.lo, self.hi)))  # the two endpoints
+        # fn there, two ulps down and up, with the scalar's zero and sign rules
+        v = _libm(fn, x)
+        down, up = (np.nextafter(np.nextafter(v, d), d) for d in (-inf, inf))
+        if fn is math.sin:  # sin has the sign of x on (-pi, pi)
+            small = np.abs(x) < 3.0
+            down = np.where(small & ((down < 0.0) != (x < 0.0)), 0.0, down)
+            up = np.where(small & ((up < 0.0) != (x < 0.0)), 0.0, up)
+        down, up = np.where(x == 0.0, fn(0.0), down), np.where(x == 0.0, fn(0.0), up)
+        lo = np.where(down[1] < down[0], down[1], down[0])  # min(a, b) and max(a, b), as Python's
+        hi = np.where(up[1] > up[0], up[1], up[0])
+        f = np.floor(x[0] / math.pi)[..., None]
+        span = np.ceil(x[1] / math.pi)[..., None] - f + 2.0
+        d = np.arange(int(span.max(initial=0.0)) + 1)
+        k = f + (d - 1.0)
+        # each distinct critical point once, then gathered.  PI * k for an
+        # integral float k is, as `Interval.__mul__` gives it, [down(PI.lo k),
+        # up(PI.hi k)] for k > 0, the mirror for k < 0 and [0, 0] at 0: both
+        # the rounded candidates and their outward steps are monotone in the
+        # exact product, and a product of size >= pi has the sign of k
+        ks, at = np.unique(k, return_inverse=True)
+        ends = [_two_prod_array(np.where(ks > 0.0, a, b), ks) for a, b in
+                ((PI.lo, PI.hi), (PI.hi, PI.lo))]
+        lo_k, hi_k = (np.where(ks == 0.0, 0.0, step(p, np.where(known, err, math.nan)))
+                      for step, (p, err, known) in zip((_down_array, _up_array), ends))
+        shift = (0.0, 0.0) if fn is math.cos else (_PI_HALF_IV.lo, _PI_HALF_IV.hi)
+        crit = _outward_sum(lo_k, hi_k, *shift)
+        at = at.reshape(k.shape)
+        hit = (d <= span) & (crit.lo[at] <= x[1][..., None]) & (x[0][..., None] <= crit.hi[at])
+        # cos peaks at 2j pi, sin at pi/2 + 2j pi: both at even k
+        even = (np.fmod(f, 2.0) != 0.0) != (d % 2 == 1)
+        hi = np.where((hit & even).any(axis=-1), 1.0, hi)
+        lo = np.where((hit & ~even).any(axis=-1), -1.0, lo)
+        return IntervalArray(np.where(whole | (-1.0 > lo), -1.0, lo),
+                             np.where(whole | (1.0 < hi), 1.0, hi))
+
+    def cos(self):
+        return self._cos_like(math.cos)
+
+    def sin(self):
+        return self._cos_like(math.sin)
+
+
+def _libm(fn, x):
+    """libm's fn per element of a float array; numpy's own may differ."""
+    return np.array([fn(t) for t in x.ravel().tolist()]).reshape(x.shape)
 
 
 def _as_array(x):
@@ -1107,19 +1157,6 @@ def _mid_rad(lo, hi):
 # ---------------------------------------------------------------------------
 # kernels: the array protocol of the three kinds of number
 # ---------------------------------------------------------------------------
-
-
-def _per_distinct(name):
-    """A kernel method: the ``Interval`` method `name` entrywise, taken once
-    per distinct entry."""
-    def apply(arr):
-        pairs, at = np.unique(np.stack([arr.lo.ravel(), arr.hi.ravel()], axis=1),
-                              axis=0, return_inverse=True)
-        out = [getattr(Interval(lo, hi), name)() for lo, hi in pairs.tolist()]
-        at = at.reshape(arr.shape)
-        return IntervalArray(np.array([x.lo for x in out])[at], np.array([x.hi for x in out])[at])
-
-    return staticmethod(apply)
 
 
 def _first_equal(keys):
@@ -1163,8 +1200,8 @@ class FloatKernel:
     sqrt = staticmethod(methodcaller("sqrt"))
     sqrt_nonneg = staticmethod(methodcaller("sqrt_nonneg"))
     arccos = staticmethod(methodcaller("arccos"))
-    cos = _per_distinct("cos")
-    sin = _per_distinct("sin")
+    cos = staticmethod(methodcaller("cos"))
+    sin = staticmethod(methodcaller("sin"))
 
     @staticmethod
     def intersect(a, b):
@@ -1487,10 +1524,16 @@ FLOAT_KERNEL = FloatKernel()
 REAL_KERNEL = RealKernel()
 
 
+MAX_PRECISION = 4096  # bits: the cost of MP arithmetic grows faster than the bits
+
+
 def kernel_for_precision(precision):
-    if precision == 53:
-        return FLOAT_KERNEL
-    return MPKernel(precision)
+    """The interval kernel of a working precision of 53 to `MAX_PRECISION`
+    bits; IntervalError for any other."""
+    if not 53 <= precision <= MAX_PRECISION:
+        raise IntervalError("precision must be >= 53 bits" if precision < 53
+                            else f"precision must be <= {MAX_PRECISION} bits")
+    return FLOAT_KERNEL if precision == 53 else MPKernel(precision)
 
 
 # ---------------------------------------------------------------------------

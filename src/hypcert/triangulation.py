@@ -559,7 +559,7 @@ def _build_links(tri):
                     entry[c] = i
         links.append(LinkComplex(k, corners[lo // 6:lo // 6 + size], *parts,
                                  [[local[g] for g in cycle] for cycle in ends[k]],
-                                 np.array(classes[k], dtype=np.intp),
+                                 _frozen(classes[k]),
                                  _frozen(order), _frozen(entry)))
         lo += 6 * size
     return links

@@ -500,8 +500,9 @@ def run_pipeline(
         params0, data0, r0 = _evaluate(tri, p0)
         resid = float(np.max(np.abs(r0)))
     except (SolveFailure, geo.RealizationError) as exc:
+        # no solver ran on given lengths: the reason is step 1's own
         statuses["bootstrap"] = f"failed: {exc}"
-        statuses[1] = "failed: no usable candidate parameters"
+        statuses[1] = f"failed: {exc if lengths is not None else 'no usable candidate parameters'}"
         return PipelineResult(False, 1, statuses)
     statuses["bootstrap"] = f"residual {resid:.3e}"
     partition = box = None

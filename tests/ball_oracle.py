@@ -16,13 +16,15 @@ Jacobian from them with sequential prefix and suffix chains along each
 loop, so the tests compare the float ball layer's scan with it.
 """
 
+import collections
+import contextlib
 import math
 from math import inf, nextafter
 
 import numpy as np
 
 from hypcert import gimbal as gb
-from hypcert.interval import Interval
+from hypcert.interval import FloatKernel, Interval, IntervalArray
 from tests.gimbal_oracle import label_of, rotation_matrix, rotation_matrix_derivative
 from tests.link_slots import letters_of
 from tests.matrix_oracle import mat3_mul
@@ -163,35 +165,85 @@ def scalar_entries(ball):
     return tuple(tuple(Interval.point(c) + Interval(-r, r) for c in row) for row in ball.mid)
 
 
+# A ball stack holds its balls along the last axis: midpoints (3, 3, k),
+# C-contiguous, radii (k,) and norm bounds (k,).  `stacked` and `per_ball`
+# convert between that layout and k matrices (k, 3, 3).
+
+
+def stacked(ms):
+    """3x3 matrices, anything numpy reads as (k, 3, 3), in the layout of a
+    ball stack's midpoints: a C-contiguous (3, 3, k) float array."""
+    return np.ascontiguousarray(np.moveaxis(np.asarray(ms, dtype=float).reshape(-1, 3, 3), 0, -1))
+
+
+def per_ball(x):
+    """A (3, 3, k) array or `IntervalArray` of a ball stack as its k 3x3
+    matrices, (k, 3, 3)."""
+    if isinstance(x, IntervalArray):
+        return IntervalArray(per_ball(x.lo), per_ball(x.hi))
+    return np.moveaxis(x, -1, 0)
+
+
 def stack(balls):
     """The scalar balls as a `gimbal` ball stack (mid, rad, norm)."""
-    return (np.array([b.mid for b in balls]).reshape(-1, 3, 3),
+    return (stacked([b.mid for b in balls]),
             np.array([b.rad for b in balls]), np.array([b.norm_bound() for b in balls]))
 
 
 def each_row_alone(fn, *args):
-    """fn of stacked arguments (arrays, or ball stacks as tuples of arrays),
-    after checking that each row of its result is bit for bit fn of that
-    row's arguments alone, as stacks of one."""
+    """fn of stacked arguments (arrays whose last axis runs over the balls,
+    or ball stacks as tuples of them), after checking that each ball of its
+    result is bit for bit fn of that ball's arguments alone, as stacks of
+    one, and that the stacks fn takes and gives are C-contiguous."""
     def rows(x, r):
-        return tuple(rows(y, r) for y in x) if isinstance(x, tuple) else x[r:r + 1]
+        if isinstance(x, tuple):
+            return tuple(rows(y, r) for y in x)
+        return np.ascontiguousarray(x[..., r:r + 1])
 
     def bits(x):
         return [bits(y) for y in x] if isinstance(x, tuple) else x.tobytes()
 
+    def contiguous(x):
+        return all(map(contiguous, x)) if isinstance(x, tuple) else x.flags.c_contiguous
+
+    assert contiguous(args)
     out = fn(*args)
+    assert contiguous(out)
     first = args[0]
     while isinstance(first, tuple):
         first = first[0]
-    for r in range(len(first)):
+    for r in range(first.shape[-1]):
         alone = fn(*(rows(x, r) for x in args))
         assert bits(rows(out, r)) == bits(alone), r
     return out
 
 
+@contextlib.contextmanager
+def trig_calls(monkeypatch):
+    """While active, the number of `FloatKernel.cos` and `FloatKernel.sin`
+    calls, of `Interval`s made and of scalar `Interval._cos_like` calls,
+    under the keys "cos", "sin", "Interval" and "_cos_like"."""
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    with monkeypatch.context() as mp:
+        for name in ("cos", "sin"):
+            mp.setattr(FloatKernel, name, staticmethod(counted(name, getattr(FloatKernel, name))))
+        for name in ("__init__", "_cos_like"):
+            key = "Interval" if name == "__init__" else name
+            mp.setattr(Interval, name, counted(key, getattr(Interval, name)))
+        yield counts
+
+
 def scalar_balls_of_bounds(lo, hi):
     """`gimbal._balls_of_bounds` one matrix at a time."""
-    return stack([scalar_ball_of_bounds(a, b) for a, b in zip(lo.tolist(), hi.tolist())])
+    return stack([scalar_ball_of_bounds(a, b)
+                  for a, b in zip(per_ball(lo).tolist(), per_ball(hi).tolist())])
 
 
 def _rotation_pairs(boxes, enclose):

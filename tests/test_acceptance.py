@@ -34,7 +34,7 @@ from tests.geometry_oracle import (
     simplex_data,
     vertex_angle,
 )
-from tests.ball_oracle import gimbal_function
+from tests.ball_oracle import gimbal_function, per_ball
 from tests.gimbal_oracle import polygon_angle_sum, prism_holonomy
 from tests.link_slots import expand_link
 
@@ -284,10 +284,10 @@ def test_criterion_09_gimbal_probe(dodec27a):
     link = types.SimpleNamespace(label=np.zeros(2, dtype=np.intp))
     loop = gb.GimbalLoop(0, link, (0, 1), np.array([1, -2, 0, -1]))
     loop.variable_of_pid = {0: 0, 1: 1}
-    (derivs,) = gb.gimbal_matrix_derivatives(
+    _, var, m = gb.gimbal_matrix_derivatives(
         [loop], SyntheticLabels(), gb.rotation_balls(FLOAT_KERNEL.two_pi()[[0, 0]])
     )
-    derivs = {v: entries(m) for v, m in derivs.items()}
+    derivs = dict(zip(var.tolist(), entries(per_ball(m))))
     D = np.array(
         [
             [derivs[v][r][c].mid() for v in (0, 1)]

@@ -2,7 +2,8 @@
 against the references in `tests/ball_oracle.py`.
 
 `gimbal`'s balls hold plain floats in round-to-nearest with a-priori
-rounding bounds, and every function of the layer takes stacks of balls.
+rounding bounds, and every function of the layer takes stacks of balls,
+the balls along the last axis (`stacked` and `per_ball` convert).
 `fractions.Fraction` and exact dyadic integers give the exact products and
 sums those bounds must cover; the oracle gives the enclosures they must
 match.  Each stacked function is run on a stack that mixes draws, whose
@@ -27,6 +28,7 @@ from hypcert.interval import FLOAT_KERNEL, Interval, inverse_residual
 from tests.ball_oracle import (
     ScalarBall,
     each_row_alone,
+    per_ball,
     scalar_ball_add,
     scalar_ball_from_interval_mat3,
     scalar_ball_mul,
@@ -34,6 +36,8 @@ from tests.ball_oracle import (
     scalar_product_with_error,
     scalar_rotation_balls,
     sequential_jacobian,
+    stacked,
+    trig_calls,
 )
 from tests.conftest import links_of
 from tests.test_gimbal import _bounds, _scaling_member
@@ -169,14 +173,15 @@ def _hex(m):
     return [[x.hex() for x in row] for row in m]
 
 
-def _stack(ms):
-    return np.array(ms, dtype=float).reshape(-1, 3, 3)
-
-
 def _point_balls(ms):
     """Balls of radius 0 about float 3x3 matrices, with their norm bounds."""
-    mid = _stack(ms)
-    return mid, np.zeros(len(mid)), gb._norm_bound(mid)
+    mid = stacked(ms)
+    return mid, np.zeros(mid.shape[-1]), gb._norm_bound(mid)
+
+
+def _stacked_bounds(ms):
+    """The float endpoints of interval 3x3 matrices in the ball layout."""
+    return tuple(map(stacked, _bounds(ms)))
 
 
 def test_constants():
@@ -189,9 +194,9 @@ def test_constants():
 @given(stacks(matrices, matrices))
 @example([(SUB_ROW, SUB_COL)])
 def test_product_error_bound_covers_exact_product(pairs):
-    a, b = (_stack(ms) for ms in zip(*pairs))
+    a, b = (stacked(ms) for ms in zip(*pairs))
     mids, errs = each_row_alone(gb._product_with_error, a, b)
-    for (ma, mb), mid, err in zip(pairs, mids.tolist(), errs.tolist()):
+    for (ma, mb), mid, err in zip(pairs, per_ball(mids).tolist(), per_ball(errs).tolist()):
         assert (_hex(mid), _hex(err)) == tuple(map(_hex, scalar_product_with_error(ma, mb)))
         want = exact_product(ma, mb)
         for i in range(3):
@@ -209,7 +214,8 @@ def test_product_error_bound_covers_exact_product(pairs):
 def test_ball_mul_of_point_balls_covers_exact_product(pairs):
     a, b = (_point_balls(ms) for ms in zip(*pairs))
     mids, rads, norms = each_row_alone(gb.ball_mul, a, b)
-    for (ma, mb), mid, rad, norm in zip(pairs, mids.tolist(), rads.tolist(), norms.tolist()):
+    for (ma, mb), mid, rad, norm in zip(pairs, per_ball(mids).tolist(), rads.tolist(),
+                                        norms.tolist()):
         ref = scalar_ball_mul(ScalarBall(ma, 0.0), ScalarBall(mb, 0.0))
         assert (_hex(mid), rad.hex(), norm.hex()) == \
             (_hex(ref.mid), ref.rad.hex(), ref.norm_bound().hex())
@@ -224,7 +230,7 @@ def test_ball_mul_of_point_balls_covers_exact_product(pairs):
 @given(stacks(matrices))
 def test_norm_bound_squared_covers_gram_row_sums(ms):
     ms = [m for (m,) in ms]
-    norms = each_row_alone(gb._norm_bound, _stack(ms))
+    norms = each_row_alone(gb._norm_bound, stacked(ms))
     for m, nb in zip(ms, norms.tolist()):
         assert nb.hex() == scalar_norm_bound(m).hex()
         assert not math.isnan(nb)
@@ -243,7 +249,8 @@ def test_ball_add_covers_exact_sum(cases):
     mids, rads, _ = each_row_alone(gb.ball_add, (a[0], r, a[2]), (b[0], 2 * r, b[2]))
     point_mids, point_rads, _ = each_row_alone(gb.ball_add, a, b)
     for (x, y, r), mid, rad, point_mid, point_rad in zip(
-            cases, mids.tolist(), rads.tolist(), point_mids.tolist(), point_rads.tolist()):
+            cases, per_ball(mids).tolist(), rads.tolist(), per_ball(point_mids).tolist(),
+            point_rads.tolist()):
         ref = scalar_ball_add(ScalarBall(x, r), ScalarBall(y, 2 * r))
         assert (_hex(mid), rad.hex()) == (_hex(ref.mid), ref.rad.hex())
         assert not math.isnan(rad)
@@ -273,8 +280,8 @@ def interval_matrices(draw):
 @example([((Interval(1.0, 1.0),) * 3,) * 3])
 def test_ball_from_interval_mat3_covers_every_member(ms):
     # the balls of a stack of interval matrices (`_balls_of_bounds`)
-    mids, rads, _ = each_row_alone(gb._balls_of_bounds, *_bounds(ms))
-    for m, mid, rad in zip(ms, mids.tolist(), rads.tolist()):
+    mids, rads, _ = each_row_alone(gb._balls_of_bounds, *_stacked_bounds(ms))
+    for m, mid, rad in zip(ms, per_ball(mids).tolist(), rads.tolist()):
         assert not math.isnan(rad)
         if not all(x.is_finite() for row in m for x in row) or not finite(mid):
             assert rad == inf
@@ -296,7 +303,8 @@ def test_ball_from_interval_mat3_covers_every_member(ms):
 def test_label_balls_from_bounds_are_bitwise_the_scalar_balls(ms):
     # the ball tables: the scalar reference ball and its norm bound, for a
     # stack of interval matrices at once and for each alone
-    mids, rads, norms = (x.tolist() for x in each_row_alone(gb._balls_of_bounds, *_bounds(ms)))
+    mids, rads, norms = (per_ball(x).tolist() for x in
+                         each_row_alone(gb._balls_of_bounds, *_stacked_bounds(ms)))
     for m, mid, rad, norm in zip(ms, mids, rads, norms):
         ref = scalar_ball_from_interval_mat3(m)
         assert _hex(mid) == _hex(ref.mid)
@@ -327,21 +335,14 @@ def _rotation_boxes():
 
 def test_rotation_balls_are_bitwise_the_scalar_balls(monkeypatch):
     boxes = _rotation_boxes()
-    calls = []
-    cos_like = Interval._cos_like
-
-    def counting(x, *args):
-        calls.append(x)
-        return cos_like(x, *args)
-
-    with monkeypatch.context() as mp:
-        mp.setattr(Interval, "_cos_like", counting)
+    with trig_calls(monkeypatch) as calls:
         got = gb.rotation_balls(ks.array(FLOAT_KERNEL, boxes))
-    assert len(calls) == 2 * len(set(boxes))  # one cos and one sin per box
+    # one cos and one sin of the array, and no scalar interval
+    assert calls == {"cos": 1, "sin": 1}
     want = scalar_rotation_balls(boxes)
     assert len(want) == len(boxes)
     for stack, refs in zip(got, zip(*want)):  # rotations, then derivatives
-        mids, rads, norms = (x.tolist() for x in stack)
+        mids, rads, norms = (per_ball(x).tolist() for x in stack)
         assert len(mids) == len(boxes)
         for box, mid, rad, norm, ref in zip(boxes, mids, rads, norms, refs):
             assert _hex(mid) == _hex(ref.mid), box
@@ -351,7 +352,7 @@ def test_rotation_balls_are_bitwise_the_scalar_balls(monkeypatch):
 
 def test_non_finite_label_gives_infinite_radius():
     rot = ((0.6, -0.8, 0.0), (0.8, 0.6, 0.0), (0.0, 0.0, 1.0))
-    lo, hi = np.array([rot, rot]), np.array([rot, rot])
+    lo, hi = stacked([rot, rot]), stacked([rot, rot])
     lo[0, 0, 0] = -inf
     hi[0, 0, 0] = 0.5
     balls = gb._balls_of_bounds(lo, hi)
@@ -367,8 +368,8 @@ def test_non_finite_label_gives_infinite_radius():
     b = _point_balls([((1e200,) * 3, (-1e200,) * 3, (0.0,) * 3)])
     nan_ball = gb.ball_mul(a, b)
     assert np.isnan(nan_ball[0]).all() and nan_ball[1].tolist() == [inf]
-    entries = gb._entries(tuple(np.concatenate(x) for x in zip(balls, nan_ball)))
-    for k, enc in enumerate(ks.entries(entries)):
+    entries = gb._entries(tuple(np.concatenate(x, axis=-1) for x in zip(balls, nan_ball)))
+    for k, enc in enumerate(ks.entries(per_ball(entries))):
         for i, row in enumerate(enc):
             for j, x in enumerate(row):
                 if k == 1:
@@ -408,7 +409,7 @@ def test_infinite_label_endpoint_is_not_avoided(dodec27a, verified27a,
     slots = [(loop.link, w) for loop in verdict.loops for w in loop.word.tolist() if w >= 0]
     read = sorted({int(link.label[w]) for link, w in slots})
     (rad,) = [balls[1] for lo, balls in tables
-              if np.array_equal(lo, labels.label_bounds()[0][read])]
+              if np.array_equal(lo, stacked(labels.label_bounds()[0][read]))]
     row = {slot: r for r, slot in enumerate(read)}
     # odd slots are middle edges, even ones short edges
     assert {rad[row[link.label[w]]] for link, w in slots if w % 2} == {inf}
@@ -444,7 +445,7 @@ def test_scan_covers_exact_segment_products(case):
     lengths, ms = case
     start = np.repeat(np.cumsum([0] + lengths[:-1]), lengths)
     mids, rads, _ = gb._scan(_point_balls(ms), start)
-    for t, (m, mid, rad) in enumerate(zip(ms, mids.tolist(), rads.tolist())):
+    for t, (m, mid, rad) in enumerate(zip(ms, per_ball(mids).tolist(), rads.tolist())):
         exact = dyadic(m) if t == start[t] else dyadic_mul(dyadic(m), exact)
         assert not math.isnan(rad)
         if not finite(mid):
@@ -463,9 +464,9 @@ def test_reduce_covers_exact_block_products(case):
     lengths, ms = case
     block = np.repeat(np.arange(len(lengths)), lengths)
     mids, rads, _ = gb._reduce(_point_balls(ms), block)
-    assert len(mids) == len(lengths)
+    assert len(rads) == len(lengths)
     ends = np.cumsum(lengths)
-    for b, (mid, rad) in enumerate(zip(mids.tolist(), rads.tolist())):
+    for b, (mid, rad) in enumerate(zip(per_ball(mids).tolist(), rads.tolist())):
         first = ends[b] - lengths[b]
         exact = dyadic(ms[first])
         for m in ms[first + 1:ends[b]]:
@@ -489,8 +490,9 @@ def test_jacobian_contains_exact_derivative_of_operand_midpoints(
     loops = gb.build_loops_for_partition(tri, e_sim, links_of(tri))
     theta_boxes = box.theta[e_sim]
     lo, hi = FLOAT_KERNEL.bounds(gb.assemble_gimbal_jacobian(loops, labels, theta_boxes))
-    label_mid = gb._balls_of_bounds(*labels.label_bounds())[0].tolist()
-    rotation_mid, derivative_mid = (stack[0].tolist() for stack in gb.rotation_balls(theta_boxes))
+    label_mid = per_ball(gb._balls_of_bounds(*map(stacked, labels.label_bounds()))[0]).tolist()
+    rotation_mid, derivative_mid = (per_ball(stack[0]).tolist()
+                                    for stack in gb.rotation_balls(theta_boxes))
     identity = ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1)
     for li, loop in enumerate(loops):
         var_of = loop.variable_of_pid

@@ -506,3 +506,55 @@ def test_probe_gimbal_degree_one_edge_exit_one(tmp_path):
         assert proc.returncode == 1, args
         assert proc.stderr.startswith("error: edge class 2 has degree 1"), args
         assert "Traceback" not in proc.stderr + proc.stdout
+
+
+def test_recheck_precision_above_the_bound_exits_at_once(tmp_path, dodec27a, verified27a):
+    # a 53-bit certificate with its precision edited far above the bound:
+    # an input error, before any arithmetic at that precision
+    from hypcert import certificate as cert
+    from hypcert.interval import MAX_PRECISION
+
+    doc = cert.certificate_dict(dodec27a, verified27a, "krawczyk")
+    for bits in (MAX_PRECISION + 1, 20_000):
+        doc["precision_bits"] = bits
+        bad = tmp_path / f"bits-{bits}.json"
+        bad.write_text(json.dumps(doc))
+        proc = _python_m_hypcert("recheck", str(data_path("dodec27a.tri")), str(bad), timeout=30)
+        assert proc.returncode == 1
+        assert proc.stderr == (f"error: precision must be <= {MAX_PRECISION} bits, "
+                               f"got {bits}\n")
+        assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("bits", ["4097", "20000"])
+def test_certify_precision_above_the_bound_is_an_input_error(capsys, bits):
+    code, out, err = run_cli(
+        capsys, "certify", str(data_path("dodec27a.tri")), "--precision", bits
+    )
+    assert code == 1
+    assert err == "error: precision must be <= 4096 bits\n"
+    assert out == ""
+
+
+def test_certify_given_lengths_step_one_failure_names_its_cause(tmp_path, capsys, dodec27a):
+    # a first length of 1e-300 gives nu = -cosh(1e-300) = -1.0: no solver
+    # runs, so step 1's status carries the reason itself
+    from hypcert.triangulation import serialize
+
+    lengths = [float(x) for x in dodec27a.lengths]
+    lengths[0] = 1e-300
+    f = tmp_path / "tiny-length.tri"
+    f.write_text(serialize(dodec27a, lengths=lengths))
+    out_json = tmp_path / "out.json"
+    code, _, err = run_cli(capsys, "certify", str(f), "-o", str(out_json))
+    assert code == 2
+    assert err == ("NOT VERIFIED (step 1: failed: edge parameter 0 not proven < -1: -1.0)\n")
+    steps = json.loads(out_json.read_text())["steps"]
+    assert steps["1"] == steps["bootstrap"] == "failed: edge parameter 0 not proven < -1: -1.0"
+
+
+def test_certify_without_lengths_step_one_failure_keeps_its_text(capsys):
+    # with no lengths the bootstrap solver ran and failed; stage 1 says so
+    code, _, err = run_cli(capsys, "certify", str(data_path("s3_twotet.tri")))
+    assert code == 2
+    assert err == "NOT VERIFIED (step 1: failed: no usable candidate parameters)\n"

@@ -26,9 +26,12 @@ from tests.ball_oracle import (
     each_row_alone,
     gimbal_function,
     gimbal_matrix,
+    per_ball,
     scalar_balls_of_bounds,
     scalar_rotation_balls,
     stack,
+    stacked,
+    trig_calls,
 )
 from tests.cocycle_closure import check_cocycle_closure
 from tests.gimbal_oracle import (
@@ -426,9 +429,10 @@ def _bounds(ms):
 
 def _derivatives(loop, labels, boxes):
     """Stage V's derivatives of one loop, variable -> 3x3 nested `Interval`s."""
-    (derivs,) = gb.gimbal_matrix_derivatives(
+    loops, var, m = gb.gimbal_matrix_derivatives(
         [loop], labels, gb.rotation_balls(ks.array(FLOAT_KERNEL, boxes)))
-    return {v: ks.entries(m) for v, m in derivs.items()}
+    assert (loops == 0).all()
+    return dict(zip(var.tolist(), ks.entries(per_ball(m))))
 
 
 def _synthetic_loop(labels, removed_pids, word):
@@ -512,17 +516,18 @@ def _member(rng, m):
 def _word_products(words):
     """The ball product of each of equally long words of interval 3x3
     matrices, first letter rightmost, one `ball_mul` per letter on a stack
-    with a row per word; each word alone, as a stack of one, must give its
-    row bit for bit."""
+    with a ball per word; each word alone, as a stack of one, must give its
+    ball bit for bit."""
     def products(ws):
-        ball = tuple(np.repeat(x, len(ws), axis=0) for x in gb._IDENTITY)
+        ball = tuple(np.repeat(x, len(ws), axis=-1) for x in gb._IDENTITY)
         for letters in zip(*ws):
-            ball = gb.ball_mul(gb._balls_of_bounds(*_bounds(letters)), ball)
+            ball = gb.ball_mul(gb._balls_of_bounds(*map(stacked, _bounds(letters))), ball)
         return ball
 
     mixed = products(words)
     for r, word in enumerate(words):
-        assert [x[r:r + 1].tobytes() for x in mixed] == [x.tobytes() for x in products([word])]
+        assert ([x[..., r:r + 1].tobytes() for x in mixed]
+                == [x.tobytes() for x in products([word])])
     return mixed
 
 
@@ -539,7 +544,7 @@ def test_ball_product_encloses_member_products():
             exact = np.array(_member(rng, m)) @ exact
         words.append(mats)
         exacts.append(exact)
-    for enc, exact in zip(ks.entries(gb._entries(_word_products(words))), exacts):
+    for enc, exact in zip(ks.entries(per_ball(gb._entries(_word_products(words)))), exacts):
         for i in range(3):
             for j in range(3):
                 assert enc[i][j].contains(exact[i][j]), (i, j)
@@ -570,8 +575,8 @@ def test_ball_add_soundness():
     k = FloatKernel()
     rng = random.Random(13)
     pairs = [[_random_interval_mat3(rng, k, width=1e-6) for _ in range(2)] for _ in range(2)]
-    a, b = (gb._balls_of_bounds(*_bounds(ms)) for ms in zip(*pairs))
-    enc = ks.entries(gb._entries(each_row_alone(gb.ball_add, a, b)))
+    a, b = (gb._balls_of_bounds(*map(stacked, _bounds(ms))) for ms in zip(*pairs))
+    enc = ks.entries(per_ball(gb._entries(each_row_alone(gb.ball_add, a, b))))
     for (ma, mb), e in zip(pairs, enc):
         sa = np.array(_member(rng, ma)) + np.array(_member(rng, mb))
         for i in range(3):
@@ -724,7 +729,8 @@ def test_stage_v_multiplies_at_most_two_rows_per_stack_row(name, dodec27a, monke
     ball_mul = gb.ball_mul
 
     def counting(a, b):
-        rows.append(len(a[0]))
+        assert all(x.flags.c_contiguous for x in a + b)
+        rows.append(len(a[1]))
         return ball_mul(a, b)
 
     monkeypatch.setattr(gb, "ball_mul", counting)
@@ -764,18 +770,10 @@ def test_gimbal_jacobian_bytes_pinned(name, hyperbolic_triangulations, verified_
     loops = gb.build_loops_for_partition(tri, e_sim, links_of(tri))
     theta_boxes = box.theta[e_sim]
 
-    # one cos and one sin per distinct variable box, shared by its letters
-    calls = []
-    cos_like = Interval._cos_like
-
-    def counting(x, *args):
-        calls.append(x)
-        return cos_like(x, *args)
-
-    with monkeypatch.context() as mp:
-        mp.setattr(Interval, "_cos_like", counting)
+    # one cos and one sin of the variables' boxes, and no scalar interval
+    with trig_calls(monkeypatch) as calls:
         dg = gb.assemble_gimbal_jacobian(loops, labels, theta_boxes)
-    assert len(calls) == 2 * len(set(ks.entries(theta_boxes)))
+    assert calls == {"cos": 1, "sin": 1}
 
     digest = hashlib.sha256()
     for row in ks.entries(dg):

@@ -32,7 +32,7 @@ from hypcert.interval import (
     MPInterval,
     MPKernel,
 )
-from tests.ball_oracle import scalar_ball_from_interval_mat3
+from tests.ball_oracle import per_ball, scalar_ball_from_interval_mat3, stacked
 from tests.conftest import S3_TEXT
 from tests.geometry_oracle import edge_params_from_lengths
 from tests.gimbal_oracle import label_matrix, label_of, label_slot_of
@@ -69,7 +69,7 @@ def _check_labels(tri, params):
     interval = labels.kernel is not REAL_KERNEL
     lo, hi = labels.label_bounds()
     assert lo.shape == hi.shape == (24 * tri.n_tets, 3, 3)
-    balls = gb._balls_of_bounds(lo, hi)
+    balls = gb._balls_of_bounds(stacked(lo), stacked(hi))
     checked = 0
     for letter in _letters(tri.n_tets):
         want = label_matrix(labels, letter)
@@ -82,7 +82,7 @@ def _check_labels(tri, params):
         assert _matrix_bits(hi[slot].tolist()) == _matrix_bits(
             [[b for _, b in row] for row in ends]), letter
         if interval:
-            mid, rad, norm = (x[slot].tolist() for x in balls)
+            mid, rad, norm = (per_ball(x)[slot].tolist() for x in balls)
             ref = scalar_ball_from_interval_mat3(want)
             assert _matrix_bits(mid) == _matrix_bits(ref.mid), letter
             assert rad.hex() == ref.rad.hex(), letter

@@ -86,17 +86,6 @@ def test_trig_extrema_included():
     assert Interval(-10.0, 10.0).sin().lo == -1.0
 
 
-def test_trig_critical_points_memoized_bit_for_bit():
-    from hypcert.interval import _PI_HALF_IV, _critical_point
-
-    for k in range(-8, 9):
-        for fn, offset in ((math.cos, 0.0), (math.sin, _PI_HALF_IV)):
-            want = PI * k + offset
-            got = _critical_point(k, fn)
-            assert (got.lo.hex(), got.hi.hex()) == (want.lo.hex(), want.hi.hex())
-            assert _critical_point(k, fn) is got
-
-
 def test_pi_constants_enclose():
     assert mpmath.mpf(PI.lo) <= mpmath.pi <= mpmath.mpf(PI.hi)
     assert mpmath.mpf(TWO_PI.lo) <= 2 * mpmath.pi <= mpmath.mpf(TWO_PI.hi)

@@ -542,6 +542,50 @@ def test_array_arccos_is_bitwise_the_method(xs):
     assert got == want
 
 
+# -- cos and sin ------------------------------------------------------------------
+
+# ±0, subnormals, the ends of the sine's |x| < 3 sign rule, the critical
+# points, magnitudes where floor(x / pi) is past 2^52, and infinities
+TRIG_SPECIAL = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.0 ** -1022, 3.0, -3.0,
+    math.nextafter(3.0, 0.0), math.nextafter(-3.0, 0.0), math.nextafter(3.0, 4.0),
+    math.pi, -math.pi, 0.5 * math.pi, -0.5 * math.pi, 2 * math.pi, 1e16, -1e16,
+    2.0 ** 60, -(2.0 ** 60), 1e300, -1e300, 1.7976931348623157e308, inf, -inf,
+]
+trig_endpoints = st.one_of(st.sampled_from(TRIG_SPECIAL), st.floats(-10.0, 10.0),
+                           st.floats(allow_nan=False, width=64))
+two_pi_wide = st.sampled_from([math.nextafter(2 * math.pi, 0.0), 2 * math.pi, TWO_PI.hi,
+                               math.nextafter(TWO_PI.hi, inf), math.nextafter(TWO_PI.hi, 0.0)])
+trig_entries = st.one_of(
+    st.tuples(trig_endpoints, trig_endpoints).map(lambda ab: Interval(min(ab), max(ab))),
+    trig_endpoints.map(Interval.point),
+    # widths just below, at and above 2 pi
+    st.tuples(st.floats(-20.0, 20.0), two_pi_wide).map(lambda a: Interval(a[0], a[0] + a[1])),
+    # points and near-points of huge magnitude, nudged by a few ulps
+    st.tuples(st.sampled_from([1e16, 2.0 ** 60, 1e300, -1e16, -(2.0 ** 60), -1e300]),
+              st.integers(0, 3)).map(lambda a: Interval(a[0], _ulps_up(a[0], a[1]))),
+)
+
+
+def _ulps_up(x, k):
+    for _ in range(k):
+        x = math.nextafter(x, inf)
+    return x
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.lists(trig_entries, min_size=1, max_size=8))
+def test_array_cos_and_sin_are_bitwise_the_method(xs):
+    arr = ks.array(FLOAT_KERNEL, xs)
+    for name in ("cos", "sin"):
+        want = bits([[getattr(x, name)() for x in xs]])
+        assert bits([ks.entries(getattr(FLOAT_KERNEL, name)(arr))]) == want, name
+    # and on a 2-D array
+    grid = ks.array(FLOAT_KERNEL, [xs, xs[::-1]])
+    assert bits(ks.entries(FLOAT_KERNEL.sin(grid))) == bits(
+        [[x.sin() for x in xs], [x.sin() for x in xs[::-1]]])
+
+
 # -- the stage-V invertibility test --------------------------------------------
 
 

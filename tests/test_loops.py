@@ -204,7 +204,7 @@ def _tampered(case, link):
     return bad, gb.GimbalLoop(loop.vertex_class, expand_link(link), removed, reference), message
 
 
-@pytest.mark.parametrize("case", [
+TAMPERING = [
     "empty loop",
     "doubled polygon letter",
     "polygon letter after a polygon letter",
@@ -214,7 +214,10 @@ def _tampered(case, link):
     "unclaimed slot",
     "doubly claimed slot",
     "disconnected hexagons",
-])
+]
+
+
+@pytest.mark.parametrize("case", TAMPERING)
 @pytest.mark.parametrize("name", ["dodec27a", "dodec30x2"])
 def test_validator_rejects_tampering(case, name, hyperbolic_triangulations):
     link = tr.vertex_link_hexagon_complex(hyperbolic_triangulations[name], 0)
@@ -223,3 +226,47 @@ def test_validator_rejects_tampering(case, name, hyperbolic_triangulations):
                            (link_oracle.validate_gimbal_loop, reference)):
         with pytest.raises(gb.GimbalLoopError, match=f"^{message}$"):
             validate(loop)
+
+
+@pytest.mark.parametrize("case", TAMPERING)
+@pytest.mark.parametrize("name", ["dodec27a", "dodec30x2"])
+def test_stacked_validator_raises_the_first_bad_loops_message(case, name,
+                                                               hyperbolic_triangulations):
+    # the tampered loop k-th among good loops over every link of the input,
+    # two over each: the message is the one it raises alone, also with a
+    # loop after it that fails an earlier clause
+    tri = hyperbolic_triangulations[name]
+    links = [tr.vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
+    bad, _, message = _tampered(case, links[0])
+    empty = gb.GimbalLoop(0, links[-1], (), np.zeros(0, dtype=np.intp))
+    good = [gb.build_gimbal_loop(link, removed) for link in links for removed in ([0], [0, 1, 2])]
+    for k in range(len(good) + 1):
+        for loops in (good[:k] + [bad] + good[k:], good[:k] + [bad, empty] + good[k:]):
+            with pytest.raises(gb.GimbalLoopError, match=f"^{message}$"):
+                gb.validate_gimbal_loops(loops)
+
+
+@pytest.mark.parametrize("name", FIXTURES + tuple(f"scaling{k}-seed{seed}" for k in (12, 24)
+                                                  for seed in (1, 7)))
+def test_stacked_validator_accepts_every_partition(name, monkeypatch):
+    # every partition's loops, alone and all together; building a
+    # partition's loops validates them once
+    tri = _input(name)
+    links = [tr.vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
+    calls = []
+    validate = gb.validate_gimbal_loops
+
+    def counting(loops):
+        calls.append(len(loops))
+        return validate(loops)
+
+    monkeypatch.setattr(gb, "validate_gimbal_loops", counting)
+    everything = []
+    for e_sim in _loose_edge_sets(name, tri):
+        calls.clear()
+        loops = gb.build_loops_for_partition(tri, e_sim, links)
+        assert calls == [tri.o]
+        assert validate(loops)
+        everything += loops
+    everything += [gb.build_gimbal_loop(link, [0]) for link in links]
+    assert validate(everything)

@@ -304,7 +304,13 @@ def assert_link_matches(link, ref):
     every field of the reference's `LinkComplex`, equal, and in the same
     order where the reference's order is deterministic (it fills
     `lv_to_pid` from a set).  A letter has one key more than the
-    reference's, its owner hexagon."""
+    reference's, its owner hexagon.  Every array of `link` is read-only:
+    links are kept on their triangulation."""
+    arrays = [f.name for f in dataclasses.fields(link)
+              if isinstance(getattr(link, f.name), np.ndarray)]
+    assert {"end_class", "order", "entry", "label"} <= set(arrays)
+    for name in arrays:
+        assert not getattr(link, name).flags.writeable, name
     link = expand_link(link)
     for f in dataclasses.fields(ref):
         got, want = getattr(link, f.name), getattr(ref, f.name)

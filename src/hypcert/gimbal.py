@@ -460,7 +460,8 @@ def build_gimbal_loops(links, removed):
     letters, lid = walk[keep], np.nonzero(keep)[0]
     at = np.full(len(reach), len(letters))  # each polygon's first letter ending on it
     np.minimum.at(at, end_pid[letters], np.arange(len(letters)))
-    spliced = np.unique(r_pid[at[r_pid] < len(letters)])
+    spliced = r_pid[at[r_pid] < len(letters)]
+    spliced = spliced[np.diff(spliced, prepend=-1) != 0]  # sorted: drop repeats
     owner = lid[at[spliced]]
     word = np.insert(letters - 6 * base[lid], at[spliced] + 1, -1 - (spliced - pbase[owner]))
     size = np.bincount(np.concatenate((lid, owner)), minlength=len(links))
@@ -535,8 +536,8 @@ def validate_gimbal_loops(loops):
     fail(2, np.flatnonzero(~same))
     p_lid, p_pid = lid[poly], -1 - word[poly]
     stride = 1 + max(p_pid.max(initial=0), r_pid.max(initial=0))
-    a = np.sort((p_lid * stride + p_pid)[same[p_lid]])
-    b = np.sort((r_lid * stride + r_pid)[same[r_lid]])
+    a = np.sort((p_lid * stride + p_pid)[same[p_lid]], kind="stable")
+    b = np.sort((r_lid * stride + r_pid)[same[r_lid]], kind="stable")
     fail(2, a[a != b] // stride)
     first, last = ends(lid)
     prev = word[np.where(poly == first[poly], last[poly], poly - 1)]
@@ -586,7 +587,8 @@ def validate_gimbal_loops(loops):
     while not np.array_equal(label[a], label[b]):
         np.minimum.at(label, label[a], label[b])
         label = label[label[label]]
-    fail(7, np.flatnonzero(np.bincount(u_lid[np.unique(label)], minlength=n) != 1))
+    labels = np.flatnonzero(np.bincount(label, minlength=len(used)))  # one per component
+    fail(7, np.flatnonzero(np.bincount(u_lid[labels], minlength=n) != 1))
     n_used = np.bincount(u_lid, minlength=n)
     fail(8, np.flatnonzero(n_used - np.bincount(u_lid[h1], minlength=n) != 1))
     fail(9, np.flatnonzero(size > 6 * n_used + n_removed))

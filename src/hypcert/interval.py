@@ -1101,7 +1101,7 @@ class IntervalArray:
         at = at.reshape(k.shape)
         hit = (d <= span) & (crit.lo[at] <= x[1][..., None]) & (x[0][..., None] <= crit.hi[at])
         # cos peaks at 2j pi, sin at pi/2 + 2j pi: both at even k
-        even = (np.fmod(f, 2.0) != 0.0) != (d % 2 == 1)
+        even = (f % 2.0 != 0.0) != (d % 2 == 1)
         hi = np.where((hit & even).any(axis=-1), 1.0, hi)
         lo = np.where((hit & ~even).any(axis=-1), -1.0, lo)
         return IntervalArray(np.where(whole | (-1.0 > lo), -1.0, lo),

@@ -25,7 +25,7 @@ resid = np.max(np.abs(r0))
 print(f"candidate angle-sum residual: {resid:.2e}\n")
 
 print("stage I: loose edges by full pivoting on the gimbal table")
-links = [vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
+links = vertex_link_hexagon_complex(tri)  # every vertex link, one record
 T = gimbal.edge_direction_table(tri, gimbal.CocycleLabels(tri, params, data=data), links)
 _, loose = verify.select_submatrix(T, 3 * tri.o)
 print(f"  table T: {T.shape[0]} x {T.shape[1]} (3 rows per vertex, one column "
@@ -52,7 +52,8 @@ labels = gimbal.CocycleLabels(tri, geometry.EdgeParams(box.nu, FLOAT_KERNEL))
 verdict = gimbal.gimbal_lock_check(tri, labels, part.e_sim, loose, links=links)
 print(f"  {verdict.reason}")
 loop = verdict.loops[0]
-# a letter is a slot 6 c + i of the link's hexagon c, or -1 - pid for a polygon
+# a letter is a slot 6 c + i of hexagon c, or -1 - p for polygon p, both
+# numbered across all links of the record
 slots = loop.word[loop.word >= 0]
 print(f"  gimbal loop: {len(loop.word)} letters over "
       f"{len(np.unique(slots // 6))} hexagons")

@@ -35,8 +35,7 @@ print("\nper loose edge, the sum of the two directions in which it leaves")
 print("the vertex, read off the float gimbal Jacobian at full turns")
 print("(the edge-direction table the scan above reads its columns from):")
 labels = gimbal.CocycleLabels(tri, params)
-links = [triangulation.vertex_link_hexagon_complex(tri, 0)]
-table = gimbal.edge_direction_table(tri, labels, links)
+table = gimbal.edge_direction_table(tri, labels, triangulation.vertex_link_hexagon_complex(tri))
 for edge in result.partition.e_sim:
     # the column (g01, g02, g12) of an edge is (-s_z, s_y, -s_x) for its sum s
     g01, g02, g12 = table[:, edge]
@@ -61,10 +60,9 @@ class AntipodalLabels:
 
 # the word "back, P1, out, P0": edge letters are slots of the loop's link,
 # which passes their label rows directly (both row 0); a polygon letter is
-# -1 - pid
+# -1 - pid, and polygon p's variable is p
 link = types.SimpleNamespace(label=np.array([0, 0]))
-loop = gimbal.GimbalLoop(0, link, (0, 1), np.array([1, -2, 0, -1]))
-loop.variable_of_pid = {0: 0, 1: 1}
+loop = gimbal.GimbalLoop(0, link, (0, 1), np.array([1, -2, 0, -1]), variable=np.arange(2))
 # the loop and the variable of each derivative, and the derivatives'
 # entries (3, 3, one per derivative)
 _, var, derivs = gimbal.gimbal_matrix_derivatives(

@@ -203,9 +203,9 @@ def recheck(tri, doc, precision=None):
     box = vf.CertifiedBox(
         nu=nu, theta=None, partition=part, precision=precision
     )
-    links = [vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
     try:
-        vf.check_gimbal_lock(tri, vf.check_realization_and_angles(tri, box), links)
+        vf.check_gimbal_lock(tri, vf.check_realization_and_angles(tri, box),
+                             vertex_link_hexagon_complex(tri))
     except vf.StepFailure as exc:
         return False, f"recheck failed: {exc}"
     return True, "realization, angle sums and gimbal check reverified"

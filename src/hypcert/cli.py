@@ -177,6 +177,13 @@ def cmd_probe_gimbal(args):
     return EXIT_OK
 
 
+def _count(text):
+    """An option's non-negative integer; anything else is a usage error."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse, but a usage error exits EXIT_INPUT: argparse's own code, 2,
     is the code of a conservative failure here."""
@@ -199,8 +206,8 @@ def main(argv=None):
 
     p = sub.add_parser("solve", help="unverified edge-length solve")
     p.add_argument("file")
-    p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-iters", type=_count, default=100)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_solve)
 
@@ -208,7 +215,7 @@ def main(argv=None):
     p.add_argument("file")
     p.add_argument("--precision", type=int, default=53,
                    help=f"working precision in bits (53 to {MAX_PRECISION})")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timings in the certificate")
     p.add_argument("-o", "--output")

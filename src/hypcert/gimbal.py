@@ -19,13 +19,13 @@ fixtures.
 On each vertex link, removing the prism-end polygons of the edges whose
 angle sums are only approximately full turns leaves a surface with
 boundary.  A gimbal loop is a cyclic word in link edges plus one letter
-per removed polygon, held as an integer array: a link slot 6 c + i
-(letter i of the link's hexagon c) or -1 - pid for polygon pid.  Its
-construction, its validator, its text and its label rows read the link's
-slot tables (`triangulation.LinkComplex`); a partition's loops are built,
-validated and planned in one pass each, over the tables of all links or
-loops stacked end to end.  A loop bounds a disk cut from
-the link's breadth-first spanning tree of hexagons (`LinkComplex.order`
+per removed polygon, held as an integer array: a slot 6 c + i (letter i
+of hexagon c) or -1 - p for polygon p, in the one numbering of the
+triangulation's stacked vertex links (`triangulation.VertexLinks`).  Its
+construction, its validator, its text and its label rows read those
+tables as they are; a partition's loops, one per link, are built,
+validated and planned in one pass each.  A loop bounds a disk cut from
+its link's breadth-first spanning tree of hexagons (`VertexLinks.order`
 and `entry`), the tree along which `edge_direction_table` carries its
 frames, so the two walk the same hexagons.  Substituting z-rotations
 for the polygon letters gives the gimbal matrix, and the upper-triangular
@@ -49,7 +49,7 @@ import itertools
 import math
 import random
 from math import inf
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +63,6 @@ from .interval import (
 from .triangulation import (
     PERM_STRINGS,
     VERTEX_ANGLES,
-    TriangulationError,
     vertex_link_hexagon_complex,
 )
 
@@ -71,9 +70,7 @@ __all__ = [
     "CocycleLabels",
     "GimbalLoop",
     "GimbalLoopError",
-    "build_gimbal_loop",
     "build_gimbal_loops",
-    "validate_gimbal_loop",
     "validate_gimbal_loops",
     "gimbal_matrix_derivatives",
     "assemble_gimbal_jacobian",
@@ -373,21 +370,24 @@ class CocycleLabels:
 @dataclass
 class GimbalLoop:
     vertex_class: int
-    link: object
-    removed: tuple  # pids of removed polygons, sorted
-    # letters in traversal order, an integer array: a link slot, or -1 - pid
-    # for the letter of removed polygon pid
+    link: object  # the `VertexLinks` its slots and polygons are numbered in
+    removed: tuple  # the removed polygons on its link, sorted
+    # letters in traversal order, an integer array: a slot, or -1 - p for
+    # the letter of removed polygon p
     word: np.ndarray
-    variable_of_pid: dict = field(default_factory=dict)
+    # polygon -> its variable, -1 where its edge class is kept: one array,
+    # set on all loops of a partition (`build_loops_for_partition`)
+    variable: np.ndarray = None
 
     def serialize(self):
-        """The word as text: a polygon as P<pid>, a short edge as
-        g:<tet>:<ab>:<s> from its start s, and a middle edge as b:<tet>:<s>
-        from its token."""
+        """The word as text: a polygon as P<pid>, pid its place among its
+        link's polygons, a short edge as g:<tet>:<ab>:<s> from its start s,
+        and a middle edge as b:<tet>:<s> from its token."""
         token, out = self.link.token.tolist(), []
+        first = int(self.link.polygon_offsets[self.vertex_class])
         for w in self.word.tolist():
             if w < 0:
-                out.append(f"P{-1 - w}")
+                out.append(f"P{-1 - w - first}")
             else:
                 tet, s = divmod(token[w], 24)
                 out.append(f"{_KIND[w & 1]}{tet}{_TOKEN_TEXT[w & 1][s]}")
@@ -399,75 +399,59 @@ _KIND = ("g:", "b:")
 _TOKEN_TEXT = ([f":{s[:2]}:{s}" for s in PERM_STRINGS], [f":{s}" for s in PERM_STRINGS])
 
 
-def _stacked(links, name):
-    """The table `name` of every link, end to end."""
-    return np.concatenate([getattr(link, name) for link in links])
-
-
-def build_gimbal_loop(link, removed_pids):
-    """`build_gimbal_loops` of one link."""
-    return build_gimbal_loops([link], [removed_pids])[0]
-
-
 def build_gimbal_loops(links, removed):
-    """One gimbal loop per link, validated together: the boundary of the
-    least disk of hexagons that touches every removed polygon of the link
-    (`removed`, one set of pids per link), walked from letter 0, with each
-    removed-polygon letter spliced in after the first letter ending on it.
+    """One gimbal loop per link of the `VertexLinks` `links`, validated
+    together: the boundary of the least disk of hexagons that touches every
+    removed polygon of the link (`removed`, polygons of any links), walked
+    from the link's first letter, with each removed-polygon letter spliced
+    in after the first letter ending on it.
 
     The disk is the shortest prefix of the link's breadth-first `order`
     whose hexagons' letters end on every removed polygon, glued along each
-    hexagon's entry letter; letter 0 is a short edge, never crossed.  The
-    links' tables are stacked, hexagons and polygons numbered after the
-    previous links', and all walks are taken by doubling: the next 2^j
-    letters are the 2^j-th power of the next-letter table at the first 2^j.
+    hexagon's entry letter; a link's first letter is a short edge, never
+    crossed.  All walks are taken at once by doubling: the next 2^j letters
+    are the 2^j-th power of the next-letter table at the first 2^j.
     """
-    removed = [sorted(r) for r in removed]
-    sizes = np.array([link.n_hexagons for link in links])
-    n_ends = np.array([len(link.prism_ends) for link in links])
-    base, pbase = np.cumsum(sizes) - sizes, np.cumsum(n_ends) - n_ends
-    hexes = np.repeat(base, sizes)  # each hexagon's link's first
-    rank = np.arange(len(hexes)) - hexes  # its place in its link's order
-    order = _stacked(links, "order") + hexes
-    end_pid = _stacked(links, "end_pid") + np.repeat(pbase, 6 * sizes)
-    reach = np.repeat(sizes, n_ends)  # each polygon's first hexagon in `order`
-    np.minimum.at(reach, end_pid.reshape(-1, 6)[order], rank[:, None])
-    r_lid = np.repeat(np.arange(len(links)), [len(pids) for pids in removed])
-    r_pid = np.array([pid for pids in removed for pid in pids], dtype=np.intp) + pbase[r_lid]
-    wrong = r_pid >= (pbase + n_ends)[r_lid]
+    hexagons, polygons = links.hexagon_offsets, links.polygon_offsets
+    sizes = np.diff(hexagons)
+    rank = np.arange(hexagons[-1]) - np.repeat(hexagons[:-1], sizes)  # place in its link's order
+    reach = np.repeat(sizes, np.diff(polygons))  # each polygon's first rank touching it
+    np.minimum.at(reach, links.end_pid.reshape(-1, 6)[links.order], rank[:, None])
+    r_pid = np.sort(np.asarray(removed, dtype=np.intp).ravel(), kind="stable")
+    wrong = (r_pid < 0) | (r_pid >= polygons[-1])
     if wrong.any():
-        raise GimbalLoopError(f"no prism end {(r_pid - pbase[r_lid])[wrong][0]} in this link")
-    need = np.zeros(len(links), dtype=np.intp)
+        raise GimbalLoopError(f"no prism end {r_pid[wrong][0]} in these links")
+    r_lid = np.searchsorted(polygons, r_pid, side="right") - 1
+    need = np.zeros(len(sizes), dtype=np.intp)
     np.maximum.at(need, r_lid, reach[r_pid])
     if (need == sizes).any():
         raise GimbalLoopError("link exhausted before touching every removed polygon")
-    disk = order[(rank >= 1) & (rank <= np.repeat(need, sizes))]  # and each hexagon 0
-    other = _stacked(links, "other_side")
-    other = np.where(other >= 0, other + 6 * np.repeat(base, 6 * sizes), -1)
-    into = 6 * disk + _stacked(links, "entry")[disk]
+    disk = links.order[(rank >= 1) & (rank <= np.repeat(need, sizes))]  # and each first hexagon
+    other = links.other_side
+    into = 6 * disk + links.entry[disk]
     crossed = np.concatenate((into, other[into]))
     # each letter's next on the boundary: the next of its hexagon, or past
     # a crossed middle letter, the one after its other side
-    nxt = np.arange(1, 6 * len(order) + 1)
+    nxt = np.arange(1, 6 * hexagons[-1] + 1)
     nxt[5::6] -= 6
     nxt[crossed - 1] = nxt[other[crossed]]
     # a walk's length: its disk's 6 (need + 1) slots less the 2 need crossed
     length = 4 * need + 6
-    walk, jump = 6 * base[:, None], nxt  # walk[:, t]: letter t of each walk
+    walk, jump = 6 * hexagons[:-1, None], nxt  # walk[:, t]: letter t of each walk
     while walk.shape[1] < length.max():
         walk, jump = np.concatenate((walk, jump[walk]), axis=1), jump[jump]
     keep = np.arange(walk.shape[1]) < length[:, None]
     letters, lid = walk[keep], np.nonzero(keep)[0]
-    at = np.full(len(reach), len(letters))  # each polygon's first letter ending on it
-    np.minimum.at(at, end_pid[letters], np.arange(len(letters)))
+    at = np.full(polygons[-1], len(letters))  # each polygon's first letter ending on it
+    np.minimum.at(at, links.end_pid[letters], np.arange(len(letters)))
     spliced = r_pid[at[r_pid] < len(letters)]
     spliced = spliced[np.diff(spliced, prepend=-1) != 0]  # sorted: drop repeats
-    owner = lid[at[spliced]]
-    word = np.insert(letters - 6 * base[lid], at[spliced] + 1, -1 - (spliced - pbase[owner]))
-    size = np.bincount(np.concatenate((lid, owner)), minlength=len(links))
+    word = np.insert(letters, at[spliced] + 1, -1 - spliced)
+    size = np.bincount(np.concatenate((lid, lid[at[spliced]])), minlength=len(sizes))
     words = np.split(word, np.cumsum(size)[:-1])
-    loops = [GimbalLoop(link.vertex_class, link, tuple(pids), w)
-             for link, pids, w in zip(links, removed, words)]
+    pids = np.split(r_pid, np.searchsorted(r_pid, polygons[1:-1]))
+    loops = [GimbalLoop(k, links, tuple(p.tolist()), w)
+             for k, (p, w) in enumerate(zip(pids, words))]
     validate_gimbal_loops(loops)
     return loops
 
@@ -482,13 +466,9 @@ _CLAUSES = (  # the messages of the validator's clauses, in order
 )
 
 
-def validate_gimbal_loop(loop):
-    """`validate_gimbal_loops` of one loop."""
-    return validate_gimbal_loops([loop])
-
-
 def validate_gimbal_loops(loops):
-    """Independent check of every gimbal-loop clause, on all loops at once.
+    """Independent check of every gimbal-loop clause, on a partition's
+    loops at once, at most one per link.
 
     Raises GimbalLoopError unless, in every loop: each letter is a slot of
     its link or a removed polygon; each removed polygon letter occurs
@@ -496,17 +476,23 @@ def validate_gimbal_loops(loops):
     polygon letters leaves a closed edge path; that path is the boundary
     of a disk of hexagons glued along the crossed middle edges, traversed
     with the link's orientation.  The message is the first failing clause
-    of the first failing loop, as checking them one by one gives.
+    of the first failing loop, as checking them one by one gives.  Loops
+    share one slot numbering, so two loops on one link would mix their
+    claims: such a list raises as well.
 
-    Linear in the letters: words and tables are stacked, each loop's slots
-    numbered after the previous loops', so no loop reads another's (a
-    failed letter past its link's slots is read as slot 0).  The claims run
-    on slot 6 u + i, letter i of the u-th used hexagon.
+    Linear in the letters: the words are stacked, and a failed letter
+    outside its link's slots is read as the link's first slot.  The claims
+    run on slot 6 u + i, letter i of the u-th used hexagon.
     """
     if not loops:
         return True
-    n, none = len(loops), len(_CLAUSES)
+    links, n, none = loops[0].link, len(loops), len(_CLAUSES)
     fails = np.full(n, none)  # each loop's first failing clause
+    vclass = np.array([loop.vertex_class for loop in loops])  # each loop's link
+    loop_of = np.full(len(links.hexagon_offsets) - 1, -1)  # each link's loop
+    loop_of[vclass] = np.arange(n)
+    if (loop_of[vclass] != np.arange(n)).any():
+        raise GimbalLoopError("two loops on one vertex link")
 
     def fail(clause, bad):
         np.minimum.at(fails, bad, clause)
@@ -515,16 +501,14 @@ def validate_gimbal_loops(loops):
         return np.searchsorted(ids, ids), np.searchsorted(ids, ids, side="right") - 1
 
     size = np.array([len(loop.word) for loop in loops])
-    slots = np.array([len(loop.link.start) for loop in loops])
     lid = np.repeat(np.arange(n), size)
     word = np.concatenate([np.asarray(loop.word, dtype=np.intp) for loop in loops])
+    first_slot, end_slot = (6 * links.hexagon_offsets[vclass + k][lid] for k in (0, 1))
     fail(0, np.flatnonzero(size == 0))
-    fail(1, lid[word >= slots[lid]])
-    word[word >= slots[lid]] = 0
-    off = np.cumsum(slots) - slots
-    start, end_pid, other = (_stacked([loop.link for loop in loops], name)
-                             for name in ("start", "end_pid", "other_side"))
-    other = np.where(other >= 0, other + np.repeat(off, slots), -1)
+    outside = (word >= 0) & ((word < first_slot) | (word >= end_slot))
+    fail(1, lid[outside])
+    word[outside] = first_slot[outside]
+    start, end_pid = links.start, links.end_pid
 
     # polygon letters: multiplicity and anchoring.  Where a loop has as many
     # polygon letters as removed polygons, the sorted (loop, pid) keys pair up
@@ -541,14 +525,13 @@ def validate_gimbal_loops(loops):
     fail(2, a[a != b] // stride)
     first, last = ends(lid)
     prev = word[np.where(poly == first[poly], last[poly], poly - 1)]
-    code = np.where(prev < 0, 3, np.where(
-        end_pid[np.maximum(prev, 0) + off[p_lid]] != p_pid, 4, none))
+    code = np.where(prev < 0, 3, np.where(end_pid[np.maximum(prev, 0)] != p_pid, 4, none))
     loop, at = np.unique(p_lid[code < none], return_index=True)  # each loop's first bad letter
     fail(code[code < none][at], loop)
 
     # dropping polygons leaves a closed edge path
     e_lid = lid[word >= 0]
-    edges = word[word >= 0] + off[e_lid]
+    edges = word[word >= 0]
     succ = edges + np.where(edges % 6 == 5, -5, 1)  # the next slot of the same hexagon
     first, last = ends(e_lid)
     t = np.arange(len(edges))
@@ -561,11 +544,11 @@ def validate_gimbal_loops(loops):
     is_used = np.zeros(len(start) // 6, dtype=bool)
     is_used[edges // 6] = True
     used, u_of = np.flatnonzero(is_used), np.cumsum(is_used) - 1
-    u_lid = np.repeat(np.arange(n), slots // 6)[used]
+    u_lid = loop_of[np.searchsorted(links.hexagon_offsets, used, side="right") - 1]
     claims = np.bincount(6 * u_of[edges // 6] + edges % 6, minlength=6 * len(used))
     mid = (6 * np.arange(len(used))[:, None] + [1, 3, 5]).ravel()  # slots 6 u + i
     side = (6 * used[:, None] + [1, 3, 5]).ravel()
-    other = other[side]
+    other = links.other_side[side]
     other_mid = 6 * u_of[other // 6] + other % 6
     crossed = (is_used[other // 6] & (side < other)
                & (claims[mid] == 0) & (claims[other_mid] == 0))
@@ -628,12 +611,15 @@ def gimbal_matrix_derivatives(loops, labels, rotations):
     (loop, variable) order, and the derivatives' 53-bit entrywise
     enclosures, a (3, 3, K) `IntervalArray`.
 
-    `rotations` holds the ball stacks of the rotation by each variable's
-    angle and of its derivative (`rotation_balls`); an edge letter's ball
-    is the ball of row `loop.link.label[slot]` of the label table
-    `labels.label_bounds()`; only the rows the loops read are balled.  The
-    derivative replaces one rotation letter i at a time by the rotation
-    derivative R' and sums over occurrences:
+    `loops` are one partition's, over one `VertexLinks` and one array of
+    polygon variables (`build_loops_for_partition`).  `rotations` holds the
+    ball stacks of the rotation by each variable's angle and of its
+    derivative (`rotation_balls`); a polygon letter's variable is read off
+    the loops' `variable`, and an edge letter's ball is the ball of row
+    `link.label[slot]` of the label table `labels.label_bounds()`; only the
+    rows the loops read are balled.  The derivative replaces one rotation
+    letter i at a time by the rotation derivative R' and sums over
+    occurrences:
     P R' S, with S = M(w[i-1]) ... M(w[0]) and P = M(w[n-1]) ... M(w[i+1]).
     A loop's forward segment holds its letters before its last polygon
     letter, and its backward segment the transposes of its letters after its
@@ -657,19 +643,10 @@ def gimbal_matrix_derivatives(loops, labels, rotations):
     if not len(poly):
         none = np.zeros(0, dtype=np.intp)
         return none, none, FLOAT_KERNEL.points(np.zeros((3, 3, 0)))
-    # each letter's table row: a label row, or -1 - its polygon's variable,
-    # read off one table over (loop, pid)
-    pl, pid = lid[poly], -1 - word[poly]
-    of_pid = np.array([(li, p, v) for li, loop in enumerate(loops)
-                       for p, v in loop.variable_of_pid.items()], dtype=np.intp).reshape(-1, 3)
-    stride = 1 + max(pid.max(), of_pid[:, 1].max(initial=0))
-    var_at = np.full(len(loops) * stride, -1)
-    var_at[of_pid[:, 0] * stride + of_pid[:, 1]] = of_pid[:, 2]
-    var = var_at[pl * stride + pid]
-    n_slots = np.array([len(loop.link.label) for loop in loops])
+    # each letter's table row: a label row, or -1 - its polygon's variable
+    pl, var = lid[poly], loops[0].variable[-1 - word[poly]]
     ops, edge = np.full_like(word, -1), word >= 0
-    ops[edge] = _stacked([loop.link for loop in loops], "label")[
-        word[edge] + (np.cumsum(n_slots) - n_slots)[lid[edge]]]
+    ops[edge] = loops[0].link.label[word[edge]]
     ops[poly] = -1 - var
     # the stack: per loop with a polygon letter, the forward segment, its
     # letters before the last polygon letter, then the backward one, its
@@ -730,19 +707,16 @@ def assemble_gimbal_jacobian(loops, labels, box_of_variable):
 
 
 def build_loops_for_partition(tri, e_sim, links):
-    """One gimbal loop per vertex class, over the vertex links `links`, built
-    and validated together (`build_gimbal_loops`); polygon variables indexed
-    by the position of their edge class in e_sim."""
+    """One gimbal loop per vertex link of the `VertexLinks` `links`, built
+    and validated together (`build_gimbal_loops`) around the polygons of the
+    loose edges e_sim.  The loops share one array of polygon variables: the
+    position of each polygon's edge class in e_sim, or -1 for a kept one."""
     var_of_class = np.full(tri.m, -1)
     var_of_class[np.asarray(e_sim, dtype=np.intp)] = np.arange(len(e_sim))
-    var_of_pid = []
-    for link in links:
-        var = var_of_class[link.end_class]
-        pids = np.flatnonzero(var >= 0)
-        var_of_pid.append(dict(zip(pids.tolist(), var[pids].tolist())))
-    loops = build_gimbal_loops(links, var_of_pid)
-    for loop, of_pid in zip(loops, var_of_pid):
-        loop.variable_of_pid = of_pid
+    variable = var_of_class[links.end_class]
+    loops = build_gimbal_loops(links, np.flatnonzero(variable >= 0))
+    for loop in loops:
+        loop.variable = variable
     return loops
 
 
@@ -772,7 +746,7 @@ def gimbal_lock_check(tri, labels, e_sim, theta_boxes, links):
         )
     try:
         loops = build_loops_for_partition(tri, e_sim, links=links)
-    except (GimbalLoopError, TriangulationError) as exc:
+    except GimbalLoopError as exc:
         return GimbalVerdict(False, f"loop construction failed: {exc}", [])
     dg = assemble_gimbal_jacobian(loops, labels, theta_boxes)
     if interval_matrix_invertible(dg):
@@ -821,41 +795,36 @@ def edge_direction_table(tri, labels, links):
     the word the closing identity gives T M = 0 for the angle sums'
     Jacobian M (`verify.select_subsystem`).
 
-    `labels` are float `CocycleLabels` and `links` the vertex links in
-    vertex-class order.  On link k, frames are transported along hexagon
-    letters, S(end) = label S(start), from the first vertex of its first
-    hexagon, where its loops begin, over the link's breadth-first tree of
-    hexagons (`LinkComplex.entry`), each entered where it shares a middle
-    letter with its parent: stacked over all links, each hexagon's letter
-    products from its entry on, then the entry frames by pointer jumping up
-    the tree.  Each prism end adds (-w_z, w_y, -w_x), w where its first
-    short edge starts, to rows 3k..3k+2 of its edge class's column.
+    `labels` are float `CocycleLabels` and `links` the `VertexLinks`.  On
+    link k, frames are transported along hexagon letters,
+    S(end) = label S(start), from the first vertex of its first hexagon,
+    where its loops begin, over the link's breadth-first tree of hexagons
+    (`VertexLinks.entry`), each entered where it shares a middle letter with
+    its parent: over all links at once, each hexagon's letter products from
+    its entry on, then the entry frames by pointer jumping up the tree.
+    Each prism end adds (-w_z, w_y, -w_x), w where its first short edge
+    starts, to rows 3k..3k+2 of its edge class's column.
     """
     def mul(a, b):  # off BLAS, left to right: stage I pivots on T's bits, the same anywhere
         return sum(a[..., :, k, None] * b[..., None, k, :] for k in range(3))
 
     label, _ = labels.label_bounds()
-    sizes = [link.n_hexagons for link in links]
-    base = np.cumsum([0] + sizes[:-1])  # each link's hexagon 0 in the stack
-    entry = _stacked(links, "entry")
+    entry, roots = links.entry, links.hexagon_offsets[:-1]
     slot = 6 * np.arange(len(entry))
     # a hexagon is entered from its parent's letter 6 h + j, from vertex j
-    # to j + 1; each link's hexagon 0, its root, is its own parent at step 0
-    side = _stacked(links, "other_side")[slot + entry]
-    side += 6 * np.repeat(base, sizes)
-    side[base] = 6 * base + 5
+    # to j + 1; each link's first hexagon, its root, is its own parent at
+    # step 0
+    side = links.other_side[slot + entry]
+    side[roots] = 6 * roots + 5
     parent, j = np.divmod(side, 6)
     step = (j + 1 - entry[parent]) % 6
-    # each prism end's first row, edge class, and the hexagon and vertex
-    # where its first short edge starts
-    ends = [len(link.prism_ends) for link in links]
-    row = 3 * np.repeat(np.arange(len(links)), ends)
-    cls = _stacked(links, "end_class")
-    first = [cycle[0] for link in links for cycle in link.prism_ends]
-    h, at = np.divmod(np.array(first) + 6 * np.repeat(base, ends), 6)
+    # each prism end's first row, and the hexagon and vertex where its first
+    # short edge starts
+    row = 3 * np.repeat(np.arange(len(roots)), np.diff(links.polygon_offsets))
+    h, at = np.divmod(links.end_slots[links.end_offsets[:-1]], 6)
     # prod[h, i]: the letters of hexagon h from its entry vertex on, i of them
     turn = slot[:, None] + (entry[:, None] + np.arange(6)) % 6
-    letters = label[_stacked(links, "label")[turn]]
+    letters = label[links.label[turn]]
     prod = np.tile(np.eye(3), (len(parent), 6, 1, 1))
     for i in range(5):
         prod[:, i + 1] = mul(letters[:, i], prod[:, i])
@@ -864,8 +833,9 @@ def edge_direction_table(tri, labels, links):
     while (up[up] != up).any():
         frame, up = mul(frame, frame[up]), up[up]
     w = mul(prod[h, (at - entry[h]) % 6], frame[h])[:, 2]
-    table = np.zeros((3 * len(links), tri.m))
-    np.add.at(table, (row[:, None] + np.arange(3), cls[:, None]), w[:, ::-1] * (-1.0, 1.0, -1.0))
+    table = np.zeros((3 * len(roots), tri.m))
+    np.add.at(table, (row[:, None] + np.arange(3), links.end_class[:, None]),
+              w[:, ::-1] * (-1.0, 1.0, -1.0))
     return table
 
 
@@ -879,8 +849,7 @@ def probe_partitions(tri, params, budget=20000, seed=0):
     a seeded sample otherwise.  `params` are float `EdgeParams`.  Rows:
     (loose-edge tuple, sigma_min, locked flag).
     """
-    links = [vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
-    table = edge_direction_table(tri, CocycleLabels(tri, params), links)
+    table = edge_direction_table(tri, CocycleLabels(tri, params), vertex_link_hexagon_complex(tri))
     m, need = tri.m, 3 * tri.o
     if math.comb(m, need) <= budget:
         candidates = itertools.combinations(range(m), need)

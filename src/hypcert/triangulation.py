@@ -7,7 +7,9 @@ gluing as read-only integer tables: each face's neighbour and gluing
 permutation, each local edge's edge class, each corner's vertex class,
 and the edge classes' incidences as walk states, which carry the
 orientation of each incidence.  The hexagonal vertex-link complexes of
-the doubly truncated simplices are built from the same tables.
+the doubly truncated simplices are built from the same tables, all links
+in one record of integer arrays under one numbering (`VertexLinks`), which
+stage I and stage V read as it is.
 
 File format (UTF-8, line oriented, '#' comments allowed)::
 
@@ -41,10 +43,10 @@ import numpy as np
 __all__ = [
     "TriangulationError",
     "Triangulation",
-    "LinkComplex",
     "parse",
     "parse_file",
     "serialize",
+    "VertexLinks",
     "vertex_link_hexagon_complex",
 ]
 
@@ -115,10 +117,10 @@ class Triangulation:
     edge_states: np.ndarray  # (6 n_tets,): incidences, grouped by class
     edge_degrees: np.ndarray  # (m,): the incidences of each class
     lengths: list = None
-    # the index plans of `geometry` and the vertex links, which depend only
+    # the index plans of `geometry` and the `VertexLinks`, which depend only
     # on the gluing: built on first use and kept here
     geometry_plan: object = field(default=None, repr=False)
-    links: list = field(default=None, repr=False)
+    links: object = field(default=None, repr=False)
 
     @property
     def n_tets(self):
@@ -448,42 +450,44 @@ _LAST = np.array([s[3] for s in PERMS])
 _SUCC = np.array([1, 2, 3, 4, 5, 0] * 4) + np.repeat(np.arange(0, 24, 6), 6)
 
 
-@dataclass
-class LinkComplex:
-    """One vertex link as integer arrays over its slots: slot 6 c + i is
-    letter i of the hexagon at corners[c] (`hexagon_cycle`), a short edge
-    at even i and a middle edge at odd i.  A link vertex is the smaller id
-    24 tet + perm index of the two hexagon vertices (tet, s) that a gluing
-    identifies; a letter's token is its short edge's own start, or its
-    middle edge's smaller side's smaller end, as 24 tet + perm index.
+@dataclass(eq=False)
+class VertexLinks:
+    """All vertex links as read-only np.intp arrays, stacked in
+    vertex-class order under one numbering.  Link k has the hexagons
+    hexagon_offsets[k] up to hexagon_offsets[k + 1], in the order of their
+    sorted corners, and the polygons polygon_offsets[k] up to
+    polygon_offsets[k + 1].  Slot 6 c + i is letter i of the hexagon at
+    corners[c] (`hexagon_cycle`), a short edge at even i and a middle edge
+    at odd i.  A link vertex is the smaller id 24 tet + perm index of the
+    two hexagon vertices (tet, s) that a gluing identifies; a letter's
+    token is its short edge's own start, or its middle edge's smaller
+    side's smaller end, as 24 tet + perm index.
 
-    `order` and `entry` are the link's breadth-first spanning tree of
+    `order` and `entry` are each link's breadth-first spanning tree of
     hexagons, which stage I's frames and stage V's gimbal loops both walk:
-    from hexagon 0, each hexagon's middle letters 1, 3 and 5 in turn, and
-    every hexagon entered through the letter, 6 c + entry[c], at which it
-    is first reached; hexagon 0's entry is its letter 0."""
+    in its hexagon range, `order` runs from the link's first hexagon over
+    each hexagon's middle letters 1, 3 and 5 in turn, and hexagon c is
+    entered through the letter 6 c + entry[c] that first reaches it, a
+    first hexagon through its letter 0."""
 
-    vertex_class: int
-    corners: np.ndarray  # (C, 2) rows tet, a; sorted
+    corners: np.ndarray  # (C, 2) rows tet, a
     start: np.ndarray  # slot -> the link vertex it starts at
     token: np.ndarray  # slot -> its token
     label: np.ndarray  # slot -> its label slot, 24 tet + `HEXAGON_SLOTS`
     other_side: np.ndarray  # slot -> its middle edge's other side, or -1
-    end_pid: np.ndarray  # slot -> the prism end its last vertex lies on
-    prism_ends: list  # pid -> its short-edge slots, in order around the polygon
-    end_class: np.ndarray  # pid -> the edge class of its prism
-    order: np.ndarray  # the hexagons in breadth-first order
+    end_pid: np.ndarray  # slot -> the polygon its last vertex lies on
+    end_slots: np.ndarray  # each polygon's short-edge slots in order, polygon by polygon
+    end_offsets: np.ndarray  # polygon -> its first in end_slots; then their count
+    end_class: np.ndarray  # polygon -> the edge class of its prism
+    order: np.ndarray  # the hexagons in breadth-first order, link by link
     entry: np.ndarray  # hexagon -> the letter it is entered through
-
-    @property
-    def n_hexagons(self):
-        return len(self.corners)
+    hexagon_offsets: np.ndarray  # link -> its first hexagon; then their count
+    polygon_offsets: np.ndarray  # link -> its first polygon; then their count
 
 
-def vertex_link_hexagon_complex(tri, vertex_class):
-    """The hexagon-and-polygon decomposition of one vertex link.
-
-    All links come from one pass over the 24 n letters, made on first use
+def vertex_link_hexagon_complex(tri):
+    """The hexagon-and-polygon decomposition of every vertex link, one
+    `VertexLinks`, from one pass over the 24 n letters, made on first use
     and kept on `tri`.  A letter's link vertices and token, and a middle
     edge's other side, are the partner of (tet, s) across the face s(3):
     tet's neighbour there and the composed permutation.  The prism-end
@@ -493,7 +497,7 @@ def vertex_link_hexagon_complex(tri, vertex_class):
     """
     if tri.links is None:
         tri.links = _build_links(tri)
-    return tri.links[vertex_class]
+    return tri.links
 
 
 def _build_links(tri):
@@ -511,55 +515,52 @@ def _build_links(tri):
     # the other side of a middle edge runs from the partner of its end
     other = np.where(middle, 24 * j + _LETTER_AT[partner[succ]], -1)
 
-    # prism ends: short edge g is followed by the one starting at its end
+    # prism ends: short edge g is followed by the one starting at its end.
+    # Walked link by link from the short edges in token order, `walk` holds
+    # the polygons' short edges, polygon after polygon, from `first` on
     short = np.flatnonzero(~middle)
     short_from = np.empty(24 * n, dtype=np.intp)
     short_from[start[short]] = short
     nxt = short_from[start[succ]]
     vclass, o = tri.vertex_table.ravel(), tri.o  # of the corner 4 tet + a
-    pid, ends, classes = [-1] * (24 * n), [[] for _ in range(o)], [[] for _ in range(o)]
-    nxt_l, vclass_l = nxt.tolist(), vclass.tolist()
-    end_class = tri.edge_table[tet, PERM_EDGE[own]].tolist()
-    for g in short[np.argsort(token[short], kind="stable")].tolist():
+    pid, nxt_l, walk, first = [-1] * (24 * n), nxt.tolist(), [], []
+    for g in short[np.lexsort((token[short], vclass[short // 6]))].tolist():
         if pid[g] >= 0:
             continue
-        k = vclass_l[g // 6]
-        p, cycle, x = len(ends[k]), [], g
+        first.append(len(walk))
+        x = g
         while pid[x] < 0:
-            pid[x] = p
-            cycle.append(x)
+            pid[x] = len(first) - 1
+            walk.append(x)
             x = nxt_l[x]
-        ends[k].append(cycle)
-        classes[k].append(end_class[g])
-    end_pid = np.array(pid)[nxt]
+    heads = np.array(walk)[first]
 
-    # each link's letters, in the order of its sorted corners
+    # the links' letters in vertex-class order, each link's in the order of
+    # its sorted corners
     corner_order = np.argsort(vclass, kind="stable")
-    letters = (6 * corner_order[:, None] + np.arange(6)).ravel()
-    local = np.empty(24 * n, dtype=np.intp)
-    sizes = np.bincount(vclass, minlength=o)
-    offsets = np.repeat(6 * np.cumsum(sizes) - 6 * sizes, 6 * sizes)
-    local[letters] = np.arange(24 * n) - offsets
-    label = (24 * tet + np.tile(HEXAGON_SLOTS, n))[letters]
-    other = np.where(other[letters] >= 0, local[other[letters]], -1)
+    letters = (6 * corner_order[:, None] + np.arange(6)).ravel()  # slot -> letter
+    slot = np.empty(24 * n, dtype=np.intp)
+    slot[letters] = np.arange(24 * n)
+    other_side = np.where(other[letters] >= 0, slot[other[letters]], -1)
+    hexagon_offsets, polygon_offsets = (np.concatenate(([0], np.cumsum(np.bincount(
+        x, minlength=o)))) for x in (vclass, vclass[heads // 6]))
+
+    # the breadth-first spanning trees, one queue: a link's queue runs dry
+    # once it holds all of the link's hexagons, and the next hexagon is the
+    # next link's first
+    sides, order, entry = other_side.tolist(), [], [-1] * (4 * n)
+    for t in range(4 * n):
+        if t == len(order):
+            order.append(t)
+            entry[t] = 0
+        for j in (1, 3, 5):
+            c, i = divmod(sides[6 * order[t] + j], 6)
+            if entry[c] < 0:
+                order.append(c)
+                entry[c] = i
     corners = np.stack(np.divmod(corner_order, 4), axis=1)
-    tables = [corners, start[letters], token[letters], label, other, end_pid[letters]]
-    for a in tables:
-        a.flags.writeable = False
-    links, lo, local = [], 0, local.tolist()
-    for k, size in enumerate(sizes.tolist()):
-        parts = [a[lo:lo + 6 * size] for a in tables[1:]]
-        # the breadth-first spanning tree (`LinkComplex.order`, `entry`)
-        other_side, order, entry = parts[3].tolist(), [0], [0] + [-1] * (size - 1)
-        for h in order:
-            for j in (1, 3, 5):
-                c, i = divmod(other_side[6 * h + j], 6)
-                if entry[c] < 0:
-                    order.append(c)
-                    entry[c] = i
-        links.append(LinkComplex(k, corners[lo // 6:lo // 6 + size], *parts,
-                                 [[local[g] for g in cycle] for cycle in ends[k]],
-                                 _frozen(classes[k]),
-                                 _frozen(order), _frozen(entry)))
-        lo += 6 * size
-    return links
+    label = (24 * tet + np.tile(HEXAGON_SLOTS, n))[letters]
+    return VertexLinks(*map(_frozen, (
+        corners, start[letters], token[letters], label, other_side, np.array(pid)[nxt][letters],
+        slot[walk], first + [len(walk)], tri.edge_table[tet, PERM_EDGE[own]][heads], order,
+        entry, hexagon_offsets, polygon_offsets)))

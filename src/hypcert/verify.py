@@ -27,7 +27,7 @@ is ever produced from a failed stage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,7 +85,6 @@ class CertifiedBox:
     nu: object  # kernel array, an interval per edge in canonical order (points on e_sim)
     theta: object  # kernel array, the interval angle sum per edge
     partition: Partition
-    statuses: dict = field(default_factory=dict)
     loops: list = None
     precision: int = 53
     # over nu: from stage II's last step when that step saw the certified
@@ -413,8 +412,8 @@ def krawczyk_certify(tri, p0, partition, jsub, residual, kernel=None):
             for a, b in zip(kernel.exact_bounds(enclosure), kernel.exact_bounds(seen["box"]))
         ):
             data = seen["data"]
-    return CertifiedBox(nu=nu, theta=None, partition=partition, statuses={2: "contained"},
-                        precision=kernel.precision, gram_data=data)
+    return CertifiedBox(nu=nu, theta=None, partition=partition, precision=kernel.precision,
+                        gram_data=data)
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +424,10 @@ def krawczyk_certify(tri, p0, partition, jsub, residual, kernel=None):
 def check_realization_and_angles(tri, box):
     """Interval realization for every simplex plus loose angle sums.
 
-    Fills box.theta and records step statuses; raises StepFailure when a
-    simplex cannot be proven realized or a loose angle-sum enclosure does
-    not contain a full turn.  The box's `gram_data`, when stage II handed
-    it over, is its SimplexData, proven realized there.
+    Fills box.theta; raises StepFailure when a simplex cannot be proven
+    realized or a loose angle-sum enclosure does not contain a full turn.
+    The box's `gram_data`, when stage II handed it over, is its
+    SimplexData, proven realized there.
     """
     kernel = kernel_for_precision(box.precision)
     data = box.gram_data
@@ -438,20 +437,19 @@ def check_realization_and_angles(tri, box):
             data = geo.simplex_data(tri, params)
     except geo.RealizationError as exc:
         raise StepFailure(3, str(exc))
-    box.statuses[3] = "all simplices realized"
     box.theta = geo.angle_sums(tri, params, data=data)
     full = kernel.contains_two_pi(box.theta[box.partition.e_sim])
     if not full.all():
         e = box.partition.e_sim[int(np.argmin(full))]
         raise StepFailure(4, f"angle sum of loose edge {e} does not contain a full turn")
-    box.statuses[4] = "loose angle sums contain full turns"
     box.gram_data = data
     return box
 
 
 def check_gimbal_lock(tri, box, links):
     """Step V on a box that passed steps III and IV, over the vertex links
-    `links`: records the verdict and the loops, or raises StepFailure.
+    `links`: records the loops and returns the verdict's reason, or raises
+    StepFailure.
     Labels and loose angle sums are 53-bit: the box's own at 53 bits, its
     outward float hull above."""
     kernel = kernel_for_precision(box.precision)
@@ -461,13 +459,12 @@ def check_gimbal_lock(tri, box, links):
     try:
         labels = gimbal.CocycleLabels(tri, geo.EdgeParams(nu, FLOAT_KERNEL), data=data)
         verdict = gimbal.gimbal_lock_check(tri, labels, e_sim, theta[e_sim], links=links)
-    except (geo.RealizationError, gimbal.GimbalLoopError) as exc:
+    except geo.RealizationError as exc:
         raise StepFailure(5, str(exc))
     if not verdict.avoided:
         raise StepFailure(5, verdict.reason)
-    box.statuses[5] = verdict.reason
     box.loops = verdict.loops
-    return box
+    return verdict.reason
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +512,7 @@ def run_pipeline(
 
     if tri.m < 3 * tri.o:
         return finish(1, f"{tri.m} edges cannot carry {3 * tri.o} loose ones")
-    links = [vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
+    links = vertex_link_hexagon_complex(tri)
     try:
         partition, jsub = select_subsystem(tri, params0, data0, links)
     except (geo.RealizationError, RankDeficiency) as exc:
@@ -525,9 +522,9 @@ def run_pipeline(
         box = krawczyk_certify(tri, p0, partition, jsub, r0, kernel=kernel)
         statuses[2] = "solution of kept equations enclosed"
         box = check_realization_and_angles(tri, box)
-        statuses[3], statuses[4] = box.statuses[3], box.statuses[4]
-        box = check_gimbal_lock(tri, box, links)
+        statuses[3] = "all simplices realized"
+        statuses[4] = "loose angle sums contain full turns"
+        statuses[5] = check_gimbal_lock(tri, box, links)
     except StepFailure as exc:
         return finish(exc.step, exc.message)
-    statuses[5] = box.statuses[5]
     return finish()

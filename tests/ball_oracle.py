@@ -275,7 +275,7 @@ def gimbal_matrix(loop, labels, box_of_variable):
     acc = scalar_identity()
     for letter in letters_of(loop):
         if letter["kind"] == "P":
-            box = box_of_variable[loop.variable_of_pid[letter["pid"]]]
+            box = box_of_variable[loop.variable[letter["pid"]]]
             ball = scalar_rotation_balls([box])[0][0]
         else:
             ball = scalar_ball_from_interval_mat3(label_of(labels, letter))
@@ -396,7 +396,7 @@ def sequential_derivatives(loop, labels, rotations):
     word = letters_of(loop)
     n = len(word)
     mats = [
-        rotations[loop.variable_of_pid[letter["pid"]]][0] if letter["kind"] == "P"
+        rotations[loop.variable[letter["pid"]]][0] if letter["kind"] == "P"
         else ball_from_interval_mat3(label_of(labels, letter))
         for letter in word
     ]
@@ -410,7 +410,7 @@ def sequential_derivatives(loop, labels, rotations):
     for i, letter in enumerate(word):
         if letter["kind"] != "P":
             continue
-        var = loop.variable_of_pid[letter["pid"]]
+        var = loop.variable[letter["pid"]]
         term = ball_mul(prefix[n - 1 - i], ball_mul(rotations[var][1], suffix[i]))
         acc[var] = term if var not in acc else ball_add(acc[var], term)
     return acc

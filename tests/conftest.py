@@ -84,8 +84,8 @@ def verified_all(hyperbolic_triangulations):
 
 
 def links_of(tri):
-    """The vertex links of `tri`, in vertex-class order."""
-    return [vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
+    """The vertex links of `tri`, one `VertexLinks`."""
+    return vertex_link_hexagon_complex(tri)
 
 
 def stage_one(tri, lengths=None):

@@ -29,7 +29,7 @@ from tests.geometry_oracle import (
     sin_dihedral,
     sin_vertex_angle,
 )
-from tests.link_slots import expand_link
+from tests.link_slots import expand_link, link_view
 from tests.matrix_oracle import mat3_identity, mat3_mul
 from tests import kernel_scalars as ks
 
@@ -168,15 +168,14 @@ def edge_end_directions(tri, params, vertex_class=0, links=None):
     Transports the corner frames over the link and reads off, for every
     prism end, the unit direction in which the corresponding edge leaves
     the vertex (the z-axis of any corner frame on that polygon).  Returns
-    {pid: direction}, in the frame of the first corner.
+    {pid: direction}, pids numbered in the link, in the frame of the first
+    corner.  `links` is a `VertexLinks`, by default `tri`'s.
     """
     floats = [float(midpoint(v)) for v in ks.entries(params.values)]
     labels = gb.CocycleLabels(tri, EdgeParams(floats))
     if links is None:
-        link = vertex_link_hexagon_complex(tri, vertex_class)
-    else:
-        link = links[vertex_class]
-    link = expand_link(link)
+        links = vertex_link_hexagon_complex(tri)
+    link = expand_link(link_view(links, vertex_class))
     # frame transport: walking a letter u -> w multiplies the frame by the
     # label inverse (the label moves the simplex from u- to w-position)
     base = link.corners[0]

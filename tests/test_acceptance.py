@@ -36,7 +36,7 @@ from tests.geometry_oracle import (
 )
 from tests.ball_oracle import gimbal_function, per_ball
 from tests.gimbal_oracle import polygon_angle_sum, prism_holonomy
-from tests.link_slots import expand_link
+from tests.link_slots import expand_link, link_of, loop_view
 
 
 def report(n, text):
@@ -191,15 +191,15 @@ def test_criterion_06_polygon_identities(hyperbolic_triangulations, verified_all
         res = verified_all[name]
         box = res.box
         labels = gb.CocycleLabels(tri, geo.EdgeParams(box.nu, FLOAT_KERNEL))
-        links = [expand_link(tr.vertex_link_hexagon_complex(tri, k)) for k in range(tri.o)]
+        links = [expand_link(link_of(tri, k)) for k in range(tri.o)]
         for loop in res.box.loops:
-            link = links[loop.vertex_class]
+            link, view = links[loop.vertex_class], loop_view(loop)
             turns = [TWO_PI] * len(res.partition.e_sim)
             g_turns = gimbal_function(loop, labels, turns)
             assert all(comp.contains(0.0) for comp in g_turns), name
             deltas = {}  # variable -> the angle sum of one of its polygons
-            for pid, var in loop.variable_of_pid.items():
-                deltas.setdefault(var, polygon_angle_sum(labels, link, pid))
+            for pid in view.removed:
+                deltas.setdefault(int(view.variable[pid]), polygon_angle_sum(labels, link, pid))
             g_delta = gimbal_function(loop, labels, deltas)
             assert all(comp.contains(0.0) for comp in g_delta), name
             checked_loops += 1
@@ -282,8 +282,7 @@ def test_criterion_09_gimbal_probe(dodec27a):
 
     # every edge letter reads row 0, the half turn; P1 and P0 are -2, -1
     link = types.SimpleNamespace(label=np.zeros(2, dtype=np.intp))
-    loop = gb.GimbalLoop(0, link, (0, 1), np.array([1, -2, 0, -1]))
-    loop.variable_of_pid = {0: 0, 1: 1}
+    loop = gb.GimbalLoop(0, link, (0, 1), np.array([1, -2, 0, -1]), variable=np.arange(2))
     _, var, m = gb.gimbal_matrix_derivatives(
         [loop], SyntheticLabels(), gb.rotation_balls(FLOAT_KERNEL.two_pi()[[0, 0]])
     )

@@ -495,7 +495,7 @@ def test_jacobian_contains_exact_derivative_of_operand_midpoints(
                                     for stack in gb.rotation_balls(theta_boxes))
     identity = ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1)
     for li, loop in enumerate(loops):
-        var_of = loop.variable_of_pid
+        var_of = loop.variable
         word = loop.word.tolist()
         mats = [dyadic(rotation_mid[var_of[-1 - w]]) if w < 0
                 else dyadic(label_mid[loop.link.label[w]]) for w in word]

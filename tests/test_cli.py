@@ -135,6 +135,18 @@ def test_certify_without_lengths_graceful(tmp_path, capsys, dodec27a):
     pytest.param(("certify", "FILE", "--precision", "abc"), "invalid int value",
                  id="precision-abc"),
     pytest.param(("frobnicate", "FILE"), "invalid choice", id="unknown-command"),
+    # numpy's default_rng takes no negative seed, and a negative iteration
+    # count would run as none: both are usage errors before any work
+    pytest.param(("certify", "FILE", "--seed", "-5"),
+                 "argument --seed: must be a non-negative integer, got '-5'", id="certify-seed"),
+    pytest.param(("solve", "FILE", "--seed", "-1"),
+                 "argument --seed: must be a non-negative integer, got '-1'", id="solve-seed"),
+    pytest.param(("solve", "FILE", "--max-iters", "-1"),
+                 "argument --max-iters: must be a non-negative integer, got '-1'",
+                 id="solve-max-iters"),
+    pytest.param(("solve", "FILE", "--max-iters", "abc"),
+                 "argument --max-iters: must be a non-negative integer, got 'abc'",
+                 id="solve-max-iters-abc"),
 ])
 def test_usage_errors_exit_one(capsys, argv, message):
     # argparse's own exit code, 2, would read as a conservative failure
@@ -142,6 +154,16 @@ def test_usage_errors_exit_one(capsys, argv, message):
     code, out, err = run_cli(capsys, *(fixture if a == "FILE" else a for a in argv))
     assert code == 1
     assert message in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["certify", "solve"])
+def test_negative_seed_without_lengths_exit_one(capsys, command):
+    # without lengths the seed reaches the bootstrap solver's default_rng,
+    # which raised a ValueError on a negative one
+    code, out, err = run_cli(capsys, command, str(data_path("s3_twotet.tri")), "--seed", "-1")
+    assert code == 1
+    assert "argument --seed: must be a non-negative integer, got '-1'" in err
     assert out == ""
 
 

@@ -7,6 +7,7 @@ import pytest
 MODULES = [
     "hypcert",
     "hypcert.interval",
+    "hypcert.triangulation",
     "hypcert.gimbal",
     "hypcert.geometry",
     "hypcert.verify",

@@ -46,7 +46,15 @@ from tests.gimbal_oracle import (
 )
 from tests.conftest import S3_TEXT, links_of, stage_one
 from tests import gimbal_oracle, link_oracle
-from tests.link_slots import expand_link, letter, letters_of
+from tests.link_slots import (
+    build_loop,
+    expand_link,
+    letter,
+    letters_of,
+    link_of,
+    link_view,
+    loop_view,
+)
 from tests.matrix_oracle import mat3_mul
 from tests import kernel_scalars as ks
 
@@ -85,7 +93,7 @@ def test_beta_involution_interval(s3m):
     k = FloatKernel()
     rng = random.Random(9)
     labels, _ = random_realized_labels(s3m, rng, kernel=k)
-    link = expand_link(tr.vertex_link_hexagon_complex(s3m, 0))
+    link = expand_link(link_of(s3m, 0))
     for let in link.hexagons[link.corners[0]]:
         if let["kind"] != "b":
             continue
@@ -99,7 +107,7 @@ def test_beta_involution_interval(s3m):
 def test_gamma_reversal_inverts(s3m):
     rng = random.Random(10)
     labels, _ = random_realized_labels(s3m, rng)
-    link = expand_link(tr.vertex_link_hexagon_complex(s3m, 0))
+    link = expand_link(link_of(s3m, 0))
     for let in link.hexagons[link.corners[0]]:
         if let["kind"] != "g":
             continue
@@ -113,12 +121,12 @@ def test_gamma_reversal_inverts(s3m):
 
 def test_identified_middle_edges_share_labels(dodec27a, verified27a):
     labels = gb.CocycleLabels(dodec27a, geo.EdgeParams(verified27a.box.nu, FLOAT_KERNEL))
-    link = tr.vertex_link_hexagon_complex(dodec27a, 0)
+    links = tr.vertex_link_hexagon_complex(dodec27a)
     # each side of a middle edge reads its label from its own simplex: the
     # two sides read different rows of the table, with the same bits
     lo, hi = labels.label_bounds()
-    sides = np.flatnonzero(link.other_side >= 0)
-    own, other = link.label[sides], link.label[link.other_side[sides]]
+    sides = np.flatnonzero(links.other_side >= 0)
+    own, other = links.label[sides], links.label[links.other_side[sides]]
     assert (own != other).any()
     assert lo[own].tobytes() == lo[other].tobytes()
     assert hi[own].tobytes() == hi[other].tobytes()
@@ -174,7 +182,7 @@ def test_prism_holonomy_s3(s3m):
     k = FloatKernel()
     v = -2.0
     labels = gb.CocycleLabels(s3m, geo.EdgeParams(k.points([v] * 6), k))
-    link = expand_link(tr.vertex_link_hexagon_complex(s3m, 0))
+    link = expand_link(link_of(s3m, 0))
     theta = math.acos(-v / (1 - 2 * v))
     c2, s2 = math.cos(2 * theta), math.sin(2 * theta)
     want = ((c2, -s2, 0.0), (s2, c2, 0.0), (0.0, 0.0, 1.0))
@@ -190,7 +198,7 @@ def test_prism_holonomy_s3(s3m):
 def test_prism_holonomy_single_incidence_synthetic(s3m):
     k = FloatKernel()
     labels = gb.CocycleLabels(s3m, geo.EdgeParams(k.points([-2.0] * 6), k))
-    link = expand_link(tr.vertex_link_hexagon_complex(s3m, 0))
+    link = expand_link(link_of(s3m, 0))
     end = link.prism_ends[0]
     solo = link_oracle.PrismEnd(0, end.edge_class, end.gammas[:1], end.boundary_lvs)
 
@@ -209,7 +217,7 @@ def test_prism_holonomy_single_incidence_synthetic(s3m):
 def test_prism_holonomy_certified_encloses_identity(dodec27a, verified27a):
     box = verified27a.box
     labels = gb.CocycleLabels(dodec27a, geo.EdgeParams(box.nu, FLOAT_KERNEL))
-    link = expand_link(tr.vertex_link_hexagon_complex(dodec27a, 0))
+    link = expand_link(link_of(dodec27a, 0))
     for end in link.prism_ends[:6]:
         H = prism_holonomy(labels, link, end.pid)
         for i in range(3):
@@ -222,43 +230,43 @@ def test_prism_holonomy_certified_encloses_identity(dodec27a, verified27a):
 
 def test_loop_builder_and_validator(hyperbolic_triangulations):
     for t in hyperbolic_triangulations.values():
+        links = tr.vertex_link_hexagon_complex(t)
         for k in range(t.o):
-            link = tr.vertex_link_hexagon_complex(t, k)
-            n_ends = len(link.prism_ends)
+            n_ends = len(link_of(t, k).prism_ends)
             picks = [[0], [n_ends - 1], [0, 1, 2]]
             for removed in picks:
-                loop = gb.build_gimbal_loop(link, removed)
-                assert gb.validate_gimbal_loop(loop)
-                word = loop.word
+                loop = build_loop(links, k, removed)
+                assert gb.validate_gimbal_loops([loop])
+                word = loop_view(loop).word
                 assert sorted((-1 - word[word < 0]).tolist()) == sorted(removed)
                 used = set((word[word >= 0] // 6).tolist())
                 assert len(word) <= 6 * len(used) + len(removed)
 
 
 def test_loop_validator_rejects_tampering(dodec27a):
-    link = tr.vertex_link_hexagon_complex(dodec27a, 0)
-    loop = gb.build_gimbal_loop(link, [0, 1])
+    links = tr.vertex_link_hexagon_complex(dodec27a)
+    loop = build_loop(links, 0, [0, 1])
     # drop a polygon letter
     bad = gb.GimbalLoop(
         loop.vertex_class,
-        link,
+        links,
         loop.removed,
         loop.word[loop.word != -1],
     )
     with pytest.raises(gb.GimbalLoopError):
-        gb.validate_gimbal_loop(bad)
+        gb.validate_gimbal_loops([bad])
     # scramble the word order
     bad2 = gb.GimbalLoop(
-        loop.vertex_class, link, loop.removed, loop.word[::-1]
+        loop.vertex_class, links, loop.removed, loop.word[::-1]
     )
     with pytest.raises(gb.GimbalLoopError):
-        gb.validate_gimbal_loop(bad2)
+        gb.validate_gimbal_loops([bad2])
 
 
 def test_loop_missing_polygon_error(dodec27a):
-    link = tr.vertex_link_hexagon_complex(dodec27a, 0)
+    links = tr.vertex_link_hexagon_complex(dodec27a)
     with pytest.raises(gb.GimbalLoopError):
-        gb.build_gimbal_loop(link, [len(link.prism_ends)])
+        gb.build_gimbal_loops(links, [len(links.end_class)])
 
 
 # -- gimbal function and its derivative ----------------------------------------
@@ -273,9 +281,10 @@ def _point_labels(tri, values):
 def test_gimbal_derivative_finite_differences(dodec27a):
     p0 = [-math.cosh(float(l)) for l in dodec27a.lengths]
     labels = _point_labels(dodec27a, p0)
-    link = tr.vertex_link_hexagon_complex(dodec27a, 0)
-    loop = gb.build_gimbal_loop(link, [0, 3, 5])
-    loop.variable_of_pid = {0: 0, 3: 1, 5: 2}
+    links = tr.vertex_link_hexagon_complex(dodec27a)
+    loop = build_loop(links, 0, [0, 3, 5])
+    loop.variable = np.full(len(links.end_class), -1)
+    loop.variable[[0, 3, 5]] = [0, 1, 2]
     t0 = {0: 6.2, 3: 6.4, 5: 6.0}
 
     def at(angles):
@@ -302,14 +311,14 @@ def test_absent_variable_gives_zero_block(dodec30x2, verified_all):
     res = verified_all["dodec30x2"]
     box, part = res.box, res.partition
     labels = gb.CocycleLabels(dodec30x2, geo.EdgeParams(box.nu, FLOAT_KERNEL))
-    links = [tr.vertex_link_hexagon_complex(dodec30x2, k) for k in range(2)]
+    links = tr.vertex_link_hexagon_complex(dodec30x2)
     loops = gb.build_loops_for_partition(dodec30x2, part.e_sim, links=links)
     theta_boxes = box.theta[part.e_sim]
     dg = gb.assemble_gimbal_jacobian(loops, labels, theta_boxes)
     # some loose edge misses some vertex: its column block there is zero
     zero_blocks = 0
     for li, loop in enumerate(loops):
-        present = set(loop.variable_of_pid.values())
+        present = set(loop.variable[list(loop.removed)].tolist())
         for var in range(len(theta_boxes)):
             if var not in present:
                 zero_blocks += 1
@@ -326,14 +335,14 @@ def test_direction_sum_oracle(dodec27a, verified27a):
     p0 = res.p0
     part = res.partition
     labels = _point_labels(dodec27a, p0)
-    links = [tr.vertex_link_hexagon_complex(dodec27a, 0)]
+    links = tr.vertex_link_hexagon_complex(dodec27a)
     loops = gb.build_loops_for_partition(dodec27a, part.e_sim, links=links)
     loop = loops[0]
     dirs = edge_end_directions(dodec27a, geo.EdgeParams(list(p0)))
     der = _derivatives(loop, labels, [TWO_PI] * len(part.e_sim))
     ends_of_var = {}
-    for pid, var in loop.variable_of_pid.items():
-        ends_of_var.setdefault(var, []).append(pid)
+    for pid in loop.removed:
+        ends_of_var.setdefault(int(loop.variable[pid]), []).append(pid)
     for var, pids in ends_of_var.items():
         abar = np.sum([dirs[p] for p in pids], axis=0)
         col = np.array([der[var][r][c].mid() for r, c in ((0, 1), (0, 2), (1, 2))])
@@ -353,10 +362,9 @@ def test_edge_direction_table_reads_each_letters_own_label(name, hyperbolic_tria
     params = geo.EdgeParams.from_lengths([float(l) for l in tri.lengths])
     labels = gb.CocycleLabels(tri, params)
     label, _ = labels.label_bounds()
-    own, token = [], []
-    for link in links_of(tri):
-        own += link.label.tolist()
-        token += [gimbal_oracle.label_slot_of(letter(link, s)) for s in range(len(link.label))]
+    links = links_of(tri)
+    own = links.label.tolist()
+    token = [gimbal_oracle.label_slot_of(letter(links, s)) for s in range(len(links.label))]
     assert own != token  # some middle letters are named from the other side
     assert label[own].tobytes() == label[token].tobytes()
 
@@ -367,10 +375,11 @@ def test_edge_direction_table(name, hyperbolic_triangulations, verified_all):
     # columns e_sim are stage V's Jacobian at full turns for that partition
     tri = hyperbolic_triangulations[name]
     params = geo.EdgeParams.from_lengths([float(l) for l in tri.lengths])
-    links = [tr.vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
+    links = tr.vertex_link_hexagon_complex(tri)
     table = gb.edge_direction_table(tri, gb.CocycleLabels(tri, params), links)
     assert table.shape == (3 * tri.o, tri.m)
-    for k, link in enumerate(links):
+    for k in range(tri.o):
+        link = link_view(links, k)
         dirs = edge_end_directions(tri, params, k, links)
         want = np.zeros((3, tri.m))
         for pid, cls in enumerate(link.end_class.tolist()):
@@ -440,9 +449,9 @@ def _synthetic_loop(labels, removed_pids, word):
     polygon letter its pid; the loop's link passes the rows through."""
     rows = [-1 - w if isinstance(w, int) else labels.rows.index(w) for w in word]
     link = types.SimpleNamespace(label=np.arange(len(labels.rows)))
-    loop = gb.GimbalLoop(0, link, tuple(removed_pids), np.array(rows))
-    loop.variable_of_pid = {pid: i for i, pid in enumerate(removed_pids)}
-    return loop
+    variable = np.full(max(removed_pids) + 1, -1)
+    variable[removed_pids] = np.arange(len(removed_pids))
+    return gb.GimbalLoop(0, link, tuple(removed_pids), np.array(rows), variable)
 
 
 def _const_mat3(kernel, rows):
@@ -694,14 +703,15 @@ def test_gimbal_jacobian_memo_changes_no_bit(name, dodec27a, monkeypatch):
     # the scalar formulas, and every ball of the label and rotation tables
     # made one matrix at a time by the scalar reference
     letters, per_occurrence = [], []
+    link = types.SimpleNamespace()  # its slots are the letter occurrences
     for loop in loops:
         word = loop.word.copy()
         edges = word >= 0
+        word[edges] = len(letters) + np.arange(edges.sum())
         letters += [let for let in letters_of(loop) if let["kind"] != "P"]
-        word[edges] = np.arange(edges.sum())
-        link = types.SimpleNamespace(label=len(letters) - edges.sum() + np.arange(edges.sum()))
         per_occurrence.append(gb.GimbalLoop(loop.vertex_class, link, loop.removed, word,
-                                            loop.variable_of_pid))
+                                            loop.variable))
+    link.label = np.arange(len(letters))
     ends = np.array([[[(x.lo_float(), x.hi_float()) for x in row]
                       for row in label_matrix(labels, let)] for let in letters])
 

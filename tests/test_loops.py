@@ -7,10 +7,12 @@ Expanded into the reference's dicts (`tests/link_slots.py`), the links
 must match it field for field and the loops letter for letter, on the
 bundled fixtures, on the benchmark's scaling inputs and on every removed
 set `tests/test_gimbal.py` builds loops for; and both validators must
-reject each tampered loop with the same message.  Each link's spanning
-tree (`LinkComplex.order`, `entry`) must be that of a breadth-first search
-with a plain queue, and each loop must bound the shortest prefix of its
-order that touches the removed polygons.
+reject each tampered loop with the same message.  Each link is cut out of
+the triangulation's `VertexLinks` and numbered on its own (`link_view`),
+and each loop likewise (`loop_view`).  Each link's spanning tree
+(`VertexLinks.order`, `entry`) must be that of a breadth-first search with
+a plain queue, and each loop must bound the shortest prefix of its order
+that touches the removed polygons.
 """
 
 import collections
@@ -23,7 +25,16 @@ from hypcert import gimbal as gb
 from hypcert import triangulation as tr
 from tests import link_oracle
 from tests.conftest import data_path, stage_one
-from tests.link_slots import expand_link, expand_loop, letters_of, serialize_letters
+from tests.link_slots import (
+    build_loop,
+    expand_link,
+    expand_loop,
+    global_word,
+    letters_of,
+    link_view,
+    loop_view,
+    serialize_letters,
+)
 from tests.test_gimbal import _scaling_member
 from tests.test_triangulation import _random_gluing, assert_link_matches
 
@@ -76,19 +87,20 @@ def _queue_bfs(link):
     return order, [entry[c] for c in range(link.n_hexagons)]
 
 
-def assert_tree_is_a_queue_bfs(link):
-    order, entry = _queue_bfs(link)
-    assert sorted(order) == list(range(link.n_hexagons))
-    for got, want in ((link.order, order), (link.entry, entry)):
+def assert_trees_are_a_queue_bfs(links):
+    for got in (links.order, links.entry):
         assert got.dtype == np.intp and not got.flags.writeable
-        assert got.tolist() == want
+    for k in range(len(links.hexagon_offsets) - 1):
+        link = link_view(links, k)
+        order, entry = _queue_bfs(link)
+        assert sorted(order) == list(range(link.n_hexagons))
+        assert link.order.tolist() == order
+        assert link.entry.tolist() == entry
 
 
 @pytest.mark.parametrize("name", FIXTURES + SCALING)
 def test_link_spanning_trees_are_a_queue_bfs(name):
-    tri = _input(name)
-    for k in range(tri.o):
-        assert_tree_is_a_queue_bfs(tr.vertex_link_hexagon_complex(tri, k))
+    assert_trees_are_a_queue_bfs(tr.vertex_link_hexagon_complex(_input(name)))
 
 
 def test_random_gluings_link_spanning_trees_are_a_queue_bfs():
@@ -100,34 +112,37 @@ def test_random_gluings_link_spanning_trees_are_a_queue_bfs():
         except tr.TriangulationError:
             continue
         parsed += 1
-        for k in range(tri.o):
-            assert_tree_is_a_queue_bfs(tr.vertex_link_hexagon_complex(tri, k))
+        assert_trees_are_a_queue_bfs(tr.vertex_link_hexagon_complex(tri))
 
 
 @pytest.mark.parametrize("name", FIXTURES + SCALING)
 def test_links_and_loops_match_reference(name):
     tri = _input(name)
     loose = [set(e_sim) for e_sim in _loose_edge_sets(name, tri)]
+    links = tr.vertex_link_hexagon_complex(tri)
     for k in range(tri.o):
-        link = tr.vertex_link_hexagon_complex(tri, k)
+        link = link_view(links, k)
         ref = link_oracle.vertex_link_hexagon_complex(tri, k)
-        assert_link_matches(link, ref)
+        assert_link_matches(links, k, ref)
         expanded = expand_link(link)
         n = len(link.prism_ends)
         picks = [s for s in ([0], [n - 1], [0, 1, 2], [0, 1], [0, 3, 5]) if max(s) < n]
         picks += [[pid for pid, cls in enumerate(link.end_class.tolist()) if cls in e]
                   for e in loose]
         for removed in picks:
-            loop = gb.build_gimbal_loop(link, removed)
+            loop = build_loop(links, k, removed)
+            view = loop_view(loop)
             want = link_oracle.build_gimbal_loop(ref, removed)
-            assert letters_of(loop) == want.word, (k, removed)
+            assert letters_of(view) == want.word, (k, removed)
             assert loop.serialize() == serialize_letters(want.word)
-            assert link_oracle.validate_gimbal_loop(expand_loop(loop, expanded))
-            hexagons = set((loop.word[loop.word >= 0] // 6).tolist())
+            assert link_oracle.validate_gimbal_loop(expand_loop(view, expanded))
+            hexagons = set((view.word[view.word >= 0] // 6).tolist())
             assert hexagons == _least_prefix(link, removed), (k, removed)
-        for build, lk in ((gb.build_gimbal_loop, link), (link_oracle.build_gimbal_loop, ref)):
-            with pytest.raises(gb.GimbalLoopError, match=f"^no prism end {n} in this link$"):
-                build(lk, [n])
+        with pytest.raises(gb.GimbalLoopError, match=f"^no prism end {n} in this link$"):
+            link_oracle.build_gimbal_loop(ref, [n])
+    n = len(links.end_class)
+    with pytest.raises(gb.GimbalLoopError, match=f"^no prism end {n} in these links$"):
+        gb.build_gimbal_loops(links, [n])
 
 
 # -- the validator, clause by clause ---------------------------------------------
@@ -147,10 +162,11 @@ def _move(word, i, j):
     return out
 
 
-def _tampered(case, link):
-    """A loop over `link` broken in one way, the same loop as the
+def _tampered(case, links, k):
+    """A loop over link k of `links` broken in one way, the same loop as the
     reference's dicts, and the message both must raise."""
-    loop = gb.build_gimbal_loop(link, [0, 1, len(link.prism_ends) - 1])
+    link = link_view(links, k)
+    loop = loop_view(build_loop(links, k, [0, 1, len(link.prism_ends) - 1]))
     word, removed = loop.word.tolist(), loop.removed
     poly = [i for i, w in enumerate(word) if w < 0]
     # an edge letter followed by an edge letter
@@ -176,8 +192,8 @@ def _tampered(case, link):
     elif case == "owner slot does not match":
         # a slot is its owner hexagon's letter, so an owner cannot disagree
         # with its slot: the word names slot i of a hexagon past the link's
-        # last, and the reference's dicts give a letter another hexagon
-        # owns
+        # last, the next link's or none, and the reference's dicts give a
+        # letter another hexagon owns
         reference = letters_of(loop, word)
         other = next(let["owner"] for let in reference
                      if let["kind"] != "P" and let["owner"] != reference[i]["owner"])
@@ -198,10 +214,11 @@ def _tampered(case, link):
         lv = link.start[side_a]
         word = _lap(link, side_a // 6, lv) + _lap(link, side_b // 6, lv)
         removed, message = (), "hexagon disk is not connected"
-    bad = gb.GimbalLoop(loop.vertex_class, link, removed, np.array(word, dtype=np.intp))
+    first = links.polygon_offsets[k]
+    bad = gb.GimbalLoop(k, links, tuple(p + first for p in removed), global_word(links, k, word))
     if reference is None:
         reference = letters_of(loop, word)
-    return bad, gb.GimbalLoop(loop.vertex_class, expand_link(link), removed, reference), message
+    return bad, gb.GimbalLoop(k, expand_link(link), removed, reference), message
 
 
 TAMPERING = [
@@ -220,39 +237,55 @@ TAMPERING = [
 @pytest.mark.parametrize("case", TAMPERING)
 @pytest.mark.parametrize("name", ["dodec27a", "dodec30x2"])
 def test_validator_rejects_tampering(case, name, hyperbolic_triangulations):
-    link = tr.vertex_link_hexagon_complex(hyperbolic_triangulations[name], 0)
-    bad, reference, message = _tampered(case, link)
-    for validate, loop in ((gb.validate_gimbal_loop, bad),
-                           (link_oracle.validate_gimbal_loop, reference)):
-        with pytest.raises(gb.GimbalLoopError, match=f"^{message}$"):
-            validate(loop)
+    links = tr.vertex_link_hexagon_complex(hyperbolic_triangulations[name])
+    bad, reference, message = _tampered(case, links, 0)
+    with pytest.raises(gb.GimbalLoopError, match=f"^{message}$"):
+        gb.validate_gimbal_loops([bad])
+    with pytest.raises(gb.GimbalLoopError, match=f"^{message}$"):
+        link_oracle.validate_gimbal_loop(reference)
 
 
 @pytest.mark.parametrize("case", TAMPERING)
-@pytest.mark.parametrize("name", ["dodec27a", "dodec30x2"])
-def test_stacked_validator_raises_the_first_bad_loops_message(case, name,
-                                                               hyperbolic_triangulations):
-    # the tampered loop k-th among good loops over every link of the input,
-    # two over each: the message is the one it raises alone, also with a
-    # loop after it that fails an earlier clause
-    tri = hyperbolic_triangulations[name]
-    links = [tr.vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
-    bad, _, message = _tampered(case, links[0])
-    empty = gb.GimbalLoop(0, links[-1], (), np.zeros(0, dtype=np.intp))
-    good = [gb.build_gimbal_loop(link, removed) for link in links for removed in ([0], [0, 1, 2])]
-    for k in range(len(good) + 1):
-        for loops in (good[:k] + [bad] + good[k:], good[:k] + [bad, empty] + good[k:]):
+@pytest.mark.parametrize("name", ["dodec27a", "dodec30x2", "scaling12-seed1"])
+def test_stacked_validator_raises_the_first_bad_loops_message(case, name):
+    # the tampered loop on link k in place of the k-th of a partition's
+    # loops, one per link: the message is the one it raises alone, also with
+    # the next loop emptied, which fails an earlier clause
+    tri = _input(name)
+    links = tr.vertex_link_hexagon_complex(tri)
+    good = gb.build_loops_for_partition(tri, stage_one(tri)[2].e_sim, links)
+    assert len(good) == tri.o
+    for k in range(tri.o):
+        bad, _, message = _tampered(case, links, k)
+        lists = [good[:k] + [bad] + good[k + 1:]]
+        if k + 1 < tri.o:
+            empty = gb.GimbalLoop(k + 1, links, (), np.zeros(0, dtype=np.intp))
+            lists.append(good[:k] + [bad, empty] + good[k + 2:])
+        for loops in lists:
             with pytest.raises(gb.GimbalLoopError, match=f"^{message}$"):
                 gb.validate_gimbal_loops(loops)
+
+
+@pytest.mark.parametrize("name", ["dodec27a", "dodec30x2", "scaling12-seed1"])
+def test_validator_rejects_two_loops_on_one_link(name):
+    # loops share one slot numbering: two on one link would mix their claims
+    tri = _input(name)
+    links = tr.vertex_link_hexagon_complex(tri)
+    loops = gb.build_loops_for_partition(tri, stage_one(tri)[2].e_sim, links)
+    assert gb.validate_gimbal_loops(loops)
+    for k in range(tri.o):
+        for again in (loops[k], build_loop(links, k, [0])):
+            with pytest.raises(gb.GimbalLoopError, match="^two loops on one vertex link$"):
+                gb.validate_gimbal_loops(loops[:k + 1] + [again] + loops[k + 1:])
 
 
 @pytest.mark.parametrize("name", FIXTURES + tuple(f"scaling{k}-seed{seed}" for k in (12, 24)
                                                   for seed in (1, 7)))
 def test_stacked_validator_accepts_every_partition(name, monkeypatch):
-    # every partition's loops, alone and all together; building a
+    # every partition's loops, and the loops around no polygon; building a
     # partition's loops validates them once
     tri = _input(name)
-    links = [tr.vertex_link_hexagon_complex(tri, k) for k in range(tri.o)]
+    links = tr.vertex_link_hexagon_complex(tri)
     calls = []
     validate = gb.validate_gimbal_loops
 
@@ -261,12 +294,9 @@ def test_stacked_validator_accepts_every_partition(name, monkeypatch):
         return validate(loops)
 
     monkeypatch.setattr(gb, "validate_gimbal_loops", counting)
-    everything = []
     for e_sim in _loose_edge_sets(name, tri):
         calls.clear()
         loops = gb.build_loops_for_partition(tri, e_sim, links)
         assert calls == [tri.o]
         assert validate(loops)
-        everything += loops
-    everything += [gb.build_gimbal_loop(link, [0]) for link in links]
-    assert validate(everything)
+    assert validate(gb.build_gimbal_loops(links, []))

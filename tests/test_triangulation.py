@@ -9,7 +9,7 @@ import pytest
 from hypcert import triangulation as tr
 from tests import link_oracle
 from tests import triangulation_oracle as oracle
-from tests.link_slots import expand_link
+from tests.link_slots import expand_link, link_of, link_view
 from tests.conftest import BAD_LINK_TEXT, DEGREE_ONE_TEXT, S3_TEXT
 
 
@@ -251,14 +251,14 @@ def test_lengths_section(dodec27a):
 def test_link_hexagon_counts(hyperbolic_triangulations, s3):
     for t in list(hyperbolic_triangulations.values()) + [s3]:
         for k in range(t.o):
-            link = tr.vertex_link_hexagon_complex(t, k)
+            link = link_of(t, k)
             assert link.n_hexagons == np.count_nonzero(t.vertex_table == k)
 
 
 def test_link_euler_characteristic(hyperbolic_triangulations, s3):
     for t in list(hyperbolic_triangulations.values()) + [s3]:
         for k in range(t.o):
-            link = expand_link(tr.vertex_link_hexagon_complex(t, k))
+            link = expand_link(link_of(t, k))
             V = len({letter["start"] for cycle in link.hexagons.values() for letter in cycle})
             E = len(link.beta_pairs) + len(link.gamma_to_end)
             F = link.n_hexagons + len(link.prism_ends)
@@ -269,21 +269,20 @@ def test_prism_end_boundary_lengths(hyperbolic_triangulations, s3):
     # each end polygon has one side per incidence of its edge class
     for t in list(hyperbolic_triangulations.values()) + [s3]:
         for k in range(t.o):
-            link = tr.vertex_link_hexagon_complex(t, k)
+            link = link_of(t, k)
             for cycle, cls in zip(link.prism_ends, link.end_class):
                 assert len(cycle) == t.edge_degrees[cls]
 
 
 def test_prism_ends_cover_edge_ends(dodec30x2):
     t = dodec30x2
-    total = sum(
-        len(tr.vertex_link_hexagon_complex(t, k).prism_ends) for k in range(t.o)
-    )
-    assert total == 2 * t.m
+    links = tr.vertex_link_hexagon_complex(t)
+    assert len(links.end_class) == links.polygon_offsets[-1] == 2 * t.m
+    assert sorted(links.end_class.tolist()) == sorted(2 * list(range(t.m)))
 
 
 def test_hexagon_boundary_closes(dodec27a):
-    link = expand_link(tr.vertex_link_hexagon_complex(dodec27a, 0))
+    link = expand_link(link_of(dodec27a, 0))
     for corner, letters in link.hexagons.items():
         for cur, nxt in zip(letters, letters[1:] + letters[:1]):
             assert cur["end"] == nxt["start"]
@@ -299,19 +298,18 @@ def test_degree_one_edge_has_no_link():
         tr.parse(DEGREE_ONE_TEXT)
 
 
-def assert_link_matches(link, ref):
-    """The slot tables of `link`, expanded (`tests/link_slots.py`), have
-    every field of the reference's `LinkComplex`, equal, and in the same
-    order where the reference's order is deterministic (it fills
-    `lv_to_pid` from a set).  A letter has one key more than the
-    reference's, its owner hexagon.  Every array of `link` is read-only:
-    links are kept on their triangulation."""
-    arrays = [f.name for f in dataclasses.fields(link)
-              if isinstance(getattr(link, f.name), np.ndarray)]
-    assert {"end_class", "order", "entry", "label"} <= set(arrays)
-    for name in arrays:
-        assert not getattr(link, name).flags.writeable, name
-    link = expand_link(link)
+def assert_link_matches(links, k, ref):
+    """Link k of the record `links`, cut out and expanded
+    (`tests/link_slots.py`), has every field of the reference's
+    `LinkComplex`, equal, and in the same order where the reference's order
+    is deterministic (it fills `lv_to_pid` from a set).  A letter has one
+    key more than the reference's, its owner hexagon.  Every field of the
+    record is a read-only np.intp array: links are kept on their
+    triangulation."""
+    for f in dataclasses.fields(links):
+        a = getattr(links, f.name)
+        assert a.dtype == np.intp and not a.flags.writeable, f.name
+    link = expand_link(link_view(links, k))
     for f in dataclasses.fields(ref):
         got, want = getattr(link, f.name), getattr(ref, f.name)
         if f.name == "hexagons":
@@ -353,9 +351,9 @@ def test_random_gluings_links_match_reference():
             continue
         parsed += 1
         assert tri.edge_degrees.min() >= 2
+        links = tr.vertex_link_hexagon_complex(tri)
         for k in range(tri.o):
-            assert_link_matches(tr.vertex_link_hexagon_complex(tri, k),
-                                link_oracle.vertex_link_hexagon_complex(tri, k))
+            assert_link_matches(links, k, link_oracle.vertex_link_hexagon_complex(tri, k))
     assert degree_one > 0
 
 

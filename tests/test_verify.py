@@ -155,15 +155,20 @@ def test_locked_table_fails_step_one(dodec27a, monkeypatch, capsys):
 
 
 def test_one_run_builds_each_link_once_and_one_kept_block(monkeypatch):
-    # the links stage I builds serve stage V; stage I's float Jacobian is the
-    # kept block only, whose plan stage II's interval Jacobians reuse
+    # the links record stage I asks for serves stage V, and is built once;
+    # stage I's float Jacobian is the kept block only, whose plan stage II's
+    # interval Jacobians reuse
     tri = parse_file(data_path("dodec30x2.tri"))  # a fresh parse: no plans yet
-    built, blocks = [], []
-    link, jacobian = tr.vertex_link_hexagon_complex, geo.jacobian
+    asked, built, blocks = [], [], []
+    link, build, jacobian = tr.vertex_link_hexagon_complex, tr._build_links, geo.jacobian
 
-    def spy_link(tri, k):
-        built.append(k)
-        return link(tri, k)
+    def spy_link(tri):
+        asked.append(tri)
+        return link(tri)
+
+    def spy_build(tri):
+        built.append(tri)
+        return build(tri)
 
     def spy_jacobian(tri, params, data=None, rows=None, cols=None):
         blocks.append((params.kernel, rows, cols))
@@ -171,10 +176,11 @@ def test_one_run_builds_each_link_once_and_one_kept_block(monkeypatch):
 
     for module in (verify, gimbal, certificate):
         monkeypatch.setattr(module, "vertex_link_hexagon_complex", spy_link)
+    monkeypatch.setattr(tr, "_build_links", spy_build)
     monkeypatch.setattr(geo, "jacobian", spy_jacobian)
     res = verify.run_pipeline(tri)
     assert res.verified
-    assert built == list(range(tri.o)) == [0, 1]
+    assert asked == built == [tri] and tri.o == 2
     kept = res.partition.e_eq
     assert [(r, c) for k, r, c in blocks if k is REAL_KERNEL] == [(kept, kept)]
     assert all(r == c == kept for _, r, c in blocks)
